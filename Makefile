@@ -6,7 +6,7 @@ COUNT ?= 5
 # benchmarks, skipping the long-running figure regenerations in the root
 # package.
 BENCH_PKGS = ./internal/cache ./internal/index ./internal/core ./internal/proxy ./internal/workqueue ./internal/trace .
-BENCH_FILTER = '^(BenchmarkAccess|BenchmarkAccessProxyOnly|BenchmarkCache[A-Z].*|BenchmarkIndexAddRemoveHot|BenchmarkIndexOrdered|BenchmarkApplyBatch|BenchmarkApplyBatchContended|BenchmarkShardedOrdered|BenchmarkSimulatorBAPS|BenchmarkSimulatorProxyOnly|BenchmarkTraceStats|BenchmarkTraceRead|BenchmarkTraceReadBTR|BenchmarkLiveFetchHot|BenchmarkLiveFetchOriginMiss|BenchmarkWorkqueue[A-Z].*)$$'
+BENCH_FILTER = '^(BenchmarkAccess|BenchmarkAccessProxyOnly|BenchmarkCache[A-Z].*|BenchmarkIndexAddRemoveHot|BenchmarkIndexOrdered|BenchmarkApplyBatch|BenchmarkApplyBatchContended|BenchmarkShardedOrdered|BenchmarkSimulatorBAPS|BenchmarkSimulatorProxyOnly|BenchmarkTraceStats|BenchmarkTraceRead|BenchmarkTraceReadBTR|BenchmarkLiveFetchHot|BenchmarkLiveFetchOriginMiss|BenchmarkLiveFetchOriginMissRegistered|BenchmarkLiveFetchRefetchRegistered|BenchmarkWorkqueue[A-Z].*)$$'
 # Replay/driver-suite benchmark set (§16): the whole experiment-driver suite
 # timed as one unit (BenchmarkAllExperiments) plus out-of-core streaming
 # replay throughput (BenchmarkReplayStream). benchtime=1x because one
@@ -18,8 +18,10 @@ REPLAY_RECORD ?= $(lastword $(sort $(filter-out %_baseline.json,$(wildcard BENCH
 # subsystem, the batched index publish pipeline, the crash-safe disk
 # tier, and the background work plane, raced in `make check`.
 HOT_PKGS = ./internal/intern ./internal/cache ./internal/index ./internal/core ./internal/sim ./internal/trace ./internal/proxy ./internal/obs ./internal/chaos ./internal/browser ./internal/diskstore ./internal/breaker ./internal/federation ./internal/workqueue
+# The tests of the on-demand watermark memo (internal/proxy/watermark.go).
+WATERMARK_TESTS = ^TestWatermark(AnonymousFetchUnsigned|OnDemandMatchesSigner|ConcurrentFirstDemandsSignOnce|MemoAcrossReacquisition|MemoBounded|SignFailureFailsClosed)$$|^TestOnDemandWatermarkVerifiesAtAgents$$|^TestCrashRestartRederivesWatermark$$
 
-.PHONY: all build vet test race short bench check staticcheck bench-baseline bench-compare bench-replay bench-replay-compare stream-smoke loadtest loadtest-indexmodes loadtest-restart loadtest-federation loadtest-invalidation soak soak-smoke
+.PHONY: all build vet test race short bench check staticcheck bench-baseline bench-compare bench-replay bench-replay-compare bench-e2e-smoke stream-smoke loadtest loadtest-indexmodes loadtest-restart loadtest-federation loadtest-invalidation soak soak-smoke
 
 all: build vet test
 
@@ -27,8 +29,12 @@ all: build vet test
 # packages again under the race detector (covers the sharded-index churn and
 # live-proxy concurrency tests). staticcheck runs when installed (always in
 # CI); locally it is skipped with a notice rather than failing the gate.
+# The on-demand watermark tests (WATERMARK_TESTS: the memo/flight tests, not
+# the older tamper-detection ones) share one memo and one flight group
+# across request goroutines, so they are raced ten times over.
 check: vet test staticcheck
 	$(GO) test -race $(HOT_PKGS)
+	$(GO) test -race -count=10 -run '$(WATERMARK_TESTS)' ./internal/proxy ./internal/browser
 
 # Static analysis (SA* checks, see staticcheck.conf). Gated on the binary
 # being present so the target works in minimal containers without network
@@ -88,6 +94,15 @@ bench-replay-compare:
 	@test -n "$(REPLAY_RECORD)" || { echo "no BENCH_*_replay.json record found"; exit 2; }
 	$(GO) run ./cmd/benchjson -compare $(REPLAY_BASELINE) -input $(REPLAY_RECORD) \
 		-mingain BenchmarkAllExperiments=1.5
+
+# Yardstick smoke (CI): the two live workloads that lean hardest on
+# internal/ run for 10 s each. Exit status only — the benchmark fails on a
+# wrong body or a failed operation, and `go run` fails if benchmark/ no
+# longer builds against internal/ — so a change that breaks the yardstick is
+# caught here, not in the driver's pipeline run.
+bench-e2e-smoke:
+	$(GO) run ./benchmark -workload live.origin -seconds 10
+	$(GO) run ./benchmark -workload live.peer -seconds 10
 
 # 100k-client out-of-core replay smoke (CI): constant-memory generation of
 # a 2M-request trace from the streaming synth profile, then a full

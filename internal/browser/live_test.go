@@ -175,6 +175,44 @@ func TestRemoteBrowserHitDirectForward(t *testing.T) {
 	}
 }
 
+// TestOnDemandWatermarkVerifiesAtAgents: the proxy signs nothing at
+// acquisition; verifying agents (Verify is the default) still accept every
+// delivery — from the origin, from the proxy cache, and browser-to-browser
+// under direct-forward, where the watermark checked is the one the holder
+// stored from its own earlier fetch — and each distinct document costs the
+// proxy exactly one signature however many agents ask.
+func TestOnDemandWatermarkVerifiesAtAgents(t *testing.T) {
+	c := startCluster(t, 3, testProxyConfig(proxy.DirectForward), func(ac *Config) {
+		ac.CacheCapacity = 8 << 20
+	})
+	ctx := context.Background()
+	u := c.url("/doc/on-demand?size=9000")
+
+	want, src, err := c.agents[0].Get(ctx, u)
+	if err != nil || src != SourceOrigin {
+		t.Fatalf("first fetch: src=%v err=%v", src, err)
+	}
+	if _, src, err = c.agents[1].Get(ctx, u); err != nil || src != SourceProxy {
+		t.Fatalf("second agent: src=%v err=%v", src, err)
+	}
+	if st := c.proxy.Snapshot(); st.WatermarkSigned != 1 || st.WatermarkMemoHits != 1 {
+		t.Fatalf("two agents, one document: signed=%d memo_hits=%d, want 1/1", st.WatermarkSigned, st.WatermarkMemoHits)
+	}
+	forceProxyEviction(t, c, c.agents[2], 2<<20)
+	got, src, err := c.agents[2].Get(ctx, u)
+	if err != nil || src != SourceRemote || !bytes.Equal(got, want) {
+		t.Fatalf("peer delivery: src=%v err=%v equal=%v", src, err, bytes.Equal(got, want))
+	}
+	for i, a := range c.agents {
+		if m := a.Snapshot(); m.TamperSeen != 0 {
+			t.Fatalf("agent %d rejected %d watermarks", i, m.TamperSeen)
+		}
+	}
+	if signed, acquired := c.proxy.Snapshot().WatermarkSigned, c.origin.Fetches(); signed != acquired {
+		t.Fatalf("signed=%d for %d distinct documents acquired", signed, acquired)
+	}
+}
+
 func TestWatermarkTamperDetectionFetchForward(t *testing.T) {
 	c := startCluster(t, 3, testProxyConfig(proxy.FetchForward), func(ac *Config) {
 		ac.CacheCapacity = 8 << 20

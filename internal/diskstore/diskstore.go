@@ -79,10 +79,9 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 // Meta is the document metadata persisted alongside each body — everything
 // the proxy needs to re-seat a cache entry without refetching the document.
 type Meta struct {
-	Version   int64
-	Size      int64
-	Digest    []byte // MD5
-	Watermark []byte // RSA signature over Digest
+	Version int64
+	Size    int64
+	Digest  []byte // MD5
 }
 
 // Entry is one live document reported by replay, in journal (roughly
@@ -337,7 +336,7 @@ func (s *Store) applyPut(rec record) {
 		seg:    rec.seg,
 		off:    rec.off,
 		length: rec.length,
-		meta:   Meta{Version: rec.version, Size: rec.length, Digest: rec.digest, Watermark: rec.watermark},
+		meta:   Meta{Version: rec.version, Size: rec.length, Digest: rec.digest},
 		stamp:  rec.stamp,
 	}
 	e.touched = rec.stamp
@@ -394,7 +393,7 @@ func (s *Store) Put(key string, body []byte, meta Meta) error {
 		kind: jPut, key: key,
 		seg: s.active.id, off: off, length: int64(len(body)),
 		version: meta.Version, stamp: now,
-		digest: meta.Digest, watermark: meta.Watermark,
+		digest: meta.Digest,
 	}
 	if err := s.journal.append(rec); err != nil {
 		return err
@@ -745,7 +744,7 @@ func (s *Store) rewriteJournalLocked() error {
 				kind: jPut, key: key,
 				seg: e.seg, off: e.off, length: e.length,
 				version: e.meta.Version, stamp: e.stamp,
-				digest: e.meta.Digest, watermark: e.meta.Watermark,
+				digest: e.meta.Digest,
 			}
 			if err := emit(rec); err != nil {
 				return err

@@ -2,6 +2,7 @@ package diskstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -38,7 +39,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	s := mustOpen(t, dir, testConfig())
 	defer s.Close()
 
-	meta := Meta{Version: 7, Digest: []byte("0123456789abcdef"), Watermark: []byte("sig")}
+	meta := Meta{Version: 7, Digest: []byte("0123456789abcdef")}
 	if err := s.Put("k1", body(1), meta); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
@@ -49,7 +50,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, body(1)) {
 		t.Fatalf("body mismatch")
 	}
-	if m.Version != 7 || !bytes.Equal(m.Digest, meta.Digest) || !bytes.Equal(m.Watermark, meta.Watermark) {
+	if m.Version != 7 || !bytes.Equal(m.Digest, meta.Digest) {
 		t.Fatalf("meta mismatch: %+v", m)
 	}
 	if m.Size != int64(len(body(1))) {
@@ -57,6 +58,30 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	if _, _, err := s.Get("missing"); err != ErrNotFound {
 		t.Fatalf("want ErrNotFound, got %v", err)
+	}
+}
+
+// TestDecodePutSkipsLegacyWatermark: a put record written before watermarks
+// became derived-on-demand carries the RSA signature in the trailing
+// (now reserved) field; replay must still decode every other field.
+func TestDecodePutSkipsLegacyWatermark(t *testing.T) {
+	want := record{kind: jPut, key: "k", seg: 1, off: 2, length: 3, version: 4, stamp: 5, digest: []byte("0123456789abcdef")}
+	p := encodePayload(want)
+	sig := bytes.Repeat([]byte{0xAB}, 256)
+	legacy := binary.LittleEndian.AppendUint16(p[:len(p)-2:len(p)-2], uint16(len(sig)))
+	legacy = append(legacy, sig...)
+	for name, payload := range map[string][]byte{"current": p, "legacy": legacy} {
+		got, err := decodePayload(jPut, payload)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		if got.key != want.key || got.seg != want.seg || got.off != want.off || got.length != want.length ||
+			got.version != want.version || got.stamp != want.stamp || !bytes.Equal(got.digest, want.digest) {
+			t.Fatalf("%s: decoded %+v, want %+v", name, got, want)
+		}
+	}
+	if _, err := decodePayload(jPut, legacy[:len(legacy)-1]); err == nil {
+		t.Fatal("truncated legacy field accepted")
 	}
 }
 

@@ -16,7 +16,10 @@ import (
 // Record kinds:
 //
 //	jPut    key gained (or replaced) a body at (segment, offset, length),
-//	        with document meta (version, stamp, digest, watermark)
+//	        with document meta (version, stamp, digest) and one reserved
+//	        length-prefixed field, written empty: journals from before
+//	        watermarks became derived-on-demand stored the signature there,
+//	        and replay skips whatever it holds
 //	jDel    key's entry was dropped (delete, eviction, or corruption)
 //	jTouch  key was read; stamp refreshes its recency
 //	jState  opaque owner-state blob (stats counters, client table,
@@ -49,12 +52,11 @@ type record struct {
 	key  string
 
 	// jPut fields.
-	seg       uint32
-	off       int64
-	length    int64
-	version   int64
-	digest    []byte
-	watermark []byte
+	seg     uint32
+	off     int64
+	length  int64
+	version int64
+	digest  []byte
 
 	// jPut and jTouch.
 	stamp int64
@@ -65,7 +67,7 @@ type record struct {
 
 // putRecordSize estimates the journal bytes of a put record for key.
 func putRecordSize(key string, meta Meta) int {
-	return recHeaderSize + 2 + len(key) + 4 + 8 + 8 + 8 + 8 + 2 + len(meta.Digest) + 2 + len(meta.Watermark)
+	return recHeaderSize + 2 + len(key) + 4 + 8 + 8 + 8 + 8 + 2 + len(meta.Digest) + 2
 }
 
 // encodePayload renders a record's payload (everything after the header).
@@ -88,7 +90,7 @@ func encodePayload(rec record) []byte {
 		b = binary.LittleEndian.AppendUint64(b, uint64(rec.version))
 		b = binary.LittleEndian.AppendUint64(b, uint64(rec.stamp))
 		putBytes(rec.digest)
-		putBytes(rec.watermark)
+		putBytes(nil) // reserved (formerly the stored watermark)
 	case jDel:
 		putStr(rec.key)
 	case jTouch:
@@ -177,7 +179,7 @@ func decodePayload(kind byte, p []byte) (record, error) {
 		if rec.digest, err = getBytes(); err != nil {
 			return rec, err
 		}
-		if rec.watermark, err = getBytes(); err != nil {
+		if _, err = getBytes(); err != nil { // reserved; old journals hold a signature
 			return rec, err
 		}
 	case jDel:

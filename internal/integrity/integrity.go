@@ -4,11 +4,17 @@
 //
 // The watermark for a document D is the MD5 message digest of D encrypted
 // with the proxy server's private key — i.e. an RSA signature over MD5,
-// exactly the construction the paper describes ({MD5(D)}K⁻¹proxy). The proxy
-// produces the watermark when it first obtains the document from the origin
-// or an upper-level proxy and hands it to clients alongside the document;
-// any client can verify with the proxy's public key, and no client can forge
-// a matching watermark because only the proxy knows the private key.
+// exactly the construction the paper describes ({MD5(D)}K⁻¹proxy). The paper
+// has the proxy produce it on first obtaining the document; the live proxy
+// records only the digest then, and produces the watermark on first demand
+// by a client that can verify it and re-serve the document (a registered
+// browser), handing it over alongside the document. PKCS#1 v1.5 signing is
+// deterministic, so the watermark is a pure function of (key, digest):
+// produced late, re-derived after a restart, or memoised, it is the same
+// bytes. Any client can verify with the proxy's public key, and no client
+// can forge a matching watermark because only the proxy knows the private
+// key. This package stays one RSA operation per WatermarkDigest call; the
+// memo lives with the caller (internal/proxy/watermark.go).
 //
 // MD5 is used because the paper (2002) specifies it (RFC 1321); it is of
 // course not collision-resistant by modern standards, and the construction

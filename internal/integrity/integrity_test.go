@@ -48,6 +48,36 @@ func TestWatermarkRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWatermarkDigestDeterministic pins the property the live proxy's
+// on-demand watermarks rest on: the signature is a pure function of (key,
+// digest), so signing again — now, or from the persisted key after a
+// restart — reproduces the bytes clients already hold.
+func TestWatermarkDigestDeterministic(t *testing.T) {
+	s := testSigner(t)
+	priv, err := ParsePrivateKey(s.MarshalPrivateKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := NewSignerFromKey(priv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := Digest([]byte("a web document body"))
+	first, err := s.WatermarkDigest(digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, signer := range map[string]*Signer{"same signer": s, "reloaded key": reloaded} {
+		again, err := signer.WatermarkDigest(digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, again) {
+			t.Fatalf("%s: second signature over one digest differs", name)
+		}
+	}
+}
+
 func TestVerifyDetectsTampering(t *testing.T) {
 	s := testSigner(t)
 	doc := []byte("original content served by the origin")

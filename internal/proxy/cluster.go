@@ -14,9 +14,9 @@ package proxy
 // The hop header makes the sibling resolve only its local tiers and its own
 // browsers — never its cluster tier or the origin — so relays cannot loop and
 // a cluster-wide miss still costs exactly one origin fetch (at the
-// requester). Relayed bodies are verified by incremental MD5 and re-signed
-// under this proxy's own watermark key (each federated proxy keys its own
-// client population).
+// requester). A hop response carries no watermark: each federated proxy keys
+// its own client population, so the receiver hashes the relayed body as it
+// streams in and derives watermarks for its clients under its own key.
 //
 // This file also carries the fetch pacer: MaxFetchRPS models "one proxy
 // process = one machine of bounded capacity", which is what makes the
@@ -184,14 +184,16 @@ func (s *Server) handlePeerLocate(w http.ResponseWriter, r *http.Request) {
 // separately from client traffic so per-proxy hit ratios stay meaningful.
 func (s *Server) handleClusterFetch(w http.ResponseWriter, r *http.Request, url string) {
 	s.m.clusterServes.Inc()
-	if _, ok := s.serveLocal(w, url); ok {
+	// Requester -1 throughout: the sibling cannot use a watermark made
+	// under this proxy's key, so hop responses never cost a signature.
+	if _, ok := s.serveLocal(w, url, -1); ok {
 		s.m.clusterServeHits.Inc()
 		return
 	}
 	if !s.cfg.DisablePeer {
 		if p := s.resolveRemoteMode(r.Context(), url, -1, FetchForward); p.ok {
 			s.m.clusterServeHits.Inc()
-			s.serveDoc(w, SourceProxy, p.body, p.meta)
+			s.serveDoc(w, SourceProxy, p.body, p.meta, -1)
 			return
 		}
 	}
@@ -317,9 +319,8 @@ func (s *Server) locateAtSibling(ctx context.Context, peer, url string) (held bo
 }
 
 // fetchFromSibling relays url through a confirmed sibling with the
-// cluster-hop header set. The body is MD5-hashed as it streams in and
-// re-signed under this proxy's own watermark key — the sibling's signature
-// belongs to a different key pair and means nothing to our clients.
+// cluster-hop header set. The body is MD5-hashed as it streams in; that
+// digest is what this proxy's own watermark is later derived from.
 func (s *Server) fetchFromSibling(ctx context.Context, peer, url string) ([]byte, docMeta, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/fetch?url="+urlQueryEscape(url), nil)
 	if err != nil {
@@ -347,18 +348,8 @@ func (s *Server) fetchFromSibling(ctx context.Context, peer, url string) ([]byte
 		}
 		return nil, docMeta{}, err
 	}
-	digest := h.Sum(nil)
-	mark, err := s.signer.WatermarkDigest(digest)
-	if err != nil {
-		return nil, docMeta{}, err
-	}
 	version, _ := strconv.ParseInt(resp.Header.Get(HeaderVersion), 10, 64)
-	return body, docMeta{
-		version:   version,
-		size:      int64(len(body)),
-		digest:    digest,
-		watermark: mark,
-	}, nil
+	return body, docMeta{version: version, size: int64(len(body)), digest: h.Sum(nil)}, nil
 }
 
 // fetchPacer is a per-instance admission gate: client-facing fetches are

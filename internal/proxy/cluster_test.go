@@ -78,7 +78,7 @@ func waitCandidates(t *testing.T, s *Server, url string) {
 
 // TestClusterRelayFromSiblingCache: a document cached at proxy A reaches a
 // client of proxy B through the digest → locate → cluster-hop pipeline, with
-// no second origin fetch and a watermark re-signed under B's own key.
+// no second origin fetch and a watermark derived under B's own key.
 func TestClusterRelayFromSiblingCache(t *testing.T) {
 	o := origin.New(11)
 	ots := httptest.NewServer(o.Handler())
@@ -98,7 +98,7 @@ func TestClusterRelayFromSiblingCache(t *testing.T) {
 	}
 
 	waitCandidates(t, b, u)
-	resp, err = http.Get(b.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+	resp, err = registeredGet(b, register(t, b, "http://127.0.0.1:1"), u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +116,12 @@ func TestClusterRelayFromSiblingCache(t *testing.T) {
 	if n := o.Fetches(); n != 1 {
 		t.Fatalf("origin fetched %d times, want 1 (cluster should have absorbed the second)", n)
 	}
-	// The relayed body is re-signed by B: its watermark must verify under
-	// B's key (A's signature would not).
+	// B derives the watermark for its own client: it must verify under
+	// B's key (A's signature would not), and the hop itself — an anonymous
+	// origin fetch at A, then a cluster-hop serve — cost A no signature.
+	if n := a.Snapshot().WatermarkSigned; n != 0 {
+		t.Fatalf("A signed %d watermarks serving an anonymous client and a sibling, want 0", n)
+	}
 	mark, err := base64.StdEncoding.DecodeString(resp.Header.Get(HeaderWatermark))
 	if err != nil {
 		t.Fatal(err)

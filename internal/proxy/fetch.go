@@ -111,7 +111,7 @@ type fetchResult struct {
 // constants).
 func (s *Server) resolveFetch(ctx context.Context, w http.ResponseWriter, url string, requester int, noPeer bool) string {
 	// 1. Proxy cache: memory tier, spill stage, then the disk store.
-	if outcome, ok := s.serveLocal(w, url); ok {
+	if outcome, ok := s.serveLocal(w, url, requester); ok {
 		return outcome
 	}
 
@@ -127,7 +127,7 @@ func (s *Server) resolveFetch(ctx context.Context, w http.ResponseWriter, url st
 	// coalesces inside fetchUpstream.
 	if peerEligible && s.cfg.Forward != FetchForward {
 		res, err := s.resolveMiss(ctx, url, requester, true)
-		return s.writeResolution(ctx, w, res, err, false)
+		return s.writeResolution(ctx, w, res, err, requester, false)
 	}
 	key := url
 	if !peerEligible {
@@ -142,7 +142,7 @@ func (s *Server) resolveFetch(ctx context.Context, w http.ResponseWriter, url st
 	if shared {
 		obs.SpanFrom(ctx).Event("coalesced", "attached to in-flight resolution")
 	}
-	return s.writeResolution(ctx, w, res, err, shared)
+	return s.writeResolution(ctx, w, res, err, requester, shared)
 }
 
 // resolveMiss resolves a proxy-cache miss to a document without touching the
@@ -167,8 +167,9 @@ func (s *Server) resolveMiss(ctx context.Context, url string, requester int, pee
 
 // writeResolution writes a completed (or failed) miss resolution and reports
 // the outcome, bumping the coalesced counter when the result was shared from
-// another request's round.
-func (s *Server) writeResolution(ctx context.Context, w http.ResponseWriter, res fetchResult, err error, shared bool) string {
+// another request's round. The watermark follows this requester, not the
+// round's leader: a registered follower of an anonymous leader gets one.
+func (s *Server) writeResolution(ctx context.Context, w http.ResponseWriter, res fetchResult, err error, requester int, shared bool) string {
 	outcome := res.outcome
 	switch {
 	case err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil):
@@ -184,12 +185,14 @@ func (s *Server) writeResolution(ctx context.Context, w http.ResponseWriter, res
 		w.Header().Set(HeaderSource, SourceRemote)
 		w.WriteHeader(http.StatusOK)
 	case res.stream != nil:
-		s.serveStream(w, res)
+		s.serveStream(w, res, requester)
 	default:
 		if res.ticket != "" {
 			w.Header().Set("X-BAPS-Ticket", res.ticket)
 		}
-		s.serveDoc(w, res.source, res.body, res.meta)
+		if s.serveDoc(w, res.source, res.body, res.meta, requester) != nil {
+			outcome = outError
+		}
 	}
 	if shared {
 		s.m.coalesced.With(outcome).Inc()
@@ -315,7 +318,7 @@ func abandonPeer(peerCh <-chan peerOutcome) {
 // push to the requester through a pooled copy buffer — the document never
 // lands in proxy memory. The requester verifies the watermark end-to-end,
 // exactly as with the buffered relay this replaces.
-func (s *Server) serveStream(w http.ResponseWriter, res fetchResult) {
+func (s *Server) serveStream(w http.ResponseWriter, res fetchResult, requester int) {
 	st := res.stream
 	st.claim()
 	if res.ticket != "" {
@@ -323,8 +326,8 @@ func (s *Server) serveStream(w http.ResponseWriter, res fetchResult) {
 	}
 	w.Header().Set(HeaderSource, res.source)
 	w.Header().Set(HeaderVersion, strconv.FormatInt(res.meta.version, 10))
-	if res.meta.watermark != nil {
-		w.Header().Set(HeaderWatermark, base64.StdEncoding.EncodeToString(res.meta.watermark))
+	if requester >= 0 && st.mark != "" {
+		w.Header().Set(HeaderWatermark, st.mark)
 	}
 	if st.length >= 0 {
 		w.Header().Set("Content-Length", strconv.FormatInt(st.length, 10))
@@ -341,21 +344,36 @@ func (s *Server) serveStream(w http.ResponseWriter, res fetchResult) {
 }
 
 // writeDocHeaders commits a document response's headers (meta.size is the
-// Content-Length).
-func writeDocHeaders(w http.ResponseWriter, source string, meta docMeta) {
+// Content-Length). The watermark is derived only for a registered client —
+// the only callers that verify one or re-serve the document to a peer;
+// anonymous and cluster-hop callers (requester < 0) get none and cost no
+// signature. If it cannot be derived the response is a 500 and the error is
+// returned: a verifying agent reads an unmarked 200 as tampering.
+func (s *Server) writeDocHeaders(w http.ResponseWriter, source string, meta docMeta, requester int) error {
+	if requester >= 0 && meta.digest != nil {
+		mark, err := s.watermarkFor(meta.digest)
+		if err != nil {
+			http.Error(w, "proxy: watermark unavailable", http.StatusInternalServerError)
+			return err
+		}
+		w.Header().Set(HeaderWatermark, mark)
+	}
 	w.Header().Set(HeaderSource, source)
 	w.Header().Set(HeaderVersion, strconv.FormatInt(meta.version, 10))
-	if meta.watermark != nil {
-		w.Header().Set(HeaderWatermark, base64.StdEncoding.EncodeToString(meta.watermark))
-	}
 	w.Header().Set("Content-Length", strconv.FormatInt(meta.size, 10))
 	w.WriteHeader(http.StatusOK)
+	return nil
 }
 
-func (s *Server) serveDoc(w http.ResponseWriter, source string, body []byte, meta docMeta) {
+// serveDoc writes a buffered document to requester. The only failure it
+// reports is writeDocHeaders': the response is then already a 500.
+func (s *Server) serveDoc(w http.ResponseWriter, source string, body []byte, meta docMeta, requester int) error {
 	meta.size = int64(len(body))
-	writeDocHeaders(w, source, meta)
+	if err := s.writeDocHeaders(w, source, meta, requester); err != nil {
+		return err
+	}
 	w.Write(body)
+	return nil
 }
 
 // cacheLookup serves from the proxy's memory tier, promoting on hit (tests
@@ -423,8 +441,7 @@ type upstreamDoc struct {
 	meta docMeta
 }
 
-// fetchUpstream obtains the document from the origin, producing and
-// recording its watermark (§6.1: the proxy signs on first acquisition).
+// fetchUpstream obtains the document from the origin and records its digest.
 // Concurrent fetches of one URL are coalesced through the flight group: one
 // leader pays the origin round trip, followers share its result, a failed
 // leader's followers retry independently, and waiters still honor their own
@@ -453,7 +470,7 @@ func (e *upstreamStatusError) Error() string { return "status " + e.status }
 
 // transientUpstream classifies failures worth retrying: transport-level
 // errors (refused, reset, timed out) and throttling/5xx statuses. Client
-// errors (4xx) and local failures (signing, read, oversize) are terminal.
+// errors (4xx) and local failures (read, oversize) are terminal.
 func transientUpstream(err error) bool {
 	var se *upstreamStatusError
 	if errors.As(err, &se) {
@@ -496,9 +513,9 @@ func (s *Server) fetchUpstreamUncoalesced(ctx context.Context, url string) ([]by
 }
 
 // originAttempt performs one origin round trip: the body is read in a single
-// pass (pre-sized from Content-Length, MD5 hashed as it streams in), the
-// watermark is signed over that incremental digest, and the buffer moves
-// into the cache without a defensive copy.
+// pass (pre-sized from Content-Length, MD5 hashed as it streams in) and the
+// buffer moves into the cache without a defensive copy. Nothing is signed
+// here: the digest is all a later watermark needs (watermarkFor).
 func (s *Server) originAttempt(ctx context.Context, url string) ([]byte, docMeta, error) {
 	start := time.Now()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
@@ -523,18 +540,12 @@ func (s *Server) originAttempt(ctx context.Context, url string) ([]byte, docMeta
 		return nil, docMeta{}, err
 	}
 	version, _ := strconv.ParseInt(resp.Header.Get("X-Origin-Version"), 10, 64)
-	digest := h.Sum(nil)
-	mark, err := s.signer.WatermarkDigest(digest)
-	if err != nil {
-		return nil, docMeta{}, err
-	}
 	meta := docMeta{
-		version:   version,
-		size:      int64(len(body)),
-		digest:    digest,
-		watermark: mark,
-		lastMod:   resp.Header.Get("Last-Modified"),
-		storedAt:  time.Now(),
+		version:  version,
+		size:     int64(len(body)),
+		digest:   h.Sum(nil),
+		lastMod:  resp.Header.Get("Last-Modified"),
+		storedAt: time.Now(),
 	}
 	s.storeDoc(url, body, meta)
 	s.m.originFetch.Observe(time.Since(start).Seconds())
@@ -699,16 +710,14 @@ func (s *Server) fetchFromPeer(ctx context.Context, peer peerInfo, url string) (
 		return body, known, nil
 	}
 	// The proxy has no record for this version (e.g. restarted): accept
-	// the holder's stored watermark only if it verifies under our key.
-	markB64 := resp.Header.Get(HeaderWatermark)
-	mark, err := base64.StdEncoding.DecodeString(markB64)
+	// the body only if the holder's stored watermark verifies under our key.
+	mark, err := base64.StdEncoding.DecodeString(resp.Header.Get(HeaderWatermark))
 	if err != nil || integrity.VerifyDigest(s.signer.Public(), digest, mark) != nil {
 		s.m.watermarkRejected.Inc()
 		return nil, docMeta{}, fmt.Errorf("unverifiable peer content from client %d", peer.id)
 	}
 	s.m.watermarkVerified.Inc()
-	meta := docMeta{version: version, size: int64(len(body)), digest: digest, watermark: mark}
-	return body, meta, nil
+	return body, docMeta{version: version, size: int64(len(body)), digest: digest}, nil
 }
 
 // relayFromPeer implements direct-forward: issue a one-time ticket, tell the
@@ -766,8 +775,7 @@ func (s *Server) relayFromPeer(ctx context.Context, peer peerInfo, url string) (
 		select {
 		case d := <-session.ch:
 			version, _ := strconv.ParseInt(d.version, 10, 64)
-			mark, _ := base64.StdEncoding.DecodeString(d.watermark)
-			meta := docMeta{version: version, size: d.stream.length, watermark: mark}
+			meta := docMeta{version: version, size: d.stream.length}
 			// Remember which holder served this ticket so a later
 			// /report-bad can prune it without exposing its identity.
 			s.rememberTicket(string(ticket), peer.id)
@@ -839,12 +847,9 @@ func (s *Server) handleRelay(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	stream := newRelayStream(newCappedReader(r.Body, maxDocBytes), r.ContentLength)
+	stream.mark = r.Header.Get(HeaderWatermark)
 	select {
-	case session.ch <- relayDelivery{
-		stream:    stream,
-		watermark: r.Header.Get(HeaderWatermark),
-		version:   r.Header.Get(HeaderVersion),
-	}:
+	case session.ch <- relayDelivery{stream: stream, version: r.Header.Get(HeaderVersion)}:
 	default:
 		// Duplicate push; the ticket store already prevents this.
 		http.Error(w, "proxy: duplicate relay push", http.StatusConflict)

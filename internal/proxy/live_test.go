@@ -31,6 +31,7 @@ func TestCoalescedFetchSingleOrigin(t *testing.T) {
 	defer gate.Close()
 
 	s := testServer(t, nil)
+	reg := register(t, s, "http://127.0.0.1:1")
 	u := gate.URL + "/coalesce/doc?size=5000"
 	want := o.Body("/coalesce/doc", 0, 5000)
 
@@ -46,7 +47,7 @@ func TestCoalescedFetchSingleOrigin(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+			resp, err := registeredGet(s, reg, u)
 			if err != nil {
 				t.Errorf("fetch: %v", err)
 				return
@@ -234,7 +235,7 @@ func TestDirectForwardStreamedDelivery(t *testing.T) {
 	u := "http://origin.invalid/streamed"
 	s.Index().Add(indexEntryFor(s, reg.ClientID, u, int64(len(body))))
 
-	resp, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+	resp, err := registeredGet(s, register(t, s, "http://127.0.0.1:1"), u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,13 +317,18 @@ func BenchmarkLiveFetchHot(b *testing.B) {
 	})
 }
 
-// BenchmarkLiveFetchOriginMiss drives cold misses (unique URL per request)
-// through the full acquisition pipeline: origin round trip, single-pass
-// digest, watermark signing, cache insert.
-func BenchmarkLiveFetchOriginMiss(b *testing.B) {
+// benchOriginMisses drives b.N parallel /fetch requests, each an origin miss,
+// through a proxy with the production key size. docs > 0 cycles over that
+// many 8 KiB documents through a cache too small to keep any of them until
+// its next turn (every one is fetched once, untimed, first); docs == 0 makes
+// every request a never-seen URL. registered sends the requests as a
+// registered client, which is what makes the proxy derive a watermark.
+func benchOriginMisses(b *testing.B, registered bool, docs int) {
 	cfg := DefaultConfig()
-	cfg.KeyBits = 1024
 	cfg.CacheCapacity = 1 << 30
+	if docs > 0 {
+		cfg.CacheCapacity = 64 << 10
+	}
 	s, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -337,20 +343,70 @@ func BenchmarkLiveFetchOriginMiss(b *testing.B) {
 	defer ots.Close()
 
 	client := &http.Client{Transport: NewTransport(OriginIdleConnsPerHost)}
+	var reg RegisterResponse
+	if registered {
+		reg = register(b, s, "http://127.0.0.1:1")
+	}
+	fetch := func(n int64) error {
+		if docs > 0 {
+			n %= int64(docs)
+		}
+		u := s.BaseURL() + "/fetch?url=" + urlQueryEscape(fmt.Sprintf("%s/miss/%d?size=8192", ots.URL, n))
+		req, err := http.NewRequest(http.MethodGet, u, nil)
+		if err != nil {
+			return err
+		}
+		if registered {
+			req.Header.Set(HeaderClient, fmt.Sprint(reg.ClientID))
+			req.Header.Set(HeaderToken, reg.Token)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			return err
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.Header.Get(HeaderSource) != SourceOrigin {
+			return fmt.Errorf("request %d served from %q, want an origin miss", n, resp.Header.Get(HeaderSource))
+		}
+		return nil
+	}
+	for n := 0; n < docs; n++ {
+		if err := fetch(int64(n)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	signedBefore := s.Snapshot().WatermarkSigned
+
 	var seq atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			n := seq.Add(1)
-			u := s.BaseURL() + "/fetch?url=" + urlQueryEscape(fmt.Sprintf("%s/miss/%d?size=8192", ots.URL, n))
-			resp, err := client.Get(u)
-			if err != nil {
+			if err := fetch(seq.Add(1)); err != nil {
 				b.Error(err)
 				return
 			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
 		}
 	})
+	// Off the clock before the deferred tear-down: s.Close can sit out its
+	// 2 s drain budget on a connection the client dialed but never used,
+	// which at this b.N would swamp the one signature being measured.
+	b.StopTimer()
+	b.ReportMetric(float64(s.Snapshot().WatermarkSigned-signedBefore)/float64(b.N), "signs/op")
 }
+
+// BenchmarkLiveFetchOriginMiss drives cold misses (unique URL per request)
+// from an anonymous client through the full acquisition pipeline: origin
+// round trip, single-pass digest, cache insert. No watermark is derived.
+func BenchmarkLiveFetchOriginMiss(b *testing.B) { benchOriginMisses(b, false, 0) }
+
+// BenchmarkLiveFetchOriginMissRegistered is the same stream from a
+// registered client: every body is new, so every response costs the one
+// unavoidable signature.
+func BenchmarkLiveFetchOriginMissRegistered(b *testing.B) { benchOriginMisses(b, true, 0) }
+
+// BenchmarkLiveFetchRefetchRegistered re-acquires evicted documents for a
+// registered client: still an origin round trip each, but the watermark is
+// a memo hit.
+func BenchmarkLiveFetchRefetchRegistered(b *testing.B) { benchOriginMisses(b, true, 256) }

@@ -53,6 +53,8 @@ type serverMetrics struct {
 	falsePeer         *obs.Counter
 	watermarkVerified *obs.Counter
 	watermarkRejected *obs.Counter
+	watermarkSigned   *obs.Counter
+	watermarkMemoHits *obs.Counter
 	relayTimeouts     *obs.Counter
 	relayStreamErrors *obs.Counter
 	docTooLarge       *obs.Counter
@@ -159,6 +161,10 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		"Peer-served bodies that passed digest/watermark verification.")
 	m.watermarkRejected = reg.Counter("baps_proxy_watermark_rejected_total",
 		"Peer-served bodies rejected by digest/watermark verification or reported bad.")
+	m.watermarkSigned = reg.Counter("baps_proxy_watermark_signed_total",
+		"Watermarks derived with an RSA private-key operation (first demand for a digest).")
+	m.watermarkMemoHits = reg.Counter("baps_proxy_watermark_memo_hits_total",
+		"Watermark demands answered from the digest-keyed memo, without signing.")
 	m.relayTimeouts = reg.Counter("baps_proxy_relay_timeouts_total",
 		"Direct-forward relays that timed out waiting for the holder push.")
 	m.relayStreamErrors = reg.Counter("baps_proxy_relay_stream_errors_total",
@@ -251,6 +257,8 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		"Browser-index entries under breaker quarantine.", func() float64 { return float64(s.idx.QuarantinedEntries()) })
 	reg.GaugeFunc("baps_proxy_index_docs",
 		"Distinct documents currently indexed.", func() float64 { return float64(s.idx.URLCount()) })
+	reg.GaugeFunc("baps_proxy_watermark_memo_entries",
+		"Watermarks held in the digest-keyed memo.", func() float64 { return float64(s.marks.len()) })
 	reg.GaugeFunc("baps_proxy_cache_docs",
 		"Documents in the proxy cache.", func() float64 {
 			s.mu.Lock()

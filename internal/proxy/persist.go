@@ -78,9 +78,12 @@ type persistState struct {
 }
 
 // loadOrCreateSigner returns the proxy's watermark signer. With a data
-// directory the key lives in DIR/key.pem across restarts: watermarks stored
-// on disk (and the public key agents fetched before a kill) stay valid on
-// the reopened proxy. Without one, every start generates a fresh key.
+// directory the key lives in DIR/key.pem across restarts. No signature is
+// ever stored: the journal keeps each document's digest, and because signing
+// is deterministic the reopened proxy re-derives, on first demand, the very
+// watermark bytes agents stored before the kill (and the public key they
+// fetched still verifies them). Without a data directory every start
+// generates a fresh key.
 func loadOrCreateSigner(cfg Config) (*integrity.Signer, error) {
 	if cfg.DataDir == "" {
 		return integrity.NewSigner(cfg.KeyBits)
@@ -91,9 +94,9 @@ func loadOrCreateSigner(cfg Config) (*integrity.Signer, error) {
 		if err == nil {
 			return integrity.NewSignerFromKey(priv)
 		}
-		// Unreadable key file: fall through and replace it. Disk-resident
-		// watermarks made under the lost key fail digest verification on
-		// the peer path exactly like any other stale entry.
+		// Unreadable key file: fall through and replace it. Watermarks
+		// agents hold from the lost key stop verifying; their copies are
+		// rejected and pruned on the peer path like any other stale entry.
 	}
 	signer, err := integrity.NewSigner(cfg.KeyBits)
 	if err != nil {
@@ -136,12 +139,7 @@ func (s *Server) openDiskTier() error {
 	entries := ds.Entries()
 	s.mu.Lock()
 	for _, e := range entries {
-		s.meta[e.Key] = docMeta{
-			version:   e.Meta.Version,
-			size:      e.Meta.Size,
-			digest:    e.Meta.Digest,
-			watermark: e.Meta.Watermark,
-		}
+		s.meta[e.Key] = docMeta{version: e.Meta.Version, size: e.Meta.Size, digest: e.Meta.Digest}
 		s.cache.Seed(cache.Doc{Key: e.Key, Size: e.Meta.Size, Version: e.Meta.Version})
 	}
 	s.restoredDocs = len(entries)
@@ -310,11 +308,7 @@ func (s *Server) handleSpill(op spillOp) {
 		return
 	}
 	if op.wb {
-		err := s.ds.Put(op.key, op.body, diskstore.Meta{
-			Version:   op.meta.version,
-			Digest:    op.meta.digest,
-			Watermark: op.meta.watermark,
-		})
+		err := s.ds.Put(op.key, op.body, diskstore.Meta{Version: op.meta.version, Digest: op.meta.digest})
 		s.mu.Lock()
 		// The disk copy matches the live document only if no newer version
 		// was stored while the write was in flight.
@@ -330,11 +324,7 @@ func (s *Server) handleSpill(op spillOp) {
 	if !ok {
 		return // re-promoted or evicted while queued
 	}
-	err := s.ds.Put(op.key, staged.body, diskstore.Meta{
-		Version:   staged.meta.version,
-		Digest:    staged.meta.digest,
-		Watermark: staged.meta.watermark,
-	})
+	err := s.ds.Put(op.key, staged.body, diskstore.Meta{Version: staged.meta.version, Digest: staged.meta.digest})
 	s.mu.Lock()
 	delete(s.spillStage, op.key)
 	if err == nil {
@@ -450,7 +440,7 @@ func (s *Server) restartToWarmSeconds() float64 {
 // streams straight from disk through a pooled buffer; the second faults the
 // body back into the memory tier. ok=false means not resident anywhere
 // local and the caller should run miss resolution.
-func (s *Server) serveLocal(w http.ResponseWriter, url string) (string, bool) {
+func (s *Server) serveLocal(w http.ResponseWriter, url string, requester int) (string, bool) {
 	s.mu.Lock()
 	if _, _, resident := s.cache.PeekTier(url); !resident {
 		s.mu.Unlock()
@@ -465,7 +455,9 @@ func (s *Server) serveLocal(w http.ResponseWriter, url string) (string, bool) {
 		s.drainSpillsLocked()
 		s.mu.Unlock()
 		s.noteLocalHit()
-		s.serveDoc(w, SourceProxy, body, meta)
+		if s.serveDoc(w, SourceProxy, body, meta, requester) != nil {
+			return outError, true
+		}
 		return outProxyHit, true
 	}
 	if staged, ok := s.spillStage[url]; ok {
@@ -479,7 +471,9 @@ func (s *Server) serveLocal(w http.ResponseWriter, url string) (string, bool) {
 		s.drainSpillsLocked()
 		s.mu.Unlock()
 		s.noteLocalHit()
-		s.serveDoc(w, SourceProxy, staged.body, staged.meta)
+		if s.serveDoc(w, SourceProxy, staged.body, staged.meta, requester) != nil {
+			return outError, true
+		}
 		return outProxyHit, true
 	}
 	if s.ds == nil {
@@ -494,21 +488,21 @@ func (s *Server) serveLocal(w http.ResponseWriter, url string) (string, bool) {
 	s.mu.Unlock()
 
 	if promote {
-		return s.serveDiskPromote(w, url, meta)
+		return s.serveDiskPromote(w, url, meta, requester)
 	}
-	return s.serveDiskStream(w, url, meta)
+	return s.serveDiskStream(w, url, meta, requester)
 }
 
 // serveDiskPromote faults a disk-resident body back into the memory tier
 // and serves it.
-func (s *Server) serveDiskPromote(w http.ResponseWriter, url string, meta docMeta) (string, bool) {
+func (s *Server) serveDiskPromote(w http.ResponseWriter, url string, meta docMeta, requester int) (string, bool) {
 	body, dmeta, err := s.ds.Get(url)
 	if err != nil {
 		s.dropLostLocal(url)
 		return "", false
 	}
 	if meta.digest == nil {
-		meta = docMeta{version: dmeta.Version, size: dmeta.Size, digest: dmeta.Digest, watermark: dmeta.Watermark}
+		meta = docMeta{version: dmeta.Version, size: dmeta.Size, digest: dmeta.Digest}
 	}
 	s.mu.Lock()
 	if _, _, resident := s.cache.PeekTier(url); resident {
@@ -519,7 +513,9 @@ func (s *Server) serveDiskPromote(w http.ResponseWriter, url string, meta docMet
 	}
 	s.mu.Unlock()
 	s.noteLocalHit()
-	s.serveDoc(w, SourceProxy, body, meta)
+	if s.serveDoc(w, SourceProxy, body, meta, requester) != nil {
+		return outError, true
+	}
 	return outDiskHit, true
 }
 
@@ -527,24 +523,27 @@ func (s *Server) serveDiskPromote(w http.ResponseWriter, url string, meta docMet
 // pooled buffer without promoting it (or buffering it in proxy memory).
 // Headers are deferred to the first body byte, so a read that fails before
 // any output can still fall back to miss resolution.
-func (s *Server) serveDiskStream(w http.ResponseWriter, url string, meta docMeta) (string, bool) {
-	lw := &lazyHeaderWriter{w: w, meta: meta}
+func (s *Server) serveDiskStream(w http.ResponseWriter, url string, meta docMeta, requester int) (string, bool) {
+	lw := &lazyHeaderWriter{s: s, w: w, meta: meta, requester: requester}
 	_, dmeta, err := s.ds.ReadTo(lw, url)
-	if err != nil {
-		if !lw.wrote {
-			s.dropLostLocal(url)
-			return "", false
-		}
-		// Mid-body failure: the short write aborts the response at the
-		// client (Content-Length was already committed).
+	if err == nil && !lw.wrote {
+		lw.meta.size = dmeta.Size
+		err = lw.commit()
+	}
+	switch {
+	case err == nil:
+		s.noteLocalHit()
+		return outDiskHit, true
+	case !lw.wrote:
+		s.dropLostLocal(url)
+		return "", false
+	default:
+		// The watermark could not be derived (a 500 was sent in place of
+		// the headers), or the read failed mid-body and the short write
+		// aborts the response at the client (Content-Length was already
+		// committed).
 		return outError, true
 	}
-	if !lw.wrote {
-		lw.meta.size = dmeta.Size
-		lw.commit()
-	}
-	s.noteLocalHit()
-	return outDiskHit, true
 }
 
 // dropLostLocal sheds a key whose disk copy turned out missing or corrupt,
@@ -567,19 +566,23 @@ func (s *Server) dropLostLocal(url string) {
 // so a disk read that fails before producing output leaves the
 // ResponseWriter untouched for the miss path.
 type lazyHeaderWriter struct {
-	w     http.ResponseWriter
-	meta  docMeta
-	wrote bool
+	s         *Server
+	w         http.ResponseWriter
+	meta      docMeta
+	requester int
+	wrote     bool
 }
 
-func (l *lazyHeaderWriter) commit() {
-	writeDocHeaders(l.w, SourceProxy, l.meta)
+func (l *lazyHeaderWriter) commit() error {
 	l.wrote = true
+	return l.s.writeDocHeaders(l.w, SourceProxy, l.meta, l.requester)
 }
 
 func (l *lazyHeaderWriter) Write(p []byte) (int, error) {
 	if !l.wrote {
-		l.commit()
+		if err := l.commit(); err != nil {
+			return 0, err
+		}
 	}
 	return l.w.Write(p)
 }

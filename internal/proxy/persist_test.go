@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -324,5 +325,104 @@ func TestWriteBehindPersistsHotMemTier(t *testing.T) {
 	}
 	if s2.Snapshot().OriginFetches != before {
 		t.Fatal("hot doc refetched from origin after crash")
+	}
+}
+
+// TestCrashRestartRederivesWatermark: no signature is journaled, yet a
+// SIGKILLed proxy reopened on its data directory (same key.pem) hands a
+// registered client the very watermark bytes an agent stored before the
+// crash, and that agent's stored copy of a document the proxy lost
+// altogether still verifies on the peer path.
+func TestCrashRestartRederivesWatermark(t *testing.T) {
+	dir := t.TempDir()
+	s, ots := startDiskProxy(t, diskTestConfig(dir))
+	defer ots.Close()
+
+	// The "agent": a registered peer serving what it stored pre-crash.
+	type storedDoc struct {
+		body []byte
+		mark string
+	}
+	var mu sync.Mutex
+	stored := make(map[string]storedDoc)
+	agent := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		d, ok := stored[r.URL.Query().Get("url")]
+		mu.Unlock()
+		if r.URL.Path != "/peer/doc" || !ok {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set(HeaderVersion, "0")
+		w.Header().Set(HeaderWatermark, d.mark)
+		w.Write(d.body)
+	}))
+	defer agent.Close()
+	reg := register(t, s, agent.URL)
+	store := func(u string) storedDoc {
+		body, _, mark := markedFetch(t, s, reg, u)
+		if mark == "" {
+			t.Fatalf("no watermark on registered fetch of %s", u)
+		}
+		mu.Lock()
+		stored[u] = storedDoc{body, mark}
+		mu.Unlock()
+		return storedDoc{body, mark}
+	}
+
+	// lost is fetched once: a one-hit wonder never reaches the disk.
+	lost := ots.URL + "/lost-doc?size=16384"
+	store(lost)
+	kept := ots.URL + "/kept-doc?size=16384"
+	pre := store(kept)
+	fetchDoc(t, s, kept) // admitted
+	fetchDoc(t, s, ots.URL+"/f1?size=16384")
+	fetchDoc(t, s, ots.URL+"/f2?size=16384")
+	waitFor(t, "spill before crash", func() bool { return s.Snapshot().DiskWrites >= 1 })
+	time.Sleep(400 * time.Millisecond) // interval flush + state save reach the OS
+	s.Crash()
+
+	s2, err := New(diskTestConfig(dir))
+	if err != nil {
+		t.Fatalf("reopen after crash: %v", err)
+	}
+	if err := s2.Start(""); err != nil {
+		t.Fatalf("restart after crash: %v", err)
+	}
+	defer s2.Close()
+	if s2.marks.len() != 0 {
+		t.Fatal("watermark memo survived the crash; nothing should persist it")
+	}
+
+	signedBefore := s2.Snapshot().WatermarkSigned
+	body, source, mark := markedFetch(t, s2, reg, kept)
+	if source != SourceProxy || !bytes.Equal(body, pre.body) {
+		t.Fatalf("restored doc: source %q, body equal %v", source, bytes.Equal(body, pre.body))
+	}
+	if mark != pre.mark {
+		t.Fatal("restored document's watermark differs from the bytes the agent stored before the crash")
+	}
+	if got := s2.Snapshot().WatermarkSigned - signedBefore; got != 1 {
+		t.Fatalf("restored document cost %d signatures, want 1 (re-derived on first demand)", got)
+	}
+
+	// The proxy has no record of the lost document; the agent's stored
+	// watermark is all that vouches for its copy.
+	s2.mu.Lock()
+	_, known := s2.meta[lost]
+	s2.mu.Unlock()
+	if known {
+		t.Fatal("one-hit document survived the crash; the peer-path check below would not run")
+	}
+	s2.Index().Add(indexEntryFor(s2, reg.ClientID, lost, 16384))
+	source, body = fetchDoc(t, s2, lost)
+	mu.Lock()
+	want := stored[lost].body
+	mu.Unlock()
+	if source != SourceRemote || !bytes.Equal(body, want) {
+		t.Fatalf("agent's pre-crash copy: source %q, body equal %v (want remote/true)", source, bytes.Equal(body, want))
+	}
+	if st := s2.Snapshot(); st.TamperRejected != 0 {
+		t.Fatalf("tamper_rejected = %d serving a pre-crash copy", st.TamperRejected)
 	}
 }

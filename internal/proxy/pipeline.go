@@ -22,7 +22,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/md5"
-	"encoding/base64"
 	"fmt"
 	"io"
 	"net/http"
@@ -205,15 +204,10 @@ func (s *Server) revalidateJob(url string) func(context.Context) error {
 			return err
 		}
 		version, _ := strconv.ParseInt(resp.Header.Get("X-Origin-Version"), 10, 64)
-		digest := h.Sum(nil)
-		mark, err := s.signer.WatermarkDigest(digest)
-		if err != nil {
-			return err
-		}
 		now := time.Now()
 		s.m.revalChanged.Inc()
 		s.storeDoc(url, body, docMeta{
-			version: version, size: int64(len(body)), digest: digest, watermark: mark,
+			version: version, size: int64(len(body)), digest: h.Sum(nil),
 			lastMod: resp.Header.Get("Last-Modified"), storedAt: now, checkedAt: now,
 		})
 		return nil
@@ -307,7 +301,10 @@ func (s *Server) prefetchScan() {
 	}
 }
 
-// prefetchJob pushes one hot document into one browser cache.
+// prefetchJob pushes one hot document into one browser cache. The target
+// re-serves the document to peers, so the push carries the watermark; if it
+// cannot be derived the push is skipped (the agent would reject an unsigned
+// body) and the error goes to the workqueue's retry/dead-letter accounting.
 func (s *Server) prefetchJob(client int, url string) func(context.Context) error {
 	return func(ctx context.Context) error {
 		s.mu.Lock()
@@ -318,6 +315,10 @@ func (s *Server) prefetchJob(client int, url string) func(context.Context) error
 		if !registered || !inMem {
 			return nil // nomination went stale; nothing to push
 		}
+		mark, err := s.watermarkFor(meta.digest)
+		if err != nil {
+			return err
+		}
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 			peer.baseURL+"/cache/push?url="+urlQueryEscape(url), bytes.NewReader(body))
 		if err != nil {
@@ -325,9 +326,7 @@ func (s *Server) prefetchJob(client int, url string) func(context.Context) error
 		}
 		req.Header.Set(HeaderToken, peer.token)
 		req.Header.Set(HeaderVersion, strconv.FormatInt(meta.version, 10))
-		if meta.watermark != nil {
-			req.Header.Set(HeaderWatermark, base64.StdEncoding.EncodeToString(meta.watermark))
-		}
+		req.Header.Set(HeaderWatermark, mark)
 		resp, err := s.peerClient.Do(req)
 		if err != nil {
 			return err

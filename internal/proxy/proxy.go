@@ -245,10 +245,11 @@ type peerInfo struct {
 }
 
 type docMeta struct {
-	version   int64
-	size      int64
-	digest    []byte // MD5
-	watermark []byte // RSA signature over digest
+	version int64
+	size    int64
+	// digest is the body's MD5: what peer serves are checked against and
+	// what the §6.1 watermark is derived from on demand (watermark.go).
+	digest []byte
 	// Revalidation bookkeeping (pipeline.go): when the body was acquired,
 	// when a background conditional GET last confirmed it fresh, and the
 	// origin's Last-Modified text for If-Modified-Since.
@@ -264,30 +265,30 @@ type relaySession struct {
 }
 
 type relayDelivery struct {
-	stream    *relayStream
-	watermark string
-	version   string
+	stream  *relayStream
+	version string
 }
 
 // Server is the live browsers-aware proxy.
 type Server struct {
 	cfg    Config
 	signer *integrity.Signer
+	marks  watermarkMemo
 	pubPEM []byte
 
-	mu      sync.Mutex
-	cache   *cache.TwoTier
-	bodies  map[string][]byte
-	meta    map[string]docMeta
-	peers   map[int]peerInfo
+	mu     sync.Mutex
+	cache  *cache.TwoTier
+	bodies map[string][]byte
+	meta   map[string]docMeta
+	peers  map[int]peerInfo
 	// peersByURL indexes registrations by advertised base URL so the
 	// re-register supersede path is a lookup, not a scan — at agent-host
 	// scale (tens of thousands of registrations, constant churn) the old
 	// O(peers) walk per /register dominated registration cost.
 	peersByURL map[string]int
 	tokens     map[string]int // token → client id
-	nextID  int
-	started time.Time
+	nextID     int
+	started    time.Time
 
 	// Disk-tier plane (nil/unused without Config.DataDir). bodies then
 	// holds only memory-tier bodies; spillStage parks demoted bodies until
@@ -937,6 +938,9 @@ func (s *Server) Snapshot() Stats {
 		OriginFetches:         m.outOrigin.Value() + m.outOriginHedged.Value(),
 		FalsePeerHits:         m.falsePeer.Value(),
 		TamperRejected:        m.watermarkRejected.Value(),
+		WatermarkSigned:       m.watermarkSigned.Value(),
+		WatermarkMemoHits:     m.watermarkMemoHits.Value(),
+		WatermarkMemoEntries:  s.marks.len(),
 		RelayTimeouts:         m.relayTimeouts.Value(),
 		Coalesced:             m.coalesced.Sum(),
 		DocTooLarge:           m.docTooLarge.Value(),

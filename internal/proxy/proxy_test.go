@@ -34,7 +34,7 @@ func testServer(t *testing.T, mutate func(*Config)) *Server {
 	return s
 }
 
-func register(t *testing.T, s *Server, peerURL string) RegisterResponse {
+func register(t testing.TB, s *Server, peerURL string) RegisterResponse {
 	t.Helper()
 	body, _ := json.Marshal(RegisterRequest{PeerURL: peerURL})
 	resp, err := http.Post(s.BaseURL()+"/register", "application/json", bytes.NewReader(body))
@@ -50,6 +50,19 @@ func register(t *testing.T, s *Server, peerURL string) RegisterResponse {
 		t.Fatalf("decode: %v", err)
 	}
 	return reg
+}
+
+// registeredGet fetches docURL through s as the registered client reg. Only
+// such a caller can verify a watermark or re-serve the document, so only its
+// responses carry X-BAPS-Watermark.
+func registeredGet(s *Server, reg RegisterResponse, docURL string) (*http.Response, error) {
+	req, err := http.NewRequest(http.MethodGet, s.BaseURL()+"/fetch?url="+urlQueryEscape(docURL), nil)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set(HeaderClient, strconv.Itoa(reg.ClientID))
+	req.Header.Set(HeaderToken, reg.Token)
+	return http.DefaultClient.Do(req)
 }
 
 func TestNewValidation(t *testing.T) {
@@ -176,8 +189,9 @@ func TestFetchCachesAndWatermarks(t *testing.T) {
 	defer ots.Close()
 	s := testServer(t, nil)
 
+	reg := register(t, s, "http://127.0.0.1:1")
 	u := ots.URL + "/w/doc?size=3000"
-	resp, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+	resp, err := registeredGet(s, reg, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +214,7 @@ func TestFetchCachesAndWatermarks(t *testing.T) {
 	}
 
 	// Second fetch: proxy hit, same watermark.
-	resp2, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+	resp2, err := registeredGet(s, reg, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,6 +222,9 @@ func TestFetchCachesAndWatermarks(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.Header.Get(HeaderSource) != SourceProxy {
 		t.Fatalf("second source = %q", resp2.Header.Get(HeaderSource))
+	}
+	if got := resp2.Header.Get(HeaderWatermark); got != markB64 {
+		t.Fatalf("proxy-hit watermark differs from the first serve's")
 	}
 	if o.Fetches() != 1 {
 		t.Fatalf("origin fetched %d times", o.Fetches())

@@ -97,8 +97,11 @@ func readDoc(r io.Reader, contentLength int64, h hash.Hash) ([]byte, error) {
 // handleRelay blocks the holder's push until finish, so the body reader
 // stays valid for the entire copy.
 type relayStream struct {
-	r       io.Reader
-	length  int64         // Content-Length of the push, -1 when unknown
+	r      io.Reader
+	length int64 // Content-Length of the push, -1 when unknown
+	// mark is the watermark header the holder pushed with, relayed as
+	// received: the proxy never sees this body's digest.
+	mark    string
 	claimed chan struct{} // closed by the consumer just before copying
 	done    chan error    // buffered(1): copy result or abandonment
 }

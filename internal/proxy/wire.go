@@ -251,7 +251,12 @@ type Stats struct {
 	OriginFetches  int64 `json:"origin_fetches"`
 	FalsePeerHits  int64 `json:"false_peer_hits"`
 	TamperRejected int64 `json:"tamper_rejected"`
-	RelayTimeouts  int64 `json:"relay_timeouts"`
+	// Watermarks are derived on demand (watermark.go): Signed counts RSA
+	// private-key operations, MemoHits demands answered without one.
+	WatermarkSigned      int64 `json:"watermark_signed"`
+	WatermarkMemoHits    int64 `json:"watermark_memo_hits"`
+	WatermarkMemoEntries int   `json:"watermark_memo_entries"`
+	RelayTimeouts        int64 `json:"relay_timeouts"`
 	// Coalesced counts requests that attached to another request's
 	// in-flight miss resolution (summed over outcomes).
 	Coalesced int64 `json:"coalesced"`

@@ -29,7 +29,7 @@ func TestDeadLetterSnapshot(t *testing.T) {
 	defer q.Close()
 	const n = deadLetterRing + 5
 	for i := 0; i < n; i++ {
-		key := string(rune('a' + i%26)) + string(rune('0'+i/26))
+		key := string(rune('a'+i%26)) + string(rune('0'+i/26))
 		if err := q.Submit(Job{Kind: "doomed", Key: key, Run: func(context.Context) error {
 			return errors.New("always fails")
 		}}); err != nil {
