@@ -372,20 +372,6 @@ func BenchmarkHierarchy(b *testing.B) {
 	}
 }
 
-func BenchmarkPartitionedCache(b *testing.B) {
-	p, err := cache.NewPartitioned(cache.LRU, []int64{1 << 20, 1 << 20, 1 << 20},
-		cache.SizeClassifier(4096, 32768))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key := fmt.Sprintf("k%d", i%4096)
-		p.Put(cache.Doc{Key: key, Size: int64(1 + (i*977)%60000)})
-		p.Get(key)
-	}
-}
-
 func BenchmarkHistogram(b *testing.B) {
 	var h struct{ hist statsHistogram }
 	for i := 0; i < b.N; i++ {

@@ -178,6 +178,12 @@ func TestInvalidationChurnUnderLoad(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	for i, p := range fc.proxies {
+		// A proxy whose copies so far all arrived by refetch after a
+		// sibling's invalidation revalidates once its final copy ages.
+		deadline := time.Now().Add(10 * time.Second)
+		for p.Snapshot().Revalidations == 0 && time.Now().Before(deadline) {
+			time.Sleep(25 * time.Millisecond)
+		}
 		st := p.Snapshot()
 		if st.Revalidations == 0 {
 			t.Errorf("proxy %d: no revalidations ran", i)

@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -20,7 +19,7 @@ type SpanEvent struct {
 }
 
 // SpanRecord is the immutable snapshot of a finished span, as served by
-// GET /trace and written to the sampled JSONL log.
+// GET /trace.
 type SpanRecord struct {
 	ID         uint64      `json:"id"`
 	Op         string      `json:"op"`
@@ -94,7 +93,7 @@ func (s *Span) Event(name, detail string) {
 }
 
 // Finish seals the span with its outcome (and optional error) and hands the
-// record to the tracer's ring buffer and sampler. Later Finish or Event
+// record to the tracer's ring buffer. Later Finish or Event
 // calls are no-ops.
 func (s *Span) Finish(outcome string, err error) {
 	if s == nil {
@@ -127,18 +126,14 @@ func (s *Span) Finish(outcome string, err error) {
 	s.tracer.record(rec)
 }
 
-// Tracer keeps the last N finished spans in a ring buffer and optionally
-// samples every k-th record to a JSONL writer.
+// Tracer keeps the last N finished spans in a ring buffer.
 type Tracer struct {
 	nextID atomic.Uint64
 
-	mu       sync.Mutex
-	ring     []SpanRecord
-	next     int // ring insertion cursor
-	total    uint64
-	sample   io.Writer
-	every    int
-	recorded uint64 // count used for sampling modulus
+	mu    sync.Mutex
+	ring  []SpanRecord
+	next  int // ring insertion cursor
+	total uint64
 }
 
 // DefaultTraceDepth is the ring size used when NewTracer is given n <= 0.
@@ -150,18 +145,6 @@ func NewTracer(n int) *Tracer {
 		n = DefaultTraceDepth
 	}
 	return &Tracer{ring: make([]SpanRecord, 0, n)}
-}
-
-// SetSample directs every k-th finished span to w as one JSON line. every
-// <= 0 disables sampling; every == 1 logs all spans.
-func (t *Tracer) SetSample(w io.Writer, every int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.sample = w
-	t.every = every
-	t.mu.Unlock()
 }
 
 // StartSpan opens a span for the named operation. A nil tracer returns a
@@ -183,7 +166,6 @@ func (t *Tracer) record(rec SpanRecord) {
 	if t == nil {
 		return
 	}
-	var line []byte
 	t.mu.Lock()
 	if len(t.ring) < cap(t.ring) {
 		t.ring = append(t.ring, rec)
@@ -192,17 +174,7 @@ func (t *Tracer) record(rec SpanRecord) {
 		t.next = (t.next + 1) % cap(t.ring)
 	}
 	t.total++
-	t.recorded++
-	if t.sample != nil && t.every > 0 && t.recorded%uint64(t.every) == 0 {
-		line, _ = json.Marshal(rec)
-	}
-	w := t.sample
 	t.mu.Unlock()
-	if line != nil {
-		// Write outside the tracer lock; one Write per line keeps JSONL
-		// records whole for io.Writers with atomic writes (files, pipes).
-		w.Write(append(line, '\n'))
-	}
 }
 
 // Total reports how many spans have finished since the tracer was created.

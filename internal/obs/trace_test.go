@@ -1,12 +1,10 @@
 package obs
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -101,31 +99,6 @@ func TestConcurrentSpans(t *testing.T) {
 	wg.Wait()
 	if got := tr.Total(); got != 16*50 {
 		t.Fatalf("Total = %d, want %d", got, 16*50)
-	}
-}
-
-func TestSampledJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer(8)
-	tr.SetSample(&buf, 3)
-	for i := 0; i < 10; i++ {
-		s := tr.StartSpan("op")
-		s.SetClient(i)
-		s.Finish("ok", nil)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("sampled %d lines, want 3 (every 3rd of 10)", len(lines))
-	}
-	for _, line := range lines {
-		var rec SpanRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Errorf("bad JSONL line %q: %v", line, err)
-		}
-	}
-	var rec SpanRecord
-	if err := json.Unmarshal([]byte(lines[0]), &rec); err == nil && rec.Client != 2 {
-		t.Errorf("first sampled span client = %d, want 2", rec.Client)
 	}
 }
 

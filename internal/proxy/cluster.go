@@ -51,9 +51,6 @@ func (s *Server) JoinCluster(peers []string) error {
 		Self:             s.baseURL,
 		Peers:            peers,
 		Interval:         s.cfg.DigestInterval,
-		DriftThreshold:   s.cfg.ClusterDriftThreshold,
-		StaleAfter:       s.cfg.DigestStaleAfter,
-		FPR:              s.cfg.DigestFPR,
 		BreakerThreshold: s.cfg.BreakerThreshold,
 		BreakerCooldown:  s.cfg.BreakerCooldown,
 		Client:           s.peerClient,

@@ -204,6 +204,12 @@ func TestClusterBloomFalsePositive(t *testing.T) {
 	a, b := ps[0], ps[1]
 
 	u := ots.URL + "/fp/doc"
+	// A announces its (empty) digest once on joining; let that land first,
+	// or it overwrites the hand-fed one.
+	waitFor(t, "A's join-time digest push", func() bool {
+		fs := a.Cluster().Snapshot()
+		return fs.DigestsSent+fs.PushFailures >= 1
+	})
 	// Hand-feed B a digest from A claiming u (A holds nothing).
 	f, err := bloom.NewFilterForFPR(64, 0.01)
 	if err != nil {

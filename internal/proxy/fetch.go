@@ -16,7 +16,6 @@ import (
 
 	"baps/internal/anonymity"
 	"baps/internal/bufpool"
-	"baps/internal/cache"
 	"baps/internal/integrity"
 	"baps/internal/obs"
 )
@@ -381,23 +380,13 @@ func (s *Server) serveDoc(w http.ResponseWriter, source string, body []byte, met
 func (s *Server) cacheLookup(url string) ([]byte, docMeta, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, _, ok := s.cache.GetTier(url); !ok {
+	r := s.docs[url]
+	if r == nil || r.state != docMemory {
 		return nil, docMeta{}, false
 	}
-	body, ok := s.bodies[url]
-	if !ok {
-		if s.ds != nil {
-			// Body lives in the spill stage or on disk; report non-resident
-			// here without shedding the entry.
-			s.drainSpillsLocked()
-			return nil, docMeta{}, false
-		}
-		// Accounting and body store disagree; treat as miss.
-		s.cache.Remove(url)
-		return nil, docMeta{}, false
-	}
-	s.drainSpillsLocked()
-	return body, s.meta[url], true
+	body, meta := r.body, r.meta
+	s.touchLocked(url, r)
+	return body, meta, true
 }
 
 // storeDoc caches a document body at the proxy. The caller hands over
@@ -407,23 +396,11 @@ func (s *Server) storeDoc(url string, body []byte, meta docMeta) {
 	if meta.storedAt.IsZero() {
 		meta.storedAt = time.Now()
 	}
-	modified := false
 	s.mu.Lock()
-	if old, existed := s.meta[url]; existed && meta.version > old.version {
-		// An observed origin-side modification: stale copies may still
-		// live in browsers and sibling proxies (handled after unlock).
-		modified = true
-	}
-	s.meta[url] = meta
-	delete(s.durable, url) // any disk copy is now stale
-	if _, admitted := s.cache.Put(cache.Doc{Key: url, Size: int64(len(body)), Version: meta.version}); admitted {
-		s.bodies[url] = body
-		if s.ds != nil {
-			// The storing fetch is the document's first access.
-			s.hits[url]++
-		}
-	}
-	s.drainSpillsLocked()
+	// modified: a newer version than recorded, i.e. an origin-side change
+	// whose stale copies may still live in browsers and sibling proxies
+	// (handled after unlock).
+	modified := s.storeDocLocked(url, body, meta)
 	// Every cache store widens the local resolvable set the federation
 	// digest advertises (no-op unfederated; lock order is s.mu → fed.mu,
 	// and the digest builder's source snapshot never runs under fed.mu).
@@ -698,10 +675,14 @@ func (s *Server) fetchFromPeer(ctx context.Context, peer peerInfo, url string) (
 	digest := h.Sum(nil)
 	version, _ := strconv.ParseInt(resp.Header.Get(HeaderVersion), 10, 64)
 
+	var known docMeta
 	s.mu.Lock()
-	known, haveMeta := s.meta[url]
+	r := s.docs[url]
+	if r != nil {
+		known = r.meta
+	}
 	s.mu.Unlock()
-	if haveMeta && known.version == version {
+	if r != nil && known.version == version {
 		if !bytes.Equal(digest, known.digest) {
 			s.m.watermarkRejected.Inc()
 			return nil, docMeta{}, fmt.Errorf("digest mismatch from client %d", peer.id)

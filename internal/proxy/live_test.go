@@ -275,7 +275,7 @@ func TestDirectForwardStreamedDelivery(t *testing.T) {
 }
 
 // BenchmarkLiveFetchHot drives the full HTTP path against a warm proxy
-// cache: handler, auth-less fetch, cacheLookup, serveDoc.
+// cache: handler, auth-less fetch, serveLocal, serveDoc.
 func BenchmarkLiveFetchHot(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.KeyBits = 1024
@@ -315,6 +315,8 @@ func BenchmarkLiveFetchHot(b *testing.B) {
 			resp.Body.Close()
 		}
 	})
+	// Off the clock before the deferred tear-down (see benchOriginMisses).
+	b.StopTimer()
 }
 
 // benchOriginMisses drives b.N parallel /fetch requests, each an origin miss,

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"baps/internal/cache"
 	"baps/internal/diskstore"
 	"baps/internal/integrity"
 	"baps/internal/obs"
@@ -17,15 +16,11 @@ import (
 // demotions spill document bodies into internal/diskstore, and on startup
 // the journal replay re-seats the cache skeleton, the /stats counters, and
 // the per-client registration + batch-generation tables, so a kill/restart
-// recovers its hit ratio without a thundering herd onto the origin.
-//
-// Residency invariants with the disk tier enabled:
-//
-//   - s.bodies holds exactly the memory-tier bodies.
-//   - A resident key absent from s.bodies has its body either in
-//     s.spillStage (demoted, spill in flight) or in s.ds (durable).
-//   - s.ds is never called with s.mu held; the spill worker and the
-//     disk-store sweep take s.mu from outside any disk-store lock.
+// recovers its hit ratio without a thundering herd onto the origin. Where a
+// document's body lives, and every move between memory, the spill stage and
+// the disk store, is the docRecord state table in docs.go. s.ds is never
+// called with s.mu held; the spill worker and the disk-store sweep take s.mu
+// from outside any disk-store lock.
 //
 // Admission control: a body is spilled only once its key has been accessed
 // spillMinHits times (storeDoc counts the storing fetch); a one-hit wonder
@@ -34,28 +29,20 @@ import (
 // first is streamed straight from disk through a pooled buffer.
 const spillMinHits = 2
 
-// spillOp is one unit of the spill worker's queue.
+// spillOp is one unit of the spill worker's queue: drop key's disk copy
+// (del), or write its body to the disk store if the record is still in state
+// from — docStaged for a demotion spill, docMemory for write-behind, where
+// the body stays resident.
 type spillOp struct {
-	key string
-	del bool // drop key from the disk store instead of spilling
-	// Write-behind ops carry their own body+meta snapshot: the document
-	// stays resident in the memory tier while a durable copy is written.
-	wb   bool
-	body []byte
-	meta docMeta
+	key  string
+	del  bool
+	from docState
 }
 
 // wbBatchMax bounds how many memory-tier bodies one write-behind tick may
 // enqueue, so a big hot set drains over several intervals instead of
 // flooding the spill queue.
 const wbBatchMax = 128
-
-// stagedDoc parks a demoted body (and the meta it was stored under) between
-// demotion and the spill worker's disk write.
-type stagedDoc struct {
-	body []byte
-	meta docMeta
-}
 
 // persistClient is one registered browser in the persisted state blob.
 type persistClient struct {
@@ -119,7 +106,7 @@ func (s *Server) openDiskTier() error {
 		MaxBytes:  s.cfg.DiskMaxBytes,
 		Retention: s.cfg.DiskRetention,
 		Fsync:     s.cfg.DiskFsync,
-		OnEvict:   s.onDiskEvict,
+		OnEvict:   s.dropLostLocal,
 		Metrics: diskstore.MetricsHooks{
 			Write:         s.m.diskWrites.Inc,
 			Read:          s.m.diskReads.Inc,
@@ -139,8 +126,7 @@ func (s *Server) openDiskTier() error {
 	entries := ds.Entries()
 	s.mu.Lock()
 	for _, e := range entries {
-		s.meta[e.Key] = docMeta{version: e.Meta.Version, size: e.Meta.Size, digest: e.Meta.Digest}
-		s.cache.Seed(cache.Doc{Key: e.Key, Size: e.Meta.Size, Version: e.Meta.Version})
+		s.restoreDocLocked(e.Key, docMeta{version: e.Meta.Version, size: e.Meta.Size, digest: e.Meta.Digest})
 	}
 	s.restoredDocs = len(entries)
 	s.mu.Unlock()
@@ -251,19 +237,15 @@ func (s *Server) stateSaveLoop() {
 }
 
 // writeBehind enqueues durable copies of admitted memory-tier bodies whose
-// current version is not yet on disk. Bodies are never mutated in place
-// (storeDoc replaces the slice), so the op can reference them directly.
+// current version is not yet on disk.
 func (s *Server) writeBehind() {
 	s.mu.Lock()
 	var ops []spillOp
-	for key, body := range s.bodies {
-		if s.durable[key] || s.hits[key] < spillMinHits {
+	for key, r := range s.docs {
+		if r.state != docMemory || r.durable || r.hits < spillMinHits {
 			continue
 		}
-		if _, staged := s.spillStage[key]; staged {
-			continue
-		}
-		ops = append(ops, spillOp{key: key, wb: true, body: body, meta: s.meta[key]})
+		ops = append(ops, spillOp{key: key, from: docMemory})
 		if len(ops) >= wbBatchMax {
 			break
 		}
@@ -307,111 +289,26 @@ func (s *Server) handleSpill(op spillOp) {
 		s.ds.Delete(op.key)
 		return
 	}
-	if op.wb {
-		err := s.ds.Put(op.key, op.body, diskstore.Meta{Version: op.meta.version, Digest: op.meta.digest})
-		s.mu.Lock()
-		// The disk copy matches the live document only if no newer version
-		// was stored while the write was in flight.
-		if m, ok := s.meta[op.key]; err == nil && ok && m.version == op.meta.version {
-			s.durable[op.key] = true
-		}
+	s.mu.Lock()
+	r := s.docs[op.key]
+	if r == nil || r.state != op.from || r.durable {
 		s.mu.Unlock()
-		return
+		return // promoted back, re-stored, demoted or evicted while queued
 	}
-	s.mu.Lock()
-	staged, ok := s.spillStage[op.key]
+	// Bodies are never mutated in place (a store replaces the slice), so
+	// the write can read this one without the lock.
+	body, meta := r.body, r.meta
 	s.mu.Unlock()
-	if !ok {
-		return // re-promoted or evicted while queued
-	}
-	err := s.ds.Put(op.key, staged.body, diskstore.Meta{Version: staged.meta.version, Digest: staged.meta.digest})
+	err := s.ds.Put(op.key, body, diskstore.Meta{Version: meta.version, Digest: meta.digest})
 	s.mu.Lock()
-	delete(s.spillStage, op.key)
-	if err == nil {
-		if m, ok := s.meta[op.key]; ok && m.version == staged.meta.version {
-			s.durable[op.key] = true
-		}
-	}
-	if err != nil {
-		// The body is gone from every tier; shed the cache entry rather
-		// than leave accounting pointing at nothing.
-		if _, promoted := s.bodies[op.key]; !promoted {
-			s.cache.Remove(op.key)
-			delete(s.hits, op.key)
-		}
+	s.spillDoneLocked(op.key, meta.version, err)
+	s.mu.Unlock()
+	if err != nil && op.from == docStaged {
 		s.m.spillDropped.Inc()
 		if s.logger != nil {
 			s.logger.Warn("disk spill failed", "url", op.key, "err", err)
 		}
 	}
-	s.mu.Unlock()
-}
-
-// onDemote observes memory-tier demotions (called by the cache under s.mu;
-// it must not call back into the cache, so the demoted docs are parked and
-// handled by drainSpillsLocked after the cache call returns).
-func (s *Server) onDemote(d cache.Doc) {
-	s.demoted = append(s.demoted, d.Key)
-}
-
-// drainSpillsLocked disposes of the demotions the last cache call produced:
-// admitted bodies move to the spill stage and queue for the worker, one-hit
-// wonders and backpressure overflow are shed from the cache. Caller holds
-// s.mu, outside any cache call.
-func (s *Server) drainSpillsLocked() {
-	if len(s.demoted) == 0 {
-		return
-	}
-	for _, key := range s.demoted {
-		body, ok := s.bodies[key]
-		if !ok {
-			continue // body already durable on disk (or in the stage)
-		}
-		delete(s.bodies, key)
-		if s.durable[key] {
-			// Write-behind already persisted this exact body: the entry
-			// just drops to the disk tier, no second write.
-			s.hits[key] = 0
-			continue
-		}
-		if s.hits[key] < spillMinHits {
-			s.cache.Remove(key)
-			delete(s.hits, key)
-			s.m.spillSkipped.Inc()
-			continue
-		}
-		// Post-spill accesses count from zero again: the first disk hit
-		// streams, the second faults the body back into memory.
-		s.hits[key] = 0
-		s.spillStage[key] = stagedDoc{body: body, meta: s.meta[key]}
-		select {
-		case s.spillq <- spillOp{key: key}:
-		default:
-			// Spill queue saturated: shed instead of stalling the request.
-			delete(s.spillStage, key)
-			s.cache.Remove(key)
-			delete(s.hits, key)
-			s.m.spillDropped.Inc()
-		}
-	}
-	s.demoted = s.demoted[:0]
-}
-
-// onDiskEvict is the disk store's retention-sweep callback (called from the
-// store's background goroutine without its locks held): drop the cache
-// accounting for documents whose only copy just left the disk.
-func (s *Server) onDiskEvict(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, inMem := s.bodies[key]; inMem {
-		return
-	}
-	if _, staged := s.spillStage[key]; staged {
-		return
-	}
-	s.cache.Remove(key)
-	delete(s.hits, key)
-	delete(s.durable, key)
 }
 
 // noteLocalHit advances the restart-to-warm tracker: the proxy counts as
@@ -442,17 +339,15 @@ func (s *Server) restartToWarmSeconds() float64 {
 // local and the caller should run miss resolution.
 func (s *Server) serveLocal(w http.ResponseWriter, url string, requester int) (string, bool) {
 	s.mu.Lock()
-	if _, _, resident := s.cache.PeekTier(url); !resident {
+	r := s.residentLocked(url)
+	if r == nil {
 		s.mu.Unlock()
 		return "", false
 	}
-	if body, inMem := s.bodies[url]; inMem {
-		meta := s.meta[url]
-		if s.ds != nil {
-			s.hits[url]++
-		}
-		s.cache.GetTier(url)
-		s.drainSpillsLocked()
+	meta := r.meta
+	if r.state != docDisk {
+		body := r.body
+		s.touchLocked(url, r)
 		s.mu.Unlock()
 		s.noteLocalHit()
 		if s.serveDoc(w, SourceProxy, body, meta, requester) != nil {
@@ -460,31 +355,8 @@ func (s *Server) serveLocal(w http.ResponseWriter, url string, requester int) (s
 		}
 		return outProxyHit, true
 	}
-	if staged, ok := s.spillStage[url]; ok {
-		// Still parked between demotion and the disk write: promote it
-		// straight back (the queued spill op sees the empty stage and
-		// skips).
-		s.bodies[url] = staged.body
-		delete(s.spillStage, url)
-		s.hits[url]++
-		s.cache.GetTier(url)
-		s.drainSpillsLocked()
-		s.mu.Unlock()
-		s.noteLocalHit()
-		if s.serveDoc(w, SourceProxy, staged.body, staged.meta, requester) != nil {
-			return outError, true
-		}
-		return outProxyHit, true
-	}
-	if s.ds == nil {
-		// Accounting and body store disagree; treat as a miss.
-		s.cache.Remove(url)
-		s.mu.Unlock()
-		return "", false
-	}
-	s.hits[url]++
-	promote := s.hits[url] >= spillMinHits
-	meta := s.meta[url]
+	r.hits++
+	promote := r.hits >= spillMinHits
 	s.mu.Unlock()
 
 	if promote {
@@ -501,16 +373,8 @@ func (s *Server) serveDiskPromote(w http.ResponseWriter, url string, meta docMet
 		s.dropLostLocal(url)
 		return "", false
 	}
-	if meta.digest == nil {
-		meta = docMeta{version: dmeta.Version, size: dmeta.Size, digest: dmeta.Digest}
-	}
 	s.mu.Lock()
-	if _, _, resident := s.cache.PeekTier(url); resident {
-		s.bodies[url] = body
-		s.durable[url] = true // the promoted body IS the disk copy
-		s.cache.GetTier(url)
-		s.drainSpillsLocked()
-	}
+	s.promoteLocked(url, body, dmeta.Version)
 	s.mu.Unlock()
 	s.noteLocalHit()
 	if s.serveDoc(w, SourceProxy, body, meta, requester) != nil {
@@ -546,20 +410,19 @@ func (s *Server) serveDiskStream(w http.ResponseWriter, url string, meta docMeta
 	}
 }
 
-// dropLostLocal sheds a key whose disk copy turned out missing or corrupt,
-// unless a live body re-appeared meanwhile.
+// dropLostLocal books the loss of url's disk copy — missing or corrupt on
+// read, or dropped by the disk store's retention sweep (its OnEvict
+// callback, called without the store's locks held). If that was the only
+// copy, the document is no longer resident.
 func (s *Server) dropLostLocal(url string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, inMem := s.bodies[url]; inMem {
-		return
+	if r := s.docs[url]; r != nil {
+		r.durable = false
+		if r.state == docDisk {
+			s.shedLocked(url, r)
+		}
 	}
-	if _, staged := s.spillStage[url]; staged {
-		return
-	}
-	s.cache.Remove(url)
-	delete(s.hits, url)
-	delete(s.durable, url)
 }
 
 // lazyHeaderWriter defers the response headers until the first body byte,

@@ -88,7 +88,8 @@ func TestDiskSpillStreamPromote(t *testing.T) {
 	fetchDoc(t, s, docB) // hits=1
 	fetchDoc(t, s, docC) // mem full: A demoted, admitted to disk
 
-	waitFor(t, "spill of A", func() bool { return s.Snapshot().DiskWrites >= 1 })
+	// The write is counted before the worker books it on the record.
+	waitFor(t, "spill of A", func() bool { return docSnapshot(s, docA).state == docDisk })
 
 	// First post-spill access streams from disk (no promote)...
 	src, got := fetchDoc(t, s, docA)
@@ -98,13 +99,12 @@ func TestDiskSpillStreamPromote(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("disk stream body mismatch (%d bytes, want %d)", len(got), len(want))
 	}
+	// The handler counts its outcome after writing the body.
+	waitFor(t, "stream counted", func() bool { return s.Snapshot().DiskHits >= 1 })
 	if st := s.Snapshot(); st.DiskHits != 1 || st.DiskReads != 1 {
 		t.Fatalf("after stream: disk_hits=%d disk_reads=%d, want 1/1", st.DiskHits, st.DiskReads)
 	}
-	s.mu.Lock()
-	_, promoted := s.bodies[docA]
-	s.mu.Unlock()
-	if promoted {
+	if docSnapshot(s, docA).state != docDisk {
 		t.Fatal("first disk access promoted the body into memory")
 	}
 
@@ -112,13 +112,11 @@ func TestDiskSpillStreamPromote(t *testing.T) {
 	if src, _ := fetchDoc(t, s, docA); src != SourceProxy {
 		t.Fatalf("disk promote source %q, want proxy", src)
 	}
+	waitFor(t, "promote counted", func() bool { return s.Snapshot().DiskHits >= 2 })
 	if st := s.Snapshot(); st.DiskHits != 2 {
 		t.Fatalf("after promote: disk_hits=%d, want 2", st.DiskHits)
 	}
-	s.mu.Lock()
-	_, promoted = s.bodies[docA]
-	s.mu.Unlock()
-	if !promoted {
+	if docSnapshot(s, docA).state != docMemory {
 		t.Fatal("second disk access did not promote the body")
 	}
 	// Disk hits are proxy hits on /stats.
@@ -176,7 +174,15 @@ func TestDiskWarmRestartGraceful(t *testing.T) {
 		fetchDoc(t, s, u)
 		bodies[u] = b
 	}
-	waitFor(t, "spills to settle", func() bool { return s.Snapshot().DiskWrites >= 3 })
+	waitFor(t, "spills to settle", func() bool {
+		return s.Snapshot().DiskWrites >= 3 && countDocs(s, docStaged) == 0
+	})
+	// The handler counts its outcome after writing the body: every request
+	// is booked once the outcomes add up.
+	waitFor(t, "outcomes counted", func() bool {
+		st := s.Snapshot()
+		return st.ProxyHits+st.OriginFetches == st.Requests
+	})
 	pre := s.Snapshot()
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -238,9 +244,10 @@ func TestDiskWarmRestartGraceful(t *testing.T) {
 		}
 		break
 	}
-	if warm := s2.Snapshot().RestartToWarmSec; warm <= 0 {
-		t.Fatalf("restart_to_warm_sec=%v, want >0 after serving restored docs", warm)
-	}
+	// The warm tracker advances after the body is written.
+	waitFor(t, "restart_to_warm_sec > 0 after serving restored docs", func() bool {
+		return s2.Snapshot().RestartToWarmSec > 0
+	})
 }
 
 // TestDiskCrashRestartRecovers kills the proxy without any flush (the
@@ -300,12 +307,10 @@ func TestWriteBehindPersistsHotMemTier(t *testing.T) {
 	fetchDoc(t, s, u) // hits=2: admitted, resident in the mem tier
 	// No demotion ever happens; only write-behind can persist it.
 	waitFor(t, "write-behind", func() bool { return s.Snapshot().DiskWrites >= 1 })
-	s.mu.Lock()
-	_, inMem := s.bodies[u]
-	dur := s.durable[u]
-	s.mu.Unlock()
-	if !inMem || !dur {
-		t.Fatalf("inMem=%v durable=%v, want both after write-behind", inMem, dur)
+	// The write is counted before the worker books it on the record.
+	waitFor(t, "durable after write-behind", func() bool { return docSnapshot(s, u).durable })
+	if st := docSnapshot(s, u).state; st != docMemory {
+		t.Fatalf("state %d after write-behind, want memory", st)
 	}
 	time.Sleep(400 * time.Millisecond) // interval fsync reaches the OS
 	s.Crash()
@@ -408,10 +413,7 @@ func TestCrashRestartRederivesWatermark(t *testing.T) {
 
 	// The proxy has no record of the lost document; the agent's stored
 	// watermark is all that vouches for its copy.
-	s2.mu.Lock()
-	_, known := s2.meta[lost]
-	s2.mu.Unlock()
-	if known {
+	if docSnapshot(s2, lost) != nil {
 		t.Fatal("one-hit document survived the crash; the peer-path check below would not run")
 	}
 	s2.Index().Add(indexEntryFor(s2, reg.ClientID, lost, 16384))

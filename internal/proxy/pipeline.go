@@ -51,6 +51,10 @@ const (
 	// maxPopEntries bounds the popularity table; beyond it only already
 	// tracked documents accrue hits until decay frees room.
 	maxPopEntries = 65536
+	// prefetchFanout bounds the pushes per prefetch scan round and
+	// prefetchRPS rate-limits the push jobs (per second).
+	prefetchFanout = 4
+	prefetchRPS    = 64
 	// pushedTTL is how long a (url, client) push is remembered, so the
 	// prefetcher does not re-push a hot document the target just evicted.
 	pushedTTL = 30 * time.Second
@@ -60,20 +64,11 @@ const (
 // shares the server's metric registry, so baps_wq_* series appear on the
 // same /metrics page as the proxy's own counters.
 func (s *Server) newWorkqueue(reg *obs.Registry) *workqueue.Queue {
-	limits := map[string]float64{}
-	if s.cfg.RevalidateRPS > 0 {
-		limits[kindRevalidate] = s.cfg.RevalidateRPS
-	}
-	if s.cfg.PrefetchRPS > 0 {
-		limits[kindPrefetch] = s.cfg.PrefetchRPS
-	}
 	return workqueue.New(workqueue.Config{
-		Workers:      s.cfg.QueueWorkers,
-		Capacity:     s.cfg.QueueCapacity,
 		MaxAttempts:  s.cfg.QueueMaxAttempts,
 		RetryBackoff: s.cfg.QueueRetryBackoff,
 		JobTimeout:   s.cfg.QueueJobTimeout,
-		RateLimits:   limits,
+		RateLimits:   map[string]float64{kindRevalidate: s.cfg.RevalidateRPS, kindPrefetch: prefetchRPS},
 		Metrics:      reg,
 	})
 }
@@ -127,13 +122,13 @@ func (s *Server) revalidateScan() {
 	now := time.Now()
 	s.mu.Lock()
 	due := make([]string, 0, 64)
-	for url, m := range s.meta {
-		if _, resident := s.cache.Peek(url); !resident {
+	for url, r := range s.docs {
+		if r.state == docMetaOnly {
 			continue
 		}
-		last := m.storedAt
-		if m.checkedAt.After(last) {
-			last = m.checkedAt
+		last := r.meta.storedAt
+		if r.meta.checkedAt.After(last) {
+			last = r.meta.checkedAt
 		}
 		if now.Sub(last) >= s.cfg.RevalidateAfter {
 			due = append(due, url)
@@ -159,14 +154,13 @@ func (s *Server) revalidateScan() {
 func (s *Server) revalidateJob(url string) func(context.Context) error {
 	return func(ctx context.Context) error {
 		s.mu.Lock()
-		prior, ok := s.meta[url]
-		if ok {
-			_, ok = s.cache.Peek(url)
-		}
-		s.mu.Unlock()
-		if !ok {
+		r := s.residentLocked(url)
+		if r == nil {
+			s.mu.Unlock()
 			return nil // evicted since nomination
 		}
+		prior := r.meta
+		s.mu.Unlock()
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 		if err != nil {
 			return err
@@ -183,10 +177,7 @@ func (s *Server) revalidateJob(url string) func(context.Context) error {
 		if resp.StatusCode == http.StatusNotModified {
 			DrainClose(resp)
 			s.mu.Lock()
-			if cur, live := s.meta[url]; live && cur.version == prior.version {
-				cur.checkedAt = time.Now()
-				s.meta[url] = cur
-			}
+			s.confirmFreshLocked(url, prior.version)
 			s.mu.Unlock()
 			s.m.revalFresh.Inc()
 			return nil
@@ -215,7 +206,7 @@ func (s *Server) revalidateJob(url string) func(context.Context) error {
 }
 
 // prefetchScan decays the popularity table, picks the hottest memory-
-// resident documents, and pushes up to PrefetchFanout of them into the
+// resident documents, and pushes up to prefetchFanout of them into the
 // least-loaded registered browsers that do not already hold them.
 func (s *Server) prefetchScan() {
 	now := time.Now()
@@ -227,7 +218,7 @@ func (s *Server) prefetchScan() {
 	hots := make([]hotDoc, 0, 16)
 	for url, n := range s.pop {
 		if n >= int64(s.cfg.PrefetchMinHits) {
-			if _, inMem := s.bodies[url]; inMem {
+			if r := s.docs[url]; r != nil && r.state == docMemory {
 				hots = append(hots, hotDoc{url, n})
 			}
 		}
@@ -268,7 +259,7 @@ func (s *Server) prefetchScan() {
 	})
 	submitted := 0
 	for _, h := range hots {
-		if submitted >= s.cfg.PrefetchFanout {
+		if submitted >= prefetchFanout {
 			break
 		}
 		holders := make(map[int]bool)
@@ -309,12 +300,13 @@ func (s *Server) prefetchJob(client int, url string) func(context.Context) error
 	return func(ctx context.Context) error {
 		s.mu.Lock()
 		peer, registered := s.peers[client]
-		body, inMem := s.bodies[url]
-		meta := s.meta[url]
-		s.mu.Unlock()
-		if !registered || !inMem {
+		r := s.docs[url]
+		if !registered || r == nil || r.state != docMemory {
+			s.mu.Unlock()
 			return nil // nomination went stale; nothing to push
 		}
+		body, meta := r.body, r.meta
+		s.mu.Unlock()
 		mark, err := s.watermarkFor(meta.digest)
 		if err != nil {
 			return err
@@ -406,23 +398,14 @@ func (s *Server) onModified(url string, version int64, fromSibling bool) {
 // the purge job may run after a refetch has landed the fresh body.
 func (s *Server) purgeStale(url string, version int64) {
 	s.mu.Lock()
-	if m, ok := s.meta[url]; ok && m.version >= version {
+	if r := s.docs[url]; r != nil && r.meta.version >= version {
 		s.mu.Unlock()
 		return
 	}
-	delete(s.meta, url)
-	delete(s.bodies, url)
-	delete(s.spillStage, url)
-	delete(s.hits, url)
-	delete(s.durable, url)
+	delete(s.docs, url)
 	delete(s.pop, url)
 	s.cache.Remove(url)
-	if s.ds != nil {
-		select {
-		case s.spillq <- spillOp{key: url, del: true}:
-		default: // full queue: the orphan falls to the retention sweep
-		}
-	}
+	s.queueDiskDelete(url)
 	s.fedNote(1)
 	s.mu.Unlock()
 }

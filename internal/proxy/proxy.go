@@ -119,10 +119,6 @@ type Config struct {
 	OnionRelays int
 	// KeyBits sizes the watermark RSA key (default 2048; tests use less).
 	KeyBits int
-	// IndexShards is the browser index's lock-stripe count; request
-	// goroutines touching different documents take different shard locks.
-	// <=0 uses index.DefaultShards.
-	IndexShards int
 	// DisablePeer turns the browsers-aware layer off entirely (a live
 	// proxy-and-local-browser baseline for comparisons).
 	DisablePeer bool
@@ -132,15 +128,6 @@ type Config struct {
 	// Logger, when non-nil, receives structured logs including one
 	// request-summary line per /fetch with decision outcome and latency.
 	Logger *slog.Logger
-	// TraceDepth is the request-trace ring size (finished spans retained
-	// for GET /trace). <=0 uses obs.DefaultTraceDepth.
-	TraceDepth int
-	// TraceSample, when non-nil, receives every TraceSampleEvery-th
-	// finished span as one JSON line (a sampled JSONL event log).
-	TraceSample io.Writer
-	// TraceSampleEvery is the sampling modulus for TraceSample (<=0
-	// disables sampling; 1 logs every span).
-	TraceSampleEvery int
 
 	// DataDir, when non-empty, enables the crash-safe disk tier: demoted
 	// memory-tier bodies spill into a diskstore journaled under this
@@ -164,16 +151,6 @@ type Config struct {
 	// Federation knobs (active once JoinCluster is called; see cluster.go).
 	// DigestInterval is the sibling digest push period (<=0: 1s).
 	DigestInterval time.Duration
-	// DigestStaleAfter quarantines a sibling whose last digest is older
-	// than this (<=0: 4×DigestInterval) — pushed digests double as the
-	// inter-proxy liveness signal.
-	DigestStaleAfter time.Duration
-	// DigestFPR is the digest Bloom filter's false-positive target
-	// (<=0: 0.01). Every false positive costs one wasted /peer/locate.
-	DigestFPR float64
-	// ClusterDriftThreshold forces an early digest push after this many
-	// local directory mutations (<=0: 256).
-	ClusterDriftThreshold int
 	// MaxFetchRPS paces client-facing /fetch admission to this rate,
 	// modeling one proxy process as one machine of bounded capacity
 	// (<=0 disables; cluster-hop serves for siblings are never paced).
@@ -201,16 +178,9 @@ type Config struct {
 	// PrefetchMinHits is the access count that makes a document a
 	// prefetch candidate (<=0: 3).
 	PrefetchMinHits int
-	// PrefetchFanout bounds pushes per scan round (<=0: 4).
-	PrefetchFanout int
-	// PrefetchRPS rate-limits prefetch push jobs (<=0: 64/s).
-	PrefetchRPS float64
-	// QueueWorkers / QueueCapacity / QueueMaxAttempts / QueueRetryBackoff
-	// / QueueJobTimeout tune the workqueue; zero values take the
-	// workqueue defaults (4 workers, 1024/level, 3 attempts, 100ms,
-	// 10s), except QueueJobTimeout which defaults to PeerTimeout.
-	QueueWorkers      int
-	QueueCapacity     int
+	// QueueMaxAttempts / QueueRetryBackoff / QueueJobTimeout tune the
+	// workqueue; zero values take the workqueue defaults (3 attempts,
+	// 100ms), except QueueJobTimeout which defaults to PeerTimeout.
 	QueueMaxAttempts  int
 	QueueRetryBackoff time.Duration
 	QueueJobTimeout   time.Duration
@@ -276,11 +246,15 @@ type Server struct {
 	marks  watermarkMemo
 	pubPEM []byte
 
-	mu     sync.Mutex
-	cache  *cache.TwoTier
-	bodies map[string][]byte
-	meta   map[string]docMeta
-	peers  map[int]peerInfo
+	mu sync.Mutex
+	// docs holds one record per URL the proxy has a digest for, resident or
+	// not; cache is the replacement-policy accountant over the resident
+	// ones, and demoted collects the keys its last call pushed out of the
+	// memory tier (docs.go).
+	docs    map[string]*docRecord
+	cache   *cache.TwoTier
+	demoted []string
+	peers   map[int]peerInfo
 	// peersByURL indexes registrations by advertised base URL so the
 	// re-register supersede path is a lookup, not a scan — at agent-host
 	// scale (tens of thousands of registrations, constant churn) the old
@@ -290,17 +264,9 @@ type Server struct {
 	nextID     int
 	started    time.Time
 
-	// Disk-tier plane (nil/unused without Config.DataDir). bodies then
-	// holds only memory-tier bodies; spillStage parks demoted bodies until
-	// the spill worker lands them in ds; hits counts accesses per resident
-	// key for spill admission and read-back promotion; demoted collects
-	// the keys the last cache call pushed out of the memory tier. All
-	// under mu except ds itself, which is never called with mu held.
+	// Disk-tier plane (nil/unused without Config.DataDir): the spill worker
+	// drains spillq into ds, which is never called with mu held.
 	ds              *diskstore.Store
-	spillStage      map[string]stagedDoc
-	hits            map[string]int
-	durable         map[string]bool // current mem body also lives on disk
-	demoted         []string
 	spillq          chan spillOp
 	stopDisk        chan struct{}
 	diskOnce        sync.Once
@@ -414,12 +380,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.PrefetchMinHits <= 0 {
 		cfg.PrefetchMinHits = 3
 	}
-	if cfg.PrefetchFanout <= 0 {
-		cfg.PrefetchFanout = 4
-	}
-	if cfg.PrefetchRPS <= 0 {
-		cfg.PrefetchRPS = 64
-	}
 	if cfg.QueueJobTimeout <= 0 {
 		cfg.QueueJobTimeout = cfg.PeerTimeout
 	}
@@ -435,12 +395,11 @@ func New(cfg Config) (*Server, error) {
 		cfg:            cfg,
 		signer:         signer,
 		pubPEM:         pubPEM,
-		bodies:         make(map[string][]byte),
-		meta:           make(map[string]docMeta),
+		docs:           make(map[string]*docRecord),
 		peers:          make(map[int]peerInfo),
 		peersByURL:     make(map[string]int),
 		tokens:         make(map[string]int),
-		idx:            index.NewSharded(cfg.Strategy, cfg.IndexShards),
+		idx:            index.NewSharded(cfg.Strategy, index.DefaultShards),
 		syms:           intern.NewSync(),
 		tickets:        anonymity.NewTicketStore(cfg.PeerTimeout),
 		health:         newHealthTracker(cfg.BreakerThreshold, cfg.BreakerCooldown),
@@ -450,9 +409,6 @@ func New(cfg Config) (*Server, error) {
 		maxUsedTickets: 4096,
 		stopSweep:      make(chan struct{}),
 		started:        time.Now(),
-		spillStage:     make(map[string]stagedDoc),
-		hits:           make(map[string]int),
-		durable:        make(map[string]bool),
 		spillq:         make(chan spillOp, 256),
 		stopDisk:       make(chan struct{}),
 		pop:            make(map[string]int64),
@@ -473,20 +429,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.peerClient = &http.Client{Timeout: cfg.PeerTimeout, Transport: peerRT}
 	s.originClient = &http.Client{Timeout: cfg.PeerTimeout, Transport: originRT}
-	copts := cache.Options{OnEvict: func(d cache.Doc) {
-		delete(s.bodies, d.Key)
-		delete(s.spillStage, d.Key)
-		delete(s.hits, d.Key)
-		delete(s.durable, d.Key)
-		if s.ds != nil {
-			// The disk copy dies with the accounting entry; best-effort —
-			// a full queue leaves the orphan to the retention sweep.
-			select {
-			case s.spillq <- spillOp{key: d.Key, del: true}:
-			default:
-			}
-		}
-	}}
+	copts := cache.Options{OnEvict: s.onEvict}
 	if cfg.DataDir != "" {
 		copts.OnDemote = s.onDemote
 	}
@@ -502,10 +445,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.m = newServerMetrics(reg, s)
 	s.wq = s.newWorkqueue(reg)
-	s.tracer = obs.NewTracer(cfg.TraceDepth)
-	if cfg.TraceSample != nil {
-		s.tracer.SetSample(cfg.TraceSample, cfg.TraceSampleEvery)
-	}
+	s.tracer = obs.NewTracer(obs.DefaultTraceDepth)
 	s.logger = cfg.Logger
 	if cfg.DataDir != "" {
 		if err := s.openDiskTier(); err != nil {

@@ -356,12 +356,7 @@ func TestWatermarkSignFailureFailsClosed(t *testing.T) {
 	fetchDoc(t, s, onDisk)
 	fetchDoc(t, s, ots.URL+"/fail/b?size=16384")
 	fetchDoc(t, s, inMem)
-	waitFor(t, "spill of onDisk", func() bool {
-		s.mu.Lock()
-		_, staged := s.spillStage[onDisk]
-		s.mu.Unlock()
-		return !staged && s.Snapshot().DiskWrites >= 1
-	})
+	waitFor(t, "spill of onDisk", func() bool { return docSnapshot(s, onDisk).state == docDisk })
 
 	for _, c := range []struct{ path, url string }{
 		{"disk stream", onDisk},
