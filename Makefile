@@ -2,11 +2,12 @@ GO ?= go
 DATE ?= $(shell date +%F)
 COUNT ?= 5
 # Hot-path benchmark set recorded in BENCH_<date>.json: the substrate
-# micro-benchmarks, the end-to-end simulator replays, and the live HTTP-path
-# benchmarks, skipping the long-running figure regenerations in the root
-# package.
-BENCH_PKGS = ./internal/cache ./internal/index ./internal/core ./internal/proxy ./internal/workqueue ./internal/trace .
-BENCH_FILTER = '^(BenchmarkAccess|BenchmarkAccessProxyOnly|BenchmarkCache[A-Z].*|BenchmarkIndexAddRemoveHot|BenchmarkIndexOrdered|BenchmarkApplyBatch|BenchmarkApplyBatchContended|BenchmarkShardedOrdered|BenchmarkSimulatorBAPS|BenchmarkSimulatorProxyOnly|BenchmarkTraceStats|BenchmarkTraceRead|BenchmarkTraceReadBTR|BenchmarkLiveFetchHot|BenchmarkLiveFetchOriginMiss|BenchmarkLiveFetchOriginMissRegistered|BenchmarkLiveFetchRefetchRegistered|BenchmarkWorkqueue[A-Z].*)$$'
+# micro-benchmarks, the end-to-end simulator replays (including one pass of
+# the benchmark's sim.sweep workload, BenchmarkSweepPaperSizes), and the live
+# HTTP-path benchmarks, skipping the long-running figure regenerations in the
+# root package.
+BENCH_PKGS = ./internal/cache ./internal/index ./internal/core ./internal/sim ./internal/proxy ./internal/workqueue ./internal/trace .
+BENCH_FILTER = '^(BenchmarkAccess|BenchmarkAccessProxyOnly|BenchmarkCache[A-Z].*|BenchmarkIndexAddRemoveHot|BenchmarkIndexOrdered|BenchmarkApplyBatch|BenchmarkApplyBatchContended|BenchmarkShardedOrdered|BenchmarkSimulatorBAPS|BenchmarkSimulatorProxyOnly|BenchmarkSweepPaperSizes|BenchmarkHistogram|BenchmarkTraceStats|BenchmarkTraceRead|BenchmarkTraceReadBTR|BenchmarkLiveFetchHot|BenchmarkLiveFetchOriginMiss|BenchmarkLiveFetchOriginMissRegistered|BenchmarkLiveFetchRefetchRegistered|BenchmarkWorkqueue[A-Z].*)$$'
 # Replay/driver-suite benchmark set (§16): the whole experiment-driver suite
 # timed as one unit (BenchmarkAllExperiments) plus out-of-core streaming
 # replay throughput (BenchmarkReplayStream). benchtime=1x because one
@@ -20,7 +21,7 @@ REPLAY_RECORD ?= $(lastword $(sort $(filter-out %_baseline.json,$(wildcard BENCH
 HOT_PKGS = ./internal/intern ./internal/cache ./internal/index ./internal/core ./internal/sim ./internal/trace ./internal/proxy ./internal/obs ./internal/chaos ./internal/browser ./internal/diskstore ./internal/breaker ./internal/federation ./internal/workqueue
 # The timing-sensitive live tests ROADMAP item 1 names: each waits on an
 # event, never on a sleep, so it must pass every time.
-STABLE_TESTS = ^Test(ClusterBloomFalsePositive|DiskSpillStreamPromote|DiskWarmRestartGraceful|InvalidationChurnUnderLoad|HostLifecycleConcurrent)$$
+STABLE_TESTS = ^Test(ClusterBloomFalsePositive|DiskSpillStreamPromote|DiskWarmRestartGraceful|InvalidationChurnUnderLoad|HostLifecycleConcurrent|BatchedConcurrentStoreLosesNoDelta)$$
 # The tests of the on-demand watermark memo (internal/proxy/watermark.go).
 WATERMARK_TESTS = ^TestWatermark(AnonymousFetchUnsigned|OnDemandMatchesSigner|ConcurrentFirstDemandsSignOnce|MemoAcrossReacquisition|MemoBounded|SignFailureFailsClosed)$$|^TestOnDemandWatermarkVerifiesAtAgents$$|^TestCrashRestartRederivesWatermark$$
 

@@ -174,8 +174,16 @@ type Agent struct {
 	pub      *rsa.PublicKey
 	relayKey []byte // covert-path key issued at registration
 
-	mu    sync.Mutex
-	cache *cache.TwoTier
+	// pubOrder makes Batched-mode deltas reach the publisher in seq order:
+	// store and Evict take it before mu and hold it across the enqueue
+	// that follows mu's release. Coalescing by seq only orders deltas that
+	// meet in one pending window: a delta arriving after a newer one for
+	// the same URL was flushed would resurrect an evicted document at the
+	// proxy. Publisher loops never take it, so a sender blocked on a full
+	// queue cannot stall a loop that needs mu.
+	pubOrder sync.Mutex
+	mu       sync.Mutex
+	cache    *cache.TwoTier
 	// docs holds body, watermark, and version per cached URL in one map:
 	// one lookup (and at fleet scale, one bucket array) where the old
 	// bodies/marks pair cost two.
@@ -184,8 +192,7 @@ type Agent struct {
 	changes int
 	// deltaSeq orders Batched-mode deltas by cache mutation: assigned
 	// under a.mu at mutation time, compared by the publisher when
-	// coalescing, so out-of-order channel arrival cannot resurrect an
-	// evicted document.
+	// coalescing.
 	deltaSeq uint64
 	// Waiters for onion-routed deliveries, by document URL.
 	pendingOnion map[string]chan onionDeliveryMsg

@@ -59,11 +59,10 @@ type publisher struct {
 }
 
 // seqDelta orders deltas by the cache mutation they describe. The sequence
-// number is assigned under the agent lock at mutation time, but the channel
-// send happens after unlock — so two goroutines' deltas for the same URL can
-// arrive inverted, and "last received wins" would resurrect an evicted
-// document. Coalescing by highest seq instead makes arrival order
-// irrelevant.
+// number is assigned under the agent lock at mutation time and the channel
+// send happens after unlock, under Agent.pubOrder, so one agent's deltas
+// arrive in seq order (the host publisher relies on the same guarantee);
+// coalescing still keeps the highest seq per URL as a second guard.
 type seqDelta struct {
 	seq uint64
 	d   proxy.IndexDelta

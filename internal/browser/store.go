@@ -22,6 +22,10 @@ func nowStamp() float64 { return float64(time.Now().UnixNano()) / 1e9 }
 // published as invalidations (immediate), folded into the change counter
 // (periodic), or coalesced into the publish queue (batched).
 func (a *Agent) store(docURL string, body []byte, mark []byte, version int64) {
+	if a.cfg.IndexMode == Batched {
+		a.pubOrder.Lock()
+		defer a.pubOrder.Unlock()
+	}
 	now := nowStamp()
 	a.mu.Lock()
 	// Nothing enters a closing agent's cache: a fetch completing mid-Close
@@ -219,6 +223,10 @@ func (a *Agent) SyncIndexNow() {
 // Evict drops a document from the local cache (a user clearing an entry),
 // publishing the invalidation like any other eviction.
 func (a *Agent) Evict(docURL string) bool {
+	if a.cfg.IndexMode == Batched {
+		a.pubOrder.Lock()
+		defer a.pubOrder.Unlock()
+	}
 	a.mu.Lock()
 	ok := a.cache.Remove(docURL)
 	delete(a.docs, docURL)

@@ -84,20 +84,26 @@ type IDCache interface {
 // NewID builds an ID-keyed cache with the given policy and capacity in
 // bytes. Zero capacity admits nothing, as in New.
 func NewID(policy Policy, capacity int64, opts ...IDOptions) (IDCache, error) {
-	if capacity < 0 {
-		return nil, ErrCapacity
-	}
 	var o IDOptions
 	if len(opts) > 0 {
 		o = opts[0]
 	}
+	return newIDCache(policy, capacity, o, nil)
+}
+
+// newIDCache builds the policy's cache; mem, when non-nil, is the memory
+// tier of the IDTwoTier it will sit inside.
+func newIDCache(policy Policy, capacity int64, o IDOptions, mem *memLRU) (tieredCache, error) {
+	if capacity < 0 {
+		return nil, ErrCapacity
+	}
 	switch policy {
 	case LRU:
-		return newIDListCache(capacity, true, o), nil
+		return newIDListCache(capacity, true, o, mem), nil
 	case FIFO:
-		return newIDListCache(capacity, false, o), nil
+		return newIDListCache(capacity, false, o, mem), nil
 	case LFU, SIZE, GDSF:
-		return newIDHeapCache(policy, capacity, o), nil
+		return newIDHeapCache(policy, capacity, o, mem), nil
 	default:
 		return nil, fmt.Errorf("cache: unknown policy %v", policy)
 	}

@@ -17,6 +17,7 @@ type idHeapCache struct {
 	capacity int64
 	used     int64
 	onEvict  IDEvictFunc
+	mem      *memLRU // the IDTwoTier memory tier over ents (handle = slot value); nil standalone
 
 	slot    []int32       // docID -> entry index + 1; 0 when absent
 	ents    []idHeapEntry // entry storage; index stable while resident
@@ -35,11 +36,12 @@ type idHeapEntry struct {
 	idx  int32   // position in pq
 }
 
-func newIDHeapCache(policy Policy, capacity int64, o IDOptions) *idHeapCache {
+func newIDHeapCache(policy Policy, capacity int64, o IDOptions, mem *memLRU) *idHeapCache {
 	return &idHeapCache{
 		policy:   policy,
 		capacity: capacity,
 		onEvict:  o.OnEvict,
+		mem:      mem,
 	}
 }
 
@@ -163,13 +165,24 @@ func (c *idHeapCache) touch(e *idHeapEntry) {
 }
 
 func (c *idHeapCache) Get(id intern.ID) (IDDoc, bool) {
+	doc, _, ok := c.getTier(id)
+	return doc, ok
+}
+
+// getTier is Get, plus the memory-tier reference when the cache is an
+// IDTwoTier's inner cache (standalone, every hit reports TierDisk).
+func (c *idHeapCache) getTier(id intern.ID) (IDDoc, Tier, bool) {
 	s := c.lookup(id)
 	if s == 0 {
-		return IDDoc{}, false
+		return IDDoc{}, TierDisk, false
 	}
 	e := &c.ents[s-1]
 	c.touch(e)
-	return e.doc, true
+	tier := TierDisk
+	if c.mem != nil {
+		tier = c.mem.touch(s, e.doc.Size)
+	}
+	return e.doc, tier, true
 }
 
 func (c *idHeapCache) Peek(id intern.ID) (IDDoc, bool) {
@@ -189,7 +202,7 @@ func (c *idHeapCache) Put(doc IDDoc) ([]IDDoc, bool) {
 		c.used += doc.Size - e.doc.Size
 		e.doc = doc
 		c.touch(e)
-		return c.shrink(doc.ID), true
+		return c.admitted(s, doc), true
 	}
 	c.ensureSlot(doc.ID)
 	c.seq++
@@ -207,7 +220,17 @@ func (c *idHeapCache) Put(doc IDDoc) ([]IDDoc, bool) {
 	c.slot[doc.ID] = ent + 1
 	c.heapPush(ent)
 	c.used += doc.Size
-	return c.shrink(doc.ID), true
+	return c.admitted(ent+1, doc), true
+}
+
+// admitted makes room for doc, now stored under slot value s, and then
+// enters it in the memory tier, if there is one (evictions leave it first).
+func (c *idHeapCache) admitted(s int32, doc IDDoc) []IDDoc {
+	evicted := c.shrink(doc.ID)
+	if c.mem != nil {
+		c.mem.put(s, doc.Size)
+	}
+	return evicted
 }
 
 func (c *idHeapCache) shrink(keep intern.ID) []IDDoc {
@@ -257,6 +280,9 @@ func (c *idHeapCache) betterChild(i int) int {
 }
 
 func (c *idHeapCache) removeEntry(ent int32) {
+	if c.mem != nil {
+		c.mem.remove(ent + 1)
+	}
 	e := &c.ents[ent]
 	c.heapRemove(int(e.idx))
 	c.slot[e.doc.ID] = 0

@@ -12,6 +12,7 @@ type idListCache struct {
 	used     int64
 	promote  bool // true for LRU: Get moves to back; false for FIFO
 	onEvict  IDEvictFunc
+	mem      *memLRU // the IDTwoTier memory tier over nodes; nil standalone
 
 	// slot[doc] is the node index for doc, or 0 when not resident (node 0
 	// is the sentinel, never a real entry). The slice grows to the largest
@@ -32,11 +33,12 @@ type idListNode struct {
 	prev, next int32
 }
 
-func newIDListCache(capacity int64, promote bool, o IDOptions) *idListCache {
+func newIDListCache(capacity int64, promote bool, o IDOptions, mem *memLRU) *idListCache {
 	c := &idListCache{
 		capacity: capacity,
 		promote:  promote,
 		onEvict:  o.OnEvict,
+		mem:      mem,
 		sparse:   o.Sparse,
 	}
 	if o.Sparse {
@@ -109,15 +111,27 @@ func (c *idListCache) pushBack(n int32) {
 }
 
 func (c *idListCache) Get(id intern.ID) (IDDoc, bool) {
+	doc, _, ok := c.getTier(id)
+	return doc, ok
+}
+
+// getTier is Get, plus the memory-tier reference when the cache is an
+// IDTwoTier's inner cache (standalone, every hit reports TierDisk).
+func (c *idListCache) getTier(id intern.ID) (IDDoc, Tier, bool) {
 	n := c.lookup(id)
 	if n == 0 {
-		return IDDoc{}, false
+		return IDDoc{}, TierDisk, false
 	}
 	if c.promote {
 		c.unlink(n)
 		c.pushBack(n)
 	}
-	return c.nodes[n].doc, true
+	doc := c.nodes[n].doc
+	tier := TierDisk
+	if c.mem != nil {
+		tier = c.mem.touch(n, doc.Size)
+	}
+	return doc, tier, true
 }
 
 func (c *idListCache) Peek(id intern.ID) (IDDoc, bool) {
@@ -142,7 +156,7 @@ func (c *idListCache) Put(doc IDDoc) ([]IDDoc, bool) {
 			c.unlink(n)
 			c.pushBack(n)
 		}
-		return c.shrink(doc.ID), true
+		return c.admitted(n, doc), true
 	}
 	var n int32
 	if ln := len(c.free); ln > 0 {
@@ -157,7 +171,17 @@ func (c *idListCache) Put(doc IDDoc) ([]IDDoc, bool) {
 	c.pushBack(n)
 	c.used += doc.Size
 	c.count++
-	return c.shrink(doc.ID), true
+	return c.admitted(n, doc), true
+}
+
+// admitted makes room for doc, now stored at node n, and then enters it in
+// the memory tier, if there is one (evictions leave it first).
+func (c *idListCache) admitted(n int32, doc IDDoc) []IDDoc {
+	evicted := c.shrink(doc.ID)
+	if c.mem != nil {
+		c.mem.put(n, doc.Size)
+	}
+	return evicted
 }
 
 // shrink evicts from the front until used <= capacity, never evicting keep.
@@ -191,6 +215,9 @@ func (c *idListCache) shrink(keep intern.ID) []IDDoc {
 }
 
 func (c *idListCache) removeNode(n int32) {
+	if c.mem != nil {
+		c.mem.remove(n)
+	}
 	c.unlink(n)
 	c.clearSlot(c.nodes[n].doc.ID)
 	c.used -= c.nodes[n].doc.Size

@@ -13,8 +13,8 @@ import (
 func TestIDListSparseEquivalence(t *testing.T) {
 	for _, promote := range []bool{true, false} {
 		rng := rand.New(rand.NewSource(11))
-		dense := newIDListCache(5000, promote, IDOptions{})
-		sparse := newIDListCache(5000, promote, IDOptions{Sparse: true})
+		dense := newIDListCache(5000, promote, IDOptions{}, nil)
+		sparse := newIDListCache(5000, promote, IDOptions{Sparse: true}, nil)
 		for op := 0; op < 100000; op++ {
 			id := intern.ID(rng.Intn(3000)) // wide ID space, small cache
 			switch rng.Intn(4) {
@@ -97,7 +97,7 @@ func TestDocSlotAgainstMap(t *testing.T) {
 }
 
 func BenchmarkIDListSparseGet(b *testing.B) {
-	c := newIDListCache(1<<30, true, IDOptions{Sparse: true})
+	c := newIDListCache(1<<30, true, IDOptions{Sparse: true}, nil)
 	for i := 0; i < 1024; i++ {
 		c.Put(IDDoc{ID: intern.ID(i * 1000), Size: 100})
 	}

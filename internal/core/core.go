@@ -450,7 +450,8 @@ func (s *System) armPipelinePolicies() {
 // Access resolves one request through the organization's layers and returns
 // where it was satisfied. Requests must be presented in trace order.
 func (s *System) Access(r trace.Request) Outcome {
-	out := s.access(r)
+	out := Outcome{Provider: -1, Size: r.Size, Class: Miss}
+	s.access(r, &out)
 	// Popularity accounting mirrors the live proxy: every request that
 	// reached the proxy layer (anything but a local-browser hit) counts.
 	if s.popCount != nil && out.Class != HitLocalBrowser {
@@ -473,9 +474,9 @@ func (s *System) Access(r trace.Request) Outcome {
 	return out
 }
 
-func (s *System) access(r trace.Request) Outcome {
+// access resolves r into out, which arrives set to a miss.
+func (s *System) access(r trace.Request, out *Outcome) {
 	s.now = r.Time
-	out := Outcome{Provider: -1, Size: r.Size, Class: Miss}
 
 	// 1. Local browser cache.
 	if s.cfg.Organization.hasLocal() {
@@ -484,7 +485,7 @@ func (s *System) access(r trace.Request) Outcome {
 			if doc.Size == r.Size {
 				out.Class = HitLocalBrowser
 				out.Tier = tier
-				return out
+				return
 			}
 			// Modified at the origin: unusable copy (§3.2).
 			out.StaleLocal = true
@@ -503,7 +504,7 @@ func (s *System) access(r trace.Request) Outcome {
 				out.Class = HitProxy
 				out.Tier = tier
 				s.deliverToBrowser(r)
-				return out
+				return
 			}
 			// Modified at the origin. With the revalidation producer
 			// enabled, a copy past the freshness age has already been
@@ -517,7 +518,7 @@ func (s *System) access(r trace.Request) Outcome {
 				out.Tier = cache.TierMemory // refetched bodies land in memory
 				out.Revalidated = true
 				s.deliverToBrowser(r)
-				return out
+				return
 			}
 			out.StaleProxy = true
 			s.proxy.Remove(r.Doc)
@@ -542,7 +543,7 @@ func (s *System) access(r trace.Request) Outcome {
 			}
 			// GlobalBrowsersCacheOnly: the paper forbids caching
 			// documents fetched from another browser.
-			return out
+			return
 		}
 	}
 
@@ -555,7 +556,7 @@ func (s *System) access(r trace.Request) Outcome {
 				s.proxy.Put(cache.IDDoc{ID: r.Doc, Size: r.Size})
 			}
 			s.deliverToBrowser(r)
-			return out
+			return
 		} else if ok {
 			s.parent.Remove(r.Doc)
 		}
@@ -570,7 +571,7 @@ func (s *System) access(r trace.Request) Outcome {
 		s.stampFresh(r.Doc)
 	}
 	s.deliverToBrowser(r)
-	return out
+	return
 }
 
 // stampFresh records the proxy copy's last known-fresh time (no-op with

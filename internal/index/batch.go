@@ -10,24 +10,19 @@ type Delta struct {
 	Remove bool
 }
 
-// ApplyBatch applies a client's deltas under a single lock acquisition, in
-// order. Entry.Client is overwritten with client on every delta, so a batch
-// can only ever mutate its sender's directory.
+// ApplyBatch applies a client's deltas in order. Entry.Client is overwritten
+// with client on every delta, so a batch can only ever mutate its sender's
+// directory.
 func (x *Index) ApplyBatch(client int, deltas []Delta) {
-	if len(deltas) == 0 {
-		return
-	}
-	x.mu.Lock()
 	for _, d := range deltas {
 		if d.Remove {
-			x.removeLocked(client, d.Doc)
+			x.Remove(client, d.Doc)
 		} else {
 			e := d.Entry
 			e.Client = client
-			x.addLocked(e)
+			x.Add(e)
 		}
 	}
-	x.mu.Unlock()
 }
 
 // ApplyBatch applies a client's deltas with one lock acquisition per shard:
@@ -41,24 +36,24 @@ func (s *Sharded) ApplyBatch(client int, deltas []Delta) {
 		return
 	}
 	for si, sh := range s.shards {
-		first := true
+		locked := false
 		for _, d := range deltas {
-			if int(uint32(d.Doc)%uint32(len(s.shards))) != si {
+			if s.shardOf(d.Doc) != si {
 				continue
 			}
-			if first {
+			if !locked {
 				sh.mu.Lock()
-				first = false
+				locked = true
 			}
 			if d.Remove {
-				sh.removeLocked(client, d.Doc)
+				sh.idx.Remove(client, d.Doc)
 			} else {
 				e := d.Entry
 				e.Client = client
-				sh.addLocked(e)
+				sh.idx.Add(e)
 			}
 		}
-		if !first {
+		if locked {
 			sh.mu.Unlock()
 		}
 	}

@@ -1,182 +1,113 @@
 package index
 
-import "sync"
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
-// clientTable holds the per-client state of the browser index — served
-// transfer counts (least-loaded strategy), quarantine flags, and entry
-// counts. The state is client-level, not document-level, so a sharded index
-// shares one clientTable across all shards: quarantining a client hides its
-// entries in every shard, and the served counters keep least-loaded
-// selection globally consistent instead of per-shard.
+// clientTable holds the client-level state of the browser index: served
+// transfer counts (least-loaded strategy) and quarantine flags. The state is
+// client-level, not document-level, so a Sharded index shares one table
+// across all its shards — quarantining a client hides its entries in every
+// shard, and least-loaded selection stays globally consistent — while a
+// plain Index owns its own. Per-client entry counts are not here: each Index
+// keeps its own, and Sharded sums them.
 //
-// Locking: mu guards slice growth. Element reads and writes use atomics
-// under mu.RLock so concurrent holders (request goroutines sorting
-// candidates while another accounts a serve) never race. When both an index
-// shard lock and the clientTable lock are held, the shard lock is always
-// acquired first.
+// Shards read and update the table concurrently, each under only its own
+// shard lock, so the table takes no lock on those paths: the state lives in
+// fixed-size chunks that never move once allocated, and each element is an
+// atomic. Growth to a client past the last chunk takes mu and publishes a
+// longer chunk directory; a reader still holding the old directory reaches
+// the same chunks.
 type clientTable struct {
-	mu          sync.RWMutex
-	served      []int64
-	quarantined []int32 // atomic bools
-	docCount    []int64 // index entries per client, across all shards
+	mu  sync.Mutex // serializes growth
+	dir atomic.Pointer[[]*clientChunk]
+}
+
+const clientChunkBits = 8 // 256 clients per chunk
+
+type clientChunk [1 << clientChunkBits]clientState
+
+type clientState struct {
+	served      atomic.Int64
+	quarantined atomic.Bool
 }
 
 func newClientTable() *clientTable { return &clientTable{} }
 
-// ensure grows the state slices to cover client. Callers must not hold mu.
-func (ct *clientTable) ensure(client int) {
+// get returns client's state, or nil when the table has never grown to it.
+func (ct *clientTable) get(client int) *clientState {
+	d := ct.dir.Load()
+	if d == nil || client < 0 || client>>clientChunkBits >= len(*d) {
+		return nil
+	}
+	return &(*d)[client>>clientChunkBits][client&(1<<clientChunkBits-1)]
+}
+
+// at returns client's state (client >= 0), growing the table to cover it.
+func (ct *clientTable) at(client int) *clientState {
+	if s := ct.get(client); s != nil {
+		return s
+	}
 	ct.mu.Lock()
-	ct.ensureLocked(client)
-	ct.mu.Unlock()
-}
-
-func (ct *clientTable) ensureLocked(client int) {
-	if client < len(ct.served) {
-		return
+	defer ct.mu.Unlock()
+	var chunks []*clientChunk
+	if d := ct.dir.Load(); d != nil {
+		chunks = *d
 	}
-	n := client + 1
-	// Extend in place while capacity lasts: clients joining in ascending
-	// order must not trigger a reallocation (let alone a doubling) each.
-	// The capacity region of a made slice is zeroed and never written past
-	// len, so the extension starts out correctly zero.
-	if n <= cap(ct.served) {
-		ct.served = ct.served[:n]
-		ct.docCount = ct.docCount[:n]
-		ct.quarantined = ct.quarantined[:n]
-		return
+	if n := client>>clientChunkBits + 1; n > len(chunks) {
+		grown := make([]*clientChunk, n)
+		copy(grown, chunks)
+		for i := len(chunks); i < n; i++ {
+			grown[i] = new(clientChunk)
+		}
+		ct.dir.Store(&grown)
 	}
-	newcap := max(2*cap(ct.served), n)
-	grow := func(s []int64) []int64 {
-		g := make([]int64, n, newcap)
-		copy(g, s)
-		return g
-	}
-	ct.served = grow(ct.served)
-	ct.docCount = grow(ct.docCount)
-	q := make([]int32, n, newcap)
-	copy(q, ct.quarantined)
-	ct.quarantined = q
-}
-
-// addDocs adjusts client's entry count by delta.
-func (ct *clientTable) addDocs(client int, delta int64) {
-	ct.mu.RLock()
-	if client < len(ct.docCount) {
-		atomic.AddInt64(&ct.docCount[client], delta)
-		ct.mu.RUnlock()
-		return
-	}
-	ct.mu.RUnlock()
-	ct.ensure(client)
-	ct.mu.RLock()
-	atomic.AddInt64(&ct.docCount[client], delta)
-	ct.mu.RUnlock()
-}
-
-func (ct *clientTable) docsOf(client int) int64 {
-	ct.mu.RLock()
-	defer ct.mu.RUnlock()
-	if client < 0 || client >= len(ct.docCount) {
-		return 0
-	}
-	return atomic.LoadInt64(&ct.docCount[client])
+	return ct.get(client)
 }
 
 func (ct *clientTable) accountServe(client int) {
-	ct.mu.RLock()
-	if client < len(ct.served) {
-		atomic.AddInt64(&ct.served[client], 1)
-		ct.mu.RUnlock()
-		return
+	if client >= 0 {
+		ct.at(client).served.Add(1)
 	}
-	ct.mu.RUnlock()
-	ct.ensure(client)
-	ct.mu.RLock()
-	atomic.AddInt64(&ct.served[client], 1)
-	ct.mu.RUnlock()
 }
 
-func (ct *clientTable) servedOf(client int) int64 {
-	ct.mu.RLock()
-	defer ct.mu.RUnlock()
-	return ct.servedLocked(client)
+func (ct *clientTable) served(client int) int64 {
+	if s := ct.get(client); s != nil {
+		return s.served.Load()
+	}
+	return 0
 }
 
-// servedLocked requires mu held (read or write).
-func (ct *clientTable) servedLocked(client int) int64 {
-	if client < 0 || client >= len(ct.served) {
-		return 0
-	}
-	return atomic.LoadInt64(&ct.served[client])
+func (ct *clientTable) quarantined(client int) bool {
+	s := ct.get(client)
+	return s != nil && s.quarantined.Load()
 }
 
-// quarLocked requires mu held (read or write).
-func (ct *clientTable) quarLocked(client int) bool {
-	if client < 0 || client >= len(ct.quarantined) {
-		return false
+func (ct *clientTable) setQuarantined(client int, v bool) {
+	if s := ct.get(client); s != nil {
+		s.quarantined.Store(v)
+	} else if v && client >= 0 {
+		ct.at(client).quarantined.Store(true)
 	}
-	return atomic.LoadInt32(&ct.quarantined[client]) != 0
-}
-
-func (ct *clientTable) isQuarantined(client int) bool {
-	ct.mu.RLock()
-	defer ct.mu.RUnlock()
-	return ct.quarLocked(client)
-}
-
-// setQuarantined flips client's flag and returns its current entry count.
-func (ct *clientTable) setQuarantined(client int, v bool) int {
-	ct.mu.RLock()
-	if client < len(ct.quarantined) {
-		var f int32
-		if v {
-			f = 1
-		}
-		atomic.StoreInt32(&ct.quarantined[client], f)
-		n := atomic.LoadInt64(&ct.docCount[client])
-		ct.mu.RUnlock()
-		return int(n)
-	}
-	ct.mu.RUnlock()
-	if !v {
-		return 0 // never tracked: nothing to restore
-	}
-	ct.ensure(client)
-	return ct.setQuarantined(client, v)
-}
-
-// quarantinedEntries sums the entry counts of all quarantined clients.
-func (ct *clientTable) quarantinedEntries() int {
-	ct.mu.RLock()
-	defer ct.mu.RUnlock()
-	var n int64
-	for c := range ct.quarantined {
-		if atomic.LoadInt32(&ct.quarantined[c]) != 0 {
-			n += atomic.LoadInt64(&ct.docCount[c])
-		}
-	}
-	return int(n)
 }
 
 // drop zeroes all state for a departed client.
 func (ct *clientTable) drop(client int) {
-	ct.mu.RLock()
-	if client < len(ct.served) {
-		atomic.StoreInt64(&ct.served[client], 0)
-		atomic.StoreInt32(&ct.quarantined[client], 0)
-		atomic.StoreInt64(&ct.docCount[client], 0)
+	if s := ct.get(client); s != nil {
+		s.served.Store(0)
+		s.quarantined.Store(false)
 	}
-	ct.mu.RUnlock()
 }
 
-// reset empties the table in place for reuse.
+// reset zeroes every client's state in place, keeping the chunks.
 func (ct *clientTable) reset() {
-	ct.mu.Lock()
-	for i := range ct.served {
-		ct.served[i] = 0
-		ct.quarantined[i] = 0
-		ct.docCount[i] = 0
+	if d := ct.dir.Load(); d != nil {
+		for _, c := range *d {
+			for i := range c {
+				c[i].served.Store(0)
+				c[i].quarantined.Store(false)
+			}
+		}
 	}
-	ct.mu.Unlock()
 }

@@ -9,10 +9,10 @@
 //
 //   - Index: the exact directory, holders kept as compact client-sorted
 //     slices in a dense by-document table, with pluggable holder-selection
-//     strategies;
-//   - Sharded: the live proxy's lock-striped variant — N Index shards
-//     selected by document ID so concurrent request goroutines do not
-//     serialize on one directory lock;
+//     strategies. Single-goroutine, like core.System: it takes no locks;
+//   - Sharded: the concurrent directory the live proxy uses — N Index
+//     shards selected by document ID, each behind its own lock, so
+//     concurrent request goroutines do not serialize on one directory lock;
 //   - Publisher: the two update protocols of §2 — immediate invalidation
 //     (add on proxy→browser send, invalidation message on eviction) and
 //     periodic batched re-synchronization (flush when more than a threshold
@@ -89,41 +89,36 @@ func (s Strategy) String() string {
 
 // Index is the exact browser directory. Holders of each document are kept in
 // a compact slice sorted by client id, indexed by the dense document ID — no
-// per-lookup string hashing and no per-entry heap allocation. It is safe for
-// concurrent use; the live proxy stripes the directory across several shards
-// (see Sharded) while the simulator uses one Index single-threaded.
+// per-lookup string hashing and no per-entry heap allocation. An Index is not
+// safe for concurrent use: the simulator drives one per goroutine, like
+// core.System, and the live proxy uses Sharded, which puts each of its Index
+// shards behind a lock of its own.
 type Index struct {
-	mu       sync.RWMutex
 	strategy Strategy
-	ct       *clientTable
+	ct       *clientTable // shared by all shards of a Sharded
 
 	// byDoc[doc] lists the holders of doc, sorted by client id. Emptied
 	// slices keep their capacity for reuse.
 	byDoc   [][]Entry
-	entries int // total entries in this index (shard)
-	docs    int // documents with at least one holder
+	held    []int // held[client] counts client's entries in this index
+	entries int   // total entries in this index (shard)
+	docs    int   // documents with at least one holder
 }
 
 // New creates an empty index with the given holder-selection strategy.
 func New(strategy Strategy) *Index {
-	return newIndex(strategy, newClientTable())
-}
-
-func newIndex(strategy Strategy, ct *clientTable) *Index {
-	return &Index{strategy: strategy, ct: ct}
+	return &Index{strategy: strategy, ct: newClientTable()}
 }
 
 // Grow pre-sizes the document table for IDs in [0, numDocs), sparing the
 // hot path incremental growth. The simulator calls it with the trace's
 // document count.
 func (x *Index) Grow(numDocs int) {
-	x.mu.Lock()
 	if numDocs > len(x.byDoc) {
 		grown := make([][]Entry, numDocs)
 		copy(grown, x.byDoc)
 		x.byDoc = grown
 	}
-	x.mu.Unlock()
 }
 
 func (x *Index) ensureDoc(doc intern.ID) {
@@ -137,6 +132,22 @@ func (x *Index) ensureDoc(doc intern.ID) {
 	grown := make([][]Entry, int(doc)+1, max(2*cap(x.byDoc), int(doc)+1))
 	copy(grown, x.byDoc)
 	x.byDoc = grown
+}
+
+// addHeld adjusts client's entry count by delta.
+func (x *Index) addHeld(client, delta int) {
+	if client >= len(x.held) {
+		x.held = append(x.held, make([]int, client+1-len(x.held))...)
+	}
+	x.held[client] += delta
+}
+
+// heldBy reports how many entries client has in this index.
+func (x *Index) heldBy(client int) int {
+	if client < 0 || client >= len(x.held) {
+		return 0
+	}
+	return x.held[client]
 }
 
 // holderPos returns the position of client within the sorted holder list,
@@ -156,12 +167,6 @@ func holderPos(hs []Entry, client int) (int, bool) {
 
 // Add records (or refreshes) an entry.
 func (x *Index) Add(e Entry) {
-	x.mu.Lock()
-	x.addLocked(e)
-	x.mu.Unlock()
-}
-
-func (x *Index) addLocked(e Entry) {
 	x.ensureDoc(e.Doc)
 	hs := x.byDoc[e.Doc]
 	pos, found := holderPos(hs, e.Client)
@@ -177,19 +182,12 @@ func (x *Index) addLocked(e Entry) {
 	hs[pos] = e
 	x.byDoc[e.Doc] = hs
 	x.entries++
-	x.ct.addDocs(e.Client, 1)
+	x.addHeld(e.Client, 1)
 }
 
 // Remove deletes client's entry for doc (the §2 invalidation message),
 // reporting whether it existed.
 func (x *Index) Remove(client int, doc intern.ID) bool {
-	x.mu.Lock()
-	ok := x.removeLocked(client, doc)
-	x.mu.Unlock()
-	return ok
-}
-
-func (x *Index) removeLocked(client int, doc intern.ID) bool {
 	if doc < 0 || int(doc) >= len(x.byDoc) {
 		return false
 	}
@@ -205,15 +203,13 @@ func (x *Index) removeLocked(client int, doc intern.ID) bool {
 		x.docs--
 	}
 	x.entries--
-	x.ct.addDocs(client, -1)
+	x.addHeld(client, -1)
 	return true
 }
 
 // Lookup returns all recorded holders of doc, sorted by client id. The
 // returned slice is a copy.
 func (x *Index) Lookup(doc intern.ID) []Entry {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
 	if doc < 0 || int(doc) >= len(x.byDoc) {
 		return nil
 	}
@@ -224,27 +220,19 @@ func (x *Index) Lookup(doc intern.ID) []Entry {
 // strategy, and accounts one served transfer to it. ok is false when no
 // other client holds the document.
 func (x *Index) Select(doc intern.ID, requester int) (Entry, bool) {
-	x.mu.RLock()
-	x.ct.mu.RLock()
 	var best Entry
 	found := false
 	if doc >= 0 && int(doc) < len(x.byDoc) {
 		for _, e := range x.byDoc[doc] {
-			if e.Client == requester || x.ct.quarLocked(e.Client) {
+			if e.Client == requester || x.ct.quarantined(e.Client) {
 				continue
 			}
-			if !found {
+			if !found || x.better(e, best) {
 				best = e
 				found = true
-				continue
-			}
-			if x.better(e, best) {
-				best = e
 			}
 		}
 	}
-	x.ct.mu.RUnlock()
-	x.mu.RUnlock()
 	if found {
 		x.ct.accountServe(best.Client)
 	}
@@ -252,7 +240,6 @@ func (x *Index) Select(doc intern.ID, requester int) (Entry, bool) {
 }
 
 // better reports whether a should be preferred over b under the strategy.
-// Callers must hold ct.mu (read suffices) for SelectLeastLoaded.
 func (x *Index) better(a, b Entry) bool {
 	switch x.strategy {
 	case SelectMostRecent:
@@ -261,7 +248,7 @@ func (x *Index) better(a, b Entry) bool {
 		}
 		return a.Client < b.Client
 	case SelectLeastLoaded:
-		la, lb := x.ct.servedLocked(a.Client), x.ct.servedLocked(b.Client)
+		la, lb := x.ct.served(a.Client), x.ct.served(b.Client)
 		if la != lb {
 			return la < lb
 		}
@@ -305,12 +292,10 @@ func (x *Index) OrderedQuarantined(doc intern.ID, requester int) []Entry {
 }
 
 func (x *Index) appendOrdered(buf []Entry, doc intern.ID, requester int, now float64, quarantined bool) []Entry {
-	x.mu.RLock()
-	x.ct.mu.RLock()
 	start := len(buf)
 	if doc >= 0 && int(doc) < len(x.byDoc) {
 		for _, e := range x.byDoc[doc] {
-			if e.Client == requester || x.ct.quarLocked(e.Client) != quarantined {
+			if e.Client == requester || x.ct.quarantined(e.Client) != quarantined {
 				continue
 			}
 			if now != 0 && e.expired(now) {
@@ -328,8 +313,6 @@ func (x *Index) appendOrdered(buf []Entry, doc intern.ID, requester int, now flo
 			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}
-	x.ct.mu.RUnlock()
-	x.mu.RUnlock()
 	return buf
 }
 
@@ -339,38 +322,44 @@ func (x *Index) appendOrdered(buf []Entry, doc intern.ID, requester int, now flo
 // the one-URL-at-a-time Remove death spiral when a peer's circuit breaker
 // trips.
 func (x *Index) Quarantine(client int) int {
-	return x.ct.setQuarantined(client, true)
+	x.ct.setQuarantined(client, true)
+	return x.heldBy(client)
 }
 
 // Unquarantine re-admits client's entries in one step, returning how many
 // became visible again.
 func (x *Index) Unquarantine(client int) int {
-	return x.ct.setQuarantined(client, false)
+	x.ct.setQuarantined(client, false)
+	return x.heldBy(client)
 }
 
 // Quarantined reports whether client is currently quarantined.
 func (x *Index) Quarantined(client int) bool {
-	return x.ct.isQuarantined(client)
+	return x.ct.quarantined(client)
 }
 
 // QuarantinedEntries reports the total number of shelved entries across all
 // quarantined clients (a /stats gauge).
 func (x *Index) QuarantinedEntries() int {
-	return x.ct.quarantinedEntries()
+	n := 0
+	for c, held := range x.held {
+		if held > 0 && x.ct.quarantined(c) {
+			n += held
+		}
+	}
+	return n
 }
 
 // PruneExpired removes every entry whose TTL ran out at time now, returning
 // the number removed. The proxy runs this as periodic housekeeping.
 func (x *Index) PruneExpired(now float64) int {
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	n := 0
 	for doc := range x.byDoc {
 		hs := x.byDoc[doc]
 		kept := hs[:0]
 		for _, e := range hs {
 			if e.expired(now) {
-				x.ct.addDocs(e.Client, -1)
+				x.addHeld(e.Client, -1)
 				n++
 				continue
 			}
@@ -398,7 +387,7 @@ func (x *Index) AccountServe(client int) {
 
 // Served reports how many peer transfers client has been selected for.
 func (x *Index) Served(client int) int64 {
-	return x.ct.servedOf(client)
+	return x.ct.served(client)
 }
 
 // Has reports whether client is recorded as holding doc.
@@ -409,8 +398,6 @@ func (x *Index) Has(client int, doc intern.ID) bool {
 
 // Get returns client's entry for doc.
 func (x *Index) Get(client int, doc intern.ID) (Entry, bool) {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
 	if doc < 0 || int(doc) >= len(x.byDoc) {
 		return Entry{}, false
 	}
@@ -424,8 +411,6 @@ func (x *Index) Get(client int, doc intern.ID) (Entry, bool) {
 
 // ClientDocs returns a copy of client's directory, sorted by document ID.
 func (x *Index) ClientDocs(client int) []Entry {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
 	var out []Entry
 	for doc := range x.byDoc {
 		if pos, found := holderPos(x.byDoc[doc], client); found {
@@ -435,12 +420,9 @@ func (x *Index) ClientDocs(client int) []Entry {
 	return out
 }
 
-// ForEachClientDoc calls fn for every document client currently holds. The
-// index lock is held read-side during the walk; fn must be cheap and must
-// not call back into the index. Allocation-free, unlike ClientDocs.
+// ForEachClientDoc calls fn for every document client currently holds; fn
+// must not call back into the index. Allocation-free, unlike ClientDocs.
 func (x *Index) ForEachClientDoc(client int, fn func(doc intern.ID)) {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
 	for doc := range x.byDoc {
 		if _, found := holderPos(x.byDoc[doc], client); found {
 			fn(intern.ID(doc))
@@ -451,26 +433,11 @@ func (x *Index) ForEachClientDoc(client int, fn func(doc intern.ID)) {
 // dropEntries removes every entry of client, leaving served/quarantine state
 // untouched. Returns the number of entries removed.
 func (x *Index) dropEntries(client int) int {
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	n := 0
 	for doc := range x.byDoc {
-		hs := x.byDoc[doc]
-		pos, found := holderPos(hs, client)
-		if !found {
-			continue
+		if x.Remove(client, intern.ID(doc)) {
+			n++
 		}
-		copy(hs[pos:], hs[pos+1:])
-		hs[len(hs)-1] = Entry{}
-		x.byDoc[doc] = hs[:len(hs)-1]
-		if len(hs) == 1 {
-			x.docs--
-		}
-		x.entries--
-		n++
-	}
-	if n > 0 {
-		x.ct.addDocs(client, int64(-n))
 	}
 	return n
 }
@@ -483,32 +450,23 @@ func (x *Index) DropClient(client int) int {
 	return n
 }
 
-// ResyncClient atomically replaces client's directory with entries (the §2
-// periodic full update).
+// ResyncClient replaces client's directory with entries (the §2 periodic
+// full update).
 func (x *Index) ResyncClient(client int, entries []Entry) {
 	x.dropEntries(client)
-	x.mu.Lock()
 	for _, e := range entries {
 		e.Client = client
-		x.addLocked(e)
+		x.Add(e)
 	}
-	x.mu.Unlock()
 }
 
 // Len reports the total number of entries.
-func (x *Index) Len() int {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return x.entries
-}
+func (x *Index) Len() int { return x.entries }
 
-// ForEachDoc calls fn for every document with at least one recorded holder.
-// The index lock is held read-side for the whole walk; fn must be cheap and
-// must not call back into the index. The federation layer uses it to build
-// Bloom digests of the aggregate directory.
+// ForEachDoc calls fn for every document with at least one recorded holder;
+// fn must not call back into the index. The federation layer uses it to
+// build Bloom digests of the aggregate directory.
 func (x *Index) ForEachDoc(fn func(doc intern.ID)) {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
 	for doc, hs := range x.byDoc {
 		if len(hs) > 0 {
 			fn(intern.ID(doc))
@@ -517,27 +475,20 @@ func (x *Index) ForEachDoc(fn func(doc intern.ID)) {
 }
 
 // URLCount reports the number of distinct documents currently indexed.
-func (x *Index) URLCount() int {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return x.docs
-}
+func (x *Index) URLCount() int { return x.docs }
 
 // Reset empties the index in place, retaining the document table and holder
 // slice capacity, so sweep workers can replay many configurations without
 // re-growing. Client state (served counters, quarantine flags) resets too.
 func (x *Index) Reset() {
-	x.mu.Lock()
 	for doc := range x.byDoc {
 		hs := x.byDoc[doc]
-		for i := range hs {
-			hs[i] = Entry{}
-		}
+		clear(hs)
 		x.byDoc[doc] = hs[:0]
 	}
+	clear(x.held)
 	x.entries = 0
 	x.docs = 0
-	x.mu.Unlock()
 	x.ct.reset()
 }
 

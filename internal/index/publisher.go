@@ -56,9 +56,8 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // Publisher mediates one browser cache's updates to the shared Index under
-// the configured protocol. It is not safe for concurrent use; the live
-// browser agent owns one Publisher under its own lock, and the simulator is
-// single-threaded per run.
+// the configured protocol. Like the Index it writes to, it is not safe for
+// concurrent use; the simulator is single-threaded per run.
 type Publisher struct {
 	idx       *Index
 	client    int
@@ -155,14 +154,12 @@ func (p *Publisher) Flush() {
 	if p.mode == Immediate || p.changes == 0 {
 		return
 	}
-	p.idx.mu.Lock()
 	for doc := range p.pendingRemove {
-		p.idx.removeLocked(p.client, doc)
+		p.idx.Remove(p.client, doc)
 	}
 	for _, e := range p.pendingAdd {
-		p.idx.addLocked(e)
+		p.idx.Add(e)
 	}
-	p.idx.mu.Unlock()
 	p.msgs++
 	if p.mode == Batched {
 		// One batch message carrying only the net deltas.

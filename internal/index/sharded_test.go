@@ -182,3 +182,64 @@ func TestShardedConcurrentChurn(t *testing.T) {
 		t.Fatalf("Len %d != sum of ClientDocs %d", got, total)
 	}
 }
+
+// TestShardedClientTableGrowth races the client table's growth path: one
+// goroutine registers clients far past the table's first chunk (each new
+// client's entries land on shard 0 and its first AccountServe grows the
+// table), while others run AppendOrdered under least-loaded ordering (which
+// reads served counts), AccountServe and Quarantine for low-numbered
+// clients on the other shards. Under -race this is the check that readers
+// on one shard never see a chunk move under them while another grows it.
+func TestShardedClientTableGrowth(t *testing.T) {
+	const (
+		shards  = 4
+		clients = 8 << clientChunkBits // eight chunks
+	)
+	x := NewSharded(SelectLeastLoaded, shards)
+	for c := 0; c < 8; c++ {
+		for d := 1; d < shards; d++ {
+			x.Add(Entry{Client: c, Doc: intern.ID(d), Size: 1})
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for c := 8; c < clients; c++ {
+			x.Add(Entry{Client: c, Doc: 0, Size: 1})
+			x.AccountServe(c)
+		}
+	}()
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			var buf []Entry
+			for i := 0; i < 4000; i++ {
+				doc := intern.ID(1 + (r+i)%(shards-1))
+				buf = x.AppendOrdered(buf[:0], doc, -1, 0)
+				if len(buf) == 0 {
+					t.Errorf("doc %d lost its holders", doc)
+					return
+				}
+				x.AccountServe(i % 8)
+				if i%64 == 0 {
+					x.Quarantine(i % 8)
+					x.Unquarantine(i % 8)
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	if got := len(x.Lookup(0)); got != clients-8 {
+		t.Fatalf("doc 0 has %d holders, want %d", got, clients-8)
+	}
+	for _, c := range []int{8, clients / 2, clients - 1} {
+		if x.Served(c) != 1 {
+			t.Fatalf("Served(%d) = %d after growth, want 1", c, x.Served(c))
+		}
+	}
+	if got := x.Len(); got != 8*(shards-1)+clients-8 {
+		t.Fatalf("Len = %d, want %d", got, 8*(shards-1)+clients-8)
+	}
+}

@@ -11,7 +11,7 @@ import (
 // without retaining samples, so the simulator can report latency percentiles
 // over millions of requests at O(1) memory.
 type Histogram struct {
-	counts [decades * bucketsPerDecade]int64
+	counts [histBuckets]int64
 	under  int64 // below the first bucket
 	over   int64 // above the last bucket
 	n      int64
@@ -23,9 +23,67 @@ const (
 	bucketsPerDecade = 40
 	decades          = 12
 	histMin          = 1e-6
+	histBuckets      = decades * bucketsPerDecade
 )
 
-// Add records one value. Non-positive values land in the underflow bucket.
+// The bucket of x is int(math.Log10(x/histMin) * bucketsPerDecade), but Add
+// does not evaluate that: it finds the bucket in two tables built from the
+// formula once, at init.
+//
+// histEdge[i] is the smallest float64 the formula puts in bucket i or
+// above, found by bisecting bit patterns (positive float64s order like their
+// bits); histEdge[histBuckets] is where overflow starts. histCell maps the
+// exponent and top histCellBits mantissa bits of x to the bucket of the
+// smallest value with those bits. A cell spans at most log10(33/32)·40 ≈
+// 0.53 buckets, so it holds at most one edge and x lands in its cell's
+// bucket or the next: one table load and one compare. The test checks the
+// tables against the formula at and around every edge.
+const (
+	histCellBits  = 5
+	histCellShift = 52 - histCellBits
+)
+
+var (
+	histEdge     [histBuckets + 1]float64
+	histCell     []uint16
+	histCellBase uint64 // cell key of histMin
+)
+
+// histBucketOf is the bucket formula the tables encode (x >= histMin).
+func histBucketOf(x float64) int {
+	return int(math.Log10(x/histMin) * bucketsPerDecade)
+}
+
+func init() {
+	for i := range histEdge {
+		// Smallest x in [histMin, 1e7] with histBucketOf(x) >= i; 1e7 lies
+		// past the last bucket, so the bisection always converges.
+		lo, hi := math.Float64bits(histMin), math.Float64bits(1e7)
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			if histBucketOf(math.Float64frombits(mid)) >= i {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		histEdge[i] = math.Float64frombits(lo)
+	}
+	histCellBase = math.Float64bits(histMin) >> histCellShift
+	last := math.Float64bits(histEdge[histBuckets]) >> histCellShift
+	histCell = make([]uint16, last-histCellBase+1)
+	b := 0
+	for k := range histCell {
+		low := max(math.Float64frombits((histCellBase+uint64(k))<<histCellShift), histMin)
+		for b < histBuckets && low >= histEdge[b+1] {
+			b++
+		}
+		histCell[k] = uint16(b)
+	}
+}
+
+// Add records one value. Non-positive values land in the underflow bucket;
+// +Inf and NaN in the overflow bucket.
 func (h *Histogram) Add(x float64) {
 	h.n++
 	if x > 0 {
@@ -34,16 +92,30 @@ func (h *Histogram) Add(x float64) {
 	if x > h.max {
 		h.max = x
 	}
-	if x < histMin {
+	switch b := histBucket(x); {
+	case b < 0:
 		h.under++
-		return
-	}
-	idx := int(math.Log10(x/histMin) * bucketsPerDecade)
-	if idx >= len(h.counts) {
+	case b == histBuckets:
 		h.over++
-		return
+	default:
+		h.counts[b]++
 	}
-	h.counts[idx]++
+}
+
+// histBucket is the bucket of x: -1 below histMin, histBuckets from the end
+// of the last bucket on (and for NaN).
+func histBucket(x float64) int {
+	if x < histMin {
+		return -1
+	}
+	if !(x < histEdge[histBuckets]) {
+		return histBuckets
+	}
+	b := int(histCell[math.Float64bits(x)>>histCellShift-histCellBase])
+	if x >= histEdge[b+1] {
+		b++
+	}
+	return b
 }
 
 // N reports the number of recorded values.

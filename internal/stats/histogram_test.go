@@ -122,3 +122,85 @@ func TestQuantilesExact(t *testing.T) {
 		t.Errorf("quantiles = %v", got)
 	}
 }
+
+// formulaBucket is the bucket Add computed per value before the tables:
+// -1 for underflow, histBuckets for overflow.
+func formulaBucket(x float64) int {
+	if x < histMin {
+		return -1
+	}
+	if b := int(math.Log10(x/histMin) * bucketsPerDecade); b < histBuckets {
+		return b
+	}
+	return histBuckets
+}
+
+// TestHistogramBucketsMatchFormula checks the table lookup against the Log10
+// formula at every bucket edge and the 64 float64s on each side of it, and
+// at 10^7 log-uniform values spanning underflow to overflow.
+func TestHistogramBucketsMatchFormula(t *testing.T) {
+	check := func(x float64) {
+		t.Helper()
+		if got, want := histBucket(x), formulaBucket(x); got != want {
+			t.Fatalf("bucket of %v (bits %#x): table %d, formula %d", x, math.Float64bits(x), got, want)
+		}
+	}
+	for i, edge := range histEdge {
+		if i < histBuckets && formulaBucket(edge) != i {
+			t.Fatalf("edge %d (%v) is in bucket %d", i, edge, formulaBucket(edge))
+		}
+		bits := math.Float64bits(edge)
+		for d := uint64(0); d <= 64; d++ {
+			check(math.Float64frombits(bits + d))
+			check(math.Float64frombits(bits - d))
+		}
+	}
+	n := 10_000_000
+	if testing.Short() {
+		n = 1_000_000
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < n; i++ {
+		check(math.Pow(10, -7+14*rng.Float64())) // 1e-7 … 1e7
+	}
+}
+
+// TestHistogramCellsHoldOneEdge pins the property Add's single compare
+// relies on: no table cell spans more than one bucket edge.
+func TestHistogramCellsHoldOneEdge(t *testing.T) {
+	for k := 1; k < len(histCell); k++ {
+		if d := histCell[k] - histCell[k-1]; d > 1 {
+			t.Fatalf("cell %d starts %d buckets after cell %d", k, d, k-1)
+		}
+	}
+}
+
+// The tails: everything below 1 µs (zero and negatives included) underflows,
+// everything from 10^6 s on overflows, and so do +Inf and NaN, which the
+// formula could not index at all.
+func TestHistogramBucketTails(t *testing.T) {
+	for _, x := range []float64{math.Inf(-1), -1, 0, 5e-324, 1e-7, math.Nextafter(histMin, 0)} {
+		if b := histBucket(x); b != -1 || formulaBucket(x) != -1 {
+			t.Errorf("histBucket(%v) = %d, formula %d; want underflow", x, b, formulaBucket(x))
+		}
+	}
+	if b := histBucket(histMin); b != 0 {
+		t.Errorf("histBucket(histMin) = %d, want 0", b)
+	}
+	for _, x := range []float64{1e6, 1e7, 1e100, math.MaxFloat64, math.Inf(1), math.NaN()} {
+		if b := histBucket(x); b != histBuckets {
+			t.Errorf("histBucket(%v) = %d, want overflow", x, b)
+		}
+	}
+	for _, x := range []float64{1e6, 1e7, 1e100} {
+		if b := formulaBucket(x); b != histBuckets {
+			t.Errorf("formula bucket of %v = %d, want overflow", x, b)
+		}
+	}
+	var h Histogram
+	h.Add(math.Inf(1))
+	h.Add(math.NaN())
+	if h.over != 2 || h.N() != 2 {
+		t.Errorf("Inf/NaN: over=%d N=%d, want 2, 2", h.over, h.N())
+	}
+}
