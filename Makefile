@@ -21,11 +21,11 @@ REPLAY_RECORD ?= $(lastword $(sort $(filter-out %_baseline.json,$(wildcard BENCH
 HOT_PKGS = ./internal/intern ./internal/cache ./internal/index ./internal/core ./internal/sim ./internal/trace ./internal/proxy ./internal/obs ./internal/chaos ./internal/browser ./internal/diskstore ./internal/breaker ./internal/federation ./internal/workqueue
 # The timing-sensitive live tests ROADMAP item 1 names: each waits on an
 # event, never on a sleep, so it must pass every time.
-STABLE_TESTS = ^Test(ClusterBloomFalsePositive|DiskSpillStreamPromote|DiskWarmRestartGraceful|InvalidationChurnUnderLoad|HostLifecycleConcurrent|BatchedConcurrentStoreLosesNoDelta)$$
+STABLE_TESTS = ^Test(ClusterBloomFalsePositive|DiskSpillStreamPromote|DiskWarmRestartGraceful|InvalidationChurnUnderLoad|HostLifecycleConcurrent|BatchedConcurrentStoreLosesNoDelta|StandaloneAndHostedPublishIdentically)$$
 # The tests of the on-demand watermark memo (internal/proxy/watermark.go).
 WATERMARK_TESTS = ^TestWatermark(AnonymousFetchUnsigned|OnDemandMatchesSigner|ConcurrentFirstDemandsSignOnce|MemoAcrossReacquisition|MemoBounded|SignFailureFailsClosed)$$|^TestOnDemandWatermarkVerifiesAtAgents$$|^TestCrashRestartRederivesWatermark$$
 
-.PHONY: all build vet test race short bench check staticcheck bench-baseline bench-compare bench-replay bench-replay-compare bench-e2e-smoke stream-smoke loadtest loadtest-indexmodes loadtest-restart loadtest-federation loadtest-invalidation soak soak-smoke
+.PHONY: all build vet test race short bench check staticcheck bench-baseline bench-compare bench-replay bench-replay-compare bench-e2e-smoke stream-smoke loadtest loadtest-agents loadtest-restart loadtest-federation loadtest-invalidation soak soak-smoke
 
 all: build vet test
 
@@ -197,12 +197,11 @@ loadtest-invalidation:
 		|| { cat LOAD_$(DATE)_invalidation.json; echo "invalidation pipeline gate FAILED"; exit 1; }
 	@grep -E '"stale_serves_total"|"origin_fetches_per_modification"|"stale_reduction"|"stale_ok"|"origin_ok"' LOAD_$(DATE)_invalidation.json
 
-# Index-protocol comparison: the same closed loop driven through full browser
-# agents under each §2 protocol, reporting index-maintenance requests per
-# non-local fetch. Writes LOAD_<date>_index_<mode>.json per mode.
-loadtest-indexmodes:
-	for mode in immediate periodic batched; do \
-		$(GO) run ./cmd/bapsload -inprocess -clients 16 -docs 5000 -zipf 1.2 \
-			-duration 10s -indexmode $$mode > LOAD_$(DATE)_index_$$mode.json || exit 1; \
-		grep -E '"rps"|index_requests' LOAD_$(DATE)_index_$$mode.json; \
-	done
+# Agent-driven load smoke: the same closed loop driven through full browser
+# agents (local cache, peer server, batched index publishing), reporting
+# index-maintenance requests per non-local fetch. Writes
+# LOAD_<date>_agents.json.
+loadtest-agents:
+	$(GO) run ./cmd/bapsload -inprocess -clients 16 -docs 5000 -zipf 1.2 \
+		-duration 10s -agents > LOAD_$(DATE)_agents.json
+	@grep -E '"rps"|index_requests' LOAD_$(DATE)_agents.json

@@ -417,10 +417,16 @@ func BenchmarkLiveOnionHit(b *testing.B) {
 	if _, _, err := c.Agents[0].Get(ctx, u); err != nil {
 		b.Fatal(err)
 	}
+	if err := c.Agents[0].FlushIndex(); err != nil {
+		b.Fatal(err)
+	}
 	b.SetBytes(20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Agents[1].Evict(u)
+		if err := c.Agents[1].FlushIndex(); err != nil { // the proxy must not pick the evicted copy
+			b.Fatal(err)
+		}
 		if _, src, err := c.Agents[1].Get(ctx, u); err != nil || src != SourceRemote {
 			b.Fatalf("src=%v err=%v", src, err)
 		}
@@ -525,10 +531,16 @@ func BenchmarkLiveRemoteHit(b *testing.B) {
 	if _, _, err := c.Agents[0].Get(ctx, u); err != nil {
 		b.Fatal(err)
 	}
+	if err := c.Agents[0].FlushIndex(); err != nil {
+		b.Fatal(err)
+	}
 	b.SetBytes(20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Agents[1].Evict(u)
+		if err := c.Agents[1].FlushIndex(); err != nil { // the proxy must not pick the evicted copy
+			b.Fatal(err)
+		}
 		if _, src, err := c.Agents[1].Get(ctx, u); err != nil || src != SourceRemote {
 			b.Fatalf("src=%v err=%v", src, err)
 		}

@@ -1,7 +1,8 @@
 // Command bapsbrowser runs a live browser agent connected to a
 // browsers-aware proxy. It reads document URLs from stdin (one per line),
 // resolves each through the local cache → proxy → peer/origin pipeline, and
-// reports where every document came from.
+// reports where every document came from. Index updates ship as batched
+// deltas; a graceful exit flushes the last batch before unregistering.
 //
 // Usage:
 //
@@ -11,8 +12,6 @@
 //
 //	-proxy URL     browsers-aware proxy base URL (required)
 //	-cache N       browser cache capacity in bytes (default 8 MiB)
-//	-index MODE    immediate | periodic (default immediate)
-//	-threshold F   periodic re-sync threshold (default 0.05)
 //	-no-verify     skip watermark verification
 //	-heartbeat D   liveness beacon period (default 5s; 0 disables)
 //	-logjson       emit structured logs as JSON instead of text
@@ -36,8 +35,6 @@ import (
 func main() {
 	proxyURL := flag.String("proxy", "", "browsers-aware proxy base URL")
 	cacheCap := flag.Int64("cache", 8<<20, "browser cache capacity in bytes")
-	indexMode := flag.String("index", "immediate", "index update protocol: immediate, periodic, or batched")
-	threshold := flag.Float64("threshold", 0.05, "periodic re-sync threshold")
 	noVerify := flag.Bool("no-verify", false, "skip watermark verification")
 	heartbeat := flag.Duration("heartbeat", 5*time.Second, "liveness beacon period (0 disables)")
 	logjson := flag.Bool("logjson", false, "emit structured logs as JSON instead of text")
@@ -57,20 +54,8 @@ func main() {
 	cfg := browser.DefaultConfig(*proxyURL)
 	cfg.Logger = logger
 	cfg.CacheCapacity = *cacheCap
-	cfg.Threshold = *threshold
 	cfg.Verify = !*noVerify
 	cfg.HeartbeatInterval = *heartbeat
-	switch *indexMode {
-	case "immediate":
-		cfg.IndexMode = browser.Immediate
-	case "periodic":
-		cfg.IndexMode = browser.Periodic
-	case "batched":
-		cfg.IndexMode = browser.Batched
-	default:
-		fmt.Fprintf(os.Stderr, "bapsbrowser: unknown index mode %q\n", *indexMode)
-		os.Exit(2)
-	}
 	a, err := browser.New(cfg)
 	if err != nil {
 		logger.Error("startup failed", "err", err)
@@ -81,9 +66,9 @@ func main() {
 		"client", a.ID(), "proxy", *proxyURL, "peer_url", a.PeerURL(),
 		"metrics", a.PeerURL()+"/metrics")
 
-	// SIGINT/SIGTERM while blocked on stdin: close gracefully (unregister,
-	// drain the batch publisher, stop the peer server) instead of dying with
-	// updates still queued.
+	// SIGINT/SIGTERM while blocked on stdin: close gracefully (drain the
+	// index publisher, unregister, stop the peer server) instead of dying
+	// with updates still queued.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	go func() {

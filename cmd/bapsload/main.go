@@ -67,13 +67,12 @@ type result struct {
 	// stays far below Requests.
 	OriginFetches int64 `json:"origin_fetches,omitempty"`
 
-	// Index-maintenance accounting (agent-driven runs, -indexmode set).
-	// IndexRequests sums every index-maintenance HTTP request the agents
-	// issued (immediate ops + full syncs + batches), snapshotted after the
-	// agents close so drained final batches are included.
-	IndexMode            string `json:"index_mode,omitempty"`
-	IndexRequests        int64  `json:"index_requests,omitempty"`
-	IndexPublishFailures int64  `json:"index_publish_failures,omitempty"`
+	// Index-maintenance accounting (agent-driven runs, -agents set).
+	// IndexRequests sums the index sub-batches the proxy accepted (delta
+	// batches + full syncs), snapshotted after the agents close so drained
+	// final batches are included.
+	IndexRequests        int64 `json:"index_requests,omitempty"`
+	IndexPublishFailures int64 `json:"index_publish_failures,omitempty"`
 	// NonLocalFetches counts requests that left the browser cache — each
 	// one can mutate the directory, so it is the natural denominator for
 	// index-maintenance overhead.
@@ -118,8 +117,8 @@ func main() {
 	targetRPS := flag.Float64("rps", 0, "aggregate request-rate cap (0 = unlimited)")
 	inprocess := flag.Bool("inprocess", false, "run origin + proxy on loopback inside this process")
 	seed := flag.Uint64("seed", 1, "workload PRNG seed")
-	indexMode := flag.String("indexmode", "", "drive full browser agents with this index protocol: immediate, periodic, or batched (default: raw /fetch clients, no index traffic)")
-	agentCache := flag.Int64("agentcache", 2<<20, "per-agent browser cache bytes (-indexmode runs; small caches force evictions)")
+	agentMode := flag.Bool("agents", false, "drive full browser agents (local cache, peer server, batched index publishing) instead of raw /fetch clients")
+	agentCache := flag.Int64("agentcache", 2<<20, "per-agent browser cache bytes (-agents runs; small caches force evictions)")
 	dataDir := flag.String("datadir", "", "in-process proxy disk-tier directory (enables crash-safe persistence)")
 	capacity := flag.Int64("capacity", 256<<20, "in-process proxy cache capacity in bytes")
 	restartAt := flag.Duration("restartat", 0, "SIGKILL the in-process proxy this far into the run, then restart it (0 disables; requires -inprocess and -datadir)")
@@ -129,7 +128,7 @@ func main() {
 	proxyRPS := flag.Float64("proxyrps", 1200, "federation mode: per-proxy fetch admission cap, modeling one machine per proxy")
 	digestInterval := flag.Duration("digestinterval", 250*time.Millisecond, "federation mode: sibling Bloom-digest push period")
 	modRate := flag.Float64("modrate", 0, "churn mode: origin modifications per second; runs the workload against a federated cluster twice (pipeline off, then on) and gates the stale-serve reduction")
-	agentHosts := flag.Int("agenthosts", 0, "lean agent mode: multiplex -indexmode agents across N AgentHosts instead of one server per agent (0 = standalone agents)")
+	agentHosts := flag.Int("agenthosts", 0, "lean agent mode: multiplex -agents agents across N AgentHosts instead of one server per agent (0 = standalone agents)")
 	agentsPerHost := flag.Int("agentsperhost", 0, "-soak: hosted agents per AgentHost (default 6250)")
 	soak := flag.Bool("soak", false, "soak mode: AgentHost fleet under sustained load with churn; gates hit-ratio parity and RSS per agent (see -agenthosts/-agentsperhost/-churn)")
 	churnFrac := flag.Float64("churn", 0.3, "-soak: fraction of the fleet killed and replaced over the run")
@@ -217,13 +216,6 @@ func main() {
 		return
 	}
 
-	if *indexMode != "" {
-		if _, err := parseIndexMode(*indexMode); err != nil {
-			fmt.Fprintf(os.Stderr, "bapsload: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
 	var plan *restartPlan
 	if *restartAt > 0 {
 		if !*inprocess || *dataDir == "" {
@@ -259,12 +251,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *agentHosts > 0 && *indexMode == "" {
-		fmt.Fprintln(os.Stderr, "bapsload: -agenthosts requires -indexmode (hosted clients are full browser agents)")
+	if *agentHosts > 0 && !*agentMode {
+		fmt.Fprintln(os.Stderr, "bapsload: -agenthosts requires -agents (hosted clients are full browser agents)")
 		os.Exit(2)
 	}
 
-	res := run(*proxyURL, *originURL, *clients, *docs, *zipfS, *duration, *targetRPS, *seed, *indexMode, *agentCache, *agentHosts, plan)
+	res := run(*proxyURL, *originURL, *clients, *docs, *zipfS, *duration, *targetRPS, *seed, *agentMode, *agentCache, *agentHosts, plan)
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	enc.Encode(res)
@@ -332,20 +324,7 @@ func (i *inprocState) getProxy() *proxy.Server {
 	return i.proxy
 }
 
-// parseIndexMode maps the -indexmode flag to a browser protocol.
-func parseIndexMode(s string) (browser.IndexMode, error) {
-	switch s {
-	case "immediate":
-		return browser.Immediate, nil
-	case "periodic":
-		return browser.Periodic, nil
-	case "batched":
-		return browser.Batched, nil
-	}
-	return 0, fmt.Errorf("unknown -indexmode %q (want immediate, periodic, or batched)", s)
-}
-
-func run(proxyURL, originURL string, clients, docs int, zipfS float64, duration time.Duration, targetRPS float64, seed uint64, indexMode string, agentCache int64, agentHosts int, plan *restartPlan) *result {
+func run(proxyURL, originURL string, clients, docs int, zipfS float64, duration time.Duration, targetRPS float64, seed uint64, agentMode bool, agentCache int64, agentHosts int, plan *restartPlan) *result {
 	// One shared keep-alive transport: all clients hit the same proxy
 	// host, so the pool depth scales with the client count.
 	transport := proxy.NewTransport(clients)
@@ -356,14 +335,8 @@ func run(proxyURL, originURL string, clients, docs int, zipfS float64, duration 
 	// index protocol's overhead, not just raw /fetch throughput.
 	var agents []*browser.Agent
 	var hosts []*browser.AgentHost
-	if indexMode != "" {
-		mode, err := parseIndexMode(indexMode)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bapsload: %v\n", err)
-			os.Exit(2)
-		}
+	if agentMode {
 		cfg := browser.DefaultConfig(proxyURL)
-		cfg.IndexMode = mode
 		cfg.CacheCapacity = agentCache
 		cfg.Timeout = 30 * time.Second
 		// Skip RSA watermark verification: the run isolates index-
@@ -372,7 +345,7 @@ func run(proxyURL, originURL string, clients, docs int, zipfS float64, duration 
 		cfg.Verify = false
 		if agentHosts > 0 {
 			// Lean agent mode: clients ride round-robin on shared
-			// AgentHosts — one listener, one transport, one batched index
+			// AgentHosts — one listener, one transport, one index
 			// publisher per host instead of per agent.
 			for h := 0; h < agentHosts; h++ {
 				host, err := browser.NewHost(browser.HostConfig{Agent: cfg})
@@ -466,15 +439,14 @@ func run(proxyURL, originURL string, clients, docs int, zipfS float64, duration 
 
 	res := &result{Sources: make(map[string]int64)}
 	if agents != nil {
-		// Close first (drains the Batched publish queues), then snapshot,
-		// so the index-request totals include the final flushed batches.
+		// Close first (drains the publishers), then snapshot, so the
+		// index-request totals include the final flushed batches.
 		var sum browser.Metrics
 		for _, ag := range agents {
 			ag.Close()
 			m := ag.Snapshot()
 			sum.Requests += m.Requests
 			sum.LocalHits += m.LocalHits
-			sum.IndexOps += m.IndexOps
 			sum.IndexSyncs += m.IndexSyncs
 			sum.IndexBatches += m.IndexBatches
 			sum.IndexPublishFailures += m.IndexPublishFailures
@@ -482,8 +454,7 @@ func run(proxyURL, originURL string, clients, docs int, zipfS float64, duration 
 		for _, h := range hosts {
 			h.Close() // agents are already removed; stops listener + publisher
 		}
-		res.IndexMode = indexMode
-		res.IndexRequests = sum.IndexOps + sum.IndexSyncs + sum.IndexBatches
+		res.IndexRequests = sum.IndexSyncs + sum.IndexBatches
 		res.IndexPublishFailures = sum.IndexPublishFailures
 		res.AgentLocalHits = sum.LocalHits
 		res.NonLocalFetches = sum.Requests - sum.LocalHits

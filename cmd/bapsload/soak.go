@@ -262,7 +262,6 @@ func (r *retiredMetrics) add(m browser.Metrics) {
 // soakAgentConfig is the shared agent template for every soak leg.
 func soakAgentConfig(proxyURL string, opts soakOpts) browser.Config {
 	cfg := browser.DefaultConfig(proxyURL)
-	cfg.IndexMode = browser.Batched
 	cfg.CacheCapacity = opts.agentCache
 	cfg.Timeout = 30 * time.Second
 	cfg.Verify = false // isolate transport + index cost, not RSA throughput

@@ -44,6 +44,11 @@ func main() {
 	if _, src, err := cluster.Agents[0].Get(ctx, doc); err != nil || src != baps.SourceOrigin {
 		log.Fatalf("alice: %v %v", src, err)
 	}
+	// Ship Alice's index delta now (agents batch them for up to 100 ms), so
+	// the proxy knows she holds the page before Bob asks.
+	if err := cluster.Agents[0].FlushIndex(); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("   alice ← origin (proxy watermarked and cached it)")
 
 	fmt.Println("\n2) Erin churns the proxy cache until the page is evicted there…")

@@ -39,8 +39,14 @@ func main() {
 	ctx := context.Background()
 	alice, bob, carol := cluster.Agents[0], cluster.Agents[1], cluster.Agents[2]
 
+	// Every fetch flushes the agent's index deltas, so the proxy's browser
+	// index is current before the next step (agents otherwise batch them
+	// for up to 100 ms).
 	fetch := func(who string, a *baps.Agent, url string) baps.Source {
 		body, src, err := a.Get(ctx, url)
+		if err == nil {
+			err = a.FlushIndex()
+		}
 		if err != nil {
 			log.Fatalf("%s: %v", who, err)
 		}

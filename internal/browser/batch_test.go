@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"baps/internal/index"
 	"baps/internal/proxy"
 )
 
@@ -28,11 +29,10 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// batchedCluster starts one Batched-mode agent with a fast flush interval.
+// batchedCluster starts one agent with a fast flush interval.
 func batchedCluster(t *testing.T, mutate func(*Config)) *cluster {
 	t.Helper()
 	return startCluster(t, 1, proxy.Config{}, func(cfg *Config) {
-		cfg.IndexMode = Batched
 		cfg.BatchMaxDelay = 10 * time.Millisecond
 		cfg.DigestEvery = 0
 		cfg.Verify = false
@@ -62,6 +62,24 @@ func agentDirectory(a *Agent) []string {
 	return keys
 }
 
+// postCarrier posts batch as a one-sub-batch carrier authenticated with a's
+// token, the way a's publisher would, and returns the proxy's verdict.
+func postCarrier(t *testing.T, a *Agent, batch proxy.IndexBatch) proxy.MultiBatchResponse {
+	t.Helper()
+	batch.ClientID = a.ID()
+	body, _ := json.Marshal(proxy.IndexMultiBatch{Batches: []proxy.HostBatch{{IndexBatch: batch, Token: a.token}}})
+	resp, err := http.Post(a.cfg.ProxyURL+"/index/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out proxy.MultiBatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("carrier status %s: %v", resp.Status, err)
+	}
+	return out
+}
+
 func equalStrings(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
@@ -85,8 +103,8 @@ func TestBatchedPublishReachesProxy(t *testing.T) {
 	waitUntil(t, 3*time.Second, "batched deltas to reach the proxy index", func() bool {
 		return equalStrings(proxyDirectory(c, ag.ID()), agentDirectory(ag))
 	})
-	if m := ag.Snapshot(); m.IndexBatches == 0 || m.IndexOps != 0 || m.IndexSyncs != 0 {
-		t.Fatalf("batched agent sent batches=%d ops=%d syncs=%d; want only batches", m.IndexBatches, m.IndexOps, m.IndexSyncs)
+	if m := ag.Snapshot(); m.IndexBatches == 0 || m.IndexSyncs != 0 {
+		t.Fatalf("agent sent batches=%d syncs=%d; want only delta batches", m.IndexBatches, m.IndexSyncs)
 	}
 	st := c.proxy.Snapshot()
 	if st.IndexBatches == 0 || st.IndexBatchDeltas < 3 {
@@ -100,23 +118,21 @@ func TestBatchedPublishReachesProxy(t *testing.T) {
 func TestBatchedCountTriggersFlush(t *testing.T) {
 	c := batchedCluster(t, func(cfg *Config) {
 		cfg.BatchMaxDelay = time.Hour // only the count threshold may flush
-		cfg.BatchMaxCount = 4
 	})
 	ag := c.agents[0]
-	for i := 0; i < 4; i++ {
-		if _, _, err := ag.Get(context.Background(), c.url(fmt.Sprintf("/doc/c%d", i))); err != nil {
+	for i := 0; i < agentFlushDeltas; i++ {
+		if _, _, err := ag.Get(context.Background(), c.url(fmt.Sprintf("/doc/c%d?size=64", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	waitUntil(t, 3*time.Second, "count-triggered flush", func() bool {
-		return len(proxyDirectory(c, ag.ID())) == 4
+		return len(proxyDirectory(c, ag.ID())) == agentFlushDeltas
 	})
 }
 
 func TestBatchedDrainOnClose(t *testing.T) {
 	c := batchedCluster(t, func(cfg *Config) {
-		cfg.BatchMaxDelay = time.Hour
-		cfg.BatchMaxCount = 1 << 20 // nothing flushes during the run
+		cfg.BatchMaxDelay = time.Hour // nothing flushes during the run
 	})
 	ag := c.agents[0]
 	for i := 0; i < 3; i++ {
@@ -154,16 +170,8 @@ func TestGenGapTriggersResyncPull(t *testing.T) {
 
 	// Forge a far-future generation (a lost-batch window the proxy cannot
 	// see into): it must count a gap and pull a full re-sync.
-	body, _ := json.Marshal(proxy.IndexBatch{ClientID: ag.ID(), Gen: 999})
-	req, _ := http.NewRequest(http.MethodPost, ag.cfg.ProxyURL+"/index/batch", bytes.NewReader(body))
-	ag.authHeaders(req)
-	resp, err := ag.httpClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy.DrainClose(resp)
-	if resp.StatusCode/100 != 2 {
-		t.Fatalf("forged batch status %s", resp.Status)
+	if r := postCarrier(t, ag, proxy.IndexBatch{Gen: 999}); r.Accepted != 1 {
+		t.Fatalf("forged batch not accepted: %+v", r)
 	}
 
 	waitUntil(t, 3*time.Second, "gap-triggered resync pull", func() bool {
@@ -195,20 +203,10 @@ func TestDigestMismatchTriggersResync(t *testing.T) {
 		return len(proxyDirectory(c, ag.ID())) == 1
 	})
 
-	// Inject drift the generation numbers cannot see: a forged immediate
-	// /index/add makes the proxy believe the agent holds a bogus URL.
+	// Inject drift the generation numbers cannot see: the proxy comes to
+	// believe the agent holds a bogus URL.
 	bogus := c.url("/doc/never-cached")
-	body, _ := json.Marshal(proxy.IndexUpdate{ClientID: ag.ID(), Entry: proxy.IndexEntry{URL: bogus, Size: 1}})
-	req, _ := http.NewRequest(http.MethodPost, ag.cfg.ProxyURL+"/index/add", bytes.NewReader(body))
-	ag.authHeaders(req)
-	resp, err := ag.httpClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy.DrainClose(resp)
-	if !c.proxy.Index().Has(ag.ID(), c.proxy.Syms().Intern(bogus)) {
-		t.Fatal("drift injection failed")
-	}
+	c.proxy.Index().Add(index.Entry{Client: ag.ID(), Doc: c.proxy.Syms().Intern(bogus), Size: 1})
 
 	// A digest-carrying batch must expose the drift and heal it. Usually
 	// the next one does; but a digest is a Bloom filter (20 bits for two
@@ -239,9 +237,7 @@ func TestDigestMismatchTriggersResync(t *testing.T) {
 // resync happened).
 func TestBatchedConcurrentStoreLosesNoDelta(t *testing.T) {
 	c := startCluster(t, 1, proxy.Config{}, func(cfg *Config) {
-		cfg.IndexMode = Batched
 		cfg.BatchMaxDelay = 5 * time.Millisecond
-		cfg.BatchMaxCount = 8
 		cfg.DigestEvery = 0
 		cfg.Verify = false
 		cfg.CacheCapacity = 64 << 10 // tiny: constant evictions
@@ -285,29 +281,133 @@ func TestBatchedConcurrentStoreLosesNoDelta(t *testing.T) {
 	}
 }
 
-// TestIndexOpCountsOnlyAcceptedResponses pins the satellite bugfix: an
-// index message the proxy rejects (bad token → 4xx) must count as a publish
-// failure, not as a sent op.
-func TestIndexOpCountsOnlyAcceptedResponses(t *testing.T) {
-	c := startCluster(t, 1, proxy.Config{}, func(cfg *Config) {
-		cfg.IndexMode = Immediate
-		cfg.Verify = false
+// TestRejectedSubBatchCountsAsFailure: a sub-batch the proxy refuses (the
+// agent's registration is gone) counts as a publish failure, not as a sent
+// batch, and FlushIndex reports it.
+func TestRejectedSubBatchCountsAsFailure(t *testing.T) {
+	c := batchedCluster(t, func(cfg *Config) {
+		cfg.BatchMaxDelay = time.Hour // only FlushIndex ships
 	})
 	ag := c.agents[0]
-	goodToken := ag.token
-	ag.token = "corrupted"
-	ag.indexOp(true, proxy.IndexEntry{URL: c.url("/doc/x"), Size: 1})
-	m := ag.Snapshot()
-	if m.IndexOps != 0 {
-		t.Fatalf("rejected op counted as sent (IndexOps=%d)", m.IndexOps)
+	ag.store(c.url("/doc/x"), []byte("x"), nil, 1)
+	if err := ag.FlushIndex(); err != nil {
+		t.Fatalf("accepted flush: %v", err)
 	}
-	if m.IndexPublishFailures != 1 {
-		t.Fatalf("rejected op not counted as failure (failures=%d)", m.IndexPublishFailures)
+	if m := ag.Snapshot(); m.IndexBatches != 1 || m.IndexPublishFailures != 0 {
+		t.Fatalf("accepted batch miscounted: batches=%d failures=%d", m.IndexBatches, m.IndexPublishFailures)
 	}
-	ag.token = goodToken
-	ag.indexOp(true, proxy.IndexEntry{URL: c.url("/doc/x"), Size: 1})
-	m = ag.Snapshot()
-	if m.IndexOps != 1 || m.IndexPublishFailures != 1 {
-		t.Fatalf("accepted op miscounted: ops=%d failures=%d", m.IndexOps, m.IndexPublishFailures)
+	ag.unregister() // the proxy forgets the token
+	ag.store(c.url("/doc/y"), []byte("y"), nil, 1)
+	if err := ag.FlushIndex(); err == nil {
+		t.Fatal("FlushIndex reported success for a rejected sub-batch")
+	}
+	if m := ag.Snapshot(); m.IndexBatches != 1 || m.IndexPublishFailures != 1 {
+		t.Fatalf("rejected batch miscounted: batches=%d failures=%d", m.IndexBatches, m.IndexPublishFailures)
+	}
+}
+
+// TestFlushIndexReadYourWrites: with the interval flush out of the way,
+// FlushIndex alone makes the proxy's index reflect the agent's cache —
+// standalone and hosted alike.
+func TestFlushIndexReadYourWrites(t *testing.T) {
+	slow := func(cfg *Config) { cfg.BatchMaxDelay = time.Hour }
+	c := startCluster(t, 1, proxy.Config{}, slow)
+	hosted, err := startHost(t, c, slow).Spawn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range []*Agent{c.agents[0], hosted} {
+		u := c.url(fmt.Sprintf("/ryw/%d", i))
+		if _, _, err := a.Get(context.Background(), u); err != nil {
+			t.Fatal(err)
+		}
+		doc := c.proxy.Syms().Intern(u)
+		if c.proxy.Index().Has(a.ID(), doc) {
+			t.Fatalf("agent %d: published before FlushIndex — the test proves nothing", i)
+		}
+		if err := a.FlushIndex(); err != nil {
+			t.Fatal(err)
+		}
+		if !c.proxy.Index().Has(a.ID(), doc) {
+			t.Fatalf("agent %d: index misses its own write after FlushIndex", i)
+		}
+		a.Evict(u)
+		if err := a.FlushIndex(); err != nil {
+			t.Fatal(err)
+		}
+		if c.proxy.Index().Has(a.ID(), doc) {
+			t.Fatalf("agent %d: index keeps an evicted document after FlushIndex", i)
+		}
+	}
+}
+
+// TestStandaloneAndHostedPublishIdentically is the one-publisher invariant
+// under -race: the same store/evict/FlushIndex sequence on a standalone
+// agent (a publisher of one) and on a hosted agent (the fleet's publisher)
+// leaves the proxy with identical directories and identical generation
+// counters for the two.
+func TestStandaloneAndHostedPublishIdentically(t *testing.T) {
+	mutate := func(cfg *Config) {
+		cfg.BatchMaxDelay = time.Hour // only FlushIndex ships
+		cfg.CacheCapacity = 25_000    // two 10 KB docs fit, a third evicts
+		cfg.DigestEvery = 1
+		cfg.Verify = false
+	}
+	c := startCluster(t, 1, proxy.Config{}, mutate)
+	h := startHost(t, c, mutate)
+	hosted, err := h.Spawn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Spawn(); err != nil { // an idle fleet sibling
+		t.Fatal(err)
+	}
+	body := bytes.Repeat([]byte("b"), 10_000)
+	agents := []*Agent{c.agents[0], hosted}
+	var wg sync.WaitGroup
+	for _, a := range agents {
+		wg.Add(1)
+		go func(a *Agent) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				a.store(c.url(fmt.Sprintf("/same/%d", i)), body, nil, int64(i))
+				if i%3 == 2 {
+					a.Evict(c.url(fmt.Sprintf("/same/%d", i-1)))
+				}
+				if err := a.FlushIndex(); err != nil {
+					t.Error(err)
+				}
+			}
+		}(a)
+	}
+	wg.Wait()
+
+	dirs := make([][]string, len(agents))
+	for i, a := range agents {
+		if got, want := proxyDirectory(c, a.ID()), agentDirectory(a); !equalStrings(got, want) {
+			t.Fatalf("agent %d: proxy holds %v, agent %v", i, got, want)
+		}
+		for _, e := range c.proxy.Index().ClientDocs(a.ID()) {
+			dirs[i] = append(dirs[i], fmt.Sprintf("%s size=%d version=%d", c.proxy.Syms().String(e.Doc), e.Size, e.Version))
+		}
+		sort.Strings(dirs[i])
+	}
+	if !equalStrings(dirs[0], dirs[1]) {
+		t.Fatalf("directories differ:\nstandalone %v\nhosted     %v", dirs[0], dirs[1])
+	}
+	m0, m1 := agents[0].Snapshot(), agents[1].Snapshot()
+	if m0.IndexBatches != 6 || m1.IndexBatches != 6 || m0.IndexPublishFailures+m1.IndexPublishFailures != 0 {
+		t.Fatalf("batches standalone=%d hosted=%d failures=%d/%d, want 6/6 and none",
+			m0.IndexBatches, m1.IndexBatches, m0.IndexPublishFailures, m1.IndexPublishFailures)
+	}
+	// Both generation counters stand at 6 at the proxy: a seventh batch is
+	// the successor for each, not a gap.
+	for _, a := range agents {
+		if r := postCarrier(t, a, proxy.IndexBatch{Gen: 7}); r.Accepted != 1 {
+			t.Fatalf("successor batch rejected: %+v", r)
+		}
+	}
+	if st := c.proxy.Snapshot(); st.IndexGenGaps != 0 || st.IndexDigestMismatches != 0 || st.IndexResyncPulls != 0 {
+		t.Fatalf("gaps=%d mismatches=%d pulls=%d, want none", st.IndexGenGaps, st.IndexDigestMismatches, st.IndexResyncPulls)
 	}
 }

@@ -9,9 +9,9 @@
 //     anonymous relay drop (direct-forward) — only callers presenting the
 //     registration token are served, so peers can never contact each other
 //     directly and identities stay hidden (§6.2);
-//   - keeps the proxy's browser index updated under either §2 protocol:
-//     immediate add/invalidate messages, or periodic batched re-syncs once
-//     a threshold fraction of the cache has changed;
+//   - keeps the proxy's browser index updated with batched deltas: every
+//     cache change is coalesced by one publisher and shipped as part of a
+//     generation-numbered batch, with a full directory sync on demand;
 //   - verifies document watermarks with the proxy's public key (§6.1) and
 //     reports tampered direct-forward deliveries.
 package browser
@@ -50,24 +50,20 @@ const (
 	SourceOrigin Source = proxy.SourceOrigin
 )
 
-// IndexMode selects the §2 index-update protocol on the wire.
+// IndexMode names the live index-update protocol. Batched, the zero value,
+// is its only value: the paper's §2 compares immediate and periodic updates
+// by message cost, and that comparison lives in the simulator
+// (internal/index), not on the live wire. The type survives only because
+// benchmark/ still sets it; it goes with the next benchmark-only change.
 type IndexMode int
 
-const (
-	// Immediate sends one index message per cache change.
-	Immediate IndexMode = iota
-	// Periodic batches changes and re-syncs the full directory when more
-	// than Threshold of the cache has changed.
-	Periodic
-	// Batched coalesces changes in a per-agent publish queue (last write
-	// wins per URL) and ships only the net deltas as generation-numbered
-	// POST /index/batch messages, flushed by count, bytes, or interval
-	// from a dedicated goroutine — store() never does network I/O. Drift
-	// (a lost batch, a proxy restart) is detected by generation gaps and
-	// periodic Bloom digests and repaired by the proxy's /peer/resync
-	// pull.
-	Batched
-)
+// Batched coalesces cache changes in the agent's publisher (last write wins
+// per URL) and ships only the net deltas as generation-numbered sub-batches
+// of POST /index/batch, flushed by count, bytes, or interval — store() never
+// does network I/O. Drift (a lost batch, a proxy restart) is detected by
+// generation gaps and periodic Bloom digests and repaired by the proxy's
+// /peer/resync pull.
+const Batched IndexMode = 0
 
 // Config parameterizes an agent.
 type Config struct {
@@ -79,16 +75,12 @@ type Config struct {
 	MemFraction float64
 	// Policy is the replacement policy (paper: LRU).
 	Policy cache.Policy
-	// IndexMode and Threshold configure index updates.
+	// IndexMode must be Batched (the zero value); see IndexMode.
 	IndexMode IndexMode
-	Threshold float64
-	// Batched-mode publish-queue tuning (ignored in other modes). A flush
-	// is triggered by whichever limit trips first: BatchMaxCount coalesced
-	// deltas, BatchMaxBytes of estimated wire size, or BatchMaxDelay since
-	// the previous flush. Zero values take the DefaultConfig defaults.
+	// BatchMaxDelay is the publisher's flush interval: pending deltas ship
+	// at least this often, sooner when the publisher's count or byte limit
+	// trips (publish.go). Zero takes the DefaultConfig default.
 	BatchMaxDelay time.Duration
-	BatchMaxCount int
-	BatchMaxBytes int64
 	// DigestEvery attaches a Bloom digest of the full directory to every
 	// n-th batch so the proxy can detect drift; 0 disables digests.
 	DigestEvery int
@@ -119,14 +111,10 @@ func DefaultConfig(proxyURL string) Config {
 		CacheCapacity:     8 << 20,
 		MemFraction:       0.5,
 		Policy:            cache.LRU,
-		IndexMode:         Immediate,
-		Threshold:         0.05,
 		Verify:            true,
 		Timeout:           10 * time.Second,
 		HeartbeatInterval: 5 * time.Second,
 		BatchMaxDelay:     100 * time.Millisecond,
-		BatchMaxCount:     128,
-		BatchMaxBytes:     256 << 10,
 		DigestEvery:       8,
 	}
 }
@@ -140,13 +128,15 @@ type Metrics struct {
 	OriginMiss   int64
 	PeerServes   int64
 	TamperSeen   int64
-	IndexSyncs   int64
-	IndexOps     int64
-	IndexBatches int64
-	// IndexPublishFailures counts index messages (any protocol) that
-	// errored or came back non-2xx. Batched-mode failures are retried —
-	// the pending deltas stay queued — so a failure here is load-shedding
-	// visibility, not data loss.
+	IndexSyncs   int64 // Full directory syncs the proxy accepted
+	IndexBatches int64 // delta sub-batches the proxy accepted
+	// IndexOps is always 0: it counted the per-change messages of a live
+	// protocol that is gone, and stays only because benchmark/ sums it.
+	IndexOps int64
+	// IndexPublishFailures counts sub-batches whose carrier errored or came
+	// back non-2xx, and sub-batches the proxy rejected. A failed carrier is
+	// retried — the pending deltas stay queued — so a failure here is
+	// load-shedding visibility, not data loss.
 	IndexPublishFailures int64
 	// DirSnapshotMisses counts directory-snapshot entries skipped because
 	// the key vanished between Keys() and Peek() (should stay zero: the
@@ -162,11 +152,11 @@ type Metrics struct {
 }
 
 // Agent is one live browser client. It runs in one of two shapes: a
-// standalone agent owns a listener, HTTP server, transport pool, publish
-// goroutine, and heartbeat goroutine; a hosted agent (AgentHost.Spawn) is
-// just this struct — the host supplies a shared server, shared transport,
-// one multiplexed publisher, and one heartbeat pacer for all its agents, so
-// per-agent overhead stays flat at fleet scale.
+// standalone agent owns a listener, HTTP server, transport pool, publisher,
+// and heartbeat goroutine; a hosted agent (AgentHost.Spawn) is just this
+// struct — the host supplies a shared server, shared transport, one
+// publisher, and one heartbeat pacer for all its agents, so per-agent
+// overhead stays flat at fleet scale.
 type Agent struct {
 	cfg      Config
 	id       int
@@ -174,7 +164,7 @@ type Agent struct {
 	pub      *rsa.PublicKey
 	relayKey []byte // covert-path key issued at registration
 
-	// pubOrder makes Batched-mode deltas reach the publisher in seq order:
+	// pubOrder makes index deltas reach the publisher in seq order:
 	// store and Evict take it before mu and hold it across the enqueue
 	// that follows mu's release. Coalescing by seq only orders deltas that
 	// meet in one pending window: a delta arriving after a newer one for
@@ -188,11 +178,9 @@ type Agent struct {
 	// one lookup (and at fleet scale, one bucket array) where the old
 	// bodies/marks pair cost two.
 	docs map[string]cachedDoc
-	// Periodic-mode pending change counter.
-	changes int
-	// deltaSeq orders Batched-mode deltas by cache mutation: assigned
-	// under a.mu at mutation time, compared by the publisher when
-	// coalescing.
+	// deltaSeq orders index deltas by cache mutation: assigned under a.mu
+	// at mutation time, compared by the publisher when coalescing and
+	// before attaching a digest.
 	deltaSeq uint64
 	// Waiters for onion-routed deliveries, by document URL.
 	pendingOnion map[string]chan onionDeliveryMsg
@@ -218,10 +206,9 @@ type Agent struct {
 	httpSrv    *http.Server
 	peerURL    string
 
-	// sink is the Batched-mode index publisher (nil in other modes): a
-	// dedicated per-agent goroutine when standalone, a thin handle onto the
-	// host's multiplexed publisher when hosted.
-	sink indexSink
+	// index is the agent's index publisher: its own when standalone (one
+	// member), the host's when hosted (the whole fleet).
+	index *publisher
 
 	// Host plumbing (nil/0 when standalone).
 	host *AgentHost
@@ -249,7 +236,7 @@ type cachedDoc struct {
 	version   int64
 }
 
-// normalizeConfig validates cfg and fills Batched-mode defaults; shared by
+// normalizeConfig validates cfg and fills the publisher defaults; shared by
 // the standalone and hosted constructors.
 func normalizeConfig(cfg Config) (Config, error) {
 	if cfg.ProxyURL == "" {
@@ -261,22 +248,14 @@ func normalizeConfig(cfg Config) (Config, error) {
 	if cfg.MemFraction <= 0 || cfg.MemFraction > 1 {
 		return cfg, fmt.Errorf("browser: MemFraction %g out of (0,1]", cfg.MemFraction)
 	}
-	if cfg.IndexMode == Periodic && (cfg.Threshold <= 0 || cfg.Threshold > 1) {
-		return cfg, fmt.Errorf("browser: Threshold %g out of (0,1] for periodic mode", cfg.Threshold)
+	if cfg.IndexMode != Batched {
+		return cfg, fmt.Errorf("browser: IndexMode %d: Batched is the only live index protocol", cfg.IndexMode)
 	}
-	if cfg.IndexMode == Batched {
-		if cfg.BatchMaxDelay <= 0 {
-			cfg.BatchMaxDelay = 100 * time.Millisecond
-		}
-		if cfg.BatchMaxCount <= 0 {
-			cfg.BatchMaxCount = 128
-		}
-		if cfg.BatchMaxBytes <= 0 {
-			cfg.BatchMaxBytes = 256 << 10
-		}
-		if cfg.DigestEvery < 0 {
-			return cfg, fmt.Errorf("browser: DigestEvery %d must be >= 0", cfg.DigestEvery)
-		}
+	if cfg.BatchMaxDelay <= 0 {
+		cfg.BatchMaxDelay = 100 * time.Millisecond
+	}
+	if cfg.DigestEvery < 0 {
+		return cfg, fmt.Errorf("browser: DigestEvery %d must be >= 0", cfg.DigestEvery)
 	}
 	return cfg, nil
 }
@@ -371,13 +350,9 @@ func New(cfg Config) (*Agent, error) {
 		a.Close()
 		return nil, err
 	}
-	// The publish queue needs the registration id/token, so it starts only
+	// The publisher needs the registration id/token, so it starts only
 	// after a successful register.
-	if cfg.IndexMode == Batched {
-		pub := newPublisher(a)
-		a.sink = pub
-		go pub.loop()
-	}
+	a.index = newPublisher(cfg.ProxyURL, a.httpClient, cfg.Logger, cfg.BatchMaxDelay, agentFlushDeltas, agentFlushBytes)
 	if cfg.HeartbeatInterval > 0 {
 		a.heartbeatDone = make(chan struct{})
 		go a.heartbeatLoop()
@@ -440,12 +415,12 @@ func (a *Agent) isClosing() bool {
 // Close departs gracefully: it stops the heartbeat loop AND waits for it to
 // exit (a beat that raced the shutdown has fully completed, so it cannot
 // re-animate this agent's health record after the unregister below), drains
-// the Batched publish queue (final flush, so no coalesced delta is lost),
+// the publisher (final flush, so no coalesced delta is lost),
 // deregisters from the proxy (POST /unregister, so the proxy drops the
 // agent's index entries immediately instead of discovering the departure
 // through failed fetches), and shuts the peer server down. Hosted agents
 // delegate to their host, which frees the slot and flushes their share of
-// the multiplexed publisher.
+// the host's publisher.
 func (a *Agent) Close() error {
 	if a.host != nil {
 		a.host.remove(a, true)
@@ -455,8 +430,8 @@ func (a *Agent) Close() error {
 	if a.heartbeatDone != nil {
 		<-a.heartbeatDone
 	}
-	if a.sink != nil {
-		a.sink.stop(true)
+	if a.index != nil {
+		a.index.stop(true)
 	}
 	if a.token != "" {
 		a.unregister()
@@ -478,8 +453,8 @@ func (a *Agent) Kill() {
 		return
 	}
 	a.beginClose()
-	if a.sink != nil {
-		a.sink.stop(false) // abrupt: queued deltas are dropped, no flush
+	if a.index != nil {
+		a.index.stop(false) // abrupt: queued deltas are dropped, no flush
 	}
 	if a.httpSrv != nil {
 		a.httpSrv.Close()
@@ -567,13 +542,11 @@ func (a *Agent) registerMetrics() {
 		func(m *Metrics) int64 { return m.PeerServes })
 	counter("baps_browser_tamper_seen_total", "Watermark verification failures on received documents.",
 		func(m *Metrics) int64 { return m.TamperSeen })
-	counter("baps_browser_index_syncs_total", "Full directory re-syncs sent to the proxy.",
+	counter("baps_browser_index_syncs_total", "Full directory syncs accepted by the proxy.",
 		func(m *Metrics) int64 { return m.IndexSyncs })
-	counter("baps_browser_index_ops_total", "Immediate index add/remove messages sent.",
-		func(m *Metrics) int64 { return m.IndexOps })
-	counter("baps_browser_index_batches_total", "Batched delta messages accepted by the proxy.",
+	counter("baps_browser_index_batches_total", "Delta sub-batches accepted by the proxy.",
 		func(m *Metrics) int64 { return m.IndexBatches })
-	counter("baps_browser_index_publish_failures_total", "Index messages that errored or came back non-2xx.",
+	counter("baps_browser_index_publish_failures_total", "Index sub-batches that failed or were rejected.",
 		func(m *Metrics) int64 { return m.IndexPublishFailures })
 	counter("baps_browser_dir_snapshot_misses_total", "Directory-snapshot entries skipped by a Keys/Peek race.",
 		func(m *Metrics) int64 { return m.DirSnapshotMisses })

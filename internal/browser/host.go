@@ -31,18 +31,13 @@ type HostConfig struct {
 	Agent Config
 	// Addr is the listen address; empty means a loopback ephemeral port.
 	Addr string
-	// FlushMaxDeltas / FlushMaxBytes bound the host publisher's aggregate
-	// pending set across all hosted agents (defaults 2048 / 1 MiB). The
-	// per-agent BatchMaxDelay from the template is the flush interval.
-	FlushMaxDeltas int
-	FlushMaxBytes  int64
 	// Logger, when non-nil, receives host-level structured logs.
 	Logger *slog.Logger
 }
 
 // AgentHost serves N hosted agents behind ONE http.Server, ONE listener, and
-// ONE tuned transport to the proxy, with all Batched-mode index traffic
-// multiplexed onto a single publisher goroutine. A hosted agent costs a
+// ONE tuned transport to the proxy, with all index traffic multiplexed onto
+// a single publisher goroutine. A hosted agent costs a
 // struct in a host-owned arena — no per-agent goroutines, sockets, or conn
 // pools — which is what lets one box carry tens of thousands of live agents.
 //
@@ -57,8 +52,7 @@ type AgentHost struct {
 	ln      net.Listener
 	srv     *http.Server
 	baseURL string
-	logger  *slog.Logger
-	pub     *hostPublisher
+	pub     *publisher
 
 	mu sync.RWMutex
 	// slots maps the routed <slot> id to the live agent occupying it; nil
@@ -90,12 +84,6 @@ func NewHost(cfg HostConfig) (*AgentHost, error) {
 		return nil, err
 	}
 	cfg.Agent = agentCfg
-	if cfg.FlushMaxDeltas <= 0 {
-		cfg.FlushMaxDeltas = 2048
-	}
-	if cfg.FlushMaxBytes <= 0 {
-		cfg.FlushMaxBytes = 1 << 20
-	}
 	addr := cfg.Addr
 	if addr == "" {
 		addr = "127.0.0.1:0"
@@ -108,7 +96,6 @@ func NewHost(cfg HostConfig) (*AgentHost, error) {
 		cfg:     cfg,
 		ln:      ln,
 		baseURL: "http://" + ln.Addr().String(),
-		logger:  cfg.Logger,
 		// All hosted agents share one pool toward the one proxy host, so
 		// it is sized like the proxy's origin pool, not a single agent's.
 		client: &http.Client{
@@ -118,10 +105,7 @@ func NewHost(cfg HostConfig) (*AgentHost, error) {
 	}
 	h.srv = &http.Server{Handler: http.HandlerFunc(h.route)}
 	go h.srv.Serve(ln)
-	if agentCfg.IndexMode == Batched {
-		h.pub = newHostPublisher(h)
-		go h.pub.loop()
-	}
+	h.pub = newPublisher(agentCfg.ProxyURL, h.client, cfg.Logger, agentCfg.BatchMaxDelay, hostFlushDeltas, hostFlushBytes)
 	if iv := agentCfg.HeartbeatInterval; iv > 0 {
 		h.stopHB = make(chan struct{})
 		h.hbDone = make(chan struct{})
@@ -155,7 +139,7 @@ func (h *AgentHost) Agents() []*Agent {
 
 // Spawn creates one hosted agent: a slot is assigned, the agent registers
 // with the proxy advertising the host's /a/<slot> callback URL, and its
-// index publishing is attached to the host's multiplexed publisher.
+// index publishing is attached to the host's publisher.
 func (h *AgentHost) Spawn() (*Agent, error) {
 	h.mu.Lock()
 	if h.closed {
@@ -194,9 +178,7 @@ func (h *AgentHost) Spawn() (*Agent, error) {
 		h.releaseSlot(slot)
 		return nil, err
 	}
-	if cfg.IndexMode == Batched {
-		a.sink = &hostSink{p: h.pub, a: a}
-	}
+	a.index = h.pub
 	h.mu.Lock()
 	h.slots[slot] = a
 	h.live++
@@ -213,7 +195,7 @@ func (h *AgentHost) releaseSlot(slot int) {
 
 // remove tears one hosted agent down; Agent.Close/Kill delegate here. The
 // slot is vacated FIRST so the shared server stops routing to the agent (410
-// Gone) before its state unwinds, then the agent's share of the multiplexed
+// Gone) before its state unwinds, then the agent's share of the host's
 // publisher is flushed (graceful) or dropped, the proxy is told (graceful),
 // and the memory goes back to the heap.
 func (h *AgentHost) remove(a *Agent, graceful bool) {
@@ -225,9 +207,13 @@ func (h *AgentHost) remove(a *Agent, graceful bool) {
 	}
 	h.mu.Unlock()
 	a.beginClose()
-	if a.sink != nil {
-		a.sink.stop(graceful)
+	kind := reqDrop
+	if graceful {
+		kind = reqLeave
 	}
+	// A failed final flush is already counted in the agent's
+	// IndexPublishFailures; the departure goes ahead regardless.
+	_ = h.pub.call(a, kind)
 	if graceful && a.token != "" {
 		a.unregister()
 	}
@@ -252,9 +238,7 @@ func (h *AgentHost) Close() error {
 	for _, a := range h.Agents() {
 		h.remove(a, true)
 	}
-	if h.pub != nil {
-		h.pub.stop(true)
-	}
+	h.pub.stop(true)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	if err := h.srv.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
@@ -285,9 +269,7 @@ func (h *AgentHost) Kill() {
 		close(h.stopHB)
 		<-h.hbDone
 	}
-	if h.pub != nil {
-		h.pub.stop(false)
-	}
+	h.pub.stop(false)
 	for _, a := range h.Agents() {
 		h.mu.Lock()
 		if a.slot < len(h.slots) && h.slots[a.slot] == a {

@@ -34,7 +34,7 @@ func startHost(t *testing.T, c *cluster, mutate func(*Config)) *AgentHost {
 // cached by one hosted agent is served to a sibling via the peer plane.
 func TestHostServesManyAgents(t *testing.T) {
 	c := startCluster(t, 0, testProxyConfig(proxy.FetchForward), nil)
-	h := startHost(t, c, func(cfg *Config) { cfg.IndexMode = Immediate })
+	h := startHost(t, c, nil)
 
 	var agents []*Agent
 	for i := 0; i < 4; i++ {
@@ -53,6 +53,9 @@ func TestHostServesManyAgents(t *testing.T) {
 	if _, src, err := agents[0].Get(ctx, u); err != nil || src != SourceOrigin {
 		t.Fatalf("first Get: src=%v err=%v", src, err)
 	}
+	if err := agents[0].FlushIndex(); err != nil {
+		t.Fatal(err)
+	}
 	// Push the doc out of the proxy's own cache so the sibling's request
 	// MUST go through the peer index — proving the hosted agent's
 	// multiplexed /a/<slot> callback URL round-trips.
@@ -66,13 +69,12 @@ func TestHostServesManyAgents(t *testing.T) {
 	}
 }
 
-// TestHostBatchedIndexMultiplexed: Batched hosted agents publish through the
-// host's single multiplexed publisher; entries still land in the proxy index
-// under the right client identity (peer resolution works agent-to-agent).
+// TestHostBatchedIndexMultiplexed: hosted agents publish through the host's
+// single publisher; entries still land in the proxy index under the right
+// client identity (peer resolution works agent-to-agent).
 func TestHostBatchedIndexMultiplexed(t *testing.T) {
 	c := startCluster(t, 0, testProxyConfig(proxy.FetchForward), nil)
 	h := startHost(t, c, func(cfg *Config) {
-		cfg.IndexMode = Batched
 		cfg.BatchMaxDelay = 20 * time.Millisecond
 	})
 	a0, err := h.Spawn()
@@ -93,9 +95,9 @@ func TestHostBatchedIndexMultiplexed(t *testing.T) {
 	if _, _, err := a0.Get(ctx, u); err != nil {
 		t.Fatal(err)
 	}
-	// Blocking full sync through the host's multiplexed publisher: a0's
-	// directory is in the proxy index when this returns.
-	a0.SyncIndexNow()
+	// Blocking full sync through the host's publisher: a0's directory is in
+	// the proxy index when this returns.
+	a0.syncIndexNow()
 	// Evict the doc from the proxy cache so resolution must use the index.
 	forceProxyEviction(t, c, filler, 2<<20)
 
@@ -113,7 +115,7 @@ func TestHostBatchedIndexMultiplexed(t *testing.T) {
 // publisher — and its own route answering 410 Gone.
 func TestHostAgentCrashDoesNotStallSiblings(t *testing.T) {
 	c := startCluster(t, 0, testProxyConfig(proxy.FetchForward), nil)
-	h := startHost(t, c, func(cfg *Config) { cfg.IndexMode = Batched })
+	h := startHost(t, c, nil)
 
 	var agents []*Agent
 	for i := 0; i < 8; i++ {
@@ -186,7 +188,6 @@ func TestHostSlotReuseReAdvertisesURL(t *testing.T) {
 func TestHostLifecycleConcurrent(t *testing.T) {
 	c := startCluster(t, 0, testProxyConfig(proxy.FetchForward), nil)
 	h := startHost(t, c, func(cfg *Config) {
-		cfg.IndexMode = Batched
 		cfg.BatchMaxDelay = 10 * time.Millisecond
 	})
 

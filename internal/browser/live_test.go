@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"baps/internal/origin"
 	"baps/internal/proxy"
@@ -57,6 +58,20 @@ func startCluster(t *testing.T, n int, pcfg proxy.Config, mutate func(*Config)) 
 }
 
 func (c *cluster) url(path string) string { return c.originTS.URL + path }
+
+// getFlushed is Get followed by FlushIndex: the proxy's index reflects the
+// agent's cache when it returns.
+func getFlushed(t *testing.T, a *Agent, u string) []byte {
+	t.Helper()
+	body, _, err := a.Get(context.Background(), u)
+	if err == nil {
+		err = a.FlushIndex()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
 
 func testProxyConfig(forward proxy.ForwardMode) proxy.Config {
 	cfg := proxy.DefaultConfig()
@@ -116,9 +131,7 @@ func TestRemoteBrowserHitFetchForward(t *testing.T) {
 	ctx := context.Background()
 	u := c.url("/doc/popular?size=10000")
 
-	if _, _, err := c.agents[0].Get(ctx, u); err != nil {
-		t.Fatal(err)
-	}
+	getFlushed(t, c.agents[0], u)
 	// Push the document out of the 1 MB proxy cache via another client so
 	// agent 0's browser still holds it.
 	forceProxyEviction(t, c, c.agents[2], 2<<20)
@@ -151,10 +164,7 @@ func TestRemoteBrowserHitDirectForward(t *testing.T) {
 	ctx := context.Background()
 	u := c.url("/doc/direct?size=9000")
 
-	want, _, err := c.agents[0].Get(ctx, u)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := getFlushed(t, c.agents[0], u)
 	forceProxyEviction(t, c, c.agents[2], 2<<20)
 
 	got, src, err := c.agents[1].Get(ctx, u)
@@ -192,6 +202,9 @@ func TestOnDemandWatermarkVerifiesAtAgents(t *testing.T) {
 	if err != nil || src != SourceOrigin {
 		t.Fatalf("first fetch: src=%v err=%v", src, err)
 	}
+	if err := c.agents[0].FlushIndex(); err != nil {
+		t.Fatal(err)
+	}
 	if _, src, err = c.agents[1].Get(ctx, u); err != nil || src != SourceProxy {
 		t.Fatalf("second agent: src=%v err=%v", src, err)
 	}
@@ -220,10 +233,7 @@ func TestWatermarkTamperDetectionFetchForward(t *testing.T) {
 	ctx := context.Background()
 	u := c.url("/doc/tampered?size=8000")
 
-	want, _, err := c.agents[0].Get(ctx, u)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := getFlushed(t, c.agents[0], u)
 	// Agent 0 becomes malicious: flips a byte in everything it serves.
 	c.agents[0].Tamper = func(_ string, b []byte) []byte {
 		bad := append([]byte(nil), b...)
@@ -260,10 +270,7 @@ func TestWatermarkTamperDetectionDirectForward(t *testing.T) {
 	ctx := context.Background()
 	u := c.url("/doc/tampered-direct?size=8000")
 
-	want, _, err := c.agents[0].Get(ctx, u)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := getFlushed(t, c.agents[0], u)
 	c.agents[0].Tamper = func(_ string, b []byte) []byte {
 		bad := append([]byte(nil), b...)
 		bad[len(bad)-1] ^= 0x55
@@ -293,16 +300,16 @@ func TestWatermarkTamperDetectionDirectForward(t *testing.T) {
 
 func TestInvalidationRemovesIndexEntry(t *testing.T) {
 	c := startCluster(t, 2, testProxyConfig(proxy.FetchForward), nil)
-	ctx := context.Background()
 	u := c.url("/doc/evictme?size=4000")
-	if _, _, err := c.agents[0].Get(ctx, u); err != nil {
-		t.Fatal(err)
-	}
+	getFlushed(t, c.agents[0], u)
 	if !c.proxy.Index().Has(c.agents[0].ID(), c.proxy.Syms().Intern(u)) {
 		t.Fatal("index entry missing after fetch")
 	}
 	if !c.agents[0].Evict(u) {
 		t.Fatal("Evict = false")
+	}
+	if err := c.agents[0].FlushIndex(); err != nil {
+		t.Fatal(err)
 	}
 	if c.proxy.Index().Has(c.agents[0].ID(), c.proxy.Syms().Intern(u)) {
 		t.Fatal("index entry survived invalidation")
@@ -313,12 +320,9 @@ func TestCapacityEvictionSendsInvalidation(t *testing.T) {
 	c := startCluster(t, 1, testProxyConfig(proxy.FetchForward), func(ac *Config) {
 		ac.CacheCapacity = 25_000 // fits two 10 KB docs, not three
 	})
-	ctx := context.Background()
 	u1 := c.url("/doc/a?size=10000")
 	for _, u := range []string{u1, c.url("/doc/b?size=10000"), c.url("/doc/c?size=10000")} {
-		if _, _, err := c.agents[0].Get(ctx, u); err != nil {
-			t.Fatal(err)
-		}
+		getFlushed(t, c.agents[0], u)
 	}
 	if c.agents[0].HasCached(u1) {
 		t.Fatal("u1 should have been evicted")
@@ -331,35 +335,33 @@ func TestCapacityEvictionSendsInvalidation(t *testing.T) {
 	}
 }
 
-func TestPeriodicIndexSync(t *testing.T) {
+// TestFullSyncPublishesDirectory: a full sync ships the whole directory as
+// one Full sub-batch that supersedes the pending deltas — they are never
+// sent on their own afterwards.
+func TestFullSyncPublishesDirectory(t *testing.T) {
 	c := startCluster(t, 1, testProxyConfig(proxy.FetchForward), func(ac *Config) {
-		ac.IndexMode = Periodic
-		ac.Threshold = 0.9 // sync only after most of the cache changed
-		ac.CacheCapacity = 1 << 20
+		ac.BatchMaxDelay = time.Hour // only the sync ships
 	})
-	ctx := context.Background()
-	u := c.url("/doc/batched?size=1000")
-	if _, _, err := c.agents[0].Get(ctx, u); err != nil {
+	a := c.agents[0]
+	urls := []string{c.url("/doc/full1?size=1000"), c.url("/doc/full2?size=1000")}
+	for _, u := range urls {
+		if _, _, err := a.Get(context.Background(), u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.syncIndexNow(); err != nil {
 		t.Fatal(err)
 	}
-	// One insert into an empty cache immediately crosses the threshold
-	// (1 change ≥ 0.9·1 resident) → a sync must have happened.
-	if !c.proxy.Index().Has(c.agents[0].ID(), c.proxy.Syms().Intern(u)) {
-		t.Fatal("periodic sync did not publish the directory")
+	for _, u := range urls {
+		if !c.proxy.Index().Has(a.ID(), c.proxy.Syms().Intern(u)) {
+			t.Fatalf("full sync did not publish %s", u)
+		}
 	}
-	// Subsequent inserts stay below the threshold until enough changes
-	// accumulate.
-	u2 := c.url("/doc/batched2?size=1000")
-	if _, _, err := c.agents[0].Get(ctx, u2); err != nil {
+	if err := a.FlushIndex(); err != nil {
 		t.Fatal(err)
 	}
-	m := c.agents[0].Snapshot()
-	if m.IndexSyncs < 1 {
-		t.Fatalf("IndexSyncs = %d", m.IndexSyncs)
-	}
-	c.agents[0].SyncIndexNow()
-	if !c.proxy.Index().Has(c.agents[0].ID(), c.proxy.Syms().Intern(u2)) {
-		t.Fatal("forced sync did not publish u2")
+	if m := a.Snapshot(); m.IndexSyncs != 1 || m.IndexBatches != 0 {
+		t.Fatalf("syncs=%d batches=%d, want 1/0 (the sync superseded the deltas)", m.IndexSyncs, m.IndexBatches)
 	}
 }
 
@@ -389,13 +391,9 @@ func TestAnonymityPeerIdentitiesHidden(t *testing.T) {
 
 func TestIndexRecoveryAfterProxyAmnesia(t *testing.T) {
 	c := startCluster(t, 2, testProxyConfig(proxy.FetchForward), nil)
-	ctx := context.Background()
 	for i, a := range c.agents {
 		for j := 0; j < 3; j++ {
-			u := c.url(fmt.Sprintf("/recover/a%dd%d?size=2000", i, j))
-			if _, _, err := a.Get(ctx, u); err != nil {
-				t.Fatal(err)
-			}
+			getFlushed(t, a, c.url(fmt.Sprintf("/recover/a%dd%d?size=2000", i, j)))
 		}
 	}
 	if c.proxy.Index().Len() != 6 {
@@ -427,10 +425,9 @@ func TestAgentConfigValidation(t *testing.T) {
 		t.Error("bad MemFraction accepted")
 	}
 	cfg = DefaultConfig("http://127.0.0.1:1")
-	cfg.IndexMode = Periodic
-	cfg.Threshold = 0
+	cfg.IndexMode = Batched + 1
 	if _, err := New(cfg); err == nil {
-		t.Error("bad Threshold accepted")
+		t.Error("unknown IndexMode accepted")
 	}
 	// Unreachable proxy: registration must fail cleanly.
 	cfg = DefaultConfig("http://127.0.0.1:1")

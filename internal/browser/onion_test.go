@@ -25,10 +25,7 @@ func TestOnionForwardEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	u := c.url("/doc/onion?size=15000")
 
-	want, _, err := c.agents[0].Get(ctx, u)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := getFlushed(t, c.agents[0], u)
 	forceProxyEviction(t, c, c.agents[3], 2<<20)
 
 	got, src, err := c.agents[1].Get(ctx, u)
@@ -66,9 +63,7 @@ func TestOnionForwardZeroRelays(t *testing.T) {
 	})
 	ctx := context.Background()
 	u := c.url("/doc/onion0?size=9000")
-	if _, _, err := c.agents[0].Get(ctx, u); err != nil {
-		t.Fatal(err)
-	}
+	getFlushed(t, c.agents[0], u)
 	forceProxyEviction(t, c, c.agents[0], 2<<20)
 	_, src, err := c.agents[1].Get(ctx, u)
 	if err != nil {
@@ -85,10 +80,7 @@ func TestOnionForwardTamperDetected(t *testing.T) {
 	})
 	ctx := context.Background()
 	u := c.url("/doc/onion-tamper?size=8000")
-	want, _, err := c.agents[0].Get(ctx, u)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := getFlushed(t, c.agents[0], u)
 	c.agents[0].Tamper = func(_ string, b []byte) []byte {
 		bad := append([]byte(nil), b...)
 		bad[0] ^= 0x01

@@ -17,15 +17,12 @@ import (
 // nowStamp is the index-entry timestamp: seconds since the epoch.
 func nowStamp() float64 { return float64(time.Now().UnixNano()) / 1e9 }
 
-// store caches a received document locally and publishes the index update
-// under the configured §2 protocol. Evictions forced by the insertion are
-// published as invalidations (immediate), folded into the change counter
-// (periodic), or coalesced into the publish queue (batched).
+// store caches a received document locally and queues the index deltas —
+// the admission and every eviction it forced — for the publisher; no network
+// I/O happens here.
 func (a *Agent) store(docURL string, body []byte, mark []byte, version int64) {
-	if a.cfg.IndexMode == Batched {
-		a.pubOrder.Lock()
-		defer a.pubOrder.Unlock()
-	}
+	a.pubOrder.Lock()
+	defer a.pubOrder.Unlock()
 	now := nowStamp()
 	a.mu.Lock()
 	// Nothing enters a closing agent's cache: a fetch completing mid-Close
@@ -52,203 +49,87 @@ func (a *Agent) store(docURL string, body []byte, mark []byte, version int64) {
 	for _, d := range evicted {
 		delete(a.docs, d.Key)
 	}
-	resident := a.cache.Len()
-	mode := a.cfg.IndexMode
+	// Seq numbers are assigned here, under the same lock as the cache
+	// mutation; the enqueue itself happens after unlock.
 	var deltas []seqDelta
-	if mode == Batched {
-		// Seq numbers are assigned here, under the same lock as the cache
-		// mutation; the enqueue itself happens after unlock.
-		if admitted {
-			a.deltaSeq++
-			deltas = append(deltas, seqDelta{seq: a.deltaSeq, d: proxy.IndexDelta{
-				URL: docURL, Size: int64(len(body)), Version: version, Stamp: now,
-			}})
-		}
-		for _, d := range evicted {
-			a.deltaSeq++
-			deltas = append(deltas, seqDelta{seq: a.deltaSeq, d: proxy.IndexDelta{URL: d.Key, Remove: true}})
-		}
+	if admitted {
+		a.deltaSeq++
+		deltas = append(deltas, seqDelta{seq: a.deltaSeq, d: proxy.IndexDelta{
+			URL: docURL, Size: int64(len(body)), Version: version, Stamp: now,
+		}})
 	}
-	var syncEntries []proxy.IndexEntry
-	if mode == Periodic {
-		a.changes += len(evicted)
-		if admitted {
-			a.changes++
-		}
-		if float64(a.changes) >= a.cfg.Threshold*float64(max(resident, 1)) {
-			syncEntries = a.directoryLocked(now)
-			a.changes = 0
-		}
+	for _, d := range evicted {
+		a.deltaSeq++
+		deltas = append(deltas, seqDelta{seq: a.deltaSeq, d: proxy.IndexDelta{URL: d.Key, Remove: true}})
 	}
 	a.mu.Unlock()
-
-	// Network I/O happens outside the lock; in Batched mode there is none
-	// here at all — the publish goroutine owns it.
-	switch mode {
-	case Immediate:
-		if admitted {
-			a.indexOp(true, proxy.IndexEntry{
-				URL: docURL, Size: int64(len(body)), Version: version, Stamp: now,
-			})
-		}
-		for _, d := range evicted {
-			a.indexOp(false, proxy.IndexEntry{URL: d.Key})
-		}
-	case Periodic:
-		if syncEntries != nil {
-			a.indexSync(syncEntries, 0)
-		}
-	case Batched:
-		for _, sd := range deltas {
-			a.sink.enqueue(sd)
-		}
+	for _, sd := range deltas {
+		a.index.enqueue(a, sd)
 	}
 }
 
-// directoryLocked snapshots the cache directory, stamping every entry with
-// the caller-supplied time; the caller holds a.mu. A key returned by Keys()
-// that Peek cannot find would mean the snapshot is inconsistent — counted,
-// never silently dropped.
-func (a *Agent) directoryLocked(now float64) []proxy.IndexEntry {
+// directoryLocked snapshots the cache directory as upserts, stamping every
+// entry with the caller-supplied time; the caller holds a.mu. A key returned
+// by Keys() that Peek cannot find would mean the snapshot is inconsistent —
+// counted, never silently dropped.
+func (a *Agent) directoryLocked(now float64) []proxy.IndexDelta {
 	keys := a.cache.Keys()
-	entries := make([]proxy.IndexEntry, 0, len(keys))
+	dir := make([]proxy.IndexDelta, 0, len(keys))
 	for _, k := range keys {
 		d, ok := a.cache.Peek(k)
 		if !ok {
 			a.metrics.DirSnapshotMisses++
 			continue
 		}
-		entries = append(entries, proxy.IndexEntry{
-			URL: k, Size: d.Size, Version: d.Version, Stamp: now,
-		})
+		dir = append(dir, proxy.IndexDelta{URL: k, Size: d.Size, Version: d.Version, Stamp: now})
 	}
-	return entries
-}
-
-// indexPublishFailure counts one failed index message and logs it.
-func (a *Agent) indexPublishFailure(kind string, err error, status int) {
-	a.addMetric(func(m *Metrics) { m.IndexPublishFailures++ })
-	if a.logger == nil {
-		return
-	}
-	if err != nil {
-		a.logger.Warn("index publish failed", "kind", kind, "err", err)
-	} else {
-		a.logger.Warn("index publish rejected", "kind", kind, "status", status)
-	}
-}
-
-// indexOp sends one immediate add/remove message. Only a 2xx acceptance
-// counts as a sent op; errors and rejections count as publish failures.
-func (a *Agent) indexOp(add bool, entry proxy.IndexEntry) {
-	path := "/index/remove"
-	if add {
-		path = "/index/add"
-	}
-	body, _ := json.Marshal(proxy.IndexUpdate{ClientID: a.id, Entry: entry})
-	req, err := http.NewRequest(http.MethodPost, a.cfg.ProxyURL+path, bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	a.authHeaders(req)
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := a.httpClient.Do(req)
-	if err != nil {
-		a.indexPublishFailure("op", err, 0)
-		return
-	}
-	proxy.DrainClose(resp)
-	if resp.StatusCode/100 != 2 {
-		a.indexPublishFailure("op", nil, resp.StatusCode)
-		return
-	}
-	a.addMetric(func(m *Metrics) { m.IndexOps++ })
-}
-
-// indexSync sends a full directory re-sync and reports acceptance. A
-// non-zero gen re-seats the proxy's batch-generation counter (Batched
-// mode); Periodic callers pass 0.
-func (a *Agent) indexSync(entries []proxy.IndexEntry, gen uint64) bool {
-	body, _ := json.Marshal(proxy.IndexSync{ClientID: a.id, Entries: entries, Gen: gen})
-	req, err := http.NewRequest(http.MethodPost, a.cfg.ProxyURL+"/index/sync", bytes.NewReader(body))
-	if err != nil {
-		return false
-	}
-	a.authHeaders(req)
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := a.httpClient.Do(req)
-	if err != nil {
-		a.indexPublishFailure("sync", err, 0)
-		return false
-	}
-	proxy.DrainClose(resp)
-	if resp.StatusCode/100 != 2 {
-		a.indexPublishFailure("sync", nil, resp.StatusCode)
-		return false
-	}
-	a.addMetric(func(m *Metrics) { m.IndexSyncs++ })
-	return true
+	return dir
 }
 
 // handlePeerResync lets the proxy ask this browser for a full directory
-// re-sync — the recovery path after a proxy restart loses the index (§2's
-// periodic update, pulled on demand). Token-authenticated like every
+// re-sync — the recovery path after a proxy restart or a detected drift
+// (§2's periodic update, pulled on demand). Token-authenticated like every
 // proxy→browser call.
 func (a *Agent) handlePeerResync(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get(proxy.HeaderToken) != a.token {
 		http.Error(w, "browser: forbidden", http.StatusForbidden)
 		return
 	}
-	a.SyncIndexNow()
+	if err := a.syncIndexNow(); err != nil {
+		http.Error(w, "browser: resync not accepted: "+err.Error(), http.StatusBadGateway)
+		return
+	}
 	w.WriteHeader(http.StatusOK)
 }
 
-// SyncIndexNow forces a full directory re-sync (used at startup/shutdown
-// boundaries, by the proxy's /peer/resync recovery pull, and by tests). In
-// Batched mode it routes through the publish goroutine so the sync
+// syncIndexNow replaces this agent's pending deltas with a Full directory
+// sync and waits for it. It routes through the publisher so the sync
 // supersedes the pending deltas and the generation counter stays coherent.
-func (a *Agent) SyncIndexNow() {
-	if a.sink != nil {
-		a.sink.syncNow()
-		return
-	}
-	now := nowStamp()
-	a.mu.Lock()
-	entries := a.directoryLocked(now)
-	a.changes = 0
-	a.mu.Unlock()
-	a.indexSync(entries, 0)
-}
+func (a *Agent) syncIndexNow() error { return a.index.call(a, reqSync) }
+
+// FlushIndex ships this agent's pending index deltas now and waits for the
+// proxy's ack: read-your-writes for a caller that needs the proxy's index to
+// reflect every cache change made so far (a replay compared against the
+// simulator, a test expecting a peer hit). It is a no-op once the agent has
+// closed.
+func (a *Agent) FlushIndex() error { return a.index.call(a, reqFlush) }
 
 // Evict drops a document from the local cache (a user clearing an entry),
 // publishing the invalidation like any other eviction.
 func (a *Agent) Evict(docURL string) bool {
-	if a.cfg.IndexMode == Batched {
-		a.pubOrder.Lock()
-		defer a.pubOrder.Unlock()
-	}
+	a.pubOrder.Lock()
+	defer a.pubOrder.Unlock()
 	a.mu.Lock()
 	ok := a.cache.Remove(docURL)
 	delete(a.docs, docURL)
-	mode := a.cfg.IndexMode
 	var seq uint64
 	if ok {
-		switch mode {
-		case Periodic:
-			a.changes++
-		case Batched:
-			a.deltaSeq++
-			seq = a.deltaSeq
-		}
+		a.deltaSeq++
+		seq = a.deltaSeq
 	}
 	a.mu.Unlock()
 	if ok {
-		switch mode {
-		case Immediate:
-			a.indexOp(false, proxy.IndexEntry{URL: docURL})
-		case Batched:
-			a.sink.enqueue(seqDelta{seq: seq, d: proxy.IndexDelta{URL: docURL, Remove: true}})
-		}
+		a.index.enqueue(a, seqDelta{seq: seq, d: proxy.IndexDelta{URL: docURL, Remove: true}})
 	}
 	return ok
 }

@@ -33,6 +33,17 @@ func churnProxyConfig() proxy.Config {
 
 const churnDocSize = 8000
 
+// flushIndexes ships every agent's pending index deltas, so the proxy's
+// browser index reflects what the agents have cached so far.
+func flushIndexes(t *testing.T, agents ...*browser.Agent) {
+	t.Helper()
+	for _, a := range agents {
+		if err := a.FlushIndex(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestChurnGracefulDegradation is the headline chaos test: a 10-agent
 // cluster loses 30% of its peers abruptly (plus one stalled peer) in the
 // middle of a workload, and every surviving request must still complete —
@@ -63,6 +74,7 @@ func TestChurnGracefulDegradation(t *testing.T) {
 			docs = append(docs, u)
 		}
 	}
+	flushIndexes(t, c.Agents...)
 
 	// Churn: 3 of 10 agents die abruptly, one more stalls every request.
 	for i := 0; i < 3; i++ {
@@ -156,6 +168,7 @@ func TestHalfOpenProbeReadmitsRevivedPeer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	flushIndexes(t, c.Agents[0])
 
 	c.CrashPeer(0)
 	// Trips on the first failure; entry x is pruned, y and z are
@@ -243,6 +256,7 @@ func TestHeartbeatSilenceQuarantinesSilentPeer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	flushIndexes(t, c.Agents[0])
 
 	c.KillAgent(0) // heartbeats stop; no unregister
 	deadline := time.Now().Add(3 * time.Second)
@@ -297,6 +311,7 @@ func TestGracefulCloseUnregisters(t *testing.T) {
 	if _, _, err := c.Agents[0].Get(ctx, u); err != nil {
 		t.Fatal(err)
 	}
+	flushIndexes(t, c.Agents[0])
 	if got := c.Proxy.Index().Len(); got != 1 {
 		t.Fatalf("index len before close = %d", got)
 	}
@@ -340,6 +355,7 @@ func TestCorruptPeerDetectedAndBypassed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	flushIndexes(t, c.Agents[0])
 	c.CorruptPeer(0)
 	body, _, err := c.Agents[1].Get(ctx, u)
 	if err != nil {

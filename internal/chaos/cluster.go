@@ -24,7 +24,7 @@ type ChurnCluster struct {
 	Gateways []*Gateway
 	// Hosts are lean multiplexed agent fleets (AddHost): churn can kill
 	// individual hosted agents or a whole host — one listener, one
-	// transport, one publisher — in a single blow.
+	// transport, one index publisher — in a single blow.
 	Hosts  []*browser.AgentHost
 	Hosted [][]*browser.Agent
 
@@ -151,7 +151,7 @@ func (c *ChurnCluster) AddHost(perHost int, mutate func(*browser.Config)) (int, 
 }
 
 // KillHostedAgent abruptly kills agent i of host h: its slot frees for
-// reuse, its share of the multiplexed publisher is dropped, and its
+// reuse, its share of the host's index publisher is dropped, and its
 // /a/<slot> route answers 410 until a replacement takes the slot.
 func (c *ChurnCluster) KillHostedAgent(h, i int) { c.Hosted[h][i].Kill() }
 

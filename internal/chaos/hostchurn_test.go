@@ -57,6 +57,7 @@ func TestHostChurnKillsAgentsAndWholeHosts(t *testing.T) {
 				}
 			}
 		}
+		flushIndexes(t, agents...)
 	}
 
 	// Sanity: the multiplexed /a/<slot> URLs serve peers — a doc owned by a
@@ -109,6 +110,7 @@ func TestHostChurnKillsAgentsAndWholeHosts(t *testing.T) {
 	if _, _, err := repl.Get(ctx, u); err != nil {
 		t.Fatalf("replacement Get: %v", err)
 	}
+	flushIndexes(t, repl)
 	if _, src, err := witness.Get(ctx, u); err != nil || src != browser.SourceRemote {
 		t.Fatalf("replacement not serving at reused URL: src=%v err=%v", src, err)
 	}

@@ -79,6 +79,7 @@ func TestChurnBreakerMetricDeltas(t *testing.T) {
 			}
 		}
 	}
+	flushIndexes(t, c.Agents...)
 
 	// Cross-traffic: agent 9 pulls three documents held by live peers, so
 	// the peer-serve path is on record before the churn.

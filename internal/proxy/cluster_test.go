@@ -16,24 +16,6 @@ import (
 	"baps/internal/origin"
 )
 
-// addIndexEntry posts an authenticated /index/add for one URL.
-func addIndexEntry(t *testing.T, s *Server, reg RegisterResponse, url string, size int64) {
-	t.Helper()
-	body, _ := jsonBytes(IndexUpdate{ClientID: reg.ClientID, Entry: IndexEntry{URL: url, Size: size}})
-	req, _ := http.NewRequest(http.MethodPost, s.BaseURL()+"/index/add", bytes.NewReader(body))
-	req.Header.Set(HeaderClient, fmt.Sprint(reg.ClientID))
-	req.Header.Set(HeaderToken, reg.Token)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("index add status %d", resp.StatusCode)
-	}
-}
-
 // federate builds n started proxies joined into one full-mesh cluster with a
 // fast digest interval.
 func federate(t *testing.T, n int, mutate func(*Config)) []*Server {

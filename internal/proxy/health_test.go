@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -438,18 +437,8 @@ func TestReRegisterSupersedesQuarantinedIdentity(t *testing.T) {
 	if n := s.Index().QuarantinedEntries(); n != 0 {
 		t.Fatalf("quarantined entries after re-register = %d, want 0", n)
 	}
-	body, _ := jsonBytes(IndexUpdate{ClientID: reg1.ClientID, Entry: IndexEntry{URL: u, Size: 11}})
-	req, _ := http.NewRequest(http.MethodPost, s.BaseURL()+"/index/add", bytes.NewReader(body))
-	req.Header.Set(HeaderClient, fmt.Sprint(reg1.ClientID))
-	req.Header.Set(HeaderToken, reg1.Token)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusForbidden {
-		t.Fatalf("stale token index add: status %d, want 403", resp.StatusCode)
+	if r := postBatch(t, s, reg1, IndexBatch{Gen: 1, Deltas: []IndexDelta{{URL: u, Size: 11}}}); r.Accepted != 0 {
+		t.Fatalf("stale token's index delta accepted: %+v", r)
 	}
 
 	// The replacement identity is fully live.

@@ -72,7 +72,7 @@ func (b *batchState) observe(client int, gen uint64) (gap bool) {
 	return gap
 }
 
-// seed re-seats a client's generation (after a full /index/sync).
+// seed re-seats a client's generation (after a Full batch).
 func (b *batchState) seed(client int, gen uint64) {
 	b.mu.Lock()
 	b.gen[client] = gen
@@ -115,44 +115,30 @@ func (b *batchState) shouldResync(client int, window time.Duration) bool {
 // client in response to batch anomalies.
 const resyncRateWindow = 500 * time.Millisecond
 
-// handleIndexBatch applies a batched delta update (POST /index/batch): the
-// asynchronous replacement for per-change /index/add//index/remove traffic.
-// All of a batch's deltas are grouped per index shard and applied under one
-// lock acquisition per shard. A generation gap or Bloom-digest mismatch
-// schedules an asynchronous /peer/resync pull — the existing §2 recovery
-// path — instead of trusting a drifted view.
-func (s *Server) handleIndexBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "proxy: POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	id, ok := s.authClient(r)
-	if !ok {
-		http.Error(w, "proxy: bad client credentials", http.StatusForbidden)
-		return
-	}
-	var batch IndexBatch
-	if err := json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(&batch); err != nil {
-		http.Error(w, "proxy: bad batch body", http.StatusBadRequest)
-		return
-	}
-	if batch.ClientID != id {
-		http.Error(w, "proxy: client mismatch", http.StatusForbidden)
-		return
-	}
-	if batch.Gen == 0 {
-		http.Error(w, "proxy: batch generation must be positive", http.StatusBadRequest)
-		return
-	}
-	s.applyIndexBatch(id, batch)
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// applyIndexBatch is the authenticated core of the batched protocol, shared
-// by /index/batch and each sub-batch of /index/multibatch: generation
-// observation, shard-grouped delta application, and drift-triggered recovery
-// pulls.
+// applyIndexBatch is the only wire path into the browser index: one
+// authenticated sub-batch of POST /index/batch. A delta batch is judged
+// against the client's generation and applied shard-grouped, one lock
+// acquisition per shard; a generation gap or Bloom-digest mismatch schedules
+// an asynchronous /peer/resync pull — the §2 recovery path — instead of
+// trusting a drifted view. A Full batch replaces the client's directory and
+// re-seats its generation.
 func (s *Server) applyIndexBatch(id int, batch IndexBatch) {
+	if batch.Full {
+		entries := make([]index.Entry, 0, len(batch.Deltas))
+		for _, d := range batch.Deltas {
+			if d.URL == "" || d.Remove {
+				continue // a directory lists what is resident, nothing else
+			}
+			entries = append(entries, index.Entry{
+				Client: id, Doc: s.syms.Intern(d.URL), Size: d.Size, Version: d.Version, Stamp: d.Stamp,
+			})
+		}
+		s.idx.ResyncClient(id, entries)
+		s.batches.seed(id, batch.Gen)
+		s.fedNote(len(entries) + 1)
+		s.m.idxResync.Inc()
+		return
+	}
 	gap := s.batches.observe(id, batch.Gen)
 
 	deltas := make([]index.Delta, 0, len(batch.Deltas))
@@ -202,22 +188,22 @@ func (s *Server) applyIndexBatch(id int, batch IndexBatch) {
 	}
 }
 
-// handleIndexMultiBatch applies an agent host's multiplexed carrier (POST
-// /index/multibatch): one HTTP request bearing one generation-numbered
-// sub-batch per hosted agent. There is no carrier-level identity — each
-// sub-batch authenticates with its own agent's token, exactly as if it had
-// arrived on /index/batch — so a host can never speak for an agent the proxy
-// did not register. Sub-batches that fail authentication (the agent
-// unregistered or was superseded mid-flight) are reported back by client id
-// in Rejected; valid siblings in the same carrier still apply.
-func (s *Server) handleIndexMultiBatch(w http.ResponseWriter, r *http.Request) {
+// handleIndexBatch applies one publisher's carrier (POST /index/batch): one
+// HTTP request bearing one generation-numbered sub-batch per agent the
+// publisher serves. There is no carrier-level identity — each sub-batch
+// authenticates with its own agent's token — so a publisher can never speak
+// for an agent the proxy did not register. Sub-batches that fail
+// authentication (the agent unregistered or was superseded mid-flight) are
+// reported back by client id in Rejected; valid siblings in the same
+// carrier still apply.
+func (s *Server) handleIndexBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "proxy: POST only", http.StatusMethodNotAllowed)
 		return
 	}
 	var multi IndexMultiBatch
 	if err := json.NewDecoder(io.LimitReader(r.Body, 32<<20)).Decode(&multi); err != nil {
-		http.Error(w, "proxy: bad multibatch body", http.StatusBadRequest)
+		http.Error(w, "proxy: bad batch body", http.StatusBadRequest)
 		return
 	}
 	var resp MultiBatchResponse
@@ -229,12 +215,12 @@ func (s *Server) handleIndexMultiBatch(w http.ResponseWriter, r *http.Request) {
 		s.applyIndexBatch(hb.ClientID, hb.IndexBatch)
 		resp.Accepted++
 	}
-	s.m.idxMultiBatch.Inc()
+	s.m.idxCarriers.Inc()
 	writeJSON(w, resp)
 }
 
 // authToken validates one (token, client id) pair — the header-free variant
-// of authClient for multiplexed sub-batches.
+// of authClient for carrier sub-batches.
 func (s *Server) authToken(token string, id int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -5,10 +5,8 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,27 +16,39 @@ import (
 	"baps/internal/index"
 )
 
-// postBatch sends one authenticated /index/batch and returns the status code.
-func postBatch(t *testing.T, s *Server, reg RegisterResponse, batch IndexBatch) int {
+// postCarrier posts one POST /index/batch carrier and returns the proxy's
+// per-sub-batch verdict.
+func postCarrier(t *testing.T, s *Server, batches ...HostBatch) MultiBatchResponse {
+	t.Helper()
+	body, err := json.Marshal(IndexMultiBatch{Batches: batches})
+	if err != nil {
+		t.Fatalf("marshal carrier: %v", err)
+	}
+	resp, err := http.Post(s.BaseURL()+"/index/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("post carrier: %v", err)
+	}
+	defer resp.Body.Close()
+	var out MultiBatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("carrier status %s: %v", resp.Status, err)
+	}
+	return out
+}
+
+// postBatch posts batch as reg's sub-batch, authenticated with reg's token.
+func postBatch(t *testing.T, s *Server, reg RegisterResponse, batch IndexBatch) MultiBatchResponse {
 	t.Helper()
 	batch.ClientID = reg.ClientID
-	body, err := json.Marshal(batch)
-	if err != nil {
-		t.Fatalf("marshal batch: %v", err)
+	return postCarrier(t, s, HostBatch{IndexBatch: batch, Token: reg.Token})
+}
+
+// addIndexEntry publishes one upsert for reg as a one-delta batch.
+func addIndexEntry(t *testing.T, s *Server, reg RegisterResponse, url string, size int64) {
+	t.Helper()
+	if r := postBatch(t, s, reg, IndexBatch{Gen: 1, Deltas: []IndexDelta{{URL: url, Size: size}}}); r.Accepted != 1 {
+		t.Fatalf("index delta for %s rejected: %+v", url, r)
 	}
-	req, err := http.NewRequest(http.MethodPost, s.BaseURL()+"/index/batch", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("new request: %v", err)
-	}
-	req.Header.Set(HeaderClient, strconv.Itoa(reg.ClientID))
-	req.Header.Set(HeaderToken, reg.Token)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("post batch: %v", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode
 }
 
 // TestResyncRateLimitConcurrent floods the proxy with concurrent anomalous
@@ -71,8 +81,8 @@ func TestResyncRateLimitConcurrent(t *testing.T) {
 			if i%2 == 0 {
 				b.Digest = "!!!not-base64!!!"
 			}
-			if code := postBatch(t, s, reg, b); code != http.StatusNoContent {
-				t.Errorf("batch %d: status %d", i, code)
+			if r := postBatch(t, s, reg, b); r.Accepted != 1 {
+				t.Errorf("batch %d: %+v", i, r)
 			}
 		}(i)
 	}
@@ -91,8 +101,8 @@ func TestResyncRateLimitConcurrent(t *testing.T) {
 
 	// Past the window a new anomaly is allowed one more pull.
 	time.Sleep(resyncRateWindow + 50*time.Millisecond)
-	if code := postBatch(t, s, reg, IndexBatch{Gen: 1, Digest: "!!!still-garbage!!!"}); code != http.StatusNoContent {
-		t.Fatalf("post-window batch: status %d", code)
+	if r := postBatch(t, s, reg, IndexBatch{Gen: 1, Digest: "!!!still-garbage!!!"}); r.Accepted != 1 {
+		t.Fatalf("post-window batch: %+v", r)
 	}
 	deadline = time.Now().Add(time.Second)
 	for resyncs.Load() < 2 && time.Now().Before(deadline) {

@@ -72,16 +72,14 @@ type serverMetrics struct {
 	peerServes     *obs.CounterVec // {client=...}
 	peerServeBytes *obs.CounterVec // {client=...}
 
-	indexUpdates *obs.CounterVec // {op=add|remove|resync|drop|batch}
-	idxAdd       *obs.Counter
-	idxRemove    *obs.Counter
+	indexUpdates *obs.CounterVec // {op=resync|drop|batch}
 	idxResync    *obs.Counter
 	idxDrop      *obs.Counter
 	idxBatch     *obs.Counter
 
 	// Batched delta-protocol plane.
 	idxBatchDeltas    *obs.Counter
-	idxMultiBatch     *obs.Counter
+	idxCarriers       *obs.Counter
 	idxGenGaps        *obs.Counter
 	idxDigestMismatch *obs.Counter
 	idxResyncPulls    *obs.Counter
@@ -195,16 +193,14 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 
 	m.indexUpdates = reg.CounterVec("baps_proxy_index_updates_total",
 		"Browser index mutations by kind.", "op")
-	m.idxAdd = m.indexUpdates.With("add")
-	m.idxRemove = m.indexUpdates.With("remove")
 	m.idxResync = m.indexUpdates.With("resync")
 	m.idxDrop = m.indexUpdates.With("drop")
 	m.idxBatch = m.indexUpdates.With("batch")
 
 	m.idxBatchDeltas = reg.Counter("baps_proxy_index_batch_deltas_total",
-		"Index deltas carried by applied /index/batch requests.")
-	m.idxMultiBatch = reg.Counter("baps_proxy_index_multibatch_total",
-		"Multiplexed /index/multibatch carriers processed.")
+		"Index deltas carried by applied delta sub-batches.")
+	m.idxCarriers = reg.Counter("baps_proxy_index_carriers_total",
+		"POST /index/batch carriers processed.")
 	m.idxGenGaps = reg.Counter("baps_proxy_index_gen_gaps_total",
 		"Batch generation gaps observed (triggering a resync pull).")
 	m.idxDigestMismatch = reg.Counter("baps_proxy_index_digest_mismatches_total",

@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -145,13 +144,7 @@ func TestStatsMatchesMetrics(t *testing.T) {
 	if resp, err := http.DefaultClient.Do(hb); err == nil {
 		resp.Body.Close()
 	}
-	upd, _ := json.Marshal(IndexUpdate{ClientID: reg.ClientID, Entry: IndexEntry{URL: "http://x/a", Size: 10}})
-	add, _ := http.NewRequest(http.MethodPost, s.BaseURL()+"/index/add", bytes.NewReader(upd))
-	add.Header.Set(HeaderClient, strconv.Itoa(reg.ClientID))
-	add.Header.Set(HeaderToken, reg.Token)
-	if resp, err := http.DefaultClient.Do(add); err == nil {
-		resp.Body.Close()
-	}
+	addIndexEntry(t, s, reg, "http://x/a", 10)
 	unreg, _ := http.NewRequest(http.MethodPost, s.BaseURL()+"/unregister", nil)
 	unreg.Header.Set(HeaderClient, strconv.Itoa(reg.ClientID))
 	unreg.Header.Set(HeaderToken, reg.Token)
@@ -172,8 +165,8 @@ func TestStatsMatchesMetrics(t *testing.T) {
 	if got := outcomeSum(m, "error"); got != 1 {
 		t.Errorf("error outcomes = %g, want 1", got)
 	}
-	if got := m[`baps_proxy_index_updates_total{op="add"}`]; got != 1 {
-		t.Errorf("index add ops = %g, want 1", got)
+	if got := m[`baps_proxy_index_updates_total{op="batch"}`]; got != 1 {
+		t.Errorf("index batch ops = %g, want 1", got)
 	}
 	if got := m[`baps_proxy_index_updates_total{op="drop"}`]; got != 1 {
 		t.Errorf("index drop ops = %g, want 1", got)
@@ -229,15 +222,7 @@ func TestPeerServeMetricsAndTrace(t *testing.T) {
 	}))
 	defer peer.Close()
 	reg := register(t, s, peer.URL)
-	upd, _ := json.Marshal(IndexUpdate{ClientID: reg.ClientID, Entry: IndexEntry{URL: u, Size: int64(len(body))}})
-	add, _ := http.NewRequest(http.MethodPost, s.BaseURL()+"/index/add", bytes.NewReader(upd))
-	add.Header.Set(HeaderClient, strconv.Itoa(reg.ClientID))
-	add.Header.Set(HeaderToken, reg.Token)
-	if resp, err := http.DefaultClient.Do(add); err == nil {
-		resp.Body.Close()
-	} else {
-		t.Fatal(err)
-	}
+	addIndexEntry(t, s, reg, u, int64(len(body)))
 
 	resp2, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
 	if err != nil {

@@ -3,20 +3,24 @@
 // browser index of every connected client's cache and resolves proxy misses
 // peer-to-peer from remote browser caches before going to the origin.
 //
-// The server speaks the wire protocol in wire.go:
+// The server speaks the wire protocol in wire.go; the client-facing core is
 //
 //	POST /register      browser agents join; get id, token, proxy public key
 //	POST /unregister    graceful departure; drops the client's index entries
 //	POST /heartbeat     browser liveness signal (feeds the circuit breaker)
 //	GET  /fetch?url=U   resolve a document (client id in X-BAPS-Client)
-//	POST /index/add     immediate index update      (§2 protocol 1)
-//	POST /index/remove  invalidation message        (§2 protocol 1)
-//	POST /index/sync    periodic full re-sync       (§2 protocol 2)
+//	POST /index/batch   the one index-update path: per-agent generation-
+//	                    numbered delta sub-batches, or a Full directory sync
 //	POST /relay/{t}     holder drop point for direct-forward (§6.2 anonymity)
 //	POST /report-bad    watermark-rejection report  (§6.1)
 //	GET  /pubkey        proxy watermark key (PEM)
 //	GET  /stats         JSON metrics
 //	GET  /healthz       liveness
+//
+// and Handler mounts the admin, federation and observability routes beside
+// it. The paper's §2 compares immediate and periodic index updates by
+// message cost; that comparison lives in the simulator (internal/index),
+// while live agents publish batched deltas only.
 //
 // Remote hits are delivered in one of the paper's two modes: fetch-forward
 // (the proxy fetches from the holder's peer server, verifies the MD5 digest
@@ -573,11 +577,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/unregister", s.handleUnregister)
 	mux.HandleFunc("/heartbeat", s.handleHeartbeat)
 	mux.HandleFunc("/fetch", s.handleFetch)
-	mux.HandleFunc("/index/add", s.handleIndexAdd)
-	mux.HandleFunc("/index/remove", s.handleIndexRemove)
-	mux.HandleFunc("/index/sync", s.handleIndexSync)
 	mux.HandleFunc("/index/batch", s.handleIndexBatch)
-	mux.HandleFunc("/index/multibatch", s.handleIndexMultiBatch)
 	mux.HandleFunc("/queue/deadletter", s.handleQueueDeadLetter)
 	mux.HandleFunc("/queue/replay", s.handleQueueReplay)
 	mux.HandleFunc("/peer/digest", s.handlePeerDigest)
@@ -715,7 +715,8 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// authClient validates the client id + token headers on index updates.
+// authClient validates the client id + token headers of a registered
+// client's request.
 func (s *Server) authClient(r *http.Request) (int, bool) {
 	id, err := strconv.Atoi(r.Header.Get(HeaderClient))
 	if err != nil {
@@ -726,88 +727,6 @@ func (s *Server) authClient(r *http.Request) (int, bool) {
 	defer s.mu.Unlock()
 	owner, ok := s.tokens[token]
 	return id, ok && owner == id
-}
-
-func (s *Server) handleIndexAdd(w http.ResponseWriter, r *http.Request) {
-	s.handleIndexUpdate(w, r, true)
-}
-
-func (s *Server) handleIndexRemove(w http.ResponseWriter, r *http.Request) {
-	s.handleIndexUpdate(w, r, false)
-}
-
-func (s *Server) handleIndexUpdate(w http.ResponseWriter, r *http.Request, add bool) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "proxy: POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	id, ok := s.authClient(r)
-	if !ok {
-		http.Error(w, "proxy: bad client credentials", http.StatusForbidden)
-		return
-	}
-	var upd IndexUpdate
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&upd); err != nil || upd.Entry.URL == "" {
-		http.Error(w, "proxy: bad index update", http.StatusBadRequest)
-		return
-	}
-	if upd.ClientID != id {
-		http.Error(w, "proxy: client mismatch", http.StatusForbidden)
-		return
-	}
-	if add {
-		s.m.idxAdd.Inc()
-		s.idx.Add(index.Entry{
-			Client:  id,
-			Doc:     s.syms.Intern(upd.Entry.URL),
-			Size:    upd.Entry.Size,
-			Version: upd.Entry.Version,
-			Stamp:   upd.Entry.Stamp,
-		})
-	} else if doc, known := s.syms.Lookup(upd.Entry.URL); known {
-		s.m.idxRemove.Inc()
-		// A URL the proxy never interned has no entries to remove; not
-		// interning here keeps bogus invalidations from growing the table.
-		s.idx.Remove(id, doc)
-	}
-	s.fedNote(1)
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleIndexSync(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "proxy: POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	id, ok := s.authClient(r)
-	if !ok {
-		http.Error(w, "proxy: bad client credentials", http.StatusForbidden)
-		return
-	}
-	var sync IndexSync
-	if err := json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(&sync); err != nil {
-		http.Error(w, "proxy: bad sync body", http.StatusBadRequest)
-		return
-	}
-	if sync.ClientID != id {
-		http.Error(w, "proxy: client mismatch", http.StatusForbidden)
-		return
-	}
-	entries := make([]index.Entry, 0, len(sync.Entries))
-	for _, e := range sync.Entries {
-		entries = append(entries, index.Entry{
-			Client: id, Doc: s.syms.Intern(e.URL), Size: e.Size, Version: e.Version, Stamp: e.Stamp,
-		})
-	}
-	s.idx.ResyncClient(id, entries)
-	s.fedNote(len(entries) + 1)
-	if sync.Gen > 0 {
-		// A generation-stamped full sync re-seats the batch sequence, so
-		// the sender's next /index/batch is judged against this point.
-		s.batches.seed(id, sync.Gen)
-	}
-	s.m.idxResync.Inc()
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handlePubkey(w http.ResponseWriter, r *http.Request) {

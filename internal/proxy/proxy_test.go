@@ -118,48 +118,55 @@ func TestIndexAuthRequired(t *testing.T) {
 	s := testServer(t, nil)
 	reg := register(t, s, "http://127.0.0.1:1")
 
-	upd, _ := json.Marshal(IndexUpdate{ClientID: reg.ClientID, Entry: IndexEntry{URL: "http://x/a", Size: 10}})
-	post := func(token string, clientID int) int {
-		req, _ := http.NewRequest(http.MethodPost, s.BaseURL()+"/index/add", bytes.NewReader(upd))
-		req.Header.Set(HeaderClient, strconv.Itoa(clientID))
-		req.Header.Set(HeaderToken, token)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode
+	delta := IndexBatch{Gen: 1, Deltas: []IndexDelta{{URL: "http://x/a", Size: 10}}}
+	if r := postBatch(t, s, RegisterResponse{ClientID: reg.ClientID, Token: "wrong-token"}, delta); r.Accepted != 0 {
+		t.Errorf("wrong token accepted: %+v", r)
 	}
-	if code := post("wrong-token", reg.ClientID); code != http.StatusForbidden {
-		t.Errorf("wrong token: %d", code)
+	if r := postBatch(t, s, RegisterResponse{ClientID: reg.ClientID, Token: reg.Token}, IndexBatch{}); r.Accepted != 0 {
+		t.Errorf("generation 0 accepted: %+v", r)
 	}
-	if code := post(reg.Token, reg.ClientID+1); code != http.StatusForbidden {
-		t.Errorf("mismatched id: %d", code)
-	}
-	if code := post(reg.Token, reg.ClientID); code != http.StatusNoContent {
-		t.Errorf("valid add: %d", code)
+	if r := postBatch(t, s, reg, delta); r.Accepted != 1 {
+		t.Errorf("valid delta rejected: %+v", r)
 	}
 	if !s.Index().Has(reg.ClientID, s.syms.Intern("http://x/a")) {
 		t.Error("entry not indexed")
 	}
-}
-
-func TestIndexBodyMismatchRejected(t *testing.T) {
-	s := testServer(t, nil)
-	reg := register(t, s, "http://127.0.0.1:1")
-	// Body claims a different client than the authenticated one.
-	upd, _ := json.Marshal(IndexUpdate{ClientID: reg.ClientID + 5, Entry: IndexEntry{URL: "http://x/a"}})
-	req, _ := http.NewRequest(http.MethodPost, s.BaseURL()+"/index/add", bytes.NewReader(upd))
-	req.Header.Set(HeaderClient, strconv.Itoa(reg.ClientID))
-	req.Header.Set(HeaderToken, reg.Token)
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.Get(s.BaseURL() + "/index/batch")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusForbidden {
-		t.Errorf("spoofed client id: %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("GET /index/batch: %d", resp.StatusCode)
+	}
+}
+
+// TestIndexBodyMismatchRejected: a sub-batch whose client id is not its
+// token's owner is rejected by id, while a valid sibling in the same carrier
+// still applies; a malformed carrier is a bad request.
+func TestIndexBodyMismatchRejected(t *testing.T) {
+	s := testServer(t, nil)
+	reg := register(t, s, "http://127.0.0.1:1")
+	spoofed := HostBatch{Token: reg.Token, IndexBatch: IndexBatch{
+		ClientID: reg.ClientID + 5, Gen: 1, Deltas: []IndexDelta{{URL: "http://x/spoof"}},
+	}}
+	valid := HostBatch{Token: reg.Token, IndexBatch: IndexBatch{
+		ClientID: reg.ClientID, Gen: 1, Deltas: []IndexDelta{{URL: "http://x/a"}},
+	}}
+	r := postCarrier(t, s, spoofed, valid)
+	if r.Accepted != 1 || len(r.Rejected) != 1 || r.Rejected[0] != reg.ClientID+5 {
+		t.Errorf("spoofed client id: %+v", r)
+	}
+	if s.Index().Len() != 1 || !s.Index().Has(reg.ClientID, s.syms.Intern("http://x/a")) {
+		t.Error("valid sibling not applied alone")
+	}
+	resp, err := http.Post(s.BaseURL()+"/index/batch", "application/json", strings.NewReader("{"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("malformed carrier: %d", resp.StatusCode)
 	}
 }
 
@@ -291,33 +298,31 @@ func TestStatsAndHealth(t *testing.T) {
 	resp.Body.Close()
 }
 
-func TestIndexSyncEndpoint(t *testing.T) {
+// TestFullSubBatchReplacesDirectory: a Full sub-batch replaces the client's
+// directory and re-seats its generation wherever the sender's numbering
+// stands, so the next delta batch is the successor, not a gap.
+func TestFullSubBatchReplacesDirectory(t *testing.T) {
 	s := testServer(t, nil)
 	reg := register(t, s, "http://127.0.0.1:1")
-	sync, _ := json.Marshal(IndexSync{ClientID: reg.ClientID, Entries: []IndexEntry{
+	full := IndexBatch{Gen: 5, Full: true, Deltas: []IndexDelta{
 		{URL: "http://x/1", Size: 10}, {URL: "http://x/2", Size: 20},
-	}})
-	req, _ := http.NewRequest(http.MethodPost, s.BaseURL()+"/index/sync", bytes.NewReader(sync))
-	req.Header.Set(HeaderClient, strconv.Itoa(reg.ClientID))
-	req.Header.Set(HeaderToken, reg.Token)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("sync status: %d", resp.StatusCode)
+	}}
+	if r := postBatch(t, s, reg, full); r.Accepted != 1 {
+		t.Fatalf("full sync rejected: %+v", r)
 	}
 	if s.Index().Len() != 2 {
 		t.Fatalf("index len = %d", s.Index().Len())
 	}
-	// Re-sync with one entry replaces the directory.
-	sync2, _ := json.Marshal(IndexSync{ClientID: reg.ClientID, Entries: []IndexEntry{{URL: "http://x/3", Size: 5}}})
-	req2, _ := http.NewRequest(http.MethodPost, s.BaseURL()+"/index/sync", bytes.NewReader(sync2))
-	req2.Header.Set(HeaderClient, strconv.Itoa(reg.ClientID))
-	req2.Header.Set(HeaderToken, reg.Token)
-	resp2, _ := http.DefaultClient.Do(req2)
-	resp2.Body.Close()
+	if r := postBatch(t, s, reg, IndexBatch{Gen: 6, Deltas: []IndexDelta{{URL: "http://x/2", Remove: true}}}); r.Accepted != 1 {
+		t.Fatalf("successor batch rejected: %+v", r)
+	}
+	if st := s.Snapshot(); st.IndexGenGaps != 0 || s.Index().Len() != 1 {
+		t.Fatalf("after successor: gaps=%d len=%d, want 0/1", st.IndexGenGaps, s.Index().Len())
+	}
+	// A second sync with one entry replaces the directory again.
+	if r := postBatch(t, s, reg, IndexBatch{Gen: 7, Full: true, Deltas: []IndexDelta{{URL: "http://x/3", Size: 5}}}); r.Accepted != 1 {
+		t.Fatalf("re-sync rejected: %+v", r)
+	}
 	if s.Index().Len() != 1 || !s.Index().Has(reg.ClientID, s.syms.Intern("http://x/3")) {
 		t.Fatal("re-sync did not replace directory")
 	}

@@ -69,32 +69,6 @@ type RegisterResponse struct {
 	RelayKey string `json:"relay_key"`
 }
 
-// IndexEntry is one browser-index item on the wire.
-type IndexEntry struct {
-	URL     string  `json:"url"`
-	Size    int64   `json:"size"`
-	Version int64   `json:"version"`
-	Stamp   float64 `json:"stamp"`
-}
-
-// IndexUpdate is the body of POST /index/add and /index/remove.
-type IndexUpdate struct {
-	ClientID int        `json:"client_id"`
-	Entry    IndexEntry `json:"entry"`
-}
-
-// IndexSync is the body of POST /index/sync: a full replacement of the
-// client's directory (the §2 periodic update).
-type IndexSync struct {
-	ClientID int          `json:"client_id"`
-	Entries  []IndexEntry `json:"entries"`
-	// Gen, when non-zero, re-seats the proxy's per-client batch generation
-	// after a full sync, so the sender's next /index/batch (Gen+1) is not
-	// misread as a generation gap. Zero (legacy Periodic-mode senders)
-	// leaves the recorded generation untouched.
-	Gen uint64 `json:"gen,omitempty"`
-}
-
 // IndexDelta is one incremental directory change inside an IndexBatch: an
 // upsert of (URL, Size, Version, Stamp), or — when Remove is set — the
 // withdrawal of URL. The batch sender has already coalesced per-URL churn
@@ -107,10 +81,9 @@ type IndexDelta struct {
 	Stamp   float64 `json:"stamp,omitempty"`
 }
 
-// IndexBatch is the body of POST /index/batch — the batched delta protocol
-// that replaces per-change Immediate messages: a generation-numbered set of
-// net directory deltas, optionally carrying a Bloom digest of the sender's
-// full directory for drift detection.
+// IndexBatch is one client's generation-numbered set of net directory
+// deltas, optionally carrying a Bloom digest of the sender's full directory
+// for drift detection.
 //
 // Generation rules at the proxy, per client: Gen == last+1 is the normal
 // successor; Gen == last is an idempotent retransmit (applied again — deltas
@@ -128,22 +101,27 @@ type IndexBatch struct {
 	// compares bit-for-bit; a mismatch means drift (e.g. lost batch,
 	// proxy restart) and triggers the /peer/resync pull.
 	Digest string `json:"digest,omitempty"`
+	// Full marks a full directory sync (the answer to /peer/resync): Deltas
+	// are every resident document, they replace the client's directory
+	// outright, and Gen re-seats the proxy's counter instead of being
+	// judged against it, so the sender's next batch (Gen+1) is not a gap.
+	Full bool `json:"full,omitempty"`
 }
 
 // HostBatch is one agent's sub-batch inside an IndexMultiBatch. The token is
-// carried per sub-batch — not per carrier — because the multiplexing agent
-// host has no identity of its own at the proxy: each hosted agent
-// authenticates exactly as it would on /index/batch.
+// carried per sub-batch — not per carrier — because the sender (an agent
+// host, or a standalone agent's own publisher) has no identity of its own
+// at the proxy: each sub-batch authenticates as its agent.
 type HostBatch struct {
 	IndexBatch
 	Token string `json:"token"`
 }
 
-// IndexMultiBatch is the body of POST /index/multibatch: an agent host's
-// single carrier for every hosted agent's pending index deltas. Per-client
-// generation rules are unchanged — the carrier changes the transport cost
-// (one request, one connection, one JSON envelope for N agents), not the
-// protocol.
+// IndexMultiBatch is the body of POST /index/batch: one publisher's carrier
+// for the pending index deltas of every agent it serves — one for a
+// standalone agent, the whole fleet for an AgentHost. Generation rules stay
+// per client; the carrier changes the transport cost (one request, one
+// connection, one JSON envelope for N agents), not the protocol.
 type IndexMultiBatch struct {
 	Batches []HostBatch `json:"batches"`
 }
@@ -277,7 +255,7 @@ type Stats struct {
 	QuarantinedEntries int `json:"quarantined_entries"`
 
 	// Batched index-protocol counters.
-	IndexBatches          int64 `json:"index_batches"`           // POST /index/batch applied
+	IndexBatches          int64 `json:"index_batches"`           // delta sub-batches applied
 	IndexBatchDeltas      int64 `json:"index_batch_deltas"`      // deltas those batches carried
 	IndexGenGaps          int64 `json:"index_gen_gaps"`          // batch generation gaps observed
 	IndexDigestMismatches int64 `json:"index_digest_mismatches"` // Bloom digests that disagreed

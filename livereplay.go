@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/url"
 
-	"baps/internal/browser"
 	"baps/internal/core"
 	"baps/internal/proxy"
 	"baps/internal/sim"
@@ -63,7 +62,10 @@ func (r *LiveReplayResult) HitRatioGap() float64 {
 // HTTP — and runs the trace-driven simulator under the matched
 // configuration. Because both sides implement the same §2 protocol on the
 // same LRU substrate, their hit ratios should agree closely; the result
-// reports both, and the test suite asserts the residual.
+// reports both, and the test suite asserts the residual. Each request's
+// index deltas are flushed before the next request is issued, so the live
+// proxy sees every cache change as promptly as the simulator's immediate
+// protocol does.
 //
 // Document modifications are frozen to each URL's first observed size (the
 // live system, like a real 2001 proxy, has no consistency mechanism, while
@@ -95,7 +97,6 @@ func LiveReplay(tr *Trace, cfg LiveReplayConfig) (*LiveReplayResult, error) {
 			ac.CacheCapacity = browserCap
 			ac.MemFraction = 0.5
 			ac.Verify = cfg.Verify
-			ac.IndexMode = browser.Immediate
 		},
 	})
 	if err != nil {
@@ -107,7 +108,11 @@ func LiveReplay(tr *Trace, cfg LiveReplayConfig) (*LiveReplayResult, error) {
 	ctx := context.Background()
 	for _, r := range frozen.Requests {
 		liveURL := fmt.Sprintf("%s?size=%d", cluster.DocURL("/t/"+url.PathEscape(r.URL)), r.Size)
-		_, src, err := cluster.Agents[r.Client].Get(ctx, liveURL)
+		agent := cluster.Agents[r.Client]
+		_, src, err := agent.Get(ctx, liveURL)
+		if err == nil {
+			err = agent.FlushIndex()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("baps: live replay: client %d, %s: %w", r.Client, r.URL, err)
 		}
