@@ -6,8 +6,8 @@ COUNT ?= 5
 # the benchmark's sim.sweep workload, BenchmarkSweepPaperSizes), and the live
 # HTTP-path benchmarks, skipping the long-running figure regenerations in the
 # root package.
-BENCH_PKGS = ./internal/cache ./internal/index ./internal/core ./internal/sim ./internal/proxy ./internal/workqueue ./internal/trace .
-BENCH_FILTER = '^(BenchmarkAccess|BenchmarkAccessProxyOnly|BenchmarkCache[A-Z].*|BenchmarkIndexAddRemoveHot|BenchmarkIndexOrdered|BenchmarkApplyBatch|BenchmarkApplyBatchContended|BenchmarkShardedOrdered|BenchmarkSimulatorBAPS|BenchmarkSimulatorProxyOnly|BenchmarkSweepPaperSizes|BenchmarkHistogram|BenchmarkTraceStats|BenchmarkTraceRead|BenchmarkTraceReadBTR|BenchmarkLiveFetchHot|BenchmarkLiveFetchOriginMiss|BenchmarkLiveFetchOriginMissRegistered|BenchmarkLiveFetchRefetchRegistered|BenchmarkWorkqueue[A-Z].*)$$'
+BENCH_PKGS = ./internal/cache ./internal/index ./internal/core ./internal/sim ./internal/proxy ./internal/integrity ./internal/workqueue ./internal/trace .
+BENCH_FILTER = '^(BenchmarkAccess|BenchmarkAccessProxyOnly|BenchmarkCache[A-Z].*|BenchmarkIndexAddRemoveHot|BenchmarkIndexOrdered|BenchmarkApplyBatch|BenchmarkApplyBatchContended|BenchmarkShardedOrdered|BenchmarkSimulatorBAPS|BenchmarkSimulatorProxyOnly|BenchmarkSweepPaperSizes|BenchmarkHistogram|BenchmarkTraceStats|BenchmarkTraceRead|BenchmarkTraceReadBTR|BenchmarkLiveFetchHot|BenchmarkLiveFetchOriginMiss|BenchmarkLiveFetchOriginMissRegistered|BenchmarkLiveFetchRefetchRegistered|BenchmarkWorkqueue[A-Z].*|BenchmarkVerifierMiss|BenchmarkVerifierHit)$$'
 # Replay/driver-suite benchmark set (§16): the whole experiment-driver suite
 # timed as one unit (BenchmarkAllExperiments) plus out-of-core streaming
 # replay throughput (BenchmarkReplayStream). benchtime=1x because one
@@ -22,8 +22,10 @@ HOT_PKGS = ./internal/intern ./internal/cache ./internal/index ./internal/core .
 # The timing-sensitive live tests ROADMAP item 1 names: each waits on an
 # event, never on a sleep, so it must pass every time.
 STABLE_TESTS = ^Test(ClusterBloomFalsePositive|DiskSpillStreamPromote|DiskWarmRestartGraceful|InvalidationChurnUnderLoad|HostLifecycleConcurrent|BatchedConcurrentStoreLosesNoDelta|StandaloneAndHostedPublishIdentically)$$
-# The tests of the on-demand watermark memo (internal/proxy/watermark.go).
-WATERMARK_TESTS = ^TestWatermark(AnonymousFetchUnsigned|OnDemandMatchesSigner|ConcurrentFirstDemandsSignOnce|MemoAcrossReacquisition|MemoBounded|SignFailureFailsClosed)$$|^TestOnDemandWatermarkVerifiesAtAgents$$|^TestCrashRestartRederivesWatermark$$
+# The tests of the watermark memos: the proxy's on-demand sign memo
+# (internal/proxy/watermark.go) and the agents' verification memo
+# (integrity.Verifier, shared per proxy key by an AgentHost).
+WATERMARK_TESTS = ^TestWatermark(AnonymousFetchUnsigned|OnDemandMatchesSigner|ConcurrentFirstDemandsSignOnce|MemoAcrossReacquisition|MemoBounded|SignFailureFailsClosed)$$|^TestOnDemandWatermarkVerifiesAtAgents$$|^TestCrashRestartRederivesWatermark$$|^TestVerifier(MatchesVerifyDigest|Concurrent)$$|^TestVerifyMemo(StillDetectsTamper|RejectsAlteredMark|SharedByHostedAgents|ScopedToProxyKey)$$
 
 .PHONY: all build vet test race short bench check staticcheck bench-baseline bench-compare bench-replay bench-replay-compare bench-e2e-smoke stream-smoke loadtest loadtest-agents loadtest-restart loadtest-federation loadtest-invalidation soak soak-smoke
 
@@ -33,13 +35,12 @@ all: build vet test
 # packages again under the race detector (covers the sharded-index churn and
 # live-proxy concurrency tests). staticcheck runs when installed (always in
 # CI); locally it is skipped with a notice rather than failing the gate.
-# The on-demand watermark tests (WATERMARK_TESTS: the memo/flight tests, not
-# the older tamper-detection ones) share one memo and one flight group
-# across request goroutines, so they are raced ten times over, as are the
-# STABLE_TESTS.
+# The watermark memo tests (WATERMARK_TESTS: the sign and verify memo
+# tests, not the older tamper-detection ones) share one memo across request
+# goroutines, so they are raced ten times over, as are the STABLE_TESTS.
 check: vet test staticcheck
 	$(GO) test -race $(HOT_PKGS)
-	$(GO) test -race -count=10 -run '$(WATERMARK_TESTS)' ./internal/proxy ./internal/browser
+	$(GO) test -race -count=10 -run '$(WATERMARK_TESTS)' ./internal/integrity ./internal/proxy ./internal/browser
 	$(GO) test -race -count=10 -run '$(STABLE_TESTS)' ./internal/proxy ./internal/chaos ./internal/browser
 
 # Static analysis (SA* checks, see staticcheck.conf). Gated on the binary

@@ -12,14 +12,15 @@
 //   - keeps the proxy's browser index updated with batched deltas: every
 //     cache change is coalesced by one publisher and shipped as part of a
 //     generation-numbered batch, with a full directory sync on demand;
-//   - verifies document watermarks with the proxy's public key (§6.1) and
+//   - verifies document watermarks with the proxy's public key (§6.1) —
+//     one RSA operation per distinct (digest, watermark) pair and key, the
+//     rest from a verification memo a host shares among its agents — and
 //     reports tampered direct-forward deliveries.
 package browser
 
 import (
 	"bytes"
 	"context"
-	"crypto/rsa"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -149,6 +150,13 @@ type Metrics struct {
 	PushesAccepted int64
 	PushesDeclined int64
 	Invalidations  int64
+
+	// WatermarkVerifies counts full RSA watermark verifications;
+	// VerifyMemoHits counts deliveries accepted from the verification memo
+	// because the same (digest, watermark) pair had already verified under
+	// the proxy's key (on this host, for a hosted agent).
+	WatermarkVerifies int64
+	VerifyMemoHits    int64
 }
 
 // Agent is one live browser client. It runs in one of two shapes: a
@@ -161,8 +169,8 @@ type Agent struct {
 	cfg      Config
 	id       int
 	token    string
-	pub      *rsa.PublicKey
-	relayKey []byte // covert-path key issued at registration
+	verifier *integrity.Verifier // own when standalone; the host's for this key when hosted
+	relayKey []byte              // covert-path key issued at registration
 
 	// pubOrder makes index deltas reach the publisher in seq order:
 	// store and Evict take it before mu and hold it across the enqueue
@@ -379,7 +387,12 @@ func (a *Agent) register() error {
 	if err := json.NewDecoder(resp.Body).Decode(&reg); err != nil {
 		return fmt.Errorf("browser: register decode: %w", err)
 	}
-	pub, err := integrity.ParsePublicKey([]byte(reg.PublicKey))
+	var verifier *integrity.Verifier
+	if a.host != nil {
+		verifier, err = a.host.verifierFor(reg.PublicKey)
+	} else {
+		verifier, err = newVerifier(reg.PublicKey)
+	}
 	if err != nil {
 		return err
 	}
@@ -387,7 +400,7 @@ func (a *Agent) register() error {
 	if err != nil || len(relayKey) != 32 {
 		return fmt.Errorf("browser: bad relay key from proxy")
 	}
-	a.id, a.token, a.pub, a.relayKey = reg.ClientID, reg.Token, pub, relayKey
+	a.id, a.token, a.verifier, a.relayKey = reg.ClientID, reg.Token, verifier, relayKey
 	if a.logger != nil {
 		a.logger.Info("registered with proxy", "client", a.id, "peer_url", peerURL)
 	}
@@ -542,6 +555,10 @@ func (a *Agent) registerMetrics() {
 		func(m *Metrics) int64 { return m.PeerServes })
 	counter("baps_browser_tamper_seen_total", "Watermark verification failures on received documents.",
 		func(m *Metrics) int64 { return m.TamperSeen })
+	counter("baps_browser_watermark_verified_total", "Watermark verifications that ran an RSA public-key operation.",
+		func(m *Metrics) int64 { return m.WatermarkVerifies })
+	counter("baps_browser_watermark_verify_memo_hits_total", "Watermarks accepted from the verification memo without an RSA operation.",
+		func(m *Metrics) int64 { return m.VerifyMemoHits })
 	counter("baps_browser_index_syncs_total", "Full directory syncs accepted by the proxy.",
 		func(m *Metrics) int64 { return m.IndexSyncs })
 	counter("baps_browser_index_batches_total", "Delta sub-batches accepted by the proxy.",
@@ -677,12 +694,31 @@ func (a *Agent) addMetric(f func(*Metrics)) {
 	a.mu.Unlock()
 }
 
-// verify checks the watermark under the proxy's public key.
+// newVerifier builds a watermark verifier for a registration's PEM key.
+func newVerifier(pemKey string) (*integrity.Verifier, error) {
+	pub, err := integrity.ParsePublicKey([]byte(pemKey))
+	if err != nil {
+		return nil, err
+	}
+	return integrity.NewVerifier(pub), nil
+}
+
+// verify checks the watermark under the proxy's public key, through the
+// verification memo: a pair already verified under this key costs no RSA
+// operation.
 func (a *Agent) verify(body, mark []byte) error {
 	if len(mark) == 0 {
 		return errors.New("browser: missing watermark")
 	}
-	return integrity.Verify(a.pub, body, mark)
+	hit, err := a.verifier.Verify(body, mark)
+	a.mu.Lock()
+	if hit {
+		a.metrics.VerifyMemoHits++
+	} else {
+		a.metrics.WatermarkVerifies++
+	}
+	a.mu.Unlock()
+	return err
 }
 
 // fetchViaProxy performs GET /fetch. viaOnion reports that the proxy

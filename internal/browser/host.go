@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"baps/internal/integrity"
 	"baps/internal/proxy"
 )
 
@@ -55,6 +56,13 @@ type AgentHost struct {
 	pub     *publisher
 
 	mu sync.RWMutex
+	// verifier is shared by every agent registered under the proxy key
+	// whose PEM is verifierPEM; a registration that returns another key (a
+	// proxy restarted without its data directory) replaces both, so a
+	// verification memo is never consulted under a key it was not built
+	// for.
+	verifier    *integrity.Verifier
+	verifierPEM string
 	// slots maps the routed <slot> id to the live agent occupying it; nil
 	// when vacant. Slot ids are recycled through free so a churn-replaced
 	// agent re-advertises the SAME URL and the proxy's register-supersede
@@ -184,6 +192,21 @@ func (h *AgentHost) Spawn() (*Agent, error) {
 	h.live++
 	h.mu.Unlock()
 	return a, nil
+}
+
+// verifierFor returns the host's verifier for the proxy key a registration
+// returned, replacing it when the key changed.
+func (h *AgentHost) verifierFor(pemKey string) (*integrity.Verifier, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.verifier == nil || pemKey != h.verifierPEM {
+		v, err := newVerifier(pemKey)
+		if err != nil {
+			return nil, err
+		}
+		h.verifier, h.verifierPEM = v, pemKey
+	}
+	return h.verifier, nil
 }
 
 // releaseSlot returns a never-published slot to the free list.

@@ -283,6 +283,20 @@ func (x *Index) AppendOrdered(buf []Entry, doc intern.ID, requester int, now flo
 	return x.appendOrdered(buf, doc, requester, now, false)
 }
 
+// HasHolder reports whether any client outside quarantine holds doc — the
+// allocation-free len(Ordered(doc, -1)) > 0.
+func (x *Index) HasHolder(doc intern.ID) bool {
+	if doc < 0 || int(doc) >= len(x.byDoc) {
+		return false
+	}
+	for _, e := range x.byDoc[doc] {
+		if !x.ct.quarantined(e.Client) {
+			return true
+		}
+	}
+	return false
+}
+
 // OrderedQuarantined returns the quarantined holders of doc (excluding
 // requester), sorted by strategy preference. The proxy uses it to pick
 // half-open breaker probes: a quarantined peer is skipped by OrderedAt but

@@ -107,6 +107,15 @@ func (s *Sharded) AppendOrdered(buf []Entry, doc intern.ID, requester int, now f
 	return buf
 }
 
+// HasHolder reports whether any client outside quarantine holds doc,
+// without materialising or ordering the holder list.
+func (s *Sharded) HasHolder(doc intern.ID) bool {
+	sh := s.shard(doc)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.idx.HasHolder(doc)
+}
+
 // OrderedQuarantined returns the quarantined holders of doc in strategy
 // order.
 func (s *Sharded) OrderedQuarantined(doc intern.ID, requester int) []Entry {

@@ -54,6 +54,9 @@ func TestShardedMatchesIndex(t *testing.T) {
 					if fmt.Sprint(got) != fmt.Sprint(want) {
 						t.Fatalf("op %d: Ordered(%d,%d) = %v, plain %v", op, doc, requester, got, want)
 					}
+					if has, want := sharded.HasHolder(doc), len(plain.Ordered(doc, -1)) > 0; has != want {
+						t.Fatalf("op %d: HasHolder(%d) = %v, Ordered says %v", op, doc, has, want)
+					}
 				}
 			}
 			if sharded.Len() != plain.Len() {
@@ -68,6 +71,34 @@ func TestShardedMatchesIndex(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHasHolderExcludesQuarantined: a document whose only holders are
+// quarantined has no holder, as it has no Ordered candidate; re-admission
+// restores it; and the check allocates nothing.
+func TestHasHolderExcludesQuarantined(t *testing.T) {
+	x := NewSharded(SelectMostRecent, 4)
+	doc := intern.ID(5)
+	if x.HasHolder(doc) || x.HasHolder(intern.ID(1<<20)) {
+		t.Fatal("empty index reports a holder")
+	}
+	x.Add(Entry{Client: 1, Doc: doc})
+	x.Add(Entry{Client: 2, Doc: doc})
+	x.Quarantine(1)
+	if !x.HasHolder(doc) {
+		t.Fatal("live holder 2 not seen")
+	}
+	x.Quarantine(2)
+	if x.HasHolder(doc) {
+		t.Fatal("quarantined holders counted")
+	}
+	x.Unquarantine(2)
+	if !x.HasHolder(doc) {
+		t.Fatal("re-admitted holder not seen")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { x.HasHolder(doc) }); allocs != 0 {
+		t.Fatalf("HasHolder allocates %.0f times", allocs)
 	}
 }
 

@@ -13,8 +13,16 @@
 // produced late, re-derived after a restart, or memoised, it is the same
 // bytes. Any client can verify with the proxy's public key, and no client
 // can forge a matching watermark because only the proxy knows the private
-// key. This package stays one RSA operation per WatermarkDigest call; the
-// memo lives with the caller (internal/proxy/watermark.go).
+// key.
+//
+// The package-level functions stay exactly one RSA operation per call:
+// WatermarkDigest one signature, Verify and VerifyDigest one public-key
+// check. Memoisation lives with the callers, on the one bounded Memo type
+// defined here: the proxy's sign memo (internal/proxy/watermark.go) keys the
+// watermark it derived by digest, and each agent host's Verifier keys the
+// (digest, watermark) pairs that already verified under the proxy's current
+// key, so a host pays one RSA verification per distinct document, not one
+// per delivery.
 //
 // MD5 is used because the paper (2002) specifies it (RFC 1321); it is of
 // course not collision-resistant by modern standards, and the construction

@@ -166,7 +166,7 @@ func (s *Server) handlePeerLocate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, LocateResponse{Held: true, Via: "cache"})
 		return
 	}
-	if doc, known := s.syms.Lookup(url); known && len(s.idx.Ordered(doc, -1)) > 0 {
+	if doc, known := s.syms.Lookup(url); known && s.idx.HasHolder(doc) {
 		s.m.clusterLocateConfirms.Inc()
 		writeJSON(w, LocateResponse{Held: true, Via: "browser"})
 		return

@@ -254,7 +254,7 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 	reg.GaugeFunc("baps_proxy_index_docs",
 		"Distinct documents currently indexed.", func() float64 { return float64(s.idx.URLCount()) })
 	reg.GaugeFunc("baps_proxy_watermark_memo_entries",
-		"Watermarks held in the digest-keyed memo.", func() float64 { return float64(s.marks.len()) })
+		"Watermarks held in the digest-keyed memo.", func() float64 { return float64(s.marks.Len()) })
 	reg.GaugeFunc("baps_proxy_cache_docs",
 		"Documents in the proxy cache.", func() float64 {
 			s.mu.Lock()

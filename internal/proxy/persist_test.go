@@ -395,7 +395,7 @@ func TestCrashRestartRederivesWatermark(t *testing.T) {
 		t.Fatalf("restart after crash: %v", err)
 	}
 	defer s2.Close()
-	if s2.marks.len() != 0 {
+	if s2.marks.Len() != 0 {
 		t.Fatal("watermark memo survived the crash; nothing should persist it")
 	}
 

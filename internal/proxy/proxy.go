@@ -247,8 +247,11 @@ type relayDelivery struct {
 type Server struct {
 	cfg    Config
 	signer *integrity.Signer
-	marks  watermarkMemo
-	pubPEM []byte
+	// marks memoises derived watermarks by digest; markFlight makes
+	// concurrent first demands for one digest sign once (watermark.go).
+	marks      integrity.Memo
+	markFlight flight.Group[string]
+	pubPEM     []byte
 
 	mu sync.Mutex
 	// docs holds one record per URL the proxy has a digest for, resident or
@@ -799,7 +802,7 @@ func (s *Server) Snapshot() Stats {
 		TamperRejected:        m.watermarkRejected.Value(),
 		WatermarkSigned:       m.watermarkSigned.Value(),
 		WatermarkMemoHits:     m.watermarkMemoHits.Value(),
-		WatermarkMemoEntries:  s.marks.len(),
+		WatermarkMemoEntries:  s.marks.Len(),
 		RelayTimeouts:         m.relayTimeouts.Value(),
 		Coalesced:             m.coalesced.Sum(),
 		DocTooLarge:           m.docTooLarge.Value(),

@@ -290,18 +290,18 @@ func TestWatermarkMemoAcrossReacquisition(t *testing.T) {
 // TestWatermarkMemoBounded: the memo never holds more than its cap, and an
 // entry it dropped is re-derived byte-identically.
 func TestWatermarkMemoBounded(t *testing.T) {
-	var m watermarkMemo
+	var m integrity.Memo
 	key := func(i int) [md5.Size]byte { return md5.Sum([]byte(strconv.Itoa(i))) }
-	for i := 0; i < watermarkMemoCap+10; i++ {
-		m.put(key(i), strconv.Itoa(i))
+	for i := 0; i < integrity.MemoCap+10; i++ {
+		m.Put(key(i), strconv.Itoa(i))
 	}
-	if got := m.len(); got != watermarkMemoCap {
-		t.Fatalf("memo holds %d entries, cap %d", got, watermarkMemoCap)
+	if got := m.Len(); got != integrity.MemoCap {
+		t.Fatalf("memo holds %d entries, cap %d", got, integrity.MemoCap)
 	}
-	if _, ok := m.get(key(9)); ok {
+	if _, ok := m.Get(key(9)); ok {
 		t.Fatal("oldest entry survived past the cap")
 	}
-	if mark, ok := m.get(key(10)); !ok || mark != "10" {
+	if mark, ok := m.Get(key(10)); !ok || mark != "10" {
 		t.Fatalf("entry inside the window lost: %q %v", mark, ok)
 	}
 
@@ -311,7 +311,7 @@ func TestWatermarkMemoBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.marks = watermarkMemo{} // as if evicted
+	s.marks = integrity.Memo{} // as if evicted
 	second, err := s.watermarkFor(digest[:])
 	if err != nil || second != first {
 		t.Fatalf("re-derived watermark differs (err %v)", err)
