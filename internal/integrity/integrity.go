@@ -8,7 +8,10 @@
 // has the proxy produce it on first obtaining the document; the live proxy
 // records only the digest then, and produces the watermark on first demand
 // by a client that can verify it and re-serve the document (a registered
-// browser), handing it over alongside the document. PKCS#1 v1.5 signing is
+// browser), handing it over alongside the document. The key pair is derived
+// the same way: the proxy generates (or loads) it on the first demand for a
+// watermark or for its public key, so a proxy that only anonymous clients use
+// never runs NewSigner, the costliest call here. PKCS#1 v1.5 signing is
 // deterministic, so the watermark is a pure function of (key, digest):
 // produced late, re-derived after a restart, or memoised, it is the same
 // bytes. Any client can verify with the proxy's public key, and no client
@@ -46,10 +49,13 @@ type Signer struct {
 	priv *rsa.PrivateKey
 }
 
+// MinKeyBits is the smallest key size NewSigner accepts.
+const MinKeyBits = 512
+
 // NewSigner generates a fresh RSA key pair of the given bit size (use at
 // least 2048 outside tests).
 func NewSigner(bits int) (*Signer, error) {
-	if bits < 512 {
+	if bits < MinKeyBits {
 		return nil, fmt.Errorf("integrity: key size %d too small", bits)
 	}
 	priv, err := rsa.GenerateKey(rand.Reader, bits)

@@ -7,6 +7,7 @@
 package origin
 
 import (
+	"encoding/binary"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -270,20 +271,26 @@ func (s *Server) sizeFor(path string, version int64) int64 {
 }
 
 // Body deterministically generates a document's bytes for (path, version,
-// size). The live proxy and tests use it to predict exact content.
+// size). The live proxy and tests use it to predict exact content. Each
+// 8-byte block is one mix word stored little-endian; a short tail takes the
+// low bytes of one more word.
 func (s *Server) Body(path string, version, size int64) []byte {
 	state := s.seed ^ mix(uint64(version)+0x1234)
 	for i := 0; i < len(path); i++ {
 		state = (state ^ uint64(path[i])) * 0x100000001B3
 	}
 	body := make([]byte, size)
-	var word uint64
-	for i := range body {
-		if i%8 == 0 {
-			state += 0x9E3779B97F4A7C15
-			word = mix(state)
+	i := 0
+	for ; i+8 <= len(body); i += 8 {
+		state += 0x9E3779B97F4A7C15
+		binary.LittleEndian.PutUint64(body[i:], mix(state))
+	}
+	if i < len(body) {
+		state += 0x9E3779B97F4A7C15
+		word := mix(state)
+		for j := range body[i:] {
+			body[i+j] = byte(word >> (8 * j))
 		}
-		body[i] = byte(word >> (8 * (i % 8)))
 	}
 	return body
 }

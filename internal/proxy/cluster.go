@@ -183,14 +183,14 @@ func (s *Server) handleClusterFetch(w http.ResponseWriter, r *http.Request, url 
 	s.m.clusterServes.Inc()
 	// Requester -1 throughout: the sibling cannot use a watermark made
 	// under this proxy's key, so hop responses never cost a signature.
-	if _, ok := s.serveLocal(w, url, -1); ok {
+	if _, ok := s.serveLocal(w, nil, url, -1); ok {
 		s.m.clusterServeHits.Inc()
 		return
 	}
 	if !s.cfg.DisablePeer {
 		if p := s.resolveRemoteMode(r.Context(), url, -1, FetchForward); p.ok {
 			s.m.clusterServeHits.Inc()
-			s.serveDoc(w, SourceProxy, p.body, p.meta, -1)
+			s.serveDoc(w, nil, "", SourceProxy, p.body, p.meta, -1)
 			return
 		}
 	}

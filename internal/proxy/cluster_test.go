@@ -109,7 +109,7 @@ func TestClusterRelayFromSiblingCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := md5.Sum(got)
-	if err := integrity.VerifyDigest(b.signer.Public(), sum[:], mark); err != nil {
+	if err := integrity.VerifyDigest(proxyPublicKey(t, b), sum[:], mark); err != nil {
 		t.Fatalf("relayed watermark does not verify under B's key: %v", err)
 	}
 
@@ -237,7 +237,7 @@ func TestClusterServesFromSiblingBrowser(t *testing.T) {
 	const body = "browser-held document body"
 	u := "http://origin.invalid/browser/only"
 	sum := md5.Sum([]byte(body))
-	mark, err := a.signer.WatermarkDigest(sum[:])
+	mark, err := proxySigner(t, a).WatermarkDigest(sum[:])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func store(s *Server, url string, version int64) {
 // (nil on a miss).
 func hit(s *Server, url string) []byte {
 	w := httptest.NewRecorder()
-	if _, ok := s.serveLocal(w, url, -1); !ok {
+	if _, ok := s.serveLocal(w, nil, url, -1); !ok {
 		return nil
 	}
 	return w.Body.Bytes()

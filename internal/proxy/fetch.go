@@ -74,10 +74,11 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	sp.SetURL(url)
 	ctx = obs.WithSpan(ctx, sp)
 
-	outcome := s.resolveFetch(ctx, w, url, requester, r.Header.Get(HeaderNoPeer) == "1")
+	book := &outcomeBook{m: s.m}
+	outcome := s.resolveFetch(ctx, w, book, url, requester, r.Header.Get(HeaderNoPeer) == "1")
 
 	dur := time.Since(start)
-	s.m.outcomeCounter(outcome).Inc()
+	book.book(outcome) // a no-op unless the outcome was only final at the end
 	s.m.fetchDur.Observe(dur.Seconds())
 	sp.Finish(outcome, nil)
 	if s.logger != nil {
@@ -87,6 +88,26 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 			"outcome", outcome,
 			"duration_ms", float64(dur.Microseconds())/1e3)
 	}
+}
+
+// outcomeBook counts one /fetch request's outcome on
+// baps_proxy_fetch_outcomes_total exactly once, at the point it is decided:
+// before the first body byte, so a client that has read its whole response
+// always finds the request counted. Only a disk-streamed hit, whose read can
+// still fail mid-body and turn it into an error, is booked after the body
+// (by handleFetch). A nil book counts nothing: cluster-hop serves share the
+// serve paths and are accounted separately.
+type outcomeBook struct {
+	m      *serverMetrics
+	booked bool
+}
+
+func (b *outcomeBook) book(outcome string) {
+	if b == nil || b.booked {
+		return
+	}
+	b.booked = true
+	b.m.outcomeCounter(outcome).Inc()
 }
 
 // fetchResult is one completed miss resolution: the document (buffered body
@@ -108,9 +129,9 @@ type fetchResult struct {
 // resolution (browser index with hedged origin, then plain origin) — writes
 // the response, and reports which outcome was taken (one of the out*
 // constants).
-func (s *Server) resolveFetch(ctx context.Context, w http.ResponseWriter, url string, requester int, noPeer bool) string {
+func (s *Server) resolveFetch(ctx context.Context, w http.ResponseWriter, book *outcomeBook, url string, requester int, noPeer bool) string {
 	// 1. Proxy cache: memory tier, spill stage, then the disk store.
-	if outcome, ok := s.serveLocal(w, url, requester); ok {
+	if outcome, ok := s.serveLocal(w, book, url, requester); ok {
 		return outcome
 	}
 
@@ -126,7 +147,7 @@ func (s *Server) resolveFetch(ctx context.Context, w http.ResponseWriter, url st
 	// coalesces inside fetchUpstream.
 	if peerEligible && s.cfg.Forward != FetchForward {
 		res, err := s.resolveMiss(ctx, url, requester, true)
-		return s.writeResolution(ctx, w, res, err, requester, false)
+		return s.writeResolution(ctx, w, book, res, err, requester, false)
 	}
 	key := url
 	if !peerEligible {
@@ -141,7 +162,7 @@ func (s *Server) resolveFetch(ctx context.Context, w http.ResponseWriter, url st
 	if shared {
 		obs.SpanFrom(ctx).Event("coalesced", "attached to in-flight resolution")
 	}
-	return s.writeResolution(ctx, w, res, err, requester, shared)
+	return s.writeResolution(ctx, w, book, res, err, requester, shared)
 }
 
 // resolveMiss resolves a proxy-cache miss to a document without touching the
@@ -165,31 +186,38 @@ func (s *Server) resolveMiss(ctx context.Context, url string, requester int, pee
 }
 
 // writeResolution writes a completed (or failed) miss resolution and reports
-// the outcome, bumping the coalesced counter when the result was shared from
-// another request's round. The watermark follows this requester, not the
-// round's leader: a registered follower of an anonymous leader gets one.
-func (s *Server) writeResolution(ctx context.Context, w http.ResponseWriter, res fetchResult, err error, requester int, shared bool) string {
+// the outcome, booking it before the first body byte and bumping the
+// coalesced counter when the result was shared from another request's round.
+// The watermark follows this requester, not the round's leader: a registered
+// follower of an anonymous leader gets one.
+func (s *Server) writeResolution(ctx context.Context, w http.ResponseWriter, book *outcomeBook, res fetchResult, err error, requester int, shared bool) string {
 	outcome := res.outcome
 	switch {
 	case err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil):
-		http.Error(w, "proxy: request canceled", http.StatusGatewayTimeout)
 		outcome = outCanceled
+		book.book(outcome)
+		http.Error(w, "proxy: request canceled", http.StatusGatewayTimeout)
 	case err != nil:
-		http.Error(w, fmt.Sprintf("proxy: upstream: %v", err), http.StatusBadGateway)
 		outcome = outError
+		book.book(outcome)
+		http.Error(w, fmt.Sprintf("proxy: upstream: %v", err), http.StatusBadGateway)
 	case res.viaOnion:
 		// The document travels browser-to-browser over the covert
 		// path; this response only announces it.
+		book.book(outcome)
 		w.Header().Set(HeaderOnion, "1")
 		w.Header().Set(HeaderSource, SourceRemote)
 		w.WriteHeader(http.StatusOK)
 	case res.stream != nil:
+		// A relay that aborts mid-copy is booked on relay_stream_errors;
+		// the outcome is the holder's delivery either way.
+		book.book(outcome)
 		s.serveStream(w, res, requester)
 	default:
 		if res.ticket != "" {
 			w.Header().Set("X-BAPS-Ticket", res.ticket)
 		}
-		if s.serveDoc(w, res.source, res.body, res.meta, requester) != nil {
+		if s.serveDoc(w, book, outcome, res.source, res.body, res.meta, requester) != nil {
 			outcome = outError
 		}
 	}
@@ -364,13 +392,17 @@ func (s *Server) writeDocHeaders(w http.ResponseWriter, source string, meta docM
 	return nil
 }
 
-// serveDoc writes a buffered document to requester. The only failure it
-// reports is writeDocHeaders': the response is then already a 500.
-func (s *Server) serveDoc(w http.ResponseWriter, source string, body []byte, meta docMeta, requester int) error {
+// serveDoc writes a buffered document to requester, booking outcome before
+// the body (a short 500 stays in the response buffer until the handler
+// returns). The only failure it reports is writeDocHeaders': the response is
+// then already a 500.
+func (s *Server) serveDoc(w http.ResponseWriter, book *outcomeBook, outcome, source string, body []byte, meta docMeta, requester int) error {
 	meta.size = int64(len(body))
 	if err := s.writeDocHeaders(w, source, meta, requester); err != nil {
+		book.book(outError)
 		return err
 	}
+	book.book(outcome)
 	w.Write(body)
 	return nil
 }
@@ -693,7 +725,16 @@ func (s *Server) fetchFromPeer(ctx context.Context, peer peerInfo, url string) (
 	// The proxy has no record for this version (e.g. restarted): accept
 	// the body only if the holder's stored watermark verifies under our key.
 	mark, err := base64.StdEncoding.DecodeString(resp.Header.Get(HeaderWatermark))
-	if err != nil || integrity.VerifyDigest(s.signer.Public(), digest, mark) != nil {
+	if err == nil {
+		k, kerr := s.signingKey()
+		if kerr != nil {
+			// Without the key nothing verifies: fail closed. The walk
+			// books this like any other failed holder.
+			return nil, docMeta{}, kerr
+		}
+		err = integrity.VerifyDigest(k.signer.Public(), digest, mark)
+	}
+	if err != nil {
 		s.m.watermarkRejected.Inc()
 		return nil, docMeta{}, fmt.Errorf("unverifiable peer content from client %d", peer.id)
 	}

@@ -64,6 +64,7 @@ func TestCoalescedFetchSingleOrigin(t *testing.T) {
 	wg.Wait()
 	close(replies)
 
+	pub := proxyPublicKey(t, s)
 	for r := range replies {
 		if r.code != http.StatusOK {
 			t.Fatalf("status %d", r.code)
@@ -75,7 +76,7 @@ func TestCoalescedFetchSingleOrigin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := integrity.Verify(s.signer.Public(), r.body, mark); err != nil {
+		if err := integrity.Verify(pub, r.body, mark); err != nil {
 			t.Fatalf("watermark: %v", err)
 		}
 	}
@@ -208,7 +209,7 @@ func TestDirectForwardStreamedDelivery(t *testing.T) {
 	s := testServer(t, func(c *Config) { c.Forward = DirectForward })
 
 	body := bytes.Repeat([]byte("streamed direct-forward payload "), 64<<10) // 2 MiB
-	mark, err := s.signer.Watermark(body)
+	mark, err := proxySigner(t, s).Watermark(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestDirectForwardStreamedDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := integrity.Verify(s.signer.Public(), got, wm); err != nil {
+	if err := integrity.Verify(proxyPublicKey(t, s), got, wm); err != nil {
 		t.Fatalf("watermark: %v", err)
 	}
 	select {
@@ -317,6 +318,38 @@ func BenchmarkLiveFetchHot(b *testing.B) {
 	})
 	// Off the clock before the deferred tear-down (see benchOriginMisses).
 	b.StopTimer()
+}
+
+// BenchmarkServerStartAnonymous is a proxy's whole life for anonymous
+// clients at the default key size: New, Start, one origin miss, Close.
+// Nothing demands the watermark key, so no key is generated (keygens/op).
+func BenchmarkServerStartAnonymous(b *testing.B) {
+	ots := httptest.NewServer(origin.New(8).Handler())
+	defer ots.Close()
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	var gens int64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := New(DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Start(""); err != nil {
+			b.Fatal(err)
+		}
+		resp, err := client.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(ots.URL+"/start/doc?size=8192"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if src := resp.Header.Get(HeaderSource); src != SourceOrigin {
+			b.Fatalf("served from %q, want an origin miss", src)
+		}
+		gens += keyGenerations(s)
+		s.Close()
+	}
+	b.ReportMetric(float64(gens)/float64(b.N), "keygens/op")
 }
 
 // benchOriginMisses drives b.N parallel /fetch requests, each an origin miss,

@@ -55,6 +55,7 @@ type serverMetrics struct {
 	watermarkRejected *obs.Counter
 	watermarkSigned   *obs.Counter
 	watermarkMemoHits *obs.Counter
+	keyGenerations    *obs.Counter
 	relayTimeouts     *obs.Counter
 	relayStreamErrors *obs.Counter
 	docTooLarge       *obs.Counter
@@ -163,6 +164,8 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		"Watermarks derived with an RSA private-key operation (first demand for a digest).")
 	m.watermarkMemoHits = reg.Counter("baps_proxy_watermark_memo_hits_total",
 		"Watermark demands answered from the digest-keyed memo, without signing.")
+	m.keyGenerations = reg.Counter("baps_proxy_signing_key_generations_total",
+		"Watermark RSA key pairs generated (first key demand with no usable DIR/key.pem).")
 	m.relayTimeouts = reg.Counter("baps_proxy_relay_timeouts_total",
 		"Direct-forward relays that timed out waiting for the holder push.")
 	m.relayStreamErrors = reg.Counter("baps_proxy_relay_stream_errors_total",

@@ -115,6 +115,37 @@ func assertStatsMatchMetrics(t *testing.T, s *Server) {
 	}
 }
 
+// TestFetchOutcomeCountedBeforeBody: a document far larger than the
+// response and socket buffers keeps the handler writing until the client
+// reads, yet its outcome — origin miss, then proxy hit — is already on
+// baps_proxy_fetch_outcomes_total when the response headers arrive, and is
+// counted once.
+func TestFetchOutcomeCountedBeforeBody(t *testing.T) {
+	ots := httptest.NewServer(origin.New(13).Handler())
+	defer ots.Close()
+	s := testServer(t, func(c *Config) { c.CacheCapacity = 256 << 20 })
+
+	u := s.BaseURL() + "/fetch?url=" + urlQueryEscape(ots.URL+"/big/doc?size=16777216")
+	for _, want := range []string{outOrigin, outProxyHit} {
+		resp, err := http.Get(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Obs().VecValue("baps_proxy_fetch_outcomes_total", want); got != 1 {
+			resp.Body.Close()
+			t.Fatalf("%s outcome = %d with the body unread, want 1", want, got)
+		}
+		n, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || n != 16<<20 {
+			t.Fatalf("%s body: %d bytes, err %v", want, n, err)
+		}
+	}
+	if got := s.Obs().CounterValue("baps_proxy_fetch_outcomes_total"); got != 2 {
+		t.Fatalf("outcomes counted %d times for 2 requests", got)
+	}
+}
+
 // TestStatsMatchesMetrics scripts a request sequence covering origin
 // fetches, proxy hits, heartbeats, index ops, and an unregister, then
 // asserts /stats and /metrics report identical counts.

@@ -2,6 +2,8 @@ package proxy
 
 import (
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -64,38 +66,83 @@ type persistState struct {
 	Counters  obs.CounterSnapshot `json:"counters"`
 }
 
-// loadOrCreateSigner returns the proxy's watermark signer. With a data
-// directory the key lives in DIR/key.pem across restarts. No signature is
-// ever stored: the journal keeps each document's digest, and because signing
-// is deterministic the reopened proxy re-derives, on first demand, the very
-// watermark bytes agents stored before the kill (and the public key they
-// fetched still verifies them). Without a data directory every start
-// generates a fresh key.
-func loadOrCreateSigner(cfg Config) (*integrity.Signer, error) {
-	if cfg.DataDir == "" {
-		return integrity.NewSigner(cfg.KeyBits)
-	}
-	path := filepath.Join(cfg.DataDir, "key.pem")
-	if pemBytes, err := os.ReadFile(path); err == nil {
-		priv, err := integrity.ParsePrivateKey(pemBytes)
-		if err == nil {
-			return integrity.NewSignerFromKey(priv)
+// keyFile is the watermark key's name under Config.DataDir.
+const keyFile = "key.pem"
+
+// loadOrCreateSigner is the default key source behind signingKey. With a
+// data directory the key lives in DIR/key.pem across restarts. No signature
+// is ever stored: the journal keeps each document's digest, and because
+// signing is deterministic the reopened proxy re-derives, on first demand,
+// the very watermark bytes agents stored before the kill (and the public key
+// they fetched still verifies them). A generated key is on disk before it is
+// returned, so no watermark is ever made under a key a crash could lose.
+// Without a data directory every process generates a fresh key.
+func (s *Server) loadOrCreateSigner() (*integrity.Signer, error) {
+	dir := s.cfg.DataDir
+	if dir != "" {
+		pemBytes, err := os.ReadFile(filepath.Join(dir, keyFile))
+		switch {
+		case err == nil:
+			if priv, perr := integrity.ParsePrivateKey(pemBytes); perr == nil {
+				return integrity.NewSignerFromKey(priv)
+			}
+			// Unparsable key file: replace it. Watermarks agents hold
+			// from the lost key stop verifying; their copies are rejected
+			// and pruned on the peer path like any other stale entry.
+		case !errors.Is(err, fs.ErrNotExist):
+			// The key may still be there: fail this demand rather than
+			// replace it.
+			return nil, err
 		}
-		// Unreadable key file: fall through and replace it. Watermarks
-		// agents hold from the lost key stop verifying; their copies are
-		// rejected and pruned on the peer path like any other stale entry.
 	}
-	signer, err := integrity.NewSigner(cfg.KeyBits)
+	signer, err := integrity.NewSigner(s.cfg.KeyBits)
 	if err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(path, signer.MarshalPrivateKey(), 0o600); err != nil {
-		return nil, err
+	s.m.keyGenerations.Inc()
+	if dir != "" {
+		if err := writeFileAtomic(dir, keyFile, signer.MarshalPrivateKey()); err != nil {
+			return nil, err
+		}
 	}
 	return signer, nil
+}
+
+// writeFileAtomic replaces dir/name with data so that a crash leaves the old
+// file or the new one, never a torn mix: the bytes go to a fresh temp file in
+// dir (mode 0600), are fsynced and renamed over name, and dir is fsynced so
+// the rename is durable too. A temp file a crash leaves behind is never read.
+func writeFileAtomic(dir, name string, data []byte) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.CreateTemp(dir, name+".*.tmp")
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), filepath.Join(dir, name))
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // openDiskTier opens the disk store, replays it into the cache skeleton and
@@ -336,8 +383,9 @@ func (s *Server) restartToWarmSeconds() float64 {
 // spill stage) first, then the disk store. The first post-spill access
 // streams straight from disk through a pooled buffer; the second faults the
 // body back into the memory tier. ok=false means not resident anywhere
-// local and the caller should run miss resolution.
-func (s *Server) serveLocal(w http.ResponseWriter, url string, requester int) (string, bool) {
+// local and the caller should run miss resolution. book receives a buffered
+// serve's outcome before its body; a disk stream's is left to the caller.
+func (s *Server) serveLocal(w http.ResponseWriter, book *outcomeBook, url string, requester int) (string, bool) {
 	s.mu.Lock()
 	r := s.residentLocked(url)
 	if r == nil {
@@ -350,7 +398,7 @@ func (s *Server) serveLocal(w http.ResponseWriter, url string, requester int) (s
 		s.touchLocked(url, r)
 		s.mu.Unlock()
 		s.noteLocalHit()
-		if s.serveDoc(w, SourceProxy, body, meta, requester) != nil {
+		if s.serveDoc(w, book, outProxyHit, SourceProxy, body, meta, requester) != nil {
 			return outError, true
 		}
 		return outProxyHit, true
@@ -360,14 +408,14 @@ func (s *Server) serveLocal(w http.ResponseWriter, url string, requester int) (s
 	s.mu.Unlock()
 
 	if promote {
-		return s.serveDiskPromote(w, url, meta, requester)
+		return s.serveDiskPromote(w, book, url, meta, requester)
 	}
 	return s.serveDiskStream(w, url, meta, requester)
 }
 
 // serveDiskPromote faults a disk-resident body back into the memory tier
 // and serves it.
-func (s *Server) serveDiskPromote(w http.ResponseWriter, url string, meta docMeta, requester int) (string, bool) {
+func (s *Server) serveDiskPromote(w http.ResponseWriter, book *outcomeBook, url string, meta docMeta, requester int) (string, bool) {
 	body, dmeta, err := s.ds.Get(url)
 	if err != nil {
 		s.dropLostLocal(url)
@@ -377,7 +425,7 @@ func (s *Server) serveDiskPromote(w http.ResponseWriter, url string, meta docMet
 	s.promoteLocked(url, body, dmeta.Version)
 	s.mu.Unlock()
 	s.noteLocalHit()
-	if s.serveDoc(w, SourceProxy, body, meta, requester) != nil {
+	if s.serveDoc(w, book, outDiskHit, SourceProxy, body, meta, requester) != nil {
 		return outError, true
 	}
 	return outDiskHit, true
@@ -386,7 +434,9 @@ func (s *Server) serveDiskPromote(w http.ResponseWriter, url string, meta docMet
 // serveDiskStream streams a disk-resident body to the response through a
 // pooled buffer without promoting it (or buffering it in proxy memory).
 // Headers are deferred to the first body byte, so a read that fails before
-// any output can still fall back to miss resolution.
+// any output can still fall back to miss resolution. Its outcome is only
+// final once the whole body is read — a mid-body read failure turns the hit
+// into an error — so it is booked after the body, by the caller.
 func (s *Server) serveDiskStream(w http.ResponseWriter, url string, meta docMeta, requester int) (string, bool) {
 	lw := &lazyHeaderWriter{s: s, w: w, meta: meta, requester: requester}
 	_, dmeta, err := s.ds.ReadTo(lw, url)

@@ -99,7 +99,7 @@ func TestDiskSpillStreamPromote(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("disk stream body mismatch (%d bytes, want %d)", len(got), len(want))
 	}
-	// The handler counts its outcome after writing the body.
+	// A disk stream's outcome is counted after its body.
 	waitFor(t, "stream counted", func() bool { return s.Snapshot().DiskHits >= 1 })
 	if st := s.Snapshot(); st.DiskHits != 1 || st.DiskReads != 1 {
 		t.Fatalf("after stream: disk_hits=%d disk_reads=%d, want 1/1", st.DiskHits, st.DiskReads)
@@ -177,13 +177,14 @@ func TestDiskWarmRestartGraceful(t *testing.T) {
 	waitFor(t, "spills to settle", func() bool {
 		return s.Snapshot().DiskWrites >= 3 && countDocs(s, docStaged) == 0
 	})
-	// The handler counts its outcome after writing the body: every request
-	// is booked once the outcomes add up.
+	// Every request is booked once the outcomes add up (a disk-streamed hit
+	// is counted only after its body).
 	waitFor(t, "outcomes counted", func() bool {
 		st := s.Snapshot()
 		return st.ProxyHits+st.OriginFetches == st.Requests
 	})
 	pre := s.Snapshot()
+	prePEM := fetchPubkey(t, s)
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -197,7 +198,7 @@ func TestDiskWarmRestartGraceful(t *testing.T) {
 	}
 	defer s2.Close()
 
-	if !bytes.Equal(s2.pubPEM, s.pubPEM) {
+	if !bytes.Equal(fetchPubkey(t, s2), prePEM) {
 		t.Fatal("watermark key changed across restart; agents' cached pubkey is dead")
 	}
 	st := s2.Snapshot()

@@ -193,7 +193,7 @@ func TestPrefetchPushesHotDocToIdleBrowser(t *testing.T) {
 	if p.url != u {
 		t.Fatalf("pushed url %q, want %q", p.url, u)
 	}
-	if err := integrity.Verify(s.signer.Public(), p.body, p.mark); err != nil {
+	if err := integrity.Verify(proxyPublicKey(t, s), p.body, p.mark); err != nil {
 		t.Fatalf("pushed watermark does not verify: %v", err)
 	}
 	// The placement is immediately resolvable through the index.

@@ -28,6 +28,11 @@
 // direct-forward (the proxy issues a one-time relay ticket so holder and
 // requester exchange the document without learning each other's identity;
 // the requester verifies the watermark itself).
+//
+// The watermark key pair is, like the watermarks it signs, a value derived on
+// first demand (watermark.go): the first /register, /pubkey, registered
+// /fetch or holder-watermark check loads DIR/key.pem or generates the pair, so
+// a proxy only anonymous clients use never runs an RSA key generation.
 package proxy
 
 import (
@@ -245,13 +250,17 @@ type relayDelivery struct {
 
 // Server is the live browsers-aware proxy.
 type Server struct {
-	cfg    Config
-	signer *integrity.Signer
+	cfg Config
+	// key is the watermark key pair once first demanded (signingKey):
+	// keyFlight makes concurrent first demands load or generate it once,
+	// through keySource (loadOrCreateSigner; tests inject failures).
+	key       atomic.Pointer[keyPair]
+	keyFlight flight.Group[*keyPair]
+	keySource func() (*integrity.Signer, error)
 	// marks memoises derived watermarks by digest; markFlight makes
 	// concurrent first demands for one digest sign once (watermark.go).
 	marks      integrity.Memo
 	markFlight flight.Group[string]
-	pubPEM     []byte
 
 	mu sync.Mutex
 	// docs holds one record per URL the proxy has a digest for, resident or
@@ -360,6 +369,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.KeyBits == 0 {
 		cfg.KeyBits = 2048
 	}
+	if cfg.KeyBits < integrity.MinKeyBits {
+		// Checked here although the key is made on first demand, so a bad
+		// size fails at start-up rather than at the first registration.
+		return nil, fmt.Errorf("proxy: KeyBits %d below %d", cfg.KeyBits, integrity.MinKeyBits)
+	}
 	if cfg.OriginRetries < 0 {
 		cfg.OriginRetries = 0
 	}
@@ -390,18 +404,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueJobTimeout <= 0 {
 		cfg.QueueJobTimeout = cfg.PeerTimeout
 	}
-	signer, err := loadOrCreateSigner(cfg)
-	if err != nil {
-		return nil, err
-	}
-	pubPEM, err := integrity.MarshalPublicKey(signer.Public())
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
 		cfg:            cfg,
-		signer:         signer,
-		pubPEM:         pubPEM,
 		docs:           make(map[string]*docRecord),
 		peers:          make(map[int]peerInfo),
 		peersByURL:     make(map[string]int),
@@ -422,6 +426,7 @@ func New(cfg Config) (*Server, error) {
 		pushed:         make(map[string]time.Time),
 		stopPipeline:   make(chan struct{}),
 	}
+	s.keySource = s.loadOrCreateSigner
 	if cfg.MaxFetchRPS > 0 {
 		s.pacer = newFetchPacer(cfg.MaxFetchRPS)
 	}
@@ -610,6 +615,13 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "proxy: bad peer_url", http.StatusBadRequest)
 		return
 	}
+	// An agent verifies every watermark it is handed under this key, so
+	// no registration is granted without it.
+	key, err := s.signingKey()
+	if err != nil {
+		http.Error(w, "proxy: signing key unavailable", http.StatusInternalServerError)
+		return
+	}
 	tok, err := anonymity.NewKey()
 	if err != nil {
 		http.Error(w, "proxy: token", http.StatusInternalServerError)
@@ -658,7 +670,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, RegisterResponse{
 		ClientID:  id,
 		Token:     token,
-		PublicKey: string(s.pubPEM),
+		PublicKey: string(key.pubPEM),
 		RelayKey:  base64.StdEncoding.EncodeToString(relayKey),
 	})
 }
@@ -733,8 +745,13 @@ func (s *Server) authClient(r *http.Request) (int, bool) {
 }
 
 func (s *Server) handlePubkey(w http.ResponseWriter, r *http.Request) {
+	key, err := s.signingKey()
+	if err != nil {
+		http.Error(w, "proxy: signing key unavailable", http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/x-pem-file")
-	w.Write(s.pubPEM)
+	w.Write(key.pubPEM)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

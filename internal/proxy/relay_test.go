@@ -184,7 +184,7 @@ func TestPeerBodyWithoutProxyRecord(t *testing.T) {
 	s := testServer(t, func(c *Config) { c.Forward = FetchForward })
 
 	goodBody := []byte("the authentic document body")
-	mark, err := s.signer.Watermark(goodBody)
+	mark, err := proxySigner(t, s).Watermark(goodBody)
 	if err != nil {
 		t.Fatal(err)
 	}

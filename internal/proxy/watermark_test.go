@@ -80,7 +80,7 @@ func TestWatermarkOnDemandMatchesSigner(t *testing.T) {
 	u := ots.URL + "/signed/doc?size=3000"
 	body, _, mark := markedFetch(t, s, reg, u)
 	sum := md5.Sum(body)
-	want, err := s.signer.WatermarkDigest(sum[:])
+	want, err := proxySigner(t, s).WatermarkDigest(sum[:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,6 +166,7 @@ func TestWatermarkConcurrentFirstDemandsSignOnce(t *testing.T) {
 	if r := <-leader; r.mark != "" {
 		t.Fatal("anonymous leader received a watermark")
 	}
+	pub := proxyPublicKey(t, s)
 	var first string
 	for i := 0; i < n; i++ {
 		r := <-followers
@@ -173,7 +174,7 @@ func TestWatermarkConcurrentFirstDemandsSignOnce(t *testing.T) {
 		if err != nil || len(mark) == 0 {
 			t.Fatalf("follower watermark %q: %v", r.mark, err)
 		}
-		if err := integrity.Verify(s.signer.Public(), r.body, mark); err != nil {
+		if err := integrity.Verify(pub, r.body, mark); err != nil {
 			t.Fatalf("follower watermark: %v", err)
 		}
 		if first == "" {
@@ -282,7 +283,7 @@ func TestWatermarkMemoAcrossReacquisition(t *testing.T) {
 	}
 	body, _, changed := markedFetch(t, s, reg, u)
 	raw, _ := base64.StdEncoding.DecodeString(changed)
-	if changed == mark || integrity.Verify(s.signer.Public(), body, raw) != nil || signed() != 2 {
+	if changed == mark || integrity.Verify(proxyPublicKey(t, s), body, raw) != nil || signed() != 2 {
 		t.Fatalf("modified document: new mark %v, signed %d (want true/2)", changed != mark, signed())
 	}
 }
@@ -327,7 +328,13 @@ func TestWatermarkMemoBounded(t *testing.T) {
 // prefetch push is skipped with the job's error, and anonymous callers, who
 // need no signature, are served as before.
 func TestWatermarkSignFailureFailsClosed(t *testing.T) {
-	broken, err := integrity.NewSignerFromKey(&rsa.PrivateKey{})
+	pair, err := integrity.NewSigner(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A real public half, so /register can hand it out, but no private
+	// exponent: every signature fails.
+	broken, err := integrity.NewSignerFromKey(&rsa.PrivateKey{PublicKey: *pair.Public()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +342,7 @@ func TestWatermarkSignFailureFailsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.signer = broken
+	s.keySource = func() (*integrity.Signer, error) { return broken, nil }
 	if err := s.Start(""); err != nil {
 		t.Fatal(err)
 	}
