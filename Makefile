@@ -20,8 +20,10 @@ REPLAY_RECORD ?= $(lastword $(sort $(filter-out %_baseline.json,$(wildcard BENCH
 # tier, and the background work plane, raced in `make check`.
 HOT_PKGS = ./internal/intern ./internal/cache ./internal/index ./internal/core ./internal/sim ./internal/trace ./internal/proxy ./internal/obs ./internal/chaos ./internal/browser ./internal/diskstore ./internal/breaker ./internal/federation ./internal/workqueue
 # The timing-sensitive live tests ROADMAP item 1 names: each waits on an
-# event, never on a sleep, so it must pass every time.
-STABLE_TESTS = ^Test(ClusterBloomFalsePositive|DiskSpillStreamPromote|DiskWarmRestartGraceful|InvalidationChurnUnderLoad|HostLifecycleConcurrent|BatchedConcurrentStoreLosesNoDelta|StandaloneAndHostedPublishIdentically|ChurnBreakerMetricDeltas)$$
+# event, never on a sleep, so it must pass every time. The body-store tests
+# (internal/browser/bodies.go: one store shared by a host's agents) ride
+# along.
+STABLE_TESTS = ^Test(ClusterBloomFalsePositive|DiskSpillStreamPromote|DiskWarmRestartGraceful|InvalidationChurnUnderLoad|HostLifecycleConcurrent|BatchedConcurrentStoreLosesNoDelta|StandaloneAndHostedPublishIdentically|ChurnBreakerMetricDeltas|BodyStoreSharesOnlyEqualBytes|BodyStoreInvariantsUnderChurn|HostedFetchesShareOneBody|ReadBodyAdoptsHeldCopy)$$
 # The tests of the on-demand watermark values: the proxy's signing key and
 # sign memo (internal/proxy/watermark.go) and the agents' verification memo
 # (integrity.Verifier, shared per proxy key by an AgentHost).
@@ -184,7 +186,7 @@ soak-smoke:
 		$(if $(SOAK_BASELINE),-soakcompare $(SOAK_BASELINE),) \
 		> LOAD_soak_smoke.json \
 		|| { grep -vE '"t_sec"|"rss_bytes"|"goroutines"|"rps"|"p99_ms"|"live_agents"|[{}],?$$' LOAD_soak_smoke.json; echo "soak smoke gate FAILED"; exit 1; }
-	@grep -E '"hit_ratio_delta"|"hit_ratio_ok"|"rss_per_agent_bytes"|"rss_per_agent_ok"|"rps_ratio"|"p99_ratio"|"rss_per_agent_ratio"|"ok"' LOAD_soak_smoke.json
+	@grep -E '"hit_ratio_delta"|"hit_ratio_ok"|"rss_per_agent_bytes"|"rss_per_agent_ok"|"rps_ratio"|"p99_ratio"|"rss_per_agent_ratio"|"shared_bodies"|"shared_body_bytes"|"body_refs"|"ok"' LOAD_soak_smoke.json
 
 # Invalidation-pipeline gate (DESIGN.md §14): modification churn against a
 # 2-proxy federated cluster, run twice — background pipeline off, then on.

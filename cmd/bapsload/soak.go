@@ -149,6 +149,12 @@ type soakReport struct {
 	RSSPerAgentBytes      int64 `json:"rss_per_agent_bytes"`
 	RSSPerAgentDeltaBytes int64 `json:"rss_per_agent_delta_bytes"`
 	RSSPerAgentOK         bool  `json:"rss_per_agent_ok"`
+	// SharedBodies, SharedBodyBytes and BodyRefs sum the fleet hosts' body
+	// stores (AgentHost.BodyStats) at the end of the soak leg: BodyRefs over
+	// SharedBodies is how many hosted cache entries share each held body.
+	SharedBodies    int   `json:"shared_bodies"`
+	SharedBodyBytes int64 `json:"shared_body_bytes"`
+	BodyRefs        int64 `json:"body_refs"`
 
 	Compare *soakCompare `json:"compare,omitempty"`
 	OK      bool         `json:"ok"`
@@ -744,6 +750,12 @@ func runSoak(opts soakOpts) *soakReport {
 		rep.RSSPerAgentOK = rep.RSSPerAgentDeltaBytes <= rssPerAgentMax
 	}
 
+	for _, h := range hosts {
+		st := h.BodyStats()
+		rep.SharedBodies += st.Bodies
+		rep.SharedBodyBytes += st.Bytes
+		rep.BodyRefs += st.Refs
+	}
 	// Teardown without ceremony: the report is computed; 50k graceful
 	// unregisters would only stretch CI.
 	for _, h := range hosts {

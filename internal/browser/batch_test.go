@@ -345,7 +345,8 @@ func TestFlushIndexReadYourWrites(t *testing.T) {
 // under -race: the same store/evict/FlushIndex sequence on a standalone
 // agent (a publisher of one) and on a hosted agent (the fleet's publisher)
 // leaves the proxy with identical directories and identical generation
-// counters for the two.
+// counters for the two, and both serve exactly the bytes they stored — the
+// hosted agent out of its host's shared body store.
 func TestStandaloneAndHostedPublishIdentically(t *testing.T) {
 	mutate := func(cfg *Config) {
 		cfg.BatchMaxDelay = time.Hour // only FlushIndex ships
@@ -409,5 +410,16 @@ func TestStandaloneAndHostedPublishIdentically(t *testing.T) {
 	}
 	if st := c.proxy.Snapshot(); st.IndexGenGaps != 0 || st.IndexDigestMismatches != 0 || st.IndexResyncPulls != 0 {
 		t.Fatalf("gaps=%d mismatches=%d pulls=%d, want none", st.IndexGenGaps, st.IndexDigestMismatches, st.IndexResyncPulls)
+	}
+	for _, u := range agentDirectory(agents[0]) {
+		for i, a := range agents {
+			rec := peerGet(a, u)
+			got, src, err := a.Get(context.Background(), u)
+			if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), body) ||
+				err != nil || src != SourceLocal || !bytes.Equal(got, body) {
+				t.Fatalf("agent %d, %s: peer serve %d with the stored bytes %v; Get %v %v with the stored bytes %v",
+					i, u, rec.Code, bytes.Equal(rec.Body.Bytes(), body), src, err, bytes.Equal(got, body))
+			}
+		}
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"baps/internal/bufpool"
 	"baps/internal/cache"
 	"baps/internal/integrity"
 	"baps/internal/obs"
@@ -170,6 +171,7 @@ type Agent struct {
 	id       int
 	token    string
 	verifier *integrity.Verifier // own when standalone; the host's for this key when hosted
+	bodies   *bodyStore          // own when standalone; the host's when hosted
 	relayKey []byte              // covert-path key issued at registration
 
 	// pubOrder makes index deltas reach the publisher in seq order:
@@ -184,7 +186,8 @@ type Agent struct {
 	cache    *cache.TwoTier
 	// docs holds body, watermark, and version per cached URL in one map:
 	// one lookup (and at fleet scale, one bucket array) where the old
-	// bodies/marks pair cost two.
+	// bodies/marks pair cost two. Entries change only through keepLocked
+	// and dropLocked, which keep the body store's references right.
 	docs map[string]cachedDoc
 	// deltaSeq orders index deltas by cache mutation: assigned under a.mu
 	// at mutation time, compared by the publisher when coalescing and
@@ -232,16 +235,22 @@ type Agent struct {
 	closeOnce     sync.Once
 
 	// Tamper is a test hook: when non-nil, bodies served to peers (via
-	// either forward mode) pass through it — the "malicious holder".
+	// either forward mode) pass through it — the "malicious holder". The
+	// body it is handed may be shared with other agents on the host and is
+	// read-only: a hook that alters it must return an altered copy.
 	Tamper func(url string, body []byte) []byte
 }
 
 // cachedDoc is one locally cached document: the body plus the proxy
-// watermark and version needed to re-serve it to peers.
+// watermark and version needed to re-serve it to peers. shared reports that
+// body is the body store's copy, which the agent holds one reference to;
+// otherwise the agent's bytes differed from the held copy and body is its
+// own.
 type cachedDoc struct {
 	body      []byte
 	watermark []byte
 	version   int64
+	shared    bool
 }
 
 // normalizeConfig validates cfg and fills the publisher defaults; shared by
@@ -270,8 +279,8 @@ func normalizeConfig(cfg Config) (Config, error) {
 
 // initAgent fills in the agent core — cache, doc map, tombstones — on a
 // caller-allocated struct (hosts place agents in arena chunks) using the
-// caller's HTTP client. Config must already be normalized.
-func initAgent(a *Agent, cfg Config, client *http.Client) error {
+// caller's HTTP client and body store. Config must already be normalized.
+func initAgent(a *Agent, cfg Config, client *http.Client, bodies *bodyStore) error {
 	tc, err := cache.NewTwoTier(cfg.Policy, cfg.CacheCapacity,
 		int64(float64(cfg.CacheCapacity)*cfg.MemFraction))
 	if err != nil {
@@ -280,6 +289,7 @@ func initAgent(a *Agent, cfg Config, client *http.Client) error {
 	a.cfg = cfg
 	a.cache = tc
 	a.docs = make(map[string]cachedDoc)
+	a.bodies = bodies
 	a.invalidated = make(map[string]int64)
 	a.httpClient = client
 	a.stopHeartbeat = make(chan struct{})
@@ -331,7 +341,7 @@ func New(cfg Config) (*Agent, error) {
 	if err := initAgent(a, cfg, &http.Client{
 		Timeout:   cfg.Timeout,
 		Transport: proxy.NewTransport(proxy.AgentIdleConnsPerHost),
-	}); err != nil {
+	}, newBodyStore()); err != nil {
 		return nil, err
 	}
 
@@ -474,16 +484,20 @@ func (a *Agent) Kill() {
 	}
 }
 
-// releaseMemory drops the agent's cached bodies and cache accounting after
-// close. Hosted fleets churn thousands of agents per run; a dead agent must
-// cost a bare struct, not its full cache. Reads of the nil doc map miss and
-// deletes no-op, and store() refuses once closing is set, so late handlers
-// see an empty-but-valid agent.
+// releaseMemory drops the agent's cached bodies, with their body-store
+// references, and cache accounting after close. Hosted fleets churn
+// thousands of agents per run; a dead agent must cost a bare struct, not its
+// full cache. Reads of the nil doc map miss and deletes no-op, and store()
+// refuses once closing is set, so late handlers see an empty-but-valid
+// agent.
 func (a *Agent) releaseMemory() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for _, k := range a.cache.Keys() {
 		a.cache.Remove(k)
+	}
+	for k := range a.docs {
+		a.dropLocked(k)
 	}
 	a.docs = nil
 	a.invalidated = nil
@@ -620,6 +634,8 @@ func (a *Agent) HasCached(url string) bool {
 
 // Get resolves a document: local browser cache, then the browsers-aware
 // proxy (which itself tries its cache, remote browsers, and the origin).
+// The returned body may be shared with other agents on the host and with
+// this agent's cache, so it is read-only.
 func (a *Agent) Get(ctx context.Context, docURL string) ([]byte, Source, error) {
 	a.mu.Lock()
 	a.metrics.Requests++
@@ -745,7 +761,8 @@ func (a *Agent) fetchViaProxy(ctx context.Context, docURL string, noPeer bool) (
 	if resp.Header.Get(proxy.HeaderOnion) == "1" {
 		return nil, SourceRemote, "", nil, 0, true, nil
 	}
-	body, err = readBody(resp)
+	version, _ = strconv.ParseInt(resp.Header.Get(proxy.HeaderVersion), 10, 64)
+	body, err = readBody(resp, a.bodies.lookup(docURL, version))
 	if err != nil {
 		return nil, "", "", nil, 0, false, err
 	}
@@ -754,7 +771,6 @@ func (a *Agent) fetchViaProxy(ctx context.Context, docURL string, noPeer bool) (
 	if b64 := resp.Header.Get(proxy.HeaderWatermark); b64 != "" {
 		mark, _ = base64.StdEncoding.DecodeString(b64)
 	}
-	version, _ = strconv.ParseInt(resp.Header.Get(proxy.HeaderVersion), 10, 64)
 	return body, src, ticket, mark, version, false, nil
 }
 
@@ -780,10 +796,25 @@ func (a *Agent) authHeaders(req *http.Request) {
 
 // readBody reads a document response in one pass, pre-sizing the buffer from
 // Content-Length when known and enforcing the system-wide proxy.MaxDocBytes
-// cap instead of silently truncating.
-func readBody(resp *http.Response) ([]byte, error) {
+// cap instead of silently truncating. held is the body store's copy of the
+// announced (URL, version), or nil. A response of held's length is read into
+// a pooled buffer, and a byte-identical one is answered with held itself, so
+// fetching a body the host already caches allocates none.
+func readBody(resp *http.Response, held []byte) ([]byte, error) {
 	if resp.ContentLength > proxy.MaxDocBytes {
 		return nil, fmt.Errorf("browser: document exceeds %d bytes", proxy.MaxDocBytes)
+	}
+	if held != nil && int64(len(held)) == resp.ContentLength && len(held) <= bufpool.TierLarge {
+		bp := bufpool.Get(len(held))
+		defer bufpool.Put(bp)
+		buf := (*bp)[:len(held)]
+		if _, err := io.ReadFull(resp.Body, buf); err != nil {
+			return nil, err
+		}
+		if bytes.Equal(buf, held) {
+			return held, nil
+		}
+		return bytes.Clone(buf), nil
 	}
 	if resp.ContentLength >= 0 {
 		body := make([]byte, resp.ContentLength)

@@ -63,6 +63,8 @@ type AgentHost struct {
 	// for.
 	verifier    *integrity.Verifier
 	verifierPEM string
+	// bodies holds one copy of each body the hosted agents cache.
+	bodies *bodyStore
 	// slots maps the routed <slot> id to the live agent occupying it; nil
 	// when vacant. Slot ids are recycled through free so a churn-replaced
 	// agent re-advertises the SAME URL and the proxy's register-supersede
@@ -102,6 +104,7 @@ func NewHost(cfg HostConfig) (*AgentHost, error) {
 	}
 	h := &AgentHost{
 		cfg:     cfg,
+		bodies:  newBodyStore(),
 		ln:      ln,
 		baseURL: "http://" + ln.Addr().String(),
 		// All hosted agents share one pool toward the one proxy host, so
@@ -175,7 +178,7 @@ func (h *AgentHost) Spawn() (*Agent, error) {
 	// The host pacer beats for everyone; a per-agent loop would undo the
 	// goroutine savings.
 	cfg.HeartbeatInterval = 0
-	if err := initAgent(a, cfg, h.client); err != nil {
+	if err := initAgent(a, cfg, h.client, h.bodies); err != nil {
 		h.releaseSlot(slot)
 		return nil, err
 	}
@@ -193,6 +196,11 @@ func (h *AgentHost) Spawn() (*Agent, error) {
 	h.mu.Unlock()
 	return a, nil
 }
+
+// BodyStats reports the host's shared body store: distinct bodies, the bytes
+// they hold, and the hosted cache entries referencing them. Refs over Bodies
+// is the deduplication ratio.
+func (h *AgentHost) BodyStats() BodyStats { return h.bodies.stats() }
 
 // verifierFor returns the host's verifier for the proxy key a registration
 // returned, replacing it when the key changed.

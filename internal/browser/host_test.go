@@ -250,12 +250,17 @@ func TestHostLifecycleConcurrent(t *testing.T) {
 			}
 		}()
 	}
-	// Killer: churns agents while the drivers run.
+	// Killer: churns agents while the drivers run, until it has made six
+	// kills.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 6; i++ {
-			time.Sleep(20 * time.Millisecond)
+		for i := 0; kills.Load() < 6; i++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(20 * time.Millisecond):
+			}
 			a := pick(i * 7)
 			if a == nil {
 				continue
@@ -270,7 +275,13 @@ func TestHostLifecycleConcurrent(t *testing.T) {
 		}
 	}()
 
+	// Run for at least 300 ms, and on until the six kills and a first Get
+	// are done: both wait on registrations, and under -race on a loaded box
+	// those can take longer than any fixed sleep.
 	time.Sleep(300 * time.Millisecond)
+	for deadline := time.Now().Add(30 * time.Second); (kills.Load() < 6 || gets.Load() == 0) && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
 	close(stop)
 	wg.Wait()
 	if gets.Load() == 0 {

@@ -109,7 +109,7 @@ func (a *Agent) handleCacheInvalidate(w http.ResponseWriter, r *http.Request) {
 	}
 	if d, held := a.docs[req.URL]; held && d.version < req.Version {
 		a.cache.Remove(req.URL)
-		delete(a.docs, req.URL)
+		a.dropLocked(req.URL)
 	}
 	a.metrics.Invalidations++
 	a.mu.Unlock()

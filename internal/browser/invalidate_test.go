@@ -173,6 +173,12 @@ func TestPrefetchLandsInIdleBrowser(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("no agent ever accepted a prefetch push")
 		}
+		// Each prefetch scan halves the document's popularity, so a scan
+		// that fell between the two Gets left it cold; anonymous fetches
+		// keep it hot until a push lands.
+		if resp, err := http.Get(c.proxy.BaseURL() + "/fetch?url=" + url.QueryEscape(u)); err == nil {
+			proxy.DrainClose(resp)
+		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -14,15 +14,17 @@ import (
 	"strings"
 	"testing"
 
+	"baps/internal/origin"
 	"baps/internal/proxy"
 )
 
-// proxyRoutes returns the patterns proxy.Server.Handler mounts, read from
-// its source and confirmed against the live mux (each must resolve to
-// itself), so a route added or removed in Handler is seen here.
-func proxyRoutes(t *testing.T) []string {
+// muxRoutes returns the patterns the Handler method in the Go source file
+// mounts, read from its source and confirmed against mux, the live mux that
+// Handler built (each must resolve to itself), so a route added or removed
+// in Handler is seen here.
+func muxRoutes(t *testing.T, file string, mux *http.ServeMux) []string {
 	t.Helper()
-	f, err := parser.ParseFile(token.NewFileSet(), "../proxy/proxy.go", nil, 0)
+	f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,33 +50,30 @@ func proxyRoutes(t *testing.T) []string {
 			return true
 		})
 	}
-	cfg := proxy.DefaultConfig()
-	cfg.KeyBits = 1024
-	s, err := proxy.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	mux := s.Handler().(*http.ServeMux)
 	for _, p := range routes {
 		if _, pattern := mux.Handler(httptest.NewRequest(http.MethodGet, p, nil)); pattern != p {
-			t.Fatalf("parsed route %q resolves to %q on the live mux", p, pattern)
+			t.Fatalf("%s: parsed route %q resolves to %q on the live mux", file, p, pattern)
 		}
 	}
 	return routes
 }
 
-// readmeEndpoints returns the paths README's endpoint table documents for
-// the proxy and the browser peer server ("/relay/{t}" documents "/relay/").
-func readmeEndpoints(t *testing.T) []string {
+// readmeServers are the servers README's endpoint table documents, as named
+// in its Server column.
+var readmeServers = []string{"proxy", "browser", "origin"}
+
+// readmeEndpoints returns, per server, the paths README's endpoint table
+// documents for it ("/relay/{t}" documents "/relay/", and the origin's
+// "/<path>" its catch-all "/").
+func readmeEndpoints(t *testing.T) map[string][]string {
 	t.Helper()
 	f, err := os.Open("../../README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	path := regexp.MustCompile("`(?:[A-Z]+ )?(/[^`?{ ]*)")
-	var paths []string
+	path := regexp.MustCompile("`(?:[A-Z]+ )?(/[^`?{< ]*)")
+	paths := map[string][]string{}
 	inTable := false
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
@@ -90,11 +89,13 @@ func readmeEndpoints(t *testing.T) []string {
 		if len(cells) < 4 {
 			break
 		}
-		if server := cells[2]; !strings.Contains(server, "proxy") && !strings.Contains(server, "browser") {
-			continue
-		}
-		for _, m := range path.FindAllStringSubmatch(cells[1], -1) {
-			paths = append(paths, m[1])
+		for _, server := range readmeServers {
+			if !strings.Contains(cells[2], server) {
+				continue
+			}
+			for _, m := range path.FindAllStringSubmatch(cells[1], -1) {
+				paths[server] = append(paths[server], m[1])
+			}
 		}
 	}
 	if len(paths) == 0 {
@@ -104,36 +105,53 @@ func readmeEndpoints(t *testing.T) []string {
 }
 
 // TestReadmeEndpointsMatchRoutes keeps README's endpoint table and the wire
-// in step: every documented proxy or peer-server path is mounted, and every
-// path proxy.Server.Handler or the agent's peer server mounts is documented
-// — so a route a change removes cannot stay documented, and a new one cannot
-// ship undocumented.
+// in step, server by server: every path documented for the proxy, the
+// browser peer server or the origin is mounted there, and every path
+// proxy.Server.Handler, the agent's peer server or origin.Server.Handler
+// mounts is documented for it — so a route a change removes cannot stay
+// documented, and a new one cannot ship undocumented.
 func TestReadmeEndpointsMatchRoutes(t *testing.T) {
-	mounted := map[string]bool{}
-	for _, p := range append(proxyRoutes(t), peerPaths...) {
-		mounted[p] = true
+	cfg := proxy.DefaultConfig()
+	cfg.KeyBits = 1024
+	srv, err := proxy.New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	documented := map[string]bool{}
-	for _, p := range readmeEndpoints(t) {
-		documented[p] = true
+	defer srv.Close()
+	mounted := map[string][]string{
+		"proxy": muxRoutes(t, "../proxy/proxy.go", srv.Handler().(*http.ServeMux)),
+		// New mounts /metrics beside the peer paths.
+		"browser": append([]string{"/metrics"}, peerPaths...),
+		"origin":  muxRoutes(t, "../origin/origin.go", origin.New(1).Handler().(*http.ServeMux)),
 	}
-	var stale, missing []string
-	for p := range documented {
-		if !mounted[p] {
-			stale = append(stale, p)
+	documented := readmeEndpoints(t)
+	set := func(paths []string) map[string]bool {
+		m := map[string]bool{}
+		for _, p := range paths {
+			m[p] = true
 		}
+		return m
 	}
-	for p := range mounted {
-		if !documented[p] {
-			missing = append(missing, p)
+	for _, server := range readmeServers {
+		mnt, doc := set(mounted[server]), set(documented[server])
+		var stale, missing []string
+		for p := range doc {
+			if !mnt[p] {
+				stale = append(stale, p)
+			}
 		}
-	}
-	sort.Strings(stale)
-	sort.Strings(missing)
-	if len(stale) > 0 {
-		t.Errorf("README documents routes nothing mounts: %v", stale)
-	}
-	if len(missing) > 0 {
-		t.Errorf("mounted routes README does not document: %v", missing)
+		for p := range mnt {
+			if !doc[p] {
+				missing = append(missing, p)
+			}
+		}
+		sort.Strings(stale)
+		sort.Strings(missing)
+		if len(stale) > 0 {
+			t.Errorf("README documents %s routes nothing mounts: %v", server, stale)
+		}
+		if len(missing) > 0 {
+			t.Errorf("mounted %s routes README does not document: %v", server, missing)
+		}
 	}
 }

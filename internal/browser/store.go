@@ -19,7 +19,8 @@ func nowStamp() float64 { return float64(time.Now().UnixNano()) / 1e9 }
 
 // store caches a received document locally and queues the index deltas —
 // the admission and every eviction it forced — for the publisher; no network
-// I/O happens here.
+// I/O happens here. The body goes through the agent's body store, so a
+// byte-identical copy a sibling already holds is kept once.
 func (a *Agent) store(docURL string, body []byte, mark []byte, version int64) {
 	a.pubOrder.Lock()
 	defer a.pubOrder.Unlock()
@@ -44,10 +45,10 @@ func (a *Agent) store(docURL string, body []byte, mark []byte, version int64) {
 	}
 	evicted, admitted := a.cache.Put(cache.Doc{Key: docURL, Size: int64(len(body)), Version: version})
 	if admitted {
-		a.docs[docURL] = cachedDoc{body: body, watermark: mark, version: version}
+		a.keepLocked(docURL, body, mark, version)
 	}
 	for _, d := range evicted {
-		delete(a.docs, d.Key)
+		a.dropLocked(d.Key)
 	}
 	// Seq numbers are assigned here, under the same lock as the cache
 	// mutation; the enqueue itself happens after unlock.
@@ -121,7 +122,7 @@ func (a *Agent) Evict(docURL string) bool {
 	defer a.pubOrder.Unlock()
 	a.mu.Lock()
 	ok := a.cache.Remove(docURL)
-	delete(a.docs, docURL)
+	a.dropLocked(docURL)
 	var seq uint64
 	if ok {
 		a.deltaSeq++

@@ -21,7 +21,9 @@
 // interval, or never (the OS page cache decides). Replay after a crash
 // recovers exactly the records that reached the disk; the store is
 // consistent at every prefix of the journal, so any fsync policy yields a
-// usable (if slightly stale) store.
+// usable (if slightly stale) store. A failed flush or fsync is never silent:
+// Put (under FsyncAlways), SaveState and Close return it, and every failure,
+// the background flusher's included, is counted on MetricsHooks.SyncError.
 //
 // The store is safe for concurrent use. Body reads go through
 // internal/bufpool tiers where the caller streams rather than retains.
@@ -130,6 +132,7 @@ type MetricsHooks struct {
 	Read          func() // one body read back
 	CorruptRecord func() // one journal or body record dropped for CRC/framing
 	Eviction      func() // one document evicted by retention
+	SyncError     func() // one flush or fsync failed: what it covered may not be durable
 }
 
 // Stats is a point-in-time summary of the store.
@@ -387,6 +390,15 @@ func (s *Store) Put(key string, body []byte, meta Meta) error {
 	if err != nil {
 		return err
 	}
+	// Under FsyncAlways the body is durable before any record points at it,
+	// and the document is indexed only once its record is durable too: a
+	// failed sync fails the Put and leaves nothing a restore would serve.
+	always := s.cfg.Fsync == FsyncAlways
+	if always {
+		if err := s.active.sync(); err != nil {
+			return s.syncFailed(err)
+		}
+	}
 	now := time.Now().UnixNano()
 	meta.Size = int64(len(body))
 	rec := record{
@@ -395,14 +407,17 @@ func (s *Store) Put(key string, body []byte, meta Meta) error {
 		version: meta.Version, stamp: now,
 		digest: meta.Digest,
 	}
+	size := s.journal.size
 	if err := s.journal.append(rec); err != nil {
 		return err
 	}
-	s.applyPut(rec)
-	if s.cfg.Fsync == FsyncAlways {
-		s.active.sync()
-		s.journal.sync()
+	if always {
+		if err := s.journal.sync(); err != nil {
+			s.journal.abandonTail(size)
+			return s.syncFailed(err)
+		}
 	}
+	s.applyPut(rec)
 	if s.cfg.Metrics.Write != nil {
 		s.cfg.Metrics.Write()
 	}
@@ -528,6 +543,15 @@ func (s *Store) discardCorrupt(key string) {
 	}
 }
 
+// syncFailed counts a failed flush or fsync on the SyncError hook and
+// returns it.
+func (s *Store) syncFailed(err error) error {
+	if s.cfg.Metrics.SyncError != nil {
+		s.cfg.Metrics.SyncError()
+	}
+	return fmt.Errorf("diskstore: sync: %w", err)
+}
+
 // segOf resolves an entry's segment handle (active or archived).
 func (s *Store) segOf(e *entry) *segment {
 	if s.active != nil && e.seg == s.active.id {
@@ -568,8 +592,9 @@ func (s *Store) SaveState(blob []byte) error {
 		return err
 	}
 	if s.cfg.Fsync != FsyncNever {
-		s.journal.flush()
-		s.journal.sync()
+		if err := s.journal.sync(); err != nil {
+			return s.syncFailed(err)
+		}
 	}
 	return nil
 }
@@ -644,12 +669,16 @@ func (s *Store) background() {
 		case <-flush.C:
 			s.mu.Lock()
 			if !s.closed {
-				s.journal.flush()
+				var err error
 				if s.cfg.Fsync == FsyncInterval {
-					s.journal.sync()
-					if s.active != nil {
-						s.active.sync()
-					}
+					// Bodies first: a durable record must point at
+					// durable bytes.
+					err = errors.Join(s.active.sync(), s.journal.sync())
+				} else {
+					err = s.journal.flush()
+				}
+				if err != nil {
+					s.syncFailed(err)
 				}
 			}
 			s.mu.Unlock()
@@ -755,16 +784,19 @@ func (s *Store) rewriteJournalLocked() error {
 		}
 		return nil
 	})
-	if err != nil {
+	if nj == nil {
 		return err
 	}
 	s.journal.close()
 	s.journal = nj
+	if err != nil {
+		return s.syncFailed(err)
+	}
 	return nil
 }
 
 // Close flushes and syncs everything and stops the background goroutine —
-// the graceful-shutdown path.
+// the graceful-shutdown path. A failed flush or fsync is returned.
 func (s *Store) Close() error {
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.bg.Wait()
@@ -774,16 +806,12 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	var err error
-	if e := s.journal.flush(); e != nil {
-		err = e
-	}
-	s.journal.sync()
-	if s.active != nil {
-		s.active.sync()
-	}
+	err := errors.Join(s.active.sync(), s.journal.sync())
 	s.closeFiles()
-	return err
+	if err != nil {
+		return s.syncFailed(err)
+	}
+	return nil
 }
 
 // Abandon drops the store without flushing buffered writes — the crash

@@ -3,10 +3,12 @@ package diskstore
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -500,5 +502,128 @@ func TestTruncationProperty(t *testing.T) {
 			t.Fatalf("cut=%d: state blob corrupted: %q", cut, blob)
 		}
 		s2.Close()
+	}
+}
+
+// TestFsyncAlwaysPutFailsOnSyncError: under FsyncAlways, a Put whose journal
+// handle was closed underneath it reports the failure instead of success, is
+// not served, and leaves no record a restore would serve; Close reports the
+// failure too, and both are counted on the SyncError hook.
+func TestFsyncAlwaysPutFailsOnSyncError(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig()
+	cfg.Fsync = FsyncAlways
+	var syncErrors atomic.Int64
+	cfg.Metrics.SyncError = func() { syncErrors.Add(1) }
+	s := mustOpen(t, dir, cfg)
+	if err := s.Put("kept", body(1), Meta{Version: 1}); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	s.mu.Lock()
+	s.journal.f.Close()
+	s.mu.Unlock()
+	if err := s.Put("lost", body(2), Meta{Version: 2}); err == nil {
+		t.Fatal("Put reported success with its journal handle closed")
+	}
+	if s.Has("lost") {
+		t.Fatal("a Put that failed its sync is served")
+	}
+	if err := s.Close(); err == nil {
+		t.Fatal("Close reported success with its journal handle closed")
+	}
+	if n := syncErrors.Load(); n != 2 {
+		t.Fatalf("SyncError counted %d failures, want 2 (the Put and Close)", n)
+	}
+
+	s2 := mustOpen(t, dir, testConfig())
+	defer s2.Close()
+	if _, _, err := s2.Get("lost"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("restore serves the failed Put: %v", err)
+	}
+	if got, _, err := s2.Get("kept"); err != nil || !bytes.Equal(got, body(1)) {
+		t.Fatalf("restore lost the synced Put: %v", err)
+	}
+}
+
+// TestFsyncAlwaysPutRecoversFromFailedFsync: when a Put's record reaches the
+// journal file but its fsync fails, the Put fails and its record is cut from
+// the file; the next Put on the same store lands right after the last good
+// record, and a restore serves it but not the failed one.
+func TestFsyncAlwaysPutRecoversFromFailedFsync(t *testing.T) {
+	var failNext atomic.Pointer[os.File]
+	fsync = func(f *os.File) error {
+		if failNext.CompareAndSwap(f, nil) {
+			return errors.New("injected fsync failure")
+		}
+		return f.Sync()
+	}
+	t.Cleanup(func() { fsync = (*os.File).Sync })
+
+	dir := t.TempDir()
+	cfg := testConfig()
+	cfg.Fsync = FsyncAlways
+	var syncErrors atomic.Int64
+	cfg.Metrics.SyncError = func() { syncErrors.Add(1) }
+	s := mustOpen(t, dir, cfg)
+	if err := s.Put("kept", body(1), Meta{Version: 1}); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	s.mu.Lock()
+	failNext.Store(s.journal.f)
+	s.mu.Unlock()
+	if err := s.Put("lost", body(2), Meta{Version: 2}); err == nil {
+		t.Fatal("Put reported success although its journal fsync failed")
+	}
+	if failNext.Load() != nil {
+		t.Fatal("the journal fsync was never attempted")
+	}
+	if s.Has("lost") {
+		t.Fatal("a Put that failed its fsync is served")
+	}
+	if err := s.Put("after", body(3), Meta{Version: 3}); err != nil {
+		t.Fatalf("Put after a failed fsync: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if n := syncErrors.Load(); n != 1 {
+		t.Fatalf("SyncError counted %d failures, want 1", n)
+	}
+
+	s2 := mustOpen(t, dir, testConfig())
+	defer s2.Close()
+	if st := s2.StatsSnapshot(); st.CorruptTail || st.CorruptDrops != 0 {
+		t.Fatalf("restore found a damaged journal: %+v", st)
+	}
+	if _, _, err := s2.Get("lost"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("restore serves the Put whose fsync failed: %v", err)
+	}
+	for i, k := range []string{"kept", "after"} {
+		if got, _, err := s2.Get(k); err != nil || !bytes.Equal(got, body(2*i+1)) {
+			t.Fatalf("restore lost %q: %v", k, err)
+		}
+	}
+}
+
+// TestIntervalFlusherCountsSyncErrors: the background flusher has no caller
+// to return an error to, so a failed interval fsync is counted on the
+// SyncError hook.
+func TestIntervalFlusherCountsSyncErrors(t *testing.T) {
+	cfg := testConfig()
+	cfg.Fsync = FsyncInterval
+	cfg.FsyncEvery = time.Millisecond
+	var syncErrors atomic.Int64
+	cfg.Metrics.SyncError = func() { syncErrors.Add(1) }
+	s := mustOpen(t, t.TempDir(), cfg)
+	defer s.Abandon()
+	s.mu.Lock()
+	s.journal.f.Close()
+	s.mu.Unlock()
+	deadline := time.Now().Add(5 * time.Second)
+	for syncErrors.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no failed interval sync was counted")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // The index journal is a flat append-only file of CRC-framed records:
@@ -304,8 +305,26 @@ func (j *journal) append(rec record) error {
 
 func (j *journal) flush() error { return j.w.Flush() }
 
-func (j *journal) sync() {
-	j.f.Sync()
+// fsync forces a journal or segment file to stable storage; tests swap it
+// to make one fsync fail.
+var fsync = (*os.File).Sync
+
+// sync flushes the buffered records and forces them to stable storage.
+func (j *journal) sync() error {
+	if err := j.w.Flush(); err != nil {
+		return err
+	}
+	return fsync(j.f)
+}
+
+// abandonTail cuts everything past size — a record whose sync failed — off
+// the journal file, so a restore cannot serve it. Best-effort: the failure
+// may be the handle's own, and then nothing past size reached the file.
+func (j *journal) abandonTail(size int64) {
+	if j.f.Truncate(size) == nil {
+		j.f.Seek(size, io.SeekStart)
+	}
+	j.size = size
 }
 
 // close drops the handle without flushing — the crash path. Graceful
@@ -346,5 +365,20 @@ func rewriteJournal(path string, emitAll func(emit func(record) error) error) (*
 		os.Remove(tmp)
 		return nil, err
 	}
-	return nj, nil
+	// The rename is durable only once the directory is. The new journal is
+	// in place either way, so it is returned with the error.
+	return nj, SyncDir(filepath.Dir(path))
+}
+
+// SyncDir fsyncs a directory, making a rename inside it durable.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -90,7 +90,7 @@ func (s *segment) append(body []byte) (int64, error) {
 	return off, nil
 }
 
-func (s *segment) sync() { s.f.Sync() }
+func (s *segment) sync() error { return fsync(s.f) }
 
 // readHeader validates the record framing at off against the journal's
 // length claim.

@@ -37,13 +37,14 @@ type serverMetrics struct {
 	outClusterHit, outOrigin, outOriginHedged, outError, outCanceled   *obs.Counter
 
 	// Disk-tier plane (registered always; non-zero only with -datadir).
-	diskWrites    *obs.Counter
-	diskReads     *obs.Counter
-	diskReplays   *obs.Counter
-	diskCorrupt   *obs.Counter
-	diskEvictions *obs.Counter
-	spillSkipped  *obs.Counter // demotions shed by admission control
-	spillDropped  *obs.Counter // spills shed by backpressure or disk errors
+	diskWrites     *obs.Counter
+	diskReads      *obs.Counter
+	diskReplays    *obs.Counter
+	diskCorrupt    *obs.Counter
+	diskEvictions  *obs.Counter
+	diskSyncErrors *obs.Counter
+	spillSkipped   *obs.Counter // demotions shed by admission control
+	spillDropped   *obs.Counter // spills shed by backpressure or disk errors
 
 	// coalesced counts requests that attached to another request's
 	// in-flight miss resolution instead of resolving themselves, labeled
@@ -149,6 +150,8 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		"Disk journal/body records dropped for CRC or framing damage.")
 	m.diskEvictions = reg.Counter("baps_proxy_disk_evictions_total",
 		"Disk-tier documents evicted by the retention sweep.")
+	m.diskSyncErrors = reg.Counter("baps_proxy_disk_sync_errors_total",
+		"Disk-tier flushes or fsyncs that failed; the writes they covered may not be durable.")
 	m.spillSkipped = reg.Counter("baps_proxy_disk_spill_skipped_total",
 		"Memory-tier demotions shed by spill admission control (one-hit wonders).")
 	m.spillDropped = reg.Counter("baps_proxy_disk_spill_dropped_total",

@@ -134,15 +134,7 @@ func writeFileAtomic(dir, name string, data []byte) error {
 		os.Remove(f.Name())
 		return err
 	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return diskstore.SyncDir(dir)
 }
 
 // openDiskTier opens the disk store, replays it into the cache skeleton and
@@ -159,6 +151,7 @@ func (s *Server) openDiskTier() error {
 			Read:          s.m.diskReads.Inc,
 			CorruptRecord: s.m.diskCorrupt.Inc,
 			Eviction:      s.m.diskEvictions.Inc,
+			SyncError:     s.m.diskSyncErrors.Inc,
 		},
 	}
 	ds, err := diskstore.Open(s.cfg.DataDir, dcfg)
