@@ -105,14 +105,21 @@ bench-replay-compare:
 		-mingain BenchmarkAllExperiments=1.5
 
 # Yardstick smoke (CI): the three live workloads (origin miss, peer serve,
-# proxy hit) run for 10 s each. Exit status only — the benchmark fails on a
-# wrong body or a failed operation, and `go run` fails if benchmark/ no
-# longer builds against internal/ — so a change that breaks the yardstick is
-# caught here, not in the driver's pipeline run.
+# proxy hit) for 10 s each and the two simulator workloads for 3 s each.
+# A run fails the target if `go run` fails (benchmark/ no longer builds
+# against internal/, or the run errors) or if its last line, the contract
+# line, does not carry "correct":true — a wrong body, a failed operation,
+# or a drift in any of golden.json's 21 seed-1 hit ratios. So a change that
+# breaks the yardstick is caught here, not in a pipeline run.
+BENCH_SMOKE_RUNS = live.origin:10 live.peer:10 live.hot:10 sim.sweep:3 sim.stream:3
 bench-e2e-smoke:
-	$(GO) run ./benchmark -workload live.origin -seconds 10
-	$(GO) run ./benchmark -workload live.peer -seconds 10
-	$(GO) run ./benchmark -workload live.hot -seconds 10
+	@for run in $(BENCH_SMOKE_RUNS); do \
+		w=$${run%%:*}; secs=$${run##*:}; \
+		echo "$(GO) run ./benchmark -workload $$w -seconds $$secs"; \
+		out=$$($(GO) run ./benchmark -workload $$w -seconds $$secs) || { echo "$$out"; echo "bench-e2e-smoke: $$w failed"; exit 1; }; \
+		echo "$$out"; \
+		echo "$$out" | tail -n 1 | grep -q '"correct":true' || { echo "bench-e2e-smoke: $$w: contract line lacks \"correct\":true"; exit 1; }; \
+	done
 
 # 100k-client out-of-core replay smoke (CI): constant-memory generation of
 # a 2M-request trace from the streaming synth profile, then a full

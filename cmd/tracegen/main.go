@@ -8,13 +8,13 @@
 //	tracegen -profile nlanr-uc [-seed N] [-scale F] [-o trace.txt] [-stats]
 //	tracegen -profile synth-1m -stream -btr -o synth-1m.btr
 //
+// Both paths run the same generator (synth.GenStream, DESIGN.md §16) and
+// write the same bytes; they differ only in whether the trace is resident.
 // The default path materializes the whole trace in memory before writing.
-// -stream switches to the constant-memory generator (DESIGN.md §16): the
-// trace is produced and written incrementally, so request count no longer
-// bounds memory — this is the only practical path at 10^6 clients. The
-// streamed output is bit-identical to the in-memory path for the same
-// profile. -clients / -requests override the profile's population and
-// volume (the CI smoke runs synth-1m at 10^5 clients this way).
+// -stream writes each batch as it is generated, so request count no longer
+// bounds memory — this is the only practical path at 10^6 clients.
+// -clients / -requests override the profile's population and volume (the
+// CI smoke runs synth-1m at 10^5 clients this way).
 package main
 
 import (
@@ -40,7 +40,7 @@ func main() {
 	requests := flag.Int("requests", 0, "request-count override (0 = profile default)")
 	out := flag.String("o", "", "output file (default stdout; -btr requires a file)")
 	btr := flag.Bool("btr", false, "write the compact binary .btr format")
-	stream := flag.Bool("stream", false, "constant-memory streaming generation (bit-identical output)")
+	stream := flag.Bool("stream", false, "write while generating, in constant memory, instead of from a resident trace (same output)")
 	statsOnly := flag.Bool("stats", false, "print trace statistics instead of the trace")
 	flag.Parse()
 
@@ -92,8 +92,8 @@ func main() {
 	}
 }
 
-// runStreaming drives the constant-memory generator straight into the
-// requested sink; the trace is never resident.
+// runStreaming drives the generator straight into the requested sink, batch
+// by batch; the trace is never resident.
 func runStreaming(p synth.Profile, out string, btr, statsOnly bool) {
 	g, err := synth.NewStream(p)
 	if err != nil {

@@ -242,14 +242,15 @@ func ByName(name string) (Profile, error) {
 // Scaled returns a copy of p with the request count (and document universes,
 // proportionally) scaled by factor, preserving the locality structure. It is
 // used by benchmarks and tests that need a faster run of the same workload
-// shape. Factors above 1 are allowed.
+// shape. Factors above 1 are allowed. A positive count floors at 1; a zero
+// count (a shared-only profile's PrivateDocs) stays zero.
 func Scaled(p Profile, factor float64) Profile {
 	if factor <= 0 || factor == 1 {
 		return p
 	}
 	scale := func(n int) int {
 		v := int(float64(n) * factor)
-		if v < 1 {
+		if v < 1 && n > 0 {
 			v = 1
 		}
 		return v

@@ -1,28 +1,26 @@
 package synth
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"baps/internal/intern"
 	"baps/internal/trace"
 )
 
-// GenStream generates a profile's trace incrementally as a trace.Stream,
-// with memory bounded by the touched document universe and the client
-// population — never by the request count. The emitted request sequence is
-// bit-identical to Generate for the same profile (same RNG draw order, same
-// hash-derived sizes, same first-appearance document IDs); the difference is
-// purely representational: documents live as integer keys rather than URL
-// strings, so a 10^6-client trace streams straight into a .btr writer
-// without ever being resident.
+// GenStream is the synthetic trace generator. It produces a profile's trace
+// incrementally as a trace.Stream, with memory bounded by the touched
+// document universe and the client population — never by the request
+// count — so a 10^6-client trace streams straight into a .btr writer
+// without ever being resident. Generate drains the same generator into a
+// resident trace; the two differ only in whether the requests are held.
 //
-// Emitted requests carry dense Doc IDs and empty URL strings (like a .btr
-// stream without its symbol table); URLAt regenerates the URL for a given
-// document ID on demand, in first-appearance order, for symbol-table
-// emission after the stream drains.
+// Documents live as integer keys, not URL strings. Emitted requests carry
+// dense first-appearance Doc IDs and empty URL strings (like a .btr stream
+// without its symbol table); URLAt regenerates the URL for a document ID on
+// demand, for symbol-table emission after the stream drains.
 type GenStream struct {
 	p       Profile
 	rng     *rand.Rand
@@ -48,6 +46,10 @@ type GenStream struct {
 	ring    []int32
 	ringPos []int32
 	ringLen []int32
+
+	// urlBuf is reused to spell each URL: to hash a new (document,
+	// version) and to regenerate a URL for URLAt.
+	urlBuf []byte
 }
 
 // NewStream validates the profile and readies a generator.
@@ -95,7 +97,10 @@ func (g *GenStream) Close() error { return nil }
 
 // URLAt regenerates the URL of a generated document ID (valid for IDs below
 // NumDocs at the time of the call).
-func (g *GenStream) URLAt(doc int) string { return g.urlFor(g.keys[doc]) }
+func (g *GenStream) URLAt(doc int) string {
+	g.urlBuf = g.appendURL(g.urlBuf[:0], g.keys[doc])
+	return string(g.urlBuf)
+}
 
 // Next implements trace.Stream.
 func (g *GenStream) Next(buf []trace.Request) (int, error) {
@@ -117,9 +122,9 @@ func (g *GenStream) Next(buf []trace.Request) (int, error) {
 	return n, nil
 }
 
-// gen produces the next request. The RNG draw order replicates Generate
-// exactly (including the short-circuited draws: no recency draw while the
-// ring is empty, no shared/private draw on a recency re-reference).
+// gen produces the next request. The RNG draws are short-circuited: no
+// recency draw while the ring is empty, no shared/private draw on a recency
+// re-reference or when there is no private universe.
 func (g *GenStream) gen(r *trace.Request) {
 	p := &g.p
 	g.now += g.rng.ExpFloat64() * g.meanIA
@@ -147,7 +152,8 @@ func (g *GenStream) gen(r *trace.Request) {
 		g.ver[id]++
 	}
 	if g.sizedVer[id] != g.ver[id] {
-		sz := g.sizer.size(g.urlFor(g.keys[id]), g.ver[id])
+		g.urlBuf = g.appendURL(g.urlBuf[:0], g.keys[id])
+		sz := g.sizer.size(g.urlBuf, g.ver[id])
 		if p.SizeRankBias != 0 && rankFrac >= 0 {
 			sz = clipSize(int64(float64(sz)*math.Exp(p.SizeRankBias*(rankFrac-0.5))), p.MinDocBytes, p.MaxDocBytes)
 		}
@@ -187,13 +193,17 @@ func (g *GenStream) intern(key int64) int32 {
 	return id
 }
 
-// urlFor regenerates the URL a document key denotes: shared keys are ranks
-// in [0, SharedDocs); private keys pack (client, rank) above them.
-func (g *GenStream) urlFor(key int64) string {
+// appendURL appends the URL a document key denotes to b: shared keys are
+// ranks in [0, SharedDocs); private keys pack (client, rank) above them.
+func (g *GenStream) appendURL(b []byte, key int64) []byte {
 	if key < int64(g.p.SharedDocs) {
-		return fmt.Sprintf("http://shared.example/d%d", key)
+		b = append(b, "http://shared.example/d"...)
+		return strconv.AppendInt(b, key, 10)
 	}
 	k := key - int64(g.p.SharedDocs)
 	pd := int64(g.p.PrivateDocs)
-	return fmt.Sprintf("http://c%d.example/d%d", k/pd, k%pd)
+	b = append(b, "http://c"...)
+	b = strconv.AppendInt(b, k/pd, 10)
+	b = append(b, ".example/d"...)
+	return strconv.AppendInt(b, k%pd, 10)
 }

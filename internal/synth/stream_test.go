@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"baps/internal/intern"
 	"baps/internal/trace"
 )
 
@@ -23,42 +22,6 @@ func drain(t *testing.T, g *GenStream, batch int) []trace.Request {
 			t.Fatal(err)
 		}
 		out = append(out, buf[:n]...)
-	}
-}
-
-// The streaming generator must be bit-identical to Generate: same times,
-// clients, sizes, and first-appearance document IDs, with URLAt regenerating
-// the exact URL strings.
-func TestStreamMatchesGenerate(t *testing.T) {
-	for _, p := range Profiles() {
-		p = Scaled(p, 0.02)
-		want, err := Generate(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := NewStream(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := drain(t, g, 777) // batch size must not matter
-		if len(got) != len(want.Requests) {
-			t.Fatalf("%s: %d requests, want %d", p.Name, len(got), len(want.Requests))
-		}
-		if g.NumClients() != want.NumClients || g.NumDocs() != want.NumDocs() {
-			t.Fatalf("%s: shape %d/%d, want %d/%d",
-				p.Name, g.NumClients(), g.NumDocs(), want.NumClients, want.NumDocs())
-		}
-		for i, w := range want.Requests {
-			r := got[i]
-			if r.Time != w.Time || r.Client != w.Client || r.Doc != w.Doc || r.Size != w.Size {
-				t.Fatalf("%s: request %d diverged: got %+v want %+v", p.Name, i, r, w)
-			}
-		}
-		for doc := 0; doc < g.NumDocs(); doc++ {
-			if gu, wu := g.URLAt(doc), want.Syms.String(intern.ID(doc)); gu != wu {
-				t.Fatalf("%s: URLAt(%d) = %q, want %q", p.Name, doc, gu, wu)
-			}
-		}
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"baps/internal/intern"
 	"baps/internal/trace"
 )
 
@@ -133,91 +134,28 @@ func (p *Profile) Validate() error {
 	return nil
 }
 
-// Generate produces the synthetic trace for a profile.
+// Generate produces the synthetic trace for a profile, resident in memory.
+// It drains the one generator, GenStream, into a preallocated request slice
+// and builds the symbol table from URLAt in document-ID order; the IDs are
+// first-appearance, so the table is the one Intern would build, and every
+// request's URL is its document's single string.
 func Generate(p Profile) (*trace.Trace, error) {
-	if err := p.Validate(); err != nil {
+	g, err := NewStream(p)
+	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
-	sharedZipf := newZipf(p.SharedDocs, p.ZipfAlpha)
-	var privateZipf *zipf
-	if p.PrivateDocs > 0 {
-		privateZipf = newZipf(p.PrivateDocs, p.PrivateZipfAlpha)
+	reqs := make([]trace.Request, p.Requests)
+	if _, err := g.Next(reqs); err != nil {
+		return nil, err
 	}
-	clientPick := newZipf(p.Clients, p.ClientZipfAlpha)
-
-	// Per-document version counters; only modified documents appear here.
-	versions := make(map[string]int64)
-	// Realized sizes (rank bias applied once per version): a recency
-	// re-reference must see the same size as the original fetch.
-	sizeOf := make(map[string]int64)
-	versionOf := make(map[string]int64)
-	// Per-client recency rings.
-	window := p.RecencyWindow
-	if window <= 0 {
-		window = 64
+	syms := intern.NewTable(g.NumDocs())
+	for doc := 0; doc < g.NumDocs(); doc++ {
+		syms.Intern(g.URLAt(doc))
 	}
-	rings := make([][]string, p.Clients)
-	ringPos := make([]int, p.Clients)
-
-	sizer := newSizer(p)
-
-	tr := &trace.Trace{Name: p.Name, NumClients: p.Clients}
-	tr.Requests = make([]trace.Request, 0, p.Requests)
-	meanIA := p.DurationSec / float64(p.Requests)
-	now := 0.0
-	for i := 0; i < p.Requests; i++ {
-		now += rng.ExpFloat64() * meanIA
-		client := clientPick.sample(rng)
-
-		var url string
-		rankFrac := 0.5 // neutral for recency re-references (bias already applied at first fetch)
-		ring := rings[client]
-		if len(ring) > 0 && rng.Float64() < p.RecencyFraction {
-			url = ring[pickRecent(rng, len(ring), ringPos[client], p.RecencyGeomP)]
-			rankFrac = -1 // sentinel: size comes from sizeOf cache below
-		} else if p.PrivateDocs == 0 || rng.Float64() < p.SharedFraction {
-			rank := sharedZipf.sample(rng)
-			url = fmt.Sprintf("http://shared.example/d%d", rank)
-			rankFrac = float64(rank) / float64(p.SharedDocs)
-		} else {
-			rank := privateZipf.sample(rng)
-			url = fmt.Sprintf("http://c%d.example/d%d", client, rank)
-			rankFrac = float64(rank) / float64(p.PrivateDocs)
-		}
-
-		if rng.Float64() < p.ModifyRate {
-			versions[url]++
-		}
-		size, known := sizeOf[url]
-		if !known || versions[url] != versionOf[url] {
-			base := sizer.size(url, versions[url])
-			if p.SizeRankBias != 0 && rankFrac >= 0 {
-				base = clipSize(int64(float64(base)*math.Exp(p.SizeRankBias*(rankFrac-0.5))), p.MinDocBytes, p.MaxDocBytes)
-			}
-			size = base
-			sizeOf[url] = size
-			versionOf[url] = versions[url]
-		}
-
-		tr.Requests = append(tr.Requests, trace.Request{
-			Time:   now,
-			Client: client,
-			URL:    url,
-			Size:   size,
-		})
-
-		// Record in the recency ring.
-		if len(rings[client]) < window {
-			rings[client] = append(rings[client], url)
-			ringPos[client] = len(rings[client]) - 1
-		} else {
-			ringPos[client] = (ringPos[client] + 1) % window
-			rings[client][ringPos[client]] = url
-		}
+	for i := range reqs {
+		reqs[i].URL = syms.String(reqs[i].Doc)
 	}
-	tr.Intern()
-	return tr, nil
+	return &trace.Trace{Name: p.Name, NumClients: p.Clients, Requests: reqs, Syms: syms}, nil
 }
 
 // pickRecent selects an index in the ring with geometric stack distance:
@@ -287,7 +225,7 @@ func newSizer(p Profile) *sizer {
 	return &sizer{mu: mu, sigma: p.SizeSigma, min: p.MinDocBytes, max: p.MaxDocBytes, seed: uint64(p.Seed)}
 }
 
-func (s *sizer) size(url string, version int64) int64 {
+func (s *sizer) size(url []byte, version int64) int64 {
 	h := s.seed
 	for i := 0; i < len(url); i++ {
 		h = (h ^ uint64(url[i])) * 0x100000001B3
