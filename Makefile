@@ -124,11 +124,15 @@ bench-e2e-smoke:
 # 100k-client out-of-core replay smoke (CI): constant-memory generation of
 # a 2M-request trace from the streaming synth profile, then a full
 # streaming replay gated at a 1 GiB peak-RSS budget with progress logging.
-# The replay report lands in STREAM_smoke_100k.txt (uploaded as a CI
-# artifact).
+# The generated .btr must match STREAM_SMOKE_MD5 byte for byte, so a
+# generator change that alters a large trace fails here, not only the
+# 100k-request goldens in internal/synth. The replay report lands in
+# STREAM_smoke_100k.txt (uploaded as a CI artifact).
+STREAM_SMOKE_MD5 = 4d4947cef1c6beb3b02e1720054d1b31
 stream-smoke:
 	$(GO) run ./cmd/tracegen -profile synth-1m -clients 100000 -requests 2000000 \
 		-stream -btr -o /tmp/baps-smoke-100k.btr
+	echo '$(STREAM_SMOKE_MD5)  /tmp/baps-smoke-100k.btr' | md5sum -c -
 	$(GO) run ./cmd/bapsim -stream /tmp/baps-smoke-100k.btr -parallel 2 \
 		-maxrss 1073741824 -progress 30s replay | tee STREAM_smoke_100k.txt
 	rm -f /tmp/baps-smoke-100k.btr

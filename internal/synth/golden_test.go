@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"hash"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -30,9 +32,24 @@ type goldenTrace struct {
 	URLSHA256 string `json:"urls_sha256"`
 }
 
+// millionShape is synth-1m's shape at a smaller population and request
+// count, with the shared universe and the duration scaled with the requests
+// (the scaling the benchmark's sim.stream workload applies).
+func millionShape(clients, requests int) Profile {
+	m := MillionClients()
+	scale := float64(requests) / float64(m.Requests)
+	m.Clients = clients
+	m.Requests = requests
+	m.SharedDocs = int(float64(m.SharedDocs) * scale)
+	m.DurationSec *= scale
+	return m
+}
+
 // goldenProfiles lists the pinned cases: every paper profile at 2 %, the
 // benchmark's sim.sweep input (nlanr-uc at half scale) at seeds +1 and +2,
-// and synth-1m's shape at 50 000 clients and 100 000 requests.
+// synth-1m's shape at 50 000 clients and 100 000 requests, and the
+// benchmark's sim.stream input (that shape at 1 000 000 requests) at seeds
+// +1 and +2.
 func goldenProfiles() []Profile {
 	var ps []Profile
 	for _, p := range Profiles() {
@@ -46,28 +63,60 @@ func goldenProfiles() []Profile {
 		q.Name = fmt.Sprintf("nlanr-uc@0.5+seed%d", seed)
 		ps = append(ps, q)
 	}
-	m := MillionClients()
-	scale := 100_000 / float64(m.Requests)
-	m.Clients = 50_000
-	m.Requests = 100_000
-	m.SharedDocs = int(float64(m.SharedDocs) * scale)
-	m.DurationSec *= scale
+	m := millionShape(50_000, 100_000)
 	m.Name = "synth-1m@50k/100k"
-	return append(ps, m)
+	ps = append(ps, m)
+	for _, seed := range []int64{1, 2} {
+		q := millionShape(50_000, 1_000_000)
+		q.Seed += seed
+		q.Name = fmt.Sprintf("synth-1m@50k/1M+seed%d", seed)
+		ps = append(ps, q)
+	}
+	return ps
 }
 
-// digest hashes a request sequence and the URL table (in document-ID order)
-// the way the golden file records them.
-func digest(name string, reqs []trace.Request, docs int, urlAt func(int) string) goldenTrace {
-	rh := sha256.New()
+// hashRequests adds a request sequence to a running request digest.
+func hashRequests(h hash.Hash, reqs []trace.Request) {
 	var rec [32]byte
 	for _, r := range reqs {
 		binary.LittleEndian.PutUint64(rec[0:], math.Float64bits(r.Time))
 		binary.LittleEndian.PutUint64(rec[8:], uint64(r.Client))
 		binary.LittleEndian.PutUint64(rec[16:], uint64(r.Doc))
 		binary.LittleEndian.PutUint64(rec[24:], uint64(r.Size))
-		rh.Write(rec[:])
+		h.Write(rec[:])
 	}
+}
+
+// digest hashes a request sequence and the URL table (in document-ID order)
+// the way the golden file records them.
+func digest(name string, reqs []trace.Request, docs int, urlAt func(int) string) goldenTrace {
+	rh := sha256.New()
+	hashRequests(rh, reqs)
+	return digestOf(name, len(reqs), rh, docs, urlAt)
+}
+
+// streamDigest drains a generator in batches of the given size, hashing as
+// it goes, so a million-request case is never resident twice.
+func streamDigest(t *testing.T, name string, g *GenStream, batch int) goldenTrace {
+	t.Helper()
+	rh := sha256.New()
+	buf := make([]trace.Request, batch)
+	n := 0
+	for {
+		k, err := g.Next(buf)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashRequests(rh, buf[:k])
+		n += k
+	}
+	return digestOf(name, n, rh, g.NumDocs(), g.URLAt)
+}
+
+func digestOf(name string, requests int, rh hash.Hash, docs int, urlAt func(int) string) goldenTrace {
 	uh := sha256.New()
 	for doc := 0; doc < docs; doc++ {
 		uh.Write([]byte(urlAt(doc)))
@@ -75,7 +124,7 @@ func digest(name string, reqs []trace.Request, docs int, urlAt func(int) string)
 	}
 	return goldenTrace{
 		Name:      name,
-		Requests:  len(reqs),
+		Requests:  requests,
 		Docs:      docs,
 		ReqSHA256: hex.EncodeToString(rh.Sum(nil)),
 		URLSHA256: hex.EncodeToString(uh.Sum(nil)),
@@ -105,8 +154,7 @@ func TestGoldenTraces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reqs := drain(t, g, 777) // batch size must not matter
-		str := digest(p.Name, reqs, g.NumDocs(), g.URLAt)
+		str := streamDigest(t, p.Name, g, 777) // batch size must not matter
 		if str != gen {
 			t.Errorf("%s: stream %+v, Generate %+v", p.Name, str, gen)
 		}

@@ -1,29 +1,11 @@
 package synth
 
 import (
-	"io"
 	"reflect"
 	"testing"
 
 	"baps/internal/trace"
 )
-
-// drain collects a GenStream into a slice using varied batch sizes.
-func drain(t *testing.T, g *GenStream, batch int) []trace.Request {
-	t.Helper()
-	var out []trace.Request
-	buf := make([]trace.Request, batch)
-	for {
-		n, err := g.Next(buf)
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, buf[:n]...)
-	}
-}
 
 // The streamed trace must satisfy the same statistics as the in-memory one.
 func TestStreamStatsMatchGenerate(t *testing.T) {
