@@ -95,8 +95,9 @@ func ShardCount(requested, numClients int) int {
 
 // RunSharded replays a trace stream across the given number of shard workers
 // (0 = GOMAXPROCS) and merges the per-shard results deterministically. st
-// must come from a stats pass over the same source and must carry per-client
-// request counts (trace.Compute and trace.StreamStats both provide them).
+// must come from a stats pass over the same source; with warm-up on it must
+// also carry per-client request counts (trace.Compute and trace.StreamStats
+// both provide them), from which each shard derives its warm-up cutoff.
 func RunSharded(s trace.Stream, st *trace.Stats, c Config, shards int) (Result, error) {
 	return RunShardedOpts(s, st, c, ShardedOptions{Shards: shards})
 }
@@ -137,11 +138,14 @@ func RunShardedOpts(s trace.Stream, st *trace.Stats, c Config, opts ShardedOptio
 		// Per-shard warm-up: the same fraction of the shard's own
 		// request subsequence that the sequential replay would skip of
 		// the whole trace.
-		var shardReqs int64
-		for g := sh; g < st.NumClients; g += nshards {
-			shardReqs += st.ClientRequests[g]
+		warmup := 0
+		if c.WarmupFraction > 0 {
+			var shardReqs int64
+			for g := sh; g < st.NumClients; g += nshards {
+				shardReqs += st.ClientRequests[g]
+			}
+			warmup = int(c.WarmupFraction * float64(shardReqs))
 		}
-		warmup := int(c.WarmupFraction * float64(shardReqs))
 		engines[sh] = newReplay(sys, bus, &stats.Histogram{}, c, warmup)
 	}
 

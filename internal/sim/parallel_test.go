@@ -2,8 +2,10 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"baps/internal/core"
 	"baps/internal/obs"
 	"baps/internal/trace"
 )
@@ -84,6 +86,34 @@ func TestShardedEpsilonAgainstSequential(t *testing.T) {
 			}
 			compareResults(t, i, got, again)
 		}
+	}
+}
+
+// Per-client request counts feed only the per-shard warm-up cutoffs, so a
+// replay without warm-up must not need them: stats without ClientRequests
+// give a Result identical to the one from full stats, and with warm-up on
+// they are refused with an error, not a panic.
+func TestShardedWithoutClientCounts(t *testing.T) {
+	tr := goldenTrace(t)
+	st := trace.Compute(tr)
+	bare := st
+	bare.ClientRequests = nil
+	cfg := DefaultConfig(core.BrowsersAware)
+	cfg.WarmupFraction = 0
+	want, err := RunSharded(trace.NewSliceStream(tr), &st, cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunSharded(trace.NewSliceStream(tr), &bare, cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("without client counts:\n got %+v\nwant %+v", got, want)
+	}
+	cfg.WarmupFraction = 0.1
+	if _, err := RunSharded(trace.NewSliceStream(tr), &bare, cfg, 2); err == nil {
+		t.Fatal("warm-up without client counts accepted")
 	}
 }
 

@@ -11,14 +11,17 @@ import (
 )
 
 // GenStream is the synthetic trace generator. It produces a profile's trace
-// incrementally as a trace.Stream, with memory bounded by the touched
-// document universe and the client population — never by the request
-// count — so a 10^6-client trace streams straight into a .btr writer
-// without ever being resident. Generate drains the same generator into a
-// resident trace; the two differ only in whether the requests are held.
+// incrementally as a trace.Stream, with memory bounded by the profile's
+// document key space and client population — never by the request count —
+// so a 10^6-client trace streams straight into a .btr writer without ever
+// being resident. Generate drains the same generator into a resident trace;
+// the two differ only in whether the requests are held.
 //
-// Documents live as integer keys, not URL strings. Emitted requests carry
-// dense first-appearance Doc IDs and empty URL strings (like a .btr stream
+// Documents live as integer keys, not URL strings: shared ranks in
+// [0, SharedDocs), then each client's private ranks above them. The key
+// space is dense, so the registry from key to document ID is one 4-byte
+// slot per key, allocated up front. Emitted requests carry dense
+// first-appearance Doc IDs and empty URL strings (like a .btr stream
 // without its symbol table); URLAt regenerates the URL for a document ID on
 // demand, for symbol-table emission after the stream drains.
 type GenStream struct {
@@ -33,14 +36,11 @@ type GenStream struct {
 	emitted int
 	window  int
 
-	// Document registry, dense in first-appearance order. sizedVer is the
-	// version whose realized size is cached (-1 = none yet): sizes must be
-	// sticky per version so a recency re-reference sees the fetched size.
-	docIdx   intern.U64Map // docKey -> dense doc ID
-	keys     []int64       // doc ID -> docKey
-	ver      []int64       // doc ID -> current origin version
-	sizedVer []int64       // doc ID -> version the cached size realizes
-	sizes    []int64       // doc ID -> realized size
+	// Document registry: ids maps a document key to its ID+1 (0 = not yet
+	// seen), and docs holds each document's record, dense in
+	// first-appearance order.
+	ids  []int32
+	docs []docRec
 
 	// Per-client recency rings over doc IDs, flattened to one slab.
 	ring    []int32
@@ -50,6 +50,16 @@ type GenStream struct {
 	// urlBuf is reused to spell each URL: to hash a new (document,
 	// version) and to regenerate a URL for URLAt.
 	urlBuf []byte
+}
+
+// docRec is one generated document. The size realizes the current version:
+// it is drawn when the document first appears and redrawn whenever a
+// modification bumps the version, so a recency re-reference sees the size
+// last fetched.
+type docRec struct {
+	size int64
+	ver  int64
+	key  int32
 }
 
 // NewStream validates the profile and readies a generator.
@@ -69,6 +79,7 @@ func NewStream(p Profile) (*GenStream, error) {
 		sizer:   newSizer(p),
 		meanIA:  p.DurationSec / float64(p.Requests),
 		window:  window,
+		ids:     make([]int32, p.SharedDocs+p.Clients*p.PrivateDocs), // the key space
 		ring:    make([]int32, p.Clients*window),
 		ringPos: make([]int32, p.Clients),
 		ringLen: make([]int32, p.Clients),
@@ -87,7 +98,7 @@ func (g *GenStream) NumClients() int { return g.p.Clients }
 
 // NumDocs implements trace.Stream; it grows as generation discovers
 // documents and is final only once Next has returned io.EOF.
-func (g *GenStream) NumDocs() int { return len(g.keys) }
+func (g *GenStream) NumDocs() int { return len(g.docs) }
 
 // NumRequests reports the total request count the stream will emit.
 func (g *GenStream) NumRequests() int { return g.p.Requests }
@@ -98,7 +109,7 @@ func (g *GenStream) Close() error { return nil }
 // URLAt regenerates the URL of a generated document ID (valid for IDs below
 // NumDocs at the time of the call).
 func (g *GenStream) URLAt(doc int) string {
-	g.urlBuf = g.appendURL(g.urlBuf[:0], g.keys[doc])
+	g.urlBuf = g.appendURL(g.urlBuf[:0], int(g.docs[doc].key))
 	return string(g.urlBuf)
 }
 
@@ -131,34 +142,35 @@ func (g *GenStream) gen(r *trace.Request) {
 	client := g.clients.sample(g.rng)
 
 	var id int32
+	fresh := false
 	rankFrac := 0.5 // neutral for recency re-references
 	base := client * g.window
 	rl := int(g.ringLen[client])
 	if rl > 0 && g.rng.Float64() < p.RecencyFraction {
 		id = g.ring[base+pickRecent(g.rng, rl, int(g.ringPos[client]), p.RecencyGeomP)]
-		rankFrac = -1 // size comes from the per-version cache below
+		rankFrac = -1 // keeps the size last fetched unless modified below
 	} else if p.PrivateDocs == 0 || g.rng.Float64() < p.SharedFraction {
 		rank := g.shared.sample(g.rng)
-		id = g.intern(int64(rank))
+		id, fresh = g.intern(rank)
 		rankFrac = float64(rank) / float64(p.SharedDocs)
 	} else {
 		rank := g.private.sample(g.rng)
-		key := int64(p.SharedDocs) + int64(client)*int64(p.PrivateDocs) + int64(rank)
-		id = g.intern(key)
+		id, fresh = g.intern(p.SharedDocs + client*p.PrivateDocs + rank)
 		rankFrac = float64(rank) / float64(p.PrivateDocs)
 	}
 
-	if g.rng.Float64() < p.ModifyRate {
-		g.ver[id]++
+	d := &g.docs[id]
+	modified := g.rng.Float64() < p.ModifyRate
+	if modified {
+		d.ver++
 	}
-	if g.sizedVer[id] != g.ver[id] {
-		g.urlBuf = g.appendURL(g.urlBuf[:0], g.keys[id])
-		sz := g.sizer.size(g.urlBuf, g.ver[id])
+	if fresh || modified {
+		g.urlBuf = g.appendURL(g.urlBuf[:0], int(d.key))
+		sz := g.sizer.size(g.urlBuf, d.ver)
 		if p.SizeRankBias != 0 && rankFrac >= 0 {
 			sz = clipSize(int64(float64(sz)*math.Exp(p.SizeRankBias*(rankFrac-0.5))), p.MinDocBytes, p.MaxDocBytes)
 		}
-		g.sizes[id] = sz
-		g.sizedVer[id] = g.ver[id]
+		d.size = sz
 	}
 
 	if rl < g.window {
@@ -175,35 +187,33 @@ func (g *GenStream) gen(r *trace.Request) {
 		Time:   g.now,
 		Client: client,
 		Doc:    intern.ID(id),
-		Size:   g.sizes[id],
+		Size:   d.size,
 	}
 }
 
 // intern maps a document key to its dense first-appearance ID, registering
-// fresh documents.
-func (g *GenStream) intern(key int64) int32 {
-	id := int32(len(g.keys))
-	if resident, present := g.docIdx.PutIfAbsent(uint64(key), int64(id)); present {
-		return int32(resident)
+// a fresh document.
+func (g *GenStream) intern(key int) (id int32, fresh bool) {
+	if v := g.ids[key]; v != 0 {
+		return v - 1, false
 	}
-	g.keys = append(g.keys, key)
-	g.ver = append(g.ver, 0)
-	g.sizedVer = append(g.sizedVer, -1)
-	g.sizes = append(g.sizes, 0)
-	return id
+	id = int32(len(g.docs))
+	g.ids[key] = id + 1
+	g.docs = append(g.docs, docRec{key: int32(key)})
+	return id, true
 }
 
 // appendURL appends the URL a document key denotes to b: shared keys are
 // ranks in [0, SharedDocs); private keys pack (client, rank) above them.
-func (g *GenStream) appendURL(b []byte, key int64) []byte {
-	if key < int64(g.p.SharedDocs) {
+func (g *GenStream) appendURL(b []byte, key int) []byte {
+	if key < g.p.SharedDocs {
 		b = append(b, "http://shared.example/d"...)
-		return strconv.AppendInt(b, key, 10)
+		return strconv.AppendInt(b, int64(key), 10)
 	}
-	k := key - int64(g.p.SharedDocs)
-	pd := int64(g.p.PrivateDocs)
+	k := key - g.p.SharedDocs
+	pd := g.p.PrivateDocs
 	b = append(b, "http://c"...)
-	b = strconv.AppendInt(b, k/pd, 10)
+	b = strconv.AppendInt(b, int64(k/pd), 10)
 	b = append(b, ".example/d"...)
-	return strconv.AppendInt(b, k%pd, 10)
+	return strconv.AppendInt(b, int64(k%pd), 10)
 }

@@ -82,8 +82,8 @@ func (s *SliceStream) Close() error { return nil }
 const StreamBatchSize = 8192
 
 // StreamStats computes Stats in a single pass over a stream without
-// materializing the trace. It is the out-of-core counterpart of Compute and
-// produces bit-identical results on the same request sequence (every
+// materializing the trace; Compute is this pass over a resident trace. The
+// same request sequence gives bit-identical Stats from any source (every
 // accumulation is an integer sum in stream order; the final ratios divide
 // identical integers).
 //
@@ -158,8 +158,7 @@ func StreamStats(s Stream) (Stats, error) {
 	if nc := s.NumClients(); nc > st.NumClients {
 		// The source declares more clients than issued requests (legal:
 		// silent clients still get cache capacity). Extend the per-client
-		// vectors so their length equals the client-ID space, as Compute's
-		// make([]int64, NumClients) does.
+		// vectors so their length equals the client-ID space.
 		for len(st.ClientRequests) < nc {
 			st.ClientRequests = append(st.ClientRequests, 0)
 			st.ClientInfiniteBytes = append(st.ClientInfiniteBytes, 0)

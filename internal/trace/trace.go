@@ -168,64 +168,15 @@ func (s *Stats) AvgClientInfiniteBytes() int64 {
 	return sum / int64(len(s.ClientInfiniteBytes))
 }
 
-// Compute derives Stats from a trace in a single pass. The trace is interned
-// as a side effect (if it was not already) so the document state tables can
-// be flat slices indexed by doc ID rather than string-keyed maps.
+// Compute derives Stats from a resident trace: it is StreamStats over the
+// trace's requests. The trace is interned as a side effect (if it was not
+// already). A request with a negative client or document ID panics.
 func Compute(t *Trace) Stats {
-	syms := t.Intern()
-	s := Stats{
-		Name:                t.Name,
-		NumRequests:         len(t.Requests),
-		NumClients:          t.NumClients,
-		ClientInfiniteBytes: make([]int64, t.NumClients),
-		ClientRequests:      make([]int64, t.NumClients),
+	st, err := StreamStats(NewSliceStream(t))
+	if err != nil {
+		panic(err)
 	}
-	type docState struct {
-		size       int64
-		lastClient int32
-		seen       bool
-	}
-	docs := make([]docState, syms.Len())
-	clientSeen := make(map[uint64]int64, len(t.Requests)/2+1) // client⊕doc -> last size seen by that client
-	var hitBytes int64
-	hits := 0
-	for i := range t.Requests {
-		r := &t.Requests[i]
-		s.TotalBytes += r.Size
-		s.ClientRequests[r.Client]++
-		d := &docs[r.Doc]
-		if d.seen && d.size == r.Size {
-			hits++
-			hitBytes += r.Size
-			if d.lastClient != int32(r.Client) {
-				s.SharedRequests++
-			}
-		}
-		if !d.seen {
-			d.seen = true
-			s.InfiniteCacheBytes += r.Size
-		} else {
-			s.InfiniteCacheBytes += r.Size - d.size // track last observed size
-		}
-		d.size = r.Size
-		d.lastClient = int32(r.Client)
-		ck := uint64(r.Client)<<32 | uint64(uint32(r.Doc))
-		if prev, ok := clientSeen[ck]; !ok {
-			clientSeen[ck] = r.Size
-			s.ClientInfiniteBytes[r.Client] += r.Size
-		} else if prev != r.Size {
-			s.ClientInfiniteBytes[r.Client] += r.Size - prev
-			clientSeen[ck] = r.Size
-		}
-	}
-	s.UniqueDocs = syms.Len()
-	if s.NumRequests > 0 {
-		s.MaxHitRatio = float64(hits) / float64(s.NumRequests)
-	}
-	if s.TotalBytes > 0 {
-		s.MaxByteHitRatio = float64(hitBytes) / float64(s.TotalBytes)
-	}
-	return s
+	return st
 }
 
 // SubsetClients returns a new trace containing only the requests of the
