@@ -29,7 +29,7 @@ STABLE_TESTS = ^Test(ClusterBloomFalsePositive|DiskSpillStreamPromote|DiskWarmRe
 # (integrity.Verifier, shared per proxy key by an AgentHost).
 WATERMARK_TESTS = ^TestWatermark(AnonymousFetchUnsigned|OnDemandMatchesSigner|ConcurrentFirstDemandsSignOnce|MemoAcrossReacquisition|MemoBounded|SignFailureFailsClosed)$$|^TestSigningKey(UngeneratedForAnonymous|ConcurrentFirstDemandsGenerateOnce|DurableBeforeFirstUse|IgnoresStaleTempFile|FailureFailsClosed)$$|^TestOnDemandWatermarkVerifiesAtAgents$$|^TestCrashRestartRederivesWatermark$$|^TestVerifier(MatchesVerifyDigest|Concurrent)$$|^TestVerifyMemo(StillDetectsTamper|RejectsAlteredMark|SharedByHostedAgents|ScopedToProxyKey)$$
 
-.PHONY: all build vet test race short bench check staticcheck bench-baseline bench-compare bench-replay bench-replay-compare bench-e2e-smoke stream-smoke loadtest loadtest-agents loadtest-restart loadtest-federation loadtest-invalidation soak soak-smoke
+.PHONY: all build vet test race short bench check staticcheck bapsim-golden bench-baseline bench-compare bench-replay bench-replay-compare bench-e2e-smoke stream-smoke loadtest loadtest-agents loadtest-restart loadtest-federation loadtest-invalidation soak soak-smoke
 
 all: build vet test
 
@@ -44,6 +44,23 @@ check: vet test staticcheck
 	$(GO) test -race $(HOT_PKGS)
 	$(GO) test -race -count=10 -run '$(WATERMARK_TESTS)' ./internal/integrity ./internal/proxy ./internal/browser
 	$(GO) test -race -count=10 -run '$(STABLE_TESTS)' ./internal/proxy ./internal/chaos ./internal/browser
+
+# Experiment-transcript gate (CI): `bapsim all` must reproduce
+# cmd/bapsim/testdata/all.golden byte for byte. The one exception is the rows
+# of the "§6 security overheads" table, which are wall-clock timings (their
+# column widths move too): the filter keeps its title and drops the rest of
+# the table on both sides. After a deliberate change to a figure, refresh
+# the transcript with `make bapsim-golden UPDATE=1` and say why in the commit.
+BAPSIM_FILTER = awk '/^§6 security overheads/ { print; skip = 1; next } skip && /^$$/ { skip = 0 } !skip'
+bapsim-golden:
+	$(GO) run ./cmd/bapsim all > bapsim_all.out
+	@if [ -n "$(UPDATE)" ]; then \
+		$(BAPSIM_FILTER) bapsim_all.out > cmd/bapsim/testdata/all.golden; \
+	else \
+		$(BAPSIM_FILTER) bapsim_all.out | diff -u cmd/bapsim/testdata/all.golden - \
+			|| { echo "bapsim-golden: bapsim all differs from cmd/bapsim/testdata/all.golden"; exit 1; }; \
+	fi
+	rm -f bapsim_all.out
 
 # Static analysis (SA* checks, see staticcheck.conf). Gated on the binary
 # being present so the target works in minimal containers without network

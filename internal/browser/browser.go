@@ -617,13 +617,6 @@ func (a *Agent) Snapshot() Metrics {
 	return a.metrics
 }
 
-// CacheLen reports the number of locally cached documents.
-func (a *Agent) CacheLen() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.cache.Len()
-}
-
 // HasCached reports whether url is in the local cache (no promotion).
 func (a *Agent) HasCached(url string) bool {
 	a.mu.Lock()

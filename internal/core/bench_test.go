@@ -5,7 +5,6 @@ import (
 
 	"baps/internal/cache"
 	"baps/internal/index"
-	"baps/internal/obs"
 	"baps/internal/synth"
 	"baps/internal/trace"
 )
@@ -52,9 +51,6 @@ func benchSystem(b *testing.B, org Organization, tr *trace.Trace, st trace.Stats
 		ForwardMode:         FetchForward,
 		ProxyCachesPeerDocs: true,
 		CacheRemoteHits:     true,
-		// Benchmarks run with metrics enabled: the 0 allocs/op numbers
-		// below therefore prove the instrumented hot path.
-		Metrics: NewAccessMetrics(obs.NewRegistry()),
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -46,18 +46,7 @@ func New(seed int64) *Server {
 		versions: make(map[string]int64),
 		modTimes: make(map[string]time.Time),
 	}
-	s.attachRegistry(obs.NewRegistry())
-	return s
-}
-
-// SetObs re-homes the server's metrics onto reg (so a shared registry can
-// serve them). Call before Handler sees traffic.
-func (s *Server) SetObs(reg *obs.Registry) { s.attachRegistry(reg) }
-
-// SetLogger installs a structured logger for request-summary lines.
-func (s *Server) SetLogger(l *slog.Logger) { s.logger = l }
-
-func (s *Server) attachRegistry(reg *obs.Registry) {
+	reg := obs.NewRegistry()
 	s.obs = reg
 	reg.CounterFunc("baps_origin_fetches_total",
 		"Document requests served by the origin.", func() int64 { return s.Fetches() })
@@ -76,7 +65,11 @@ func (s *Server) attachRegistry(reg *obs.Registry) {
 			defer s.mu.RUnlock()
 			return float64(len(s.versions))
 		})
+	return s
 }
+
+// SetLogger installs a structured logger for request-summary lines.
+func (s *Server) SetLogger(l *slog.Logger) { s.logger = l }
 
 // Obs exposes the origin's metrics registry.
 func (s *Server) Obs() *obs.Registry { return s.obs }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 
 	"baps/internal/core"
@@ -29,6 +30,14 @@ type SweepResult struct {
 // Sweep runs the given organizations across the relative-size sweep,
 // fanning runs out over GOMAXPROCS workers. base supplies every Config field
 // except Organization and RelativeSize.
+//
+// Two things are shared between configurations, neither of which changes a
+// Result. Each worker pools one System across all its runs, whatever the
+// organization. And when the sweep holds both local-browser-cache-only and
+// proxy-and-local-browser and no parent tier, each P+LB replay also yields
+// LBO's Result at that size (Runner.run's projection), so LBO is never
+// replayed on its own. Jobs are dispatched longest first — more layers, then
+// larger sizes — so the last job to finish is a short one.
 func Sweep(tr *trace.Trace, orgs []core.Organization, sizes []float64, base Config) (*SweepResult, error) {
 	st := trace.Compute(tr)
 	out := &SweepResult{
@@ -39,10 +48,31 @@ func Sweep(tr *trace.Trace, orgs []core.Organization, sizes []float64, base Conf
 	for _, org := range orgs {
 		out.ByOrg[org] = make([]Result, len(sizes))
 	}
+	_, hasLBO := out.ByOrg[core.LocalBrowserCacheOnly]
+	_, hasPLB := out.ByOrg[core.ProxyAndLocalBrowser]
+	fold := hasLBO && hasPLB && base.ParentRelativeSize == 0
+
 	type job struct {
 		org core.Organization
 		si  int
 	}
+	var todo []job
+	for _, org := range orgs {
+		if fold && org == core.LocalBrowserCacheOnly {
+			continue
+		}
+		for si := range sizes {
+			todo = append(todo, job{org, si})
+		}
+	}
+	sort.SliceStable(todo, func(a, b int) bool {
+		la, lb := layers(todo[a].org), layers(todo[b].org)
+		if la != lb {
+			return la > lb
+		}
+		return sizes[todo[a].si] > sizes[todo[b].si]
+	})
+
 	jobs := make(chan job)
 	errs := make(chan error, 1)
 	var wg sync.WaitGroup
@@ -54,14 +84,18 @@ func Sweep(tr *trace.Trace, orgs []core.Organization, sizes []float64, base Conf
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var rn Runner // pooled System/bus/histogram, reused across this worker's runs
+			var rn Runner // pooled System/bus/histograms, reused across this worker's runs
 			for j := range jobs {
 				cfg := base
 				cfg.Organization = j.org
 				cfg.RelativeSize = sizes[j.si]
-				res, err := rn.Run(tr, &st, cfg)
+				withLBO := fold && j.org == core.ProxyAndLocalBrowser
+				res, lbo, err := rn.run(tr, &st, cfg, withLBO)
 				if err == nil {
 					err = res.Check()
+				}
+				if err == nil && withLBO {
+					err = lbo.Check()
 				}
 				if err != nil {
 					select {
@@ -71,13 +105,14 @@ func Sweep(tr *trace.Trace, orgs []core.Organization, sizes []float64, base Conf
 					continue
 				}
 				out.ByOrg[j.org][j.si] = res
+				if withLBO {
+					out.ByOrg[core.LocalBrowserCacheOnly][j.si] = lbo
+				}
 			}
 		}()
 	}
-	for _, org := range orgs {
-		for si := range sizes {
-			jobs <- job{org, si}
-		}
+	for _, j := range todo {
+		jobs <- j
 	}
 	close(jobs)
 	wg.Wait()
@@ -87,6 +122,19 @@ func Sweep(tr *trace.Trace, orgs []core.Organization, sizes []float64, base Conf
 	default:
 	}
 	return out, nil
+}
+
+// layers counts the tiers an organization's replay walks per request (local
+// browser, proxy, browser index): the sweep's dispatch order.
+func layers(o core.Organization) int {
+	switch o {
+	case core.BrowsersAware:
+		return 3
+	case core.GlobalBrowsersCacheOnly, core.ProxyAndLocalBrowser:
+		return 2
+	default:
+		return 1
+	}
 }
 
 // ScalingResult holds the §4.4 client-scaling experiment: hit-ratio and

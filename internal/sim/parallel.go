@@ -116,10 +116,6 @@ func RunShardedOpts(s trace.Stream, st *trace.Stats, c Config, opts ShardedOptio
 		return Result{}, fmt.Errorf("sim: sharded warm-up needs per-client request counts; recompute trace stats")
 	}
 	global := buildCoreConfig(st, c)
-	var metrics *core.AccessMetrics
-	if c.Metrics != nil {
-		metrics = core.NewAccessMetrics(c.Metrics)
-	}
 	busObserver := busObserverFor(c)
 
 	// Build the shard engines sequentially up front: shard construction
@@ -127,9 +123,7 @@ func RunShardedOpts(s trace.Stream, st *trace.Stats, c Config, opts ShardedOptio
 	// keeps any interned side effects reproducible.
 	engines := make([]*replay, nshards)
 	for sh := 0; sh < nshards; sh++ {
-		ccfg := shardCoreConfig(global, sh, nshards)
-		ccfg.Metrics = metrics
-		sys, err := core.New(ccfg)
+		sys, err := core.New(shardCoreConfig(global, sh, nshards))
 		if err != nil {
 			return Result{}, err
 		}

@@ -20,6 +20,9 @@ type replay struct {
 	m    latency.Model
 	fwd  core.ForwardMode
 
+	// metrics receives the baps_sim_* counters (nil when off).
+	metrics *accessMetrics
+
 	// warmup is the number of leading requests excluded from metrics; idx
 	// counts requests replayed so far. The bus totals are snapshotted the
 	// instant idx reaches warmup so warm-up transfers are excluded from
@@ -36,15 +39,16 @@ type replay struct {
 }
 
 // newReplay readies an engine over an already-reset system and bus. The
-// caller stamps res.Trace / res.ProxyCap / res.BrowserCapTotal.
+// caller stamps res.Trace / res.ProxyCap / res.BrowserCapTotal (see stamp).
 func newReplay(sys *core.System, bus *latency.Bus, hist *stats.Histogram, c Config, warmup int) *replay {
 	return &replay{
-		sys:    sys,
-		bus:    bus,
-		hist:   hist,
-		m:      c.Latency,
-		fwd:    c.ForwardMode,
-		warmup: warmup,
+		sys:     sys,
+		bus:     bus,
+		hist:    hist,
+		m:       c.Latency,
+		fwd:     c.ForwardMode,
+		metrics: newAccessMetrics(c.Metrics),
+		warmup:  warmup,
 		res: Result{
 			Organization: c.Organization,
 			RelativeSize: c.RelativeSize,
@@ -53,8 +57,26 @@ func newReplay(sys *core.System, bus *latency.Bus, hist *stats.Histogram, c Conf
 	}
 }
 
+// stamp records the run's trace name and derived capacities on the Result.
+func (rp *replay) stamp(name string, ccfg core.Config) {
+	rp.res.Trace = name
+	rp.res.ProxyCap = ccfg.ProxyCapacity
+	for _, c := range ccfg.BrowserCapacity {
+		rp.res.BrowserCapTotal += c
+	}
+}
+
 // step replays one request.
-func (rp *replay) step(r trace.Request) {
+func (rp *replay) step(r trace.Request) { rp.account(r, rp.sys.Access(r)) }
+
+// account prices one resolved request with the latency model and the
+// contention bus and folds it into the metrics and, past the warm-up, the
+// Result. It never touches the system, so an outcome that another
+// organization's replay derived can be accounted here too.
+func (rp *replay) account(r trace.Request, out core.Outcome) {
+	if rp.metrics != nil {
+		rp.metrics.record(out)
+	}
 	if rp.idx == rp.warmup {
 		// Metrics start here; remote-bus totals accumulated during
 		// warm-up are excluded in finish.
@@ -65,7 +87,6 @@ func (rp *replay) step(r trace.Request) {
 	}
 	counted := rp.idx >= rp.warmup
 	rp.idx++
-	out := rp.sys.Access(r)
 
 	m := rp.m
 	res := &rp.res
