@@ -254,11 +254,7 @@ func runTierCase(tc tierCase) (Result, error) {
 		tc.trace.Intern()
 		warmup := int(tc.cfg.WarmupFraction * float64(len(tc.trace.Requests)))
 		rp := newReplay(sys, latency.NewBus(tc.cfg.Latency), &stats.Histogram{}, tc.cfg, warmup)
-		rp.res.Trace = tc.trace.Name
-		rp.res.ProxyCap = ccfg.ProxyCapacity
-		for _, c := range ccfg.BrowserCapacity {
-			rp.res.BrowserCapTotal += c
-		}
+		rp.stamp(tc.trace.Name, ccfg)
 		for _, r := range tc.trace.Requests {
 			rp.step(r)
 		}
