@@ -29,7 +29,7 @@ STABLE_TESTS = ^Test(ClusterBloomFalsePositive|DiskSpillStreamPromote|DiskWarmRe
 # (integrity.Verifier, shared per proxy key by an AgentHost).
 WATERMARK_TESTS = ^TestWatermark(AnonymousFetchUnsigned|OnDemandMatchesSigner|ConcurrentFirstDemandsSignOnce|MemoAcrossReacquisition|MemoBounded|SignFailureFailsClosed)$$|^TestSigningKey(UngeneratedForAnonymous|ConcurrentFirstDemandsGenerateOnce|DurableBeforeFirstUse|IgnoresStaleTempFile|FailureFailsClosed)$$|^TestOnDemandWatermarkVerifiesAtAgents$$|^TestCrashRestartRederivesWatermark$$|^TestVerifier(MatchesVerifyDigest|Concurrent)$$|^TestVerifyMemo(StillDetectsTamper|RejectsAlteredMark|SharedByHostedAgents|ScopedToProxyKey)$$
 
-.PHONY: all build vet test race short bench check staticcheck bapsim-golden bench-baseline bench-compare bench-replay bench-replay-compare bench-e2e-smoke stream-smoke loadtest loadtest-agents loadtest-restart loadtest-federation loadtest-invalidation soak soak-smoke
+.PHONY: all build vet test race short bench check staticcheck bapsim-golden fuzz-smoke bench-baseline bench-compare bench-replay bench-replay-compare bench-e2e-smoke stream-smoke loadtest loadtest-agents loadtest-restart loadtest-federation loadtest-invalidation soak soak-smoke
 
 all: build vet test
 
@@ -61,6 +61,15 @@ bapsim-golden:
 			|| { echo "bapsim-golden: bapsim all differs from cmd/bapsim/testdata/all.golden"; exit 1; }; \
 	fi
 	rm -f bapsim_all.out
+
+# Fuzz smoke (CI): FuzzDocRecord drives the proxy's document records against
+# a reference model of the docs.go transition table for 30 s; the trace
+# readers' FuzzBTR and FuzzRead get 10 s each. Two fuzz workers per target.
+# The checked-in corpora under testdata/fuzz also run in every `go test`.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDocRecord$$' -fuzztime 30s -parallel 2 ./internal/proxy
+	$(GO) test -run '^$$' -fuzz '^FuzzBTR$$' -fuzztime 10s -parallel 2 ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s -parallel 2 ./internal/trace
 
 # Static analysis (SA* checks, see staticcheck.conf). Gated on the binary
 # being present so the target works in minimal containers without network

@@ -929,11 +929,11 @@ func (s *Server) handleReportBad(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "proxy: bad report", http.StatusBadRequest)
 		return
 	}
-	// The relay session is gone by now (fetch completed); recover the
-	// holder from the recently-used sessions map is impossible, so we
-	// record holder on ticket issue instead: the ticket payload was the
-	// URL; prune every index entry for the URL as a conservative
-	// fallback, or the specific holder when the session is still known.
+	// Find the holder that served the bad body and prune only its entry:
+	// first from the live relay session, then from the used-ticket map
+	// (the session ends with the fetch, the ticket's holder is kept a
+	// while longer). Only when neither knows the ticket is every holder
+	// of the URL pruned, as a conservative fallback.
 	s.relayMu.Lock()
 	session := s.relays[anonymity.Ticket(rep.Ticket)]
 	s.relayMu.Unlock()

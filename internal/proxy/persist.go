@@ -326,7 +326,15 @@ func (s *Server) spillWorker() {
 
 func (s *Server) handleSpill(op spillOp) {
 	if op.del {
-		s.ds.Delete(op.key)
+		// A record re-stored and made durable since the delete was queued
+		// owns the disk copy now.
+		s.mu.Lock()
+		r := s.docs[op.key]
+		keep := r != nil && r.durable
+		s.mu.Unlock()
+		if !keep {
+			s.ds.Delete(op.key)
+		}
 		return
 	}
 	s.mu.Lock()
