@@ -264,35 +264,8 @@ func BenchmarkTraceStats(b *testing.B) {
 
 // --- Substrate micro-benchmarks ---
 
-func BenchmarkLRUGetHit(b *testing.B) {
-	c := cache.MustNew(cache.LRU, 1<<30)
-	keys := make([]string, 4096)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("http://bench/doc%d", i)
-		c.Put(cache.Doc{Key: keys[i], Size: 8192})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Get(keys[i%len(keys)])
-	}
-}
-
-func BenchmarkLRUPutEvict(b *testing.B) {
-	c := cache.MustNew(cache.LRU, 1<<20) // forces steady eviction
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Put(cache.Doc{Key: fmt.Sprintf("k%d", i), Size: 8192})
-	}
-}
-
-func BenchmarkGDSFPutEvict(b *testing.B) {
-	c := cache.MustNew(cache.GDSF, 1<<20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Put(cache.Doc{Key: fmt.Sprintf("k%d", i), Size: 8192})
-	}
-}
-
+// BenchmarkTwoTierGet measures the string face's hit path (URL → slot, then
+// the engine's GetTier); internal/cache's BenchmarkCache* measure the engine.
 func BenchmarkTwoTierGet(b *testing.B) {
 	tt, err := cache.NewTwoTier(cache.LRU, 1<<30, 1<<26)
 	if err != nil {

@@ -4,14 +4,25 @@
 // The paper ("On Reliable and Scalable Peer-to-Peer Web Document Sharing",
 // IPDPS 2002, §3.2) simulates every browser cache and the proxy cache with an
 // LRU replacement policy; this package implements LRU plus FIFO, LFU, SIZE and
-// GDSF variants so the design choice can be ablated, and a two-tier
-// memory/disk wrapper used by the §4.2 memory-byte-hit-ratio study.
+// GDSF variants so the design choice can be ablated, and the §4.2 memory/disk
+// split (a memory portion of 1/10 of the cache) on top of them.
 //
-// Caches are byte-capacity bounded: a Doc occupies Doc.Size bytes and the sum
-// of resident sizes never exceeds Capacity. All caches in this package are
-// safe for use by a single goroutine; wrap with a mutex (as internal/browser
-// and internal/proxy do) for concurrent use. This keeps the simulator's inner
-// loop free of synchronization cost.
+// There is one engine: slice-backed caches keyed by dense intern.IDs
+// (IDCache, built by NewID; LRU/FIFO in idlist.go, LFU/SIZE/GDSF in
+// idheap.go) and IDTwoTier, the two-tier cache over them. The simulator runs
+// it directly. TwoTier is its string-keyed face for the live proxy, the
+// browser agents and internal/coop: a map from URL to a slot ID that is
+// freed on eviction, removal or refusal, so the slot table never outgrows
+// the largest resident set plus the document being admitted. One behaviour of
+// the face is its own: OnDemote reports the resident document's version and
+// size, which after a Seed or a re-store too large for the memory tier are
+// newer than those of the copy the memory tier was charged for.
+//
+// Caches are byte-capacity bounded: a document occupies its Size in bytes
+// and the sum of resident sizes never exceeds the capacity. All caches in
+// this package are safe for use by a single goroutine; wrap with a mutex (as
+// internal/browser and internal/proxy do) for concurrent use. This keeps the
+// simulator's inner loop free of synchronization cost.
 package cache
 
 import (
@@ -85,100 +96,23 @@ func ParsePolicy(s string) (Policy, error) {
 	return 0, fmt.Errorf("cache: unknown policy %q", s)
 }
 
-// Cache is a byte-bounded document cache.
-//
-// Implementations returned by New report evictions through Put's return value
-// and, additionally, through the optional eviction callback (see
-// Options.OnEvict), which the browsers-aware index uses to generate
-// invalidation messages.
-type Cache interface {
-	// Get looks up a document and applies the policy's reference update
-	// (e.g. LRU promotion, LFU frequency increment). ok is false when the
-	// key is not resident.
-	Get(key string) (doc Doc, ok bool)
-
-	// Peek looks up a document without updating replacement state.
-	Peek(key string) (doc Doc, ok bool)
-
-	// Put inserts or replaces a document, evicting as needed. It returns
-	// the evicted documents (never including doc itself) and whether doc
-	// was admitted. A document larger than the cache capacity is not
-	// admitted and nothing is evicted for it.
-	Put(doc Doc) (evicted []Doc, admitted bool)
-
-	// Remove deletes a document if resident, reporting whether it was.
-	// Removal does not invoke the eviction callback: it represents an
-	// explicit invalidation, not a capacity eviction.
-	Remove(key string) bool
-
-	// Len reports the number of resident documents.
-	Len() int
-
-	// Used reports the resident bytes.
-	Used() int64
-
-	// Capacity reports the configured capacity in bytes.
-	Capacity() int64
-
-	// Policy reports the replacement policy.
-	Policy() Policy
-
-	// Keys returns the resident keys in eviction order (the first key is
-	// the next eviction victim). It allocates; intended for tests, index
-	// re-synchronization and diagnostics, not the hot path.
-	Keys() []string
-}
-
 // EvictFunc observes capacity evictions. It must not call back into the
 // cache.
 type EvictFunc func(Doc)
 
-// Options configures a cache constructed by New.
+// Options configures a TwoTier.
 type Options struct {
 	// OnEvict, if non-nil, is invoked for every document evicted to make
 	// room (not for Remove or for replaced versions of the same key).
 	OnEvict EvictFunc
 
-	// OnDemote, if non-nil, observes memory-tier demotions of a TwoTier
-	// cache: the document leaves the memory portion but stays resident
-	// overall. The live proxy uses it to spill bodies to the disk store.
-	// Like OnEvict, it must not call back into the cache. Ignored by
-	// single-tier caches built with New.
+	// OnDemote, if non-nil, observes memory-tier demotions: the document
+	// leaves the memory portion but stays resident overall. The live proxy
+	// uses it to spill bodies to the disk store. Like OnEvict, it must not
+	// call back into the cache.
 	OnDemote EvictFunc
 }
 
-// ErrCapacity is returned by New for a negative capacity.
+// ErrCapacity is returned for a negative capacity, or a memory tier larger
+// than its cache.
 var ErrCapacity = errors.New("cache: capacity must be >= 0")
-
-// New builds a cache with the given policy and capacity in bytes. A zero
-// capacity yields a cache that admits nothing, which models the paper's
-// organizations that lack a browser or proxy cache.
-func New(policy Policy, capacity int64, opts ...Options) (Cache, error) {
-	if capacity < 0 {
-		return nil, ErrCapacity
-	}
-	var o Options
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	switch policy {
-	case LRU:
-		return newListCache(capacity, true, o), nil
-	case FIFO:
-		return newListCache(capacity, false, o), nil
-	case LFU, SIZE, GDSF:
-		return newHeapCache(policy, capacity, o), nil
-	default:
-		return nil, fmt.Errorf("cache: unknown policy %v", policy)
-	}
-}
-
-// MustNew is New, panicking on error. It is convenient for constructing
-// caches from validated configuration.
-func MustNew(policy Policy, capacity int64, opts ...Options) Cache {
-	c, err := New(policy, capacity, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}

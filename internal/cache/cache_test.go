@@ -2,17 +2,43 @@ package cache
 
 import (
 	"testing"
+
+	"baps/internal/intern"
 )
 
-func doc(key string, size int64) Doc { return Doc{Key: key, Size: size} }
+// names interns the documents the tests name: the engine is keyed by ID.
+var names = intern.NewTable(64)
 
-func mustPut(t *testing.T, c Cache, d Doc) []Doc {
+func k(name string) intern.ID { return names.Intern(name) }
+
+func doc(name string, size int64) IDDoc { return IDDoc{ID: k(name), Size: size} }
+
+// named lists the names of docs.
+func named(docs []IDDoc) []string {
+	out := make([]string, len(docs))
+	for i, d := range docs {
+		out[i] = names.String(d.ID)
+	}
+	return out
+}
+
+// keys lists c's documents by name, in eviction order.
+func keys(c IDCache) []string {
+	var out []string
+	for _, id := range c.IDs() {
+		out = append(out, names.String(id))
+	}
+	return out
+}
+
+// mustPut stores d and returns a copy of what it evicted.
+func mustPut(t *testing.T, c IDCache, d IDDoc) []IDDoc {
 	t.Helper()
 	ev, admitted := c.Put(d)
 	if !admitted {
 		t.Fatalf("Put(%v) not admitted", d)
 	}
-	return ev
+	return append([]IDDoc(nil), ev...)
 }
 
 func TestPolicyString(t *testing.T) {
@@ -37,29 +63,29 @@ func TestParsePolicy(t *testing.T) {
 }
 
 func TestNewRejectsNegativeCapacity(t *testing.T) {
-	if _, err := New(LRU, -1); err != ErrCapacity {
-		t.Fatalf("New(LRU, -1) err = %v, want ErrCapacity", err)
+	if _, err := NewID(LRU, -1); err != ErrCapacity {
+		t.Fatalf("NewID(LRU, -1) err = %v, want ErrCapacity", err)
 	}
 }
 
 func TestNewRejectsUnknownPolicy(t *testing.T) {
-	if _, err := New(Policy(99), 10); err == nil {
-		t.Fatal("New(Policy(99)) succeeded, want error")
+	if _, err := NewID(Policy(99), 10); err == nil {
+		t.Fatal("NewID(Policy(99)) succeeded, want error")
 	}
 }
 
 func TestMustNewPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("MustNew with bad capacity did not panic")
+			t.Fatal("MustNewID with bad capacity did not panic")
 		}
 	}()
-	MustNew(LRU, -1)
+	MustNewID(LRU, -1)
 }
 
 func TestZeroCapacityAdmitsNothing(t *testing.T) {
 	for _, p := range []Policy{LRU, FIFO, LFU, SIZE, GDSF} {
-		c := MustNew(p, 0)
+		c := MustNewID(p, 0)
 		if ev, admitted := c.Put(doc("a", 1)); admitted || len(ev) != 0 {
 			t.Errorf("%v: zero-capacity cache admitted a doc", p)
 		}
@@ -72,13 +98,13 @@ func TestZeroCapacityAdmitsNothing(t *testing.T) {
 func TestBasicGetPutAllPolicies(t *testing.T) {
 	for _, p := range []Policy{LRU, FIFO, LFU, SIZE, GDSF} {
 		t.Run(p.String(), func(t *testing.T) {
-			c := MustNew(p, 100)
-			if _, ok := c.Get("a"); ok {
+			c := MustNewID(p, 100)
+			if _, ok := c.Get(k("a")); ok {
 				t.Fatal("Get on empty cache reported a hit")
 			}
 			mustPut(t, c, doc("a", 10))
 			mustPut(t, c, doc("b", 20))
-			if d, ok := c.Get("a"); !ok || d.Size != 10 {
+			if d, ok := c.Get(k("a")); !ok || d.Size != 10 {
 				t.Fatalf("Get(a) = %v, %v", d, ok)
 			}
 			if got := c.Used(); got != 30 {
@@ -99,7 +125,7 @@ func TestBasicGetPutAllPolicies(t *testing.T) {
 
 func TestOversizedDocRejectedAllPolicies(t *testing.T) {
 	for _, p := range []Policy{LRU, FIFO, LFU, SIZE, GDSF} {
-		c := MustNew(p, 50)
+		c := MustNewID(p, 50)
 		mustPut(t, c, doc("resident", 40))
 		ev, admitted := c.Put(doc("huge", 51))
 		if admitted {
@@ -108,7 +134,7 @@ func TestOversizedDocRejectedAllPolicies(t *testing.T) {
 		if len(ev) != 0 {
 			t.Errorf("%v: oversized Put evicted %v", p, ev)
 		}
-		if _, ok := c.Peek("resident"); !ok {
+		if _, ok := c.Peek(k("resident")); !ok {
 			t.Errorf("%v: oversized Put disturbed resident doc", p)
 		}
 	}
@@ -116,23 +142,23 @@ func TestOversizedDocRejectedAllPolicies(t *testing.T) {
 
 func TestReplaceUpdatesSizeAllPolicies(t *testing.T) {
 	for _, p := range []Policy{LRU, FIFO, LFU, SIZE, GDSF} {
-		c := MustNew(p, 100)
+		c := MustNewID(p, 100)
 		mustPut(t, c, doc("a", 10))
-		mustPut(t, c, Doc{Key: "a", Size: 25, Version: 2})
+		mustPut(t, c, IDDoc{ID: k("a"), Size: 25, Version: 2})
 		if c.Len() != 1 {
 			t.Errorf("%v: Len = %d after replace, want 1", p, c.Len())
 		}
 		if c.Used() != 25 {
 			t.Errorf("%v: Used = %d after replace, want 25", p, c.Used())
 		}
-		if d, _ := c.Peek("a"); d.Version != 2 {
+		if d, _ := c.Peek(k("a")); d.Version != 2 {
 			t.Errorf("%v: version not updated: %v", p, d)
 		}
 	}
 }
 
 func TestReplaceGrowthEvicts(t *testing.T) {
-	c := MustNew(LRU, 30)
+	c := MustNewID(LRU, 30)
 	mustPut(t, c, doc("a", 10))
 	mustPut(t, c, doc("b", 10))
 	mustPut(t, c, doc("c", 10))
@@ -142,7 +168,7 @@ func TestReplaceGrowthEvicts(t *testing.T) {
 		t.Fatalf("evicted %v, want 2 docs", ev)
 	}
 	for _, d := range ev {
-		if d.Key == "c" {
+		if d.ID == k("c") {
 			t.Fatal("replacement evicted the replaced key itself")
 		}
 	}
@@ -153,12 +179,12 @@ func TestReplaceGrowthEvicts(t *testing.T) {
 
 func TestRemove(t *testing.T) {
 	for _, p := range []Policy{LRU, FIFO, LFU, SIZE, GDSF} {
-		c := MustNew(p, 100)
+		c := MustNewID(p, 100)
 		mustPut(t, c, doc("a", 10))
-		if !c.Remove("a") {
+		if !c.Remove(k("a")) {
 			t.Errorf("%v: Remove(a) = false", p)
 		}
-		if c.Remove("a") {
+		if c.Remove(k("a")) {
 			t.Errorf("%v: second Remove(a) = true", p)
 		}
 		if c.Len() != 0 || c.Used() != 0 {
@@ -168,145 +194,145 @@ func TestRemove(t *testing.T) {
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
-	c := MustNew(LRU, 30)
+	c := MustNewID(LRU, 30)
 	mustPut(t, c, doc("a", 10))
 	mustPut(t, c, doc("b", 10))
 	mustPut(t, c, doc("c", 10))
-	c.Get("a") // a becomes most recent; b is now LRU
+	c.Get(k("a")) // a becomes most recent; b is now LRU
 	ev := mustPut(t, c, doc("d", 10))
-	if len(ev) != 1 || ev[0].Key != "b" {
-		t.Fatalf("evicted %v, want [b]", ev)
+	if len(ev) != 1 || ev[0].ID != k("b") {
+		t.Fatalf("evicted %v, want [b]", named(ev))
 	}
 	// Order of next victims: c, a, d.
 	want := []string{"c", "a", "d"}
-	got := c.Keys()
+	got := keys(c)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Keys() = %v, want %v", got, want)
+			t.Fatalf("IDs() = %v, want %v", got, want)
 		}
 	}
 }
 
 func TestFIFOIgnoresGets(t *testing.T) {
-	c := MustNew(FIFO, 30)
+	c := MustNewID(FIFO, 30)
 	mustPut(t, c, doc("a", 10))
 	mustPut(t, c, doc("b", 10))
 	mustPut(t, c, doc("c", 10))
-	c.Get("a") // must not protect a under FIFO
+	c.Get(k("a")) // must not protect a under FIFO
 	ev := mustPut(t, c, doc("d", 10))
-	if len(ev) != 1 || ev[0].Key != "a" {
-		t.Fatalf("evicted %v, want [a]", ev)
+	if len(ev) != 1 || ev[0].ID != k("a") {
+		t.Fatalf("evicted %v, want [a]", named(ev))
 	}
 }
 
 func TestLFUEvictsLeastFrequent(t *testing.T) {
-	c := MustNew(LFU, 30)
+	c := MustNewID(LFU, 30)
 	mustPut(t, c, doc("a", 10))
 	mustPut(t, c, doc("b", 10))
 	mustPut(t, c, doc("c", 10))
-	c.Get("a")
-	c.Get("a")
-	c.Get("c")
+	c.Get(k("a"))
+	c.Get(k("a"))
+	c.Get(k("c"))
 	// Frequencies: a=3, b=1, c=2 → b is the victim.
 	ev := mustPut(t, c, doc("d", 10))
-	if len(ev) != 1 || ev[0].Key != "b" {
-		t.Fatalf("evicted %v, want [b]", ev)
+	if len(ev) != 1 || ev[0].ID != k("b") {
+		t.Fatalf("evicted %v, want [b]", named(ev))
 	}
 }
 
 func TestLFUTieBreaksByRecency(t *testing.T) {
-	c := MustNew(LFU, 20)
+	c := MustNewID(LFU, 20)
 	mustPut(t, c, doc("old", 10))
 	mustPut(t, c, doc("new", 10))
 	// Both freq=1; "old" has the older reference and must go first.
 	ev := mustPut(t, c, doc("x", 10))
-	if len(ev) != 1 || ev[0].Key != "old" {
-		t.Fatalf("evicted %v, want [old]", ev)
+	if len(ev) != 1 || ev[0].ID != k("old") {
+		t.Fatalf("evicted %v, want [old]", named(ev))
 	}
 }
 
 func TestSIZEEvictsLargestFirst(t *testing.T) {
-	c := MustNew(SIZE, 100)
+	c := MustNewID(SIZE, 100)
 	mustPut(t, c, doc("small", 10))
 	mustPut(t, c, doc("large", 60))
 	mustPut(t, c, doc("mid", 30))
 	ev := mustPut(t, c, doc("x", 20)) // over by 20 → evict "large"
-	if len(ev) != 1 || ev[0].Key != "large" {
-		t.Fatalf("evicted %v, want [large]", ev)
+	if len(ev) != 1 || ev[0].ID != k("large") {
+		t.Fatalf("evicted %v, want [large]", named(ev))
 	}
 }
 
 func TestGDSFPrefersSmallFrequentDocs(t *testing.T) {
-	c := MustNew(GDSF, 100)
+	c := MustNewID(GDSF, 100)
 	mustPut(t, c, doc("bigRare", 60))
 	mustPut(t, c, doc("smallHot", 10))
 	for i := 0; i < 5; i++ {
-		c.Get("smallHot")
+		c.Get(k("smallHot"))
 	}
 	ev := mustPut(t, c, doc("x", 40))
-	if len(ev) != 1 || ev[0].Key != "bigRare" {
-		t.Fatalf("evicted %v, want [bigRare]", ev)
+	if len(ev) != 1 || ev[0].ID != k("bigRare") {
+		t.Fatalf("evicted %v, want [bigRare]", named(ev))
 	}
 }
 
 func TestGDSFAgingAdmitsNewDocsEventually(t *testing.T) {
 	// After many evictions the aging term L rises, so a fresh document can
 	// outrank an old frequent one — the classic GDSF property.
-	c := MustNew(GDSF, 100)
+	c := MustNewID(GDSF, 100)
 	mustPut(t, c, doc("ancient", 50))
 	for i := 0; i < 50; i++ {
-		c.Get("ancient")
+		c.Get(k("ancient"))
 	}
 	// Churn through many one-shot docs to raise L.
 	for i := 0; i < 2000; i++ {
-		k := string(rune('a'+i%26)) + string(rune('0'+i%10)) + "churn"
-		c.Put(Doc{Key: k, Size: 45})
+		key := string(rune('a'+i%26)) + string(rune('0'+i%10)) + "churn"
+		c.Put(IDDoc{ID: names.Intern(key), Size: 45})
 	}
-	if _, ok := c.Peek("ancient"); ok {
+	if _, ok := c.Peek(k("ancient")); ok {
 		t.Fatal("GDSF aging never displaced the ancient document")
 	}
 }
 
 func TestOnEvictCallback(t *testing.T) {
 	var evicted []string
-	c := MustNew(LRU, 20, Options{OnEvict: func(d Doc) { evicted = append(evicted, d.Key) }})
+	c := MustNewID(LRU, 20, IDOptions{OnEvict: func(d IDDoc) { evicted = append(evicted, names.String(d.ID)) }})
 	mustPut(t, c, doc("a", 10))
 	mustPut(t, c, doc("b", 10))
 	mustPut(t, c, doc("c", 10)) // evicts a
-	c.Remove("b")               // must NOT fire the callback
+	c.Remove(k("b"))            // must NOT fire the callback
 	if len(evicted) != 1 || evicted[0] != "a" {
 		t.Fatalf("OnEvict saw %v, want [a]", evicted)
 	}
 }
 
 func TestKeysEvictionOrderHeap(t *testing.T) {
-	c := MustNew(LFU, 100)
+	c := MustNewID(LFU, 100)
 	mustPut(t, c, doc("a", 10))
 	mustPut(t, c, doc("b", 10))
 	mustPut(t, c, doc("c", 10))
-	c.Get("b")
-	c.Get("b")
-	c.Get("c")
-	got := c.Keys()
+	c.Get(k("b"))
+	c.Get(k("b"))
+	c.Get(k("c"))
+	got := keys(c)
 	want := []string{"a", "c", "b"} // freq 1, 2, 3
 	if len(got) != len(want) {
-		t.Fatalf("Keys() = %v, want %v", got, want)
+		t.Fatalf("IDs() = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Keys() = %v, want %v", got, want)
+			t.Fatalf("IDs() = %v, want %v", got, want)
 		}
 	}
-	// Keys must not disturb the live heap: evict and check victim.
-	ev := mustPut(t, c, Doc{Key: "big", Size: 90})
-	if len(ev) == 0 || ev[0].Key != "a" {
-		t.Fatalf("after Keys(), eviction order broken: %v", ev)
+	// IDs must not disturb the live heap: evict and check victim.
+	ev := mustPut(t, c, doc("big", 90))
+	if len(ev) == 0 || ev[0].ID != k("a") {
+		t.Fatalf("after IDs(), eviction order broken: %v", named(ev))
 	}
 }
 
 func TestGetPeekMissReturnsZeroDoc(t *testing.T) {
-	c := MustNew(LRU, 10)
-	if d, ok := c.Peek("x"); ok || d.Key != "" {
+	c := MustNewID(LRU, 10)
+	if d, ok := c.Peek(k("x")); ok || d != (IDDoc{}) {
 		t.Fatalf("Peek miss returned %v, %v", d, ok)
 	}
 }

@@ -3,13 +3,14 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"baps/internal/intern"
 )
 
-// TestIDCacheEquivalence drives the string-keyed and ID-keyed caches with an
-// identical random operation stream for every policy and asserts identical
+// TestIDCacheEquivalence drives every policy's cache and the slice model
+// (sliceCache) with one random operation stream and asserts identical
 // observable behavior: hits, admissions, eviction sets and order, residency,
 // byte accounting, and eviction-callback streams. This is the substrate-level
 // guarantee behind the simulator's bit-identical golden results.
@@ -21,91 +22,73 @@ func TestIDCacheEquivalence(t *testing.T) {
 	)
 	for _, pol := range []Policy{LRU, FIFO, LFU, SIZE, GDSF} {
 		t.Run(pol.String(), func(t *testing.T) {
-			var sEvicts, idEvicts []string
-			sc := MustNew(pol, capacity, Options{OnEvict: func(d Doc) {
-				sEvicts = append(sEvicts, fmt.Sprintf("%s/%d/%d", d.Key, d.Size, d.Version))
-			}})
-			syms := intern.NewTable(numDocs)
-			ic := MustNewID(pol, capacity, IDOptions{OnEvict: func(d IDDoc) {
-				idEvicts = append(idEvicts, fmt.Sprintf("%s/%d/%d", syms.String(d.ID), d.Size, d.Version))
-			}})
-			keys := make([]string, numDocs)
+			var refEvicts, idEvicts []IDDoc
+			ref := &sliceCache{policy: pol, capacity: capacity, onEvict: func(d IDDoc) { refEvicts = append(refEvicts, d) }}
+			ic := MustNewID(pol, capacity, IDOptions{OnEvict: func(d IDDoc) { idEvicts = append(idEvicts, d) }})
 			sizes := make([]int64, numDocs)
 			rng := rand.New(rand.NewSource(7))
-			for i := range keys {
-				keys[i] = fmt.Sprintf("http://eq/doc%d", i)
+			for i := range sizes {
 				sizes[i] = 512 + rng.Int63n(4096)
-				syms.Intern(keys[i])
 			}
 			for op := 0; op < ops; op++ {
-				k := rng.Intn(numDocs)
-				id := intern.ID(k)
+				id := intern.ID(rng.Intn(numDocs))
 				switch rng.Intn(10) {
 				case 0: // Remove
-					if got, want := ic.Remove(id), sc.Remove(keys[k]); got != want {
-						t.Fatalf("op %d: Remove(%s) = %v, string cache says %v", op, keys[k], got, want)
+					if got, want := ic.Remove(id), ref.Remove(id); got != want {
+						t.Fatalf("op %d: Remove(%d) = %v, model says %v", op, id, got, want)
 					}
 				case 1, 2, 3: // Get
-					sd, sok := sc.Get(keys[k])
-					idd, iok := ic.Get(id)
-					if sok != iok || (sok && (sd.Size != idd.Size || sd.Version != idd.Version)) {
-						t.Fatalf("op %d: Get(%s) diverged: string (%+v,%v) id (%+v,%v)", op, keys[k], sd, sok, idd, iok)
+					got, gok := ic.Get(id)
+					want, wok := ref.Get(id)
+					if got != want || gok != wok {
+						t.Fatalf("op %d: Get(%d) = (%+v,%v), model (%+v,%v)", op, id, got, gok, want, wok)
 					}
 				case 4: // Peek
-					sd, sok := sc.Peek(keys[k])
-					idd, iok := ic.Peek(id)
-					if sok != iok || (sok && sd.Size != idd.Size) {
-						t.Fatalf("op %d: Peek(%s) diverged", op, keys[k])
+					got, gok := ic.Peek(id)
+					want, wok := ref.Peek(id)
+					if got != want || gok != wok {
+						t.Fatalf("op %d: Peek(%d) = (%+v,%v), model (%+v,%v)", op, id, got, gok, want, wok)
 					}
-				default: // Put, occasionally as a new version with a new size
-					ver := int64(0)
-					if rng.Intn(20) == 0 {
-						ver = rng.Int63n(4)
-						sizes[k] = 512 + rng.Int63n(4096)
+				default: // Put, occasionally as a new version with a new size or too large
+					d := IDDoc{ID: id, Size: sizes[id]}
+					switch rng.Intn(40) {
+					case 0, 1:
+						d.Version = rng.Int63n(4)
+						sizes[id] = 512 + rng.Int63n(4096)
+						d.Size = sizes[id]
+					case 2:
+						d.Size = capacity + 1
 					}
-					sEv, sAdm := sc.Put(Doc{Key: keys[k], Size: sizes[k], Version: ver})
-					iEv, iAdm := ic.Put(IDDoc{ID: id, Size: sizes[k], Version: ver})
-					if sAdm != iAdm {
-						t.Fatalf("op %d: Put(%s) admitted %v vs %v", op, keys[k], sAdm, iAdm)
-					}
-					if len(sEv) != len(iEv) {
-						t.Fatalf("op %d: Put(%s) evicted %d vs %d docs", op, keys[k], len(sEv), len(iEv))
-					}
-					for i := range sEv {
-						if sEv[i].Key != syms.String(iEv[i].ID) || sEv[i].Size != iEv[i].Size {
-							t.Fatalf("op %d: eviction %d diverged: %q/%d vs %q/%d",
-								op, i, sEv[i].Key, sEv[i].Size, syms.String(iEv[i].ID), iEv[i].Size)
-						}
+					gotEv, gAdm := ic.Put(d)
+					wantEv, wAdm := ref.Put(d)
+					if gAdm != wAdm || !slices.Equal(gotEv, wantEv) {
+						t.Fatalf("op %d: Put(%+v) = (%v, %v), model (%v, %v)", op, d, gotEv, gAdm, wantEv, wAdm)
 					}
 				}
-				if sc.Len() != ic.Len() || sc.Used() != ic.Used() {
+				if ic.Len() != len(ref.ents) || ic.Used() != ref.used {
 					t.Fatalf("op %d: accounting diverged: len %d/%d used %d/%d",
-						op, sc.Len(), ic.Len(), sc.Used(), ic.Used())
+						op, ic.Len(), len(ref.ents), ic.Used(), ref.used)
+				}
+				if op%500 == 0 {
+					if got, want := ic.IDs(), ref.IDs(); !slices.Equal(got, want) {
+						t.Fatalf("op %d: eviction order %v, model %v", op, got, want)
+					}
 				}
 			}
-			sKeys, iIDs := sc.Keys(), ic.IDs()
-			if len(sKeys) != len(iIDs) {
-				t.Fatalf("final eviction order length: %d vs %d", len(sKeys), len(iIDs))
+			if got, want := ic.IDs(), ref.IDs(); !slices.Equal(got, want) {
+				t.Fatalf("final eviction order %v, model %v", got, want)
 			}
-			for i := range sKeys {
-				if sKeys[i] != syms.String(iIDs[i]) {
-					t.Fatalf("eviction order diverged at %d: %q vs %q", i, sKeys[i], syms.String(iIDs[i]))
-				}
-			}
-			if len(sEvicts) != len(idEvicts) {
-				t.Fatalf("callback streams: %d vs %d evictions", len(sEvicts), len(idEvicts))
-			}
-			for i := range sEvicts {
-				if sEvicts[i] != idEvicts[i] {
-					t.Fatalf("callback %d diverged: %s vs %s", i, sEvicts[i], idEvicts[i])
-				}
+			if !slices.Equal(idEvicts, refEvicts) {
+				t.Fatalf("callback streams diverged: %d vs %d evictions", len(idEvicts), len(refEvicts))
 			}
 		})
 	}
 }
 
-// TestIDTwoTierEquivalence mirrors the two-tier wrapper against its
-// string-keyed counterpart, including tier classification.
+// TestIDTwoTierEquivalence checks the string face against the engine it
+// wraps: the face recycles slot IDs as documents come and go, and must still
+// make every decision a fixed-ID IDTwoTier makes, including tier
+// classification and memory-tier bytes, under every policy.
 func TestIDTwoTierEquivalence(t *testing.T) {
 	const (
 		numDocs = 64
@@ -113,42 +96,61 @@ func TestIDTwoTierEquivalence(t *testing.T) {
 		memCap  = 8 << 10
 		ops     = 4000
 	)
-	st, err := NewTwoTier(LRU, cap, memCap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, err := NewIDTwoTier(LRU, cap, memCap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	syms := intern.NewTable(numDocs)
-	keys := make([]string, numDocs)
-	rng := rand.New(rand.NewSource(11))
-	sizes := make([]int64, numDocs)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("http://tt/doc%d", i)
-		sizes[i] = 512 + rng.Int63n(2048)
-		syms.Intern(keys[i])
-	}
-	for op := 0; op < ops; op++ {
-		k := rng.Intn(numDocs)
-		id := intern.ID(k)
-		if rng.Intn(3) == 0 {
-			_, adm1 := st.Put(Doc{Key: keys[k], Size: sizes[k]})
-			_, adm2 := it.Put(IDDoc{ID: id, Size: sizes[k]})
-			if adm1 != adm2 {
-				t.Fatalf("op %d: Put admitted %v vs %v", op, adm1, adm2)
+	for _, pol := range []Policy{LRU, FIFO, LFU, SIZE, GDSF} {
+		st, err := NewTwoTier(pol, cap, memCap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		it, err := NewIDTwoTier(pol, cap, memCap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, numDocs)
+		rng := rand.New(rand.NewSource(11))
+		sizes := make([]int64, numDocs)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("http://tt/doc%d", i)
+			sizes[i] = 512 + rng.Int63n(2048)
+		}
+		for op := 0; op < ops; op++ {
+			k := rng.Intn(numDocs)
+			id := intern.ID(k)
+			switch rng.Intn(6) {
+			case 0, 1:
+				ev1, adm1 := st.Put(Doc{Key: keys[k], Size: sizes[k]})
+				ev2, adm2 := it.Put(IDDoc{ID: id, Size: sizes[k]})
+				if adm1 != adm2 || len(ev1) != len(ev2) {
+					t.Fatalf("%v op %d: Put = (%d evicted, %v) vs (%d, %v)", pol, op, len(ev1), adm1, len(ev2), adm2)
+				}
+				for i := range ev1 {
+					if ev1[i].Key != keys[ev2[i].ID] || ev1[i].Size != ev2[i].Size {
+						t.Fatalf("%v op %d: eviction %d = %v vs %v", pol, op, i, ev1[i], ev2[i])
+					}
+				}
+			case 2:
+				if got, want := st.Remove(keys[k]), it.Remove(id); got != want {
+					t.Fatalf("%v op %d: Remove = %v vs %v", pol, op, got, want)
+				}
+			default:
+				_, sTier, sok := st.GetTier(keys[k])
+				_, iTier, iok := it.GetTier(id)
+				if sok != iok || (sok && sTier != iTier) {
+					t.Fatalf("%v op %d: GetTier(%s) = (%v,%v) vs (%v,%v)", pol, op, keys[k], sTier, sok, iTier, iok)
+				}
 			}
-		} else {
-			_, sTier, sok := st.GetTier(keys[k])
-			_, iTier, iok := it.GetTier(id)
-			if sok != iok || (sok && sTier != iTier) {
-				t.Fatalf("op %d: GetTier(%s) = (%v,%v) vs (%v,%v)", op, keys[k], sTier, sok, iTier, iok)
+			if st.ids.MemoryUsed() != it.MemoryUsed() || st.Used() != it.Used() {
+				t.Fatalf("%v op %d: usage diverged: mem %d/%d total %d/%d",
+					pol, op, st.ids.MemoryUsed(), it.MemoryUsed(), st.Used(), it.Used())
 			}
 		}
-		if st.MemoryUsed() != it.MemoryUsed() || st.Used() != it.Used() {
-			t.Fatalf("op %d: usage diverged: mem %d/%d total %d/%d",
-				op, st.MemoryUsed(), it.MemoryUsed(), st.Used(), it.Used())
+		got, want := st.Keys(), it.IDs()
+		if len(got) != len(want) {
+			t.Fatalf("%v: %d keys vs %d IDs", pol, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != keys[want[i]] {
+				t.Fatalf("%v: eviction order diverged at %d: %s vs %s", pol, i, got[i], keys[want[i]])
+			}
 		}
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"baps/internal/intern"
 )
 
-// IDDoc is the interned-ID counterpart of Doc: the document is identified by
-// a dense intern.ID instead of its URL string. The simulator's hot path uses
-// IDDoc end-to-end so cache probes never hash a URL.
+// IDDoc is the engine's document: Doc with a dense intern.ID in place of its
+// URL string. The simulator's hot path uses IDDoc end-to-end so cache probes
+// never hash a URL; TwoTier maps URLs to IDs of its own.
 type IDDoc struct {
 	ID      intern.ID
 	Size    int64
@@ -36,9 +36,8 @@ type IDOptions struct {
 	Sparse bool
 }
 
-// IDCache is the interned-ID counterpart of Cache. Semantics match Cache
-// method-for-method (same policies, same eviction order, same replacement
-// behavior), with two deviations made for the allocation-free hot path:
+// IDCache is a byte-bounded document cache keyed by intern.ID. Two details
+// serve the allocation-free hot path:
 //
 //   - Put returns an eviction slice that is reused by the next Put on the
 //     same cache; callers must consume (or copy) it before calling Put again.
@@ -46,18 +45,22 @@ type IDOptions struct {
 //     sweep workers can replay many configurations without re-growing the
 //     backing arrays.
 type IDCache interface {
-	// Get looks up a document and applies the policy's reference update.
+	// Get looks up a document and applies the policy's reference update
+	// (e.g. LRU promotion, LFU frequency increment).
 	Get(id intern.ID) (doc IDDoc, ok bool)
 
 	// Peek looks up a document without updating replacement state.
 	Peek(id intern.ID) (doc IDDoc, ok bool)
 
-	// Put inserts or replaces a document, evicting as needed. The returned
-	// slice is valid only until the next Put call.
+	// Put inserts or replaces a document, evicting as needed. It returns
+	// the evicted documents (never including doc itself), valid only until
+	// the next Put call, and whether doc was admitted. A document larger
+	// than the capacity is not admitted and nothing is evicted for it.
 	Put(doc IDDoc) (evicted []IDDoc, admitted bool)
 
 	// Remove deletes a document if resident, reporting whether it was.
-	// Removal does not invoke the eviction callback.
+	// Removal does not invoke the eviction callback: it represents an
+	// explicit invalidation, not a capacity eviction.
 	Remove(id intern.ID) bool
 
 	// Len reports the number of resident documents.
@@ -82,7 +85,8 @@ type IDCache interface {
 }
 
 // NewID builds an ID-keyed cache with the given policy and capacity in
-// bytes. Zero capacity admits nothing, as in New.
+// bytes. A zero capacity yields a cache that admits nothing, which models
+// the paper's organizations that lack a browser or proxy cache.
 func NewID(policy Policy, capacity int64, opts ...IDOptions) (IDCache, error) {
 	var o IDOptions
 	if len(opts) > 0 {

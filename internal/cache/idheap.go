@@ -8,10 +8,8 @@ import (
 
 // idHeapCache implements the priority-ordered policies (LFU, SIZE, GDSF)
 // with a hand-rolled binary min-heap of int32 entry indices over slice-backed
-// entry storage, replacing the map + *heapEntry + container/heap
-// representation of heapCache. The sift order and tie-breaking replicate
-// container/heap exactly, so both representations evict identical victims in
-// identical order.
+// entry storage. The victim is the entry of least (priority, last-reference
+// sequence); the sift order replicates container/heap's.
 type idHeapCache struct {
 	policy   Policy
 	capacity int64
@@ -51,6 +49,9 @@ func (c *idHeapCache) lookup(id intern.ID) int32 {
 	}
 	return c.slot[id]
 }
+
+// docAt returns the document under slot value s, a resident entry's handle.
+func (c *idHeapCache) docAt(s int32) IDDoc { return c.ents[s-1].doc }
 
 func (c *idHeapCache) ensureSlot(id intern.ID) {
 	if int(id) < len(c.slot) {

@@ -63,6 +63,9 @@ func (c *idListCache) lookup(id intern.ID) int32 {
 	return c.slot[id]
 }
 
+// docAt returns the document at node n, a resident entry's handle.
+func (c *idListCache) docAt(n int32) IDDoc { return c.nodes[n].doc }
+
 // setSlot records the node index for a resident document.
 func (c *idListCache) setSlot(id intern.ID, n int32) {
 	if c.sparse {

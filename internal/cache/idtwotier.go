@@ -2,23 +2,31 @@ package cache
 
 import "baps/internal/intern"
 
-// IDTwoTier is the interned-ID counterpart of TwoTier: the §4.2 memory/disk
-// split over an ID-keyed cache. Hit classification and promotion semantics
-// match TwoTier exactly; the memory portion is an LRU list (memLRU) threaded
-// through the inner cache's own entries, so GetTier, Put and eviction cost
-// the inner cache's one slot lookup plus O(1) link updates, under every
-// policy and in both slot modes.
+// IDTwoTier models the paper's §4.2 memory/disk cache split: a cache of
+// total capacity C whose hottest documents live in a memory portion (the
+// paper sets it to 1/10 of the cache, following the Squid configuration
+// study it cites). The memory portion is managed LRU over the resident set:
+// every reference promotes the document to memory, demoting the least
+// recently used memory documents to disk. Demotion never evicts from the
+// cache as a whole; overall residency is governed by the policy.
+//
+// The memory portion is an LRU list (memLRU) threaded through the inner
+// cache's own entries, so GetTier, Put and eviction cost the inner cache's
+// one slot lookup plus O(1) link updates, under every policy and in both
+// slot modes. TwoTier is its string-keyed face.
 type IDTwoTier struct {
 	inner tieredCache
 	mem   *memLRU
 }
 
 // tieredCache is what IDTwoTier needs from its inner cache beyond IDCache:
-// the slot lookup, whose non-zero result is the entry's memLRU handle, and a
-// Get that maintains the memory tier in the same pass.
+// the slot lookup, whose non-zero result is the entry's memLRU handle, the
+// document under a handle, and a Get that maintains the memory tier in the
+// same pass.
 type tieredCache interface {
 	IDCache
 	lookup(id intern.ID) int32
+	docAt(h int32) IDDoc
 	getTier(id intern.ID) (IDDoc, Tier, bool)
 }
 
@@ -45,6 +53,25 @@ func NewIDTwoTier(policy Policy, capacity, memCapacity int64, opts ...IDOptions)
 // GetTier looks up a document, reporting which tier served it; the document
 // is promoted to the memory tier and referenced in the underlying policy.
 func (t *IDTwoTier) GetTier(id intern.ID) (IDDoc, Tier, bool) { return t.inner.getTier(id) }
+
+// seed is Put for a document that must not enter the memory tier (a body
+// re-seated on disk): while the tier's capacity is negative it refuses every
+// charge, so the inner cache's admission leaves it untouched, exactly as if
+// the document had been stored in the policy cache alone.
+func (t *IDTwoTier) seed(doc IDDoc) ([]IDDoc, bool) {
+	memCap := t.mem.capacity
+	t.mem.capacity = -1
+	evicted, admitted := t.inner.Put(doc)
+	t.mem.capacity = memCap
+	return evicted, admitted
+}
+
+// observeDemotions makes f see every document the memory tier demotes, at
+// the moment it leaves the tier (it stays resident in the cache). f must not
+// call back into the cache.
+func (t *IDTwoTier) observeDemotions(f func(IDDoc)) {
+	t.mem.demoted = func(h int32) { f(t.inner.docAt(h)) }
+}
 
 // InMemory reports whether a resident document currently occupies the memory
 // tier, without updating any replacement state.
@@ -114,6 +141,9 @@ func (t *IDTwoTier) ResetTiers(capacity, memCapacity int64) {
 type memLRU struct {
 	capacity, used int64
 	links          []memLink
+	// demoted, when set, observes each demotion by handle (observeDemotions);
+	// the simulator leaves it nil.
+	demoted func(h int32)
 }
 
 // memLink is one entry's place in the memory tier. size is the charge the
@@ -172,6 +202,9 @@ func (m *memLRU) put(h int32, size int64) {
 			break
 		}
 		m.remove(victim)
+		if m.demoted != nil {
+			m.demoted(victim)
+		}
 	}
 }
 

@@ -1,5 +1,7 @@
 package cache
 
+import "baps/internal/intern"
+
 // Tier identifies where within a two-tier cache a hit was served from.
 type Tier int
 
@@ -18,135 +20,161 @@ func (t Tier) String() string {
 	return "disk"
 }
 
-// TwoTier models the paper's §4.2 memory/disk cache split: a cache of total
-// capacity C whose hottest documents live in a memory portion of capacity
-// C/memFraction (the paper sets the memory cache to 1/10 of the cache size,
-// following the Squid configuration study it cites). The memory portion is
-// managed LRU over the resident set: every reference promotes the document to
-// memory, demoting the least recently used memory documents to disk. Demotion
-// never evicts from the cache as a whole; overall residency is governed by
-// the wrapped policy.
-//
-// TwoTier implements Cache; GetTier additionally classifies each hit, which
-// internal/sim uses to compute memory byte hit ratios and hit latencies.
+// TwoTier is the string-keyed face of IDTwoTier, for the live proxy, the
+// browser agents and internal/coop's sibling proxies: the same engine the
+// simulator runs, keyed by URL. Each resident key holds a slot, an ID of
+// the engine's; a slot is freed when its document is evicted or removed, or
+// when a new key is refused, and reused by the next new key, so the slot
+// space is bounded by the resident set however many URLs pass through.
 type TwoTier struct {
-	inner Cache
-	mem   *listCache
+	ids     *IDTwoTier
+	slots   map[string]intern.ID
+	keys    []string // keys[id] is the key holding slot id; "" when free
+	free    []intern.ID
+	onEvict EvictFunc
+	evicted []Doc // the evictions of the Put or Seed in progress
 }
 
 // NewTwoTier builds a two-tier cache with the given overall policy, total
-// byte capacity and memory-portion byte capacity. The Options eviction
-// callback observes overall capacity evictions (not memory demotions).
+// byte capacity and memory-portion byte capacity. The Options callbacks
+// observe capacity evictions (OnEvict) and memory-tier demotions (OnDemote).
 func NewTwoTier(policy Policy, capacity, memCapacity int64, opts ...Options) (*TwoTier, error) {
-	if memCapacity < 0 || memCapacity > capacity {
-		return nil, ErrCapacity
-	}
 	var o Options
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	t := &TwoTier{mem: newListCache(memCapacity, true, Options{OnEvict: o.OnDemote})}
-	user := o.OnEvict
-	inner, err := New(policy, capacity, Options{OnEvict: func(d Doc) {
-		t.mem.Remove(d.Key)
-		if user != nil {
-			user(d)
-		}
-	}})
+	t := &TwoTier{slots: make(map[string]intern.ID), onEvict: o.OnEvict}
+	ids, err := NewIDTwoTier(policy, capacity, memCapacity, IDOptions{OnEvict: t.evict})
 	if err != nil {
 		return nil, err
 	}
-	t.inner = inner
+	if o.OnDemote != nil {
+		ids.observeDemotions(func(d IDDoc) { o.OnDemote(t.doc(d)) })
+	}
+	t.ids = ids
 	return t, nil
 }
 
 // GetTier looks up a document, reporting which tier served it. The document
 // is promoted to the memory tier (demoting others as needed) and referenced
-// in the underlying policy, exactly as a real proxy would fault a disk-held
-// object into its hot-object memory.
+// in the policy, as a real proxy faults a disk-held object into its
+// hot-object memory.
 func (t *TwoTier) GetTier(key string) (Doc, Tier, bool) {
-	doc, ok := t.inner.Get(key)
+	id, ok := t.slots[key]
 	if !ok {
 		return Doc{}, TierDisk, false
 	}
-	tier := TierDisk
-	if _, inMem := t.mem.Peek(key); inMem {
-		tier = TierMemory
-	}
-	t.mem.Put(doc) // promote; demotions are silent
-	return doc, tier, true
+	d, tier, _ := t.ids.GetTier(id)
+	return Doc{Key: key, Size: d.Size, Version: d.Version}, tier, true
 }
 
-// PeekTier looks up a document and reports its tier without updating any
-// replacement state.
-func (t *TwoTier) PeekTier(key string) (Doc, Tier, bool) {
-	doc, ok := t.inner.Peek(key)
+// Peek looks up a document without updating any replacement state.
+func (t *TwoTier) Peek(key string) (Doc, bool) {
+	id, ok := t.slots[key]
 	if !ok {
-		return Doc{}, TierDisk, false
+		return Doc{}, false
 	}
-	tier := TierDisk
-	if _, inMem := t.mem.Peek(key); inMem {
-		tier = TierMemory
+	d, _ := t.ids.Peek(id)
+	return Doc{Key: key, Size: d.Size, Version: d.Version}, true
+}
+
+// Put inserts or replaces a document, evicting as needed, and reports the
+// evicted documents (never doc itself) and whether doc was admitted. A newly
+// admitted document passes through memory first, as a freshly fetched body
+// would. A document larger than the cache is refused and nothing moves; a
+// refused re-store leaves the older copy resident.
+func (t *TwoTier) Put(doc Doc) ([]Doc, bool) { return t.store(doc, false) }
+
+// Seed is Put without entering the memory tier: it re-seats residency from
+// a disk-store replay, where the body stays on disk until its first
+// post-restart access.
+func (t *TwoTier) Seed(doc Doc) ([]Doc, bool) { return t.store(doc, true) }
+
+func (t *TwoTier) store(doc Doc, seed bool) ([]Doc, bool) {
+	id, resident := t.slots[doc.Key]
+	if !resident {
+		id = t.claim(doc.Key)
 	}
-	return doc, tier, true
-}
-
-// Seed admits a document into the overall cache without pulling it through
-// the memory tier — used when re-seating residency from a disk-store replay,
-// where the body stays on disk until its first post-restart access.
-func (t *TwoTier) Seed(doc Doc) ([]Doc, bool) {
-	return t.inner.Put(doc)
-}
-
-// InMemory reports whether a resident document currently occupies the memory
-// tier, without updating any replacement state.
-func (t *TwoTier) InMemory(key string) bool {
-	_, ok := t.mem.Peek(key)
-	return ok
-}
-
-// MemoryCapacity reports the memory-portion capacity in bytes.
-func (t *TwoTier) MemoryCapacity() int64 { return t.mem.Capacity() }
-
-// MemoryUsed reports the bytes resident in the memory portion.
-func (t *TwoTier) MemoryUsed() int64 { return t.mem.Used() }
-
-// Get implements Cache.
-func (t *TwoTier) Get(key string) (Doc, bool) {
-	doc, _, ok := t.GetTier(key)
-	return doc, ok
-}
-
-// Peek implements Cache.
-func (t *TwoTier) Peek(key string) (Doc, bool) { return t.inner.Peek(key) }
-
-// Put implements Cache. A newly admitted document passes through memory
-// first, as a freshly fetched body would.
-func (t *TwoTier) Put(doc Doc) ([]Doc, bool) {
-	evicted, admitted := t.inner.Put(doc)
-	if admitted {
-		t.mem.Put(doc)
+	d := IDDoc{ID: id, Size: doc.Size, Version: doc.Version}
+	var admitted bool
+	if seed {
+		_, admitted = t.ids.seed(d)
+	} else {
+		_, admitted = t.ids.Put(d)
 	}
+	if !admitted && !resident {
+		t.release(id)
+	}
+	evicted := t.evicted
+	t.evicted = nil
 	return evicted, admitted
 }
 
-// Remove implements Cache.
+// Remove deletes a document if resident, reporting whether it was. It is an
+// explicit invalidation, not a capacity eviction: OnEvict does not fire.
 func (t *TwoTier) Remove(key string) bool {
-	t.mem.Remove(key)
-	return t.inner.Remove(key)
+	id, ok := t.slots[key]
+	if !ok {
+		return false
+	}
+	t.ids.Remove(id)
+	t.release(id)
+	return true
 }
 
-// Len implements Cache.
-func (t *TwoTier) Len() int { return t.inner.Len() }
+// Keys returns the resident keys in eviction order (the first is the next
+// victim). It allocates; for index re-synchronization and diagnostics.
+func (t *TwoTier) Keys() []string {
+	ids := t.ids.IDs()
+	keys := make([]string, len(ids))
+	for i, id := range ids {
+		keys[i] = t.keys[id]
+	}
+	return keys
+}
 
-// Used implements Cache.
-func (t *TwoTier) Used() int64 { return t.inner.Used() }
+// Len reports the number of resident documents.
+func (t *TwoTier) Len() int { return t.ids.Len() }
 
-// Capacity implements Cache.
-func (t *TwoTier) Capacity() int64 { return t.inner.Capacity() }
+// Used reports the resident bytes.
+func (t *TwoTier) Used() int64 { return t.ids.Used() }
 
-// Policy implements Cache.
-func (t *TwoTier) Policy() Policy { return t.inner.Policy() }
+// Capacity reports the total capacity in bytes.
+func (t *TwoTier) Capacity() int64 { return t.ids.Capacity() }
 
-// Keys implements Cache.
-func (t *TwoTier) Keys() []string { return t.inner.Keys() }
+// evict is the engine's eviction callback: the slot is freed before the
+// caller's OnEvict sees the document.
+func (t *TwoTier) evict(d IDDoc) {
+	doc := t.doc(d)
+	t.release(d.ID)
+	t.evicted = append(t.evicted, doc)
+	if t.onEvict != nil {
+		t.onEvict(doc)
+	}
+}
+
+func (t *TwoTier) doc(d IDDoc) Doc {
+	return Doc{Key: t.keys[d.ID], Size: d.Size, Version: d.Version}
+}
+
+// claim gives key a slot, reusing a freed one first.
+func (t *TwoTier) claim(key string) intern.ID {
+	var id intern.ID
+	if n := len(t.free); n > 0 {
+		id = t.free[n-1]
+		t.free = t.free[:n-1]
+		t.keys[id] = key
+	} else {
+		id = intern.ID(len(t.keys))
+		t.keys = append(t.keys, key)
+	}
+	t.slots[key] = id
+	return id
+}
+
+// release frees id's slot.
+func (t *TwoTier) release(id intern.ID) {
+	delete(t.slots, t.keys[id])
+	t.keys[id] = ""
+	t.free = append(t.free, id)
+}

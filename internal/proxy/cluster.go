@@ -141,7 +141,7 @@ func (s *Server) handlePeerDigest(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePeerLocate answers GET /peer/locate?url=U — the sibling's
-// membership-check confirmation. It consults residency only (PeekTier and the
+// membership-check confirmation. It consults residency only (Peek and the
 // browser index), never touching LRU state or bodies, so a storm of locates
 // cannot perturb replacement.
 func (s *Server) handlePeerLocate(w http.ResponseWriter, r *http.Request) {
@@ -159,7 +159,7 @@ func (s *Server) handlePeerLocate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	_, _, resident := s.cache.PeekTier(url)
+	_, resident := s.cache.Peek(url)
 	s.mu.Unlock()
 	if resident {
 		s.m.clusterLocateConfirms.Inc()

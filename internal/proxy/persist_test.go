@@ -227,7 +227,7 @@ func TestDiskWarmRestartGraceful(t *testing.T) {
 	// A restored document serves locally — the origin is never contacted.
 	for u, want := range bodies {
 		s2.mu.Lock()
-		_, _, resident := s2.cache.PeekTier(u)
+		_, resident := s2.cache.Peek(u)
 		s2.mu.Unlock()
 		if !resident {
 			continue
