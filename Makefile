@@ -29,18 +29,22 @@ STABLE_TESTS = ^Test(ClusterBloomFalsePositive|DiskSpillStreamPromote|DiskWarmRe
 # (integrity.Verifier, shared per proxy key by an AgentHost).
 WATERMARK_TESTS = ^TestWatermark(AnonymousFetchUnsigned|OnDemandMatchesSigner|ConcurrentFirstDemandsSignOnce|MemoAcrossReacquisition|MemoBounded|SignFailureFailsClosed)$$|^TestSigningKey(UngeneratedForAnonymous|ConcurrentFirstDemandsGenerateOnce|DurableBeforeFirstUse|IgnoresStaleTempFile|FailureFailsClosed)$$|^TestOnDemandWatermarkVerifiesAtAgents$$|^TestCrashRestartRederivesWatermark$$|^TestVerifier(MatchesVerifyDigest|Concurrent)$$|^TestVerifyMemo(StillDetectsTamper|RejectsAlteredMark|SharedByHostedAgents|ScopedToProxyKey)$$
 
-.PHONY: all build vet test race short bench check staticcheck bapsim-golden fuzz-smoke bench-baseline bench-compare bench-replay bench-replay-compare bench-e2e-smoke stream-smoke loadtest loadtest-agents loadtest-restart loadtest-federation loadtest-invalidation soak soak-smoke
+.PHONY: all build fmt vet test race short bench check staticcheck bapsim-golden fuzz-smoke bench-baseline bench-compare bench-replay bench-replay-compare bench-e2e-smoke stream-smoke loadtest loadtest-agents loadtest-restart loadtest-federation loadtest-invalidation soak soak-smoke
 
 all: build vet test
 
-# Gate for hot-path changes: vet everything, full tests, then the refactored
-# packages again under the race detector (covers the sharded-index churn and
-# live-proxy concurrency tests). staticcheck runs when installed (always in
+# Formatting gate: fails when gofmt would rewrite any file.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
+# Gate for hot-path changes: gofmt-clean, vet everything, full tests, then
+# the refactored packages again under the race detector (covers the
+# sharded-index churn and live-proxy concurrency tests). staticcheck runs when installed (always in
 # CI); locally it is skipped with a notice rather than failing the gate.
 # The watermark memo tests (WATERMARK_TESTS: the sign and verify memo
 # tests, not the older tamper-detection ones) share one memo across request
 # goroutines, so they are raced ten times over, as are the STABLE_TESTS.
-check: vet test staticcheck
+check: fmt vet test staticcheck
 	$(GO) test -race $(HOT_PKGS)
 	$(GO) test -race -count=10 -run '$(WATERMARK_TESTS)' ./internal/integrity ./internal/proxy ./internal/browser
 	$(GO) test -race -count=10 -run '$(STABLE_TESTS)' ./internal/proxy ./internal/chaos ./internal/browser

@@ -53,7 +53,7 @@ func main() {
 	keyBits := flag.Int("keybits", 2048, "watermark RSA key size")
 	peerTimeout := flag.Duration("peer-timeout", 5*time.Second, "holder contact / relay wait bound")
 	softDeadline := flag.Duration("peer-soft-deadline", 2500*time.Millisecond, "hedge the origin when the peer path exceeds this (0 disables)")
-	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive failures that trip a peer's circuit breaker (0 disables)")
+	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive failures that trip a browser peer's or sibling proxy's circuit breaker (0 disables both)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 10*time.Second, "open-breaker cooldown before a half-open probe")
 	heartbeatTimeout := flag.Duration("heartbeat-timeout", 30*time.Second, "quarantine peers silent this long (0 disables the sweep)")
 	originRetries := flag.Int("origin-retries", 2, "retries for transient origin failures (backoff + jitter)")

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net"
 	"net/http"
 	"strconv"
@@ -28,12 +27,10 @@ type HostConfig struct {
 	// HeartbeatInterval drives the host's shared heartbeat pacer (the
 	// per-agent loop is disabled — one goroutine beats the whole fleet);
 	// its AdvertisePeerURL is overridden with the host's multiplexed
-	// /a/<slot> callback URL.
+	// /a/<slot> callback URL; its Logger also takes the host's own logs.
 	Agent Config
 	// Addr is the listen address; empty means a loopback ephemeral port.
 	Addr string
-	// Logger, when non-nil, receives host-level structured logs.
-	Logger *slog.Logger
 }
 
 // AgentHost serves N hosted agents behind ONE http.Server, ONE listener, and
@@ -116,7 +113,7 @@ func NewHost(cfg HostConfig) (*AgentHost, error) {
 	}
 	h.srv = &http.Server{Handler: http.HandlerFunc(h.route)}
 	go h.srv.Serve(ln)
-	h.pub = newPublisher(agentCfg.ProxyURL, h.client, cfg.Logger, agentCfg.BatchMaxDelay, hostFlushDeltas, hostFlushBytes)
+	h.pub = newPublisher(agentCfg.ProxyURL, h.client, agentCfg.Logger, agentCfg.batchMaxDelay, hostFlushDeltas, hostFlushBytes)
 	if iv := agentCfg.HeartbeatInterval; iv > 0 {
 		h.stopHB = make(chan struct{})
 		h.hbDone = make(chan struct{})

@@ -340,7 +340,7 @@ func TestCapacityEvictionSendsInvalidation(t *testing.T) {
 // sent on their own afterwards.
 func TestFullSyncPublishesDirectory(t *testing.T) {
 	c := startCluster(t, 1, testProxyConfig(proxy.FetchForward), func(ac *Config) {
-		ac.BatchMaxDelay = time.Hour // only the sync ships
+		ac.batchMaxDelay = time.Hour // only the sync ships
 	})
 	a := c.agents[0]
 	urls := []string{c.url("/doc/full1?size=1000"), c.url("/doc/full2?size=1000")}
@@ -420,11 +420,6 @@ func TestAgentConfigValidation(t *testing.T) {
 		t.Error("empty config accepted")
 	}
 	cfg := DefaultConfig("http://127.0.0.1:1")
-	cfg.MemFraction = 2
-	if _, err := New(cfg); err == nil {
-		t.Error("bad MemFraction accepted")
-	}
-	cfg = DefaultConfig("http://127.0.0.1:1")
 	cfg.IndexMode = Batched + 1
 	if _, err := New(cfg); err == nil {
 		t.Error("unknown IndexMode accepted")

@@ -16,7 +16,7 @@ import (
 
 // Flush limits of the publisher: a standalone agent's serves one member, an
 // AgentHost's serves the whole fleet. A flush is triggered by whichever trips
-// first — coalesced deltas, estimated wire bytes, or Config.BatchMaxDelay
+// first — coalesced deltas, estimated wire bytes, or batchMaxDelay
 // since the last tick — and the ingress queue holds two flushes' worth of
 // deltas before enqueue blocks.
 const (
@@ -42,7 +42,7 @@ const deltaOverhead = 48
 // proxy never saw it) or an idempotent retransmit (it did, the reply was
 // lost). A rejected sub-batch — the proxy refused that member's token, so it
 // unregistered or was superseded — drops only that member's ledger. Every
-// DigestEvery-th sub-batch carries a Bloom digest of the member's directory,
+// digestEvery-th sub-batch carries a Bloom digest of the member's directory,
 // so drift the generations cannot see (a proxy restart) still triggers the
 // proxy's /peer/resync pull.
 type publisher struct {
@@ -311,7 +311,7 @@ func (p *publisher) ship(only *Agent) error {
 	return p.post(members, batches)
 }
 
-// subBatch builds member a's next delta sub-batch. Every DigestEvery-th one
+// subBatch builds member a's next delta sub-batch. Every digestEvery-th one
 // carries a digest of a's directory — but only when the ledger has absorbed
 // every delta a's cache has produced: a digest covering a mutation still on
 // its way to the queue describes a directory this batch does not carry, and
@@ -323,7 +323,7 @@ func (p *publisher) subBatch(a *Agent, st *ledger) proxy.HostBatch {
 		b.Deltas = append(b.Deltas, sd.d)
 	}
 	st.sinceDigest++
-	if every := a.cfg.DigestEvery; every > 0 && st.sinceDigest >= every {
+	if st.sinceDigest >= digestEvery {
 		if digest, ok := a.directoryDigest(st.seen); ok {
 			b.Digest, st.sinceDigest = digest, 0
 		}

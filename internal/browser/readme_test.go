@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
@@ -134,24 +135,142 @@ func TestReadmeEndpointsMatchRoutes(t *testing.T) {
 	}
 	for _, server := range readmeServers {
 		mnt, doc := set(mounted[server]), set(documented[server])
-		var stale, missing []string
-		for p := range doc {
-			if !mnt[p] {
-				stale = append(stale, p)
-			}
-		}
-		for p := range mnt {
-			if !doc[p] {
-				missing = append(missing, p)
-			}
-		}
-		sort.Strings(stale)
-		sort.Strings(missing)
-		if len(stale) > 0 {
+		if stale := missingFrom(doc, mnt); len(stale) > 0 {
 			t.Errorf("README documents %s routes nothing mounts: %v", server, stale)
 		}
-		if len(missing) > 0 {
+		if missing := missingFrom(mnt, doc); len(missing) > 0 {
 			t.Errorf("mounted %s routes README does not document: %v", server, missing)
+		}
+	}
+}
+
+// missingFrom returns, sorted, the keys of a that b lacks.
+func missingFrom(a, b map[string]bool) []string {
+	var out []string
+	for k := range a {
+		if !b[k] {
+			out = append(out, k)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// commandFlags returns the names of the flags the command in dir defines,
+// read from the flag.<Kind>("name", …) and flag.<Kind>Var(&v, "name", …)
+// calls in its non-test source.
+func commandFlags(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+				return true
+			}
+			arg := 0
+			if strings.HasSuffix(sel.Sel.Name, "Var") {
+				arg = 1
+			}
+			if len(call.Args) <= arg {
+				return true
+			}
+			if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				name, _ := strconv.Unquote(lit.Value)
+				flags[name] = true
+			}
+			return true
+		})
+	}
+	if len(flags) == 0 {
+		t.Fatalf("%s: no flag definitions found", dir)
+	}
+	return flags
+}
+
+// readmeFlagTable returns the flags the README table introduced by the line
+// "`title` flags:" documents: every `-name` in a row's first cell.
+func readmeFlagTable(t *testing.T, title string) map[string]bool {
+	t.Helper()
+	f, err := os.Open("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	name := regexp.MustCompile("`-([a-z0-9-]+)")
+	flags := map[string]bool{}
+	found, inTable := false, false
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "`"+title+"` flags:" {
+			found = true
+			continue
+		}
+		if !found {
+			continue
+		}
+		if !strings.HasPrefix(line, "|") {
+			if inTable {
+				break
+			}
+			continue
+		}
+		inTable = true
+		cells := strings.Split(line, "|")
+		if strings.HasPrefix(line, "|---") || len(cells) < 3 {
+			continue
+		}
+		for _, m := range name.FindAllStringSubmatch(cells[1], -1) {
+			flags[m[1]] = true
+		}
+	}
+	if len(flags) == 0 {
+		t.Fatalf("README flag table for %s not found", title)
+	}
+	return flags
+}
+
+// TestReadmeFlagTablesMatchFlags keeps README's flag tables and the
+// commands' flag sets in step. The tracegen, bapsproxy and bapsbrowser
+// tables are complete: every flag the command defines is documented and
+// every documented flag is defined. The bapsim replay table documents only
+// the replay experiment's flags, each of which bapsim must define.
+func TestReadmeFlagTablesMatchFlags(t *testing.T) {
+	for _, c := range []struct {
+		title, dir string
+		complete   bool
+	}{
+		{"tracegen", "../../cmd/tracegen", true},
+		{"bapsproxy", "../../cmd/bapsproxy", true},
+		{"bapsbrowser", "../../cmd/bapsbrowser", true},
+		{"bapsim replay", "../../cmd/bapsim", false},
+	} {
+		defined, documented := commandFlags(t, c.dir), readmeFlagTable(t, c.title)
+		if stale := missingFrom(documented, defined); len(stale) > 0 {
+			t.Errorf("README documents %s flags it does not define: %v", c.title, stale)
+		}
+		if missing := missingFrom(defined, documented); c.complete && len(missing) > 0 {
+			t.Errorf("%s defines flags README does not document: %v", c.title, missing)
 		}
 	}
 }

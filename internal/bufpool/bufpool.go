@@ -68,14 +68,9 @@ func Put(b *[]byte) {
 	}
 }
 
-// Copy is io.CopyBuffer with a pooled medium-tier buffer: the allocation-free
-// way to stream a document between sockets.
-func Copy(dst io.Writer, src io.Reader) (int64, error) {
-	return CopySized(dst, src, -1)
-}
-
-// CopySized is Copy with a size hint selecting the buffer tier (use the
-// expected body length when known; -1 for the default tier).
+// CopySized is io.CopyBuffer with a pooled buffer, the allocation-free way
+// to stream a document between sockets. The size hint selects the buffer
+// tier: the expected body length when known, -1 for the medium tier.
 func CopySized(dst io.Writer, src io.Reader, sizeHint int64) (int64, error) {
 	hint := TierMed
 	if sizeHint >= 0 && sizeHint < TierMed {

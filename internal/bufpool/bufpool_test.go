@@ -73,11 +73,11 @@ func TestCopyCorrectness(t *testing.T) {
 func TestCopyDefault(t *testing.T) {
 	src := bytes.Repeat([]byte("abc"), 50000)
 	var dst bytes.Buffer
-	if _, err := Copy(&dst, bytes.NewReader(src)); err != nil {
+	if _, err := CopySized(&dst, bytes.NewReader(src), -1); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dst.Bytes(), src) {
-		t.Fatal("Copy corrupted content")
+		t.Fatal("CopySized(-1) corrupted content")
 	}
 }
 

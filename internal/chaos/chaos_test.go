@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"testing"
-	"time"
 
 	"baps/internal/proxy"
 )
@@ -88,7 +87,6 @@ func TestTransportDropRetried(t *testing.T) {
 	cfg := proxy.DefaultConfig()
 	cfg.KeyBits = 1024
 	cfg.OriginRetries = 2
-	cfg.RetryBaseDelay = 10 * time.Millisecond
 	cfg.Transport = &RoundTripper{Injector: in}
 	s, err := proxy.New(cfg)
 	if err != nil {
@@ -126,7 +124,6 @@ func TestTransportDropExhaustsRetries(t *testing.T) {
 	cfg := proxy.DefaultConfig()
 	cfg.KeyBits = 1024
 	cfg.OriginRetries = 2
-	cfg.RetryBaseDelay = 5 * time.Millisecond
 	cfg.Transport = &RoundTripper{Injector: in}
 	s, err := proxy.New(cfg)
 	if err != nil {

@@ -27,7 +27,6 @@ func churnProxyConfig() proxy.Config {
 	cfg.BreakerCooldown = 5 * time.Second // no half-open probes mid-test
 	cfg.HeartbeatTimeout = 0              // sweeps covered by their own test
 	cfg.OriginRetries = 1
-	cfg.RetryBaseDelay = 20 * time.Millisecond
 	return cfg
 }
 

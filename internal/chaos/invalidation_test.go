@@ -42,12 +42,10 @@ func TestInvalidationSurvivesSiblingKill(t *testing.T) {
 		c.DigestInterval = 100 * time.Millisecond
 		c.RevalidateAfter = 200 * time.Millisecond
 		c.RevalidateEvery = 75 * time.Millisecond
-		// Fail fast against the corpse: short attempts, two tries, then
-		// dead-letter. Without these a dead sibling would pin a worker for
-		// the full PeerTimeout per retry.
-		c.QueueJobTimeout = 300 * time.Millisecond
-		c.QueueRetryBackoff = 100 * time.Millisecond
-		c.QueueMaxAttempts = 2
+		// Fail fast against the corpse: a background job's attempt is
+		// bounded by PeerTimeout, so a dead sibling pins a worker for
+		// 300ms per try, three tries, then dead-letters.
+		c.PeerTimeout = 300 * time.Millisecond
 	})
 	alive, dead := fc.proxies[0], fc.proxies[1]
 	docURL := fc.originURL + "/doc/churn"

@@ -22,7 +22,6 @@ func restartProxyConfig(dir string) proxy.Config {
 	cfg.CacheCapacity = 2 << 20
 	cfg.MemFraction = 0.03 // ~7 docs of 8 KB in memory, the rest on disk
 	cfg.DataDir = dir
-	cfg.StateSaveEvery = 100 * time.Millisecond
 	cfg.HeartbeatTimeout = 0
 	cfg.PeerTimeout = 2 * time.Second
 	cfg.PeerSoftDeadline = 250 * time.Millisecond
@@ -104,8 +103,9 @@ func TestProxyKillRestartUnderChurn(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c.KillAgent(i)
 	}
-	// Let the interval fsync and the state-save loop land, then SIGKILL.
-	time.Sleep(500 * time.Millisecond)
+	// Let the interval fsync and the state-save loop (every 2 s) land after
+	// the steady window, then SIGKILL.
+	time.Sleep(2500 * time.Millisecond)
 	if err := c.RestartProxy(false); err != nil {
 		t.Fatal(err)
 	}

@@ -94,6 +94,22 @@ type Entry struct {
 	Stamp int64 // unix nanos of the last journaled touch/put
 }
 
+// The store's fixed parameters.
+const (
+	// fsyncEvery is the background flush interval: an fsync under
+	// FsyncInterval, a journal buffer flush otherwise.
+	fsyncEvery = 100 * time.Millisecond
+	// segmentMaxBytes rotates the active segment past this size.
+	segmentMaxBytes = 64 << 20
+	// sweepEvery is the retention sweep interval.
+	sweepEvery = 2 * time.Second
+	// touchEvery throttles journaled recency touches per key. In-memory
+	// recency is always exact; the journal records at most one touch per
+	// key per interval, bounding journal growth under read-heavy load at
+	// the cost of that much recency precision across a crash.
+	touchEvery = 5 * time.Second
+)
+
 // Config parameterizes Open.
 type Config struct {
 	// MaxBytes bounds the live bytes held on disk; the retention sweep
@@ -104,25 +120,16 @@ type Config struct {
 	Retention time.Duration
 	// Fsync selects the durability policy.
 	Fsync FsyncPolicy
-	// FsyncEvery is the background flush interval under FsyncInterval
-	// (<=0: 100ms).
-	FsyncEvery time.Duration
-	// SegmentMaxBytes rotates the active segment past this size
-	// (<=0: 64 MiB).
-	SegmentMaxBytes int64
-	// SweepEvery is the retention sweep interval (<=0: 2s).
-	SweepEvery time.Duration
-	// TouchEvery throttles journaled recency touches per key (<=0: 5s).
-	// In-memory recency is always exact; the journal records at most one
-	// touch per key per interval, bounding journal growth under read-heavy
-	// load at the cost of that much recency precision across a crash.
-	TouchEvery time.Duration
 	// OnEvict, when non-nil, observes every document the retention sweep
 	// drops (not explicit Deletes), so the owning cache can drop its
 	// accounting entry. Called without internal locks held.
 	OnEvict func(key string)
 	// Metrics, when non-nil, receives store event callbacks.
 	Metrics MetricsHooks
+
+	// quiet, set by tests that drive Sync and Sweep themselves, starts no
+	// background flusher or sweep.
+	quiet bool
 }
 
 // MetricsHooks lets the owner count store events on its own registry
@@ -198,18 +205,6 @@ func Open(dir string, cfg Config) (*Store, error) {
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = 1 << 30
 	}
-	if cfg.SegmentMaxBytes <= 0 {
-		cfg.SegmentMaxBytes = 64 << 20
-	}
-	if cfg.FsyncEvery <= 0 {
-		cfg.FsyncEvery = 100 * time.Millisecond
-	}
-	if cfg.SweepEvery <= 0 {
-		cfg.SweepEvery = 2 * time.Second
-	}
-	if cfg.TouchEvery <= 0 {
-		cfg.TouchEvery = 5 * time.Second
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("diskstore: %w", err)
 	}
@@ -237,8 +232,10 @@ func Open(dir string, cfg Config) (*Store, error) {
 		return nil, err
 	}
 	s.reclaimDeadSegments()
-	s.bg.Add(1)
-	go s.background()
+	if !cfg.quiet {
+		s.bg.Add(1)
+		go s.background()
+	}
 	return s, nil
 }
 
@@ -381,7 +378,7 @@ func (s *Store) Put(key string, body []byte, meta Meta) error {
 	if s.closed {
 		return errors.New("diskstore: closed")
 	}
-	if s.active.size+recordOverhead+int64(len(body)) > s.cfg.SegmentMaxBytes && s.active.size > 0 {
+	if s.active.size+recordOverhead+int64(len(body)) > segmentMaxBytes && s.active.size > 0 {
 		if err := s.rotateSegment(); err != nil {
 			return err
 		}
@@ -518,11 +515,11 @@ func (s *Store) Delete(key string) error {
 }
 
 // touchLocked refreshes key's in-memory recency, journaling the touch at
-// most once per TouchEvery.
+// most once per touchEvery.
 func (s *Store) touchLocked(key string, e *entry) {
 	now := time.Now().UnixNano()
 	e.stamp = now
-	if now-e.touched < int64(s.cfg.TouchEvery) {
+	if now-e.touched < int64(touchEvery) {
 		return
 	}
 	e.touched = now
@@ -658,8 +655,8 @@ func (s *Store) StatsSnapshot() Stats {
 // background runs the interval-fsync flusher and the retention sweep.
 func (s *Store) background() {
 	defer s.bg.Done()
-	flush := time.NewTicker(s.cfg.FsyncEvery)
-	sweep := time.NewTicker(s.cfg.SweepEvery)
+	flush := time.NewTicker(fsyncEvery)
+	sweep := time.NewTicker(sweepEvery)
 	defer flush.Stop()
 	defer sweep.Stop()
 	for {
@@ -689,7 +686,7 @@ func (s *Store) background() {
 }
 
 // Sweep runs one retention pass synchronously (exposed for tests; the
-// background goroutine calls it on SweepEvery).
+// background goroutine calls it every sweepEvery).
 func (s *Store) Sweep() { s.sweep() }
 
 // sweep enforces MaxBytes (LRU by journaled-or-live stamp) and Retention

@@ -8,11 +8,12 @@
 // relays the document from the sibling before falling to the origin.
 //
 // Failure model: digests are pushed, so a dead sibling's summary simply
-// stops arriving — once it is older than StaleAfter the sibling drops out
-// of candidate selection without any probe traffic. Locate/fetch failures
-// additionally feed a per-sibling circuit breaker (the same three-state
-// machine browsers get, internal/breaker), so a sibling that is up but
-// misbehaving is quarantined too and re-admitted by a half-open probe.
+// stops arriving — once it is staleIntervals push periods old the sibling
+// drops out of candidate selection without any probe traffic. Locate/fetch
+// failures additionally feed a per-sibling circuit breaker (the same
+// three-state machine browsers get, internal/breaker), so a sibling that is
+// up but misbehaving is quarantined too and re-admitted by a half-open
+// probe.
 package federation
 
 import (
@@ -47,23 +48,11 @@ type Config struct {
 	Self string
 	// Peers are the sibling proxies' base URLs (Self excluded).
 	Peers []string
-	// Interval is the digest push period (default 1s).
+	// Interval is the digest push period (default 1s). A sibling digest
+	// older than staleIntervals of them is distrusted.
 	Interval time.Duration
-	// DriftThreshold forces an early push once this many local mutations
-	// (cache stores, index deltas) accumulate since the last one
-	// (default 256; <=0 keeps the default).
-	DriftThreshold int
-	// StaleAfter distrusts a sibling digest older than this — the pushed
-	// summaries are the liveness signal, so staleness quarantines the
-	// sibling out of candidate selection (default 4×Interval).
-	StaleAfter time.Duration
-	// FPR is the digest filter's false-positive target (default 0.01).
-	FPR float64
-	// MinDocs floors the filter sizing so tiny directories still get a
-	// usefully-sized filter (default 1024).
-	MinDocs int
 	// BreakerThreshold trips a sibling's circuit breaker after this many
-	// consecutive locate/fetch failures (<=0 disables; default 3).
+	// consecutive locate/fetch failures; <=0 disables the breaker.
 	BreakerThreshold int
 	// BreakerCooldown is the open→half-open delay (default 5s).
 	BreakerCooldown time.Duration
@@ -77,24 +66,25 @@ type Config struct {
 	OnDigestReceived func()
 }
 
+// The exchange's fixed parameters.
+const (
+	// driftThreshold forces an early push once this many local mutations
+	// (cache stores, index deltas) accumulate since the last one.
+	driftThreshold = 256
+	// staleIntervals distrusts a sibling digest older than this many push
+	// intervals: the pushed summaries are the liveness signal, so
+	// staleness quarantines the sibling out of candidate selection.
+	staleIntervals = 4
+	// digestFPR is the digest filter's false-positive target.
+	digestFPR = 0.01
+	// minDigestDocs floors the filter sizing so tiny directories still get
+	// a usefully-sized filter.
+	minDigestDocs = 1024
+)
+
 func (c *Config) fillDefaults() {
 	if c.Interval <= 0 {
 		c.Interval = time.Second
-	}
-	if c.DriftThreshold <= 0 {
-		c.DriftThreshold = 256
-	}
-	if c.StaleAfter <= 0 {
-		c.StaleAfter = 4 * c.Interval
-	}
-	if c.FPR <= 0 || c.FPR >= 1 {
-		c.FPR = 0.01
-	}
-	if c.MinDocs <= 0 {
-		c.MinDocs = 1024
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 3
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 5 * time.Second
@@ -217,7 +207,7 @@ func (c *Cluster) loop() {
 func (c *Cluster) NoteMutation(n int) {
 	c.mu.Lock()
 	c.dirty += n
-	fire := c.dirty >= c.cfg.DriftThreshold
+	fire := c.dirty >= driftThreshold
 	if fire {
 		c.dirty = 0
 	}
@@ -236,10 +226,10 @@ func (c *Cluster) NoteMutation(n int) {
 func (c *Cluster) PushDigests() {
 	urls := c.source()
 	n := len(urls)
-	if n < c.cfg.MinDocs {
-		n = c.cfg.MinDocs
+	if n < minDigestDocs {
+		n = minDigestDocs
 	}
-	f, err := bloom.NewFilterForFPR(n, c.cfg.FPR)
+	f, err := bloom.NewFilterForFPR(n, digestFPR)
 	if err != nil {
 		return
 	}
@@ -341,7 +331,7 @@ func (c *Cluster) Candidates(url string) []string {
 	c.mu.Lock()
 	var out []string
 	for _, sib := range c.sibs {
-		if sib.filter == nil || now.Sub(sib.updated) > c.cfg.StaleAfter {
+		if sib.filter == nil || now.Sub(sib.updated) > staleIntervals*c.cfg.Interval {
 			continue // never heard from it, or its summary went stale
 		}
 		if !sib.filter.Contains(url) {
@@ -446,7 +436,7 @@ func (c *Cluster) Snapshot() Stats {
 		stale := true
 		if sib.filter != nil {
 			age = now.Sub(sib.updated).Seconds()
-			stale = now.Sub(sib.updated) > c.cfg.StaleAfter
+			stale = now.Sub(sib.updated) > staleIntervals*c.cfg.Interval
 		}
 		st.Siblings = append(st.Siblings, SiblingStat{
 			URL:            sib.url,

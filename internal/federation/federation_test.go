@@ -50,9 +50,9 @@ func TestNewValidation(t *testing.T) {
 
 func TestObserveAndCandidates(t *testing.T) {
 	c, err := New(Config{
-		Self:       "http://self",
-		Peers:      []string{"http://b", "http://c"},
-		StaleAfter: time.Hour,
+		Self:     "http://self",
+		Peers:    []string{"http://b", "http://c"},
+		Interval: time.Hour, // digests never go stale
 	}, func() []string { return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -101,9 +101,9 @@ func TestObserveAndCandidates(t *testing.T) {
 
 func TestStaleDigestQuarantines(t *testing.T) {
 	c, err := New(Config{
-		Self:       "http://self",
-		Peers:      []string{"http://b"},
-		StaleAfter: 30 * time.Millisecond,
+		Self:     "http://self",
+		Peers:    []string{"http://b"},
+		Interval: 8 * time.Millisecond, // stale after 32ms; Start is never called
 	}, func() []string { return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestBreakerQuarantinesAndProbes(t *testing.T) {
 	c, err := New(Config{
 		Self:             "http://self",
 		Peers:            []string{"http://b"},
-		StaleAfter:       time.Hour,
+		Interval:         time.Hour, // digests never go stale
 		BreakerThreshold: 2,
 		BreakerCooldown:  40 * time.Millisecond,
 	}, func() []string { return nil })
@@ -175,7 +175,7 @@ func TestFalsePositiveIsNotAFailure(t *testing.T) {
 	c, err := New(Config{
 		Self:             "http://self",
 		Peers:            []string{"http://b"},
-		StaleAfter:       time.Hour,
+		Interval:         time.Hour, // digests never go stale
 		BreakerThreshold: 1,
 	}, func() []string { return nil })
 	if err != nil {
@@ -195,6 +195,34 @@ func TestFalsePositiveIsNotAFailure(t *testing.T) {
 	st := c.Snapshot()
 	if st.Siblings[0].FalsePositives != 5 {
 		t.Fatalf("fps = %d, want 5", st.Siblings[0].FalsePositives)
+	}
+}
+
+// TestBreakerThresholdZeroDisables: BreakerThreshold <= 0 turns the sibling
+// breaker off, as it does the browser-peer breakers, so no run of failures
+// quarantines the sibling.
+func TestBreakerThresholdZeroDisables(t *testing.T) {
+	c, err := New(Config{
+		Self:     "http://self",
+		Peers:    []string{"http://b"},
+		Interval: time.Hour, // digests never go stale
+	}, func() []string { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Observe("http://b", mustDigest(t, "http://origin/doc1")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if c.NoteFailure("http://b") {
+			t.Fatalf("failure %d tripped a disabled breaker", i+1)
+		}
+	}
+	if got := c.Candidates("http://origin/doc1"); len(got) != 1 {
+		t.Fatalf("disabled breaker quarantined the sibling: %v", got)
+	}
+	if st := c.Snapshot(); st.Siblings[0].Breaker != "closed" {
+		t.Fatalf("breaker = %s, want closed", st.Siblings[0].Breaker)
 	}
 }
 
@@ -222,10 +250,9 @@ func TestPushAndDriftKick(t *testing.T) {
 	defer sib.Close()
 
 	c, err := New(Config{
-		Self:           "http://self",
-		Peers:          []string{sib.URL},
-		Interval:       time.Hour, // only the startup push and kicks fire
-		DriftThreshold: 4,
+		Self:     "http://self",
+		Peers:    []string{sib.URL},
+		Interval: time.Hour, // only the startup push and kicks fire
 	}, func() []string { return []string{"http://origin/doc1", "http://origin/doc2"} })
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +289,7 @@ func TestPushAndDriftKick(t *testing.T) {
 	}
 
 	// Below the threshold: no push.
-	c.NoteMutation(3)
+	c.NoteMutation(driftThreshold - 1)
 	time.Sleep(30 * time.Millisecond)
 	if pushes.Load() != 1 {
 		t.Fatalf("sub-threshold mutations triggered a push (%d)", pushes.Load())

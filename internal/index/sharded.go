@@ -52,9 +52,6 @@ func (s *Sharded) shardOf(doc intern.ID) int { return int(uint32(doc) % uint32(l
 
 func (s *Sharded) shard(doc intern.ID) *shard { return s.shards[s.shardOf(doc)] }
 
-// ShardCount reports the number of shards.
-func (s *Sharded) ShardCount() int { return len(s.shards) }
-
 // Add records (or refreshes) an entry.
 func (s *Sharded) Add(e Entry) {
 	sh := s.shard(e.Doc)

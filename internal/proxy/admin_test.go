@@ -17,13 +17,11 @@ import (
 // /queue/replay pushes it back through the queue, and once it completes the
 // ring is empty again.
 func TestQueueAdminEndpoints(t *testing.T) {
-	s := testServer(t, func(c *Config) {
-		c.QueueJobTimeout = 250 * time.Millisecond
-	})
+	s := testServer(t, nil)
 
 	var calls atomic.Int64
 	if err := s.wq.Submit(workqueue.Job{Kind: "admin_test", Key: "k", Run: func(context.Context) error {
-		if calls.Add(1) <= 3 { // default MaxAttempts = 3: dead-letters once
+		if calls.Add(1) <= 3 { // three attempts, then dead-letters once
 			return errors.New("induced")
 		}
 		return nil

@@ -41,7 +41,7 @@ func FuzzDocRecord(f *testing.F) {
 		}
 		cfg := diskTestConfig(t.TempDir())
 		cfg.DiskMaxBytes = 1 << 40     // no disk-side evictions
-		cfg.StateSaveEvery = time.Hour // write-behind only when the test asks
+		cfg.stateSaveEvery = time.Hour // write-behind only when the test asks
 		cfg.DiskFsync = diskstore.FsyncAlways
 		s := fuzzServer(t, cfg)
 		m := newDocModel(cfg, cap(s.spillq))

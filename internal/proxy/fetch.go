@@ -493,7 +493,7 @@ func transientUpstream(err error) bool {
 // exponential backoff and full jitter, bounded by OriginRetries and the
 // request context.
 func (s *Server) fetchUpstreamUncoalesced(ctx context.Context, url string) ([]byte, docMeta, error) {
-	delay := s.cfg.RetryBaseDelay
+	delay := retryBaseDelay
 	var lastErr error
 	for attempt := 0; attempt <= s.cfg.OriginRetries; attempt++ {
 		if attempt > 0 {

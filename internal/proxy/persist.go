@@ -263,7 +263,7 @@ func (s *Server) saveState() {
 // of the memory tier and so would otherwise only exist in RAM.
 func (s *Server) stateSaveLoop() {
 	defer s.diskWG.Done()
-	t := time.NewTicker(s.cfg.StateSaveEvery)
+	t := time.NewTicker(s.cfg.stateSaveEvery)
 	defer t.Stop()
 	for {
 		select {

@@ -21,7 +21,6 @@ func diskTestConfig(dir string) Config {
 	cfg.CacheCapacity = 200_000
 	cfg.MemFraction = 0.2 // mem tier: 40_000 bytes
 	cfg.DataDir = dir
-	cfg.StateSaveEvery = 50 * time.Millisecond
 	return cfg
 }
 
@@ -385,7 +384,8 @@ func TestCrashRestartRederivesWatermark(t *testing.T) {
 	fetchDoc(t, s, ots.URL+"/f1?size=16384")
 	fetchDoc(t, s, ots.URL+"/f2?size=16384")
 	waitFor(t, "spill before crash", func() bool { return s.Snapshot().DiskWrites >= 1 })
-	time.Sleep(400 * time.Millisecond) // interval flush + state save reach the OS
+	s.saveState()                      // the registration survives the crash
+	time.Sleep(400 * time.Millisecond) // interval flush reaches the OS
 	s.Crash()
 
 	s2, err := New(diskTestConfig(dir))

@@ -65,11 +65,9 @@ const (
 // same /metrics page as the proxy's own counters.
 func (s *Server) newWorkqueue(reg *obs.Registry) *workqueue.Queue {
 	return workqueue.New(workqueue.Config{
-		MaxAttempts:  s.cfg.QueueMaxAttempts,
-		RetryBackoff: s.cfg.QueueRetryBackoff,
-		JobTimeout:   s.cfg.QueueJobTimeout,
-		RateLimits:   map[string]float64{kindRevalidate: s.cfg.RevalidateRPS, kindPrefetch: prefetchRPS},
-		Metrics:      reg,
+		JobTimeout: s.cfg.PeerTimeout,
+		RateLimits: map[string]float64{kindRevalidate: s.cfg.RevalidateRPS, kindPrefetch: prefetchRPS},
+		Metrics:    reg,
 	})
 }
 

@@ -92,8 +92,6 @@ type Config struct {
 	Forward ForwardMode
 	// CachePeerDocs: under FetchForward, also cache relayed documents.
 	CachePeerDocs bool
-	// Strategy selects among multiple holders.
-	Strategy index.Strategy
 	// PeerTimeout bounds holder contact + relay wait.
 	PeerTimeout time.Duration
 	// PeerSoftDeadline is the hedging threshold: when the peer path has
@@ -114,10 +112,9 @@ type Config struct {
 	// 0 disables the silence sweep. The sweeper runs from Start.
 	HeartbeatTimeout time.Duration
 	// OriginRetries is how many times a transient upstream failure is
-	// retried with exponential backoff + jitter (default 2).
+	// retried with exponential backoff + jitter from retryBaseDelay
+	// (default 2).
 	OriginRetries int
-	// RetryBaseDelay is the first retry's backoff base (default 100ms).
-	RetryBaseDelay time.Duration
 	// Transport overrides the outbound http.RoundTripper for peer and
 	// origin traffic — the chaos harness injects faults here. nil uses
 	// http.DefaultTransport.
@@ -131,9 +128,6 @@ type Config struct {
 	// DisablePeer turns the browsers-aware layer off entirely (a live
 	// proxy-and-local-browser baseline for comparisons).
 	DisablePeer bool
-	// Metrics is the registry all proxy metrics register on; nil creates a
-	// private registry (exposed at /metrics and via Obs either way).
-	Metrics *obs.Registry
 	// Logger, when non-nil, receives structured logs including one
 	// request-summary line per /fetch with decision outcome and latency.
 	Logger *slog.Logger
@@ -153,9 +147,6 @@ type Config struct {
 	// DiskRetention drops disk-tier documents untouched for this long
 	// (0 disables age-based retention).
 	DiskRetention time.Duration
-	// StateSaveEvery is the interval between persisted state-blob
-	// snapshots (counters, clients, generations; <=0: 2s).
-	StateSaveEvery time.Duration
 
 	// Federation knobs (active once JoinCluster is called; see cluster.go).
 	// DigestInterval is the sibling digest push period (<=0: 1s).
@@ -187,13 +178,23 @@ type Config struct {
 	// PrefetchMinHits is the access count that makes a document a
 	// prefetch candidate (<=0: 3).
 	PrefetchMinHits int
-	// QueueMaxAttempts / QueueRetryBackoff / QueueJobTimeout tune the
-	// workqueue; zero values take the workqueue defaults (3 attempts,
-	// 100ms), except QueueJobTimeout which defaults to PeerTimeout.
-	QueueMaxAttempts  int
-	QueueRetryBackoff time.Duration
-	QueueJobTimeout   time.Duration
+
+	// stateSaveEvery, when positive, replaces the stateSaveEvery
+	// constant: tests set an hour so that write-behind and state saves
+	// happen only when they call them.
+	stateSaveEvery time.Duration
 }
+
+// The proxy's fixed parameters. Holders are chosen most-recent-first
+// (index.SelectMostRecent), and a background job gets PeerTimeout per
+// attempt.
+const (
+	// retryBaseDelay is the first origin retry's backoff base.
+	retryBaseDelay = 100 * time.Millisecond
+	// stateSaveEvery is the interval between persisted state-blob
+	// snapshots (counters, clients, generations) and write-behind passes.
+	stateSaveEvery = 2 * time.Second
+)
 
 // DefaultConfig returns production-ish defaults.
 func DefaultConfig() Config {
@@ -203,14 +204,12 @@ func DefaultConfig() Config {
 		Policy:           cache.LRU,
 		Forward:          FetchForward,
 		CachePeerDocs:    true,
-		Strategy:         index.SelectMostRecent,
 		PeerTimeout:      5 * time.Second,
 		PeerSoftDeadline: 2500 * time.Millisecond,
 		BreakerThreshold: 3,
 		BreakerCooldown:  10 * time.Second,
 		HeartbeatTimeout: 30 * time.Second,
 		OriginRetries:    2,
-		RetryBaseDelay:   100 * time.Millisecond,
 		KeyBits:          2048,
 		OnionRelays:      1,
 	}
@@ -377,17 +376,14 @@ func New(cfg Config) (*Server, error) {
 	if cfg.OriginRetries < 0 {
 		cfg.OriginRetries = 0
 	}
-	if cfg.RetryBaseDelay <= 0 {
-		cfg.RetryBaseDelay = 100 * time.Millisecond
-	}
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 10 * time.Second
 	}
 	if cfg.DiskMaxBytes <= 0 {
 		cfg.DiskMaxBytes = cfg.CacheCapacity
 	}
-	if cfg.StateSaveEvery <= 0 {
-		cfg.StateSaveEvery = 2 * time.Second
+	if cfg.stateSaveEvery <= 0 {
+		cfg.stateSaveEvery = stateSaveEvery
 	}
 	if cfg.RevalidateAfter > 0 && cfg.RevalidateEvery <= 0 {
 		cfg.RevalidateEvery = cfg.RevalidateAfter / 4
@@ -401,16 +397,13 @@ func New(cfg Config) (*Server, error) {
 	if cfg.PrefetchMinHits <= 0 {
 		cfg.PrefetchMinHits = 3
 	}
-	if cfg.QueueJobTimeout <= 0 {
-		cfg.QueueJobTimeout = cfg.PeerTimeout
-	}
 	s := &Server{
 		cfg:            cfg,
 		docs:           make(map[string]*docRecord),
 		peers:          make(map[int]peerInfo),
 		peersByURL:     make(map[string]int),
 		tokens:         make(map[string]int),
-		idx:            index.NewSharded(cfg.Strategy, index.DefaultShards),
+		idx:            index.NewSharded(index.SelectMostRecent, index.DefaultShards),
 		syms:           intern.NewSync(),
 		tickets:        anonymity.NewTicketStore(cfg.PeerTimeout),
 		health:         newHealthTracker(cfg.BreakerThreshold, cfg.BreakerCooldown),
@@ -451,10 +444,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.cache = tc
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	s.m = newServerMetrics(reg, s)
 	s.wq = s.newWorkqueue(reg)
 	s.tracer = obs.NewTracer(obs.DefaultTraceDepth)

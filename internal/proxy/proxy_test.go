@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"baps/internal/index"
 	"baps/internal/integrity"
 	"baps/internal/origin"
 )
@@ -325,12 +324,5 @@ func TestFullSubBatchReplacesDirectory(t *testing.T) {
 	}
 	if s.Index().Len() != 1 || !s.Index().Has(reg.ClientID, s.syms.Intern("http://x/3")) {
 		t.Fatal("re-sync did not replace directory")
-	}
-}
-
-func TestIndexStrategyConfig(t *testing.T) {
-	s := testServer(t, func(c *Config) { c.Strategy = index.SelectLeastLoaded })
-	if s.Index() == nil {
-		t.Fatal("no index")
 	}
 }

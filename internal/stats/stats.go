@@ -73,36 +73,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Markdown renders the table as a GitHub-flavored Markdown table (with the
-// title as a bold caption line when present).
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	}
-	b.WriteString("| " + strings.Join(t.Columns, " | ") + " |\n")
-	b.WriteString("|" + strings.Repeat("---|", len(t.Columns)) + "\n")
-	for _, row := range t.Rows {
-		cells := make([]string, len(t.Columns))
-		copy(cells, row)
-		b.WriteString("| " + strings.Join(cells, " | ") + " |\n")
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values (no escaping; cells in
-// this repo contain no commas).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.Columns, ","))
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		b.WriteString(strings.Join(row, ","))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // Line is one named series of a figure.
 type Line struct {
 	Name string

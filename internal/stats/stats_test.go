@@ -43,31 +43,6 @@ func TestTableShortAndExtraRows(t *testing.T) {
 	}
 }
 
-func TestTableMarkdown(t *testing.T) {
-	tb := NewTable("Cap", "A", "B")
-	tb.AddRow("1", "2")
-	tb.AddRow("only-a")
-	md := tb.Markdown()
-	for _, want := range []string{"**Cap**", "| A | B |", "|---|---|", "| 1 | 2 |", "| only-a |  |"} {
-		if !strings.Contains(md, want) {
-			t.Errorf("markdown missing %q:\n%s", want, md)
-		}
-	}
-	noTitle := NewTable("", "A")
-	if strings.Contains(noTitle.Markdown(), "**") {
-		t.Error("empty title rendered")
-	}
-}
-
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("T", "A", "B")
-	tb.AddRow("1", "2")
-	want := "A,B\n1,2\n"
-	if got := tb.CSV(); got != want {
-		t.Errorf("CSV = %q, want %q", got, want)
-	}
-}
-
 func TestSeriesAddValidation(t *testing.T) {
 	s := NewSeries("f", "x", "%", 1, 2, 3)
 	if err := s.Add("ok", 1, 2, 3); err != nil {
@@ -190,7 +165,6 @@ func TestQuickTableNeverPanics(t *testing.T) {
 			tb.AddRow(r...)
 		}
 		out := tb.String()
-		_ = tb.CSV()
 		return len(out) > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -25,7 +25,7 @@ func failNTimes(n int, calls *atomic.Int64) func(context.Context) error {
 // in order (oldest first), each carrying kind/key/attempts/error, and the
 // snapshot is stable against further queue activity.
 func TestDeadLetterSnapshot(t *testing.T) {
-	q := New(Config{Workers: 2, MaxAttempts: 2, RetryBackoff: time.Millisecond})
+	q := New(Config{})
 	defer q.Close()
 	const n = deadLetterRing + 5
 	for i := 0; i < n; i++ {
@@ -43,7 +43,7 @@ func TestDeadLetterSnapshot(t *testing.T) {
 		t.Fatalf("ring holds %d, want %d", len(dl), deadLetterRing)
 	}
 	for _, d := range dl {
-		if d.Kind != "doomed" || d.Attempts != 2 || d.Err != "always fails" || d.At.IsZero() {
+		if d.Kind != "doomed" || d.Attempts != maxAttempts || d.Err != "always fails" || d.At.IsZero() {
 			t.Fatalf("bad dead letter record: %+v", d)
 		}
 	}
@@ -60,11 +60,11 @@ func TestDeadLetterSnapshot(t *testing.T) {
 // TestReplayRerunsDeadLetters: a replayed job runs again with a fresh
 // attempt budget and can complete; it leaves the ring.
 func TestReplayRerunsDeadLetters(t *testing.T) {
-	q := New(Config{Workers: 1, MaxAttempts: 2, RetryBackoff: time.Millisecond})
+	q := New(Config{})
 	defer q.Close()
 	var calls atomic.Int64
-	// Fails attempts 1 and 2 (dead-letters), succeeds on the replayed run.
-	if err := q.Submit(Job{Kind: "fixable", Key: "k", Run: failNTimes(2, &calls)}); err != nil {
+	// Fails every attempt (dead-letters), succeeds on the replayed run.
+	if err := q.Submit(Job{Kind: "fixable", Key: "k", Run: failNTimes(maxAttempts, &calls)}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, func() bool { return q.Stats().DeadLettered == 1 }, "job to dead-letter")
@@ -74,8 +74,8 @@ func TestReplayRerunsDeadLetters(t *testing.T) {
 		t.Fatalf("Replay = (%d, %d), want (1, 0)", replayed, skipped)
 	}
 	waitFor(t, 5*time.Second, func() bool { return q.Stats().Completed == 1 }, "replayed job to complete")
-	if calls.Load() != 3 {
-		t.Fatalf("job ran %d times, want 3 (2 failures + 1 replayed success)", calls.Load())
+	if calls.Load() != maxAttempts+1 {
+		t.Fatalf("job ran %d times, want %d (%d failures + 1 replayed success)", calls.Load(), maxAttempts+1, maxAttempts)
 	}
 	if len(q.DeadLetters()) != 0 {
 		t.Fatal("replayed job still in the dead-letter ring")
@@ -86,7 +86,7 @@ func TestReplayRerunsDeadLetters(t *testing.T) {
 // again is skipped — the live job supersedes it — and dropped from the ring
 // so it cannot shadow future replays.
 func TestReplayDedupAgainstPending(t *testing.T) {
-	q := New(Config{Workers: 1, MaxAttempts: 1, RetryBackoff: time.Millisecond})
+	q := New(Config{workers: 1}) // one worker: a blocked worker keeps submitted jobs pending
 	defer q.Close()
 
 	// Block the only worker so submitted jobs stay pending.
@@ -105,7 +105,7 @@ func TestReplayDedupAgainstPending(t *testing.T) {
 	// Dead-letter a (kind, key) job: let it run by opening the gate after
 	// queueing it alone.
 	if err := q.Submit(Job{Kind: "dup", Key: "k1", Run: func(context.Context) error {
-		return errors.New("fails once, no retries")
+		return errors.New("always fails")
 	}}); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestReplayDedupAgainstPending(t *testing.T) {
 
 // TestReplayOnClosedQueue: a draining queue replays nothing.
 func TestReplayOnClosedQueue(t *testing.T) {
-	q := New(Config{Workers: 1, MaxAttempts: 1})
+	q := New(Config{})
 	if err := q.Submit(Job{Kind: "doomed", Run: func(context.Context) error {
 		return errors.New("fails")
 	}}); err != nil {

@@ -17,7 +17,7 @@
 //     lower-priority kinds), and a timer wakes a worker when the earliest
 //     throttled kind has budget again.
 //   - A failing job retries with doubling backoff + jitter up to
-//     MaxAttempts, then dead-letters: the queue counts it, remembers the
+//     maxAttempts, then dead-letters: the queue counts it, remembers the
 //     last few for inspection, and moves on. A sibling that was SIGKILLed
 //     mid-fan-out therefore costs a bounded number of timed-out attempts,
 //     never a wedged queue.
@@ -76,24 +76,27 @@ type Job struct {
 	// to Low.
 	Priority Priority
 	// Run does the work. A nil error completes the job; a non-nil error
-	// schedules a retry until MaxAttempts, then dead-letters.
+	// schedules a retry until maxAttempts, then dead-letters.
 	Run func(ctx context.Context) error
 }
 
+// The queue's fixed parameters.
+const (
+	// workers is the number of concurrent job runners.
+	workers = 4
+	// capacity bounds each priority level's pending list.
+	capacity = 1024
+	// maxAttempts is the total number of tries per job including the
+	// first.
+	maxAttempts = 3
+	// retryBackoff is the delay before the first retry; it doubles per
+	// subsequent attempt with ±25% jitter, so the longest wait is
+	// 2×retryBackoff.
+	retryBackoff = 100 * time.Millisecond
+)
+
 // Config parameterizes a Queue. Zero values take the documented defaults.
 type Config struct {
-	// Workers is the number of concurrent job runners (default 4).
-	Workers int
-	// Capacity bounds each priority level's pending list (default 1024).
-	Capacity int
-	// MaxAttempts is the total number of tries per job including the
-	// first (default 3). 1 means no retries.
-	MaxAttempts int
-	// RetryBackoff is the delay before the first retry; it doubles per
-	// subsequent attempt with ±25% jitter (default 100ms).
-	RetryBackoff time.Duration
-	// MaxBackoff caps the doubling (default 5s).
-	MaxBackoff time.Duration
 	// JobTimeout bounds each attempt's context (default 10s). This is
 	// what keeps a dead sibling from wedging drain: the attempt times
 	// out, fails, and eventually dead-letters.
@@ -105,6 +108,10 @@ type Config struct {
 	// Metrics receives the queue's instrumentation; nil uses a private
 	// registry.
 	Metrics *obs.Registry
+
+	// workers, when positive, replaces the workers constant: tests that
+	// assert one worker's strict run order set it to 1.
+	workers int
 }
 
 // ErrClosed is returned by Submit after Close has begun.
@@ -212,20 +219,8 @@ const deadLetterRing = 32
 
 // New starts a queue with cfg's workers running.
 func New(cfg Config) *Queue {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 4
-	}
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 1024
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 100 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 5 * time.Second
+	if cfg.workers <= 0 {
+		cfg.workers = workers
 	}
 	if cfg.JobTimeout <= 0 {
 		cfg.JobTimeout = 10 * time.Second
@@ -280,8 +275,8 @@ func New(cfg Config) *Queue {
 		return float64(q.waiting)
 	})
 
-	q.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
+	q.wg.Add(cfg.workers)
+	for i := 0; i < cfg.workers; i++ {
 		go q.worker()
 	}
 	return q
@@ -310,7 +305,7 @@ func (q *Queue) Submit(j Job) error {
 			return ErrDuplicate
 		}
 	}
-	if len(q.queues[j.Priority]) >= q.cfg.Capacity {
+	if len(q.queues[j.Priority]) >= capacity {
 		q.stats.Dropped++
 		q.dropped.With(j.Kind).Inc()
 		return ErrFull
@@ -395,7 +390,7 @@ func (q *Queue) worker() {
 			q.completed.With(jb.Kind).Inc()
 			continue
 		}
-		if jb.attempts >= q.cfg.MaxAttempts {
+		if jb.attempts >= maxAttempts {
 			q.stats.DeadLettered++
 			q.deadLettered.With(jb.Kind).Inc()
 			jb.lastErr = err.Error()
@@ -419,10 +414,7 @@ func (q *Queue) worker() {
 			q.requeueLocked(jb)
 			continue
 		}
-		backoff := q.cfg.RetryBackoff << (jb.attempts - 1)
-		if backoff > q.cfg.MaxBackoff {
-			backoff = q.cfg.MaxBackoff
-		}
+		backoff := retryBackoff << (jb.attempts - 1)
 		backoff += time.Duration((q.rng.Float64() - 0.5) * 0.5 * float64(backoff))
 		q.waiting++
 		var t *time.Timer
@@ -565,7 +557,7 @@ func (q *Queue) Replay(n int) (replayed, skipped int) {
 				continue
 			}
 		}
-		if len(q.queues[jb.Priority]) >= q.cfg.Capacity {
+		if len(q.queues[jb.Priority]) >= capacity {
 			skipped++
 			remainder = append(remainder, jb)
 			continue

@@ -95,7 +95,6 @@ func LiveReplay(tr *Trace, cfg LiveReplayConfig) (*LiveReplayResult, error) {
 		Proxy:  pcfg,
 		MutateAgent: func(i int, ac *AgentConfig) {
 			ac.CacheCapacity = browserCap
-			ac.MemFraction = 0.5
 			ac.Verify = cfg.Verify
 		},
 	})
