@@ -497,14 +497,7 @@ func (a *Agent) releaseMemory() {
 
 // unregister tells the proxy this client is leaving (best-effort).
 func (a *Agent) unregister() {
-	req, err := http.NewRequest(http.MethodPost, a.cfg.ProxyURL+"/unregister", nil)
-	if err != nil {
-		return
-	}
-	a.authHeaders(req)
-	if resp, err := a.httpClient.Do(req); err == nil {
-		proxy.DrainClose(resp)
-	}
+	proxy.Post(context.Background(), a.httpClient, a.cfg.ProxyURL+"/unregister", nil, a.auth()...)
 }
 
 // heartbeatLoop posts liveness beacons until the agent closes. Closing
@@ -526,14 +519,7 @@ func (a *Agent) heartbeatLoop() {
 
 // heartbeat posts one liveness beacon (best-effort).
 func (a *Agent) heartbeat() {
-	req, err := http.NewRequest(http.MethodPost, a.cfg.ProxyURL+"/heartbeat", nil)
-	if err != nil {
-		return
-	}
-	a.authHeaders(req)
-	if resp, err := a.httpClient.Do(req); err == nil {
-		proxy.DrainClose(resp)
-	}
+	proxy.Post(context.Background(), a.httpClient, a.cfg.ProxyURL+"/heartbeat", nil, a.auth()...)
 }
 
 // registerMetrics exposes the agent's mutex-guarded counters as
@@ -730,7 +716,8 @@ func (a *Agent) fetchViaProxy(ctx context.Context, docURL string, noPeer bool) (
 	if err != nil {
 		return nil, "", "", nil, 0, false, err
 	}
-	a.authHeaders(req)
+	req.Header.Set(proxy.HeaderClient, strconv.Itoa(a.id))
+	req.Header.Set(proxy.HeaderToken, a.token)
 	if noPeer {
 		req.Header.Set(proxy.HeaderNoPeer, "1")
 	}
@@ -762,21 +749,13 @@ func (a *Agent) fetchViaProxy(ctx context.Context, docURL string, noPeer bool) (
 // reportBad files a §6.1 rejection for a direct-forward delivery.
 func (a *Agent) reportBad(ctx context.Context, docURL, ticket string) {
 	rep, _ := json.Marshal(proxy.BadContentReport{ClientID: a.id, URL: docURL, Ticket: ticket})
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		a.cfg.ProxyURL+"/report-bad", bytes.NewReader(rep))
-	if err != nil {
-		return
-	}
-	a.authHeaders(req)
-	req.Header.Set("Content-Type", "application/json")
-	if resp, err := a.httpClient.Do(req); err == nil {
-		proxy.DrainClose(resp)
-	}
+	proxy.Post(ctx, a.httpClient, a.cfg.ProxyURL+"/report-bad", rep,
+		append(a.auth(), "Content-Type", "application/json")...)
 }
 
-func (a *Agent) authHeaders(req *http.Request) {
-	req.Header.Set(proxy.HeaderClient, strconv.Itoa(a.id))
-	req.Header.Set(proxy.HeaderToken, a.token)
+// auth is the agent's credential header pairs, as proxy.Post takes them.
+func (a *Agent) auth() []string {
+	return []string{proxy.HeaderClient, strconv.Itoa(a.id), proxy.HeaderToken, a.token}
 }
 
 // readBody reads a document response in one pass, pre-sizing the buffer from

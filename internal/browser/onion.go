@@ -2,6 +2,7 @@ package browser
 
 import (
 	"bytes"
+	"context"
 	"encoding/base64"
 	"encoding/gob"
 	"encoding/json"
@@ -104,20 +105,8 @@ func (a *Agent) handlePeerOnionSend(w http.ResponseWriter, r *http.Request) {
 
 // forwardOnion posts a (route, sealed-payload) pair to the next hop.
 func (a *Agent) forwardOnion(addr string, route, sealed []byte) error {
-	req, err := http.NewRequest(http.MethodPost, addr+"/peer/onion", bytes.NewReader(sealed))
-	if err != nil {
-		return err
-	}
-	req.Header.Set(proxy.HeaderOnionRoute, base64.StdEncoding.EncodeToString(route))
-	resp, err := a.httpClient.Do(req)
-	if err != nil {
-		return err
-	}
-	proxy.DrainClose(resp)
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("hop status %s", resp.Status)
-	}
-	return nil
+	return proxy.Post(context.Background(), a.httpClient, addr+"/peer/onion", sealed,
+		proxy.HeaderOnionRoute, base64.StdEncoding.EncodeToString(route))
 }
 
 // handlePeerOnion receives an onion hop: the agent peels one route layer

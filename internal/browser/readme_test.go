@@ -251,10 +251,11 @@ func readmeFlagTable(t *testing.T, title string) map[string]bool {
 }
 
 // TestReadmeFlagTablesMatchFlags keeps README's flag tables and the
-// commands' flag sets in step. The tracegen, bapsproxy and bapsbrowser
-// tables are complete: every flag the command defines is documented and
-// every documented flag is defined. The bapsim replay table documents only
-// the replay experiment's flags, each of which bapsim must define.
+// commands' flag sets in step. The tracegen, bapsproxy, bapsbrowser,
+// bapsorigin and bapsreplay tables are complete: every flag the command
+// defines is documented and every documented flag is defined. The bapsim
+// replay table documents only the replay experiment's flags, each of which
+// bapsim must define.
 func TestReadmeFlagTablesMatchFlags(t *testing.T) {
 	for _, c := range []struct {
 		title, dir string
@@ -263,6 +264,8 @@ func TestReadmeFlagTablesMatchFlags(t *testing.T) {
 		{"tracegen", "../../cmd/tracegen", true},
 		{"bapsproxy", "../../cmd/bapsproxy", true},
 		{"bapsbrowser", "../../cmd/bapsbrowser", true},
+		{"bapsorigin", "../../cmd/bapsorigin", true},
+		{"bapsreplay", "../../cmd/bapsreplay", true},
 		{"bapsim replay", "../../cmd/bapsim", false},
 	} {
 		defined, documented := commandFlags(t, c.dir), readmeFlagTable(t, c.title)

@@ -1,7 +1,7 @@
 package browser
 
 import (
-	"bytes"
+	"context"
 	"encoding/base64"
 	"encoding/json"
 	"io"
@@ -212,21 +212,13 @@ func (a *Agent) handlePeerSend(w http.ResponseWriter, r *http.Request) {
 	if tamper != nil {
 		body = tamper(ps.URL, body)
 	}
-	req, err := http.NewRequest(http.MethodPost, ps.RelayURL, bytes.NewReader(body))
-	if err != nil {
-		http.Error(w, "browser: relay request", http.StatusInternalServerError)
-		return
-	}
-	req.Header.Set(proxy.HeaderVersion, strconv.FormatInt(d.version, 10))
-	req.Header.Set(proxy.HeaderWatermark, base64.StdEncoding.EncodeToString(d.watermark))
-	resp, err := a.httpClient.Do(req)
-	if err != nil {
-		http.Error(w, "browser: relay push failed", http.StatusBadGateway)
-		return
-	}
-	proxy.DrainClose(resp)
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
-		http.Error(w, "browser: relay push rejected: "+resp.Status, http.StatusBadGateway)
+	// The push must not take this request's context: the proxy's
+	// PeerTimeout client gives up on /peer/send while a long push is still
+	// streaming to the requester, and that would cut the push off.
+	if err := proxy.Post(context.Background(), a.httpClient, ps.RelayURL, body,
+		proxy.HeaderVersion, strconv.FormatInt(d.version, 10),
+		proxy.HeaderWatermark, base64.StdEncoding.EncodeToString(d.watermark)); err != nil {
+		http.Error(w, "browser: relay push: "+err.Error(), http.StatusBadGateway)
 		return
 	}
 	w.WriteHeader(http.StatusOK)

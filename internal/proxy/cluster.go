@@ -24,12 +24,12 @@ package proxy
 
 import (
 	"context"
-	"crypto/md5"
 	"encoding/base64"
+	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
+	neturl "net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -123,7 +123,7 @@ func (s *Server) handlePeerDigest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var msg federation.DigestMsg
-	if err := jsonDecode(io.LimitReader(r.Body, 16<<20), &msg); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(&msg); err != nil {
 		http.Error(w, "proxy: bad digest body", http.StatusBadRequest)
 		return
 	}
@@ -188,94 +188,70 @@ func (s *Server) handleClusterFetch(w http.ResponseWriter, r *http.Request, url 
 		return
 	}
 	if !s.cfg.DisablePeer {
-		if p := s.resolveRemoteMode(r.Context(), url, -1, FetchForward); p.ok {
+		if res := s.resolveRemote(r.Context(), url, -1, FetchForward); res.outcome != "" {
 			s.m.clusterServeHits.Inc()
-			s.serveDoc(w, nil, "", SourceProxy, p.body, p.meta, -1)
+			s.serveDoc(w, nil, "", SourceProxy, res.body, res.meta, -1)
 			return
 		}
 	}
 	http.Error(w, "proxy: not held", http.StatusNotFound)
 }
 
-// clusterRes is one completed sibling resolution, shared across coalesced
-// requesters through clusterFlight. A cluster-wide miss is a *successful*
-// negative result (ok=false), not an error: the flight group re-runs leaders
+// resolveCluster is the fetch path's third tier: check sibling digests,
+// confirm with /peer/locate, relay the body over a cluster-hop fetch. An
+// empty outcome sends the caller to the origin. A cluster-wide miss is a
+// *successful* empty result, not an error: the flight group re-runs leaders
 // that fail, and a whole pack of coalesced misses retrying the sibling walk
 // is exactly the stampede the group exists to prevent.
-type clusterRes struct {
-	body []byte
-	meta docMeta
-	ok   bool
-}
-
-// resolveCluster is the fetch path's third tier: check sibling digests,
-// confirm with /peer/locate, relay the body over a cluster-hop fetch.
-// ok=false sends the caller to the origin.
-func (s *Server) resolveCluster(ctx context.Context, url string) (fetchResult, bool) {
+func (s *Server) resolveCluster(ctx context.Context, url string) fetchResult {
 	fed := s.fed.Load()
 	if fed == nil {
-		return fetchResult{}, false
+		return fetchResult{}
 	}
 	cands := fed.Candidates(url)
 	if len(cands) == 0 {
-		return fetchResult{}, false
+		return fetchResult{}
 	}
 	obs.SpanFrom(ctx).Event("cluster_digest_hit", strconv.Itoa(len(cands))+" sibling digests claim url")
-	res, shared, err := s.clusterFlight.Do(ctx, url, func() (clusterRes, error) {
+	res, shared, err := s.clusterFlight.Do(ctx, url, func() (fetchResult, error) {
 		return s.clusterWalk(ctx, fed, url, cands), nil
 	})
-	if err != nil || !res.ok {
-		return fetchResult{}, false
+	if err != nil {
+		return fetchResult{}
 	}
-	if shared {
+	if shared && res.outcome != "" {
 		obs.SpanFrom(ctx).Event("coalesced", "attached to in-flight cluster resolution")
 	}
-	return fetchResult{body: res.body, meta: res.meta, source: SourceCluster, outcome: outClusterHit}, true
+	return res
 }
 
 // clusterWalk tries each digest-claiming sibling in rendezvous order:
-// locate (cheap) then relay (body). Locate denials are Bloom false
-// positives — accounted, never charged to the breaker. Transport failures
-// feed the sibling's breaker exactly like browser-peer failures.
-func (s *Server) clusterWalk(ctx context.Context, fed *federation.Cluster, url string, cands []string) clusterRes {
+// locate (cheap) then relay (body). A notHeld answer is no breaker charge:
+// from locate it is a Bloom false positive (accounted), from the relay an
+// eviction that raced the locate (the sibling answered both times). Any
+// other failure feeds the sibling's breaker exactly like a browser peer's.
+func (s *Server) clusterWalk(ctx context.Context, fed *federation.Cluster, url string, cands []string) fetchResult {
 	for _, peer := range cands {
 		if ctx.Err() != nil {
-			return clusterRes{}
+			return fetchResult{}
 		}
-		held, err := s.locateAtSibling(ctx, peer, url)
-		if err != nil {
-			if ctx.Err() != nil {
-				return clusterRes{}
-			}
-			if fed.NoteFailure(peer) {
-				s.m.breakerOpened.Inc()
-				if s.logger != nil {
-					s.logger.Warn("sibling breaker opened", "sibling", peer, "err", err)
-				}
-			}
-			continue
-		}
-		if !held {
+		err := s.locateAtSibling(ctx, peer, url)
+		if notHeld(err) {
 			fed.NoteFalsePositive(peer)
 			obs.SpanFrom(ctx).Event("cluster_fp", "digest claimed, locate denied: "+peer)
 			continue
 		}
-		fed.NoteConfirm(peer)
-		body, meta, err := s.fetchFromSibling(ctx, peer, url)
+		var res fetchResult
+		if err == nil {
+			fed.NoteConfirm(peer)
+			res, err = s.fetchFromSibling(ctx, peer, url)
+		}
 		if err != nil {
 			if ctx.Err() != nil {
-				return clusterRes{}
+				return fetchResult{}
 			}
-			if errors.Is(err, errSiblingGone) {
-				// Locate said held, the relay raced an eviction; the
-				// sibling answered both times, so no breaker charge.
-				continue
-			}
-			if fed.NoteFailure(peer) {
-				s.m.breakerOpened.Inc()
-				if s.logger != nil {
-					s.logger.Warn("sibling breaker opened", "sibling", peer, "err", err)
-				}
+			if !notHeld(err) {
+				s.siblingFailed(fed, peer, err)
 			}
 			continue
 		}
@@ -283,70 +259,52 @@ func (s *Server) clusterWalk(ctx context.Context, fed *federation.Cluster, url s
 		s.m.clusterFetches.Inc()
 		obs.SpanFrom(ctx).Event("cluster_fetch", "relayed from "+peer)
 		if s.cfg.CachePeerDocs {
-			s.storeDoc(url, body, meta)
+			s.storeDoc(url, res.body, res.meta)
 		}
-		return clusterRes{body: body, meta: meta, ok: true}
+		return res
 	}
-	return clusterRes{}
+	return fetchResult{}
 }
 
-// errSiblingGone marks a cluster-hop relay that 404ed after locate confirmed:
-// the sibling evicted the document between the two calls. Alive, just empty.
-var errSiblingGone = errors.New("sibling no longer holds document")
+// siblingFailed charges one failed call to the sibling's breaker.
+func (s *Server) siblingFailed(fed *federation.Cluster, peer string, err error) {
+	if fed.NoteFailure(peer) {
+		s.m.breakerOpened.Inc()
+		if s.logger != nil {
+			s.logger.Warn("sibling breaker opened", "sibling", peer, "err", err)
+		}
+	}
+}
 
-// locateAtSibling asks one sibling to commit to its digest's claim.
-func (s *Server) locateAtSibling(ctx context.Context, peer, url string) (held bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/peer/locate?url="+urlQueryEscape(url), nil)
+// locateAtSibling asks one sibling to commit to its digest's claim: nil
+// means held, a notHeld error means the digest was a false positive.
+func (s *Server) locateAtSibling(ctx context.Context, peer, url string) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/peer/locate?url="+neturl.QueryEscape(url), nil)
 	if err != nil {
-		return false, err
+		return err
 	}
-	resp, err := s.peerClient.Do(req)
-	if err != nil {
-		return false, err
-	}
-	DrainClose(resp)
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return true, nil
-	case http.StatusNotFound:
-		return false, nil
-	default:
-		return false, fmt.Errorf("sibling locate status %s", resp.Status)
-	}
+	_, _, _, err = s.getDoc(s.peerClient, req)
+	return err
 }
 
 // fetchFromSibling relays url through a confirmed sibling with the
-// cluster-hop header set. The body is MD5-hashed as it streams in; that
+// cluster-hop header set. getDoc hashes the body as it streams in; that
 // digest is what this proxy's own watermark is later derived from.
-func (s *Server) fetchFromSibling(ctx context.Context, peer, url string) ([]byte, docMeta, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/fetch?url="+urlQueryEscape(url), nil)
+func (s *Server) fetchFromSibling(ctx context.Context, peer, url string) (fetchResult, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/fetch?url="+neturl.QueryEscape(url), nil)
 	if err != nil {
-		return nil, docMeta{}, err
+		return fetchResult{}, err
 	}
 	req.Header.Set(HeaderClusterHop, "1")
-	resp, err := s.peerClient.Do(req)
+	body, digest, hdr, err := s.getDoc(s.peerClient, req)
 	if err != nil {
-		return nil, docMeta{}, err
+		return fetchResult{}, err
 	}
-	if resp.StatusCode == http.StatusNotFound {
-		DrainClose(resp)
-		return nil, docMeta{}, errSiblingGone
-	}
-	if resp.StatusCode != http.StatusOK {
-		DrainClose(resp)
-		return nil, docMeta{}, fmt.Errorf("sibling fetch status %s", resp.Status)
-	}
-	defer resp.Body.Close()
-	h := md5.New()
-	body, err := readDoc(resp.Body, resp.ContentLength, h)
-	if err != nil {
-		if errors.Is(err, ErrDocTooLarge) {
-			s.m.docTooLarge.Inc()
-		}
-		return nil, docMeta{}, err
-	}
-	version, _ := strconv.ParseInt(resp.Header.Get(HeaderVersion), 10, 64)
-	return body, docMeta{version: version, size: int64(len(body)), digest: h.Sum(nil)}, nil
+	version, _ := strconv.ParseInt(hdr.Get(HeaderVersion), 10, 64)
+	return fetchResult{
+		body: body, meta: docMeta{version: version, size: int64(len(body)), digest: digest},
+		source: SourceCluster, outcome: outClusterHit,
+	}, nil
 }
 
 // fetchPacer is a per-instance admission gate: client-facing fetches are

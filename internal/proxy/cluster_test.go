@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"crypto/md5"
 	"encoding/base64"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	neturl "net/url"
 	"testing"
 	"time"
 
 	"baps/internal/bloom"
+	"baps/internal/federation"
 	"baps/internal/integrity"
 	"baps/internal/origin"
 )
@@ -69,7 +72,7 @@ func TestClusterRelayFromSiblingCache(t *testing.T) {
 	a, b := ps[0], ps[1]
 
 	u := ots.URL + "/cluster/doc?size=4000"
-	resp, err := http.Get(a.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+	resp, err := http.Get(a.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +117,7 @@ func TestClusterRelayFromSiblingCache(t *testing.T) {
 	}
 
 	// B cached the relay (CachePeerDocs): next fetch is a local hit.
-	resp, err = http.Get(b.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+	resp, err = http.Get(b.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +153,7 @@ func TestClusterHopDoesNotCascade(t *testing.T) {
 	defer ots.Close()
 	ps := federate(t, 2, nil)
 
-	req, _ := http.NewRequest(http.MethodGet, ps[0].BaseURL()+"/fetch?url="+urlQueryEscape(ots.URL+"/absent"), nil)
+	req, _ := http.NewRequest(http.MethodGet, ps[0].BaseURL()+"/fetch?url="+neturl.QueryEscape(ots.URL+"/absent"), nil)
 	req.Header.Set(HeaderClusterHop, "1")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -206,7 +209,7 @@ func TestClusterBloomFalsePositive(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get(b.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+	resp, err := http.Get(b.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +259,7 @@ func TestClusterServesFromSiblingBrowser(t *testing.T) {
 	addIndexEntry(t, a, reg, u, int64(len(body)))
 
 	waitCandidates(t, b, u)
-	resp, err := http.Get(b.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+	resp, err := http.Get(b.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +310,7 @@ func TestFetchPacerBoundsRate(t *testing.T) {
 	start := time.Now()
 	const n = 20
 	for i := 0; i < n; i++ {
-		resp, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+		resp, err := http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,5 +321,50 @@ func TestFetchPacerBoundsRate(t *testing.T) {
 	// 20 requests at 50/s reserve slots spanning ≥ 19 × 20ms = 380ms.
 	if elapsed < 300*time.Millisecond {
 		t.Fatalf("%d paced requests finished in %v; pacer not limiting", n, elapsed)
+	}
+}
+
+// TestPeerDigestAcceptsLargeDirectory: /peer/digest reads bodies up to its
+// own 16 MiB cap. A sibling with 700 000 URLs sends a 1% Bloom digest of
+// about 1.1 MB, which a 1 MiB read limit would turn into a 400 on every push.
+func TestPeerDigestAcceptsLargeDirectory(t *testing.T) {
+	sib := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer sib.Close()
+	s := testServer(t, func(c *Config) { c.DigestInterval = time.Hour })
+	if err := s.JoinCluster([]string{sib.URL}); err != nil {
+		t.Fatal(err)
+	}
+	const docs = 700_000
+	f, err := bloom.NewFilterForFPR(docs, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const u = "http://o/held"
+	f.Add(u)
+	raw, err := f.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(federation.DigestMsg{From: sib.URL, Digest: base64.StdEncoding.EncodeToString(raw), Docs: docs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) <= 1<<20 {
+		t.Fatalf("digest body is %d bytes, want more than 1 MiB", len(body))
+	}
+	resp, err := http.Post(s.BaseURL()+"/peer/digest", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("digest push status %d, want 204", resp.StatusCode)
+	}
+	if cands := s.Cluster().Candidates(u); len(cands) != 1 || cands[0] != sib.URL {
+		t.Fatalf("candidates for %s = %v, want the sibling", u, cands)
 	}
 }

@@ -328,11 +328,11 @@ func TestMetaOutlivesEviction(t *testing.T) {
 	if r := docSnapshot(s, a); r == nil || r.state != docMetaOnly {
 		t.Fatalf("record after eviction: %+v, want meta-only", r)
 	}
-	body, meta, err := s.fetchFromPeer(context.Background(), honest, a)
-	if err != nil || !bytes.Equal(body, docBody(a, 1)) || meta.version != 1 {
-		t.Fatalf("peer serve of an evicted document: v%d, err %v", meta.version, err)
+	res, err := s.fetchFromPeer(context.Background(), honest, a)
+	if err != nil || !bytes.Equal(res.body, docBody(a, 1)) || res.meta.version != 1 {
+		t.Fatalf("peer serve of an evicted document: v%d, err %v", res.meta.version, err)
 	}
-	if _, _, err := s.fetchFromPeer(context.Background(), tamperer, a); err == nil {
+	if _, err := s.fetchFromPeer(context.Background(), tamperer, a); err == nil {
 		t.Fatal("tampered peer body passed the digest compare")
 	}
 	if v, rej := s.m.watermarkVerified.Value(), s.m.watermarkRejected.Value(); v != 1 || rej != 1 {

@@ -3,8 +3,8 @@ package proxy
 import (
 	"bytes"
 	"context"
-	"crypto/md5"
 	"encoding/base64"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -110,11 +110,13 @@ func (b *outcomeBook) book(outcome string) {
 	b.m.outcomeCounter(outcome).Inc()
 }
 
-// fetchResult is one completed miss resolution: the document (buffered body
-// or direct-forward stream) plus everything needed to write the response and
-// account the outcome. Buffered results are immutable and safely shared
-// across coalesced requests; streamed results are requester-specific and
-// never enter the flight group.
+// fetchResult is one acquisition — from a holder, a sibling or the origin —
+// and every miss resolution: the document (buffered body, direct-forward
+// stream, or an onion delivery under way) plus everything needed to write
+// the response and account the outcome. An empty outcome is a miss that is
+// not an error (no holder delivered, no sibling confirmed). Buffered results
+// are immutable and safely shared across coalesced requests; streamed
+// results are requester-specific and never enter the flight group.
 type fetchResult struct {
 	body     []byte
 	stream   *relayStream
@@ -174,15 +176,11 @@ func (s *Server) resolveMiss(ctx context.Context, url string, requester int, pee
 		}
 		// Cluster tier: local browsers came up empty; check the sibling
 		// proxies' digests before paying for an origin round trip.
-		if res, ok := s.resolveCluster(ctx, url); ok {
+		if res := s.resolveCluster(ctx, url); res.outcome != "" {
 			return res, nil
 		}
 	}
-	body, meta, err := s.fetchUpstream(ctx, url)
-	if err != nil {
-		return fetchResult{}, err
-	}
-	return fetchResult{body: body, meta: meta, source: SourceOrigin, outcome: outOrigin}, nil
+	return s.fetchUpstream(ctx, url)
 }
 
 // writeResolution writes a completed (or failed) miss resolution and reports
@@ -227,54 +225,14 @@ func (s *Server) writeResolution(ctx context.Context, w http.ResponseWriter, boo
 	return outcome
 }
 
-// peerOutcome is the result of one resolveRemote walk. Exactly one of body
-// (fetch-forward), stream (direct-forward) or viaOnion (onion-forward) is
-// set on success.
-type peerOutcome struct {
-	body     []byte
-	stream   *relayStream
-	meta     docMeta
-	ticket   string
-	viaOnion bool
-	ok       bool
-}
-
-// result shapes a successful peer resolution for the response writer.
-func (p peerOutcome) result() fetchResult {
-	res := fetchResult{
-		body:     p.body,
-		stream:   p.stream,
-		meta:     p.meta,
-		source:   SourceRemote,
-		ticket:   p.ticket,
-		viaOnion: p.viaOnion,
-	}
-	switch {
-	case p.viaOnion:
-		res.outcome = outPeerOnion
-	case p.ticket != "":
-		res.outcome = outPeerDirect
-	default:
-		res.outcome = outPeerFetch
-	}
-	return res
-}
-
-// originOutcome is the result of one hedged upstream fetch.
-type originOutcome struct {
-	body []byte
-	meta docMeta
-	err  error
-}
-
 // raceRemoteOrigin runs the remote-browser resolution, racing the origin once
 // the peer path exceeds PeerSoftDeadline (a slow or dying holder must never
 // make a request slower than a plain proxy miss). handled=false means the
 // peer path produced nothing and no hedge result is pending: the caller
 // should take the plain origin path.
 func (s *Server) raceRemoteOrigin(ctx context.Context, url string, requester int) (fetchResult, bool, error) {
-	peerCh := make(chan peerOutcome, 1)
-	go func() { peerCh <- s.resolveRemote(ctx, url, requester) }()
+	peerCh := make(chan fetchResult, 1)
+	go func() { peerCh <- s.resolveRemote(ctx, url, requester, s.cfg.Forward) }()
 
 	var hedge <-chan time.Time
 	if s.cfg.PeerSoftDeadline > 0 {
@@ -282,49 +240,49 @@ func (s *Server) raceRemoteOrigin(ctx context.Context, url string, requester int
 		defer t.Stop()
 		hedge = t.C
 	}
-	var originCh chan originOutcome
-	var originFailed error
+	// The hedged origin fetch writes origin and originErr, then closes
+	// originDone; they are read only after it is closed.
+	var originDone chan struct{}
+	var origin fetchResult
+	var originErr error
 	for {
 		select {
 		case p := <-peerCh:
-			if p.ok {
-				return p.result(), true, nil
+			if p.outcome != "" {
+				return p, true, nil
 			}
 			// Peer path exhausted; fall back to whatever the hedge
 			// has (or will have), else let the caller go upstream.
-			if originCh != nil {
+			if originDone != nil {
 				select {
-				case o := <-originCh:
-					if o.err != nil {
-						return fetchResult{}, true, o.err
-					}
-					return fetchResult{body: o.body, meta: o.meta, source: SourceOrigin, outcome: outOrigin}, true, nil
+				case <-originDone:
+					return origin, true, originErr
 				case <-ctx.Done():
 					return fetchResult{}, true, ctx.Err()
 				}
 			}
-			if originFailed != nil {
-				return fetchResult{}, true, originFailed
+			if originErr != nil {
+				return fetchResult{}, true, originErr
 			}
 			return fetchResult{}, false, nil
 		case <-hedge:
 			hedge = nil
 			obs.SpanFrom(ctx).Event("hedge", "peer soft deadline exceeded; racing origin")
-			originCh = make(chan originOutcome, 1)
+			originDone = make(chan struct{})
 			go func() {
-				body, meta, err := s.fetchUpstream(ctx, url)
-				originCh <- originOutcome{body: body, meta: meta, err: err}
+				origin, originErr = s.fetchUpstream(ctx, url)
+				close(originDone)
 			}()
-		case o := <-originCh:
-			if o.err == nil {
+		case <-originDone:
+			if originErr == nil {
 				// The origin answered while the peer path was still
 				// grinding: hedged win. The walk may still deliver a
 				// direct-forward stream later; release it.
 				go abandonPeer(peerCh)
-				return fetchResult{body: o.body, meta: o.meta, source: SourceOrigin, outcome: outOriginHedged}, true, nil
+				origin.outcome = outOriginHedged
+				return origin, true, nil
 			}
-			originFailed = o.err
-			originCh = nil
+			originDone = nil
 		case <-ctx.Done():
 			go abandonPeer(peerCh)
 			return fetchResult{}, true, ctx.Err()
@@ -335,7 +293,7 @@ func (s *Server) raceRemoteOrigin(ctx context.Context, url string, requester int
 // abandonPeer consumes a peer-walk result nobody will serve, releasing any
 // direct-forward stream (and the holder blocked behind it). The walk itself
 // winds down on its own once the request context dies.
-func abandonPeer(peerCh <-chan peerOutcome) {
+func abandonPeer(peerCh <-chan fetchResult) {
 	if p := <-peerCh; p.stream != nil {
 		p.stream.finish(errRelayAbandoned)
 	}
@@ -443,45 +401,23 @@ func (s *Server) storeDoc(url string, body []byte, meta docMeta) {
 	}
 }
 
-// upstreamDoc is a completed origin acquisition, shared across coalesced
-// upstream fetches.
-type upstreamDoc struct {
-	body []byte
-	meta docMeta
-}
-
 // fetchUpstream obtains the document from the origin and records its digest.
 // Concurrent fetches of one URL are coalesced through the flight group: one
 // leader pays the origin round trip, followers share its result, a failed
 // leader's followers retry independently, and waiters still honor their own
 // context.
-func (s *Server) fetchUpstream(ctx context.Context, url string) ([]byte, docMeta, error) {
-	d, _, err := s.originFlight.Do(ctx, url, func() (upstreamDoc, error) {
-		body, meta, ferr := s.fetchUpstreamUncoalesced(ctx, url)
-		if ferr != nil {
-			return upstreamDoc{}, ferr
-		}
-		return upstreamDoc{body: body, meta: meta}, nil
+func (s *Server) fetchUpstream(ctx context.Context, url string) (fetchResult, error) {
+	res, _, err := s.originFlight.Do(ctx, url, func() (fetchResult, error) {
+		return s.fetchUpstreamUncoalesced(ctx, url)
 	})
-	if err != nil {
-		return nil, docMeta{}, err
-	}
-	return d.body, d.meta, nil
+	return res, err
 }
-
-// upstreamStatusError reports a non-200 origin response.
-type upstreamStatusError struct {
-	code   int
-	status string
-}
-
-func (e *upstreamStatusError) Error() string { return "status " + e.status }
 
 // transientUpstream classifies failures worth retrying: transport-level
 // errors (refused, reset, timed out) and throttling/5xx statuses. Client
 // errors (4xx) and local failures (read, oversize) are terminal.
 func transientUpstream(err error) bool {
-	var se *upstreamStatusError
+	var se *statusError
 	if errors.As(err, &se) {
 		return se.code >= 500 || se.code == http.StatusTooManyRequests
 	}
@@ -492,7 +428,7 @@ func transientUpstream(err error) bool {
 // fetchUpstreamUncoalesced retries transient origin failures with
 // exponential backoff and full jitter, bounded by OriginRetries and the
 // request context.
-func (s *Server) fetchUpstreamUncoalesced(ctx context.Context, url string) ([]byte, docMeta, error) {
+func (s *Server) fetchUpstreamUncoalesced(ctx context.Context, url string) (fetchResult, error) {
 	delay := retryBaseDelay
 	var lastErr error
 	for attempt := 0; attempt <= s.cfg.OriginRetries; attempt++ {
@@ -505,91 +441,72 @@ func (s *Server) fetchUpstreamUncoalesced(ctx context.Context, url string) ([]by
 			select {
 			case <-time.After(d):
 			case <-ctx.Done():
-				return nil, docMeta{}, lastErr
+				return fetchResult{}, lastErr
 			}
 			delay *= 2
 		}
-		body, meta, err := s.originAttempt(ctx, url)
+		res, err := s.originAttempt(ctx, url)
 		if err == nil {
-			return body, meta, nil
+			return res, nil
 		}
 		lastErr = err
 		if ctx.Err() != nil || !transientUpstream(err) {
 			break
 		}
 	}
-	return nil, docMeta{}, lastErr
+	return fetchResult{}, lastErr
 }
 
-// originAttempt performs one origin round trip: the body is read in a single
-// pass (pre-sized from Content-Length, MD5 hashed as it streams in) and the
-// buffer moves into the cache without a defensive copy. Nothing is signed
-// here: the digest is all a later watermark needs (watermarkFor).
-func (s *Server) originAttempt(ctx context.Context, url string) ([]byte, docMeta, error) {
+// originAttempt performs one origin round trip through getDoc; the buffer
+// moves into the cache without a defensive copy. Nothing is signed here: the
+// digest is all a later watermark needs (watermarkFor).
+func (s *Server) originAttempt(ctx context.Context, url string) (fetchResult, error) {
 	start := time.Now()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return nil, docMeta{}, err
+		return fetchResult{}, err
 	}
-	resp, err := s.originClient.Do(req)
+	body, digest, hdr, err := s.getDoc(s.originClient, req)
 	if err != nil {
-		return nil, docMeta{}, err
+		return fetchResult{}, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		DrainClose(resp)
-		return nil, docMeta{}, &upstreamStatusError{code: resp.StatusCode, status: resp.Status}
-	}
-	defer resp.Body.Close()
-	h := md5.New()
-	body, err := readDoc(resp.Body, resp.ContentLength, h)
-	if err != nil {
-		if errors.Is(err, ErrDocTooLarge) {
-			s.m.docTooLarge.Inc()
-		}
-		return nil, docMeta{}, err
-	}
-	version, _ := strconv.ParseInt(resp.Header.Get("X-Origin-Version"), 10, 64)
-	meta := docMeta{
-		version:  version,
-		size:     int64(len(body)),
-		digest:   h.Sum(nil),
-		lastMod:  resp.Header.Get("Last-Modified"),
-		storedAt: time.Now(),
-	}
+	meta := originMeta(body, digest, hdr, time.Now())
 	s.storeDoc(url, body, meta)
 	s.m.originFetch.Observe(time.Since(start).Seconds())
-	return body, meta, nil
+	return fetchResult{body: body, meta: meta, source: SourceOrigin, outcome: outOrigin}, nil
 }
 
-// errPeerStale marks a peer response that proves the index entry stale (the
-// peer answered but no longer caches the document). Stale responses prune
-// the entry without counting against the peer's circuit breaker.
-var errPeerStale = errors.New("stale index entry")
+// originMeta records an origin reply's document metadata, stored at now.
+func originMeta(body, digest []byte, hdr http.Header, now time.Time) docMeta {
+	version, _ := strconv.ParseInt(hdr.Get("X-Origin-Version"), 10, 64)
+	return docMeta{
+		version:  version,
+		size:     int64(len(body)),
+		digest:   digest,
+		lastMod:  hdr.Get("Last-Modified"),
+		storedAt: now,
+	}
+}
 
-// resolveRemote walks the index's holders for url. In fetch-forward mode
-// the proxy retrieves and verifies the body itself; in direct-forward mode
-// it opens an anonymous relay drop and instructs the holder to push there,
-// returning the push as a live stream; in onion-forward mode it launches the
-// document onto a covert path of relay browsers and reports viaOnion (no
-// body passes through). ticket is non-empty for direct-forward deliveries
-// (requester-side watermark rejections reference it in /report-bad).
+// resolveRemote walks the index's holders for url and returns the first
+// delivery, or a result with an empty outcome. mode picks how a holder
+// delivers: in fetch-forward the proxy retrieves and verifies the body
+// itself; in direct-forward it opens an anonymous relay drop and instructs
+// the holder to push there, returning the push as a live stream; in
+// onion-forward it launches the document onto a covert path of relay
+// browsers and reports viaOnion (no body passes through). The cluster-hop
+// serve path forces FetchForward: a sibling needs a buffered body.
 //
 // Candidates are gated by the per-peer circuit breaker: a tripped peer is
 // skipped entirely (all its entries sit in quarantine), except that once
 // its cooldown elapses one request is admitted as a half-open probe — a
-// success re-admits every quarantined entry in one step.
-func (s *Server) resolveRemote(ctx context.Context, url string, requester int) peerOutcome {
-	return s.resolveRemoteMode(ctx, url, requester, s.cfg.Forward)
-}
-
-// resolveRemoteMode is resolveRemote with an explicit delivery mode: the
-// cluster-hop serve path forces FetchForward regardless of the configured
-// mode, since a sibling proxy needs a buffered body, not a relay ticket.
-func (s *Server) resolveRemoteMode(ctx context.Context, url string, requester int, mode ForwardMode) peerOutcome {
+// success re-admits every quarantined entry in one step. A holder that
+// fails is pruned; its breaker is charged unless it answered notHeld.
+func (s *Server) resolveRemote(ctx context.Context, url string, requester int, mode ForwardMode) fetchResult {
 	doc, known := s.syms.Lookup(url)
 	if !known {
 		// Never indexed by any browser: no holders can exist.
-		return peerOutcome{}
+		return fetchResult{}
 	}
 	candidates := s.idx.Ordered(doc, requester)
 	// Quarantined holders come last, as half-open probe candidates.
@@ -599,7 +516,7 @@ func (s *Server) resolveRemoteMode(ctx context.Context, url string, requester in
 	}
 	for _, e := range candidates {
 		if ctx.Err() != nil {
-			return peerOutcome{}
+			return fetchResult{}
 		}
 		if !s.health.Allow(e.Client) {
 			continue // breaker open
@@ -612,27 +529,27 @@ func (s *Server) resolveRemoteMode(ctx context.Context, url string, requester in
 			continue
 		}
 		start := time.Now()
-		var p peerOutcome
+		var res fetchResult
 		var err error
 		switch mode {
 		case FetchForward:
-			p.body, p.meta, err = s.fetchFromPeer(ctx, peer, url)
+			res, err = s.fetchFromPeer(ctx, peer, url)
 		case OnionForward:
 			err = s.onionFromPeer(ctx, peer, url, requester)
-			p.viaOnion = err == nil
+			res = fetchResult{source: SourceRemote, viaOnion: true, outcome: outPeerOnion}
 		default:
-			p.stream, p.meta, p.ticket, err = s.relayFromPeer(ctx, peer, url)
+			res, err = s.relayFromPeer(ctx, peer, url)
 		}
 		if err != nil {
 			if ctx.Err() != nil {
 				// The requester canceled (or the hedge already won);
 				// not the peer's fault — record nothing.
-				return peerOutcome{}
+				return fetchResult{}
 			}
 			s.m.falsePeer.Inc()
-			obs.SpanFrom(ctx).Event("peer_miss", err.Error())
+			obs.SpanFrom(ctx).Event("peer_miss", "client "+strconv.Itoa(e.Client)+": "+err.Error())
 			s.idx.Remove(e.Client, doc)
-			if errors.Is(err, errPeerStale) {
+			if notHeld(err) {
 				// The peer is alive, it just evicted the document.
 				s.health.Touch(e.Client)
 			} else if s.health.Failure(e.Client) {
@@ -658,54 +575,36 @@ func (s *Server) resolveRemoteMode(ctx context.Context, url string, requester in
 		// Onion deliveries bypass the proxy and streamed relays are still
 		// in flight, so the served size comes from the index entry when
 		// the relayed payload length is unknown.
-		served := p.meta.size
-		if p.viaOnion || served < 0 {
+		served := res.meta.size
+		if res.viaOnion || served < 0 {
 			served = e.Size
 		}
 		s.m.peerServeBytes.WithInt(e.Client).Add(served)
 		obs.SpanFrom(ctx).Event("peer_serve", "client "+strconv.Itoa(e.Client))
 		if mode == FetchForward && s.cfg.CachePeerDocs {
-			s.storeDoc(url, p.body, p.meta)
+			s.storeDoc(url, res.body, res.meta)
 		}
-		p.ok = true
-		return p
+		return res
 	}
-	return peerOutcome{}
+	return fetchResult{}
 }
 
 // fetchFromPeer retrieves url from a holder's peer server and verifies the
 // body against the proxy's recorded digest (§6.1 enforced proxy-side: a
-// tampering holder is pruned and skipped). The digest is computed
-// incrementally while the body streams in — one pass, no re-hash.
-func (s *Server) fetchFromPeer(ctx context.Context, peer peerInfo, url string) ([]byte, docMeta, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer.baseURL+"/peer/doc?url="+urlQueryEscape(url), nil)
+// tampering holder is pruned and skipped). getDoc hashes the body as it
+// streams in — one pass, no re-hash.
+func (s *Server) fetchFromPeer(ctx context.Context, peer peerInfo, url string) (fetchResult, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer.baseURL+"/peer/doc?url="+neturl.QueryEscape(url), nil)
 	if err != nil {
-		return nil, docMeta{}, err
+		return fetchResult{}, err
 	}
 	req.Header.Set(HeaderToken, peer.token)
-	resp, err := s.peerClient.Do(req)
+	body, digest, hdr, err := s.getDoc(s.peerClient, req)
 	if err != nil {
-		return nil, docMeta{}, err
+		return fetchResult{}, err
 	}
-	if resp.StatusCode == http.StatusNotFound {
-		DrainClose(resp)
-		return nil, docMeta{}, fmt.Errorf("client %d: %w", peer.id, errPeerStale)
-	}
-	if resp.StatusCode != http.StatusOK {
-		DrainClose(resp)
-		return nil, docMeta{}, fmt.Errorf("peer status %s", resp.Status)
-	}
-	defer resp.Body.Close()
-	h := md5.New()
-	body, err := readDoc(resp.Body, resp.ContentLength, h)
-	if err != nil {
-		if errors.Is(err, ErrDocTooLarge) {
-			s.m.docTooLarge.Inc()
-		}
-		return nil, docMeta{}, err
-	}
-	digest := h.Sum(nil)
-	version, _ := strconv.ParseInt(resp.Header.Get(HeaderVersion), 10, 64)
+	version, _ := strconv.ParseInt(hdr.Get(HeaderVersion), 10, 64)
+	res := fetchResult{body: body, source: SourceRemote, outcome: outPeerFetch}
 
 	var known docMeta
 	s.mu.Lock()
@@ -717,29 +616,31 @@ func (s *Server) fetchFromPeer(ctx context.Context, peer peerInfo, url string) (
 	if r != nil && known.version == version {
 		if !bytes.Equal(digest, known.digest) {
 			s.m.watermarkRejected.Inc()
-			return nil, docMeta{}, fmt.Errorf("digest mismatch from client %d", peer.id)
+			return fetchResult{}, fmt.Errorf("digest mismatch from client %d", peer.id)
 		}
 		s.m.watermarkVerified.Inc()
-		return body, known, nil
+		res.meta = known
+		return res, nil
 	}
 	// The proxy has no record for this version (e.g. restarted): accept
 	// the body only if the holder's stored watermark verifies under our key.
-	mark, err := base64.StdEncoding.DecodeString(resp.Header.Get(HeaderWatermark))
+	mark, err := base64.StdEncoding.DecodeString(hdr.Get(HeaderWatermark))
 	if err == nil {
 		k, kerr := s.signingKey()
 		if kerr != nil {
 			// Without the key nothing verifies: fail closed. The walk
 			// books this like any other failed holder.
-			return nil, docMeta{}, kerr
+			return fetchResult{}, kerr
 		}
 		err = integrity.VerifyDigest(k.signer.Public(), digest, mark)
 	}
 	if err != nil {
 		s.m.watermarkRejected.Inc()
-		return nil, docMeta{}, fmt.Errorf("unverifiable peer content from client %d", peer.id)
+		return fetchResult{}, fmt.Errorf("unverifiable peer content from client %d", peer.id)
 	}
 	s.m.watermarkVerified.Inc()
-	return body, docMeta{version: version, size: int64(len(body)), digest: digest}, nil
+	res.meta = docMeta{version: version, size: int64(len(body)), digest: digest}
+	return res, nil
 }
 
 // relayFromPeer implements direct-forward: issue a one-time ticket, tell the
@@ -751,10 +652,10 @@ func (s *Server) fetchFromPeer(ctx context.Context, peer peerInfo, url string) (
 // the holder's push completes only after the requester consumes it, which in
 // turn happens only after this function returns — awaiting the send's HTTP
 // response first would deadlock the pipeline.
-func (s *Server) relayFromPeer(ctx context.Context, peer peerInfo, url string) (*relayStream, docMeta, string, error) {
+func (s *Server) relayFromPeer(ctx context.Context, peer peerInfo, url string) (fetchResult, error) {
 	ticket, err := s.tickets.Issue([]byte(url))
 	if err != nil {
-		return nil, docMeta{}, "", err
+		return fetchResult{}, err
 	}
 	session := &relaySession{holder: peer.id, url: url, ch: make(chan relayDelivery, 1)}
 	s.relayMu.Lock()
@@ -766,29 +667,11 @@ func (s *Server) relayFromPeer(ctx context.Context, peer peerInfo, url string) (
 		s.relayMu.Unlock()
 	}()
 
-	sendBody, _ := jsonBytes(PeerSend{URL: url, RelayURL: s.baseURL + "/relay/" + string(ticket)})
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer.baseURL+"/peer/send", bytes.NewReader(sendBody))
-	if err != nil {
-		return nil, docMeta{}, "", err
-	}
-	req.Header.Set(HeaderToken, peer.token)
-	req.Header.Set("Content-Type", "application/json")
+	send, _ := json.Marshal(PeerSend{URL: url, RelayURL: s.baseURL + "/relay/" + string(ticket)})
 	sendCh := make(chan error, 1)
 	go func() {
-		resp, serr := s.peerClient.Do(req)
-		if serr != nil {
-			sendCh <- serr
-			return
-		}
-		defer DrainClose(resp)
-		switch {
-		case resp.StatusCode == http.StatusNotFound:
-			sendCh <- fmt.Errorf("client %d: %w", peer.id, errPeerStale)
-		case resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent:
-			sendCh <- fmt.Errorf("peer send status %s", resp.Status)
-		default:
-			sendCh <- nil
-		}
+		sendCh <- Post(ctx, s.peerClient, peer.baseURL+"/peer/send", send,
+			HeaderToken, peer.token, "Content-Type", "application/json")
 	}()
 
 	timeout := time.NewTimer(s.cfg.PeerTimeout)
@@ -797,23 +680,25 @@ func (s *Server) relayFromPeer(ctx context.Context, peer peerInfo, url string) (
 		select {
 		case d := <-session.ch:
 			version, _ := strconv.ParseInt(d.version, 10, 64)
-			meta := docMeta{version: version, size: d.stream.length}
 			// Remember which holder served this ticket so a later
 			// /report-bad can prune it without exposing its identity.
 			s.rememberTicket(string(ticket), peer.id)
 			// The proxy relays without inspecting the body (anonymizing
 			// relay); the requester verifies the watermark end-to-end.
-			return d.stream, meta, string(ticket), nil
+			return fetchResult{
+				stream: d.stream, meta: docMeta{version: version, size: d.stream.length},
+				source: SourceRemote, ticket: string(ticket), outcome: outPeerDirect,
+			}, nil
 		case serr := <-sendCh:
 			if serr != nil {
-				return nil, docMeta{}, "", serr
+				return fetchResult{}, serr
 			}
 			sendCh = nil // send acknowledged; keep waiting for the push
 		case <-timeout.C:
 			s.m.relayTimeouts.Inc()
-			return nil, docMeta{}, "", fmt.Errorf("relay timeout waiting for client %d", peer.id)
+			return fetchResult{}, fmt.Errorf("relay timeout waiting for client %d", peer.id)
 		case <-ctx.Done():
-			return nil, docMeta{}, "", ctx.Err()
+			return fetchResult{}, ctx.Err()
 		}
 	}
 }
@@ -925,7 +810,7 @@ func (s *Server) handleReportBad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var rep BadContentReport
-	if err := jsonDecode(r.Body, &rep); err != nil || rep.ClientID != id {
+	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&rep); err != nil || rep.ClientID != id {
 		http.Error(w, "proxy: bad report", http.StatusBadRequest)
 		return
 	}
@@ -963,8 +848,4 @@ func (s *Server) ticketHolder(ticket string) (int, bool) {
 	defer s.relayMu.Unlock()
 	h, ok := s.usedTickets[ticket]
 	return h, ok
-}
-
-func jsonDecode(r io.Reader, v any) error {
-	return jsonNewDecoder(r, v)
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	neturl "net/url"
 	"strconv"
 	"sync"
 	"testing"
@@ -190,7 +191,7 @@ func TestFetchAuthenticatesClientHeader(t *testing.T) {
 	u := originTS.URL + "/auth/doc"
 
 	get := func(client, token string) int {
-		req, _ := http.NewRequest(http.MethodGet, s.BaseURL()+"/fetch?url="+urlQueryEscape(u), nil)
+		req, _ := http.NewRequest(http.MethodGet, s.BaseURL()+"/fetch?url="+neturl.QueryEscape(u), nil)
 		if client != "" {
 			req.Header.Set(HeaderClient, client)
 		}
@@ -287,7 +288,7 @@ func TestPeerCrashMidTransfer(t *testing.T) {
 	u := originTS.URL + "/crash/doc"
 	s.Index().Add(indexEntryFor(s, reg.ClientID, u, 14))
 
-	resp, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+	resp, err := http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +334,7 @@ func TestBreakerQuarantinesWholePeer(t *testing.T) {
 
 	fetch := func(u string) {
 		t.Helper()
-		resp, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+		resp, err := http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,7 +380,7 @@ func TestHedgedOriginWinsOverSlowPeer(t *testing.T) {
 	s.Index().Add(indexEntryFor(s, reg.ClientID, u, 11))
 
 	start := time.Now()
-	resp, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+	resp, err := http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u))
 	if err != nil {
 		t.Fatal(err)
 	}

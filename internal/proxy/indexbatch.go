@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"context"
 	"encoding/base64"
 	"encoding/json"
 	"io"
@@ -265,17 +266,7 @@ func (s *Server) pullResync(client int) {
 		return
 	}
 	s.m.idxResyncPulls.Inc()
-	req, err := http.NewRequest(http.MethodPost, p.baseURL+"/peer/resync", nil)
-	if err != nil {
-		return
+	if err := Post(context.Background(), s.peerClient, p.baseURL+"/peer/resync", nil, HeaderToken, p.token); err != nil && s.logger != nil {
+		s.logger.Warn("resync pull failed", "client", client, "err", err)
 	}
-	req.Header.Set(HeaderToken, p.token)
-	resp, err := s.peerClient.Do(req)
-	if err != nil {
-		if s.logger != nil {
-			s.logger.Warn("resync pull failed", "client", client, "err", err)
-		}
-		return
-	}
-	DrainClose(resp)
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	neturl "net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -115,7 +116,7 @@ func TestCoalescedLeaderFailureDoesNotPoison(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+			resp, err := http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u))
 			if err != nil {
 				t.Errorf("fetch: %v", err)
 				return
@@ -172,7 +173,7 @@ func TestDocTooLargeRejected(t *testing.T) {
 		"content-length": ots.URL + "/big/doc?size=8192",
 		"chunked":        chunked.URL + "/big-chunked",
 	} {
-		resp, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+		resp, err := http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +190,7 @@ func TestDocTooLargeRejected(t *testing.T) {
 		t.Fatalf("doc_too_large = %d, want 2", got)
 	}
 	// An in-cap document still flows.
-	resp, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(ots.URL+"/small/doc?size=1000"))
+	resp, err := http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(ots.URL+"/small/doc?size=1000"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func BenchmarkLiveFetchHot(b *testing.B) {
 	o := origin.New(5)
 	ots := httptest.NewServer(o.Handler())
 	defer ots.Close()
-	u := s.BaseURL() + "/fetch?url=" + urlQueryEscape(ots.URL+"/hot/doc?size=16384")
+	u := s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(ots.URL+"/hot/doc?size=16384")
 	// Prime the cache.
 	resp, err := http.Get(u)
 	if err != nil {
@@ -337,7 +338,7 @@ func BenchmarkServerStartAnonymous(b *testing.B) {
 		if err := s.Start(""); err != nil {
 			b.Fatal(err)
 		}
-		resp, err := client.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(ots.URL+"/start/doc?size=8192"))
+		resp, err := client.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(ots.URL+"/start/doc?size=8192"))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -386,7 +387,7 @@ func benchOriginMisses(b *testing.B, registered bool, docs int) {
 		if docs > 0 {
 			n %= int64(docs)
 		}
-		u := s.BaseURL() + "/fetch?url=" + urlQueryEscape(fmt.Sprintf("%s/miss/%d?size=8192", ots.URL, n))
+		u := s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(fmt.Sprintf("%s/miss/%d?size=8192", ots.URL, n))
 		req, err := http.NewRequest(http.MethodGet, u, nil)
 		if err != nil {
 			return err

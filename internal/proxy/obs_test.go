@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	neturl "net/url"
 	"strconv"
 	"strings"
 	"testing"
@@ -125,7 +126,7 @@ func TestFetchOutcomeCountedBeforeBody(t *testing.T) {
 	defer ots.Close()
 	s := testServer(t, func(c *Config) { c.CacheCapacity = 256 << 20 })
 
-	u := s.BaseURL() + "/fetch?url=" + urlQueryEscape(ots.URL+"/big/doc?size=16777216")
+	u := s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(ots.URL+"/big/doc?size=16777216")
 	for _, want := range []string{outOrigin, outProxyHit} {
 		resp, err := http.Get(u)
 		if err != nil {
@@ -157,7 +158,7 @@ func TestStatsMatchesMetrics(t *testing.T) {
 
 	u := ots.URL + "/obs/doc?size=2000"
 	for i := 0; i < 3; i++ { // 1 origin fetch + 2 proxy hits
-		resp, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+		resp, err := http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +166,7 @@ func TestStatsMatchesMetrics(t *testing.T) {
 		resp.Body.Close()
 	}
 	// One failed upstream (dead origin): the error outcome.
-	resp, _ := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape("http://127.0.0.1:1/nope"))
+	resp, _ := http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape("http://127.0.0.1:1/nope"))
 	resp.Body.Close()
 
 	reg := register(t, s, "http://127.0.0.1:1")
@@ -231,7 +232,7 @@ func TestPeerServeMetricsAndTrace(t *testing.T) {
 	})
 
 	u := ots.URL + "/peer/doc?size=1500"
-	resp, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+	resp, err := http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestPeerServeMetricsAndTrace(t *testing.T) {
 	reg := register(t, s, peer.URL)
 	addIndexEntry(t, s, reg, u, int64(len(body)))
 
-	resp2, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+	resp2, err := http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,9 @@ import (
 	"crypto/rand"
 	"encoding/base64"
 	"encoding/gob"
+	"encoding/json"
 	"fmt"
 	"math/big"
-	"net/http"
 
 	"baps/internal/anonymity"
 )
@@ -71,7 +71,7 @@ func (s *Server) onionFromPeer(ctx context.Context, holder peerInfo, url string,
 		return err
 	}
 
-	send, err := jsonBytes(PeerOnionSend{
+	send, err := json.Marshal(PeerOnionSend{
 		URL:             url,
 		FirstAddr:       path[0].Addr,
 		RouteB64:        base64.StdEncoding.EncodeToString(route),
@@ -80,21 +80,8 @@ func (s *Server) onionFromPeer(ctx context.Context, holder peerInfo, url string,
 	if err != nil {
 		return err
 	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, holder.baseURL+"/peer/onion-send", bytes.NewReader(send))
-	if err != nil {
-		return err
-	}
-	httpReq.Header.Set(HeaderToken, holder.token)
-	httpReq.Header.Set("Content-Type", "application/json")
-	resp, err := s.peerClient.Do(httpReq)
-	if err != nil {
-		return err
-	}
-	DrainClose(resp)
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("onion: holder status %s", resp.Status)
-	}
-	return nil
+	return Post(ctx, s.peerClient, holder.baseURL+"/peer/onion-send", send,
+		HeaderToken, holder.token, "Content-Type", "application/json")
 }
 
 // randInt returns a uniform int in [0, n) from crypto/rand (relay selection

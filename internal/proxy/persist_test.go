@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	neturl "net/url"
 	"sync"
 	"testing"
 	"time"
@@ -41,7 +42,7 @@ func startDiskProxy(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // fetchDoc GETs url through the proxy and returns (source header, body).
 func fetchDoc(t *testing.T, s *Server, url string) (string, []byte) {
 	t.Helper()
-	resp, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(url))
+	resp, err := http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(url))
 	if err != nil {
 		t.Fatalf("fetch %s: %v", url, err)
 	}

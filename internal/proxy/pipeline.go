@@ -19,12 +19,13 @@
 package proxy
 
 import (
-	"bytes"
 	"context"
-	"crypto/md5"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	neturl "net/url"
 	"sort"
 	"strconv"
 	"time"
@@ -167,38 +168,23 @@ func (s *Server) revalidateJob(url string) func(context.Context) error {
 		if prior.lastMod != "" {
 			req.Header.Set("If-Modified-Since", prior.lastMod)
 		}
-		resp, err := s.originClient.Do(req)
-		if err != nil {
-			s.m.revalErrors.Inc()
-			return err
-		}
-		if resp.StatusCode == http.StatusNotModified {
-			DrainClose(resp)
+		body, digest, hdr, err := s.getDoc(s.originClient, req)
+		var se *statusError
+		switch {
+		case errors.As(err, &se) && se.code == http.StatusNotModified:
 			s.mu.Lock()
 			s.confirmFreshLocked(url, prior.version)
 			s.mu.Unlock()
 			s.m.revalFresh.Inc()
 			return nil
-		}
-		if resp.StatusCode != http.StatusOK {
-			DrainClose(resp)
-			s.m.revalErrors.Inc()
-			return &upstreamStatusError{code: resp.StatusCode, status: resp.Status}
-		}
-		defer resp.Body.Close()
-		h := md5.New()
-		body, err := readDoc(resp.Body, resp.ContentLength, h)
-		if err != nil {
+		case err != nil:
 			s.m.revalErrors.Inc()
 			return err
 		}
-		version, _ := strconv.ParseInt(resp.Header.Get("X-Origin-Version"), 10, 64)
-		now := time.Now()
+		meta := originMeta(body, digest, hdr, time.Now())
+		meta.checkedAt = meta.storedAt
 		s.m.revalChanged.Inc()
-		s.storeDoc(url, body, docMeta{
-			version: version, size: int64(len(body)), digest: h.Sum(nil),
-			lastMod: resp.Header.Get("Last-Modified"), storedAt: now, checkedAt: now,
-		})
+		s.storeDoc(url, body, meta)
 		return nil
 	}
 }
@@ -309,21 +295,13 @@ func (s *Server) prefetchJob(client int, url string) func(context.Context) error
 		if err != nil {
 			return err
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			peer.baseURL+"/cache/push?url="+urlQueryEscape(url), bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set(HeaderToken, peer.token)
-		req.Header.Set(HeaderVersion, strconv.FormatInt(meta.version, 10))
-		req.Header.Set(HeaderWatermark, mark)
-		resp, err := s.peerClient.Do(req)
-		if err != nil {
-			return err
-		}
-		DrainClose(resp)
+		err = Post(ctx, s.peerClient, peer.baseURL+"/cache/push?url="+neturl.QueryEscape(url), body,
+			HeaderToken, peer.token,
+			HeaderVersion, strconv.FormatInt(meta.version, 10),
+			HeaderWatermark, mark)
+		var se *statusError
 		switch {
-		case resp.StatusCode/100 == 2:
+		case err == nil:
 			s.m.prefetchPushes.Inc()
 			// The agent publishes the add through its own index protocol
 			// too (idempotent upsert); recording it here makes the
@@ -335,12 +313,12 @@ func (s *Server) prefetchJob(client int, url string) func(context.Context) error
 			})
 			s.fedNote(1)
 			return nil
-		case resp.StatusCode == http.StatusConflict || resp.StatusCode == http.StatusGone:
+		case errors.As(err, &se) && (se.code == http.StatusConflict || se.code == http.StatusGone):
 			// The agent declined (doc invalidated there, or closing).
 			s.m.prefetchDeclined.Inc()
 			return nil
 		default:
-			return fmt.Errorf("prefetch push status %s", resp.Status)
+			return err
 		}
 	}
 }
@@ -418,24 +396,13 @@ func (s *Server) invalidateBrowserJob(client int, url string, version int64) fun
 		if !registered {
 			return nil // departed; its entries die with it
 		}
-		body, err := jsonBytes(InvalidateRequest{URL: url, Version: version})
+		body, err := json.Marshal(InvalidateRequest{URL: url, Version: version})
 		if err != nil {
 			return err
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			peer.baseURL+"/cache/invalidate", bytes.NewReader(body))
-		if err != nil {
+		if err := Post(ctx, s.peerClient, peer.baseURL+"/cache/invalidate", body,
+			HeaderToken, peer.token, "Content-Type", "application/json"); err != nil {
 			return err
-		}
-		req.Header.Set(HeaderToken, peer.token)
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := s.peerClient.Do(req)
-		if err != nil {
-			return err
-		}
-		DrainClose(resp)
-		if resp.StatusCode/100 != 2 {
-			return fmt.Errorf("browser invalidate status %s", resp.Status)
 		}
 		if doc, known := s.syms.Lookup(url); known {
 			s.idx.Remove(client, doc)
@@ -451,23 +418,12 @@ func (s *Server) invalidateBrowserJob(client int, url string, version int64) fun
 // timed-out tries and a dead letter, never a wedged queue.
 func (s *Server) invalidateSiblingJob(sib, url string, version int64) func(context.Context) error {
 	return func(ctx context.Context) error {
-		body, err := jsonBytes(InvalidateRequest{URL: url, Version: version, From: s.baseURL})
+		body, err := json.Marshal(InvalidateRequest{URL: url, Version: version, From: s.baseURL})
 		if err != nil {
 			return err
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			sib+"/peer/invalidate", bytes.NewReader(body))
-		if err != nil {
+		if err := Post(ctx, s.peerClient, sib+"/peer/invalidate", body, "Content-Type", "application/json"); err != nil {
 			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := s.peerClient.Do(req)
-		if err != nil {
-			return err
-		}
-		DrainClose(resp)
-		if resp.StatusCode/100 != 2 {
-			return fmt.Errorf("sibling invalidate status %s", resp.Status)
 		}
 		s.m.invalSibling.Inc()
 		return nil
@@ -489,7 +445,7 @@ func (s *Server) handlePeerInvalidate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req InvalidateRequest
-	if err := jsonDecode(io.LimitReader(r.Body, 1<<16), &req); err != nil || req.URL == "" {
+	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil || req.URL == "" {
 		http.Error(w, "proxy: bad invalidate body", http.StatusBadRequest)
 		return
 	}

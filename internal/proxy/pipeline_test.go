@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	neturl "net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,7 +35,7 @@ func pollUntil(t *testing.T, timeout time.Duration, what string, cond func() boo
 // fetchVersion GETs url through s and returns the response version header.
 func fetchVersion(t *testing.T, s *Server, url string) int64 {
 	t.Helper()
-	resp, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(url))
+	resp, err := http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(url))
 	if err != nil {
 		t.Fatal(err)
 	}

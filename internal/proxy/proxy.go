@@ -315,8 +315,8 @@ type Server struct {
 	// collapses concurrent origin acquisitions regardless of mode, and
 	// clusterFlight collapses concurrent sibling walks for one URL.
 	missFlight    flight.Group[fetchResult]
-	originFlight  flight.Group[upstreamDoc]
-	clusterFlight flight.Group[clusterRes]
+	originFlight  flight.Group[fetchResult]
+	clusterFlight flight.Group[fetchResult]
 
 	// Federation plane: fed is set by JoinCluster (after Start, while
 	// requests may already be flowing — hence the atomic pointer); pacer
@@ -760,17 +760,7 @@ func (s *Server) ResyncAll() int {
 	s.mu.Unlock()
 	acked := 0
 	for _, p := range peers {
-		req, err := http.NewRequest(http.MethodPost, p.baseURL+"/peer/resync", nil)
-		if err != nil {
-			continue
-		}
-		req.Header.Set(HeaderToken, p.token)
-		resp, err := s.peerClient.Do(req)
-		if err != nil {
-			continue
-		}
-		DrainClose(resp)
-		if resp.StatusCode == http.StatusOK {
+		if Post(context.Background(), s.peerClient, p.baseURL+"/peer/resync", nil, HeaderToken, p.token) == nil {
 			acked++
 		}
 	}

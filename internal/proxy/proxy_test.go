@@ -2,10 +2,12 @@ package proxy
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	neturl "net/url"
 	"strconv"
 	"strings"
 	"testing"
@@ -55,7 +57,7 @@ func register(t testing.TB, s *Server, peerURL string) RegisterResponse {
 // such a caller can verify a watermark or re-serve the document, so only its
 // responses carry X-BAPS-Watermark.
 func registeredGet(s *Server, reg RegisterResponse, docURL string) (*http.Response, error) {
-	req, err := http.NewRequest(http.MethodGet, s.BaseURL()+"/fetch?url="+urlQueryEscape(docURL), nil)
+	req, err := http.NewRequest(http.MethodGet, s.BaseURL()+"/fetch?url="+neturl.QueryEscape(docURL), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -182,7 +184,7 @@ func TestFetchValidation(t *testing.T) {
 		t.Errorf("POST fetch: %d", resp.StatusCode)
 	}
 	// Unreachable upstream yields 502.
-	resp, _ = http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape("http://127.0.0.1:1/nope"))
+	resp, _ = http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape("http://127.0.0.1:1/nope"))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Errorf("dead upstream: %d", resp.StatusCode)
@@ -254,12 +256,11 @@ func fetchPubkey(t *testing.T, s *Server) []byte {
 
 func decodeB64(t *testing.T, s string) []byte {
 	t.Helper()
-	out := make([]byte, len(s))
-	n, err := base64StdDecode(out, s)
+	out, err := base64.StdEncoding.DecodeString(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out[:n]
+	return out
 }
 
 func TestRelayRejectsBadTickets(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	neturl "net/url"
 	"sync"
 	"testing"
 	"time"
@@ -45,7 +46,7 @@ func TestRelayTimeoutFallsThroughToUpstream(t *testing.T) {
 	s.Index().Add(indexEntryFor(s, reg.ClientID, u, 14))
 
 	start := time.Now()
-	resp, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+	resp, err := http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestPeerRefusalPrunesAndFallsThrough(t *testing.T) {
 	u := origin.URL + "/doc2"
 	s.Index().Add(indexEntryFor(s, reg.ClientID, u, 11))
 
-	resp, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+	resp, err := http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestDepartedPeerPruned(t *testing.T) {
 	u := origin.URL + "/gone"
 	// Index entry for a client id that never registered.
 	s.Index().Add(indexEntryFor(s, 999, u, 1))
-	resp, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+	resp, err := http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestUpstreamCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+			resp, err := http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u))
 			if err != nil {
 				results <- "err"
 				return
@@ -199,7 +200,7 @@ func TestPeerBodyWithoutProxyRecord(t *testing.T) {
 	u := "http://origin.invalid/never-fetched"
 	s.Index().Add(indexEntryFor(s, regGood.ClientID, u, int64(len(goodBody))))
 
-	resp, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+	resp, err := http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestPeerBodyWithoutProxyRecord(t *testing.T) {
 	})
 	u2 := "http://127.0.0.1:1/unreachable"
 	s.Index().Add(indexEntryFor(s, regBad.ClientID, u2, int64(len("malicious content"))))
-	resp2, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(u2))
+	resp2, err := http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u2))
 	if err != nil {
 		t.Fatal(err)
 	}

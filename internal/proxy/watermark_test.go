@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	neturl "net/url"
 	"strconv"
 	"sync"
 	"testing"
@@ -46,7 +47,7 @@ func TestWatermarkAnonymousFetchUnsigned(t *testing.T) {
 
 	u := ots.URL + "/anon/doc?size=2000"
 	for _, wantSource := range []string{SourceOrigin, SourceProxy} {
-		resp, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+		resp, err := http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +143,7 @@ func TestWatermarkConcurrentFirstDemandsSignOnce(t *testing.T) {
 	}
 	leader := make(chan reply, 1)
 	go fetch(func() (*http.Response, error) {
-		return http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(u))
+		return http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u))
 	}, leader)
 	<-arrived
 
@@ -246,7 +247,7 @@ func TestWatermarkMemoAcrossReacquisition(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		path := fmt.Sprintf("/filler/%d", i)
 		o.set(path, bytes.Repeat([]byte{byte('a' + i)}, 1000), 0)
-		resp, err := http.Get(s.BaseURL() + "/fetch?url=" + urlQueryEscape(o.srv.URL+path))
+		resp, err := http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(o.srv.URL+path))
 		if err != nil {
 			t.Fatal(err)
 		}
