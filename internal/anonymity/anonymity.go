@@ -5,7 +5,7 @@
 //
 // Two mechanisms are provided:
 //
-//   - TicketStore: one-time opaque relay tickets. The proxy acts as an
+//   - Tickets: one-time opaque relay tokens. The proxy acts as an
 //     anonymizing relay — it hands the holder a ticket-addressed drop
 //     endpoint instead of the requester's address, so "the targeted client
 //     does not know which client requests the document, and a requesting
@@ -26,87 +26,20 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 )
 
-// Ticket is an opaque one-time token.
+// Ticket is an opaque one-time relay token.
 type Ticket string
 
-// TicketStore issues and redeems one-time tickets with expiry. It is safe
-// for concurrent use.
-type TicketStore struct {
-	mu      sync.Mutex
-	ttl     time.Duration
-	entries map[Ticket]ticketEntry
-	now     func() time.Time // injectable for tests
-}
-
-type ticketEntry struct {
-	payload []byte
-	expires time.Time
-}
-
-// NewTicketStore creates a store whose tickets expire after ttl.
-func NewTicketStore(ttl time.Duration) *TicketStore {
-	if ttl <= 0 {
-		ttl = 30 * time.Second
-	}
-	return &TicketStore{
-		ttl:     ttl,
-		entries: make(map[Ticket]ticketEntry),
-		now:     time.Now,
-	}
-}
-
-// Issue creates a fresh ticket bound to payload (typically a serialized
-// relay-session id). The ticket value is 128 bits of crypto/rand entropy.
-func (ts *TicketStore) Issue(payload []byte) (Ticket, error) {
+// NewTicket returns a fresh ticket: 128 bits of crypto/rand entropy,
+// URL-safe. The holder it is handed to learns nothing from it; whoever
+// issues it keeps the only record of what it stands for.
+func NewTicket() (Ticket, error) {
 	raw := make([]byte, 16)
 	if _, err := rand.Read(raw); err != nil {
 		return "", fmt.Errorf("anonymity: ticket entropy: %w", err)
 	}
-	tok := Ticket(base64.RawURLEncoding.EncodeToString(raw))
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	ts.sweepLocked()
-	ts.entries[tok] = ticketEntry{
-		payload: append([]byte(nil), payload...),
-		expires: ts.now().Add(ts.ttl),
-	}
-	return tok, nil
-}
-
-// Redeem consumes a ticket, returning its payload. A ticket redeems exactly
-// once; expired or unknown tickets fail.
-func (ts *TicketStore) Redeem(tok Ticket) ([]byte, bool) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	e, ok := ts.entries[tok]
-	if !ok {
-		return nil, false
-	}
-	delete(ts.entries, tok)
-	if ts.now().After(e.expires) {
-		return nil, false
-	}
-	return e.payload, true
-}
-
-// Len reports the number of live (unredeemed, possibly expired) tickets.
-func (ts *TicketStore) Len() int {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return len(ts.entries)
-}
-
-func (ts *TicketStore) sweepLocked() {
-	now := ts.now()
-	for tok, e := range ts.entries {
-		if now.After(e.expires) {
-			delete(ts.entries, tok)
-		}
-	}
+	return Ticket(base64.RawURLEncoding.EncodeToString(raw)), nil
 }
 
 // Hop names one relay on a covert path: the peer's id and its 32-byte

@@ -2,63 +2,26 @@ package anonymity
 
 import (
 	"bytes"
+	"encoding/base64"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
-func TestTicketIssueRedeem(t *testing.T) {
-	ts := NewTicketStore(time.Minute)
-	tok, err := ts.Issue([]byte("session-7"))
+func TestNewTicketIs128Bits(t *testing.T) {
+	tok, err := NewTicket()
 	if err != nil {
-		t.Fatalf("Issue: %v", err)
+		t.Fatal(err)
 	}
-	payload, ok := ts.Redeem(tok)
-	if !ok || string(payload) != "session-7" {
-		t.Fatalf("Redeem = %q, %v", payload, ok)
-	}
-}
-
-func TestTicketIsOneTime(t *testing.T) {
-	ts := NewTicketStore(time.Minute)
-	tok, _ := ts.Issue([]byte("x"))
-	ts.Redeem(tok)
-	if _, ok := ts.Redeem(tok); ok {
-		t.Fatal("ticket redeemed twice")
-	}
-}
-
-func TestTicketUnknownFails(t *testing.T) {
-	ts := NewTicketStore(time.Minute)
-	if _, ok := ts.Redeem("no-such-ticket"); ok {
-		t.Fatal("unknown ticket redeemed")
-	}
-}
-
-func TestTicketExpiry(t *testing.T) {
-	ts := NewTicketStore(time.Second)
-	now := time.Unix(1000, 0)
-	ts.now = func() time.Time { return now }
-	tok, _ := ts.Issue([]byte("x"))
-	now = now.Add(2 * time.Second)
-	if _, ok := ts.Redeem(tok); ok {
-		t.Fatal("expired ticket redeemed")
-	}
-	// Sweep on Issue removes expired entries.
-	tok2, _ := ts.Issue([]byte("y"))
-	if ts.Len() != 1 {
-		t.Fatalf("Len = %d after sweep, want 1", ts.Len())
-	}
-	if _, ok := ts.Redeem(tok2); !ok {
-		t.Fatal("fresh ticket failed")
+	raw, err := base64.RawURLEncoding.DecodeString(string(tok))
+	if err != nil || len(raw) != 16 {
+		t.Fatalf("ticket %q: %d bytes, err %v; want 16 URL-safe bytes", tok, len(raw), err)
 	}
 }
 
 func TestTicketsUnique(t *testing.T) {
-	ts := NewTicketStore(time.Minute)
 	seen := map[Ticket]bool{}
 	for i := 0; i < 200; i++ {
-		tok, err := ts.Issue(nil)
+		tok, err := NewTicket()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,13 +29,6 @@ func TestTicketsUnique(t *testing.T) {
 			t.Fatal("duplicate ticket issued")
 		}
 		seen[tok] = true
-	}
-}
-
-func TestDefaultTTL(t *testing.T) {
-	ts := NewTicketStore(0)
-	if ts.ttl <= 0 {
-		t.Fatal("zero ttl not defaulted")
 	}
 }
 

@@ -177,8 +177,9 @@ func (s *Server) handlePeerLocate(w http.ResponseWriter, r *http.Request) {
 
 // handleClusterFetch serves a sibling's one-hop relay (/fetch with
 // X-BAPS-Cluster-Hop: 1): local tiers, then this proxy's own browsers under
-// forced fetch-forward — never the cluster tier or the origin. Accounted
-// separately from client traffic so per-proxy hit ratios stay meaningful.
+// fetch-forward (a hop is anonymous) — never the cluster tier or the origin.
+// Accounted separately from client traffic so per-proxy hit ratios stay
+// meaningful.
 func (s *Server) handleClusterFetch(w http.ResponseWriter, r *http.Request, url string) {
 	s.m.clusterServes.Inc()
 	// Requester -1 throughout: the sibling cannot use a watermark made
@@ -188,7 +189,7 @@ func (s *Server) handleClusterFetch(w http.ResponseWriter, r *http.Request, url 
 		return
 	}
 	if !s.cfg.DisablePeer {
-		if res := s.resolveRemote(r.Context(), url, -1, FetchForward); res.outcome != "" {
+		if res := s.resolveRemote(r.Context(), url, -1); res.outcome != "" {
 			s.m.clusterServeHits.Inc()
 			s.serveDoc(w, nil, "", SourceProxy, res.body, res.meta, -1)
 			return

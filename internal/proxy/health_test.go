@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"baps/internal/anonymity"
 )
 
 // fakeClock drives a healthTracker deterministically.
@@ -153,31 +155,35 @@ func TestHealthSnapshotOrderedAndTouch(t *testing.T) {
 	}
 }
 
-func TestRememberTicketFIFOEviction(t *testing.T) {
+// TestDeliveredTicketRing: delivered relay sessions stay for /report-bad
+// until the ring of the last delivered tickets pushes them out — the oldest
+// first, one at a time, never the whole table at once.
+func TestDeliveredTicketRing(t *testing.T) {
 	s := testServer(t, nil)
-	s.maxUsedTickets = 4
+	s.delivered = make([]anonymity.Ticket, 4)
+	s.relayMu.Lock()
+	defer s.relayMu.Unlock()
 	for i := 0; i < 7; i++ {
-		s.rememberTicket(fmt.Sprintf("t%d", i), i)
+		ticket := anonymity.Ticket(fmt.Sprintf("t%d", i))
+		s.relays[ticket] = &relaySession{holder: i, pushed: true}
+		s.keepDelivered(ticket)
 	}
-	// Oldest three evicted, newest four retained — never a full wipe.
-	for i := 0; i < 3; i++ {
-		if _, ok := s.ticketHolder(fmt.Sprintf("t%d", i)); ok {
-			t.Errorf("t%d not evicted", i)
+	// Oldest three evicted, newest four kept.
+	for i := 0; i < 7; i++ {
+		session := s.relays[anonymity.Ticket(fmt.Sprintf("t%d", i))]
+		if kept := session != nil; kept != (i >= 3) {
+			t.Errorf("t%d kept = %v, want %v", i, kept, i >= 3)
+		} else if kept && session.holder != i {
+			t.Errorf("t%d: holder = %d", i, session.holder)
 		}
 	}
-	for i := 3; i < 7; i++ {
-		holder, ok := s.ticketHolder(fmt.Sprintf("t%d", i))
-		if !ok || holder != i {
-			t.Errorf("t%d: holder=%d ok=%v", i, holder, ok)
-		}
-	}
-	// Re-recording an existing ticket must not grow the queue.
-	s.rememberTicket("t6", 99)
-	if holder, ok := s.ticketHolder("t6"); !ok || holder != 99 {
-		t.Error("duplicate record lost")
-	}
-	if holder, ok := s.ticketHolder("t3"); !ok || holder != 3 {
-		t.Errorf("t3 evicted by duplicate record: holder=%d ok=%v", holder, ok)
+	// A waiting session is not in the ring: deliveries evict around it.
+	s.relays["waiting"] = &relaySession{holder: 99}
+	s.relays["t7"] = &relaySession{holder: 7, pushed: true}
+	s.keepDelivered("t7")
+	if s.relays["waiting"] == nil || s.relays["t3"] != nil || len(s.relays) != 5 {
+		t.Errorf("after one more delivery: %d sessions, waiting kept %v, t3 kept %v",
+			len(s.relays), s.relays["waiting"] != nil, s.relays["t3"] != nil)
 	}
 }
 

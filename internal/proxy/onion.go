@@ -30,12 +30,12 @@ import (
 //
 // The proxy never touches the body; the holder never learns the requester;
 // the requester never learns the holder.
-func (s *Server) onionFromPeer(ctx context.Context, holder peerInfo, url string, requester int) error {
+func (s *Server) onionFromPeer(ctx context.Context, holder peerInfo, url string, requester int) (fetchResult, error) {
 	s.mu.Lock()
 	req, ok := s.peers[requester]
 	if !ok {
 		s.mu.Unlock()
-		return fmt.Errorf("onion: requester %d not registered", requester)
+		return fetchResult{}, fmt.Errorf("onion: requester %d not registered", requester)
 	}
 	// Candidate relays: every other registered client.
 	var candidates []peerInfo
@@ -50,7 +50,7 @@ func (s *Server) onionFromPeer(ctx context.Context, holder peerInfo, url string,
 	for i := 0; i < s.cfg.OnionRelays && len(candidates) > 0; i++ {
 		j, err := randInt(len(candidates))
 		if err != nil {
-			return err
+			return fetchResult{}, err
 		}
 		relay := candidates[j]
 		candidates = append(candidates[:j], candidates[j+1:]...)
@@ -60,15 +60,15 @@ func (s *Server) onionFromPeer(ctx context.Context, holder peerInfo, url string,
 
 	ephemeral, err := anonymity.NewKey()
 	if err != nil {
-		return err
+		return fetchResult{}, err
 	}
 	var final bytes.Buffer
 	if err := gob.NewEncoder(&final).Encode(OnionFinal{URL: url, Key: ephemeral}); err != nil {
-		return fmt.Errorf("onion: encode final: %w", err)
+		return fetchResult{}, fmt.Errorf("onion: encode final: %w", err)
 	}
 	route, err := anonymity.BuildRoute(path, final.Bytes())
 	if err != nil {
-		return err
+		return fetchResult{}, err
 	}
 
 	send, err := json.Marshal(PeerOnionSend{
@@ -78,10 +78,13 @@ func (s *Server) onionFromPeer(ctx context.Context, holder peerInfo, url string,
 		EphemeralKeyB64: base64.StdEncoding.EncodeToString(ephemeral),
 	})
 	if err != nil {
-		return err
+		return fetchResult{}, err
 	}
-	return Post(ctx, s.peerClient, holder.baseURL+"/peer/onion-send", send,
-		HeaderToken, holder.token, "Content-Type", "application/json")
+	if err := Post(ctx, s.peerClient, holder.baseURL+"/peer/onion-send", send,
+		HeaderToken, holder.token, "Content-Type", "application/json"); err != nil {
+		return fetchResult{}, err
+	}
+	return fetchResult{source: SourceRemote, viaOnion: true, outcome: outPeerOnion}, nil
 }
 
 // randInt returns a uniform int in [0, n) from crypto/rand (relay selection
