@@ -21,9 +21,10 @@ REPLAY_RECORD ?= $(lastword $(sort $(filter-out %_baseline.json,$(wildcard BENCH
 HOT_PKGS = ./internal/intern ./internal/cache ./internal/index ./internal/core ./internal/sim ./internal/trace ./internal/proxy ./internal/obs ./internal/chaos ./internal/browser ./internal/diskstore ./internal/breaker ./internal/federation ./internal/workqueue
 # The timing-sensitive live tests ROADMAP item 1 names: each waits on an
 # event, never on a sleep, so it must pass every time. The body-store tests
-# (internal/browser/bodies.go: one store shared by a host's agents) ride
-# along.
-STABLE_TESTS = ^Test(ClusterBloomFalsePositive|DiskSpillStreamPromote|DiskWarmRestartGraceful|InvalidationChurnUnderLoad|HostLifecycleConcurrent|BatchedConcurrentStoreLosesNoDelta|StandaloneAndHostedPublishIdentically|ChurnBreakerMetricDeltas|BodyStoreSharesOnlyEqualBytes|BodyStoreInvariantsUnderChurn|HostedFetchesShareOneBody|ReadBodyAdoptsHeldCopy)$$
+# (internal/browser/bodies.go: one store shared by a host's agents), the
+# direct-forward relay-session and hedging tests and the sibling
+# invalidation fan-out ride along.
+STABLE_TESTS = ^Test(ClusterBloomFalsePositive|DiskSpillStreamPromote|DiskWarmRestartGraceful|InvalidationChurnUnderLoad|HostLifecycleConcurrent|BatchedConcurrentStoreLosesNoDelta|StandaloneAndHostedPublishIdentically|ChurnBreakerMetricDeltas|BodyStoreSharesOnlyEqualBytes|BodyStoreInvariantsUnderChurn|HostedFetchesShareOneBody|ReadBodyAdoptsHeldCopy|RelaySessionContract|RelayTimeoutFallsThroughToUpstream|DirectForwardStreamedDelivery|HedgedOriginWinsOverSlowPeer|SiblingInvalidationFanout)$$
 # The tests of the on-demand watermark values: the proxy's signing key and
 # sign memo (internal/proxy/watermark.go) and the agents' verification memo
 # (integrity.Verifier, shared per proxy key by an AgentHost).

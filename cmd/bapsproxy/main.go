@@ -48,7 +48,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8081", "listen address")
 	capacity := flag.Int64("capacity", 256<<20, "proxy cache capacity in bytes")
 	policyName := flag.String("policy", "LRU", "replacement policy (LRU, FIFO, LFU, SIZE, GDSF)")
-	forward := flag.String("forward", "fetch", "remote-hit delivery: fetch (proxy relays) or direct (anonymous drop)")
+	forward := flag.String("forward", "fetch", "remote-hit delivery to registered clients: fetch (proxy relays) or direct (anonymous drop); anonymous clients always get fetch")
 	noPeer := flag.Bool("no-peer", false, "disable the browsers-aware layer (plain proxy baseline)")
 	keyBits := flag.Int("keybits", 2048, "watermark RSA key size")
 	peerTimeout := flag.Duration("peer-timeout", 5*time.Second, "holder contact / relay wait bound")

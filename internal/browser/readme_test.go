@@ -252,10 +252,10 @@ func readmeFlagTable(t *testing.T, title string) map[string]bool {
 
 // TestReadmeFlagTablesMatchFlags keeps README's flag tables and the
 // commands' flag sets in step. The tracegen, bapsproxy, bapsbrowser,
-// bapsorigin and bapsreplay tables are complete: every flag the command
-// defines is documented and every documented flag is defined. The bapsim
-// replay table documents only the replay experiment's flags, each of which
-// bapsim must define.
+// bapsorigin, bapsreplay, bapsload and benchjson tables are complete: every
+// flag the command defines is documented and every documented flag is
+// defined. The bapsim replay table documents only the replay experiment's
+// flags, each of which bapsim must define.
 func TestReadmeFlagTablesMatchFlags(t *testing.T) {
 	for _, c := range []struct {
 		title, dir string
@@ -266,6 +266,8 @@ func TestReadmeFlagTablesMatchFlags(t *testing.T) {
 		{"bapsbrowser", "../../cmd/bapsbrowser", true},
 		{"bapsorigin", "../../cmd/bapsorigin", true},
 		{"bapsreplay", "../../cmd/bapsreplay", true},
+		{"bapsload", "../../cmd/bapsload", true},
+		{"benchjson", "../../cmd/benchjson", true},
 		{"bapsim replay", "../../cmd/bapsim", false},
 	} {
 		defined, documented := commandFlags(t, c.dir), readmeFlagTable(t, c.title)
