@@ -536,3 +536,86 @@ func TestUnattributedReportPrunesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestReportHonouredOnceForItsSession: a /report-bad that names a delivered
+// direct-forward ticket prunes and charges the holder only when it comes
+// from the session's requester, names the session's document, and is the
+// session's first report. Any other report naming the ticket is refused with
+// a 403, so no registered client can turn an honest holder's delivery into
+// extra prunes or a tripped breaker.
+func TestReportHonouredOnceForItsSession(t *testing.T) {
+	s := testServer(t, func(c *Config) {
+		c.Forward = DirectForward
+		c.BreakerThreshold = 3
+	})
+	holder, _, _ := relayHolder(t, s, "holder copy", 1)
+	u := "http://origin.invalid/delivered"
+	other := "http://origin.invalid/also-held"
+	s.Index().Add(indexEntryFor(s, holder.ClientID, u, 11))
+	s.Index().Add(indexEntryFor(s, holder.ClientID, other, 11))
+	requester := register(t, s, "http://127.0.0.1:1")
+	bystander := register(t, s, "http://127.0.0.1:2")
+
+	resp, err := registeredGet(s, requester, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	ticket := resp.Header.Get("X-BAPS-Ticket")
+	if resp.Header.Get(HeaderSource) != SourceRemote || string(body) != "holder copy" || ticket == "" {
+		t.Fatalf("source = %q body = %q ticket = %q, want a direct-forward delivery",
+			resp.Header.Get(HeaderSource), body, ticket)
+	}
+
+	// held reports whether the holder is still indexed for u and other,
+	// and failures its charged failure count.
+	held := func() (bool, bool) {
+		return s.Index().Has(holder.ClientID, s.syms.Intern(u)), s.Index().Has(holder.ClientID, s.syms.Intern(other))
+	}
+	failures := func() (int64, string) {
+		for _, ph := range s.Snapshot().PeerHealth {
+			if ph.Client == holder.ClientID {
+				return ph.Failures, ph.Breaker
+			}
+		}
+		t.Fatalf("no health record for holder %d", holder.ClientID)
+		return 0, ""
+	}
+
+	refused := []struct {
+		name string
+		by   RegisterResponse
+		url  string
+	}{
+		{"bystander files the requester's ticket", bystander, other},
+		{"requester names another document", requester, other},
+	}
+	for _, c := range refused {
+		if code := reportBad(t, s, c.by, c.url, ticket); code != http.StatusForbidden {
+			t.Fatalf("%s: status %d, want 403", c.name, code)
+		}
+		if hu, ho := held(); !hu || !ho {
+			t.Fatalf("%s: holder indexed for the delivered doc %v, the other doc %v; want both", c.name, hu, ho)
+		}
+		if f, _ := failures(); f != 0 {
+			t.Fatalf("%s: holder charged %d failures, want 0", c.name, f)
+		}
+	}
+
+	for i := 0; i < 4; i++ {
+		want := http.StatusForbidden
+		if i == 0 {
+			want = http.StatusNoContent
+		}
+		if code := reportBad(t, s, requester, u, ticket); code != want {
+			t.Fatalf("report %d: status %d, want %d", i+1, code, want)
+		}
+	}
+	if hu, ho := held(); hu || !ho {
+		t.Fatalf("holder indexed for the delivered doc %v, the other doc %v; want false/true", hu, ho)
+	}
+	if f, br := failures(); f != 1 || br != "closed" {
+		t.Fatalf("holder failures = %d breaker = %s, want 1/closed", f, br)
+	}
+}
