@@ -535,7 +535,7 @@ func (s *Server) resolveRemote(ctx context.Context, url string, requester int) f
 		case OnionForward:
 			res, err = s.onionFromPeer(ctx, peer, url, requester)
 		default:
-			res, err = s.relayFromPeer(ctx, peer, url)
+			res, err = s.relayFromPeer(ctx, peer, url, requester)
 		}
 		if err != nil {
 			if ctx.Err() != nil {
@@ -650,12 +650,12 @@ func (s *Server) fetchFromPeer(ctx context.Context, peer peerInfo, url string) (
 // the holder's push completes only after the requester consumes it, which in
 // turn happens only after this function returns — awaiting the send's HTTP
 // response first would deadlock the pipeline.
-func (s *Server) relayFromPeer(ctx context.Context, peer peerInfo, url string) (fetchResult, error) {
+func (s *Server) relayFromPeer(ctx context.Context, peer peerInfo, url string, requester int) (fetchResult, error) {
 	ticket, err := anonymity.NewTicket()
 	if err != nil {
 		return fetchResult{}, err
 	}
-	session := &relaySession{holder: peer.id, ch: make(chan relayDelivery, 1)}
+	session := &relaySession{holder: peer.id, requester: requester, url: url, ch: make(chan relayDelivery, 1)}
 	s.relayMu.Lock()
 	s.relays[ticket] = session
 	s.relayMu.Unlock()
@@ -769,11 +769,13 @@ func (s *Server) handleRelay(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleReportBad processes a requester's watermark-rejection report. Every
-// report counts on watermark_rejected, but only a delivered relay session
-// names the holder behind the bytes (identities stay hidden from the
-// requester): that holder's entry is pruned and its breaker charged. A report
-// without one — a fetch-forward response carries no ticket — prunes nothing.
+// handleReportBad processes a requester's watermark-rejection report. Only a
+// delivered relay session names the holder behind the bytes (identities stay
+// hidden from the requester), and it is honoured once, from its requester,
+// for its document: that holder's entry is pruned and its breaker charged.
+// Any other report naming a delivered session is refused with a 403. A
+// report without one — a fetch-forward response carries no ticket — counts
+// on watermark_rejected and prunes nothing.
 func (s *Server) handleReportBad(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "proxy: POST only", http.StatusMethodNotAllowed)
@@ -789,12 +791,20 @@ func (s *Server) handleReportBad(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "proxy: bad report", http.StatusBadRequest)
 		return
 	}
-	s.m.watermarkRejected.Inc()
 	s.relayMu.Lock()
 	session := s.relays[anonymity.Ticket(rep.Ticket)]
 	delivered := session != nil && session.pushed
+	honoured := delivered && !session.reported && session.requester == id && session.url == rep.URL
+	if honoured {
+		session.reported = true
+	}
 	s.relayMu.Unlock()
-	if delivered {
+	if delivered && !honoured {
+		http.Error(w, "proxy: report does not match its session", http.StatusForbidden)
+		return
+	}
+	s.m.watermarkRejected.Inc()
+	if honoured {
 		if doc, known := s.syms.Lookup(rep.URL); known {
 			s.idx.Remove(session.holder, doc)
 		}

@@ -239,12 +239,16 @@ type docMeta struct {
 }
 
 // relaySession is a direct-forward ticket's one record: the holder told to
-// push, whether it has, and the channel that hands the push to the waiting
-// /fetch.
+// push, the requester and document it pushes for, whether it has pushed and
+// whether the delivery has been reported, and the channel that hands the
+// push to the waiting /fetch.
 type relaySession struct {
-	holder int
-	pushed bool
-	ch     chan relayDelivery
+	holder    int
+	requester int
+	url       string
+	pushed    bool
+	reported  bool
+	ch        chan relayDelivery
 }
 
 type relayDelivery struct {
