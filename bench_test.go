@@ -4,7 +4,7 @@ package baps
 // (regenerating it at a reduced workload scale and reporting the headline
 // metrics via b.ReportMetric), plus micro-benchmarks of every substrate on
 // the hot path (LRU cache, browser index, Bloom filters, trace generation,
-// watermarks, onions, and the live HTTP pipeline end-to-end).
+// watermarks, and the live HTTP pipeline end-to-end).
 //
 // Run everything:
 //
@@ -23,7 +23,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"baps/internal/anonymity"
 	"baps/internal/bloom"
 	"baps/internal/cache"
 	"baps/internal/core"
@@ -375,37 +374,6 @@ func BenchmarkCLFParse(b *testing.B) {
 	}
 }
 
-func BenchmarkLiveOnionHit(b *testing.B) {
-	pcfg := ProxyConfig{CacheCapacity: 10_000, MemFraction: 0.1, KeyBits: 1024,
-		Forward: ForwardOnion, OnionRelays: 1}
-	c, err := StartCluster(ClusterConfig{Agents: 3, Proxy: pcfg, MutateAgent: func(i int, cfg *AgentConfig) {
-		cfg.CacheCapacity = 64 << 20
-	}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	ctx := context.Background()
-	u := c.DocURL("/bench/onion?size=20000")
-	if _, _, err := c.Agents[0].Get(ctx, u); err != nil {
-		b.Fatal(err)
-	}
-	if err := c.Agents[0].FlushIndex(); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(20000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Agents[1].Evict(u)
-		if err := c.Agents[1].FlushIndex(); err != nil { // the proxy must not pick the evicted copy
-			b.Fatal(err)
-		}
-		if _, src, err := c.Agents[1].Get(ctx, u); err != nil || src != SourceRemote {
-			b.Fatalf("src=%v err=%v", src, err)
-		}
-	}
-}
-
 // --- §6 security overheads ---
 
 func BenchmarkIntegritySign(b *testing.B) {
@@ -434,31 +402,6 @@ func BenchmarkIntegrityVerify(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := integrity.Verify(signer.Public(), doc, mark); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAnonymityOnion3Hop(b *testing.B) {
-	keys := map[int][]byte{}
-	path := make([]anonymity.Hop, 3)
-	for i := range path {
-		k, err := anonymity.NewKey()
-		if err != nil {
-			b.Fatal(err)
-		}
-		keys[i] = k
-		path[i] = anonymity.Hop{ID: i, Key: k}
-	}
-	doc := make([]byte, 8192)
-	b.SetBytes(int64(len(doc)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		onion, err := anonymity.BuildOnion(path, doc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := anonymity.Route(keys, 0, onion); err != nil {
 			b.Fatal(err)
 		}
 	}

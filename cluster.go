@@ -31,12 +31,11 @@ const (
 	SourceOrigin = browser.SourceOrigin
 )
 
-// Live delivery modes for remote-browser hits (§2's alternatives plus the
-// §6.2 covert-path variant).
+// Live delivery modes for remote-browser hits: §2's fetch-forward, and
+// direct-forward through the §6.2 proxy anonymizer.
 const (
 	ForwardFetch  = proxy.FetchForward
 	ForwardDirect = proxy.DirectForward
-	ForwardOnion  = proxy.OnionForward
 )
 
 // Cluster is an in-process deployment of the live system: a synthetic

@@ -19,7 +19,7 @@
 //	memory      §4.2 memory byte hit ratio study
 //	overhead    §5 overhead estimation
 //	compression §5 index compression trade-off (exact vs counting Bloom)
-//	security    §6 integrity + anonymity overheads
+//	security    §6 integrity (watermark) overheads
 //	ablation    design-choice ablations
 //	metrics     per-policy observability dumps (see -metricsout)
 //	replay      out-of-core streaming replay of a trace file (-stream, §16)

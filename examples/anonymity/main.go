@@ -1,29 +1,60 @@
-// Anonymity: the §6.2 protocols live. Documents travel browser-to-browser
-// over an onion-routed covert path: the holder learns one relay address,
-// each relay learns only its neighbors, the requester learns nothing, and
-// the body never enters the proxy — yet the MD5+RSA watermark still
-// verifies end-to-end at the requester.
+// Anonymity: the §6.2 protocol live. Under direct-forward the proxy is an
+// anonymizing relay: it tells the holder to push the document to a one-time
+// relay drop on the proxy, and streams the push to the requester. The holder
+// learns only the relay URL, the requester learns only that the page came
+// from a remote browser, and the MD5+RSA watermark still verifies
+// end-to-end at the requester. Every claim is checked; the run fails if one
+// does not hold.
 //
 //	go run ./examples/anonymity
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"log"
+	"net/http"
+	"sort"
+	"strings"
+	"sync"
 
 	"baps"
 )
 
+// sendRecorder is the proxy's outbound transport: it keeps the body of every
+// /peer/send instruction, which is all a holder's peer server is told.
+type sendRecorder struct {
+	mu    sync.Mutex
+	sends []string
+}
+
+func (r *sendRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == "/peer/send" && req.Body != nil {
+		body, err := io.ReadAll(req.Body)
+		if err != nil {
+			return nil, err
+		}
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		r.mu.Lock()
+		r.sends = append(r.sends, req.URL.Host+" "+string(body))
+		r.mu.Unlock()
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
 func main() {
+	rec := &sendRecorder{}
 	cluster, err := baps.StartCluster(baps.ClusterConfig{
-		Agents: 5, // holder + requester + three possible relays
+		Agents: 3, // holder, requester, and one browser that churns the proxy
 		Proxy: baps.ProxyConfig{
 			CacheCapacity: 250_000, // small proxy: evictions create P2P traffic
 			MemFraction:   0.1,
-			Forward:       baps.ForwardOnion,
-			OnionRelays:   2, // two intermediate hops
+			Forward:       baps.ForwardDirect,
 			KeyBits:       1024,
+			Transport:     rec,
 		},
 		MutateAgent: func(i int, cfg *baps.AgentConfig) {
 			cfg.CacheCapacity = 8 << 20
@@ -34,51 +65,97 @@ func main() {
 	}
 	defer cluster.Close()
 	ctx := context.Background()
-	names := []string{"alice", "bob", "carol", "dave", "erin"}
+	alice, bob, erin := cluster.Agents[0], cluster.Agents[1], cluster.Agents[2]
 
-	fmt.Println("Setting: five browsers behind one browsers-aware proxy; delivery mode is")
-	fmt.Println("onion-forward with two relay hops.")
+	fmt.Println("Setting: three browsers behind one browsers-aware proxy; delivery mode is")
+	fmt.Println("direct-forward through the proxy's one-time relay drop.")
 
 	doc := cluster.DocURL("/medical/record?size=100000")
 	fmt.Println("\n1) Alice fetches a sensitive page (origin → proxy → Alice):")
-	if _, src, err := cluster.Agents[0].Get(ctx, doc); err != nil || src != baps.SourceOrigin {
-		log.Fatalf("alice: %v %v", src, err)
+	if _, src, err := alice.Get(ctx, doc); err != nil || src != baps.SourceOrigin {
+		log.Fatalf("alice: source %q, err %v; want origin", src, err)
 	}
 	// Ship Alice's index delta now (agents batch them for up to 100 ms), so
 	// the proxy knows she holds the page before Bob asks.
-	if err := cluster.Agents[0].FlushIndex(); err != nil {
+	if err := alice.FlushIndex(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("   alice ← origin (proxy watermarked and cached it)")
 
 	fmt.Println("\n2) Erin churns the proxy cache until the page is evicted there…")
 	for i := 0; i < 4; i++ {
-		if _, _, err := cluster.Agents[4].Get(ctx, cluster.DocURL(fmt.Sprintf("/noise/%d?size=80000", i))); err != nil {
+		if _, _, err := erin.Get(ctx, cluster.DocURL(fmt.Sprintf("/noise/%d?size=80000", i))); err != nil {
 			log.Fatal(err)
 		}
 	}
 
 	fmt.Println("\n3) Bob requests the page. The index knows Alice still holds it, so the")
-	fmt.Println("   proxy builds a covert path: alice → relay → relay → bob. Watch who")
-	fmt.Println("   relays (neither learns what, for whom, or from whom):")
-	body, src, err := cluster.Agents[1].Get(ctx, doc)
+	fmt.Println("   proxy opens a relay drop and tells Alice to push there:")
+	before := bob.Snapshot()
+	body, src, err := bob.Get(ctx, doc)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("   bob ← %s (%d bytes, watermark verified)\n", src, len(body))
-	for i, a := range cluster.Agents {
-		m := a.Snapshot()
-		if m.OnionRelayed > 0 {
-			fmt.Printf("   %s relayed %d sealed hop(s) — opaque to them\n", names[i], m.OnionRelayed)
-		}
+	after := bob.Snapshot()
+	verified := after.WatermarkVerifies + after.VerifyMemoHits - before.WatermarkVerifies - before.VerifyMemoHits
+	if src != baps.SourceRemote || verified != 1 || after.TamperSeen != 0 {
+		log.Fatalf("bob: source %q, %d watermark checks, %d rejected; want remote, 1, 0", src, verified, after.TamperSeen)
 	}
+	fmt.Printf("   bob ← %s (%d bytes, watermark verified); he is never told who held it\n", src, len(body))
 
-	st := cluster.Proxy.Snapshot()
-	fmt.Printf("\n4) The proxy brokered the hit without ever seeing the body:\n")
-	fmt.Printf("   proxy stats: %d remote hits, 0 bytes of it through the proxy cache\n", st.RemoteHits)
+	fmt.Println("\n4) What Alice's peer server was told:")
+	rec.mu.Lock()
+	sends := append([]string(nil), rec.sends...)
+	rec.mu.Unlock()
+	if len(sends) != 1 {
+		log.Fatalf("%d /peer/send instructions, want 1", len(sends))
+	}
+	host, send, _ := strings.Cut(sends[0], " ")
+	var fields map[string]string
+	if err := json.Unmarshal([]byte(send), &fields); err != nil {
+		log.Fatal(err)
+	}
+	keys := make([]string, 0, len(fields))
+	for k := range fields {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	relay := fields["relay_url"]
+	if "http://"+host != alice.PeerURL() || strings.Join(keys, ",") != "relay_url,url" ||
+		!strings.HasPrefix(relay, cluster.Proxy.BaseURL()+"/relay/") || strings.Contains(send, bob.PeerURL()) {
+		log.Fatalf("holder %s was sent %s; want only the document and a relay URL on the proxy", host, send)
+	}
+	fmt.Printf("   url       = %s\n   relay_url = %s\n", fields["url"], relay)
+	fmt.Println("   — the proxy's drop point and a one-time ticket, nothing about Bob.")
 
-	fmt.Println("\n5) Peer servers refuse everyone but the proxy (token) and refuse onions")
-	fmt.Println("   not addressed to them (AES-GCM layer), so nobody can probe who holds what.")
+	fmt.Println("\n5) The proxy's /stats books the hit as a remote one:")
+	resp, err := http.Get(cluster.Proxy.BaseURL() + "/stats")
+	if err != nil {
+		log.Fatal(err)
+	}
+	var st baps.ProxyStats
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		log.Fatal(err)
+	}
+	if st.RemoteHits != 1 || st.RelayTimeouts != 0 {
+		log.Fatalf("proxy stats: remote_hits %d relay_timeouts %d; want 1, 0", st.RemoteHits, st.RelayTimeouts)
+	}
+	fmt.Printf("   remote_hits = %d, relay_timeouts = %d\n", st.RemoteHits, st.RelayTimeouts)
+
+	fmt.Println("\n6) Peer servers refuse everyone but the proxy, so nobody can probe who")
+	fmt.Println("   holds what:")
+	resp, err = http.Get(alice.PeerURL() + "/peer/doc?url=" + doc)
+	if err != nil {
+		log.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusForbidden {
+		log.Fatalf("unauthenticated peer fetch: status %d, want 403", resp.StatusCode)
+	}
+	fmt.Printf("   GET alice/peer/doc without the proxy's token → %s\n", resp.Status)
+
 	fmt.Println("\nThe paper's §6.2 properties hold end-to-end: mutual requester/holder")
-	fmt.Println("anonymity with only 'limited centralized control' at the proxy.")
+	fmt.Println("anonymity, with the proxy as the one party that knows both.")
 }

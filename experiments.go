@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"baps/internal/anonymity"
 	"baps/internal/cache"
 	"baps/internal/coop"
 	"baps/internal/core"
@@ -494,8 +493,7 @@ func coreConfigFor(st *trace.Stats, c SimConfig) core.Config {
 }
 
 // SecurityReport measures the §6 protocol overheads the paper calls
-// "trivial": watermark generation/verification throughput and the
-// anonymous-path (onion) build/peel cost.
+// "trivial": watermark generation and verification.
 func SecurityReport(keyBits int, docBytes int) (*Table, error) {
 	if keyBits == 0 {
 		keyBits = 2048
@@ -529,27 +527,6 @@ func SecurityReport(keyBits int, docBytes int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys := map[int][]byte{}
-	path := make([]anonymity.Hop, 3)
-	for i := range path {
-		k, err := anonymity.NewKey()
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = k
-		path[i] = anonymity.Hop{ID: i, Key: k}
-	}
-	onionT, err := timeOp(200, func() error {
-		onion, e := anonymity.BuildOnion(path, doc)
-		if e != nil {
-			return e
-		}
-		_, _, e = anonymity.Route(keys, 0, onion)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
 	t := stats.NewTable(fmt.Sprintf("§6 security overheads (RSA-%d, MD5, %d-byte document)", keyBits, docBytes),
 		"Operation", "Latency", "Relative to a 0.1s LAN connection setup")
 	rel := func(d time.Duration) string {
@@ -557,7 +534,6 @@ func SecurityReport(keyBits int, docBytes int) (*Table, error) {
 	}
 	t.AddRow("watermark sign (proxy, once per document)", signT.String(), rel(signT))
 	t.AddRow("watermark verify (per peer transfer)", verifyT.String(), rel(verifyT))
-	t.AddRow("anonymous 3-hop onion build+route", onionT.String(), rel(onionT))
 	return t, nil
 }
 

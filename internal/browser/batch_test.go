@@ -98,8 +98,10 @@ func TestBatchedPublishReachesProxy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The agent books IndexBatches only once it has decoded the proxy's
+	// reply, which can land after the proxy's index already matches.
 	waitUntil(t, 3*time.Second, "batched deltas to reach the proxy index", func() bool {
-		return equalStrings(proxyDirectory(c, ag.ID()), agentDirectory(ag))
+		return equalStrings(proxyDirectory(c, ag.ID()), agentDirectory(ag)) && ag.Snapshot().IndexBatches > 0
 	})
 	if m := ag.Snapshot(); m.IndexBatches == 0 || m.IndexSyncs != 0 {
 		t.Fatalf("agent sent batches=%d syncs=%d; want only delta batches", m.IndexBatches, m.IndexSyncs)

@@ -145,7 +145,6 @@ type Metrics struct {
 	// the key vanished between Keys() and Peek() (should stay zero: the
 	// snapshot runs under the cache lock).
 	DirSnapshotMisses int64
-	OnionRelayed      int64
 	// Background-pipeline traffic (DESIGN.md §14): proxy-initiated cache
 	// pushes accepted into / declined by this cache, and proxy-initiated
 	// invalidations applied to it.
@@ -173,7 +172,6 @@ type Agent struct {
 	token    string
 	verifier *integrity.Verifier // own when standalone; the host's for this key when hosted
 	bodies   *bodyStore          // own when standalone; the host's when hosted
-	relayKey []byte              // covert-path key issued at registration
 
 	// pubOrder makes index deltas reach the publisher in seq order:
 	// store and Evict take it before mu and hold it across the enqueue
@@ -194,8 +192,6 @@ type Agent struct {
 	// at mutation time, compared by the publisher when coalescing and
 	// before attaching a digest.
 	deltaSeq uint64
-	// Waiters for onion-routed deliveries, by document URL.
-	pendingOnion map[string]chan onionDeliveryMsg
 	// invalidated tombstones proxy-invalidated documents: url → minimum
 	// acceptable version. Copies below the floor are never stored and
 	// never served to peers (410), even across the Close() window — a
@@ -297,8 +293,7 @@ func initAgent(a *Agent, cfg Config, client *http.Client, bodies *bodyStore) err
 // reads only query/body/headers — which is what makes prefix-routed hosting
 // possible without touching the wire protocol.
 var peerPaths = []string{
-	"/peer/doc", "/peer/send", "/peer/onion-send", "/peer/onion",
-	"/peer/resync", "/cache/push", "/cache/invalidate",
+	"/peer/doc", "/peer/send", "/peer/resync", "/cache/push", "/cache/invalidate",
 }
 
 // dispatch maps a peer-server path to its handler (nil when unknown).
@@ -308,10 +303,6 @@ func (a *Agent) dispatch(path string) http.HandlerFunc {
 		return a.handlePeerDoc
 	case "/peer/send":
 		return a.handlePeerSend
-	case "/peer/onion-send":
-		return a.handlePeerOnionSend
-	case "/peer/onion":
-		return a.handlePeerOnion
 	case "/peer/resync":
 		return a.handlePeerResync
 	case "/cache/push":
@@ -398,11 +389,7 @@ func (a *Agent) register() error {
 	if err != nil {
 		return err
 	}
-	relayKey, err := base64.StdEncoding.DecodeString(reg.RelayKey)
-	if err != nil || len(relayKey) != 32 {
-		return fmt.Errorf("browser: bad relay key from proxy")
-	}
-	a.id, a.token, a.verifier, a.relayKey = reg.ClientID, reg.Token, verifier, relayKey
+	a.id, a.token, a.verifier = reg.ClientID, reg.Token, verifier
 	if a.logger != nil {
 		a.logger.Info("registered with proxy", "client", a.id, "peer_url", peerURL)
 	}
@@ -559,8 +546,6 @@ func (a *Agent) registerMetrics() {
 		func(m *Metrics) int64 { return m.IndexPublishFailures })
 	counter("baps_browser_dir_snapshot_misses_total", "Directory-snapshot entries skipped by a Keys/Peek race.",
 		func(m *Metrics) int64 { return m.DirSnapshotMisses })
-	counter("baps_browser_onion_relayed_total", "Onion-path hops relayed for other peers.",
-		func(m *Metrics) int64 { return m.OnionRelayed })
 	counter("baps_browser_pushes_accepted_total", "Proxy-initiated cache pushes stored locally.",
 		func(m *Metrics) int64 { return m.PushesAccepted })
 	counter("baps_browser_pushes_declined_total", "Proxy-initiated cache pushes refused (closing or tombstoned).",
@@ -618,30 +603,9 @@ func (a *Agent) Get(ctx context.Context, docURL string) ([]byte, Source, error) 
 	}
 	a.mu.Unlock()
 
-	// Pre-register an onion waiter: under OnionForward the delivery can
-	// race the /fetch response.
-	onionCh, cancelOnion := a.expectOnion(docURL)
-	defer cancelOnion()
-
-	body, src, ticket, mark, version, viaOnion, err := a.fetchViaProxy(ctx, docURL, false)
+	body, src, ticket, mark, version, err := a.fetchViaProxy(ctx, docURL, false)
 	if err != nil {
 		return nil, "", err
-	}
-	if viaOnion {
-		d, derr := a.awaitOnion(onionCh)
-		if derr != nil {
-			// Covert path failed; retry bypassing peers.
-			body, src, _, mark, version, viaOnion, err = a.fetchViaProxy(ctx, docURL, true)
-			if err != nil {
-				return nil, "", err
-			}
-			if viaOnion {
-				return nil, "", fmt.Errorf("browser: proxy insisted on onion delivery with peers disabled")
-			}
-		} else {
-			body, mark, version = d.body, d.watermark, d.version
-			src = SourceRemote
-		}
 	}
 	if a.cfg.Verify {
 		if verr := a.verify(body, mark); verr != nil {
@@ -654,7 +618,7 @@ func (a *Agent) Get(ctx context.Context, docURL string) ([]byte, Source, error) 
 			// §6.1: reject, report the delivery (the proxy maps the
 			// ticket to the hidden holder), and retry bypassing peers.
 			a.reportBad(ctx, docURL, ticket)
-			body, src, _, mark, version, _, err = a.fetchViaProxy(ctx, docURL, true)
+			body, src, _, mark, version, err = a.fetchViaProxy(ctx, docURL, true)
 			if err != nil {
 				return nil, "", err
 			}
@@ -708,13 +672,12 @@ func (a *Agent) verify(body, mark []byte) error {
 	return err
 }
 
-// fetchViaProxy performs GET /fetch. viaOnion reports that the proxy
-// announced an out-of-band onion delivery instead of returning a body.
-func (a *Agent) fetchViaProxy(ctx context.Context, docURL string, noPeer bool) (body []byte, src Source, ticket string, mark []byte, version int64, viaOnion bool, err error) {
+// fetchViaProxy performs GET /fetch.
+func (a *Agent) fetchViaProxy(ctx context.Context, docURL string, noPeer bool) (body []byte, src Source, ticket string, mark []byte, version int64, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		a.cfg.ProxyURL+"/fetch?url="+url.QueryEscape(docURL), nil)
 	if err != nil {
-		return nil, "", "", nil, 0, false, err
+		return nil, "", "", nil, 0, err
 	}
 	req.Header.Set(proxy.HeaderClient, strconv.Itoa(a.id))
 	req.Header.Set(proxy.HeaderToken, a.token)
@@ -723,27 +686,24 @@ func (a *Agent) fetchViaProxy(ctx context.Context, docURL string, noPeer bool) (
 	}
 	resp, err := a.httpClient.Do(req)
 	if err != nil {
-		return nil, "", "", nil, 0, false, fmt.Errorf("browser: fetch: %w", err)
+		return nil, "", "", nil, 0, fmt.Errorf("browser: fetch: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, "", "", nil, 0, false, fmt.Errorf("browser: fetch status %s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
-	if resp.Header.Get(proxy.HeaderOnion) == "1" {
-		return nil, SourceRemote, "", nil, 0, true, nil
+		return nil, "", "", nil, 0, fmt.Errorf("browser: fetch status %s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
 	version, _ = strconv.ParseInt(resp.Header.Get(proxy.HeaderVersion), 10, 64)
 	body, err = readBody(resp, a.bodies.lookup(docURL, version))
 	if err != nil {
-		return nil, "", "", nil, 0, false, err
+		return nil, "", "", nil, 0, err
 	}
 	src = Source(resp.Header.Get(proxy.HeaderSource))
 	ticket = resp.Header.Get("X-BAPS-Ticket")
 	if b64 := resp.Header.Get(proxy.HeaderWatermark); b64 != "" {
 		mark, _ = base64.StdEncoding.DecodeString(b64)
 	}
-	return body, src, ticket, mark, version, false, nil
+	return body, src, ticket, mark, version, nil
 }
 
 // reportBad files a §6.1 rejection for a direct-forward delivery.

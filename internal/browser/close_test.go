@@ -1,7 +1,6 @@
 package browser
 
 import (
-	"encoding/base64"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -34,13 +33,12 @@ func newStubProxy(t *testing.T) *stubProxy {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relayKey := base64.StdEncoding.EncodeToString(make([]byte, 32))
 
 	sp := &stubProxy{}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/register", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(proxy.RegisterResponse{
-			ClientID: 1, Token: "tok", PublicKey: string(pubPEM), RelayKey: relayKey,
+			ClientID: 1, Token: "tok", PublicKey: string(pubPEM),
 		})
 	})
 	mux.HandleFunc("/heartbeat", func(w http.ResponseWriter, r *http.Request) {

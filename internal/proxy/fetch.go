@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"time"
 
-	"baps/internal/anonymity"
 	"baps/internal/bufpool"
 	"baps/internal/integrity"
 	"baps/internal/obs"
@@ -111,20 +110,19 @@ func (b *outcomeBook) book(outcome string) {
 }
 
 // fetchResult is one acquisition — from a holder, a sibling or the origin —
-// and every miss resolution: the document (buffered body, direct-forward
-// stream, or an onion delivery under way) plus everything needed to write
-// the response and account the outcome. An empty outcome is a miss that is
+// and every miss resolution: the document (buffered body or direct-forward
+// stream) plus everything needed to write the response and account the
+// outcome. An empty outcome is a miss that is
 // not an error (no holder delivered, no sibling confirmed). Buffered results
 // are immutable and safely shared across coalesced requests; streamed
 // results are requester-specific and never enter the flight group.
 type fetchResult struct {
-	body     []byte
-	stream   *relayStream
-	meta     docMeta
-	source   string
-	ticket   string
-	viaOnion bool
-	outcome  string
+	body    []byte
+	stream  *relayStream
+	meta    docMeta
+	source  string
+	ticket  string
+	outcome string
 }
 
 // resolveFetch runs the decision path — proxy cache, coalesced miss
@@ -143,10 +141,9 @@ func (s *Server) resolveFetch(ctx context.Context, w http.ResponseWriter, book *
 	// the origin. Fetch-forward (or a miss with peers out of the picture)
 	// resolves a requester-independent document, so concurrent misses for
 	// one URL coalesce: a single leader resolves, followers reuse its
-	// result. A registered client's direct- or onion-forward delivery is
-	// addressed to it alone (one-time relay drop / covert path), so it
-	// resolves per-request — its origin fallback still coalesces inside
-	// fetchUpstream.
+	// result. A registered client's direct-forward delivery is addressed to
+	// it alone (a one-time relay drop), so it resolves per-request — its
+	// origin fallback still coalesces inside fetchUpstream.
 	if peerEligible && s.forwardFor(requester) != FetchForward {
 		res, err := s.resolveMiss(ctx, url, requester, true)
 		return s.writeResolution(ctx, w, book, res, err, requester, false)
@@ -183,13 +180,6 @@ func (s *Server) writeResolution(ctx context.Context, w http.ResponseWriter, boo
 		outcome = outError
 		book.book(outcome)
 		http.Error(w, fmt.Sprintf("proxy: upstream: %v", err), http.StatusBadGateway)
-	case res.viaOnion:
-		// The document travels browser-to-browser over the covert
-		// path; this response only announces it.
-		book.book(outcome)
-		w.Header().Set(HeaderOnion, "1")
-		w.Header().Set(HeaderSource, SourceRemote)
-		w.WriteHeader(http.StatusOK)
 	case res.stream != nil:
 		// A relay that aborts mid-copy is booked on relay_stream_errors;
 		// the outcome is the holder's delivery either way.
@@ -490,9 +480,7 @@ func (s *Server) forwardFor(requester int) ForwardMode {
 // delivery, or a result with an empty outcome. forwardFor picks how a holder
 // delivers: in fetch-forward the proxy retrieves and verifies the body
 // itself; in direct-forward it opens an anonymous relay drop and instructs
-// the holder to push there, returning the push as a live stream; in
-// onion-forward it launches the document onto a covert path of relay
-// browsers and reports viaOnion (no body passes through).
+// the holder to push there, returning the push as a live stream.
 //
 // Candidates are gated by the per-peer circuit breaker: a tripped peer is
 // skipped entirely (all its entries sit in quarantine), except that once
@@ -529,12 +517,9 @@ func (s *Server) resolveRemote(ctx context.Context, url string, requester int) f
 		start := time.Now()
 		var res fetchResult
 		var err error
-		switch mode {
-		case FetchForward:
+		if mode == FetchForward {
 			res, err = s.fetchFromPeer(ctx, peer, url)
-		case OnionForward:
-			res, err = s.onionFromPeer(ctx, peer, url, requester)
-		default:
+		} else {
 			res, err = s.relayFromPeer(ctx, peer, url, requester)
 		}
 		if err != nil {
@@ -569,11 +554,10 @@ func (s *Server) resolveRemote(ctx context.Context, url string, requester int) f
 		s.idx.AccountServe(e.Client)
 		s.m.peerFetchDur.Observe(elapsed.Seconds())
 		s.m.peerServes.WithInt(e.Client).Inc()
-		// Onion deliveries bypass the proxy and streamed relays are still
-		// in flight, so the served size comes from the index entry when
-		// the relayed payload length is unknown.
+		// A streamed relay is still in flight, so the served size comes
+		// from the index entry when the pushed length is unknown.
 		served := res.meta.size
-		if res.viaOnion || served < 0 {
+		if served < 0 {
 			served = e.Size
 		}
 		s.m.peerServeBytes.WithInt(e.Client).Add(served)
@@ -651,7 +635,7 @@ func (s *Server) fetchFromPeer(ctx context.Context, peer peerInfo, url string) (
 // turn happens only after this function returns — awaiting the send's HTTP
 // response first would deadlock the pipeline.
 func (s *Server) relayFromPeer(ctx context.Context, peer peerInfo, url string, requester int) (fetchResult, error) {
-	ticket, err := anonymity.NewTicket()
+	ticket, err := newTicket()
 	if err != nil {
 		return fetchResult{}, err
 	}
@@ -680,7 +664,7 @@ func (s *Server) relayFromPeer(ctx context.Context, peer peerInfo, url string, r
 			// relay); the requester verifies the watermark end-to-end.
 			return fetchResult{
 				stream: d.stream, meta: docMeta{version: version, size: d.stream.length},
-				source: SourceRemote, ticket: string(ticket), outcome: outPeerDirect,
+				source: SourceRemote, ticket: ticket, outcome: outPeerDirect,
 			}, nil
 		case err = <-sendCh:
 			sendCh = nil // nil: send acknowledged; keep waiting for the push
@@ -700,7 +684,7 @@ func (s *Server) relayFromPeer(ctx context.Context, peer peerInfo, url string, r
 // keepDelivered puts a delivered ticket in the ring of the last
 // len(s.delivered), ending the session of the oldest it overwrites (one at a
 // time, never a wholesale wipe). The caller holds relayMu.
-func (s *Server) keepDelivered(ticket anonymity.Ticket) {
+func (s *Server) keepDelivered(ticket string) {
 	delete(s.relays, s.delivered[s.deliveredNext])
 	s.delivered[s.deliveredNext] = ticket
 	s.deliveredNext = (s.deliveredNext + 1) % len(s.delivered)
@@ -717,7 +701,7 @@ func (s *Server) handleRelay(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.relayMu.Lock()
-	session := s.relays[anonymity.Ticket(r.URL.Path[len("/relay/"):])]
+	session := s.relays[r.URL.Path[len("/relay/"):]]
 	waiting := session != nil && !session.pushed
 	if waiting {
 		session.pushed = true
@@ -792,7 +776,7 @@ func (s *Server) handleReportBad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.relayMu.Lock()
-	session := s.relays[anonymity.Ticket(rep.Ticket)]
+	session := s.relays[rep.Ticket]
 	delivered := session != nil && session.pushed
 	honoured := delivered && !session.reported && session.requester == id && session.url == rep.URL
 	if honoured {

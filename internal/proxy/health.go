@@ -7,7 +7,7 @@ package proxy
 // fetch against it failed, then pruned a single index entry per failure — a
 // dead holder with many cached documents cost one PeerTimeout per document.
 // The tracker below keeps one health record per registered peer, fed by
-// every fetch/relay/onion outcome and by the browser heartbeat
+// every fetch and relay outcome and by the browser heartbeat
 // (POST /heartbeat), and runs a three-state circuit breaker:
 //
 //	closed    → normal operation; consecutive transport failures count up.

@@ -10,8 +10,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"baps/internal/anonymity"
 )
 
 // fakeClock drives a healthTracker deterministically.
@@ -160,17 +158,17 @@ func TestHealthSnapshotOrderedAndTouch(t *testing.T) {
 // first, one at a time, never the whole table at once.
 func TestDeliveredTicketRing(t *testing.T) {
 	s := testServer(t, nil)
-	s.delivered = make([]anonymity.Ticket, 4)
+	s.delivered = make([]string, 4)
 	s.relayMu.Lock()
 	defer s.relayMu.Unlock()
 	for i := 0; i < 7; i++ {
-		ticket := anonymity.Ticket(fmt.Sprintf("t%d", i))
+		ticket := fmt.Sprintf("t%d", i)
 		s.relays[ticket] = &relaySession{holder: i, pushed: true}
 		s.keepDelivered(ticket)
 	}
 	// Oldest three evicted, newest four kept.
 	for i := 0; i < 7; i++ {
-		session := s.relays[anonymity.Ticket(fmt.Sprintf("t%d", i))]
+		session := s.relays[fmt.Sprintf("t%d", i)]
 		if kept := session != nil; kept != (i >= 3) {
 			t.Errorf("t%d kept = %v, want %v", i, kept, i >= 3)
 		} else if kept && session.holder != i {

@@ -9,14 +9,13 @@ import (
 // Fetch decision-path outcomes, one per /fetch request, exposed as
 // baps_proxy_fetch_outcomes_total{outcome=...}. Together with the browser
 // agent's local-hit counter these cover the paper's full resolution path:
-// browser hit → proxy hit → index hit (fetch-forward / direct-forward /
-// onion) → origin fallback.
+// browser hit → proxy hit → index hit (fetch-forward / direct-forward) →
+// origin fallback.
 const (
 	outProxyHit     = "proxy_hit"
 	outDiskHit      = "proxy_disk_hit"
 	outPeerFetch    = "peer_fetch_forward"
 	outPeerDirect   = "peer_direct_forward"
-	outPeerOnion    = "peer_onion"
 	outClusterHit   = "cluster_fetch"
 	outOrigin       = "origin"
 	outOriginHedged = "origin_hedged"
@@ -33,8 +32,8 @@ type serverMetrics struct {
 	requests *obs.Counter
 	outcomes *obs.CounterVec
 	// Pre-resolved outcome children (outcomeCounter maps the string).
-	outProxyHit, outDiskHit, outPeerFetch, outPeerDirect, outPeerOnion *obs.Counter
-	outClusterHit, outOrigin, outOriginHedged, outError, outCanceled   *obs.Counter
+	outProxyHit, outDiskHit, outPeerFetch, outPeerDirect             *obs.Counter
+	outClusterHit, outOrigin, outOriginHedged, outError, outCanceled *obs.Counter
 
 	// Disk-tier plane (registered always; non-zero only with -datadir).
 	diskWrites     *obs.Counter
@@ -125,7 +124,6 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 	m.outDiskHit = m.outcomes.With(outDiskHit)
 	m.outPeerFetch = m.outcomes.With(outPeerFetch)
 	m.outPeerDirect = m.outcomes.With(outPeerDirect)
-	m.outPeerOnion = m.outcomes.With(outPeerOnion)
 	m.outClusterHit = m.outcomes.With(outClusterHit)
 	m.outOrigin = m.outcomes.With(outOrigin)
 	m.outOriginHedged = m.outcomes.With(outOriginHedged)
@@ -330,8 +328,6 @@ func (m *serverMetrics) outcomeCounter(outcome string) *obs.Counter {
 		return m.outPeerFetch
 	case outPeerDirect:
 		return m.outPeerDirect
-	case outPeerOnion:
-		return m.outPeerOnion
 	case outClusterHit:
 		return m.outClusterHit
 	case outOrigin:

@@ -83,7 +83,7 @@ func assertStatsMatchMetrics(t *testing.T, s *Server) {
 	}{
 		{"requests", st.Requests, m["baps_proxy_requests_total"]},
 		{"proxy_hits", st.ProxyHits, outcomeSum(m, "proxy_hit")},
-		{"remote_hits", st.RemoteHits, outcomeSum(m, "peer_fetch_forward", "peer_direct_forward", "peer_onion")},
+		{"remote_hits", st.RemoteHits, outcomeSum(m, "peer_fetch_forward", "peer_direct_forward")},
 		{"origin_fetches", st.OriginFetches, outcomeSum(m, "origin", "origin_hedged")},
 		{"hedged_wins", st.HedgedWins, outcomeSum(m, "origin_hedged")},
 		{"false_peer_hits", st.FalsePeerHits, m["baps_proxy_false_peer_total"]},
@@ -205,7 +205,7 @@ func TestStatsMatchesMetrics(t *testing.T) {
 	}
 	// Every decision-path outcome is pre-registered, so the exposition
 	// covers the full path even before traffic reaches it.
-	for _, o := range []string{"proxy_hit", "peer_fetch_forward", "peer_direct_forward", "peer_onion", "origin", "origin_hedged", "error", "canceled"} {
+	for _, o := range []string{"proxy_hit", "peer_fetch_forward", "peer_direct_forward", "origin", "origin_hedged", "error", "canceled"} {
 		if _, ok := m[`baps_proxy_fetch_outcomes_total{outcome="`+o+`"}`]; !ok {
 			t.Errorf("outcome %q missing from exposition", o)
 		}

@@ -48,10 +48,9 @@ const wbBatchMax = 128
 
 // persistClient is one registered browser in the persisted state blob.
 type persistClient struct {
-	ID       int    `json:"id"`
-	PeerURL  string `json:"peer_url"`
-	Token    string `json:"token"`
-	RelayKey []byte `json:"relay_key"`
+	ID      int    `json:"id"`
+	PeerURL string `json:"peer_url"`
+	Token   string `json:"token"`
 }
 
 // persistState is the owner-state blob journaled into the disk store: the
@@ -218,7 +217,7 @@ func (s *Server) restoreState(blob []byte) {
 		s.nextID = st.NextID
 	}
 	for _, c := range st.Clients {
-		s.peers[c.ID] = peerInfo{id: c.ID, baseURL: c.PeerURL, token: c.Token, relayKey: c.RelayKey}
+		s.peers[c.ID] = peerInfo{id: c.ID, baseURL: c.PeerURL, token: c.Token}
 		s.peersByURL[c.PeerURL] = c.ID
 		s.tokens[c.Token] = c.ID
 	}
@@ -246,7 +245,7 @@ func (s *Server) saveState() {
 	s.mu.Lock()
 	st.NextID = s.nextID
 	for _, p := range s.peers {
-		st.Clients = append(st.Clients, persistClient{ID: p.id, PeerURL: p.baseURL, Token: p.token, RelayKey: p.relayKey})
+		st.Clients = append(st.Clients, persistClient{ID: p.id, PeerURL: p.baseURL, Token: p.token})
 	}
 	s.mu.Unlock()
 	blob, err := json.Marshal(st)

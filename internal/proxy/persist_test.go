@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	neturl "net/url"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -428,5 +429,50 @@ func TestCrashRestartRederivesWatermark(t *testing.T) {
 	}
 	if st := s2.Snapshot(); st.TamperRejected != 0 {
 		t.Fatalf("tamper_rejected = %d serving a pre-crash copy", st.TamperRejected)
+	}
+}
+
+// TestRestoreStateFromRelayKeyBlob: a state blob written by a build that
+// issued covert-path relay keys carries a relay_key per client. Restoring it
+// drops that field and keeps every client's id, peer URL and token, so the
+// clients' credentials stay valid across the upgrade restart.
+func TestRestoreStateFromRelayKeyBlob(t *testing.T) {
+	const blob = `{"saved_unix":1760745600,"next_id":4,` +
+		`"clients":[` +
+		`{"id":0,"peer_url":"http://127.0.0.1:41001","token":"q3xK9fTb2mW8LzR1vN0eYA","relay_key":"AAECAwQFBgcICQoLDA0ODxAREhMUFRYXGBkaGxwdHh8="},` +
+		`{"id":3,"peer_url":"http://127.0.0.1:41003","token":"Zp7Qw1Ls4Hk0Jd9Xc2Vb6g","relay_key":"Hx4dHBsaGRgXFhUUExIREA8ODQwLCgkIBwYFBAMCAQA="}],` +
+		`"gens":{"0":7,"3":2},"counters":{"counters":{"baps_proxy_requests_total":12}}}`
+	s := testServer(t, nil)
+	s.restoreState([]byte(blob))
+
+	want := []persistClient{
+		{ID: 0, PeerURL: "http://127.0.0.1:41001", Token: "q3xK9fTb2mW8LzR1vN0eYA"},
+		{ID: 3, PeerURL: "http://127.0.0.1:41003", Token: "Zp7Qw1Ls4Hk0Jd9Xc2Vb6g"},
+	}
+	s.mu.Lock()
+	n, nextID := len(s.peers), s.nextID
+	s.mu.Unlock()
+	if n != len(want) || nextID != 4 {
+		t.Fatalf("restored %d clients, next id %d; want %d, 4", n, nextID, len(want))
+	}
+	for _, c := range want {
+		s.mu.Lock()
+		p, ok := s.peers[c.ID]
+		byURL, owner := s.peersByURL[c.PeerURL], s.tokens[c.Token]
+		s.mu.Unlock()
+		if !ok || p.baseURL != c.PeerURL || p.token != c.Token || byURL != c.ID || owner != c.ID {
+			t.Fatalf("client %d restored as %+v (by URL %d, token owner %d), want %+v", c.ID, p, byURL, owner, c)
+		}
+		req, _ := http.NewRequest(http.MethodPost, s.BaseURL()+"/heartbeat", nil)
+		req.Header.Set(HeaderClient, strconv.Itoa(c.ID))
+		req.Header.Set(HeaderToken, c.Token)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("client %d heartbeat with its restored token: status %d, want 204", c.ID, resp.StatusCode)
+		}
 	}
 }

@@ -38,6 +38,7 @@ package proxy
 
 import (
 	"context"
+	"crypto/rand"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -52,7 +53,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"baps/internal/anonymity"
 	"baps/internal/cache"
 	"baps/internal/diskstore"
 	"baps/internal/federation"
@@ -73,12 +73,6 @@ const (
 	// DirectForward exchanges documents through an anonymous one-time
 	// relay drop without entering the proxy cache.
 	DirectForward
-	// OnionForward delivers documents browser-to-browser over an
-	// onion-routed covert path of relay browsers: the holder learns one
-	// relay address, relays learn their neighbors, the requester learns
-	// nothing, and the body never touches the proxy (§6.2's "no or
-	// limited centralized control" variant).
-	OnionForward
 )
 
 // Config parameterizes the live proxy.
@@ -121,10 +115,6 @@ type Config struct {
 	// origin traffic — the chaos harness injects faults here. nil uses
 	// http.DefaultTransport.
 	Transport http.RoundTripper
-	// OnionRelays is the number of intermediate relay browsers on an
-	// OnionForward path (default 1; 0 sends holder→requester directly,
-	// which exposes the requester's address to the holder).
-	OnionRelays int
 	// KeyBits sizes the watermark RSA key (default 2048; tests use less).
 	KeyBits int
 	// DisablePeer turns the browsers-aware layer off entirely (a live
@@ -213,15 +203,13 @@ func DefaultConfig() Config {
 		HeartbeatTimeout: 30 * time.Second,
 		OriginRetries:    2,
 		KeyBits:          2048,
-		OnionRelays:      1,
 	}
 }
 
 type peerInfo struct {
-	id       int
-	baseURL  string
-	token    string
-	relayKey []byte // AES-256 covert-path key
+	id      int
+	baseURL string
+	token   string
 }
 
 type docMeta struct {
@@ -254,6 +242,18 @@ type relaySession struct {
 type relayDelivery struct {
 	stream  *relayStream
 	version string
+}
+
+// newTicket returns 128 bits of crypto/rand entropy, URL-safe: a one-time
+// relay ticket, or a registration token. The holder a ticket is handed to
+// learns nothing from it; the proxy keeps the only record of what it stands
+// for.
+func newTicket() (string, error) {
+	raw := make([]byte, 16)
+	if _, err := rand.Read(raw); err != nil {
+		return "", fmt.Errorf("proxy: ticket entropy: %w", err)
+	}
+	return base64.RawURLEncoding.EncodeToString(raw), nil
 }
 
 // Server is the live browsers-aware proxy.
@@ -310,13 +310,13 @@ type Server struct {
 	// its fetch gives up or, once delivered, until the ring of the last
 	// delivered tickets pushes it out: /report-bad reads the holder there.
 	relayMu       sync.Mutex
-	relays        map[anonymity.Ticket]*relaySession
-	delivered     []anonymity.Ticket
+	relays        map[string]*relaySession
+	delivered     []string
 	deliveredNext int
 
 	// Request-coalescing planes: missFlight collapses concurrent /fetch
 	// misses for one URL into a single resolution (whenever forwardFor is
-	// fetch-forward; a direct or onion delivery is its requester's),
+	// fetch-forward; a direct delivery is its requester's),
 	// originFlight collapses concurrent origin acquisitions regardless of
 	// mode, and clusterFlight collapses concurrent sibling walks for one URL.
 	missFlight    flight.Group[fetchResult]
@@ -412,8 +412,8 @@ func New(cfg Config) (*Server, error) {
 		syms:         intern.NewSync(),
 		health:       newHealthTracker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		batches:      newBatchState(),
-		relays:       make(map[anonymity.Ticket]*relaySession),
-		delivered:    make([]anonymity.Ticket, 4096),
+		relays:       make(map[string]*relaySession),
+		delivered:    make([]string, 4096),
 		stopSweep:    make(chan struct{}),
 		started:      time.Now(),
 		spillq:       make(chan spillOp, 256),
@@ -615,17 +615,11 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "proxy: signing key unavailable", http.StatusInternalServerError)
 		return
 	}
-	tok, err := anonymity.NewKey()
+	token, err := newTicket()
 	if err != nil {
 		http.Error(w, "proxy: token", http.StatusInternalServerError)
 		return
 	}
-	relayKey, err := anonymity.NewKey()
-	if err != nil {
-		http.Error(w, "proxy: relay key", http.StatusInternalServerError)
-		return
-	}
-	token := base64.RawURLEncoding.EncodeToString(tok[:16])
 	peerURL := strings.TrimRight(req.PeerURL, "/")
 	s.mu.Lock()
 	// A browser re-registering its peer URL (crash-restart without a clean
@@ -641,7 +635,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	id := s.nextID
 	s.nextID++
-	s.peers[id] = peerInfo{id: id, baseURL: peerURL, token: token, relayKey: relayKey}
+	s.peers[id] = peerInfo{id: id, baseURL: peerURL, token: token}
 	s.peersByURL[peerURL] = id
 	s.tokens[token] = id
 	s.mu.Unlock()
@@ -664,7 +658,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		ClientID:  id,
 		Token:     token,
 		PublicKey: string(key.pubPEM),
-		RelayKey:  base64.StdEncoding.EncodeToString(relayKey),
 	})
 }
 
@@ -792,11 +785,9 @@ func (s *Server) Snapshot() Stats {
 	wqStats := s.wq.Stats()
 	m := s.m
 	return Stats{
-		Requests:  m.requests.Value(),
-		ProxyHits: m.outProxyHit.Value() + m.outDiskHit.Value(),
-		RemoteHits: m.outPeerFetch.Value() +
-			m.outPeerDirect.Value() +
-			m.outPeerOnion.Value(),
+		Requests:              m.requests.Value(),
+		ProxyHits:             m.outProxyHit.Value() + m.outDiskHit.Value(),
+		RemoteHits:            m.outPeerFetch.Value() + m.outPeerDirect.Value(),
 		OriginFetches:         m.outOrigin.Value() + m.outOriginHedged.Value(),
 		FalsePeerHits:         m.falsePeer.Value(),
 		TamperRejected:        m.watermarkRejected.Value(),

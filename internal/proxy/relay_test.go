@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -245,6 +244,31 @@ func TestPeerBodyWithoutProxyRecord(t *testing.T) {
 	}
 }
 
+func TestNewTicketIs128Bits(t *testing.T) {
+	tok, err := newTicket()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := base64.RawURLEncoding.DecodeString(tok)
+	if err != nil || len(raw) != 16 {
+		t.Fatalf("ticket %q: %d bytes, err %v; want 16 URL-safe bytes", tok, len(raw), err)
+	}
+}
+
+func TestTicketsUnique(t *testing.T) {
+	seen := map[string]bool{}
+	for i := 0; i < 200; i++ {
+		tok, err := newTicket()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen[tok] {
+			t.Fatal("duplicate ticket issued")
+		}
+		seen[tok] = true
+	}
+}
+
 // relayHolder registers a scripted direct-forward holder: it answers a
 // /peer/send by posting body to the relay URL pushes times in a row, and
 // reports the relay URL and each push's status.
@@ -409,10 +433,9 @@ func reportBad(t *testing.T, s *Server, reg RegisterResponse, url, ticket string
 
 // TestAnonymousRequesterTakesFetchForward: an anonymous requester cannot
 // verify a watermark, so in every forwarding mode it is served fetch-forward,
-// the one delivery whose body the proxy checks. Under onion-forward the
-// holder is fetched, not sent an onion, and its breaker stays closed; under
-// direct-forward a tampering holder is caught at the proxy and the client
-// gets the origin's bytes.
+// the one delivery whose body the proxy checks. Under direct-forward a
+// tampering holder is caught at the proxy and the client gets the origin's
+// bytes.
 func TestAnonymousRequesterTakesFetchForward(t *testing.T) {
 	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("origin copy"))
@@ -430,47 +453,6 @@ func TestAnonymousRequesterTakesFetchForward(t *testing.T) {
 		}
 		return resp.Header.Get(HeaderSource), string(body)
 	}
-
-	t.Run("onion", func(t *testing.T) {
-		s := testServer(t, func(c *Config) {
-			c.Forward = OnionForward
-			c.BreakerThreshold = 1
-		})
-		good := []byte("holder copy")
-		mark, err := proxySigner(t, s).Watermark(good)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var onionSends atomic.Int64
-		mux := http.NewServeMux()
-		mux.HandleFunc("/peer/onion-send", func(w http.ResponseWriter, r *http.Request) {
-			onionSends.Add(1)
-			io.Copy(io.Discard, r.Body)
-			w.WriteHeader(http.StatusOK)
-		})
-		mux.HandleFunc("/peer/doc", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set(HeaderWatermark, base64.StdEncoding.EncodeToString(mark))
-			w.Header().Set(HeaderVersion, "0")
-			w.Write(good)
-		})
-		holderTS := httptest.NewServer(mux)
-		defer holderTS.Close()
-		holder := register(t, s, holderTS.URL)
-		u := origin.URL + "/onion-doc"
-		s.Index().Add(indexEntryFor(s, holder.ClientID, u, int64(len(good))))
-
-		if src, body := anonGet(t, s, u); src != SourceRemote || body != string(good) {
-			t.Fatalf("source = %q body = %q, want the holder's copy", src, body)
-		}
-		st := s.Snapshot()
-		if st.RemoteHits != 1 || st.FalsePeerHits != 0 || st.BreakerOpen != 0 || st.BreakerTrips != 0 {
-			t.Fatalf("remote_hits = %d false_peer_hits = %d breaker_open = %d breaker_trips = %d, want 1/0/0/0",
-				st.RemoteHits, st.FalsePeerHits, st.BreakerOpen, st.BreakerTrips)
-		}
-		if n := onionSends.Load(); n != 0 {
-			t.Fatalf("%d /peer/onion-send calls for an anonymous requester, want 0", n)
-		}
-	})
 
 	t.Run("direct tamper", func(t *testing.T) {
 		s := testServer(t, func(c *Config) { c.Forward = DirectForward })

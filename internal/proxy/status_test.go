@@ -30,8 +30,6 @@ func TestStatusClassification(t *testing.T) {
 			{"fetch 500", FetchForward, "/peer/doc", http.StatusInternalServerError, true},
 			{"direct 404", DirectForward, "/peer/send", http.StatusNotFound, false},
 			{"direct 500", DirectForward, "/peer/send", http.StatusInternalServerError, true},
-			{"onion 404", OnionForward, "/peer/onion-send", http.StatusNotFound, false},
-			{"onion 500", OnionForward, "/peer/onion-send", http.StatusInternalServerError, true},
 		} {
 			t.Run(c.name, func(t *testing.T) { holderStatusCase(t, c.mode, c.route, c.status, c.open) })
 		}

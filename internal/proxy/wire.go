@@ -27,13 +27,6 @@ const (
 	// HeaderNoPeer, when set to "1" on /fetch, disables remote-browser
 	// resolution (used after a client-side watermark rejection).
 	HeaderNoPeer = "X-BAPS-No-Peer"
-	// HeaderOnion, set to "1" on a /fetch response, announces that the
-	// document will arrive out-of-band over an onion-routed covert path
-	// (the response body is empty; the agent waits on its peer server).
-	HeaderOnion = "X-BAPS-Onion"
-	// HeaderOnionRoute carries the base64 route onion on browser-to-
-	// browser /peer/onion deliveries; the body is the sealed payload.
-	HeaderOnionRoute = "X-BAPS-Onion-Route"
 	// HeaderClusterHop, set to "1" on a sibling proxy's /fetch, marks a
 	// cross-proxy relay: the receiver resolves only its local tiers (cache
 	// + its own browsers), never its own cluster tier or the origin, and
@@ -63,10 +56,6 @@ type RegisterResponse struct {
 	ClientID  int    `json:"client_id"`
 	Token     string `json:"token"`
 	PublicKey string `json:"public_key"` // PEM, for watermark verification
-	// RelayKey is the client's base64 AES-256 covert-path key: the proxy
-	// uses it to address route-onion layers at this client, making every
-	// browser a potential relay (§6.2's decentralized variant).
-	RelayKey string `json:"relay_key"`
 }
 
 // IndexDelta is one incremental directory change inside an IndexBatch: an
@@ -154,36 +143,6 @@ type ReplayResponse struct {
 type PeerSend struct {
 	URL      string `json:"url"`
 	RelayURL string `json:"relay_url"`
-}
-
-// PeerOnionSend is the body of POST <peer>/peer/onion-send: the proxy
-// instructs a holder to launch a document onto an onion-routed covert path.
-// The holder learns only the first hop's address; the route onion (built by
-// the proxy from the relay keys it holds) hides everything downstream, and
-// the document itself is sealed end-to-end under the ephemeral key, which
-// only the terminal hop recovers from its route layer.
-type PeerOnionSend struct {
-	URL             string `json:"url"`
-	FirstAddr       string `json:"first_addr"`
-	RouteB64        string `json:"route_b64"`
-	EphemeralKeyB64 string `json:"ephemeral_key_b64"`
-}
-
-// OnionFinal is the terminal route-layer content: it tells the requester
-// which document is arriving and the ephemeral key that opens the sealed
-// payload. Encoded with encoding/gob.
-type OnionFinal struct {
-	URL string
-	Key []byte
-}
-
-// OnionDelivery is the sealed payload of an onion transfer, browser to
-// browser. Encoded with encoding/gob, then Seal()ed under the ephemeral key.
-type OnionDelivery struct {
-	URL       string
-	Version   int64
-	Watermark []byte
-	Body      []byte
 }
 
 // LocateResponse is the reply to GET /peer/locate?url=U — a sibling proxy's

@@ -135,7 +135,7 @@ func LiveReplay(tr *Trace, cfg LiveReplayConfig) (*LiveReplayResult, error) {
 		scfg.ForwardMode = core.FetchForward
 		scfg.ProxyCachesPeerDocs = true
 	} else {
-		// Direct and onion forwarding bypass the proxy cache.
+		// Direct-forward bypasses the proxy cache.
 		scfg.ForwardMode = core.DirectForward
 		scfg.ProxyCachesPeerDocs = false
 	}

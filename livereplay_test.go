@@ -29,62 +29,52 @@ func liveTrace(t *testing.T) *Trace {
 // TestLiveReplayMatchesSimulator is the cross-validation of the repository's
 // two halves: the live HTTP implementation and the trace-driven simulator
 // implement the same §2 protocol on the same LRU substrate, so replaying
-// one workload through both must produce closely matching hit ratios.
+// one workload through both must produce closely matching hit ratios, under
+// each of the paper's two deliveries of a remote hit.
 func TestLiveReplayMatchesSimulator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live replay drives ~1200 real HTTP requests")
 	}
-	res, err := LiveReplay(liveTrace(t), LiveReplayConfig{
-		RelativeSize: 0.10,
-		Forward:      proxy.FetchForward,
-		Verify:       true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests != 1_200 {
-		t.Fatalf("replayed %d requests", res.Requests)
-	}
-	t.Logf("live: local=%d proxy=%d remote=%d miss=%d (HR %.4f) | sim HR %.4f | gap %+.4f",
-		res.LiveLocalHits, res.LiveProxyHits, res.LiveRemoteHits, res.LiveMisses,
-		res.LiveHitRatio(), res.Sim.HitRatio(), res.HitRatioGap())
-	if gap := math.Abs(res.HitRatioGap()); gap > 0.02 {
-		t.Errorf("live vs simulated hit ratio diverge by %.4f (>2%%)", gap)
-	}
-	// Component-level agreement: local hits are fully deterministic in
-	// both implementations.
-	simLocal := float64(res.Sim.LocalHits) / float64(res.Sim.Requests)
-	liveLocal := float64(res.LiveLocalHits) / float64(res.Requests)
-	if d := math.Abs(simLocal - liveLocal); d > 0.02 {
-		t.Errorf("local-hit ratios diverge by %.4f", d)
-	}
-	if res.LiveRemoteHits == 0 {
-		t.Error("live replay produced no peer-to-peer hits")
-	}
-	if res.ProxyStats.TamperRejected != 0 {
-		t.Errorf("unexpected tamper rejections: %d", res.ProxyStats.TamperRejected)
-	}
-}
-
-func TestLiveReplayOnionMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live replay drives real HTTP requests")
-	}
 	tr := liveTrace(t)
-	tr.Requests = tr.Requests[:400]
-	res, err := LiveReplay(tr, LiveReplayConfig{
-		RelativeSize: 0.10,
-		Forward:      proxy.OnionForward,
-		Verify:       true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LiveRemoteHits == 0 {
-		t.Error("onion replay produced no peer hits")
-	}
-	if gap := math.Abs(res.HitRatioGap()); gap > 0.03 {
-		t.Errorf("onion live vs sim hit ratio gap %.4f", gap)
+	for _, c := range []struct {
+		name    string
+		forward proxy.ForwardMode
+	}{
+		{"fetch", proxy.FetchForward},
+		{"direct", proxy.DirectForward},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := LiveReplay(tr, LiveReplayConfig{
+				RelativeSize: 0.10,
+				Forward:      c.forward,
+				Verify:       true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Requests != 1_200 {
+				t.Fatalf("replayed %d requests", res.Requests)
+			}
+			t.Logf("live: local=%d proxy=%d remote=%d miss=%d (HR %.4f) | sim HR %.4f | gap %+.4f",
+				res.LiveLocalHits, res.LiveProxyHits, res.LiveRemoteHits, res.LiveMisses,
+				res.LiveHitRatio(), res.Sim.HitRatio(), res.HitRatioGap())
+			if gap := math.Abs(res.HitRatioGap()); gap > 0.02 {
+				t.Errorf("live vs simulated hit ratio diverge by %.4f (>2%%)", gap)
+			}
+			// Component-level agreement: local hits are fully deterministic
+			// in both implementations.
+			simLocal := float64(res.Sim.LocalHits) / float64(res.Sim.Requests)
+			liveLocal := float64(res.LiveLocalHits) / float64(res.Requests)
+			if d := math.Abs(simLocal - liveLocal); d > 0.02 {
+				t.Errorf("local-hit ratios diverge by %.4f", d)
+			}
+			if res.LiveRemoteHits == 0 {
+				t.Error("live replay produced no peer-to-peer hits")
+			}
+			if res.ProxyStats.TamperRejected != 0 {
+				t.Errorf("unexpected tamper rejections: %d", res.ProxyStats.TamperRejected)
+			}
+		})
 	}
 }
 
