@@ -17,18 +17,23 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 
 	"baps"
 )
 
-// sendRecorder is the proxy's outbound transport: it keeps the body of every
-// /peer/send instruction, which is all a holder's peer server is told.
+// sendRecorder is the proxy's outbound transport: it keeps every /peer/send
+// instruction, which is all a holder's peer server is told.
 type sendRecorder struct {
 	mu    sync.Mutex
-	sends []string
+	sends []peerSend
+}
+
+// peerSend is one recorded /peer/send: the holder it went to and its body.
+type peerSend struct {
+	host string
+	body []byte
 }
 
 func (r *sendRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -39,7 +44,7 @@ func (r *sendRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 		req.Body = io.NopCloser(bytes.NewReader(body))
 		r.mu.Lock()
-		r.sends = append(r.sends, req.URL.Host+" "+string(body))
+		r.sends = append(r.sends, peerSend{host: req.URL.Host, body: body})
 		r.mu.Unlock()
 	}
 	return http.DefaultTransport.RoundTrip(req)
@@ -105,27 +110,25 @@ func main() {
 
 	fmt.Println("\n4) What Alice's peer server was told:")
 	rec.mu.Lock()
-	sends := append([]string(nil), rec.sends...)
+	sends := append([]peerSend(nil), rec.sends...)
 	rec.mu.Unlock()
 	if len(sends) != 1 {
 		log.Fatalf("%d /peer/send instructions, want 1", len(sends))
 	}
-	host, send, _ := strings.Cut(sends[0], " ")
-	var fields map[string]string
-	if err := json.Unmarshal([]byte(send), &fields); err != nil {
-		log.Fatal(err)
+	send := sends[0]
+	// Any field beyond the document and the relay URL fails the decode.
+	var told struct {
+		URL      string `json:"url"`
+		RelayURL string `json:"relay_url"`
 	}
-	keys := make([]string, 0, len(fields))
-	for k := range fields {
-		keys = append(keys, k)
+	dec := json.NewDecoder(bytes.NewReader(send.body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&told); err != nil || "http://"+send.host != alice.PeerURL() ||
+		!strings.HasPrefix(told.RelayURL, cluster.Proxy.BaseURL()+"/relay/") ||
+		bytes.Contains(send.body, []byte(bob.PeerURL())) {
+		log.Fatalf("holder %s was sent %s (%v); want only the document and a relay URL on the proxy", send.host, send.body, err)
 	}
-	sort.Strings(keys)
-	relay := fields["relay_url"]
-	if "http://"+host != alice.PeerURL() || strings.Join(keys, ",") != "relay_url,url" ||
-		!strings.HasPrefix(relay, cluster.Proxy.BaseURL()+"/relay/") || strings.Contains(send, bob.PeerURL()) {
-		log.Fatalf("holder %s was sent %s; want only the document and a relay URL on the proxy", host, send)
-	}
-	fmt.Printf("   url       = %s\n   relay_url = %s\n", fields["url"], relay)
+	fmt.Printf("   url       = %s\n   relay_url = %s\n", told.URL, told.RelayURL)
 	fmt.Println("   — the proxy's drop point and a one-time ticket, nothing about Bob.")
 
 	fmt.Println("\n5) The proxy's /stats books the hit as a remote one:")

@@ -112,10 +112,10 @@ func (b *outcomeBook) book(outcome string) {
 // fetchResult is one acquisition — from a holder, a sibling or the origin —
 // and every miss resolution: the document (buffered body or direct-forward
 // stream) plus everything needed to write the response and account the
-// outcome. An empty outcome is a miss that is
-// not an error (no holder delivered, no sibling confirmed). Buffered results
-// are immutable and safely shared across coalesced requests; streamed
-// results are requester-specific and never enter the flight group.
+// outcome. An empty outcome is a miss that is not an error (no holder
+// delivered, no sibling confirmed). Buffered results are immutable and
+// safely shared across coalesced requests; streamed results are
+// requester-specific and never enter the flight group.
 type fetchResult struct {
 	body    []byte
 	stream  *relayStream
@@ -644,7 +644,7 @@ func (s *Server) relayFromPeer(ctx context.Context, peer peerInfo, url string, r
 	s.relays[ticket] = session
 	s.relayMu.Unlock()
 
-	send, _ := json.Marshal(PeerSend{URL: url, RelayURL: s.baseURL + "/relay/" + string(ticket)})
+	send, _ := json.Marshal(PeerSend{URL: url, RelayURL: s.baseURL + "/relay/" + ticket})
 	sendCh := make(chan error, 1)
 	go func() {
 		sendCh <- Post(ctx, s.peerClient, peer.baseURL+"/peer/send", send,
