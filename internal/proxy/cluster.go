@@ -191,7 +191,7 @@ func (s *Server) handleClusterFetch(w http.ResponseWriter, r *http.Request, url 
 	if !s.cfg.DisablePeer {
 		if res := s.resolveRemote(r.Context(), url, -1); res.outcome != "" {
 			s.m.clusterServeHits.Inc()
-			s.serveDoc(w, nil, "", SourceProxy, res.body, res.meta, -1)
+			s.serveDoc(w, nil, "", SourceProxy, url, res.body, res.meta, -1)
 			return
 		}
 	}
@@ -284,26 +284,26 @@ func (s *Server) locateAtSibling(ctx context.Context, peer, url string) error {
 	if err != nil {
 		return err
 	}
-	_, _, _, err = s.getDoc(s.peerClient, req)
+	_, _, err = s.getDoc(s.peerClient, req)
 	return err
 }
 
 // fetchFromSibling relays url through a confirmed sibling with the
-// cluster-hop header set. getDoc hashes the body as it streams in; that
-// digest is what this proxy's own watermark is later derived from.
+// cluster-hop header set. The result carries no digest: this proxy derives
+// its own when a consumer needs one (withDigest).
 func (s *Server) fetchFromSibling(ctx context.Context, peer, url string) (fetchResult, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/fetch?url="+neturl.QueryEscape(url), nil)
 	if err != nil {
 		return fetchResult{}, err
 	}
 	req.Header.Set(HeaderClusterHop, "1")
-	body, digest, hdr, err := s.getDoc(s.peerClient, req)
+	body, hdr, err := s.getDoc(s.peerClient, req)
 	if err != nil {
 		return fetchResult{}, err
 	}
 	version, _ := strconv.ParseInt(hdr.Get(HeaderVersion), 10, 64)
 	return fetchResult{
-		body: body, meta: docMeta{version: version, size: int64(len(body)), digest: digest},
+		body: body, meta: docMeta{version: version, size: int64(len(body))},
 		source: SourceCluster, outcome: outClusterHit,
 	}, nil
 }

@@ -140,51 +140,78 @@ func TestDigestOnDemand(t *testing.T) {
 		}
 	})
 
-	t.Run("peer", func(t *testing.T) {
-		o := origin.New(42)
-		ots := httptest.NewServer(o.Handler())
-		defer ots.Close()
-		// Capacity 1: nothing is cached, so the second fetch walks the
-		// index instead of hitting the proxy.
-		s := testServer(t, func(c *Config) {
-			c.CacheCapacity = 1
-			c.CachePeerDocs = false
-			c.BreakerThreshold = 1
-		})
+	t.Run("peer", func(t *testing.T) { peerServeRow(t, true) })
+	t.Run("unmarked", func(t *testing.T) { peerServeRow(t, false) })
+}
 
-		u := ots.URL + "/digest/peer?size=1500"
-		resp, err := http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		version := resp.Header.Get(HeaderVersion)
-		if resp.Header.Get(HeaderSource) != SourceOrigin {
-			t.Fatalf("first fetch source = %q, want origin", resp.Header.Get(HeaderSource))
-		}
-		mark := markOf(t, s, body)
-		holder := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set(HeaderVersion, version)
-			w.Header().Set(HeaderWatermark, mark)
-			w.Write(body)
-		}))
-		defer holder.Close()
-		reg := register(t, s, holder.URL)
-		s.Index().Add(indexEntryFor(s, reg.ClientID, u, int64(len(body))))
-
-		source, got := anonGet(t, s, u)
-		if source != SourceRemote || !bytes.Equal(got, body) {
-			t.Fatalf("holder serving the exact bytes: source %q, bytes equal %v", source, bytes.Equal(got, body))
-		}
-		st := s.Snapshot()
-		if st.TamperRejected != 0 || st.BreakerOpen != 0 {
-			t.Fatalf("tamper_rejected = %d, breaker_open = %d, want 0/0", st.TamperRejected, st.BreakerOpen)
-		}
-		for _, ph := range st.PeerHealth {
-			if ph.Client == reg.ClientID && (ph.Breaker != "closed" || ph.Failures != 0) {
-				t.Fatalf("holder breaker %s with %d failures, want closed with none", ph.Breaker, ph.Failures)
-			}
-		}
+// peerServeRow: a document the proxy served only anonymously, so it holds no
+// digest for it, is then served by a holder with the exact bytes. With the
+// holder's valid mark (marked) the serve is a remote hit and the holder's
+// breaker stays closed; without a mark, nothing vouches for the bytes: the
+// holder is rejected and the origin serves the document.
+func peerServeRow(t *testing.T, marked bool) {
+	o := origin.New(42)
+	ots := httptest.NewServer(o.Handler())
+	defer ots.Close()
+	// Capacity 1: nothing is cached, so the second fetch walks the index
+	// instead of hitting the proxy.
+	s := testServer(t, func(c *Config) {
+		c.CacheCapacity = 1
+		c.CachePeerDocs = false
+		c.BreakerThreshold = 1
 	})
+
+	u := ots.URL + "/digest/peer?size=1500"
+	resp, err := http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	version := resp.Header.Get(HeaderVersion)
+	if resp.Header.Get(HeaderSource) != SourceOrigin {
+		t.Fatalf("first fetch source = %q, want origin", resp.Header.Get(HeaderSource))
+	}
+	mark := ""
+	if marked {
+		mark = markOf(t, s, body)
+	}
+	holder := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(HeaderVersion, version)
+		if mark != "" {
+			w.Header().Set(HeaderWatermark, mark)
+		}
+		w.Write(body)
+	}))
+	defer holder.Close()
+	reg := register(t, s, holder.URL)
+	s.Index().Add(indexEntryFor(s, reg.ClientID, u, int64(len(body))))
+
+	source, got := anonGet(t, s, u)
+	st := s.Snapshot()
+	if !marked {
+		if source != SourceOrigin || !bytes.Equal(got, body) {
+			t.Fatalf("holder serving an unmarked copy: source %q, bytes equal %v (want origin/true)", source, bytes.Equal(got, body))
+		}
+		if st.TamperRejected != 1 || s.Index().Has(reg.ClientID, s.syms.Intern(u)) {
+			t.Fatalf("tamper_rejected = %d, holder still indexed %v; want 1/false",
+				st.TamperRejected, s.Index().Has(reg.ClientID, s.syms.Intern(u)))
+		}
+		return
+	}
+	if source != SourceRemote || !bytes.Equal(got, body) {
+		t.Fatalf("holder serving the exact bytes: source %q, bytes equal %v", source, bytes.Equal(got, body))
+	}
+	if st.TamperRejected != 0 || st.BreakerOpen != 0 {
+		t.Fatalf("tamper_rejected = %d, breaker_open = %d, want 0/0", st.TamperRejected, st.BreakerOpen)
+	}
+	for _, ph := range st.PeerHealth {
+		if ph.Client == reg.ClientID && (ph.Breaker != "closed" || ph.Failures != 0) {
+			t.Fatalf("holder breaker %s with %d failures, want closed with none", ph.Breaker, ph.Failures)
+		}
+	}
+	sum := md5.Sum(body)
+	if r := docSnapshot(s, u); r == nil || !bytes.Equal(r.meta.digest, sum[:]) {
+		t.Fatal("the checked peer serve left no digest on the document's record")
+	}
 }

@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"crypto/md5"
 	"time"
 
 	"baps/internal/cache"
@@ -32,6 +33,12 @@ const (
 // Records live in s.docs under s.mu and change only through the transitions
 // below; s.ds is never called with s.mu held.
 //
+// An acquisition stores no digest. The first consumer of one derives it from
+// the body in hand and records it for that version (withDigest): a serve to
+// a registered client, a prefetch push, or a disk spill — so every journaled
+// copy carries its digest — or a peer serve that passed the watermark check.
+// A version only anonymous clients were served has none.
+//
 //	transition   from             to         where
 //	store        any              memory     storeDocLocked (meta-only if the cache refuses the body)
 //	hit          memory, staged   memory     touchLocked: a staged body promotes straight back
@@ -46,6 +53,7 @@ const (
 //	evict        any resident     meta-only  onEvict: capacity eviction by s.cache
 //	purge        any              (freed)    purgeStale: the only place a record, and so meta, is freed
 //	restore      (none)           disk       restoreDocLocked: journal replay at startup
+//	digest       any              (same)     recordDigestLocked: first digest of this version
 type docRecord struct {
 	meta  docMeta
 	body  []byte // held in docMemory and docStaged only
@@ -180,6 +188,29 @@ func (s *Server) restoreDocLocked(key string, meta docMeta) {
 	s.docs[key] = r
 	if _, admitted := s.cache.Seed(cache.Doc{Key: key, Size: meta.size, Version: meta.version}); admitted {
 		r.state, r.durable = docDisk, true
+	}
+}
+
+// withDigest returns meta with its digest, deriving MD5(body) when meta has
+// none and recording it on url's record. body is the document meta describes,
+// already in hand.
+func (s *Server) withDigest(url string, body []byte, meta docMeta) docMeta {
+	if meta.digest != nil {
+		return meta
+	}
+	sum := md5.Sum(body)
+	meta.digest = sum[:]
+	s.mu.Lock()
+	s.recordDigestLocked(url, meta.version, meta.digest)
+	s.mu.Unlock()
+	return meta
+}
+
+// recordDigestLocked memoises digest as url's, unless the record has moved to
+// another version since the body was read or already has one.
+func (s *Server) recordDigestLocked(url string, version int64, digest []byte) {
+	if r := s.docs[url]; r != nil && r.meta.version == version && r.meta.digest == nil {
+		r.meta.digest = digest
 	}
 }
 

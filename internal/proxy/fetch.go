@@ -3,6 +3,7 @@ package proxy
 import (
 	"bytes"
 	"context"
+	"crypto/md5"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -146,7 +147,7 @@ func (s *Server) resolveFetch(ctx context.Context, w http.ResponseWriter, book *
 	// origin fallback still coalesces inside fetchUpstream.
 	if peerEligible && s.forwardFor(requester) != FetchForward {
 		res, err := s.resolveMiss(ctx, url, requester, true)
-		return s.writeResolution(ctx, w, book, res, err, requester, false)
+		return s.writeResolution(ctx, w, book, url, res, err, requester, false)
 	}
 	key := url
 	if !peerEligible {
@@ -161,7 +162,7 @@ func (s *Server) resolveFetch(ctx context.Context, w http.ResponseWriter, book *
 	if shared {
 		obs.SpanFrom(ctx).Event("coalesced", "attached to in-flight resolution")
 	}
-	return s.writeResolution(ctx, w, book, res, err, requester, shared)
+	return s.writeResolution(ctx, w, book, url, res, err, requester, shared)
 }
 
 // writeResolution writes a completed (or failed) miss resolution and reports
@@ -169,7 +170,7 @@ func (s *Server) resolveFetch(ctx context.Context, w http.ResponseWriter, book *
 // coalesced counter when the result was shared from another request's round.
 // The watermark follows this requester, not the round's leader: a registered
 // follower of an anonymous leader gets one.
-func (s *Server) writeResolution(ctx context.Context, w http.ResponseWriter, book *outcomeBook, res fetchResult, err error, requester int, shared bool) string {
+func (s *Server) writeResolution(ctx context.Context, w http.ResponseWriter, book *outcomeBook, url string, res fetchResult, err error, requester int, shared bool) string {
 	outcome := res.outcome
 	switch {
 	case err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil):
@@ -186,7 +187,7 @@ func (s *Server) writeResolution(ctx context.Context, w http.ResponseWriter, boo
 		book.book(outcome)
 		s.serveStream(w, res)
 	default:
-		if s.serveDoc(w, book, outcome, res.source, res.body, res.meta, requester) != nil {
+		if s.serveDoc(w, book, outcome, res.source, url, res.body, res.meta, requester) != nil {
 			outcome = outError
 		}
 	}
@@ -309,10 +310,11 @@ func (s *Server) serveStream(w http.ResponseWriter, res fetchResult) {
 // Content-Length). The watermark is derived only for a registered client —
 // the only callers that verify one or re-serve the document to a peer;
 // anonymous and cluster-hop callers (requester < 0) get none and cost no
-// signature. If it cannot be derived the response is a 500 and the error is
-// returned: a verifying agent reads an unmarked 200 as tampering.
+// signature. If it cannot be derived, or meta carries no digest to derive it
+// from, the response is a 500 and the error is returned: a verifying agent
+// reads an unmarked 200 as tampering.
 func (s *Server) writeDocHeaders(w http.ResponseWriter, source string, meta docMeta, requester int) error {
-	if requester >= 0 && meta.digest != nil {
+	if requester >= 0 {
 		mark, err := s.watermarkFor(meta.digest)
 		if err != nil {
 			http.Error(w, "proxy: watermark unavailable", http.StatusInternalServerError)
@@ -327,12 +329,16 @@ func (s *Server) writeDocHeaders(w http.ResponseWriter, source string, meta docM
 	return nil
 }
 
-// serveDoc writes a buffered document to requester, booking outcome before
-// the body (a short 500 stays in the response buffer until the handler
-// returns). The only failure it reports is writeDocHeaders': the response is
-// then already a 500.
-func (s *Server) serveDoc(w http.ResponseWriter, book *outcomeBook, outcome, source string, body []byte, meta docMeta, requester int) error {
+// serveDoc writes url's buffered document to requester, booking outcome
+// before the body (a short 500 stays in the response buffer until the
+// handler returns). A registered requester's watermark needs the digest,
+// derived here if the version has none yet. The only failure it reports is
+// writeDocHeaders': the response is then already a 500.
+func (s *Server) serveDoc(w http.ResponseWriter, book *outcomeBook, outcome, source, url string, body []byte, meta docMeta, requester int) error {
 	meta.size = int64(len(body))
+	if requester >= 0 {
+		meta = s.withDigest(url, body, meta)
+	}
 	if err := s.writeDocHeaders(w, source, meta, requester); err != nil {
 		book.book(outError)
 		return err
@@ -378,8 +384,7 @@ func (s *Server) storeDoc(url string, body []byte, meta docMeta) {
 	}
 }
 
-// fetchUpstream obtains the document from the origin and records its digest.
-// Concurrent fetches of one URL are coalesced through the flight group: one
+// fetchUpstream obtains the document from the origin. Concurrent fetches of one URL are coalesced through the flight group: one
 // leader pays the origin round trip, followers share its result, a failed
 // leader's followers retry independently, and waiters still honor their own
 // context.
@@ -435,31 +440,30 @@ func (s *Server) fetchUpstreamUncoalesced(ctx context.Context, url string) (fetc
 }
 
 // originAttempt performs one origin round trip through getDoc; the buffer
-// moves into the cache without a defensive copy. Nothing is signed here: the
-// digest is all a later watermark needs (watermarkFor).
+// moves into the cache without a defensive copy. Nothing is hashed or signed
+// here: the record has no digest until a consumer needs one (withDigest).
 func (s *Server) originAttempt(ctx context.Context, url string) (fetchResult, error) {
 	start := time.Now()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return fetchResult{}, err
 	}
-	body, digest, hdr, err := s.getDoc(s.originClient, req)
+	body, hdr, err := s.getDoc(s.originClient, req)
 	if err != nil {
 		return fetchResult{}, err
 	}
-	meta := originMeta(body, digest, hdr, time.Now())
+	meta := originMeta(body, hdr, time.Now())
 	s.storeDoc(url, body, meta)
 	s.m.originFetch.Observe(time.Since(start).Seconds())
 	return fetchResult{body: body, meta: meta, source: SourceOrigin, outcome: outOrigin}, nil
 }
 
 // originMeta records an origin reply's document metadata, stored at now.
-func originMeta(body, digest []byte, hdr http.Header, now time.Time) docMeta {
+func originMeta(body []byte, hdr http.Header, now time.Time) docMeta {
 	version, _ := strconv.ParseInt(hdr.Get("X-Origin-Version"), 10, 64)
 	return docMeta{
 		version:  version,
 		size:     int64(len(body)),
-		digest:   digest,
 		lastMod:  hdr.Get("Last-Modified"),
 		storedAt: now,
 	}
@@ -571,20 +575,21 @@ func (s *Server) resolveRemote(ctx context.Context, url string, requester int) f
 }
 
 // fetchFromPeer retrieves url from a holder's peer server and verifies the
-// body against the proxy's recorded digest (§6.1 enforced proxy-side: a
-// tampering holder is pruned and skipped). getDoc hashes the body as it
-// streams in — one pass, no re-hash.
+// body's MD5 against the proxy's recorded digest (§6.1 enforced proxy-side:
+// a tampering holder is pruned and skipped).
 func (s *Server) fetchFromPeer(ctx context.Context, peer peerInfo, url string) (fetchResult, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer.baseURL+"/peer/doc?url="+neturl.QueryEscape(url), nil)
 	if err != nil {
 		return fetchResult{}, err
 	}
 	req.Header.Set(HeaderToken, peer.token)
-	body, digest, hdr, err := s.getDoc(s.peerClient, req)
+	body, hdr, err := s.getDoc(s.peerClient, req)
 	if err != nil {
 		return fetchResult{}, err
 	}
 	version, _ := strconv.ParseInt(hdr.Get(HeaderVersion), 10, 64)
+	sum := md5.Sum(body)
+	digest := sum[:]
 	res := fetchResult{body: body, source: SourceRemote, outcome: outPeerFetch}
 
 	var known docMeta
@@ -594,7 +599,7 @@ func (s *Server) fetchFromPeer(ctx context.Context, peer peerInfo, url string) (
 		known = r.meta
 	}
 	s.mu.Unlock()
-	if r != nil && known.version == version {
+	if r != nil && known.version == version && known.digest != nil {
 		if !bytes.Equal(digest, known.digest) {
 			s.m.watermarkRejected.Inc()
 			return fetchResult{}, fmt.Errorf("digest mismatch from client %d", peer.id)
@@ -603,8 +608,9 @@ func (s *Server) fetchFromPeer(ctx context.Context, peer peerInfo, url string) (
 		res.meta = known
 		return res, nil
 	}
-	// The proxy has no record for this version (e.g. restarted): accept
-	// the body only if the holder's stored watermark verifies under our key.
+	// The proxy has no digest for this version (restarted, or it served the
+	// version only to anonymous clients): accept the body only if the
+	// holder's stored watermark verifies under our key.
 	mark, err := base64.StdEncoding.DecodeString(hdr.Get(HeaderWatermark))
 	if err == nil {
 		k, kerr := s.signingKey()
@@ -620,7 +626,14 @@ func (s *Server) fetchFromPeer(ctx context.Context, peer peerInfo, url string) (
 		return fetchResult{}, fmt.Errorf("unverifiable peer content from client %d", peer.id)
 	}
 	s.m.watermarkVerified.Inc()
-	res.meta = docMeta{version: version, size: int64(len(body)), digest: digest}
+	s.mu.Lock()
+	s.recordDigestLocked(url, version, digest)
+	s.mu.Unlock()
+	if r == nil || known.version != version {
+		known = docMeta{version: version, size: int64(len(body))}
+	}
+	known.digest = digest
+	res.meta = known
 	return res, nil
 }
 

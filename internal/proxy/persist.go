@@ -346,6 +346,9 @@ func (s *Server) handleSpill(op spillOp) {
 	// the write can read this one without the lock.
 	body, meta := r.body, r.meta
 	s.mu.Unlock()
+	// Every journaled copy carries its digest: a restarted proxy re-derives
+	// watermarks from the journal without reading a body.
+	meta = s.withDigest(op.key, body, meta)
 	err := s.ds.Put(op.key, body, diskstore.Meta{Version: meta.version, Digest: meta.digest})
 	s.mu.Lock()
 	s.spillDoneLocked(op.key, meta.version, err)
@@ -398,13 +401,15 @@ func (s *Server) serveLocal(w http.ResponseWriter, book *outcomeBook, url string
 		s.touchLocked(url, r)
 		s.mu.Unlock()
 		s.noteLocalHit()
-		if s.serveDoc(w, book, outProxyHit, SourceProxy, body, meta, requester) != nil {
+		if s.serveDoc(w, book, outProxyHit, SourceProxy, url, body, meta, requester) != nil {
 			return outError, true
 		}
 		return outProxyHit, true
 	}
 	r.hits++
-	promote := r.hits >= spillMinHits
+	// A registered client's watermark needs the digest; a disk copy
+	// without one is faulted in, so the body is in hand to derive it.
+	promote := r.hits >= spillMinHits || (requester >= 0 && meta.digest == nil)
 	s.mu.Unlock()
 
 	if promote {
@@ -425,7 +430,7 @@ func (s *Server) serveDiskPromote(w http.ResponseWriter, book *outcomeBook, url 
 	s.promoteLocked(url, body, dmeta.Version)
 	s.mu.Unlock()
 	s.noteLocalHit()
-	if s.serveDoc(w, book, outDiskHit, SourceProxy, body, meta, requester) != nil {
+	if s.serveDoc(w, book, outDiskHit, SourceProxy, url, body, meta, requester) != nil {
 		return outError, true
 	}
 	return outDiskHit, true

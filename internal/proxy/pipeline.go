@@ -168,7 +168,7 @@ func (s *Server) revalidateJob(url string) func(context.Context) error {
 		if prior.lastMod != "" {
 			req.Header.Set("If-Modified-Since", prior.lastMod)
 		}
-		body, digest, hdr, err := s.getDoc(s.originClient, req)
+		body, hdr, err := s.getDoc(s.originClient, req)
 		var se *statusError
 		switch {
 		case errors.As(err, &se) && se.code == http.StatusNotModified:
@@ -181,7 +181,7 @@ func (s *Server) revalidateJob(url string) func(context.Context) error {
 			s.m.revalErrors.Inc()
 			return err
 		}
-		meta := originMeta(body, digest, hdr, time.Now())
+		meta := originMeta(body, hdr, time.Now())
 		meta.checkedAt = meta.storedAt
 		s.m.revalChanged.Inc()
 		s.storeDoc(url, body, meta)
@@ -291,7 +291,7 @@ func (s *Server) prefetchJob(client int, url string) func(context.Context) error
 		}
 		body, meta := r.body, r.meta
 		s.mu.Unlock()
-		mark, err := s.watermarkFor(meta.digest)
+		mark, err := s.watermarkFor(s.withDigest(url, body, meta).digest)
 		if err != nil {
 			return err
 		}

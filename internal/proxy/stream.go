@@ -3,10 +3,8 @@ package proxy
 import (
 	"bytes"
 	"context"
-	"crypto/md5"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"net/http"
 
@@ -64,28 +62,28 @@ func notHeld(err error) bool {
 	return errors.As(err, &se) && se.code == http.StatusNotFound
 }
 
-// getDoc sends one document GET and reads a 200's body in a single pass
-// through readDoc, MD5-hashing it as it arrives; an oversize body counts on
-// doc_too_large. Any other status is a *statusError.
-func (s *Server) getDoc(c *http.Client, req *http.Request) (body, digest []byte, hdr http.Header, err error) {
+// getDoc sends one document GET and reads a 200's body through readDoc; an
+// oversize body counts on doc_too_large. Any other status is a
+// *statusError. Nothing is hashed here: a digest is derived only when a
+// consumer needs one (withDigest, fetchFromPeer).
+func (s *Server) getDoc(c *http.Client, req *http.Request) (body []byte, hdr http.Header, err error) {
 	resp, err := c.Do(req)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		DrainClose(resp)
-		return nil, nil, nil, &statusError{code: resp.StatusCode, status: resp.Status}
+		return nil, nil, &statusError{code: resp.StatusCode, status: resp.Status}
 	}
 	defer resp.Body.Close()
-	h := md5.New()
-	body, err = readDoc(resp.Body, resp.ContentLength, h)
+	body, err = readDoc(resp.Body, resp.ContentLength)
 	if err != nil {
 		if errors.Is(err, ErrDocTooLarge) {
 			s.m.docTooLarge.Inc()
 		}
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return body, h.Sum(nil), resp.Header, nil
+	return body, resp.Header, nil
 }
 
 // Post sends one instruction POST of body (nil: empty) to target with the
@@ -111,13 +109,11 @@ func Post(ctx context.Context, c *http.Client, target string, body []byte, hdr .
 	return nil
 }
 
-// readDoc reads a full document body in one pass, capped at maxDocBytes and
-// hashing into h (when non-nil) as bytes arrive — the watermark digest costs
-// no second sweep over the body. contentLength, when known (>= 0), pre-sizes
-// the destination buffer exactly, replacing io.ReadAll's quadratic-ish grow
-// pattern with a single allocation. The returned buffer is freshly owned by
-// the caller.
-func readDoc(r io.Reader, contentLength int64, h hash.Hash) ([]byte, error) {
+// readDoc reads a full document body in one pass, capped at maxDocBytes.
+// contentLength, when known (>= 0), pre-sizes the destination buffer
+// exactly, replacing io.ReadAll's quadratic-ish grow pattern with a single
+// allocation. The returned buffer is freshly owned by the caller.
+func readDoc(r io.Reader, contentLength int64) ([]byte, error) {
 	if contentLength > maxDocBytes {
 		return nil, fmt.Errorf("%w (%d > %d bytes)", ErrDocTooLarge, contentLength, maxDocBytes)
 	}
@@ -126,12 +122,9 @@ func readDoc(r io.Reader, contentLength int64, h hash.Hash) ([]byte, error) {
 		if _, err := io.ReadFull(r, body); err != nil {
 			return nil, err
 		}
-		if h != nil {
-			h.Write(body)
-		}
 		return body, nil
 	}
-	// Unknown length: grow, hashing chunk by chunk through a pooled buffer.
+	// Unknown length: grow chunk by chunk through a pooled buffer.
 	var body []byte
 	chunk := bufpool.Get(bufpool.TierMed)
 	defer bufpool.Put(chunk)
@@ -142,9 +135,6 @@ func readDoc(r io.Reader, contentLength int64, h hash.Hash) ([]byte, error) {
 				return nil, fmt.Errorf("%w (> %d bytes)", ErrDocTooLarge, maxDocBytes)
 			}
 			body = append(body, (*chunk)[:n]...)
-			if h != nil {
-				h.Write((*chunk)[:n])
-			}
 		}
 		if err == io.EOF {
 			return body, nil
