@@ -75,18 +75,26 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // a single atomic add.
 type CounterVec struct {
 	label string
+	// closed: every label value was declared at registration, so no other
+	// child is restored from a snapshot (RestoreCounters).
+	closed bool
 
 	mu     sync.RWMutex
 	byName map[string]*Counter
 	byInt  map[int]*Counter // WithInt cache: avoids strconv on numeric labels
 }
 
-func newCounterVec(label string) *CounterVec {
-	return &CounterVec{
+func newCounterVec(label string, values []string) *CounterVec {
+	v := &CounterVec{
 		label:  label,
+		closed: len(values) > 0,
 		byName: make(map[string]*Counter),
 		byInt:  make(map[int]*Counter),
 	}
+	for _, value := range values {
+		v.byName[value] = new(Counter)
+	}
+	return v
 }
 
 // With returns the child counter for the given label value.
@@ -104,6 +112,13 @@ func (v *CounterVec) With(value string) *Counter {
 		v.byName[value] = c
 	}
 	return c
+}
+
+// has reports whether the family has a child for value.
+func (v *CounterVec) has(value string) bool {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	return v.byName[value] != nil
 }
 
 // WithInt returns the child counter for a numeric label value (formatted in

@@ -181,10 +181,14 @@ func (r *Registry) CounterFunc(name, help string, fn func() int64) {
 }
 
 // CounterVec returns the one-label counter family registered under name.
-func (r *Registry) CounterVec(name, help, label string) *CounterVec {
+// Declaring its label values creates those children (exposed at zero) and
+// closes the family: RestoreCounters restores no child the family does not
+// have, since the running build cannot emit one. An open family (values by
+// client or job kind) restores every child a snapshot names.
+func (r *Registry) CounterVec(name, help, label string, values ...string) *CounterVec {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m := r.get(name, help, kindCounterVec, func(m *metric) { m.vec = newCounterVec(label) })
+	m := r.get(name, help, kindCounterVec, func(m *metric) { m.vec = newCounterVec(label, values) })
 	if m.vec.label != label {
 		panic(fmt.Sprintf("obs: counter vec %q label %q conflicts with %q", name, label, m.vec.label))
 	}
@@ -304,8 +308,9 @@ func (r *Registry) SnapshotCounters() CounterSnapshot {
 // RestoreCounters adds a persisted snapshot onto the registry's counters —
 // restore-then-count, so live increments made before the snapshot loads are
 // kept. Families the snapshot names but the registry lacks (or that are no
-// longer plain counters) are skipped: a snapshot from an older build must
-// never wedge startup.
+// longer plain counters), and children a closed family lacks, are skipped: a
+// snapshot from an older build must never wedge startup, nor bring back a
+// label value this build no longer has.
 func (r *Registry) RestoreCounters(snap CounterSnapshot) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -320,7 +325,7 @@ func (r *Registry) RestoreCounters(snap CounterSnapshot) {
 			continue
 		}
 		for lv, v := range children {
-			if v > 0 {
+			if v > 0 && (!m.vec.closed || m.vec.has(lv)) {
 				m.vec.With(lv).Add(v)
 			}
 		}

@@ -137,3 +137,28 @@ func TestAccessorsOnMissingAndWrongKinds(t *testing.T) {
 		t.Errorf("VecValue on gauge = %d, want 0", got)
 	}
 }
+
+// TestRestoreCountersClosedFamily: a family declared with its label values
+// restores only those children; an open family restores every child a
+// snapshot names.
+func TestRestoreCountersClosedFamily(t *testing.T) {
+	r := NewRegistry()
+	closed := r.CounterVec("closed_total", "", "outcome", "hit", "miss")
+	open := r.CounterVec("open_total", "", "client")
+	r.RestoreCounters(CounterSnapshot{Vecs: map[string]map[string]int64{
+		"closed_total": {"hit": 2, "retired": 3},
+		"open_total":   {"7": 4},
+	}})
+	if got := closed.With("hit").Value(); got != 2 {
+		t.Errorf("closed hit = %d, want 2", got)
+	}
+	if closed.has("retired") {
+		t.Error("closed family restored a child it was not declared with")
+	}
+	if got := closed.Sum(); got != 2 {
+		t.Errorf("closed sum = %d, want 2", got)
+	}
+	if got := open.WithInt(7).Value(); got != 4 {
+		t.Errorf("open client 7 = %d, want 4", got)
+	}
+}

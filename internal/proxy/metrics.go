@@ -119,7 +119,9 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 	m.requests = reg.Counter("baps_proxy_requests_total",
 		"Total /fetch requests accepted.")
 	m.outcomes = reg.CounterVec("baps_proxy_fetch_outcomes_total",
-		"Fetch decision-path outcomes.", "outcome")
+		"Fetch decision-path outcomes.", "outcome",
+		outProxyHit, outDiskHit, outPeerFetch, outPeerDirect, outClusterHit,
+		outOrigin, outOriginHedged, outError, outCanceled)
 	m.outProxyHit = m.outcomes.With(outProxyHit)
 	m.outDiskHit = m.outcomes.With(outDiskHit)
 	m.outPeerFetch = m.outcomes.With(outPeerFetch)
@@ -130,13 +132,11 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 	m.outError = m.outcomes.With(outError)
 	m.outCanceled = m.outcomes.With(outCanceled)
 
+	// The outcomes a coalesced (fetch-forward or origin-only) resolution
+	// can produce.
 	m.coalesced = reg.CounterVec("baps_proxy_coalesced_total",
-		"Requests served from another request's in-flight miss resolution.", "outcome")
-	// Pre-register the outcomes a coalesced (fetch-forward or origin-only)
-	// resolution can produce, so exposition shows them at zero.
-	for _, o := range []string{outPeerFetch, outClusterHit, outOrigin, outOriginHedged, outError, outCanceled} {
-		m.coalesced.With(o)
-	}
+		"Requests served from another request's in-flight miss resolution.", "outcome",
+		outPeerFetch, outClusterHit, outOrigin, outOriginHedged, outError, outCanceled)
 
 	m.diskWrites = reg.Counter("baps_proxy_disk_writes_total",
 		"Document bodies spilled to the disk tier.")
@@ -181,7 +181,7 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		"Peers tripped by the heartbeat-silence sweep.")
 
 	m.breakerTransitions = reg.CounterVec("baps_proxy_breaker_transitions_total",
-		"Per-peer circuit-breaker state transitions.", "to")
+		"Per-peer circuit-breaker state transitions.", "to", "open", "closed")
 	m.breakerOpened = m.breakerTransitions.With("open")
 	m.breakerClosed = m.breakerTransitions.With("closed")
 
@@ -196,7 +196,7 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		"Bytes served out of each peer's browser cache.", "client")
 
 	m.indexUpdates = reg.CounterVec("baps_proxy_index_updates_total",
-		"Browser index mutations by kind.", "op")
+		"Browser index mutations by kind.", "op", "resync", "drop", "batch")
 	m.idxResync = m.indexUpdates.With("resync")
 	m.idxDrop = m.indexUpdates.With("drop")
 	m.idxBatch = m.indexUpdates.With("batch")
@@ -228,7 +228,7 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		"Federation digests ingested from siblings.")
 
 	m.revalidations = reg.CounterVec("baps_proxy_revalidations_total",
-		"Background origin revalidations by result.", "result")
+		"Background origin revalidations by result.", "result", "fresh", "changed", "error")
 	m.revalFresh = m.revalidations.With("fresh")
 	m.revalChanged = m.revalidations.With("changed")
 	m.revalErrors = m.revalidations.With("error")
@@ -237,7 +237,7 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 	m.prefetchDeclined = reg.Counter("baps_proxy_prefetch_declined_total",
 		"Prefetch pushes the target browser declined.")
 	m.invalidations = reg.CounterVec("baps_proxy_invalidations_total",
-		"Invalidation fan-out jobs completed, by target tier.", "target")
+		"Invalidation fan-out jobs completed, by target tier.", "target", "local", "browser", "sibling")
 	m.invalLocal = m.invalidations.With("local")
 	m.invalBrowser = m.invalidations.With("browser")
 	m.invalSibling = m.invalidations.With("sibling")

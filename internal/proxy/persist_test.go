@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	neturl "net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -475,4 +476,38 @@ func TestRestoreStateFromRelayKeyBlob(t *testing.T) {
 			t.Fatalf("client %d heartbeat with its restored token: status %d, want 204", c.ID, resp.StatusCode)
 		}
 	}
+}
+
+// TestRestoreStateSkipsRetiredOutcome: a state blob from a build with an
+// outcome this one cannot emit (peer_onion) restores the outcomes it still
+// has and the per-client serve counts, and /metrics shows no child that
+// /stats does not account for.
+func TestRestoreStateSkipsRetiredOutcome(t *testing.T) {
+	const blob = `{"counters":{"vecs":{` +
+		`"baps_proxy_fetch_outcomes_total":{"peer_onion":3,"peer_fetch_forward":2},` +
+		`"baps_proxy_peer_serves_total":{"7":4}}}}`
+	s := testServer(t, nil)
+	s.restoreState([]byte(blob))
+
+	m := scrapeMetrics(t, s.BaseURL())
+	outcomes := map[string]bool{}
+	for _, o := range []string{outProxyHit, outDiskHit, outPeerFetch, outPeerDirect, outClusterHit,
+		outOrigin, outOriginHedged, outError, outCanceled} {
+		outcomes[`baps_proxy_fetch_outcomes_total{outcome="`+o+`"}`] = true
+	}
+	for name := range m {
+		if strings.HasPrefix(name, "baps_proxy_fetch_outcomes_total{") && !outcomes[name] {
+			t.Errorf("/metrics shows %s, an outcome this build cannot emit", name)
+		}
+	}
+	if got := outcomeSum(m, outPeerFetch); got != 2 {
+		t.Errorf("restored peer_fetch_forward = %g, want 2", got)
+	}
+	if got := m[`baps_proxy_peer_serves_total{client="7"}`]; got != 4 {
+		t.Errorf("restored peer serves for client 7 = %g, want 4", got)
+	}
+	if st := s.Snapshot(); st.RemoteHits != 2 {
+		t.Errorf("/stats remote_hits = %d, want 2", st.RemoteHits)
+	}
+	assertStatsMatchMetrics(t, s)
 }
