@@ -26,9 +26,11 @@ HOT_PKGS = ./internal/intern ./internal/cache ./internal/index ./internal/core .
 # fan-out and the batched-publish round trip ride along.
 STABLE_TESTS = ^Test(ClusterBloomFalsePositive|DiskSpillStreamPromote|DiskWarmRestartGraceful|InvalidationChurnUnderLoad|HostLifecycleConcurrent|BatchedPublishReachesProxy|BatchedConcurrentStoreLosesNoDelta|StandaloneAndHostedPublishIdentically|ChurnBreakerMetricDeltas|BodyStoreSharesOnlyEqualBytes|BodyStoreInvariantsUnderChurn|HostedFetchesShareOneBody|ReadBodyAdoptsHeldCopy|RelaySessionContract|RelayTimeoutFallsThroughToUpstream|DirectForwardStreamedDelivery|HedgedOriginWinsOverSlowPeer|SiblingInvalidationFanout)$$
 # The tests of the on-demand watermark values: the proxy's signing key and
-# sign memo (internal/proxy/watermark.go) and the agents' verification memo
-# (integrity.Verifier, shared per proxy key by an AgentHost).
-WATERMARK_TESTS = ^TestWatermark(AnonymousFetchUnsigned|OnDemandMatchesSigner|ConcurrentFirstDemandsSignOnce|MemoAcrossReacquisition|MemoBounded|SignFailureFailsClosed)$$|^TestSigningKey(UngeneratedForAnonymous|ConcurrentFirstDemandsGenerateOnce|DurableBeforeFirstUse|IgnoresStaleTempFile|FailureFailsClosed)$$|^TestOnDemandWatermarkVerifiesAtAgents$$|^TestCrashRestartRederivesWatermark$$|^TestVerifier(MatchesVerifyDigest|Concurrent)$$|^TestVerifyMemo(StillDetectsTamper|RejectsAlteredMark|SharedByHostedAgents|ScopedToProxyKey)$$
+# sign memo (internal/proxy/watermark.go), the digest each document record
+# gains on first demand (withDigest, internal/proxy/docs.go) and the agents'
+# verification memo (integrity.Verifier, shared per proxy key by an
+# AgentHost).
+WATERMARK_TESTS = ^TestWatermark(AnonymousFetchUnsigned|OnDemandMatchesSigner|ConcurrentFirstDemandsSignOnce|MemoAcrossReacquisition|MemoBounded|SignFailureFailsClosed)$$|^TestSigningKey(UngeneratedForAnonymous|ConcurrentFirstDemandsGenerateOnce|DurableBeforeFirstUse|IgnoresStaleTempFile|FailureFailsClosed)$$|^TestOnDemandWatermarkVerifiesAtAgents$$|^TestCrashRestartRederivesWatermark$$|^TestDigestOnDemand$$|^TestVerifier(MatchesVerifyDigest|Concurrent)$$|^TestVerifyMemo(StillDetectsTamper|RejectsAlteredMark|SharedByHostedAgents|ScopedToProxyKey)$$
 
 .PHONY: all build fmt vet test race short bench check staticcheck bapsim-golden fuzz-smoke examples-smoke bench-baseline bench-compare bench-replay bench-replay-compare bench-e2e-smoke stream-smoke loadtest loadtest-agents loadtest-restart loadtest-federation loadtest-invalidation soak soak-smoke
 
@@ -43,8 +45,9 @@ fmt:
 # sharded-index churn and live-proxy concurrency tests). staticcheck runs when installed (always in
 # CI); locally it is skipped with a notice rather than failing the gate.
 # The watermark memo tests (WATERMARK_TESTS: the sign and verify memo
-# tests, not the older tamper-detection ones) share one memo across request
-# goroutines, so they are raced ten times over, as are the STABLE_TESTS.
+# tests and the per-record digest memo, not the older tamper-detection ones)
+# write one memo from concurrent request goroutines, so they are raced ten
+# times over, as are the STABLE_TESTS.
 check: fmt vet test staticcheck
 	$(GO) test -race $(HOT_PKGS)
 	$(GO) test -race -count=10 -run '$(WATERMARK_TESTS)' ./internal/integrity ./internal/proxy ./internal/browser

@@ -3,7 +3,9 @@
 // browser agents on loopback HTTP. The demo walks through the paper's
 // Figure 1 flow (local hit → proxy hit → remote-browser hit → origin),
 // then demonstrates §6: a tampering peer is caught by the MD5+RSA
-// watermark, and peer identities stay hidden behind the proxy.
+// watermark, and peer identities stay hidden behind the proxy. Each step
+// exits non-zero unless the fetch it announces comes from the source it
+// names.
 //
 //	go run ./examples/livecluster
 package main
@@ -53,15 +55,21 @@ func main() {
 		fmt.Printf("  %-6s GET %-34s → %-7s (%5d bytes)\n", who, url[len(cluster.DocURL("")):], src, len(body))
 		return src
 	}
+	// expect is fetch for a step's claim: the document must come from want.
+	expect := func(want baps.Source, who string, a *baps.Agent, url string) {
+		if src := fetch(who, a, url); src != want {
+			log.Fatalf("%s: %s came from %s, want %s", who, url, src, want)
+		}
+	}
 
 	fmt.Println("1) Cold start: Alice fetches a page — it comes from the origin,")
 	fmt.Println("   gets watermarked by the proxy, and lands in both caches.")
 	doc := cluster.DocURL("/news/today?size=120000")
-	fetch("alice", alice, doc)
+	expect(baps.SourceOrigin, "alice", alice, doc)
 
 	fmt.Println("\n2) Alice again: local browser hit. Bob: proxy hit.")
-	fetch("alice", alice, doc)
-	fetch("bob", bob, doc)
+	expect(baps.SourceLocal, "alice", alice, doc)
+	expect(baps.SourceProxy, "bob", bob, doc)
 
 	fmt.Println("\n3) Carol churns through other pages until the proxy evicts /news/today…")
 	for i := 0; i < 4; i++ {
@@ -70,9 +78,7 @@ func main() {
 
 	fmt.Println("\n4) Carol now asks for /news/today. The proxy cache has dropped it, but")
 	fmt.Println("   the browser index knows Alice and Bob still hold it → peer-to-peer hit:")
-	if src := fetch("carol", carol, doc); src != baps.SourceRemote {
-		fmt.Println("   (note: expected a remote hit; cache sizes may need tuning)")
-	}
+	expect(baps.SourceRemote, "carol", carol, doc)
 
 	fmt.Println("\n5) Anonymity (§6.2): peers can never talk to each other directly —")
 	fmt.Println("   the holder's peer server only answers the proxy's token:")
@@ -96,9 +102,12 @@ func main() {
 	for i := 0; i < 4; i++ { // push it out of the proxy again
 		fetch("carol", carol, cluster.DocURL(fmt.Sprintf("/feed/x%d?size=90000", i)))
 	}
-	if src := fetch("bob", bob, doc2); src == baps.SourceOrigin {
-		fmt.Println("   → tampered peer copy rejected; Bob received the authentic document.")
+	rejected := cluster.Proxy.Snapshot().TamperRejected
+	expect(baps.SourceOrigin, "bob", bob, doc2)
+	if cluster.Proxy.Snapshot().TamperRejected == rejected {
+		log.Fatal("bob: the proxy rejected no tampered copy")
 	}
+	fmt.Println("   → tampered peer copy rejected; Bob received the authentic document.")
 
 	st := cluster.Proxy.Snapshot()
 	fmt.Printf("\nproxy stats: %d requests — %d proxy hits, %d remote-browser hits, %d origin fetches,\n",
