@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	neturl "net/url"
+	"sync"
 	"testing"
 	"time"
 
@@ -45,8 +46,9 @@ func anonGet(t *testing.T, s *Server, docURL string) (string, []byte) {
 // TestDigestOnDemand: a document's digest is there whenever a consumer needs
 // it, however the proxy acquired the body. Every row starts with an
 // anonymous origin fetch, which needs no digest; then a registered serve (a
-// hit, a revalidated copy, a disk copy after a crash) carries the mark of
-// the bytes it serves, and a peer serve of the document is checked.
+// hit, concurrent hits racing to record the digest, a revalidated copy, a
+// disk copy after a crash) carries the mark of the bytes it serves, and a
+// peer serve of the document is checked.
 func TestDigestOnDemand(t *testing.T) {
 	t.Run("hit", func(t *testing.T) {
 		o := origin.New(41)
@@ -65,6 +67,48 @@ func TestDigestOnDemand(t *testing.T) {
 		}
 		if mark != markOf(t, s, body) {
 			t.Fatal("registered hit's watermark is not the mark of the bytes served")
+		}
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		o := origin.New(43)
+		ots := httptest.NewServer(o.Handler())
+		defer ots.Close()
+		s := testServer(t, nil)
+		reg := register(t, s, "http://127.0.0.1:1")
+
+		u := ots.URL + "/digest/concurrent?size=5000"
+		_, body := anonGet(t, s, u)
+		want := markOf(t, s, body)
+		// Registered hits race to derive and record the first digest.
+		const clients = 16
+		marks := make(chan string, clients)
+		var wg sync.WaitGroup
+		for i := 0; i < clients; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := registeredGet(s, reg, u)
+				if err != nil {
+					t.Error(err)
+					marks <- ""
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				marks <- resp.Header.Get(HeaderWatermark)
+			}()
+		}
+		wg.Wait()
+		close(marks)
+		for mark := range marks {
+			if mark != want {
+				t.Fatal("a concurrent registered hit got a mark other than its bytes'")
+			}
+		}
+		sum := md5.Sum(body)
+		if r := docSnapshot(s, u); r == nil || !bytes.Equal(r.meta.digest, sum[:]) {
+			t.Fatal("the record holds no digest, or the wrong one, after the registered hits")
 		}
 	})
 

@@ -384,10 +384,10 @@ func (s *Server) storeDoc(url string, body []byte, meta docMeta) {
 	}
 }
 
-// fetchUpstream obtains the document from the origin. Concurrent fetches of one URL are coalesced through the flight group: one
-// leader pays the origin round trip, followers share its result, a failed
-// leader's followers retry independently, and waiters still honor their own
-// context.
+// fetchUpstream obtains the document from the origin. Concurrent fetches of
+// one URL are coalesced through the flight group: one leader pays the origin
+// round trip, followers share its result, a failed leader's followers retry
+// independently, and waiters still honor their own context.
 func (s *Server) fetchUpstream(ctx context.Context, url string) (fetchResult, error) {
 	res, _, err := s.originFlight.Do(ctx, url, func() (fetchResult, error) {
 		return s.fetchUpstreamUncoalesced(ctx, url)
