@@ -82,7 +82,8 @@ fuzz-smoke:
 # Example smoke (CI): the two live examples run end to end. The anonymity
 # example exits non-zero unless its §6.2 claims hold: a verified remote
 # delivery, the hit booked in the proxy's /stats, and a holder told nothing
-# but a relay URL.
+# but a relay URL. The livecluster example exits non-zero unless every step
+# is served from the source it announces.
 examples-smoke:
 	$(GO) run ./examples/anonymity
 	$(GO) run ./examples/livecluster

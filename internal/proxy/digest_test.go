@@ -27,22 +27,6 @@ func markOf(t *testing.T, s *Server, body []byte) string {
 	return base64.StdEncoding.EncodeToString(mark)
 }
 
-// anonGet fetches docURL through s with no client identity and returns the
-// source header and the body.
-func anonGet(t *testing.T, s *Server, docURL string) (string, []byte) {
-	t.Helper()
-	resp, err := http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(docURL))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("fetch %s: status %d, read error %v", docURL, resp.StatusCode, err)
-	}
-	return resp.Header.Get(HeaderSource), body
-}
-
 // TestDigestOnDemand: a document's digest is there whenever a consumer needs
 // it, however the proxy acquired the body. Every row starts with an
 // anonymous origin fetch, which needs no digest; then a registered serve (a
@@ -58,7 +42,7 @@ func TestDigestOnDemand(t *testing.T) {
 		reg := register(t, s, "http://127.0.0.1:1")
 
 		u := ots.URL + "/digest/hit?size=3000"
-		if source, _ := anonGet(t, s, u); source != SourceOrigin {
+		if source, _ := fetchDoc(t, s, u); source != SourceOrigin {
 			t.Fatalf("first fetch source = %q, want origin", source)
 		}
 		body, source, mark := markedFetch(t, s, reg, u)
@@ -78,7 +62,7 @@ func TestDigestOnDemand(t *testing.T) {
 		reg := register(t, s, "http://127.0.0.1:1")
 
 		u := ots.URL + "/digest/concurrent?size=5000"
-		_, body := anonGet(t, s, u)
+		_, body := fetchDoc(t, s, u)
 		want := markOf(t, s, body)
 		// Registered hits race to derive and record the first digest.
 		const clients = 16
@@ -122,7 +106,7 @@ func TestDigestOnDemand(t *testing.T) {
 
 		u := o.srv.URL + "/doc"
 		o.set("/doc", bytes.Repeat([]byte("old edition. "), 200), 0)
-		if source, _ := anonGet(t, s, u); source != SourceOrigin {
+		if source, _ := fetchDoc(t, s, u); source != SourceOrigin {
 			t.Fatalf("first fetch source = %q, want origin", source)
 		}
 		fresh := bytes.Repeat([]byte("new edition! "), 300)
@@ -146,13 +130,13 @@ func TestDigestOnDemand(t *testing.T) {
 		defer ots.Close()
 
 		u := ots.URL + "/digest/kept?size=16384"
-		source, pre := anonGet(t, s, u)
+		source, pre := fetchDoc(t, s, u)
 		if source != SourceOrigin {
 			t.Fatalf("first fetch source = %q, want origin", source)
 		}
-		anonGet(t, s, u) // admitted
-		anonGet(t, s, ots.URL+"/f1?size=16384")
-		anonGet(t, s, ots.URL+"/f2?size=16384")
+		fetchDoc(t, s, u) // admitted
+		fetchDoc(t, s, ots.URL+"/f1?size=16384")
+		fetchDoc(t, s, ots.URL+"/f2?size=16384")
 		waitFor(t, "spill before crash", func() bool {
 			r := docSnapshot(s, u)
 			return r != nil && r.state == docDisk
@@ -231,7 +215,7 @@ func peerServeRow(t *testing.T, marked bool) {
 	reg := register(t, s, holder.URL)
 	s.Index().Add(indexEntryFor(s, reg.ClientID, u, int64(len(body))))
 
-	source, got := anonGet(t, s, u)
+	source, got := fetchDoc(t, s, u)
 	st := s.Snapshot()
 	if !marked {
 		if source != SourceOrigin || !bytes.Equal(got, body) {
