@@ -23,8 +23,9 @@ HOT_PKGS = ./internal/intern ./internal/cache ./internal/index ./internal/core .
 # event, never on a sleep, so it must pass every time. The body-store tests
 # (internal/browser/bodies.go: one store shared by a host's agents), the
 # direct-forward relay-session and hedging tests, the sibling invalidation
-# fan-out and the batched-publish round trip ride along.
-STABLE_TESTS = ^Test(ClusterBloomFalsePositive|DiskSpillStreamPromote|DiskWarmRestartGraceful|InvalidationChurnUnderLoad|HostLifecycleConcurrent|BatchedPublishReachesProxy|BatchedConcurrentStoreLosesNoDelta|StandaloneAndHostedPublishIdentically|ChurnBreakerMetricDeltas|BodyStoreSharesOnlyEqualBytes|BodyStoreInvariantsUnderChurn|HostedFetchesShareOneBody|ReadBodyAdoptsHeldCopy|RelaySessionContract|RelayTimeoutFallsThroughToUpstream|DirectForwardStreamedDelivery|HedgedOriginWinsOverSlowPeer|SiblingInvalidationFanout)$$
+# fan-out, the batched-publish round trip and the race of registration
+# churn and traffic against the document scans ride along.
+STABLE_TESTS = ^Test(ClusterBloomFalsePositive|DiskSpillStreamPromote|DiskWarmRestartGraceful|InvalidationChurnUnderLoad|HostLifecycleConcurrent|BatchedPublishReachesProxy|BatchedConcurrentStoreLosesNoDelta|StandaloneAndHostedPublishIdentically|ChurnBreakerMetricDeltas|BodyStoreSharesOnlyEqualBytes|BodyStoreInvariantsUnderChurn|HostedFetchesShareOneBody|ReadBodyAdoptsHeldCopy|RelaySessionContract|RelayTimeoutFallsThroughToUpstream|DirectForwardStreamedDelivery|HedgedOriginWinsOverSlowPeer|SiblingInvalidationFanout|DocsAndRegistrationUnderRace)$$
 # The tests of the on-demand watermark values: the proxy's signing key and
 # sign memo (internal/proxy/watermark.go), the digest each document record
 # gains on first demand (withDigest, internal/proxy/docs.go) and the agents'
