@@ -293,17 +293,6 @@ func BenchmarkIndexAddRemove(b *testing.B) {
 	}
 }
 
-func BenchmarkIndexSelect(b *testing.B) {
-	x := index.New(index.SelectMostRecent)
-	for i := 0; i < 8192; i++ {
-		x.Add(index.Entry{Client: i % 64, Doc: intern.ID(i % 1024), Size: 8192, Stamp: float64(i)})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Select(intern.ID(i%1024), i%64)
-	}
-}
-
 func BenchmarkBloomAddContains(b *testing.B) {
 	f, err := bloom.NewFilterForFPR(100_000, 0.01)
 	if err != nil {

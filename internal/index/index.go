@@ -48,7 +48,7 @@ type Entry struct {
 	Stamp float64
 	// Expire is the absolute time (same clock as Stamp) at which the
 	// document's TTL — "provided by the data source", §2 — runs out.
-	// Zero means no expiry. Expired entries are skipped by OrderedAt
+	// Zero means no expiry. Expired entries are skipped by AppendOrdered
 	// and purged by PruneExpired.
 	Expire float64
 }
@@ -216,29 +216,6 @@ func (x *Index) Lookup(doc intern.ID) []Entry {
 	return append([]Entry(nil), x.byDoc[doc]...)
 }
 
-// Select picks a holder for doc other than requester, per the index's
-// strategy, and accounts one served transfer to it. ok is false when no
-// other client holds the document.
-func (x *Index) Select(doc intern.ID, requester int) (Entry, bool) {
-	var best Entry
-	found := false
-	if doc >= 0 && int(doc) < len(x.byDoc) {
-		for _, e := range x.byDoc[doc] {
-			if e.Client == requester || x.ct.quarantined(e.Client) {
-				continue
-			}
-			if !found || x.better(e, best) {
-				best = e
-				found = true
-			}
-		}
-	}
-	if found {
-		x.ct.accountServe(best.Client)
-	}
-	return best, found
-}
-
 // better reports whether a should be preferred over b under the strategy.
 func (x *Index) better(a, b Entry) bool {
 	switch x.strategy {
@@ -259,26 +236,21 @@ func (x *Index) better(a, b Entry) bool {
 }
 
 // Ordered returns all holders of doc except requester, sorted by the
-// index's strategy preference (best candidate first). Unlike Select it does
-// not account a served transfer; callers that contact a candidate confirm
-// with AccountServe. This supports the stale-entry retry loop: under the
+// index's strategy preference (best candidate first). It does not account a
+// served transfer; callers that contact a candidate confirm with
+// AccountServe. This supports the stale-entry retry loop: under the
 // periodic update protocol an index entry may name a browser that already
 // evicted the document, and the proxy then tries the next candidate.
 func (x *Index) Ordered(doc intern.ID, requester int) []Entry {
-	return x.OrderedAt(doc, requester, 0)
+	return x.appendOrdered(nil, doc, requester, 0, false)
 }
 
-// OrderedAt is Ordered with TTL filtering: entries whose Expire lies at or
-// before now are omitted (now == 0 disables filtering, matching Ordered).
-// Quarantined clients' entries are omitted; OrderedQuarantined lists them.
-func (x *Index) OrderedAt(doc intern.ID, requester int, now float64) []Entry {
-	return x.appendOrdered(nil, doc, requester, now, false)
-}
-
-// AppendOrdered is the allocation-free OrderedAt: candidates are appended to
-// buf (normally a reused scratch slice with spare capacity) and the extended
-// slice is returned. The simulator's remote-lookup path calls this once per
-// proxy miss.
+// AppendOrdered appends doc's candidates to buf (normally a reused scratch
+// slice with spare capacity) in Ordered's order and returns the extended
+// slice, with TTL filtering: entries whose Expire lies at or before now are
+// omitted (now == 0 disables filtering, matching Ordered). Quarantined
+// clients' entries are omitted; OrderedQuarantined lists them. The
+// simulator's remote-lookup path calls this once per proxy miss.
 func (x *Index) AppendOrdered(buf []Entry, doc intern.ID, requester int, now float64) []Entry {
 	return x.appendOrdered(buf, doc, requester, now, false)
 }
@@ -299,7 +271,7 @@ func (x *Index) HasHolder(doc intern.ID) bool {
 
 // OrderedQuarantined returns the quarantined holders of doc (excluding
 // requester), sorted by strategy preference. The proxy uses it to pick
-// half-open breaker probes: a quarantined peer is skipped by OrderedAt but
+// half-open breaker probes: a quarantined peer is skipped by Ordered but
 // may be probed once its breaker cooldown elapses.
 func (x *Index) OrderedQuarantined(doc intern.ID, requester int) []Entry {
 	return x.appendOrdered(nil, doc, requester, 0, true)

@@ -71,17 +71,26 @@ func TestAddRefreshesEntry(t *testing.T) {
 func TestSelectExcludesRequester(t *testing.T) {
 	x := New(SelectFirst)
 	x.Add(entry(1, "u", 10, 1))
-	if _, ok := x.Select(docID("u"), 1); ok {
-		t.Fatal("Select returned the requester itself")
+	if got := x.Ordered(docID("u"), 1); len(got) != 0 {
+		t.Fatalf("Ordered offered the requester itself: %+v", got)
 	}
-	if _, ok := x.Select(docID("missing"), 0); ok {
-		t.Fatal("Select found a holder for an unindexed URL")
+	if got := x.Ordered(docID("missing"), 0); len(got) != 0 {
+		t.Fatalf("Ordered found a holder for an unindexed URL: %+v", got)
 	}
 	x.Add(entry(2, "u", 10, 2))
-	e, ok := x.Select(docID("u"), 1)
-	if !ok || e.Client != 2 {
-		t.Fatalf("Select = %+v, %v", e, ok)
+	if got := x.Ordered(docID("u"), 1); len(got) != 1 || got[0].Client != 2 {
+		t.Fatalf("Ordered = %+v, want client 2 alone", got)
 	}
+}
+
+// best is the candidate a requester tries first.
+func best(t *testing.T, x *Index, url string, requester int) Entry {
+	t.Helper()
+	got := x.Ordered(docID(url), requester)
+	if len(got) == 0 {
+		t.Fatalf("no candidate for %s", url)
+	}
+	return got[0]
 }
 
 func TestSelectMostRecent(t *testing.T) {
@@ -89,14 +98,14 @@ func TestSelectMostRecent(t *testing.T) {
 	x.Add(entry(1, "u", 10, 5))
 	x.Add(entry(2, "u", 10, 9))
 	x.Add(entry(3, "u", 10, 2))
-	if e, _ := x.Select(docID("u"), 0); e.Client != 2 {
+	if e := best(t, x, "u", 0); e.Client != 2 {
 		t.Fatalf("most-recent chose client %d, want 2", e.Client)
 	}
 	// Ties break to the lowest client id.
 	y := New(SelectMostRecent)
 	y.Add(entry(7, "u", 10, 4))
 	y.Add(entry(3, "u", 10, 4))
-	if e, _ := y.Select(docID("u"), 0); e.Client != 3 {
+	if e := best(t, y, "u", 0); e.Client != 3 {
 		t.Fatalf("tie-break chose %d, want 3", e.Client)
 	}
 }
@@ -105,8 +114,10 @@ func TestSelectLeastLoaded(t *testing.T) {
 	x := New(SelectLeastLoaded)
 	x.Add(entry(1, "u", 10, 1))
 	x.Add(entry(2, "u", 10, 1))
-	first, _ := x.Select(docID("u"), 0)  // both at 0 → client 1
-	second, _ := x.Select(docID("u"), 0) // client 1 now loaded → client 2
+	first := best(t, x, "u", 0) // both at 0 → client 1
+	x.AccountServe(first.Client)
+	second := best(t, x, "u", 0) // client 1 now loaded → client 2
+	x.AccountServe(second.Client)
 	if first.Client != 1 || second.Client != 2 {
 		t.Fatalf("least-loaded order: %d then %d, want 1 then 2", first.Client, second.Client)
 	}
@@ -165,7 +176,7 @@ func TestResyncClient(t *testing.T) {
 }
 
 // TestConcurrentIndexAccess: concurrent use is Sharded's guarantee (an
-// Index is single-goroutine), so the mixed add/lookup/select/remove load
+// Index is single-goroutine), so the mixed add/lookup/order/serve/remove load
 // runs against a Sharded directory; -race in CI surfaces data races.
 func TestConcurrentIndexAccess(t *testing.T) {
 	x := NewSharded(SelectMostRecent, 4)
@@ -178,7 +189,9 @@ func TestConcurrentIndexAccess(t *testing.T) {
 				doc := docID(fmt.Sprintf("u%d", i%50))
 				x.Add(Entry{Client: g, Doc: doc, Size: 10, Stamp: float64(i)})
 				x.Lookup(doc)
-				x.Select(doc, g)
+				if c := x.Ordered(doc, g); len(c) > 0 {
+					x.AccountServe(c[0].Client)
+				}
 				if i%3 == 0 {
 					x.Remove(g, doc)
 				}
@@ -312,9 +325,6 @@ func TestQuarantineShelvesAndRestoresInOneStep(t *testing.T) {
 	}
 	if got := x.Ordered(docID("http://x/0"), -1); len(got) != 1 || got[0].Client != 2 {
 		t.Fatalf("Ordered(/0) = %v, want only client 2", got)
-	}
-	if _, ok := x.Select(docID("http://x/1"), -1); ok {
-		t.Fatal("Select picked a quarantined holder")
 	}
 	// Quarantined holders are listed for half-open probing.
 	if got := x.OrderedQuarantined(docID("http://x/0"), -1); len(got) != 1 || got[0].Client != 1 {

@@ -76,26 +76,13 @@ func (s *Sharded) Lookup(doc intern.ID) []Entry {
 	return sh.idx.Lookup(doc)
 }
 
-// Select picks a holder for doc other than requester and accounts one
-// served transfer to it.
-func (s *Sharded) Select(doc intern.ID, requester int) (Entry, bool) {
-	sh := s.shard(doc)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.idx.Select(doc, requester)
-}
-
 // Ordered returns all holders of doc except requester in strategy order.
 func (s *Sharded) Ordered(doc intern.ID, requester int) []Entry {
-	return s.OrderedAt(doc, requester, 0)
+	return s.AppendOrdered(nil, doc, requester, 0)
 }
 
-// OrderedAt is Ordered with TTL filtering at time now.
-func (s *Sharded) OrderedAt(doc intern.ID, requester int, now float64) []Entry {
-	return s.AppendOrdered(nil, doc, requester, now)
-}
-
-// AppendOrdered appends doc's candidates to buf in strategy order.
+// AppendOrdered appends doc's candidates to buf in strategy order, omitting
+// entries expired at now (0: no filtering).
 func (s *Sharded) AppendOrdered(buf []Entry, doc intern.ID, requester int, now float64) []Entry {
 	sh := s.shard(doc)
 	sh.mu.RLock()

@@ -2,24 +2,25 @@ package index
 
 import "testing"
 
-func TestOrderedAtFiltersExpired(t *testing.T) {
+func TestAppendOrderedFiltersExpired(t *testing.T) {
 	x := New(SelectMostRecent)
 	x.Add(Entry{Client: 1, Doc: docID("u"), Size: 10, Stamp: 0, Expire: 100})
 	x.Add(Entry{Client: 2, Doc: docID("u"), Size: 10, Stamp: 5, Expire: 50})
 
 	// Before any expiry: both offered, client 2 preferred (newer stamp).
-	got := x.OrderedAt(docID("u"), 0, 10)
+	got := x.AppendOrdered(nil, docID("u"), 0, 10)
 	if len(got) != 2 || got[0].Client != 2 {
-		t.Fatalf("OrderedAt(10) = %+v", got)
+		t.Fatalf("AppendOrdered(10) = %+v", got)
 	}
-	// After client 2's TTL: only client 1.
-	got = x.OrderedAt(docID("u"), 0, 60)
-	if len(got) != 1 || got[0].Client != 1 {
-		t.Fatalf("OrderedAt(60) = %+v", got)
+	// After client 2's TTL: only client 1, appended after what buf held.
+	buf := []Entry{{Client: 99}}
+	got = x.AppendOrdered(buf, docID("u"), 0, 60)
+	if len(got) != 2 || got[0].Client != 99 || got[1].Client != 1 {
+		t.Fatalf("AppendOrdered(60) = %+v", got)
 	}
 	// After both: none.
-	if got = x.OrderedAt(docID("u"), 0, 100); len(got) != 0 {
-		t.Fatalf("OrderedAt(100) = %+v", got)
+	if got = x.AppendOrdered(nil, docID("u"), 0, 100); len(got) != 0 {
+		t.Fatalf("AppendOrdered(100) = %+v", got)
 	}
 	// now == 0 disables filtering (and is what Ordered uses).
 	if got = x.Ordered(docID("u"), 0); len(got) != 2 {
@@ -27,10 +28,10 @@ func TestOrderedAtFiltersExpired(t *testing.T) {
 	}
 }
 
-func TestOrderedAtZeroExpireNeverFiltered(t *testing.T) {
+func TestAppendOrderedZeroExpireNeverFiltered(t *testing.T) {
 	x := New(SelectFirst)
 	x.Add(Entry{Client: 1, Doc: docID("u"), Size: 10}) // Expire == 0: immortal
-	if got := x.OrderedAt(docID("u"), 0, 1e12); len(got) != 1 {
+	if got := x.AppendOrdered(nil, docID("u"), 0, 1e12); len(got) != 1 {
 		t.Fatalf("immortal entry filtered: %+v", got)
 	}
 }
