@@ -17,8 +17,9 @@ REPLAY_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*_replay_baseline.json)))
 REPLAY_RECORD ?= $(lastword $(sort $(filter-out %_baseline.json,$(wildcard BENCH_*_replay.json))))
 # Packages touched by the interning/sharding refactor, the observability
 # subsystem, the batched index publish pipeline, the crash-safe disk
-# tier, and the background work plane, raced in `make check`.
-HOT_PKGS = ./internal/intern ./internal/cache ./internal/index ./internal/core ./internal/sim ./internal/trace ./internal/proxy ./internal/obs ./internal/chaos ./internal/browser ./internal/diskstore ./internal/breaker ./internal/federation ./internal/workqueue
+# tier, the background work plane and the proxy's document store, raced in
+# `make check`.
+HOT_PKGS = ./internal/intern ./internal/cache ./internal/index ./internal/core ./internal/sim ./internal/trace ./internal/proxy ./internal/proxy/docstore ./internal/obs ./internal/chaos ./internal/browser ./internal/diskstore ./internal/breaker ./internal/federation ./internal/workqueue
 # The timing-sensitive live tests ROADMAP item 1 names: each waits on an
 # event, never on a sleep, so it must pass every time. The body-store tests
 # (internal/browser/bodies.go: one store shared by a host's agents), the
@@ -28,10 +29,10 @@ HOT_PKGS = ./internal/intern ./internal/cache ./internal/index ./internal/core .
 STABLE_TESTS = ^Test(ClusterBloomFalsePositive|DiskSpillStreamPromote|DiskWarmRestartGraceful|InvalidationChurnUnderLoad|HostLifecycleConcurrent|BatchedPublishReachesProxy|BatchedConcurrentStoreLosesNoDelta|StandaloneAndHostedPublishIdentically|ChurnBreakerMetricDeltas|BodyStoreSharesOnlyEqualBytes|BodyStoreInvariantsUnderChurn|HostedFetchesShareOneBody|ReadBodyAdoptsHeldCopy|RelaySessionContract|RelayTimeoutFallsThroughToUpstream|DirectForwardStreamedDelivery|HedgedOriginWinsOverSlowPeer|SiblingInvalidationFanout|DocsAndRegistrationUnderRace)$$
 # The tests of the on-demand watermark values: the proxy's signing key and
 # sign memo (internal/proxy/watermark.go), the digest each document record
-# gains on first demand (withDigest, internal/proxy/docs.go) and the agents'
-# verification memo (integrity.Verifier, shared per proxy key by an
-# AgentHost).
-WATERMARK_TESTS = ^TestWatermark(AnonymousFetchUnsigned|OnDemandMatchesSigner|ConcurrentFirstDemandsSignOnce|MemoAcrossReacquisition|MemoBounded|SignFailureFailsClosed)$$|^TestSigningKey(UngeneratedForAnonymous|ConcurrentFirstDemandsGenerateOnce|DurableBeforeFirstUse|IgnoresStaleTempFile|FailureFailsClosed)$$|^TestOnDemandWatermarkVerifiesAtAgents$$|^TestCrashRestartRederivesWatermark$$|^TestDigestOnDemand$$|^TestVerifier(MatchesVerifyDigest|Concurrent)$$|^TestVerifyMemo(StillDetectsTamper|RejectsAlteredMark|SharedByHostedAgents|ScopedToProxyKey)$$
+# gains on first demand, derived once per version however many ask
+# (internal/proxy/docstore), and the agents' verification memo
+# (integrity.Verifier, shared per proxy key by an AgentHost).
+WATERMARK_TESTS = ^TestWatermark(AnonymousFetchUnsigned|OnDemandMatchesSigner|ConcurrentFirstDemandsSignOnce|MemoAcrossReacquisition|MemoBounded|SignFailureFailsClosed)$$|^TestSigningKey(UngeneratedForAnonymous|ConcurrentFirstDemandsGenerateOnce|DurableBeforeFirstUse|IgnoresStaleTempFile|FailureFailsClosed)$$|^TestOnDemandWatermarkVerifiesAtAgents$$|^TestCrashRestartRederivesWatermark$$|^TestDigestOnDemand$$|^TestDigestOncePerVersion$$|^TestVerifier(MatchesVerifyDigest|Concurrent)$$|^TestVerifyMemo(StillDetectsTamper|RejectsAlteredMark|SharedByHostedAgents|ScopedToProxyKey)$$
 
 .PHONY: all build fmt vet test race short bench check staticcheck bapsim-golden fuzz-smoke examples-smoke bench-baseline bench-compare bench-replay bench-replay-compare bench-e2e-smoke stream-smoke loadtest loadtest-agents loadtest-restart loadtest-federation loadtest-invalidation soak soak-smoke
 
@@ -51,7 +52,7 @@ fmt:
 # times over, as are the STABLE_TESTS.
 check: fmt vet test staticcheck
 	$(GO) test -race $(HOT_PKGS)
-	$(GO) test -race -count=10 -run '$(WATERMARK_TESTS)' ./internal/integrity ./internal/proxy ./internal/browser
+	$(GO) test -race -count=10 -run '$(WATERMARK_TESTS)' ./internal/integrity ./internal/proxy ./internal/proxy/docstore ./internal/browser
 	$(GO) test -race -count=10 -run '$(STABLE_TESTS)' ./internal/proxy ./internal/chaos ./internal/browser
 
 # Experiment-transcript gate (CI): `bapsim all` must reproduce
@@ -72,8 +73,10 @@ bapsim-golden:
 	rm -f bapsim_all.out
 
 # Fuzz smoke (CI): FuzzDocRecord drives the proxy's document records against
-# a reference model of the docs.go transition table for 30 s; the trace
-# readers' FuzzBTR and FuzzRead get 10 s each. Two fuzz workers per target.
+# a reference model of the transition table in internal/proxy/docstore's
+# package doc for 30 s (the fuzz target stays in internal/proxy, where it
+# drives the records through the request path); the trace readers' FuzzBTR
+# and FuzzRead get 10 s each. Two fuzz workers per target.
 # The checked-in corpora under testdata/fuzz also run in every `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDocRecord$$' -fuzztime 30s -parallel 2 ./internal/proxy

@@ -14,10 +14,6 @@ import (
 // dead-lettered background jobs (newest last; all retained entries when n is
 // absent or out of range).
 func (s *Server) handleQueueDeadLetter(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "proxy: GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	dl := s.wq.DeadLetters()
 	if n, err := strconv.Atoi(r.URL.Query().Get("n")); err == nil && n >= 0 && n < len(dl) {
 		dl = dl[len(dl)-n:]
@@ -29,10 +25,6 @@ func (s *Server) handleQueueDeadLetter(w http.ResponseWriter, r *http.Request) {
 // retained dead letters (oldest first, fresh attempt budget; all of them
 // when n is absent).
 func (s *Server) handleQueueReplay(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "proxy: POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	n := deadLetterRingMax
 	if k, err := strconv.Atoi(r.URL.Query().Get("n")); err == nil && k >= 0 {
 		n = k

@@ -37,6 +37,7 @@ import (
 	"baps/internal/federation"
 	"baps/internal/intern"
 	"baps/internal/obs"
+	"baps/internal/proxy/docstore"
 )
 
 // JoinCluster federates this proxy with sibling proxies at the given base
@@ -78,16 +79,10 @@ func (s *Server) Cluster() *federation.Cluster { return s.fed.Load() }
 // building: proxy cache residents (all tiers) plus every document at least
 // one of its browsers indexes. This is the set the outbound digest summarizes.
 func (s *Server) localDocSet() []string {
-	s.mu.Lock()
-	keys := s.cache.Keys()
-	s.mu.Unlock()
-	seen := make(map[string]struct{}, len(keys)*2)
-	out := make([]string, 0, len(keys)*2)
-	for _, k := range keys {
-		if _, dup := seen[k]; !dup {
-			seen[k] = struct{}{}
-			out = append(out, k)
-		}
+	out := s.docs.Keys() // distinct already
+	seen := make(map[string]struct{}, len(out)*2)
+	for _, k := range out {
+		seen[k] = struct{}{}
 	}
 	s.idx.ForEachDoc(func(doc intern.ID) {
 		u := s.syms.String(doc)
@@ -113,10 +108,6 @@ func (s *Server) fedNote(n int) {
 // handlePeerDigest ingests POST /peer/digest — a sibling's pushed Bloom
 // summary of its resolvable URL set.
 func (s *Server) handlePeerDigest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "proxy: POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	fed := s.fed.Load()
 	if fed == nil {
 		http.Error(w, "proxy: not federated", http.StatusServiceUnavailable)
@@ -141,14 +132,10 @@ func (s *Server) handlePeerDigest(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePeerLocate answers GET /peer/locate?url=U — the sibling's
-// membership-check confirmation. It consults residency only (Peek and the
-// browser index), never touching LRU state or bodies, so a storm of locates
-// cannot perturb replacement.
+// membership-check confirmation. It consults residency only (the store's
+// Peek and the browser index), never touching LRU state or bodies, so a
+// storm of locates cannot perturb replacement.
 func (s *Server) handlePeerLocate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "proxy: GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	if s.fed.Load() == nil {
 		http.Error(w, "proxy: not federated", http.StatusServiceUnavailable)
 		return
@@ -158,10 +145,7 @@ func (s *Server) handlePeerLocate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "proxy: missing url", http.StatusBadRequest)
 		return
 	}
-	s.mu.Lock()
-	_, resident := s.cache.Peek(url)
-	s.mu.Unlock()
-	if resident {
+	if _, _, st, _ := s.docs.Peek(url); st != docstore.MetaOnly {
 		s.m.clusterLocateConfirms.Inc()
 		writeJSON(w, LocateResponse{Held: true, Via: "cache"})
 		return

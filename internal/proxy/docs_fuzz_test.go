@@ -13,7 +13,7 @@ import (
 )
 
 // FuzzDocRecord drives a disk-backed proxy's document records through every
-// transition of the docs.go table and checks each step against docModel, a
+// transition of the docstore table and checks each step against docModel, a
 // reference model of that table over an LRU two-tier cache. After every
 // step the records (state, version, durability, hit count), the cache's
 // key order and the disk store must agree with the model, and:
@@ -129,7 +129,7 @@ func fuzzServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
-// docModel is the reference model: the docs.go transition table over an
+// docModel is the reference model: the docstore transition table over an
 // LRU cache of capacity bytes whose memory tier (memCap bytes) is an LRU
 // list of its own, the spill queue, and the disk store's key → version.
 type docModel struct {
@@ -236,7 +236,7 @@ func (m *docModel) shed(url string) {
 	*r = modelRec{version: r.version, size: r.size}
 }
 
-// drain is drainSpillsLocked.
+// drain is docstore's drain.
 func (m *docModel) drain() {
 	for _, key := range m.demoted {
 		r := m.recs[key]
@@ -368,8 +368,9 @@ func (m *docModel) writeBehind(t *testing.T, s *Server) {
 func queued(s *Server) []spillOp {
 	ops := make([]spillOp, len(s.spillq))
 	for i := range ops {
-		ops[i] = <-s.spillq
-		s.spillq <- ops[i]
+		op := <-s.spillq
+		s.spillq <- op
+		ops[i] = spillOp{op.Key, op.Del, op.From}
 	}
 	return ops
 }
@@ -383,15 +384,14 @@ func (m *docModel) restore(t *testing.T, s *Server) {
 	clear(m.size)
 	clear(m.memSize)
 	clear(m.lost)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for url, r := range s.docs {
+	for url, v := range s.docs.Views() {
+		r := recordOf(v)
 		if r.state != docMetaOnly && !m.written[url+"@"+fmt.Sprint(r.meta.version)] {
 			t.Fatalf("restored %s v%d, which the disk store was never given", url, r.meta.version)
 		}
 		m.recs[url] = &modelRec{version: r.meta.version, size: r.meta.size, state: r.state, durable: r.durable}
 	}
-	for _, k := range s.cache.Keys() {
+	for _, k := range s.docs.Keys() {
 		m.lru = append(m.lru, k)
 		m.size[k] = m.recs[k].size
 	}
@@ -404,22 +404,23 @@ func (m *docModel) restore(t *testing.T, s *Server) {
 // check compares the server with the model and asserts the invariants.
 func (m *docModel) check(t *testing.T, s *Server, step string) {
 	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	views, keys := s.docs.Views(), s.docs.Keys()
 	resident := 0
 	for _, url := range fuzzURLs {
-		r, mr := s.docs[url], m.recs[url]
-		if (r == nil) != (mr == nil) {
-			t.Fatalf("%s: %s record exists=%v, model says %v", step, url, r != nil, mr != nil)
+		v, ok := views[url]
+		mr := m.recs[url]
+		if ok != (mr != nil) {
+			t.Fatalf("%s: %s record exists=%v, model says %v", step, url, ok, mr != nil)
 		}
-		if r == nil {
+		if !ok {
 			continue
 		}
+		r := recordOf(v)
 		got := modelRec{version: r.meta.version, size: r.meta.size, state: r.state, durable: r.durable, hits: r.hits}
 		if got != *mr {
 			t.Fatalf("%s: %s record %+v, model says %+v", step, url, got, *mr)
 		}
-		if _, ok := s.cache.Peek(url); ok != (r.state != docMetaOnly) {
+		if ok := slices.Contains(keys, url); ok != (r.state != docMetaOnly) {
 			t.Fatalf("%s: %s in cache=%v but state %d", step, url, ok, r.state)
 		}
 		if r.state != docMetaOnly {
@@ -429,10 +430,10 @@ func (m *docModel) check(t *testing.T, s *Server, step string) {
 			t.Fatalf("%s: %s durable at v%d, disk store holds (v%d, %v)", step, url, r.meta.version, dm.Version, ok)
 		}
 	}
-	if n := s.cache.Len(); n != resident {
+	if n := len(keys); n != resident {
 		t.Fatalf("%s: cache holds %d keys, %d records are resident", step, n, resident)
 	}
-	if keys := s.cache.Keys(); !slices.Equal(keys, m.lru) {
+	if !slices.Equal(keys, m.lru) {
 		t.Fatalf("%s: cache order %v, model %v", step, keys, m.lru)
 	}
 	if q := queued(s); !slices.Equal(q, m.q) {

@@ -9,31 +9,66 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"testing"
+
+	"baps/internal/proxy/docstore"
 )
 
-// docSnapshot copies url's record under the lock (nil when there is none).
+// The document store under the names the tests read it by: record states,
+// spill admission, spill-queue ops and a copy of one record.
+type docState = docstore.State
+
+const (
+	docMetaOnly  = docstore.MetaOnly
+	docMemory    = docstore.Memory
+	docStaged    = docstore.Staged
+	docDisk      = docstore.Disk
+	spillMinHits = docstore.SpillMinHits
+)
+
+type spillOp struct {
+	key  string
+	del  bool
+	from docState
+}
+
+type docRecord struct {
+	meta    docMeta
+	body    []byte
+	state   docState
+	durable bool
+	hits    int
+}
+
+func recordOf(v docstore.View) docRecord {
+	return docRecord{metaOf(v.Meta), v.Body, v.State, v.Durable, v.Hits}
+}
+
+// docSnapshot copies url's record (nil when there is none).
 func docSnapshot(s *Server, url string) *docRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := s.docs[url]
-	if r == nil {
+	v, ok := s.docs.Views()[url]
+	if !ok {
 		return nil
 	}
-	c := *r
-	return &c
+	r := recordOf(v)
+	return &r
 }
 
 // countDocs counts the records in state st.
 func countDocs(s *Server, st docState) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := 0
-	for _, r := range s.docs {
-		if r.state == st {
+	for _, v := range s.docs.Views() {
+		if v.State == st {
 			n++
 		}
 	}
 	return n
+}
+
+// cacheLookup reports url's memory-tier body without booking an access
+// (tests probe residency with it; the request path goes through serveLocal).
+func (s *Server) cacheLookup(url string) ([]byte, docMeta, bool) {
+	body, m, st, _ := s.docs.Peek(url)
+	return body, metaOf(m), st == docMemory
 }
 
 // docsServer is a disk-backed proxy (memory tier: two 16 KiB documents,
@@ -55,7 +90,7 @@ func pump(s *Server) {
 	for {
 		select {
 		case op := <-s.spillq:
-			s.handleSpill(op)
+			s.docs.Spill(op)
 		default:
 			return
 		}
@@ -91,19 +126,20 @@ func checkDocs(t *testing.T, s *Server, step string) {
 		docRecord
 		resident bool
 	}
-	s.mu.Lock()
-	snaps := make(map[string]snap, len(s.docs))
+	views, keys := s.docs.Views(), s.docs.Keys()
+	inCache := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		inCache[k] = true
+	}
+	snaps := make(map[string]snap, len(views))
 	resident := 0
-	for url, r := range s.docs {
-		_, res := s.cache.Peek(url)
-		snaps[url] = snap{*r, res}
-		if res {
+	for url, v := range views {
+		snaps[url] = snap{recordOf(v), inCache[url]}
+		if inCache[url] {
 			resident++
 		}
 	}
-	cached := s.cache.Len()
-	s.mu.Unlock()
-	if cached != resident {
+	if cached := len(keys); cached != resident {
 		t.Errorf("%s: cache holds %d keys, %d of them have a record", step, cached, resident)
 	}
 	// A body in docMemory that fits the memory tier is in it (one too large
@@ -137,7 +173,7 @@ func checkDocs(t *testing.T, s *Server, step string) {
 	}
 }
 
-// TestDocRecordTransitions walks every transition of the docs.go state
+// TestDocRecordTransitions walks every transition of the docstore state
 // table. a is the document under test; b, c, … are filler that push it out
 // of the memory tier (two documents) or the cache (twelve). After every step
 // checkDocs holds and a is in the state the step names.

@@ -18,6 +18,7 @@ import (
 	"baps/internal/bufpool"
 	"baps/internal/integrity"
 	"baps/internal/obs"
+	"baps/internal/proxy/docstore"
 )
 
 // handleFetch is the client-facing resolution pipeline: proxy cache →
@@ -26,10 +27,6 @@ import (
 // through every downstream call, so a disconnecting client cancels its peer
 // contacts and origin fetch.
 func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "proxy: GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	url := r.URL.Query().Get("url")
 	if url == "" {
 		http.Error(w, "proxy: missing url", http.StatusBadRequest)
@@ -67,7 +64,6 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.m.requests.Inc()
-	s.notePop(url)
 	start := time.Now()
 	sp := s.tracer.StartSpan("fetch")
 	sp.SetClient(requester)
@@ -76,6 +72,11 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 
 	book := &outcomeBook{m: s.m}
 	outcome := s.resolveFetch(ctx, w, book, url, requester, r.Header.Get(HeaderNoPeer) == "1")
+	if s.cfg.PrefetchInterval > 0 {
+		// Prefetch popularity, counted after the resolution so that a
+		// miss's own store is counted too.
+		s.docs.NotePop(url)
+	}
 
 	dur := time.Since(start)
 	book.book(outcome) // a no-op unless the outcome was only final at the end
@@ -124,6 +125,19 @@ type fetchResult struct {
 	source  string
 	ticket  string
 	outcome string
+}
+
+// docMeta is the request path's copy of a document version's meta
+// (docstore.Meta): what a fetch result carries and the store records.
+type docMeta struct {
+	version, size       int64
+	digest              []byte
+	storedAt, checkedAt time.Time
+	lastMod             string
+}
+
+func metaOf(m docstore.Meta) docMeta {
+	return docMeta{m.Version, m.Size, m.Digest, m.StoredAt, m.CheckedAt, m.LastMod}
 }
 
 // resolveFetch runs the decision path — proxy cache, coalesced miss
@@ -348,40 +362,28 @@ func (s *Server) serveDoc(w http.ResponseWriter, book *outcomeBook, outcome, sou
 	return nil
 }
 
-// cacheLookup serves from the proxy's memory tier, promoting on hit (tests
-// use it to probe residency; the request path goes through serveLocal).
-func (s *Server) cacheLookup(url string) ([]byte, docMeta, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := s.docs[url]
-	if r == nil || r.state != docMemory {
-		return nil, docMeta{}, false
-	}
-	body, meta := r.body, r.meta
-	s.touchLocked(url, r)
-	return body, meta, true
-}
-
 // storeDoc caches a document body at the proxy. The caller hands over
 // ownership of body — every call site passes a buffer it freshly read off
 // the wire and only ever reads afterwards, so no defensive copy is taken.
 func (s *Server) storeDoc(url string, body []byte, meta docMeta) {
-	if meta.storedAt.IsZero() {
-		meta.storedAt = time.Now()
-	}
-	s.mu.Lock()
-	// modified: a newer version than recorded, i.e. an origin-side change
-	// whose stale copies may still live in browsers and sibling proxies
-	// (handled after unlock).
-	modified := s.storeDocLocked(url, body, meta)
-	// Every cache store widens the local resolvable set the federation
-	// digest advertises (no-op unfederated; lock order is s.mu → fed.mu,
-	// and the digest builder's source snapshot never runs under fed.mu).
+	// Every store widens the set the federation digest advertises. A newer
+	// version than recorded is an origin-side change whose stale copies
+	// browsers and sibling proxies may still hold.
+	modified := s.docs.Store(url, body, docstore.Meta{Version: meta.version, Size: meta.size,
+		Digest: meta.digest, StoredAt: meta.storedAt, CheckedAt: meta.checkedAt, LastMod: meta.lastMod})
 	s.fedNote(1)
-	s.mu.Unlock()
 	if modified {
 		s.onModified(url, meta.version, false)
 	}
+}
+
+// withDigest returns meta with its digest, derived once per version from
+// body, the document meta describes, when meta has none.
+func (s *Server) withDigest(url string, body []byte, meta docMeta) docMeta {
+	if meta.digest == nil {
+		meta.digest = s.docs.Digest(url, meta.version, body)
+	}
+	return meta
 }
 
 // fetchUpstream obtains the document from the origin. Concurrent fetches of
@@ -511,9 +513,7 @@ func (s *Server) resolveRemote(ctx context.Context, url string, requester int) f
 		if !s.health.Allow(e.Client) {
 			continue // breaker open
 		}
-		s.mu.Lock()
-		peer, registered := s.peers[e.Client]
-		s.mu.Unlock()
+		peer, registered := s.peer(e.Client)
 		if !registered {
 			s.idx.Remove(e.Client, doc)
 			continue
@@ -592,14 +592,9 @@ func (s *Server) fetchFromPeer(ctx context.Context, peer peerInfo, url string) (
 	digest := sum[:]
 	res := fetchResult{body: body, source: SourceRemote, outcome: outPeerFetch}
 
-	var known docMeta
-	s.mu.Lock()
-	r := s.docs[url]
-	if r != nil {
-		known = r.meta
-	}
-	s.mu.Unlock()
-	if r != nil && known.version == version && known.digest != nil {
+	_, m, _, recorded := s.docs.Peek(url)
+	known := metaOf(m)
+	if recorded && known.version == version && known.digest != nil {
 		if !bytes.Equal(digest, known.digest) {
 			s.m.watermarkRejected.Inc()
 			return fetchResult{}, fmt.Errorf("digest mismatch from client %d", peer.id)
@@ -626,10 +621,8 @@ func (s *Server) fetchFromPeer(ctx context.Context, peer peerInfo, url string) (
 		return fetchResult{}, fmt.Errorf("unverifiable peer content from client %d", peer.id)
 	}
 	s.m.watermarkVerified.Inc()
-	s.mu.Lock()
-	s.recordDigestLocked(url, version, digest)
-	s.mu.Unlock()
-	if r == nil || known.version != version {
+	s.docs.RecordDigest(url, version, digest)
+	if !recorded || known.version != version {
 		known = docMeta{version: version, size: int64(len(body))}
 	}
 	known.digest = digest
@@ -709,10 +702,6 @@ func (s *Server) keepDelivered(ticket string) {
 // document itself never enters proxy memory. A session takes one push, and
 // only while its fetch waits; every other push is refused with a 403.
 func (s *Server) handleRelay(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "proxy: POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	s.relayMu.Lock()
 	session := s.relays[r.URL.Path[len("/relay/"):]]
 	waiting := session != nil && !session.pushed
@@ -771,13 +760,10 @@ func (s *Server) handleRelay(w http.ResponseWriter, r *http.Request) {
 // hidden from the requester), and it is honoured once, from its requester,
 // for its document: that holder's entry is pruned and its breaker charged.
 // Any other report naming a delivered session is refused with a 403. A
-// report without one — a fetch-forward response carries no ticket — counts
-// on watermark_rejected and prunes nothing.
+// report without one — a fetch-forward response carries no ticket — gets a
+// 204 and changes nothing: only an honoured report counts on
+// watermark_rejected, so no client can drive that counter on its own.
 func (s *Server) handleReportBad(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "proxy: POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	id, ok := s.authClient(r)
 	if !ok {
 		http.Error(w, "proxy: bad client credentials", http.StatusForbidden)
@@ -800,8 +786,8 @@ func (s *Server) handleReportBad(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "proxy: report does not match its session", http.StatusForbidden)
 		return
 	}
-	s.m.watermarkRejected.Inc()
 	if honoured {
+		s.m.watermarkRejected.Inc()
 		if doc, known := s.syms.Lookup(rep.URL); known {
 			s.idx.Remove(session.holder, doc)
 		}

@@ -198,10 +198,6 @@ func (s *Server) applyIndexBatch(id int, batch IndexBatch) {
 // reported back by client id in Rejected; valid siblings in the same
 // carrier still apply.
 func (s *Server) handleIndexBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "proxy: POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var multi IndexMultiBatch
 	if err := json.NewDecoder(io.LimitReader(r.Body, 32<<20)).Decode(&multi); err != nil {
 		http.Error(w, "proxy: bad batch body", http.StatusBadRequest)
@@ -218,15 +214,6 @@ func (s *Server) handleIndexBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.m.idxCarriers.Inc()
 	writeJSON(w, resp)
-}
-
-// authToken validates one (token, client id) pair — the header-free variant
-// of authClient for carrier sub-batches.
-func (s *Server) authToken(token string, id int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	owner, ok := s.tokens[token]
-	return ok && owner == id
 }
 
 // digestMismatch rebuilds the sender's Bloom filter geometry over the
@@ -259,9 +246,7 @@ func (s *Server) digestMismatch(client int, digestB64 string) bool {
 // pullResync asks one browser for a full directory re-sync (the same pull
 // ResyncAll issues to every peer after a proxy restart).
 func (s *Server) pullResync(client int) {
-	s.mu.Lock()
-	p, ok := s.peers[client]
-	s.mu.Unlock()
+	p, ok := s.peer(client)
 	if !ok {
 		return
 	}

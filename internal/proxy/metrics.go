@@ -160,7 +160,7 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 	m.watermarkVerified = reg.Counter("baps_proxy_watermark_verified_total",
 		"Peer-served bodies that passed digest/watermark verification.")
 	m.watermarkRejected = reg.Counter("baps_proxy_watermark_rejected_total",
-		"Peer-served bodies rejected by digest/watermark verification or reported bad.")
+		"Peer-served bodies rejected by digest/watermark verification, or reported bad by the requester of a delivered relay.")
 	m.watermarkSigned = reg.Counter("baps_proxy_watermark_signed_total",
 		"Watermarks derived with an RSA private-key operation (first demand for a digest).")
 	m.watermarkMemoHits = reg.Counter("baps_proxy_watermark_memo_hits_total",
@@ -260,21 +260,13 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 	reg.GaugeFunc("baps_proxy_watermark_memo_entries",
 		"Watermarks held in the digest-keyed memo.", func() float64 { return float64(s.marks.Len()) })
 	reg.GaugeFunc("baps_proxy_cache_docs",
-		"Documents in the proxy cache.", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.cache.Len())
-		})
+		"Documents in the proxy cache.", func() float64 { n, _ := s.docs.Size(); return float64(n) })
 	reg.GaugeFunc("baps_proxy_cache_bytes",
-		"Bytes in the proxy cache.", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.cache.Used())
-		})
+		"Bytes in the proxy cache.", func() float64 { _, b := s.docs.Size(); return float64(b) })
 	reg.GaugeFunc("baps_proxy_clients",
 		"Registered browser agents.", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
+			s.regMu.RLock()
+			defer s.regMu.RUnlock()
 			return float64(len(s.peers))
 		})
 	for _, st := range []string{"closed", "open", "half_open"} {

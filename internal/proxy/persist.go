@@ -12,6 +12,7 @@ import (
 	"baps/internal/diskstore"
 	"baps/internal/integrity"
 	"baps/internal/obs"
+	"baps/internal/proxy/docstore"
 )
 
 // The disk tier turns the proxy's two-tier cache crash-safe: memory-tier
@@ -19,27 +20,8 @@ import (
 // the journal replay re-seats the cache skeleton, the /stats counters, and
 // the per-client registration + batch-generation tables, so a kill/restart
 // recovers its hit ratio without a thundering herd onto the origin. Where a
-// document's body lives, and every move between memory, the spill stage and
-// the disk store, is the docRecord state table in docs.go. s.ds is never
-// called with s.mu held; the spill worker and the disk-store sweep take s.mu
-// from outside any disk-store lock.
-//
-// Admission control: a body is spilled only once its key has been accessed
-// spillMinHits times (storeDoc counts the storing fetch); a one-hit wonder
-// demoted from memory is shed from the cache instead of written to disk.
-// Reading back promotes to memory on the second post-spill access — the
-// first is streamed straight from disk through a pooled buffer.
-const spillMinHits = 2
-
-// spillOp is one unit of the spill worker's queue: drop key's disk copy
-// (del), or write its body to the disk store if the record is still in state
-// from — docStaged for a demotion spill, docMemory for write-behind, where
-// the body stays resident.
-type spillOp struct {
-	key  string
-	del  bool
-	from docState
-}
+// body lives is the document store's (docstore); this file runs its spill
+// worker and serves its bodies.
 
 // wbBatchMax bounds how many memory-tier bodies one write-behind tick may
 // enqueue, so a big hot set drains over several intervals instead of
@@ -136,40 +118,38 @@ func writeFileAtomic(dir, name string, data []byte) error {
 	return diskstore.SyncDir(dir)
 }
 
-// openDiskTier opens the disk store, replays it into the cache skeleton and
-// the proxy's tables, and starts the spill worker + state-save loop. Called
-// from New when Config.DataDir is set.
-func (s *Server) openDiskTier() error {
-	dcfg := diskstore.Config{
-		MaxBytes:  s.cfg.DiskMaxBytes,
-		Retention: s.cfg.DiskRetention,
-		Fsync:     s.cfg.DiskFsync,
-		OnEvict:   s.dropLostLocal,
-		Metrics: diskstore.MetricsHooks{
-			Write:         s.m.diskWrites.Inc,
-			Read:          s.m.diskReads.Inc,
-			CorruptRecord: s.m.diskCorrupt.Inc,
-			Eviction:      s.m.diskEvictions.Inc,
-			SyncError:     s.m.diskSyncErrors.Inc,
+// openDocs builds the document store. With Config.DataDir it opens the disk
+// tier, replays it into the store and the proxy's tables, and starts the
+// spill worker + state-save loop.
+func (s *Server) openDocs() error {
+	docs, err := docstore.New(docstore.Config{
+		Policy:      s.cfg.Policy,
+		Capacity:    s.cfg.CacheCapacity,
+		MemCapacity: int64(float64(s.cfg.CacheCapacity) * s.cfg.MemFraction),
+		Dir:         s.cfg.DataDir,
+		Disk: diskstore.Config{
+			MaxBytes:  s.cfg.DiskMaxBytes,
+			Retention: s.cfg.DiskRetention,
+			Fsync:     s.cfg.DiskFsync,
+			Metrics: diskstore.MetricsHooks{
+				Write:         s.m.diskWrites.Inc,
+				Read:          s.m.diskReads.Inc,
+				CorruptRecord: s.m.diskCorrupt.Inc,
+				Eviction:      s.m.diskEvictions.Inc,
+				SyncError:     s.m.diskSyncErrors.Inc,
+			},
 		},
-	}
-	ds, err := diskstore.Open(s.cfg.DataDir, dcfg)
-	if err != nil {
+		Queue:        s.spillq,
+		SpillSkipped: s.m.spillSkipped,
+		SpillDropped: s.m.spillDropped,
+	})
+	s.docs = docs
+	if err != nil || s.cfg.DataDir == "" {
 		return err
 	}
-	s.ds = ds
-
-	// Re-seat the cache skeleton coldest-first, so the restored LRU order
-	// matches the journaled recency order. Bodies stay on disk and fault
-	// back in on access.
-	entries := ds.Entries()
-	s.mu.Lock()
-	for _, e := range entries {
-		s.restoreDocLocked(e.Key, docMeta{version: e.Meta.Version, size: e.Meta.Size, digest: e.Meta.Digest})
-	}
-	s.restoredDocs = len(entries)
-	s.mu.Unlock()
-	s.m.diskReplays.Add(int64(len(entries)))
+	s.ds = docs.Disk()
+	s.restoredDocs = docs.Restore()
+	s.m.diskReplays.Add(int64(s.restoredDocs))
 	if s.restoredDocs > 0 {
 		// Warm once a tenth of the restored set has been served locally.
 		s.warmTarget = int64(s.restoredDocs / 10)
@@ -177,19 +157,14 @@ func (s *Server) openDiskTier() error {
 			s.warmTarget = 1
 		}
 	}
-
-	if blob := ds.State(); blob != nil {
+	if blob := s.ds.State(); blob != nil {
 		s.restoreState(blob)
 	}
 	if s.logger != nil {
-		st := ds.StatsSnapshot()
-		s.logger.Info("disk tier opened",
-			"dir", s.cfg.DataDir,
-			"restored_docs", st.Restored,
-			"live_bytes", st.LiveBytes,
-			"corrupt_tail", st.CorruptTail,
-			"replay_ms", float64(st.ReplayElapsed.Microseconds())/1e3,
-			"restored_clients", s.restoredClients)
+		st := s.ds.StatsSnapshot()
+		s.logger.Info("disk tier opened", "dir", s.cfg.DataDir, "restored_docs", st.Restored,
+			"live_bytes", st.LiveBytes, "corrupt_tail", st.CorruptTail,
+			"replay_ms", float64(st.ReplayElapsed.Microseconds())/1e3, "restored_clients", s.restoredClients)
 	}
 
 	s.diskWG.Add(2)
@@ -212,7 +187,7 @@ func (s *Server) restoreState(blob []byte) {
 		}
 		return
 	}
-	s.mu.Lock()
+	s.regMu.Lock()
 	if st.NextID > s.nextID {
 		s.nextID = st.NextID
 	}
@@ -222,7 +197,7 @@ func (s *Server) restoreState(blob []byte) {
 		s.tokens[c.Token] = c.ID
 	}
 	s.restoredClients = len(st.Clients)
-	s.mu.Unlock()
+	s.regMu.Unlock()
 	for _, c := range st.Clients {
 		s.health.Track(c.ID)
 	}
@@ -242,12 +217,12 @@ func (s *Server) saveState() {
 		Counters:  s.m.reg.SnapshotCounters(),
 		Gens:      s.batches.snapshotGens(),
 	}
-	s.mu.Lock()
+	s.regMu.RLock()
 	st.NextID = s.nextID
 	for _, p := range s.peers {
 		st.Clients = append(st.Clients, persistClient{ID: p.id, PeerURL: p.baseURL, Token: p.token})
 	}
-	s.mu.Unlock()
+	s.regMu.RUnlock()
 	blob, err := json.Marshal(st)
 	if err != nil {
 		return
@@ -277,86 +252,27 @@ func (s *Server) stateSaveLoop() {
 
 // writeBehind enqueues durable copies of admitted memory-tier bodies whose
 // current version is not yet on disk.
-func (s *Server) writeBehind() {
-	s.mu.Lock()
-	var ops []spillOp
-	for key, r := range s.docs {
-		if r.state != docMemory || r.durable || r.hits < spillMinHits {
-			continue
-		}
-		ops = append(ops, spillOp{key: key, from: docMemory})
-		if len(ops) >= wbBatchMax {
-			break
-		}
-	}
-	s.mu.Unlock()
-	for _, op := range ops {
-		select {
-		case s.spillq <- op:
-		default:
-			return // queue saturated; the next tick retries
-		}
-	}
-}
+func (s *Server) writeBehind() { s.docs.WriteBehind(wbBatchMax) }
 
-// spillWorker owns every disk-store call the request path needs: demotion
-// spills and eviction deletes, serialized off the hot path so no HTTP
+// spillWorker owns every disk-store write and delete: demotion spills,
+// write-behind and eviction deletes, serialized off the hot path so no HTTP
 // handler ever waits on disk I/O it isn't reading.
 func (s *Server) spillWorker() {
 	defer s.diskWG.Done()
 	for {
+		var op docstore.Op
 		select {
-		case op := <-s.spillq:
-			s.handleSpill(op)
+		case op = <-s.spillq:
 		case <-s.stopDisk:
 			// Drain what's queued so a graceful shutdown spills every
 			// staged body before the store's final flush.
-			for {
-				select {
-				case op := <-s.spillq:
-					s.handleSpill(op)
-				default:
-					return
-				}
+			if len(s.spillq) == 0 {
+				return
 			}
+			op = <-s.spillq
 		}
-	}
-}
-
-func (s *Server) handleSpill(op spillOp) {
-	if op.del {
-		// A record re-stored and made durable since the delete was queued
-		// owns the disk copy now.
-		s.mu.Lock()
-		r := s.docs[op.key]
-		keep := r != nil && r.durable
-		s.mu.Unlock()
-		if !keep {
-			s.ds.Delete(op.key)
-		}
-		return
-	}
-	s.mu.Lock()
-	r := s.docs[op.key]
-	if r == nil || r.state != op.from || r.durable {
-		s.mu.Unlock()
-		return // promoted back, re-stored, demoted or evicted while queued
-	}
-	// Bodies are never mutated in place (a store replaces the slice), so
-	// the write can read this one without the lock.
-	body, meta := r.body, r.meta
-	s.mu.Unlock()
-	// Every journaled copy carries its digest: a restarted proxy re-derives
-	// watermarks from the journal without reading a body.
-	meta = s.withDigest(op.key, body, meta)
-	err := s.ds.Put(op.key, body, diskstore.Meta{Version: meta.version, Digest: meta.digest})
-	s.mu.Lock()
-	s.spillDoneLocked(op.key, meta.version, err)
-	s.mu.Unlock()
-	if err != nil && op.from == docStaged {
-		s.m.spillDropped.Inc()
-		if s.logger != nil {
-			s.logger.Warn("disk spill failed", "url", op.key, "err", err)
+		if err := s.docs.Spill(op); err != nil && s.logger != nil {
+			s.logger.Warn("disk spill failed", "url", op.Key, "err", err)
 		}
 	}
 }
@@ -389,51 +305,29 @@ func (s *Server) restartToWarmSeconds() float64 {
 // local and the caller should run miss resolution. book receives a buffered
 // serve's outcome before its body; a disk stream's is left to the caller.
 func (s *Server) serveLocal(w http.ResponseWriter, book *outcomeBook, url string, requester int) (string, bool) {
-	s.mu.Lock()
-	r := s.residentLocked(url)
-	if r == nil {
-		s.mu.Unlock()
+	// A registered client's watermark needs the digest; a disk copy without
+	// one is faulted in, so the body is in hand to derive it.
+	body, m, st, promote := s.docs.Hit(url, requester >= 0)
+	meta := metaOf(m)
+	switch {
+	case st == docstore.MetaOnly:
 		return "", false
+	case st == docstore.Disk && !promote:
+		return s.serveDiskStream(w, url, meta, requester)
 	}
-	meta := r.meta
-	if r.state != docDisk {
-		body := r.body
-		s.touchLocked(url, r)
-		s.mu.Unlock()
-		s.noteLocalHit()
-		if s.serveDoc(w, book, outProxyHit, SourceProxy, url, body, meta, requester) != nil {
-			return outError, true
+	outcome := outProxyHit
+	if st == docstore.Disk {
+		var err error
+		if body, err = s.docs.Promote(url); err != nil {
+			return "", false
 		}
-		return outProxyHit, true
+		outcome = outDiskHit
 	}
-	r.hits++
-	// A registered client's watermark needs the digest; a disk copy
-	// without one is faulted in, so the body is in hand to derive it.
-	promote := r.hits >= spillMinHits || (requester >= 0 && meta.digest == nil)
-	s.mu.Unlock()
-
-	if promote {
-		return s.serveDiskPromote(w, book, url, meta, requester)
-	}
-	return s.serveDiskStream(w, url, meta, requester)
-}
-
-// serveDiskPromote faults a disk-resident body back into the memory tier
-// and serves it.
-func (s *Server) serveDiskPromote(w http.ResponseWriter, book *outcomeBook, url string, meta docMeta, requester int) (string, bool) {
-	body, dmeta, err := s.ds.Get(url)
-	if err != nil {
-		s.dropLostLocal(url)
-		return "", false
-	}
-	s.mu.Lock()
-	s.promoteLocked(url, body, dmeta.Version)
-	s.mu.Unlock()
 	s.noteLocalHit()
-	if s.serveDoc(w, book, outDiskHit, SourceProxy, url, body, meta, requester) != nil {
+	if s.serveDoc(w, book, outcome, SourceProxy, url, body, meta, requester) != nil {
 		return outError, true
 	}
-	return outDiskHit, true
+	return outcome, true
 }
 
 // serveDiskStream streams a disk-resident body to the response through a
@@ -454,7 +348,7 @@ func (s *Server) serveDiskStream(w http.ResponseWriter, url string, meta docMeta
 		s.noteLocalHit()
 		return outDiskHit, true
 	case !lw.wrote:
-		s.dropLostLocal(url)
+		s.docs.Lost(url)
 		return "", false
 	default:
 		// The watermark could not be derived (a 500 was sent in place of
@@ -462,21 +356,6 @@ func (s *Server) serveDiskStream(w http.ResponseWriter, url string, meta docMeta
 		// aborts the response at the client (Content-Length was already
 		// committed).
 		return outError, true
-	}
-}
-
-// dropLostLocal books the loss of url's disk copy — missing or corrupt on
-// read, or dropped by the disk store's retention sweep (its OnEvict
-// callback, called without the store's locks held). If that was the only
-// copy, the document is no longer resident.
-func (s *Server) dropLostLocal(url string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r := s.docs[url]; r != nil {
-		r.durable = false
-		if r.state == docDisk {
-			s.shedLocked(url, r)
-		}
 	}
 }
 

@@ -216,9 +216,9 @@ func TestDiskWarmRestartGraceful(t *testing.T) {
 	if st.Clients != 1 {
 		t.Fatalf("restored clients=%d, want 1", st.Clients)
 	}
-	s2.mu.Lock()
+	s2.regMu.RLock()
 	tokID, tokOK := s2.tokens[reg.Token]
-	s2.mu.Unlock()
+	s2.regMu.RUnlock()
 	if !tokOK || tokID != reg.ClientID {
 		t.Fatalf("restored token maps to (%d,%v), want (%d,true)", tokID, tokOK, reg.ClientID)
 	}
@@ -228,10 +228,7 @@ func TestDiskWarmRestartGraceful(t *testing.T) {
 
 	// A restored document serves locally — the origin is never contacted.
 	for u, want := range bodies {
-		s2.mu.Lock()
-		_, resident := s2.cache.Peek(u)
-		s2.mu.Unlock()
-		if !resident {
+		if _, _, st, _ := s2.docs.Peek(u); st == docMetaOnly {
 			continue
 		}
 		before := st.OriginFetches
@@ -450,17 +447,17 @@ func TestRestoreStateFromRelayKeyBlob(t *testing.T) {
 		{ID: 0, PeerURL: "http://127.0.0.1:41001", Token: "q3xK9fTb2mW8LzR1vN0eYA"},
 		{ID: 3, PeerURL: "http://127.0.0.1:41003", Token: "Zp7Qw1Ls4Hk0Jd9Xc2Vb6g"},
 	}
-	s.mu.Lock()
+	s.regMu.RLock()
 	n, nextID := len(s.peers), s.nextID
-	s.mu.Unlock()
+	s.regMu.RUnlock()
 	if n != len(want) || nextID != 4 {
 		t.Fatalf("restored %d clients, next id %d; want %d, 4", n, nextID, len(want))
 	}
 	for _, c := range want {
-		s.mu.Lock()
+		s.regMu.RLock()
 		p, ok := s.peers[c.ID]
 		byURL, owner := s.peersByURL[c.PeerURL], s.tokens[c.Token]
-		s.mu.Unlock()
+		s.regMu.RUnlock()
 		if !ok || p.baseURL != c.PeerURL || p.token != c.Token || byURL != c.ID || owner != c.ID {
 			t.Fatalf("client %d restored as %+v (by URL %d, token owner %d), want %+v", c.ID, p, byURL, owner, c)
 		}

@@ -32,6 +32,7 @@ import (
 
 	"baps/internal/index"
 	"baps/internal/obs"
+	"baps/internal/proxy/docstore"
 	"baps/internal/workqueue"
 )
 
@@ -49,16 +50,10 @@ const (
 	// one huge cache cannot flood the queue (the next round picks up the
 	// rest — the scan is cheap).
 	revalScanBatch = 256
-	// maxPopEntries bounds the popularity table; beyond it only already
-	// tracked documents accrue hits until decay frees room.
-	maxPopEntries = 65536
 	// prefetchFanout bounds the pushes per prefetch scan round and
 	// prefetchRPS rate-limits the push jobs (per second).
 	prefetchFanout = 4
 	prefetchRPS    = 64
-	// pushedTTL is how long a (url, client) push is remembered, so the
-	// prefetcher does not re-push a hot document the target just evicted.
-	pushedTTL = 30 * time.Second
 )
 
 // newWorkqueue builds the proxy's background queue from Config. The queue
@@ -70,21 +65,6 @@ func (s *Server) newWorkqueue(reg *obs.Registry) *workqueue.Queue {
 		RateLimits: map[string]float64{kindRevalidate: s.cfg.RevalidateRPS, kindPrefetch: prefetchRPS},
 		Metrics:    reg,
 	})
-}
-
-// notePop records one client-facing access for prefetch popularity
-// accounting (no-op with the prefetch producer disabled).
-func (s *Server) notePop(url string) {
-	if s.cfg.PrefetchInterval <= 0 {
-		return
-	}
-	s.mu.Lock()
-	if len(s.pop) < maxPopEntries {
-		s.pop[url]++
-	} else if s.pop[url] > 0 {
-		s.pop[url]++
-	}
-	s.mu.Unlock()
 }
 
 // startPipeline launches the enabled scanning producers. The workqueue
@@ -118,26 +98,7 @@ func (s *Server) scanLoop(every time.Duration, scan func()) {
 // revalidateScan nominates resident documents whose last acquisition or
 // freshness check is older than RevalidateAfter.
 func (s *Server) revalidateScan() {
-	now := time.Now()
-	s.mu.Lock()
-	due := make([]string, 0, 64)
-	for url, r := range s.docs {
-		if r.state == docMetaOnly {
-			continue
-		}
-		last := r.meta.storedAt
-		if r.meta.checkedAt.After(last) {
-			last = r.meta.checkedAt
-		}
-		if now.Sub(last) >= s.cfg.RevalidateAfter {
-			due = append(due, url)
-			if len(due) == revalScanBatch {
-				break
-			}
-		}
-	}
-	s.mu.Unlock()
-	for _, url := range due {
+	for _, url := range s.docs.Due(s.cfg.RevalidateAfter, revalScanBatch) {
 		// ErrDuplicate/ErrFull are fine: the document stays due and the
 		// next round renominates it.
 		s.wq.Submit(workqueue.Job{
@@ -152,39 +113,31 @@ func (s *Server) revalidateScan() {
 // triggers the invalidation fan-out via storeDoc's modification detection).
 func (s *Server) revalidateJob(url string) func(context.Context) error {
 	return func(ctx context.Context) error {
-		s.mu.Lock()
-		r := s.residentLocked(url)
-		if r == nil {
-			s.mu.Unlock()
+		_, prior, st, _ := s.docs.Peek(url)
+		if st == docstore.MetaOnly {
 			return nil // evicted since nomination
 		}
-		prior := r.meta
-		s.mu.Unlock()
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 		if err != nil {
 			return err
 		}
-		req.Header.Set("If-None-Match", fmt.Sprintf("%q", "v"+strconv.FormatInt(prior.version, 10)))
-		if prior.lastMod != "" {
-			req.Header.Set("If-Modified-Since", prior.lastMod)
+		req.Header.Set("If-None-Match", fmt.Sprintf("%q", "v"+strconv.FormatInt(prior.Version, 10)))
+		if prior.LastMod != "" {
+			req.Header.Set("If-Modified-Since", prior.LastMod)
 		}
 		body, hdr, err := s.getDoc(s.originClient, req)
 		var se *statusError
 		switch {
 		case errors.As(err, &se) && se.code == http.StatusNotModified:
-			s.mu.Lock()
-			s.confirmFreshLocked(url, prior.version)
-			s.mu.Unlock()
+			s.docs.ConfirmFresh(url, prior.Version)
 			s.m.revalFresh.Inc()
 			return nil
 		case err != nil:
 			s.m.revalErrors.Inc()
 			return err
 		}
-		meta := originMeta(body, hdr, time.Now())
-		meta.checkedAt = meta.storedAt
 		s.m.revalChanged.Inc()
-		s.storeDoc(url, body, meta)
+		s.storeDoc(url, body, originMeta(body, hdr, time.Now()))
 		return nil
 	}
 }
@@ -194,40 +147,11 @@ func (s *Server) revalidateJob(url string) func(context.Context) error {
 // least-loaded registered browsers that do not already hold them.
 func (s *Server) prefetchScan() {
 	now := time.Now()
-	type hotDoc struct {
-		url string
-		n   int64
-	}
-	s.mu.Lock()
-	hots := make([]hotDoc, 0, 16)
-	for url, n := range s.pop {
-		if n >= int64(s.cfg.PrefetchMinHits) {
-			if r := s.docs[url]; r != nil && r.state == docMemory {
-				hots = append(hots, hotDoc{url, n})
-			}
-		}
-		// Exponential decay keeps the table bounded and biased to recent
-		// popularity.
-		if n >>= 1; n == 0 {
-			delete(s.pop, url)
-		} else {
-			s.pop[url] = n
-		}
-	}
-	for k, t := range s.pushed {
-		if now.Sub(t) > pushedTTL {
-			delete(s.pushed, k)
-		}
-	}
-	peers := make([]peerInfo, 0, len(s.peers))
-	for _, p := range s.peers {
-		peers = append(peers, p)
-	}
-	s.mu.Unlock()
+	hots := s.docs.Hot(int64(s.cfg.PrefetchMinHits), now) // then regMu, never both
+	peers := s.peerList()
 	if len(hots) == 0 || len(peers) == 0 {
 		return
 	}
-	sort.Slice(hots, func(i, j int) bool { return hots[i].n > hots[j].n })
 	// Load = how many documents the index believes each browser holds;
 	// prefetch fills the emptiest caches first (ties broken by id for
 	// determinism).
@@ -242,12 +166,12 @@ func (s *Server) prefetchScan() {
 		return peers[i].id < peers[j].id
 	})
 	submitted := 0
-	for _, h := range hots {
+	for _, url := range hots {
 		if submitted >= prefetchFanout {
 			break
 		}
 		holders := make(map[int]bool)
-		if doc, known := s.syms.Lookup(h.url); known {
+		if doc, known := s.syms.Lookup(url); known {
 			for _, e := range s.idx.Lookup(doc) {
 				holders[e.Client] = true
 			}
@@ -256,19 +180,13 @@ func (s *Server) prefetchScan() {
 			if holders[p.id] {
 				continue
 			}
-			key := h.url + "\x00" + strconv.Itoa(p.id)
-			s.mu.Lock()
-			_, recent := s.pushed[key]
-			if !recent {
-				s.pushed[key] = now
-			}
-			s.mu.Unlock()
-			if recent {
+			key := url + "\x00" + strconv.Itoa(p.id)
+			if s.docs.Pushed(key, now) {
 				break // this doc was just pushed; move to the next one
 			}
 			s.wq.Submit(workqueue.Job{
 				Kind: kindPrefetch, Key: key, Priority: workqueue.Low,
-				Run: s.prefetchJob(p.id, h.url),
+				Run: s.prefetchJob(p.id, url),
 			})
 			submitted++
 			break
@@ -282,15 +200,12 @@ func (s *Server) prefetchScan() {
 // body) and the error goes to the workqueue's retry/dead-letter accounting.
 func (s *Server) prefetchJob(client int, url string) func(context.Context) error {
 	return func(ctx context.Context) error {
-		s.mu.Lock()
-		peer, registered := s.peers[client]
-		r := s.docs[url]
-		if !registered || r == nil || r.state != docMemory {
-			s.mu.Unlock()
+		peer, registered := s.peer(client)
+		body, m, st, _ := s.docs.Peek(url)
+		if !registered || st != docstore.Memory {
 			return nil // nomination went stale; nothing to push
 		}
-		body, meta := r.body, r.meta
-		s.mu.Unlock()
+		meta := metaOf(m)
 		mark, err := s.watermarkFor(s.withDigest(url, body, meta).digest)
 		if err != nil {
 			return err
@@ -373,26 +288,16 @@ func (s *Server) onModified(url string, version int64, fromSibling bool) {
 // (memory, spill stage, disk). A copy already at or past version survives:
 // the purge job may run after a refetch has landed the fresh body.
 func (s *Server) purgeStale(url string, version int64) {
-	s.mu.Lock()
-	if r := s.docs[url]; r != nil && r.meta.version >= version {
-		s.mu.Unlock()
-		return
+	if s.docs.Purge(url, version) {
+		s.fedNote(1)
 	}
-	delete(s.docs, url)
-	delete(s.pop, url)
-	s.cache.Remove(url)
-	s.queueDiskDelete(url)
-	s.fedNote(1)
-	s.mu.Unlock()
 }
 
 // invalidateBrowserJob notifies one indexed holder that its copy is stale,
 // then drops the index entry so no requester is routed there meanwhile.
 func (s *Server) invalidateBrowserJob(client int, url string, version int64) func(context.Context) error {
 	return func(ctx context.Context) error {
-		s.mu.Lock()
-		peer, registered := s.peers[client]
-		s.mu.Unlock()
+		peer, registered := s.peer(client)
 		if !registered {
 			return nil // departed; its entries die with it
 		}
@@ -435,10 +340,6 @@ func (s *Server) invalidateSiblingJob(sib, url string, version int64) func(conte
 // one hop (the originator reaches every sibling directly), so clusters can
 // never invalidate in a loop.
 func (s *Server) handlePeerInvalidate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "proxy: POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	fed := s.fed.Load()
 	if fed == nil {
 		http.Error(w, "proxy: not federated", http.StatusServiceUnavailable)

@@ -383,11 +383,11 @@ func TestPurgeStaleVersionGuard(t *testing.T) {
 	s := testServer(t, nil)
 	s.storeDoc("http://x/guard", []byte("fresh"), docMeta{version: 3, size: 5})
 	s.purgeStale("http://x/guard", 3) // same version: keep
-	if _, ok := s.cache.Peek("http://x/guard"); !ok {
+	if _, _, st, _ := s.docs.Peek("http://x/guard"); st == docMetaOnly {
 		t.Fatal("purge removed a copy already at the invalidation version")
 	}
 	s.purgeStale("http://x/guard", 4) // older than 4: purge
-	if _, ok := s.cache.Peek("http://x/guard"); ok {
+	if _, _, st, _ := s.docs.Peek("http://x/guard"); st != docMetaOnly {
 		t.Fatal("purge left a stale copy resident")
 	}
 }

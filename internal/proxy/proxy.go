@@ -61,6 +61,7 @@ import (
 	"baps/internal/integrity"
 	"baps/internal/intern"
 	"baps/internal/obs"
+	"baps/internal/proxy/docstore"
 	"baps/internal/workqueue"
 )
 
@@ -212,20 +213,6 @@ type peerInfo struct {
 	token   string
 }
 
-type docMeta struct {
-	version int64
-	size    int64
-	// digest is the body's MD5: what peer serves are checked against and
-	// what the §6.1 watermark is derived from on demand (watermark.go).
-	digest []byte
-	// Revalidation bookkeeping (pipeline.go): when the body was acquired,
-	// when a background conditional GET last confirmed it fresh, and the
-	// origin's Last-Modified text for If-Modified-Since.
-	storedAt  time.Time
-	checkedAt time.Time
-	lastMod   string
-}
-
 // relaySession is a direct-forward ticket's one record: the holder told to
 // push, the requester and document it pushes for, whether it has pushed and
 // whether the delivery has been reported, and the channel that hands the
@@ -270,28 +257,22 @@ type Server struct {
 	marks      integrity.Memo
 	markFlight flight.Group[string]
 
-	mu sync.Mutex
-	// docs holds one record per URL the proxy has a digest for, resident or
-	// not; cache is the replacement-policy accountant over the resident
-	// ones, and demoted collects the keys its last call pushed out of the
-	// memory tier (docs.go).
-	docs    map[string]*docRecord
-	cache   *cache.TwoTier
-	demoted []string
-	peers   map[int]peerInfo
-	// peersByURL indexes registrations by advertised base URL so the
-	// re-register supersede path is a lookup, not a scan — at agent-host
-	// scale (tens of thousands of registrations, constant churn) the old
-	// O(peers) walk per /register dominated registration cost.
+	docs *docstore.Store // every document record, behind the store's own lock
+
+	// regMu guards the registration tables; peersByURL makes the re-register
+	// supersede path a lookup. No path holds regMu and the store's lock at
+	// once; one that needed both would take regMu first.
+	regMu      sync.RWMutex
+	peers      map[int]peerInfo
 	peersByURL map[string]int
 	tokens     map[string]int // token → client id
 	nextID     int
 	started    time.Time
 
-	// Disk-tier plane (nil/unused without Config.DataDir): the spill worker
-	// drains spillq into ds, which is never called with mu held.
+	// Disk-tier plane (nil/unused without Config.DataDir): the store's disk
+	// store, and the queue the spill worker drains into it.
 	ds              *diskstore.Store
-	spillq          chan spillOp
+	spillq          chan docstore.Op
 	stopDisk        chan struct{}
 	diskOnce        sync.Once
 	diskWG          sync.WaitGroup
@@ -330,12 +311,8 @@ type Server struct {
 	pacer *fetchPacer
 
 	// Background work plane (pipeline.go): wq runs the revalidation,
-	// prefetch, and invalidation jobs; pop counts per-doc accesses for
-	// prefetch nomination (under mu); pushed dedups recent pushes so one
-	// hot document is not re-pushed to the same agent every round.
+	// prefetch, and invalidation jobs.
 	wq           *workqueue.Queue
-	pop          map[string]int64
-	pushed       map[string]time.Time
 	stopPipeline chan struct{}
 	pipelineWG   sync.WaitGroup
 	pipeOnce     sync.Once
@@ -404,7 +381,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:          cfg,
-		docs:         make(map[string]*docRecord),
 		peers:        make(map[int]peerInfo),
 		peersByURL:   make(map[string]int),
 		tokens:       make(map[string]int),
@@ -416,10 +392,8 @@ func New(cfg Config) (*Server, error) {
 		delivered:    make([]string, 4096),
 		stopSweep:    make(chan struct{}),
 		started:      time.Now(),
-		spillq:       make(chan spillOp, 256),
+		spillq:       make(chan docstore.Op, 256),
 		stopDisk:     make(chan struct{}),
-		pop:          make(map[string]int64),
-		pushed:       make(map[string]time.Time),
 		stopPipeline: make(chan struct{}),
 	}
 	s.keySource = s.loadOrCreateSigner
@@ -437,25 +411,13 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.peerClient = &http.Client{Timeout: cfg.PeerTimeout, Transport: peerRT}
 	s.originClient = &http.Client{Timeout: cfg.PeerTimeout, Transport: originRT}
-	copts := cache.Options{OnEvict: s.onEvict}
-	if cfg.DataDir != "" {
-		copts.OnDemote = s.onDemote
-	}
-	tc, err := cache.NewTwoTier(cfg.Policy, cfg.CacheCapacity,
-		int64(float64(cfg.CacheCapacity)*cfg.MemFraction), copts)
-	if err != nil {
-		return nil, err
-	}
-	s.cache = tc
 	reg := obs.NewRegistry()
 	s.m = newServerMetrics(reg, s)
 	s.wq = s.newWorkqueue(reg)
 	s.tracer = obs.NewTracer(obs.DefaultTraceDepth)
 	s.logger = cfg.Logger
-	if cfg.DataDir != "" {
-		if err := s.openDiskTier(); err != nil {
-			return nil, fmt.Errorf("proxy: disk tier: %w", err)
-		}
+	if err := s.openDocs(); err != nil {
+		return nil, fmt.Errorf("proxy: %w", err)
 	}
 	return s, nil
 }
@@ -574,18 +536,18 @@ func (s *Server) Syms() *intern.Sync { return s.syms }
 // direct-forward relays need Start so the proxy knows its own base URL).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/register", s.handleRegister)
-	mux.HandleFunc("/unregister", s.handleUnregister)
-	mux.HandleFunc("/heartbeat", s.handleHeartbeat)
-	mux.HandleFunc("/fetch", s.handleFetch)
-	mux.HandleFunc("/index/batch", s.handleIndexBatch)
-	mux.HandleFunc("/queue/deadletter", s.handleQueueDeadLetter)
-	mux.HandleFunc("/queue/replay", s.handleQueueReplay)
-	mux.HandleFunc("/peer/digest", s.handlePeerDigest)
-	mux.HandleFunc("/peer/locate", s.handlePeerLocate)
-	mux.HandleFunc("/peer/invalidate", s.handlePeerInvalidate)
-	mux.HandleFunc("/relay/", s.handleRelay)
-	mux.HandleFunc("/report-bad", s.handleReportBad)
+	mux.HandleFunc("/register", only(http.MethodPost, s.handleRegister))
+	mux.HandleFunc("/unregister", only(http.MethodPost, s.handleUnregister))
+	mux.HandleFunc("/heartbeat", only(http.MethodPost, s.handleHeartbeat))
+	mux.HandleFunc("/fetch", only(http.MethodGet, s.handleFetch))
+	mux.HandleFunc("/index/batch", only(http.MethodPost, s.handleIndexBatch))
+	mux.HandleFunc("/queue/deadletter", only(http.MethodGet, s.handleQueueDeadLetter))
+	mux.HandleFunc("/queue/replay", only(http.MethodPost, s.handleQueueReplay))
+	mux.HandleFunc("/peer/digest", only(http.MethodPost, s.handlePeerDigest))
+	mux.HandleFunc("/peer/locate", only(http.MethodGet, s.handlePeerLocate))
+	mux.HandleFunc("/peer/invalidate", only(http.MethodPost, s.handlePeerInvalidate))
+	mux.HandleFunc("/relay/", only(http.MethodPost, s.handleRelay))
+	mux.HandleFunc("/report-bad", only(http.MethodPost, s.handleReportBad))
 	mux.HandleFunc("/pubkey", s.handlePubkey)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.Handle("/metrics", s.m.reg.Handler())
@@ -594,11 +556,18 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "proxy: POST only", http.StatusMethodNotAllowed)
-		return
+// only serves h for one method and answers any other with a 405.
+func only(method string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != method {
+			http.Error(w, "proxy: "+method+" only", http.StatusMethodNotAllowed)
+			return
+		}
+		h(w, r)
 	}
+}
+
+func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
 		http.Error(w, "proxy: bad register body", http.StatusBadRequest)
@@ -621,7 +590,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	peerURL := strings.TrimRight(req.PeerURL, "/")
-	s.mu.Lock()
+	s.regMu.Lock()
 	// A browser re-registering its peer URL (crash-restart without a clean
 	// /unregister) supersedes its previous identity. Dropping the old
 	// registration here — not just shadowing it — keeps a quarantined old
@@ -638,12 +607,9 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	s.peers[id] = peerInfo{id: id, baseURL: peerURL, token: token}
 	s.peersByURL[peerURL] = id
 	s.tokens[token] = id
-	s.mu.Unlock()
+	s.regMu.Unlock()
 	if oldID >= 0 {
-		s.idx.DropClient(oldID)
-		s.health.Forget(oldID)
-		s.batches.forget(oldID)
-		s.fedNote(1)
+		s.dropClient(oldID)
 		if s.logger != nil {
 			s.logger.Info("client re-registered; superseding old identity",
 				"old_client", oldID, "client", id, "peer_url", peerURL)
@@ -665,16 +631,12 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 // all its index entries immediately instead of lingering as a
 // guaranteed-false peer until fetch failures prune it.
 func (s *Server) handleUnregister(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "proxy: POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	id, ok := s.authClient(r)
 	if !ok {
 		http.Error(w, "proxy: bad client credentials", http.StatusForbidden)
 		return
 	}
-	s.mu.Lock()
+	s.regMu.Lock()
 	p, exists := s.peers[id]
 	if exists {
 		delete(s.peers, id)
@@ -683,12 +645,9 @@ func (s *Server) handleUnregister(w http.ResponseWriter, r *http.Request) {
 			delete(s.peersByURL, p.baseURL)
 		}
 	}
-	s.mu.Unlock()
+	s.regMu.Unlock()
 	if exists {
-		s.idx.DropClient(id)
-		s.health.Forget(id)
-		s.batches.forget(id)
-		s.fedNote(1)
+		s.dropClient(id)
 		s.m.unregisters.Inc()
 		s.m.idxDrop.Inc()
 		if s.logger != nil {
@@ -698,14 +657,19 @@ func (s *Server) handleUnregister(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// dropClient forgets a departed or superseded client everywhere but the
+// registration tables: its index entries, health record and generations.
+func (s *Server) dropClient(id int) {
+	s.idx.DropClient(id)
+	s.health.Forget(id)
+	s.batches.forget(id)
+	s.fedNote(1)
+}
+
 // handleHeartbeat records a browser liveness signal. Peers that stop
 // heartbeating past HeartbeatTimeout are quarantined by the sweeper without
 // waiting for a fetch against them to fail.
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "proxy: POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	id, ok := s.authClient(r)
 	if !ok {
 		http.Error(w, "proxy: bad client credentials", http.StatusForbidden)
@@ -720,14 +684,35 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // client's request.
 func (s *Server) authClient(r *http.Request) (int, bool) {
 	id, err := strconv.Atoi(r.Header.Get(HeaderClient))
-	if err != nil {
-		return 0, false
-	}
-	token := r.Header.Get(HeaderToken)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	return id, err == nil && s.authToken(r.Header.Get(HeaderToken), id)
+}
+
+// authToken validates one (token, client id) pair: the header-free form of
+// authClient for carrier sub-batches.
+func (s *Server) authToken(token string, id int) bool {
+	s.regMu.RLock()
+	defer s.regMu.RUnlock()
 	owner, ok := s.tokens[token]
-	return id, ok && owner == id
+	return ok && owner == id
+}
+
+// peer returns client id's registration.
+func (s *Server) peer(id int) (peerInfo, bool) {
+	s.regMu.RLock()
+	defer s.regMu.RUnlock()
+	p, ok := s.peers[id]
+	return p, ok
+}
+
+// peerList snapshots every registration.
+func (s *Server) peerList() []peerInfo {
+	s.regMu.RLock()
+	defer s.regMu.RUnlock()
+	peers := make([]peerInfo, 0, len(s.peers))
+	for _, p := range s.peers {
+		peers = append(peers, p)
+	}
+	return peers
 }
 
 func (s *Server) handlePubkey(w http.ResponseWriter, r *http.Request) {
@@ -748,14 +733,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // the index-recovery path after a proxy restart (the §2 periodic update,
 // pulled on demand). It returns the number of peers that acknowledged.
 func (s *Server) ResyncAll() int {
-	s.mu.Lock()
-	peers := make([]peerInfo, 0, len(s.peers))
-	for _, p := range s.peers {
-		peers = append(peers, p)
-	}
-	s.mu.Unlock()
 	acked := 0
-	for _, p := range peers {
+	for _, p := range s.peerList() {
 		if Post(context.Background(), s.peerClient, p.baseURL+"/peer/resync", nil, HeaderToken, p.token) == nil {
 			acked++
 		}
@@ -767,11 +746,10 @@ func (s *Server) ResyncAll() int {
 // obs.Registry; every counter is now read back from the registry so /stats
 // and /metrics can never disagree.
 func (s *Server) Snapshot() Stats {
-	s.mu.Lock()
-	cacheDocs := s.cache.Len()
-	cacheBytes := s.cache.Used()
+	s.regMu.RLock()
 	clients := len(s.peers)
-	s.mu.Unlock()
+	s.regMu.RUnlock()
+	cacheDocs, cacheBytes := s.docs.Size()
 	closed, open, halfOpen := s.health.Counts()
 	var dsStats diskstore.Stats
 	if s.ds != nil {

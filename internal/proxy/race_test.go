@@ -164,8 +164,8 @@ func TestDocsAndRegistrationUnderRace(t *testing.T) {
 // by-URL index names each client under its own peer URL.
 func checkRegistration(t *testing.T, s *Server) {
 	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.regMu.RLock()
+	defer s.regMu.RUnlock()
 	tokens := map[int]int{}
 	for token, id := range s.tokens {
 		if p, ok := s.peers[id]; !ok || p.token != token {

@@ -488,8 +488,10 @@ func TestAnonymousRequesterTakesFetchForward(t *testing.T) {
 
 // TestUnattributedReportPrunesNothing: a /report-bad whose ticket names no
 // delivered relay session (fetch-forward responses carry no ticket, so
-// their rejections arrive with an empty one) is counted but prunes and
-// charges no holder: the proxy cannot tell who served the bytes.
+// their rejections arrive with an empty one) gets a 204 but changes
+// nothing: no holder is pruned or charged, since the proxy cannot tell who
+// served the bytes, and watermark_rejected does not move, so no client can
+// drive it on its own.
 func TestUnattributedReportPrunesNothing(t *testing.T) {
 	s := testServer(t, nil)
 	holders := []RegisterResponse{register(t, s, "http://127.0.0.1:1"), register(t, s, "http://127.0.0.1:2")}
@@ -509,8 +511,8 @@ func TestUnattributedReportPrunesNothing(t *testing.T) {
 		}
 	}
 	st := s.Snapshot()
-	if st.TamperRejected != 2 {
-		t.Fatalf("watermark_rejected = %d, want 2", st.TamperRejected)
+	if st.TamperRejected != 0 {
+		t.Fatalf("watermark_rejected = %d, want 0", st.TamperRejected)
 	}
 	for _, ph := range st.PeerHealth {
 		if ph.Failures != 0 {
