@@ -18,8 +18,10 @@ REPLAY_RECORD ?= $(lastword $(sort $(filter-out %_baseline.json,$(wildcard BENCH
 # Packages touched by the interning/sharding refactor, the observability
 # subsystem, the batched index publish pipeline, the crash-safe disk
 # tier, the background work plane and the proxy's document store, raced in
-# `make check`.
-HOT_PKGS = ./internal/intern ./internal/cache ./internal/index ./internal/core ./internal/sim ./internal/trace ./internal/proxy ./internal/proxy/docstore ./internal/obs ./internal/chaos ./internal/browser ./internal/diskstore ./internal/breaker ./internal/federation ./internal/workqueue
+# `make check`. cmd/bapsload rides along: its report tests run every load
+# scenario at toy scale, the restart controller swapping the proxy under
+# running workers among them.
+HOT_PKGS = ./internal/intern ./internal/cache ./internal/index ./internal/core ./internal/sim ./internal/trace ./internal/proxy ./internal/proxy/docstore ./internal/obs ./internal/chaos ./internal/browser ./internal/diskstore ./internal/breaker ./internal/federation ./internal/workqueue ./cmd/bapsload
 # The timing-sensitive live tests ROADMAP item 1 names: each waits on an
 # event, never on a sleep, so it must pass every time. The body-store tests
 # (internal/browser/bodies.go: one store shared by a host's agents), the
@@ -185,7 +187,7 @@ stream-smoke:
 	rm -f /tmp/baps-smoke-100k.btr
 
 # 10-second closed-loop load smoke against an in-process loopback cluster
-# (origin + proxy inside the bapsload process). Fails if nothing succeeds;
+# (origin + proxy inside the bapsload process). Fails if no request completes;
 # the JSON report lands on stdout.
 loadtest:
 	$(GO) run ./cmd/bapsload -inprocess -clients 16 -docs 5000 -zipf 1.2 -duration 10s

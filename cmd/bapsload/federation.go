@@ -14,17 +14,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"net"
-	"net/http"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"baps/internal/federation"
-	"baps/internal/origin"
 	"baps/internal/proxy"
 )
 
@@ -121,25 +116,23 @@ func parseSweep(s string) ([]int, error) {
 
 // runFederationSweep executes the workload at each cluster width and
 // computes the scaling gates against the first (narrowest) run.
-func runFederationSweep(counts []int, clientsPerProxy, docs int, zipfS float64, duration time.Duration, perProxyRPS float64, digestInterval time.Duration, capacity int64, seed uint64) *fedSweep {
+func runFederationSweep(counts []int, w workload, perProxyRPS float64, digestInterval time.Duration, capacity int64) (*fedSweep, bool) {
 	sw := &fedSweep{}
 	sw.Config.Sweep = counts
-	sw.Config.ClientsPerProxy = clientsPerProxy
-	sw.Config.Docs = docs
-	sw.Config.Zipf = zipfS
-	sw.Config.Duration = duration.String()
+	sw.Config.ClientsPerProxy = w.clients
+	sw.Config.Docs = w.docs
+	sw.Config.Zipf = w.zipfS
+	sw.Config.Duration = w.duration.String()
 	sw.Config.PerProxyRPS = perProxyRPS
 	sw.Config.DigestInterval = digestInterval.String()
-	sw.Config.Seed = seed
+	sw.Config.Seed = w.seed
+	completed := true
 	for _, n := range counts {
 		fmt.Fprintf(os.Stderr, "bapsload: federation run: %d proxies, %d clients, %s\n",
-			n, n*clientsPerProxy, duration)
-		run, err := runFederationOnce(n, clientsPerProxy, docs, zipfS, duration, perProxyRPS, digestInterval, capacity, seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bapsload: federation run (%d proxies): %v\n", n, err)
-			os.Exit(1)
-		}
+			n, n*w.clients, w.duration)
+		run, ok := runFederationOnce(n, w, perProxyRPS, digestInterval, capacity)
 		sw.Runs = append(sw.Runs, run)
+		completed = completed && ok
 	}
 	first, last := sw.Runs[0], sw.Runs[len(sw.Runs)-1]
 	if first.AggregateRPS > 0 {
@@ -159,125 +152,47 @@ func runFederationSweep(counts []int, clientsPerProxy, docs int, zipfS float64, 
 	}
 	sw.HitRatioDelta = last.AggregateHitRatio - first.AggregateHitRatio
 	sw.HitRatioOK = sw.HitRatioDelta >= -0.03
-	return sw
+	return sw, completed && sw.ScalingOK && sw.HitRatioOK
 }
 
 // runFederationOnce runs the closed loop against an n-proxy federated
-// cluster and one shared origin, all in-process on loopback.
-func runFederationOnce(n, clientsPerProxy, docs int, zipfS float64, duration time.Duration, perProxyRPS float64, digestInterval time.Duration, capacity int64, seed uint64) (*fedRun, error) {
-	o := origin.New(int64(seed))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	originSrv := &http.Server{Handler: o.Handler()}
-	go originSrv.Serve(ln)
-	originURL := "http://" + ln.Addr().String()
-	defer originSrv.Close()
-
-	proxies := make([]*proxy.Server, n)
-	for i := range proxies {
-		cfg := proxy.DefaultConfig()
+// cluster and one shared origin, with w.clients clients per proxy, each
+// pinned to its home proxy.
+func runFederationOnce(n int, w workload, perProxyRPS float64, digestInterval time.Duration, capacity int64) (*fedRun, bool) {
+	cl := startOrigin(int64(w.seed))
+	defer cl.close()
+	cl.startProxies(n, func(cfg *proxy.Config) {
 		cfg.KeyBits = 1024
 		cfg.CacheCapacity = capacity
 		cfg.MaxFetchRPS = int(perProxyRPS)
 		cfg.DigestInterval = digestInterval
-		p, err := proxy.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.Start("127.0.0.1:0"); err != nil {
-			return nil, err
-		}
-		defer p.Close()
-		proxies[i] = p
-	}
-	nodes := make([]string, n)
-	byNode := make(map[string]*proxy.Server, n)
-	for i, p := range proxies {
-		nodes[i] = p.BaseURL()
-		byNode[p.BaseURL()] = p
-	}
-	if n > 1 {
-		for i, p := range proxies {
-			peers := make([]string, 0, n-1)
-			for j, u := range nodes {
-				if j != i {
-					peers = append(peers, u)
-				}
-			}
-			if err := p.JoinCluster(peers); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Each client is pinned to its rendezvous-hash home proxy — the same
-	// placement a client-side stub or front balancer would compute — so
-	// adding proxies re-shards the population instead of mirroring it.
-	total := n * clientsPerProxy
-	clientProxy := make([]string, total)
-	clientCount := make(map[string]int, n)
-	for c := range clientProxy {
-		owner := federation.Owner(nodes, fmt.Sprintf("client-%d", c))
-		clientProxy[c] = owner
-		clientCount[owner]++
-	}
-
-	transport := proxy.NewTransport(total)
-	httpClient := &http.Client{Timeout: 30 * time.Second, Transport: transport}
-	ctx, cancel := context.WithTimeout(context.Background(), duration)
+	})
+	total := n * w.clients
+	home := homes(cl.urls(), total)
+	client := newClient(total)
+	ctx, cancel := context.WithTimeout(context.Background(), w.duration)
 	defer cancel()
-
-	stats := make([]clientStats, total)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < total; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st := &stats[c]
-			st.sources = make(map[string]int64)
-			rng := rand.New(rand.NewPCG(seed, uint64(c)*0x9E3779B9+1))
-			zipf := rand.NewZipf(rng, zipfS, 1, uint64(docs-1))
-			for ctx.Err() == nil {
-				st.do(ctx, httpClient, clientProxy[c], originURL, zipf.Uint64())
-			}
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start)
+	t := w.loop(ctx, total, w.seed, func(ctx context.Context, c int, _ *rand.Rand, zipf *rand.Zipf) outcome {
+		return fetch(ctx, client, home[c], fmt.Sprintf("%s/doc/%d", cl.originURL, zipf.Uint64()))
+	})
 
 	run := &fedRun{
-		Proxies:      n,
-		ClientsTotal: total,
-		Sources:      make(map[string]int64),
-		WallSec:      wall.Seconds(),
+		Proxies:           n,
+		ClientsTotal:      total,
+		Requests:          t.requests,
+		Errors:            t.errors,
+		WallSec:           t.wall.Seconds(),
+		AggregateRPS:      t.rps(),
+		AggregateHitRatio: t.hitRatio(),
+		Sources:           t.sources,
+		LatencyMS:         t.latency(),
+		OriginFetches:     cl.origin.Fetches(),
 	}
-	var all []time.Duration
-	for i := range stats {
-		st := &stats[i]
-		all = append(all, st.lat...)
-		run.Errors += st.errs
-		for s, cnt := range st.sources {
-			run.Sources[s] += cnt
-		}
+	clientCount := make(map[string]int, n)
+	for _, u := range home {
+		clientCount[u]++
 	}
-	run.Requests = int64(len(all)) + run.Errors
-	if run.WallSec > 0 {
-		run.AggregateRPS = float64(run.Requests) / run.WallSec
-	}
-	run.LatencyMS = summarize(all)
-	run.OriginFetches = o.Fetches()
-
-	completed := run.Requests - run.Errors
-	if completed > 0 {
-		run.AggregateHitRatio = float64(completed-run.Sources[proxy.SourceOrigin]) / float64(completed)
-		run.OriginFetchRate = float64(run.OriginFetches) / float64(completed)
-	}
-
-	for _, p := range proxies {
+	for _, p := range cl.proxies {
 		st := p.Snapshot()
 		brief := fedProxyBrief{
 			Proxy:            p.BaseURL(),
@@ -311,11 +226,12 @@ func runFederationOnce(n, clientsPerProxy, docs int, zipfS float64, duration tim
 		run.PerProxy = append(run.PerProxy, brief)
 	}
 	sort.Slice(run.PerProxy, func(i, j int) bool { return run.PerProxy[i].Proxy < run.PerProxy[j].Proxy })
-	if completed > 0 {
+	if completed := t.completed(); completed > 0 {
+		run.OriginFetchRate = float64(run.OriginFetches) / float64(completed)
 		run.CrossProxyRate = float64(run.CrossProxyFetches) / float64(completed)
 	}
 	if lookups := run.BloomConfirms + run.BloomFPs; lookups > 0 {
 		run.BloomFPRate = float64(run.BloomFPs) / float64(lookups)
 	}
-	return run, nil
+	return run, t.check(fmt.Sprintf("federation run (%d proxies)", n))
 }

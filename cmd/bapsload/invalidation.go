@@ -20,19 +20,10 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand/v2"
-	"net"
-	"net/http"
-	"net/url"
 	"os"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"baps/internal/federation"
-	"baps/internal/origin"
 	"baps/internal/proxy"
 )
 
@@ -86,29 +77,27 @@ type invalReport struct {
 }
 
 // runInvalidationScenario executes the churn workload twice and gates.
-func runInvalidationScenario(n, clients, docs int, zipfS float64, duration time.Duration, modRate float64, capacity int64, seed uint64) *invalReport {
+func runInvalidationScenario(n int, w workload, modRate float64, capacity int64) (*invalReport, bool) {
 	rep := &invalReport{}
 	rep.Config.Proxies = n
-	rep.Config.Clients = clients
-	rep.Config.Docs = docs
-	rep.Config.Zipf = zipfS
-	rep.Config.Duration = duration.String()
+	rep.Config.Clients = w.clients
+	rep.Config.Docs = w.docs
+	rep.Config.Zipf = w.zipfS
+	rep.Config.Duration = w.duration.String()
 	rep.Config.ModRate = modRate
 	rep.Config.RevalidateAfter = invalRevalidateAfter.String()
-	rep.Config.Seed = seed
+	rep.Config.Seed = w.seed
 
+	completed := true
 	for _, pipeline := range []bool{false, true} {
 		label := "baseline (pipeline off)"
 		if pipeline {
 			label = "pipeline (revalidation + invalidation on)"
 		}
 		fmt.Fprintf(os.Stderr, "bapsload: churn run: %s, %d proxies, %d clients, %s\n",
-			label, n, clients, duration)
-		run, err := runInvalidationOnce(pipeline, n, clients, docs, zipfS, duration, modRate, capacity, seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bapsload: churn run (%s): %v\n", label, err)
-			os.Exit(1)
-		}
+			label, n, w.clients, w.duration)
+		run, ok := runInvalidationOnce(pipeline, n, w, modRate, capacity)
+		completed = completed && ok
 		if pipeline {
 			rep.Pipeline = run
 		} else {
@@ -122,7 +111,7 @@ func runInvalidationScenario(n, clients, docs int, zipfS float64, duration time.
 	}
 	rep.StaleOK = pipe.StaleServeRate*5 <= base.StaleServeRate && base.StaleServesTotal > 0
 	rep.OriginOK = pipe.Modifications > 0 && pipe.OriginFetchesPerModification <= 2.0
-	return rep
+	return rep, completed && rep.StaleOK && rep.OriginOK
 }
 
 const (
@@ -132,21 +121,13 @@ const (
 )
 
 // runInvalidationOnce drives one warm-then-measure churn run against a fresh
-// n-proxy federated cluster over a fresh origin.
-func runInvalidationOnce(pipeline bool, n, clients, docs int, zipfS float64, duration time.Duration, modRate float64, capacity int64, seed uint64) (*invalRun, error) {
-	o := origin.New(int64(seed))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	originSrv := &http.Server{Handler: o.Handler()}
-	go originSrv.Serve(ln)
-	originURL := "http://" + ln.Addr().String()
-	defer originSrv.Close()
-
-	proxies := make([]*proxy.Server, n)
-	for i := range proxies {
-		cfg := proxy.DefaultConfig()
+// n-proxy federated cluster over a fresh origin. Each client is pinned to its
+// home proxy. A completed request is stale when its version is below the
+// origin's, snapshotted before the request went out.
+func runInvalidationOnce(pipeline bool, n int, w workload, modRate float64, capacity int64) (*invalRun, bool) {
+	cl := startOrigin(int64(w.seed))
+	defer cl.close()
+	cl.startProxies(n, func(cfg *proxy.Config) {
 		cfg.KeyBits = 1024
 		cfg.CacheCapacity = capacity
 		cfg.DigestInterval = invalDigestInterval
@@ -155,92 +136,52 @@ func runInvalidationOnce(pipeline bool, n, clients, docs int, zipfS float64, dur
 			cfg.RevalidateEvery = invalRevalidateEvery
 			cfg.RevalidateRPS = 2048
 		}
-		p, err := proxy.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.Start("127.0.0.1:0"); err != nil {
-			return nil, err
-		}
-		defer p.Close()
-		proxies[i] = p
+	})
+	home := homes(cl.urls(), w.clients)
+	client := newClient(w.clients)
+	req := func(ctx context.Context, c int, _ *rand.Rand, zipf *rand.Zipf) outcome {
+		path := fmt.Sprintf("/doc/%d", zipf.Uint64())
+		expected := cl.origin.Version(path)
+		o := fetch(ctx, client, home[c], cl.originURL+path)
+		o.stale = o.ok && o.version < expected
+		return o
 	}
-	nodes := make([]string, n)
-	for i, p := range proxies {
-		nodes[i] = p.BaseURL()
-	}
-	if n > 1 {
-		for i, p := range proxies {
-			peers := make([]string, 0, n-1)
-			for j, u := range nodes {
-				if j != i {
-					peers = append(peers, u)
-				}
-			}
-			if err := p.JoinCluster(peers); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	httpClient := &http.Client{Timeout: 30 * time.Second, Transport: proxy.NewTransport(clients)}
 
 	// Warm: same workload, no churn, nothing counted. Half the measurement
 	// window is enough for the Zipf head to go resident on every proxy and
 	// for at least one digest round to cover it cluster-wide.
-	warmCtx, cancelWarm := context.WithTimeout(context.Background(), duration/2)
-	driveChurnClients(warmCtx, httpClient, o, nodes, originURL, clients, docs, zipfS, seed, nil)
+	warmCtx, cancelWarm := context.WithTimeout(context.Background(), w.duration/2)
+	w.loop(warmCtx, w.clients, w.seed, req)
 	cancelWarm()
 
-	fetchesWarm := o.Fetches()
-	ctx, cancel := context.WithTimeout(context.Background(), duration)
+	fetchesWarm := cl.origin.Fetches()
+	ctx, cancel := context.WithTimeout(context.Background(), w.duration)
 	defer cancel()
-
-	// Modifier: bump Zipf-chosen documents (same skew, decorrelated stream)
-	// so churn lands mostly on resident, actively requested documents.
-	var mods int64
-	var modWG sync.WaitGroup
-	modWG.Add(1)
-	go func() {
-		defer modWG.Done()
-		rng := rand.New(rand.NewPCG(seed, 0xC0FFEE))
-		zipf := rand.NewZipf(rng, zipfS, 1, uint64(docs-1))
-		tick := time.NewTicker(time.Duration(float64(time.Second) / modRate))
-		defer tick.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-				o.Modify(fmt.Sprintf("/doc/%d", zipf.Uint64()))
-				atomic.AddInt64(&mods, 1)
-			}
-		}
-	}()
-
-	run := &invalRun{Pipeline: pipeline}
-	start := time.Now()
-	driveChurnClients(ctx, httpClient, o, nodes, originURL, clients, docs, zipfS, seed+1, run)
-	run.WallSec = time.Since(start).Seconds()
-	modWG.Wait()
+	mods := modify(ctx, cl.origin, "", w, modRate)
+	t := w.loop(ctx, w.clients, w.seed+1, req)
+	run := &invalRun{
+		Pipeline:         pipeline,
+		Requests:         t.requests,
+		Errors:           t.errors,
+		WallSec:          t.wall.Seconds(),
+		RPS:              t.rps(),
+		Modifications:    mods(),
+		StaleServesTotal: t.stale,
+	}
 
 	// Let in-flight background refetches land before the origin snapshot:
 	// they are part of this run's cost, not the shutdown's.
 	if pipeline {
 		time.Sleep(2 * invalRevalidateEvery)
 	}
-	run.Modifications = atomic.LoadInt64(&mods)
-	run.OriginFetches = o.Fetches() - fetchesWarm
+	run.OriginFetches = cl.origin.Fetches() - fetchesWarm
 	if run.Modifications > 0 {
 		run.OriginFetchesPerModification = float64(run.OriginFetches) / float64(run.Modifications)
 	}
-	if completed := run.Requests - run.Errors; completed > 0 {
+	if completed := t.completed(); completed > 0 {
 		run.StaleServeRate = float64(run.StaleServesTotal) / float64(completed)
 	}
-	if run.WallSec > 0 {
-		run.RPS = float64(run.Requests) / run.WallSec
-	}
-	for _, p := range proxies {
+	for _, p := range cl.proxies {
 		st := p.Snapshot()
 		run.Revalidations += st.Revalidations
 		run.RevalidationsChanged += st.RevalidationsChanged
@@ -251,71 +192,5 @@ func runInvalidationOnce(pipeline bool, n, clients, docs int, zipfS float64, dur
 			run.DeadLettered += st.Workqueue.DeadLettered
 		}
 	}
-	return run, nil
-}
-
-// driveChurnClients runs the closed loop until ctx expires. With run non-nil
-// it tallies requests, errors, and stale serves (response version below the
-// origin version snapshotted before the request went out).
-func driveChurnClients(ctx context.Context, c *http.Client, o *origin.Server, nodes []string, originURL string, clients, docs int, zipfS float64, seed uint64, run *invalRun) {
-	type tally struct{ requests, errs, stale int64 }
-	tallies := make([]tally, clients)
-	var wg sync.WaitGroup
-	for w := 0; w < clients; w++ {
-		w := w
-		home := federation.Owner(nodes, fmt.Sprintf("client-%d", w))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tl := &tallies[w]
-			rng := rand.New(rand.NewPCG(seed, uint64(w)*0x9E3779B9+1))
-			zipf := rand.NewZipf(rng, zipfS, 1, uint64(docs-1))
-			for ctx.Err() == nil {
-				path := fmt.Sprintf("/doc/%d", zipf.Uint64())
-				var expected int64
-				if run != nil {
-					expected = o.Version(path)
-				}
-				req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-					home+"/fetch?url="+url.QueryEscape(originURL+path), nil)
-				if err != nil {
-					tl.errs++
-					continue
-				}
-				resp, err := c.Do(req)
-				if err != nil {
-					if ctx.Err() == nil {
-						tl.requests++
-						tl.errs++
-					}
-					continue
-				}
-				_, cerr := io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if ctx.Err() != nil {
-					return
-				}
-				tl.requests++
-				if cerr != nil || resp.StatusCode != http.StatusOK {
-					tl.errs++
-					continue
-				}
-				if run != nil {
-					got, _ := strconv.ParseInt(resp.Header.Get(proxy.HeaderVersion), 10, 64)
-					if got < expected {
-						tl.stale++
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if run == nil {
-		return
-	}
-	for i := range tallies {
-		run.Requests += tallies[i].requests
-		run.Errors += tallies[i].errs
-		run.StaleServesTotal += tallies[i].stale
-	}
+	return run, t.check("churn run")
 }

@@ -10,12 +10,19 @@
 //	bapsload -inprocess [-clients 32] ...   # self-contained loopback cluster
 //	bapsload -proxysweep "1,2,4" [-proxyrps 1200] [-digestinterval 250ms] ...
 //	                                        # federated scale-out sweep (§13)
+//	bapsload -modrate 6 [-proxies 2] ...    # invalidation pipeline under churn (§14)
+//	bapsload -soak [-agenthosts 8] ...      # hosted-agent fleet soak (§15)
 //
 // Closed loop: each client waits for its response before issuing the next
 // request, so offered load adapts to the system's capacity. -rps > 0 adds a
 // global pacer that caps the aggregate request rate. -inprocess brings up an
 // origin and a proxy on loopback inside this process, so a single command
 // measures the stack end to end.
+//
+// Every scenario runs on one harness (harness.go): the same loopback cluster,
+// the same closed loop and the same tally. A scenario chooses the proxy
+// configuration, what one request is and its gates; a run or leg in which no
+// request completed fails it, and the exit status is 1 when a gate fails.
 package main
 
 import (
@@ -25,16 +32,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand/v2"
-	"net"
 	"net/http"
-	"net/url"
-	"os"
-	"sort"
-	"sync"
 	"time"
 
 	"baps/internal/browser"
-	"baps/internal/origin"
 	"baps/internal/proxy"
 )
 
@@ -89,24 +90,6 @@ type TargetRPS struct {
 	RPS float64 `json:"target_rps,omitempty"`
 }
 
-type latency struct {
-	Mean float64 `json:"mean"`
-	P50  float64 `json:"p50"`
-	P90  float64 `json:"p90"`
-	P95  float64 `json:"p95"`
-	P99  float64 `json:"p99"`
-	Max  float64 `json:"max"`
-}
-
-// clientStats is one worker goroutine's tally; merged after the run so the
-// hot loop never takes a shared lock.
-type clientStats struct {
-	lat     []time.Duration
-	errs    int64
-	bytes   int64
-	sources map[string]int64
-}
-
 func main() {
 	proxyURL := flag.String("proxy", "", "proxy base URL (required unless -inprocess)")
 	originURL := flag.String("origin", "", "origin base URL (required unless -inprocess)")
@@ -137,25 +120,23 @@ func main() {
 	soakCompare := flag.String("soakcompare", "", "-soak: previous soak report JSON to gate RPS/p99/RSS-per-agent against")
 	flag.Parse()
 
-	if *soak {
-		if *zipfS <= 1 || *docs <= 0 {
-			fmt.Fprintln(os.Stderr, "bapsload: -zipf must be > 1 and -docs positive")
-			os.Exit(2)
-		}
+	if *zipfS <= 1 || *clients <= 0 || *docs <= 0 {
+		usage("-zipf must be > 1 and -clients/-docs positive")
+	}
+	w := workload{clients: *clients, docs: *docs, zipfS: *zipfS, duration: *duration, seed: *seed}
+
+	switch {
+	case *soak:
 		opts := soakOpts{
+			workload:   w,
 			hosts:      *agentHosts,
 			perHost:    *agentsPerHost,
 			parity:     *parityAgents,
-			workers:    *clients,
-			docs:       *docs,
-			zipfS:      *zipfS,
 			docSize:    *docSize,
-			duration:   *duration,
 			churn:      *churnFrac,
 			modRate:    *modRate,
 			capacity:   *capacity,
 			agentCache: *agentCache,
-			seed:       *seed,
 			compare:    *soakCompare,
 		}
 		if opts.hosts <= 0 {
@@ -165,170 +146,61 @@ func main() {
 			opts.perHost = 6250
 		}
 		rep := runSoak(opts)
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(rep)
-		if !rep.OK {
-			os.Exit(1)
-		}
-		return
-	}
+		emit(rep, rep.OK)
 
-	if *modRate > 0 {
+	case *modRate > 0:
 		n := *proxies
 		if n <= 0 {
 			n = 2
 		}
-		if *zipfS <= 1 || *clients <= 0 || *docs <= 0 {
-			fmt.Fprintln(os.Stderr, "bapsload: -zipf must be > 1 and -clients/-docs positive")
-			os.Exit(2)
-		}
-		rep := runInvalidationScenario(n, *clients, *docs, *zipfS, *duration, *modRate, *capacity, *seed)
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(rep)
-		if !rep.StaleOK || !rep.OriginOK {
-			os.Exit(1)
-		}
-		return
-	}
+		emit(runInvalidationScenario(n, w, *modRate, *capacity))
 
-	if *proxies > 0 || *proxySweep != "" {
+	case *proxies > 0 || *proxySweep != "":
 		counts := []int{*proxies}
 		if *proxySweep != "" {
 			var err error
 			if counts, err = parseSweep(*proxySweep); err != nil {
-				fmt.Fprintf(os.Stderr, "bapsload: %v\n", err)
-				os.Exit(2)
+				usage(err.Error())
 			}
 		}
-		if *zipfS <= 1 || *clients <= 0 || *docs <= 0 {
-			fmt.Fprintln(os.Stderr, "bapsload: -zipf must be > 1 and -clients/-docs positive")
-			os.Exit(2)
-		}
-		sw := runFederationSweep(counts, *clients, *docs, *zipfS, *duration, *proxyRPS, *digestInterval, *capacity, *seed)
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(sw)
-		if !sw.ScalingOK || !sw.HitRatioOK {
-			os.Exit(1)
-		}
-		return
-	}
+		emit(runFederationSweep(counts, w, *proxyRPS, *digestInterval, *capacity))
 
-	var plan *restartPlan
-	if *restartAt > 0 {
-		if !*inprocess || *dataDir == "" {
-			fmt.Fprintln(os.Stderr, "bapsload: -restartat requires -inprocess and -datadir")
-			os.Exit(2)
+	default:
+		var plan *restartPlan
+		if *restartAt > 0 {
+			if !*inprocess || *dataDir == "" {
+				usage("-restartat requires -inprocess and -datadir")
+			}
+			if *restartAt+*restartDown >= *duration {
+				usage("-restartat + -restartdown must leave a recovery window inside -duration")
+			}
+			plan = &restartPlan{at: *restartAt, down: *restartDown}
 		}
-		if *restartAt+*restartDown >= *duration {
-			fmt.Fprintln(os.Stderr, "bapsload: -restartat + -restartdown must leave a recovery window inside -duration")
-			os.Exit(2)
+		if *agentHosts > 0 && !*agentMode {
+			usage("-agenthosts requires -agents (hosted clients are full browser agents)")
 		}
-		plan = &restartPlan{at: *restartAt, down: *restartDown}
-	}
-
-	if *inprocess {
-		oURL, pURL, shutdown, err := startCluster(*dataDir, *capacity)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bapsload: in-process cluster: %v\n", err)
-			os.Exit(1)
+		var cl *cluster
+		if *inprocess {
+			cl = startOrigin(1)
+			defer cl.close()
+			cl.startProxies(1, func(cfg *proxy.Config) {
+				cfg.KeyBits = 2048
+				cfg.CacheCapacity = *capacity
+				cfg.DataDir = *dataDir
+			})
+			*originURL, *proxyURL = cl.originURL, cl.proxyAt(0).BaseURL()
 		}
-		defer shutdown()
-		*originURL, *proxyURL = oURL, pURL
-	}
-	if *proxyURL == "" || *originURL == "" {
-		fmt.Fprintln(os.Stderr, "bapsload: -proxy and -origin are required (or use -inprocess)")
-		os.Exit(2)
-	}
-	if *zipfS <= 1 {
-		fmt.Fprintln(os.Stderr, "bapsload: -zipf must be > 1")
-		os.Exit(2)
-	}
-	if *clients <= 0 || *docs <= 0 {
-		fmt.Fprintln(os.Stderr, "bapsload: -clients and -docs must be positive")
-		os.Exit(2)
-	}
-
-	if *agentHosts > 0 && !*agentMode {
-		fmt.Fprintln(os.Stderr, "bapsload: -agenthosts requires -agents (hosted clients are full browser agents)")
-		os.Exit(2)
-	}
-
-	res := run(*proxyURL, *originURL, *clients, *docs, *zipfS, *duration, *targetRPS, *seed, *agentMode, *agentCache, *agentHosts, plan)
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	enc.Encode(res)
-	if res.Errors > 0 && res.Requests == res.Errors {
-		os.Exit(1) // nothing succeeded; the exit code should say so
+		if *proxyURL == "" || *originURL == "" {
+			usage("-proxy and -origin are required (or use -inprocess)")
+		}
+		emit(run(cl, *proxyURL, *originURL, w, *targetRPS, *agentMode, *agentCache, *agentHosts, plan))
 	}
 }
 
-// startCluster brings up a loopback origin and proxy, returning their URLs
-// and a shutdown func. A non-empty datadir enables the proxy's crash-safe
-// disk tier (and makes -restartat possible).
-func startCluster(datadir string, capacity int64) (originURL, proxyURL string, shutdown func(), err error) {
-	o := origin.New(1)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", "", nil, err
-	}
-	originSrv := &http.Server{Handler: o.Handler()}
-	go originSrv.Serve(ln)
-	originURL = "http://" + ln.Addr().String()
-
-	cfg := proxy.DefaultConfig()
-	cfg.KeyBits = 2048
-	cfg.CacheCapacity = capacity
-	cfg.DataDir = datadir
-	p, err := proxy.New(cfg)
-	if err != nil {
-		originSrv.Close()
-		return "", "", nil, err
-	}
-	if err := p.Start("127.0.0.1:0"); err != nil {
-		originSrv.Close()
-		return "", "", nil, err
-	}
-	inproc.origin = o
-	inproc.pcfg = cfg
-	inproc.setProxy(p)
-	return originURL, p.BaseURL(), func() {
-		inproc.getProxy().Close()
-		originSrv.Close()
-	}, nil
-}
-
-// inprocState exposes the in-process servers to the reporter and the
-// restart controller (zero outside -inprocess runs). The proxy handle is
-// swapped on restart, so access goes through the mutex.
-type inprocState struct {
-	mu     sync.Mutex
-	origin *origin.Server
-	proxy  *proxy.Server
-	pcfg   proxy.Config
-}
-
-var inproc inprocState
-
-func (i *inprocState) setProxy(p *proxy.Server) {
-	i.mu.Lock()
-	i.proxy = p
-	i.mu.Unlock()
-}
-
-func (i *inprocState) getProxy() *proxy.Server {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.proxy
-}
-
-func run(proxyURL, originURL string, clients, docs int, zipfS float64, duration time.Duration, targetRPS float64, seed uint64, agentMode bool, agentCache int64, agentHosts int, plan *restartPlan) *result {
-	// One shared keep-alive transport: all clients hit the same proxy
-	// host, so the pool depth scales with the client count.
-	transport := proxy.NewTransport(clients)
-	httpClient := &http.Client{Timeout: 30 * time.Second, Transport: transport}
+// run drives the closed loop against the proxy at proxyURL. cl is the
+// in-process cluster behind it, nil for an external one.
+func run(cl *cluster, proxyURL, originURL string, w workload, targetRPS float64, agentMode bool, agentCache int64, agentHosts int, plan *restartPlan) (*result, bool) {
+	client := newClient(w.clients)
 
 	// Agent-driven mode: every closed-loop client is a full browser agent
 	// (cache + peer server + index maintenance), so the run measures the
@@ -350,107 +222,92 @@ func run(proxyURL, originURL string, clients, docs int, zipfS float64, duration 
 			for h := 0; h < agentHosts; h++ {
 				host, err := browser.NewHost(browser.HostConfig{Agent: cfg})
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "bapsload: agent host %d: %v\n", h, err)
-					os.Exit(1)
+					fatalf("agent host %d: %v", h, err)
 				}
 				hosts = append(hosts, host)
 			}
-			for c := 0; c < clients; c++ {
+			for c := 0; c < w.clients; c++ {
 				ag, err := hosts[c%agentHosts].Spawn()
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "bapsload: hosted agent %d: %v\n", c, err)
-					os.Exit(1)
+					fatalf("hosted agent %d: %v", c, err)
 				}
 				agents = append(agents, ag)
 			}
 		} else {
-			for c := 0; c < clients; c++ {
-				ag, err := browser.New(cfg)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "bapsload: agent %d: %v\n", c, err)
-					os.Exit(1)
-				}
-				agents = append(agents, ag)
-			}
+			agents = newAgents(cfg, w.clients)
 		}
 	}
 
 	// Global pacer for -rps: a token drops every 1/rps seconds; each
 	// request consumes one. Closed-loop clients block on it.
 	var pace <-chan time.Time
-	var pacer *time.Ticker
 	if targetRPS > 0 {
-		pacer = time.NewTicker(time.Duration(float64(time.Second) / targetRPS))
-		pace = pacer.C
+		pacer := time.NewTicker(time.Duration(float64(time.Second) / targetRPS))
 		defer pacer.Stop()
+		pace = pacer.C
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), duration)
+	ctx, cancel := context.WithTimeout(context.Background(), w.duration)
 	defer cancel()
 
 	var rc *restartController
 	if plan != nil {
-		rc = newRestartController(*plan)
+		rc = &restartController{plan: *plan, cl: cl}
 		go rc.run(ctx)
 	}
 
-	stats := make([]clientStats, clients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st := &stats[c]
-			st.sources = make(map[string]int64)
-			// Per-client PRNG; distinct seeds keep the clients'
-			// request sequences decorrelated but reproducible.
-			rng := rand.New(rand.NewPCG(seed, uint64(c)*0x9E3779B9+1))
-			zipf := rand.NewZipf(rng, zipfS, 1, uint64(docs-1))
-			for ctx.Err() == nil {
-				if pace != nil {
-					select {
-					case <-pace:
-					case <-ctx.Done():
-						return
-					}
-				}
-				doc := zipf.Uint64()
-				var ok bool
-				if agents != nil {
-					ok = st.doAgent(ctx, agents[c], originURL, doc)
-				} else {
-					ok = st.do(ctx, httpClient, proxyURL, originURL, doc)
-				}
-				if !ok && plan != nil {
-					// Proxy downtime mid-restart: back off instead of
-					// spinning a connection-refused error storm.
-					select {
-					case <-time.After(100 * time.Millisecond):
-					case <-ctx.Done():
-					}
-				}
+	t := w.loop(ctx, w.clients, w.seed, func(ctx context.Context, c int, _ *rand.Rand, zipf *rand.Zipf) outcome {
+		if pace != nil {
+			select {
+			case <-pace:
+			case <-ctx.Done():
+				return outcome{}
 			}
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start)
+		}
+		docURL := fmt.Sprintf("%s/doc/%d", originURL, zipf.Uint64())
+		var o outcome
+		if agents != nil {
+			o = get(ctx, agents[c], docURL)
+		} else {
+			o = fetch(ctx, client, proxyURL, docURL)
+		}
+		if !o.ok && plan != nil {
+			// Proxy downtime mid-restart: back off instead of
+			// spinning a connection-refused error storm.
+			select {
+			case <-time.After(100 * time.Millisecond):
+			case <-ctx.Done():
+			}
+		}
+		return o
+	})
 
-	res := &result{Sources: make(map[string]int64)}
+	res := &result{
+		Requests:  t.requests,
+		Errors:    t.errors,
+		Bytes:     t.bytes,
+		WallSec:   t.wall.Seconds(),
+		RPS:       t.rps(),
+		LatencyMS: t.latency(),
+		Sources:   t.sources,
+	}
+	if res.WallSec > 0 {
+		res.MBPerSec = float64(res.Bytes) / (1 << 20) / res.WallSec
+	}
+	res.Config.Proxy = proxyURL
+	res.Config.Origin = originURL
+	res.Config.Clients = w.clients
+	res.Config.Docs = w.docs
+	res.Config.Zipf = w.zipfS
+	res.Config.Duration = w.duration.String()
+	res.Config.RPS = targetRPS
 	if agents != nil {
 		// Close first (drains the publishers), then snapshot, so the
 		// index-request totals include the final flushed batches.
-		var sum browser.Metrics
 		for _, ag := range agents {
 			ag.Close()
-			m := ag.Snapshot()
-			sum.Requests += m.Requests
-			sum.LocalHits += m.LocalHits
-			sum.IndexSyncs += m.IndexSyncs
-			sum.IndexBatches += m.IndexBatches
-			sum.IndexPublishFailures += m.IndexPublishFailures
 		}
+		sum := sumMetrics(agents)
 		for _, h := range hosts {
 			h.Close() // agents are already removed; stops listener + publisher
 		}
@@ -462,120 +319,41 @@ func run(proxyURL, originURL string, clients, docs int, zipfS float64, duration 
 			res.IndexReqsPerFetch = float64(res.IndexRequests) / float64(res.NonLocalFetches)
 		}
 	}
-	res.Config.Proxy = proxyURL
-	res.Config.Origin = originURL
-	res.Config.Clients = clients
-	res.Config.Docs = docs
-	res.Config.Zipf = zipfS
-	res.Config.Duration = duration.String()
-	res.Config.RPS = targetRPS
-
-	var all []time.Duration
-	for i := range stats {
-		st := &stats[i]
-		all = append(all, st.lat...)
-		res.Errors += st.errs
-		res.Bytes += st.bytes
-		for s, n := range st.sources {
-			res.Sources[s] += n
-		}
-	}
-	res.Requests = int64(len(all)) + res.Errors
-	res.WallSec = wall.Seconds()
-	if res.WallSec > 0 {
-		res.RPS = float64(res.Requests) / res.WallSec
-		res.MBPerSec = float64(res.Bytes) / (1 << 20) / res.WallSec
-	}
-	res.LatencyMS = summarize(all)
-	if st := fetchProxyStats(proxyURL); st != nil {
-		res.ProxyStats = st
-	}
-	if inproc.origin != nil {
-		res.OriginFetches = inproc.origin.Fetches()
+	res.ProxyStats = fetchProxyStats(proxyURL)
+	if cl != nil {
+		res.OriginFetches = cl.origin.Fetches()
 	}
 	if rc != nil {
 		res.Restart = rc.report(res.ProxyStats)
 	}
-	return res
+	return res, t.check("run")
 }
 
-// do issues one /fetch and records its latency, source, and byte count.
-// false means the request failed (the restart harness backs off on it).
-func (st *clientStats) do(ctx context.Context, c *http.Client, proxyURL, originURL string, doc uint64) bool {
-	docURL := fmt.Sprintf("%s/doc/%d", originURL, doc)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		proxyURL+"/fetch?url="+url.QueryEscape(docURL), nil)
-	if err != nil {
-		st.errs++
-		return false
-	}
-	t0 := time.Now()
-	resp, err := c.Do(req)
-	if err != nil {
-		if ctx.Err() == nil {
-			st.errs++
+// newAgents starts n standalone agents from cfg.
+func newAgents(cfg browser.Config, n int) []*browser.Agent {
+	agents := make([]*browser.Agent, n)
+	for i := range agents {
+		a, err := browser.New(cfg)
+		if err != nil {
+			fatalf("agent %d: %v", i, err)
 		}
-		return false
+		agents[i] = a
 	}
-	n, err := io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		if ctx.Err() == nil {
-			st.errs++
-		}
-		return false
-	}
-	st.lat = append(st.lat, time.Since(t0))
-	st.bytes += n
-	src := resp.Header.Get(proxy.HeaderSource)
-	if src == "" {
-		src = "unknown"
-	}
-	st.sources[src]++
-	return true
+	return agents
 }
 
-// doAgent issues one document request through a full browser agent,
-// recording the resolution source (local / proxy / remote / origin).
-func (st *clientStats) doAgent(ctx context.Context, ag *browser.Agent, originURL string, doc uint64) bool {
-	docURL := fmt.Sprintf("%s/doc/%d", originURL, doc)
-	t0 := time.Now()
-	body, src, err := ag.Get(ctx, docURL)
-	if err != nil {
-		if ctx.Err() == nil {
-			st.errs++
-		}
-		return false
+// sumMetrics totals the agents' counters.
+func sumMetrics(agents []*browser.Agent) browser.Metrics {
+	var sum browser.Metrics
+	for _, a := range agents {
+		m := a.Snapshot()
+		sum.Requests += m.Requests
+		sum.LocalHits += m.LocalHits
+		sum.IndexSyncs += m.IndexSyncs
+		sum.IndexBatches += m.IndexBatches
+		sum.IndexPublishFailures += m.IndexPublishFailures
 	}
-	st.lat = append(st.lat, time.Since(t0))
-	st.bytes += int64(len(body))
-	st.sources[string(src)]++
-	return true
-}
-
-// summarize sorts the merged latencies and extracts the report percentiles.
-func summarize(lat []time.Duration) latency {
-	if len(lat) == 0 {
-		return latency{}
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	var sum time.Duration
-	for _, d := range lat {
-		sum += d
-	}
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
-	pct := func(p float64) time.Duration {
-		i := int(p * float64(len(lat)-1))
-		return lat[i]
-	}
-	return latency{
-		Mean: ms(sum / time.Duration(len(lat))),
-		P50:  ms(pct(0.50)),
-		P90:  ms(pct(0.90)),
-		P95:  ms(pct(0.95)),
-		P99:  ms(pct(0.99)),
-		Max:  ms(lat[len(lat)-1]),
-	}
+	return sum
 }
 
 // fetchProxyStats snapshots the proxy's /stats after the run (best-effort).

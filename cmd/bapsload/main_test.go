@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -267,6 +269,50 @@ func TestSoakReportKeysSurviveRoundTrip(t *testing.T) {
 		"soak.rps", "soak.latency_ms.p99", "soak.samples[].rss_bytes", "soak.churn.agent_kills"} {
 		if !before[k] {
 			t.Errorf("baseline lacks %q", k)
+		}
+	}
+}
+
+// TestNothingCompletedFails points a run at a proxy that never answers
+// /fetch: every request is still in flight when the window closes, so the
+// run reports 0 requests and 0 errors, and it must fail rather than pass.
+func TestNothingCompletedFails(t *testing.T) {
+	stall := make(chan struct{})
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/fetch" {
+			http.NotFound(w, r)
+			return
+		}
+		select {
+		case <-r.Context().Done():
+		case <-stall:
+		}
+	}))
+	defer stub.Close()
+	defer close(stall)
+
+	out, code := runMain(t, "-proxy", stub.URL, "-origin", "http://127.0.0.1:1",
+		"-clients", "2", "-docs", "10", "-duration", "500ms")
+	if code != 1 {
+		t.Fatalf("exit status %d, want 1; stdout:\n%s", code, out)
+	}
+	var res struct{ Requests, Errors int64 }
+	if err := json.Unmarshal(out, &res); err != nil {
+		t.Fatalf("the report must still be written: %v\n%s", err, out)
+	}
+	if res.Requests != 0 || res.Errors != 0 {
+		t.Errorf("requests %d, errors %d; want 0 and 0", res.Requests, res.Errors)
+	}
+}
+
+func TestTallyCheck(t *testing.T) {
+	for _, tc := range []struct {
+		requests, errors int64
+		want             bool
+	}{{0, 0, false}, {3, 3, false}, {3, 2, true}} {
+		tl := &tally{requests: tc.requests, errors: tc.errors}
+		if got := tl.check("test"); got != tc.want {
+			t.Errorf("%d requests, %d errors: check = %v, want %v", tc.requests, tc.errors, got, tc.want)
 		}
 	}
 }

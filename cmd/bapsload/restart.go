@@ -2,8 +2,6 @@ package main
 
 import (
 	"context"
-	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"time"
@@ -57,6 +55,7 @@ type sample struct {
 
 type restartController struct {
 	plan restartPlan
+	cl   *cluster // proxy 0 is the one killed and restarted
 
 	mu       sync.Mutex
 	samples  []sample
@@ -66,12 +65,8 @@ type restartController struct {
 	warmSec  float64
 }
 
-func newRestartController(plan restartPlan) *restartController {
-	return &restartController{plan: plan}
-}
-
 // run samples counters once a second and executes the kill/restart schedule.
-// It owns the inproc proxy handle swap; workers keep hammering the (dead,
+// It owns the cluster's proxy handle swap; workers keep hammering the (dead,
 // then reborn) address throughout.
 func (rc *restartController) run(ctx context.Context) {
 	start := time.Now()
@@ -93,9 +88,9 @@ func (rc *restartController) run(ctx context.Context) {
 }
 
 func (rc *restartController) sample(proxyUp bool) {
-	s := sample{t: time.Now(), origin: inproc.origin.Fetches(), up: proxyUp}
+	s := sample{t: time.Now(), origin: rc.cl.origin.Fetches(), up: proxyUp}
 	if proxyUp {
-		st := inproc.getProxy().Snapshot()
+		st := rc.cl.proxyAt(0).Snapshot()
 		s.reqs, s.hits = st.Requests, st.ProxyHits
 	}
 	rc.mu.Lock()
@@ -104,7 +99,7 @@ func (rc *restartController) sample(proxyUp bool) {
 }
 
 func (rc *restartController) killRestart() {
-	old := inproc.getProxy()
+	old := rc.cl.proxyAt(0)
 	addr := strings.TrimPrefix(old.BaseURL(), "http://")
 	rc.mu.Lock()
 	rc.killedAt = time.Now()
@@ -112,22 +107,20 @@ func (rc *restartController) killRestart() {
 	old.Crash()
 	time.Sleep(rc.plan.down)
 
-	p, err := proxy.New(inproc.pcfg)
+	p, err := proxy.New(rc.cl.pcfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bapsload: restart: %v\n", err)
-		os.Exit(1)
+		fatalf("restart: %v", err)
 	}
 	for i := 0; ; i++ {
 		if err = p.Start(addr); err == nil {
 			break
 		}
 		if i == 20 {
-			fmt.Fprintf(os.Stderr, "bapsload: rebind %s: %v\n", addr, err)
-			os.Exit(1)
+			fatalf("rebind %s: %v", addr, err)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	inproc.setProxy(p)
+	rc.cl.setProxy(0, p)
 	st := p.Snapshot()
 	rc.mu.Lock()
 	rc.backAt = time.Now()

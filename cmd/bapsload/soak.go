@@ -22,12 +22,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand/v2"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -35,25 +32,21 @@ import (
 	"time"
 
 	"baps/internal/browser"
-	"baps/internal/origin"
 	"baps/internal/proxy"
 )
 
-// soakOpts carries the -soak flag set.
+// soakOpts carries the -soak flag set; the workload's clients are the soak
+// leg's workers.
 type soakOpts struct {
+	workload
 	hosts      int
 	perHost    int
 	parity     int
-	workers    int
-	docs       int
-	zipfS      float64
 	docSize    int
-	duration   time.Duration
 	churn      float64
 	modRate    float64
 	capacity   int64
 	agentCache int64
-	seed       uint64
 	compare    string
 }
 
@@ -207,21 +200,6 @@ type agentPool struct {
 	entries []poolEntry
 }
 
-func (p *agentPool) pick(i int) *browser.Agent {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if len(p.entries) == 0 {
-		return nil
-	}
-	return p.entries[i%len(p.entries)].a
-}
-
-func (p *agentPool) len() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.entries)
-}
-
 func (p *agentPool) get(i int) poolEntry {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -251,20 +229,6 @@ func (p *agentPool) replaceHost(old *browser.AgentHost, repl []poolEntry) []pool
 	return displaced
 }
 
-// retiredMetrics accumulates the metric sums of churned-out agents so the
-// leg totals cover the whole population, not just the survivors.
-type retiredMetrics struct {
-	mu  sync.Mutex
-	sum browser.Metrics
-}
-
-func (r *retiredMetrics) add(m browser.Metrics) {
-	r.mu.Lock()
-	r.sum.Requests += m.Requests
-	r.sum.LocalHits += m.LocalHits
-	r.mu.Unlock()
-}
-
 // soakAgentConfig is the shared agent template for every soak leg.
 func soakAgentConfig(proxyURL string, opts soakOpts) browser.Config {
 	cfg := browser.DefaultConfig(proxyURL)
@@ -281,9 +245,6 @@ func soakAgentConfig(proxyURL string, opts soakOpts) browser.Config {
 // spawnHosted spawns n agents on h with bounded concurrency, returning the
 // successfully spawned set.
 func spawnHosted(h *browser.AgentHost, n, conc int) ([]*browser.Agent, int) {
-	if conc <= 0 {
-		conc = 16
-	}
 	out := make([]*browser.Agent, n)
 	var errs atomic.Int64
 	sem := make(chan struct{}, conc)
@@ -312,85 +273,37 @@ func spawnHosted(h *browser.AgentHost, n, conc int) ([]*browser.Agent, int) {
 	return live, int(errs.Load())
 }
 
-// driveAgents runs the closed-loop worker pool over the pool until ctx ends.
-// Latencies land both in the per-worker tallies (final percentiles) and in
-// win (per-second sampling), when win is non-nil.
-func driveAgents(ctx context.Context, pool *agentPool, workers int, originURL, prefix string, docs, docSize int, zipfS float64, seed uint64, win *soakWindow) ([]clientStats, float64) {
-	stats := make([]clientStats, workers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < workers; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st := &stats[c]
-			st.sources = make(map[string]int64)
-			rng := rand.New(rand.NewPCG(seed, uint64(c)*0x9E3779B9+1))
-			zipf := rand.NewZipf(rng, zipfS, 1, uint64(docs-1))
-			for ctx.Err() == nil {
-				ag := pool.pick(rng.IntN(1 << 30))
-				if ag == nil {
-					return
-				}
-				docURL := fmt.Sprintf("%s%s/doc/%d?size=%d", originURL, prefix, zipf.Uint64(), docSize)
-				t0 := time.Now()
-				body, src, err := ag.Get(ctx, docURL)
-				if err != nil {
-					if ctx.Err() == nil {
-						st.errs++
-					}
-					continue
-				}
-				d := time.Since(t0)
-				st.lat = append(st.lat, d)
-				st.bytes += int64(len(body))
-				st.sources[string(src)]++
-				if win != nil {
-					win.add(d)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return stats, time.Since(start).Seconds()
-}
-
-// legFromStats folds worker tallies + agent metric sums into a soakLeg.
-func legFromStats(mode string, hosts, agents int, stats []clientStats, wall float64, sum browser.Metrics, originFetches int64) *soakLeg {
-	leg := &soakLeg{Mode: mode, Hosts: hosts, Agents: agents, WallSec: wall, Sources: make(map[string]int64)}
-	var all []time.Duration
-	for i := range stats {
-		st := &stats[i]
-		all = append(all, st.lat...)
-		leg.Errors += st.errs
-		for s, n := range st.sources {
-			leg.Sources[s] += n
+// drive runs the closed loop over pool: each request goes through an agent
+// the worker picks at random. Completed latencies also land in win, when
+// win is non-nil.
+func drive(ctx context.Context, pool *agentPool, opts soakOpts, workers int, originURL, prefix string, seed uint64, win *soakWindow) *tally {
+	return opts.loop(ctx, workers, seed, func(ctx context.Context, _ int, rng *rand.Rand, zipf *rand.Zipf) outcome {
+		ag := pool.get(rng.IntN(1 << 30)).a
+		o := get(ctx, ag, fmt.Sprintf("%s%s/doc/%d?size=%d", originURL, prefix, zipf.Uint64(), opts.docSize))
+		if o.ok && win != nil {
+			win.add(o.lat)
 		}
-	}
-	leg.Requests = int64(len(all)) + leg.Errors
-	if wall > 0 {
-		leg.RPS = float64(leg.Requests) / wall
-	}
-	leg.LatencyMS = summarize(all)
-	completed := leg.Requests - leg.Errors
-	if completed > 0 {
-		leg.HitRatio = 1 - float64(leg.Sources[string(browser.SourceOrigin)])/float64(completed)
-	}
-	leg.AgentLocalHits = sum.LocalHits
-	leg.OriginFetches = originFetches
-	return leg
+		return o
+	})
 }
 
-// sumAgentMetrics totals the population's per-agent counters.
-func sumAgentMetrics(agents []*browser.Agent) browser.Metrics {
-	var sum browser.Metrics
-	for _, a := range agents {
-		m := a.Snapshot()
-		sum.Requests += m.Requests
-		sum.LocalHits += m.LocalHits
+// newLeg folds a leg's tally, its agents' local hits and its origin fetches
+// into a soakLeg.
+func newLeg(mode string, hosts, agents int, t *tally, localHits, originFetches int64) *soakLeg {
+	return &soakLeg{
+		Mode:           mode,
+		Hosts:          hosts,
+		Agents:         agents,
+		WallSec:        t.wall.Seconds(),
+		Requests:       t.requests,
+		Errors:         t.errors,
+		RPS:            t.rps(),
+		LatencyMS:      t.latency(),
+		Sources:        t.sources,
+		HitRatio:       t.hitRatio(),
+		AgentLocalHits: localHits,
+		OriginFetches:  originFetches,
 	}
-	return sum
 }
 
 // runSoak is the -soak entry point.
@@ -404,7 +317,7 @@ func runSoak(opts soakOpts) *soakReport {
 	rep.Config.PerHost = opts.perHost
 	rep.Config.Agents = opts.hosts * opts.perHost
 	rep.Config.Parity = opts.parity
-	rep.Config.Workers = opts.workers
+	rep.Config.Workers = opts.clients
 	rep.Config.Docs = opts.docs
 	rep.Config.Zipf = opts.zipfS
 	rep.Config.DocSize = opts.docSize
@@ -413,59 +326,49 @@ func runSoak(opts soakOpts) *soakReport {
 	rep.Config.ModRate = opts.modRate
 	rep.Config.AgentCache = opts.agentCache
 
-	// -- Cluster ----------------------------------------------------------
-	o := origin.New(1)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatalf("soak: origin listen: %v", err)
-	}
-	originSrv := &http.Server{Handler: o.Handler()}
-	go originSrv.Serve(ln)
-	originURL := "http://" + ln.Addr().String()
-	defer originSrv.Close()
-
-	pcfg := proxy.DefaultConfig()
-	pcfg.KeyBits = 1024 // fleet-scale runs: key strength is not under test
-	pcfg.CacheCapacity = opts.capacity
-	// No heartbeat sweeper: soak agents do not beat (see soakAgentConfig),
-	// and churned agents are retired through breakers and re-registration.
-	pcfg.HeartbeatTimeout = 0
-	if opts.modRate > 0 {
-		pcfg.RevalidateAfter = 5 * time.Second
-	}
-	p, err := proxy.New(pcfg)
-	if err != nil {
-		fatalf("soak: proxy: %v", err)
-	}
-	if err := p.Start("127.0.0.1:0"); err != nil {
-		fatalf("soak: proxy start: %v", err)
-	}
-	defer p.Close()
-	proxyURL := p.BaseURL()
+	cl := startOrigin(1)
+	defer cl.close()
+	cl.startProxies(1, func(cfg *proxy.Config) {
+		cfg.KeyBits = 1024 // fleet-scale runs: key strength is not under test
+		cfg.CacheCapacity = opts.capacity
+		// No heartbeat sweeper: soak agents do not beat (see soakAgentConfig),
+		// and churned agents are retired through breakers and re-registration.
+		cfg.HeartbeatTimeout = 0
+		if opts.modRate > 0 {
+			cfg.RevalidateAfter = 5 * time.Second
+		}
+	})
+	o, originURL, proxyURL := cl.origin, cl.originURL, cl.proxyAt(0).BaseURL()
 
 	parityDur := opts.duration / 10
 	if parityDur < 15*time.Second {
 		parityDur = 15 * time.Second
 	}
-	parityWorkers := opts.workers
+	parityWorkers := opts.clients
 	if parityWorkers > opts.parity {
 		parityWorkers = opts.parity
 	}
 
-	// -- Leg 1: hosted parity ---------------------------------------------
-	// Hosted runs FIRST, against a cold proxy cache; the standalone
-	// baseline then enjoys whatever cache warmth leg 1 left behind (its own
-	// document namespace keeps document state separate, but any shared-
-	// plane advantage lands on the baseline side). The ±2-point gate is
-	// therefore conservative for the hosted plane.
-	{
-		h, err := browser.NewHost(browser.HostConfig{Agent: soakAgentConfig(proxyURL, opts)})
-		if err != nil {
-			fatalf("soak: parity host: %v", err)
-		}
-		agents, spawnErrs := spawnHosted(h, opts.parity, 16)
-		if spawnErrs > 0 || len(agents) == 0 {
-			fatalf("soak: parity spawn: %d errors, %d live", spawnErrs, len(agents))
+	// parity runs one parity leg: opts.parity agents, on one AgentHost when
+	// hosted, under parityWorkers workers for parityDur.
+	completed := true
+	parity := func(mode, prefix string) *soakLeg {
+		var h *browser.AgentHost
+		var agents []*browser.Agent
+		hosts := 0
+		if mode == "hosted" {
+			var err error
+			if h, err = browser.NewHost(browser.HostConfig{Agent: soakAgentConfig(proxyURL, opts)}); err != nil {
+				fatalf("soak: parity host: %v", err)
+			}
+			var spawnErrs int
+			agents, spawnErrs = spawnHosted(h, opts.parity, 16)
+			if spawnErrs > 0 || len(agents) == 0 {
+				fatalf("soak: parity spawn: %d errors, %d live", spawnErrs, len(agents))
+			}
+			hosts = 1
+		} else {
+			agents = newAgents(soakAgentConfig(proxyURL, opts), opts.parity)
 		}
 		pool := &agentPool{}
 		for _, a := range agents {
@@ -473,38 +376,26 @@ func runSoak(opts soakOpts) *soakReport {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), parityDur)
 		fetches0 := o.Fetches()
-		stats, wall := driveAgents(ctx, pool, parityWorkers, originURL, "/hp", opts.docs, opts.docSize, opts.zipfS, opts.seed, nil)
+		t := drive(ctx, pool, opts, parityWorkers, originURL, prefix, opts.seed, nil)
 		cancel()
-		sum := sumAgentMetrics(agents)
-		rep.Hosted = legFromStats("hosted", 1, len(agents), stats, wall, sum, o.Fetches()-fetches0)
-		h.Close()
-	}
-
-	// -- Leg 2: standalone parity (the per-agent-server baseline) ---------
-	{
-		var agents []*browser.Agent
-		cfg := soakAgentConfig(proxyURL, opts)
-		for i := 0; i < opts.parity; i++ {
-			a, err := browser.New(cfg)
-			if err != nil {
-				fatalf("soak: standalone agent %d: %v", i, err)
+		completed = t.check(mode+" parity leg") && completed
+		leg := newLeg(mode, hosts, len(agents), t, sumMetrics(agents).LocalHits, o.Fetches()-fetches0)
+		if h != nil {
+			h.Close()
+		} else {
+			for _, a := range agents {
+				a.Close()
 			}
-			agents = append(agents, a)
 		}
-		pool := &agentPool{}
-		for _, a := range agents {
-			pool.entries = append(pool.entries, poolEntry{a: a})
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), parityDur)
-		fetches0 := o.Fetches()
-		stats, wall := driveAgents(ctx, pool, parityWorkers, originURL, "/sp", opts.docs, opts.docSize, opts.zipfS, opts.seed, nil)
-		cancel()
-		sum := sumAgentMetrics(agents)
-		rep.Standalone = legFromStats("standalone", 0, len(agents), stats, wall, sum, o.Fetches()-fetches0)
-		for _, a := range agents {
-			a.Close()
-		}
+		return leg
 	}
+	// Hosted runs FIRST, against a cold proxy cache; the standalone
+	// baseline then enjoys whatever cache warmth leg 1 left behind (its own
+	// document namespace keeps document state separate, but any shared-
+	// plane advantage lands on the baseline side). The ±2-point gate is
+	// therefore conservative for the hosted plane.
+	rep.Hosted = parity("hosted", "/hp")
+	rep.Standalone = parity("standalone", "/sp")
 	rep.HitRatioDelta = rep.Hosted.HitRatio - rep.Standalone.HitRatio
 	rep.HitRatioOK = rep.HitRatioDelta >= soakHitDeltaMin
 
@@ -540,11 +431,16 @@ func runSoak(opts soakOpts) *soakReport {
 			pool.entries = append(pool.entries, poolEntry{a: a, h: h})
 		}
 	}
-	fleet := pool.len()
+	fleet := len(pool.entries)
+	if fleet == 0 {
+		fatalf("soak: no fleet agent spawned (%d spawn errors)", churn.SpawnErrors)
+	}
 	fmt.Fprintf(os.Stderr, "soak: %d live agents across %d hosts (%d spawn errors), base rss %d MiB\n",
 		fleet, len(hosts), churn.SpawnErrors, baseRSS>>20)
 
-	retired := &retiredMetrics{}
+	// Churned-out agents' local hits, so the leg covers the whole
+	// population, not just the survivors.
+	var retiredLocalHits atomic.Int64
 	win := &soakWindow{}
 	ctx, cancel := context.WithTimeout(context.Background(), opts.duration)
 	defer cancel()
@@ -580,10 +476,7 @@ func runSoak(opts soakOpts) *soakReport {
 					RPS:        float64(len(lats)),
 					Live:       livePool(),
 				}
-				if len(lats) > 0 {
-					sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-					s.P99MS = float64(lats[int(0.99*float64(len(lats)-1))].Microseconds()) / 1e3
-				}
+				s.P99MS = (&tally{lat: lats}).latency().P99
 				samplesMu.Lock()
 				samples = append(samples, s)
 				if s.RSSBytes > peakRSS {
@@ -600,20 +493,7 @@ func runSoak(opts soakOpts) *soakReport {
 	// Modifier: origin churn at -modrate (drives the revalidation →
 	// invalidation pipeline against the hosted fleet).
 	if opts.modRate > 0 {
-		go func() {
-			rng := rand.New(rand.NewPCG(opts.seed, 0xC0FFEE))
-			zipf := rand.NewZipf(rng, opts.zipfS, 1, uint64(opts.docs-1))
-			t := time.NewTicker(time.Duration(float64(time.Second) / opts.modRate))
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					o.Modify(fmt.Sprintf("/soak/doc/%d", zipf.Uint64()))
-				}
-			}
-		}()
+		modify(ctx, o, "/soak", opts.workload, opts.modRate)
 	}
 
 	// Churn controller: kill ~churn × fleet agents over the run. Two of the
@@ -651,7 +531,7 @@ func runSoak(opts soakOpts) *soakReport {
 					if e.a == nil || e.h == nil {
 						continue
 					}
-					retired.add(e.a.Snapshot())
+					retiredLocalHits.Add(e.a.Snapshot().LocalHits)
 					e.a.Kill() // abrupt: no unregister, index entries go stale
 					killed++
 					repl, err := e.h.Spawn() // reuses the freed slot → supersede
@@ -696,7 +576,7 @@ func runSoak(opts soakOpts) *soakReport {
 				}
 				displaced := pool.replaceHost(victim, repl)
 				for _, e := range displaced {
-					retired.add(e.a.Snapshot())
+					retiredLocalHits.Add(e.a.Snapshot().LocalHits)
 				}
 				victim.Kill()
 				hosts[k-1] = nh
@@ -710,7 +590,7 @@ func runSoak(opts soakOpts) *soakReport {
 	}
 
 	fetches0 := o.Fetches()
-	stats, wall := driveAgents(ctx, pool, opts.workers, originURL, "/soak", opts.docs, opts.docSize, opts.zipfS, opts.seed+7, win)
+	t := drive(ctx, pool, opts, opts.clients, originURL, "/soak", opts.seed+7, win)
 	cancel()
 	churnWG.Wait()
 	samplerWG.Wait()
@@ -719,14 +599,9 @@ func runSoak(opts soakOpts) *soakReport {
 	for _, h := range hosts {
 		liveAgents = append(liveAgents, h.Agents()...)
 	}
-	sum := sumAgentMetrics(liveAgents)
-	retired.mu.Lock()
-	sum.Requests += retired.sum.Requests
-	sum.LocalHits += retired.sum.LocalHits
-	retired.mu.Unlock()
-
-	leg := legFromStats("hosted", len(hosts), fleet, stats, wall, sum, o.Fetches()-fetches0)
-	leg.AgentLocalHits = sum.LocalHits
+	localHits := sumMetrics(liveAgents).LocalHits + retiredLocalHits.Load()
+	completed = t.check("soak leg") && completed
+	leg := newLeg("hosted", len(hosts), fleet, t, localHits, o.Fetches()-fetches0)
 	leg.BaseRSSBytes = baseRSS
 	leg.PeakRSSBytes = peakRSS
 	leg.PeakGoroutines = peakGoroutines
@@ -762,7 +637,7 @@ func runSoak(opts soakOpts) *soakReport {
 		h.Kill()
 	}
 
-	rep.OK = rep.HitRatioOK && rep.RSSPerAgentOK
+	rep.OK = completed && rep.HitRatioOK && rep.RSSPerAgentOK
 	if opts.compare != "" {
 		cmp, err := compareSoak(opts.compare, rep)
 		if err != nil {
@@ -797,9 +672,4 @@ func compareSoak(path string, cur *soakReport) (*soakCompare, error) {
 	c.P99OK = c.P99Ratio <= soakP99Ceiling
 	c.RSSOK = c.RSSPerAgentRatio <= soakRSSCeiling
 	return c, nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "bapsload: "+format+"\n", args...)
-	os.Exit(1)
 }

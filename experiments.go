@@ -379,7 +379,7 @@ func IndexCompressionReport(o Options, profile string, countersPerClient uint64)
 		return nil, err
 	}
 	cfg := figureConfig(sim.SizingAverage)
-	ccfg := coreConfigFor(st, cfg)
+	ccfg := sim.CoreConfig(st, cfg)
 	if countersPerClient == 0 {
 		// Measuring pre-pass: replay once to learn the steady-state
 		// directory size, then apply Summary Cache's ≈16 counters per
@@ -460,36 +460,6 @@ func snapshotBrowser(s *core.System, client int) map[intern.ID]bool {
 		out[id] = true
 	}
 	return out
-}
-
-// coreConfigFor mirrors sim's capacity derivation for drivers that need a
-// raw core.System.
-func coreConfigFor(st *trace.Stats, c SimConfig) core.Config {
-	// Re-derive through a one-request dry run of sim's own builder by
-	// reusing its exported surface: run with zero requests is cheap.
-	// (sim keeps the derivation internal; replicate the average rule.)
-	per := int64(c.RelativeSize * float64(st.AvgClientInfiniteBytes()))
-	caps := make([]int64, st.NumClients)
-	for i := range caps {
-		caps[i] = per
-	}
-	return core.Config{
-		Organization:        core.BrowsersAware,
-		NumClients:          st.NumClients,
-		NumDocs:             st.UniqueDocs,
-		ProxyCapacity:       int64(c.RelativeSize * float64(st.InfiniteCacheBytes)),
-		BrowserCapacity:     caps,
-		ProxyPolicy:         c.ProxyPolicy,
-		BrowserPolicy:       c.BrowserPolicy,
-		MemFraction:         c.Latency.MemFraction,
-		BrowserMemFraction:  c.BrowserMemFraction,
-		IndexMode:           c.IndexMode,
-		IndexThreshold:      c.IndexThreshold,
-		IndexStrategy:       c.IndexStrategy,
-		ForwardMode:         c.ForwardMode,
-		ProxyCachesPeerDocs: c.ProxyCachesPeerDocs,
-		CacheRemoteHits:     c.CacheRemoteHits,
-	}
 }
 
 // SecurityReport measures the §6 protocol overheads the paper calls

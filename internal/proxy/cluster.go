@@ -14,9 +14,10 @@ package proxy
 // The hop header makes the sibling resolve only its local tiers and its own
 // browsers — never its cluster tier or the origin — so relays cannot loop and
 // a cluster-wide miss still costs exactly one origin fetch (at the
-// requester). A hop response carries no watermark: each federated proxy keys
-// its own client population, so the receiver hashes the relayed body as it
-// streams in and derives watermarks for its clients under its own key.
+// requester). A hop response carries no watermark and the receiver records no
+// digest on acquisition: each federated proxy keys its own client population,
+// so withDigest derives the digest, and then the watermark under the
+// receiver's own key, only when a registered client of its own needs it.
 //
 // This file also carries the fetch pacer: MaxFetchRPS models "one proxy
 // process = one machine of bounded capacity", which is what makes the

@@ -245,7 +245,7 @@ func runTierCase(tc tierCase) (Result, error) {
 		if err := tc.cfg.Validate(); err != nil {
 			return Result{}, err
 		}
-		ccfg := buildCoreConfig(tc.st, tc.cfg)
+		ccfg := CoreConfig(tc.st, tc.cfg)
 		ccfg.SparseBrowserSlots = true
 		sys, err := core.New(ccfg)
 		if err != nil {

@@ -115,7 +115,7 @@ func RunShardedOpts(s trace.Stream, st *trace.Stats, c Config, opts ShardedOptio
 	if c.WarmupFraction > 0 && len(st.ClientRequests) < st.NumClients {
 		return Result{}, fmt.Errorf("sim: sharded warm-up needs per-client request counts; recompute trace stats")
 	}
-	global := buildCoreConfig(st, c)
+	global := CoreConfig(st, c)
 	busObserver := busObserverFor(c)
 
 	// Build the shard engines sequentially up front: shard construction

@@ -115,7 +115,7 @@ func TestRunnerResetAcrossOrganizations(t *testing.T) {
 		}
 	}
 
-	base := buildCoreConfig(&st, DefaultConfig(core.BrowsersAware))
+	base := CoreConfig(&st, DefaultConfig(core.BrowsersAware))
 	structural := map[string]func(*core.Config){
 		"clients": func(c *core.Config) {
 			c.NumClients--

@@ -187,8 +187,11 @@ func (c *Config) Validate() error {
 	return c.Latency.Validate()
 }
 
-// buildCoreConfig derives cache capacities from the trace statistics.
-func buildCoreConfig(st *trace.Stats, c Config) core.Config {
+// CoreConfig is the one derivation of a core.Config from a sim.Config: cache
+// capacities from the trace statistics (by Sizing, or ProxyCapOverride) and
+// every organization, index, forwarding, freshness and parent-tier setting.
+// The replays use it, and so do drivers that build a raw core.System.
+func CoreConfig(st *trace.Stats, c Config) core.Config {
 	proxyCap := int64(c.RelativeSize * float64(st.InfiniteCacheBytes))
 	if c.ProxyCapOverride > 0 {
 		proxyCap = c.ProxyCapOverride
@@ -301,7 +304,7 @@ func (rn *Runner) RunStream(s trace.Stream, st *trace.Stats, c Config) (Result, 
 // withLBO, every outcome is also projected onto local-browser-cache-only and
 // accounted by a second engine, whose Result is the second return value.
 func (rn *Runner) runStream(s trace.Stream, st *trace.Stats, totalRequests int, c Config, withLBO bool) (Result, Result, error) {
-	ccfg := buildCoreConfig(st, c)
+	ccfg := CoreConfig(st, c)
 	if rn.sys == nil || !rn.sys.Reset(ccfg) {
 		sys, err := core.New(ccfg)
 		if err != nil {

@@ -259,7 +259,7 @@ func TestMinimumSizingUsesDivisor(t *testing.T) {
 	c := DefaultConfig(core.BrowsersAware)
 	c.Sizing = SizingMinimum
 	c.RelativeSize = 0.10
-	cc := buildCoreConfig(&st, c)
+	cc := CoreConfig(&st, c)
 	wantProxy := int64(0.10 * float64(st.InfiniteCacheBytes))
 	if cc.ProxyCapacity != wantProxy {
 		t.Errorf("proxy cap %d, want %d", cc.ProxyCapacity, wantProxy)
@@ -278,7 +278,7 @@ func TestAverageSizingUniform(t *testing.T) {
 	c := DefaultConfig(core.BrowsersAware)
 	c.Sizing = SizingAverage
 	c.RelativeSize = 0.20
-	cc := buildCoreConfig(&st, c)
+	cc := CoreConfig(&st, c)
 	want := int64(0.20 * float64(st.AvgClientInfiniteBytes()))
 	for i, b := range cc.BrowserCapacity {
 		if b != want {
@@ -293,7 +293,7 @@ func TestPerClientSizing(t *testing.T) {
 	c := DefaultConfig(core.BrowsersAware)
 	c.Sizing = SizingPerClient
 	c.RelativeSize = 0.20
-	cc := buildCoreConfig(&st, c)
+	cc := CoreConfig(&st, c)
 	for i, b := range cc.BrowserCapacity {
 		want := int64(0.20 * float64(st.ClientInfiniteBytes[i]))
 		if b != want {
@@ -307,7 +307,7 @@ func TestProxyCapOverride(t *testing.T) {
 	st := trace.Compute(tr)
 	c := DefaultConfig(core.BrowsersAware)
 	c.ProxyCapOverride = 123_456
-	cc := buildCoreConfig(&st, c)
+	cc := CoreConfig(&st, c)
 	if cc.ProxyCapacity != 123_456 {
 		t.Errorf("override ignored: %d", cc.ProxyCapacity)
 	}
