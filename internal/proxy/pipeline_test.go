@@ -196,13 +196,12 @@ func TestPrefetchPushesHotDocToIdleBrowser(t *testing.T) {
 	if err := integrity.Verify(proxyPublicKey(t, s), p.body, p.mark); err != nil {
 		t.Fatalf("pushed watermark does not verify: %v", err)
 	}
-	// The placement is immediately resolvable through the index.
-	doc, known := s.syms.Lookup(u)
-	if !known {
-		t.Fatal("url not interned")
-	}
+	// The placement becomes resolvable through the index. The proxy interns
+	// and places the URL once the push's POST has returned, which is after
+	// the stub recorded the push.
 	pollUntil(t, time.Second, "index placement", func() bool {
-		return len(s.idx.Lookup(doc)) == 1
+		doc, known := s.syms.Lookup(u)
+		return known && len(s.idx.Lookup(doc)) == 1
 	})
 	if s.Snapshot().PrefetchPushes < 1 {
 		t.Fatal("prefetch_pushes not counted")
