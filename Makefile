@@ -18,9 +18,9 @@ REPLAY_RECORD ?= $(lastword $(sort $(filter-out %_baseline.json,$(wildcard BENCH
 # Packages touched by the interning/sharding refactor, the observability
 # subsystem, the batched index publish pipeline, the crash-safe disk
 # tier, the background work plane and the proxy's document store, raced in
-# `make check`. cmd/bapsload rides along: its report tests run every load
-# scenario at toy scale, the restart controller swapping the proxy under
-# running workers among them.
+# `make check`. cmd/bapsload rides along: its report tests run each load
+# scenario but the soak at toy scale, among them the restart controller
+# swapping the proxy under running workers.
 HOT_PKGS = ./internal/intern ./internal/cache ./internal/index ./internal/core ./internal/sim ./internal/trace ./internal/proxy ./internal/proxy/docstore ./internal/obs ./internal/chaos ./internal/browser ./internal/diskstore ./internal/breaker ./internal/federation ./internal/workqueue ./cmd/bapsload
 # The timing-sensitive live tests ROADMAP item 1 names: each waits on an
 # event, never on a sleep, so it must pass every time. The body-store tests
