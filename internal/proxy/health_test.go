@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -8,6 +9,7 @@ import (
 	neturl "net/url"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -360,6 +362,68 @@ func TestBreakerQuarantinesWholePeer(t *testing.T) {
 	// The quarantined entries survive (shelved, not deleted).
 	if !s.Index().Has(reg.ClientID, s.syms.Intern(u2)) || !s.Index().Has(reg.ClientID, s.syms.Intern(u3)) {
 		t.Fatal("quarantined entries were deleted")
+	}
+}
+
+// TestReportTripQuarantinesWholePeer: an honoured /report-bad that trips the
+// holder's breaker is booked like a failed fetch that trips it — the trip is
+// counted, the holder's other entries are quarantined in the same step, and
+// holder selection skips them.
+func TestReportTripQuarantinesWholePeer(t *testing.T) {
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("origin copy"))
+	}))
+	defer origin.Close()
+
+	s := testServer(t, func(c *Config) {
+		c.Forward = DirectForward
+		c.BreakerThreshold = 1
+	})
+	var contacts atomic.Int64
+	holder := fakePeer(t, s, func(w http.ResponseWriter, r *http.Request) {
+		contacts.Add(1)
+		var ps PeerSend
+		if err := json.NewDecoder(r.Body).Decode(&ps); err != nil {
+			t.Errorf("decode send: %v", err)
+			return
+		}
+		pushRelay(t, ps.RelayURL, "tampered copy")
+		w.WriteHeader(http.StatusOK)
+	})
+	u1, u2 := origin.URL+"/reported", origin.URL+"/also-held"
+	for _, u := range []string{u1, u2} {
+		s.Index().Add(indexEntryFor(s, holder.ClientID, u, 13))
+	}
+	requester := register(t, s, "http://127.0.0.1:1")
+	get := func(u string) (http.Header, string) {
+		t.Helper()
+		resp, err := registeredGet(s, requester, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.Header, string(body)
+	}
+
+	hdr, body := get(u1)
+	ticket := hdr.Get("X-BAPS-Ticket")
+	if hdr.Get(HeaderSource) != SourceRemote || body != "tampered copy" || ticket == "" {
+		t.Fatalf("source = %q body = %q ticket = %q, want a direct-forward delivery", hdr.Get(HeaderSource), body, ticket)
+	}
+	if code := reportBad(t, s, requester, u1, ticket); code != http.StatusNoContent {
+		t.Fatalf("report status %d, want 204", code)
+	}
+	if st := s.Snapshot(); st.BreakerTrips != 1 || st.BreakerOpen != 1 || st.QuarantinedEntries != 1 {
+		t.Fatalf("after the report: trips = %d open = %d quarantined = %d, want 1/1/1",
+			st.BreakerTrips, st.BreakerOpen, st.QuarantinedEntries)
+	}
+	// u2 goes straight to the origin: the reported holder is not contacted.
+	if hdr, body := get(u2); hdr.Get(HeaderSource) != SourceOrigin || body != "origin copy" {
+		t.Fatalf("u2: source = %q body = %q, want the origin copy", hdr.Get(HeaderSource), body)
+	}
+	if n := contacts.Load(); n != 1 {
+		t.Fatalf("holder contacted %d times, want 1", n)
 	}
 }
 
