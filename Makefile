@@ -26,9 +26,11 @@ HOT_PKGS = ./internal/intern ./internal/cache ./internal/index ./internal/core .
 # event, never on a sleep, so it must pass every time. The body-store tests
 # (internal/browser/bodies.go: one store shared by a host's agents), the
 # direct-forward relay-session and hedging tests, the sibling invalidation
-# fan-out, the batched-publish round trip and the race of registration
-# churn and traffic against the document scans ride along.
-STABLE_TESTS = ^Test(ClusterBloomFalsePositive|DiskSpillStreamPromote|DiskWarmRestartGraceful|InvalidationChurnUnderLoad|HostLifecycleConcurrent|BatchedPublishReachesProxy|BatchedConcurrentStoreLosesNoDelta|StandaloneAndHostedPublishIdentically|ChurnBreakerMetricDeltas|BodyStoreSharesOnlyEqualBytes|BodyStoreInvariantsUnderChurn|HostedFetchesShareOneBody|ReadBodyAdoptsHeldCopy|RelaySessionContract|RelayTimeoutFallsThroughToUpstream|DirectForwardStreamedDelivery|HedgedOriginWinsOverSlowPeer|SiblingInvalidationFanout|DocsAndRegistrationUnderRace)$$
+# fan-out, the batched-publish round trip, the race of registration
+# churn and traffic against the document scans, and the breaker-as-quarantine
+# tests (a tripping /report-bad, /peer/locate across a trip and a
+# re-admission) ride along.
+STABLE_TESTS = ^Test(ClusterBloomFalsePositive|DiskSpillStreamPromote|DiskWarmRestartGraceful|InvalidationChurnUnderLoad|HostLifecycleConcurrent|BatchedPublishReachesProxy|BatchedConcurrentStoreLosesNoDelta|StandaloneAndHostedPublishIdentically|ChurnBreakerMetricDeltas|BodyStoreSharesOnlyEqualBytes|BodyStoreInvariantsUnderChurn|HostedFetchesShareOneBody|ReadBodyAdoptsHeldCopy|RelaySessionContract|RelayTimeoutFallsThroughToUpstream|DirectForwardStreamedDelivery|HedgedOriginWinsOverSlowPeer|SiblingInvalidationFanout|DocsAndRegistrationUnderRace|ReportTripQuarantinesWholePeer|PeerLocateSkipsQuarantinedHolders)$$
 # The tests of the on-demand watermark values: the proxy's signing key and
 # sign memo (internal/proxy/watermark.go), the digest each document record
 # gains on first demand, derived once per version however many ask

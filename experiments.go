@@ -404,10 +404,11 @@ func IndexCompressionReport(o Options, profile string, countersPerClient uint64)
 	}
 	exact := sys.Index()
 	var probesExact, probesBloom, falseBloom int64
+	var holders []index.Entry
 	for _, r := range tr.Requests {
 		// Query both indexes the way the proxy would on a proxy miss;
 		// measure before Access mutates state.
-		holders := exact.Ordered(r.Doc, r.Client)
+		holders = exact.AppendOrdered(holders[:0], r.Doc, r.Client, 0)
 		cands := bidx.Candidates(r.URL, r.Client)
 		probesExact += int64(len(holders))
 		probesBloom += int64(len(cands))

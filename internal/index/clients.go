@@ -5,13 +5,13 @@ import (
 	"sync/atomic"
 )
 
-// clientTable holds the client-level state of the browser index: served
-// transfer counts (least-loaded strategy) and quarantine flags. The state is
-// client-level, not document-level, so a Sharded index shares one table
-// across all its shards — quarantining a client hides its entries in every
-// shard, and least-loaded selection stays globally consistent — while a
-// plain Index owns its own. Per-client entry counts are not here: each Index
-// keeps its own, and Sharded sums them.
+// clientTable holds the client-level state of the browser index: the served
+// transfer counts of the least-loaded strategy. The counts are client-level,
+// not document-level, so a Sharded index shares one table across all its
+// shards — least-loaded selection stays globally consistent — while a plain
+// Index owns its own. Per-client entry counts are not here: each Index keeps
+// its own, and Sharded sums them. Nor is liveness: a holder's quarantine is
+// its circuit breaker in the live proxy, never a flag here.
 //
 // Shards read and update the table concurrently, each under only its own
 // shard lock, so the table takes no lock on those paths: the state lives in
@@ -26,17 +26,13 @@ type clientTable struct {
 
 const clientChunkBits = 8 // 256 clients per chunk
 
-type clientChunk [1 << clientChunkBits]clientState
-
-type clientState struct {
-	served      atomic.Int64
-	quarantined atomic.Bool
-}
+type clientChunk [1 << clientChunkBits]atomic.Int64 // served counts
 
 func newClientTable() *clientTable { return &clientTable{} }
 
-// get returns client's state, or nil when the table has never grown to it.
-func (ct *clientTable) get(client int) *clientState {
+// get returns client's served count, or nil when the table has never grown
+// to it.
+func (ct *clientTable) get(client int) *atomic.Int64 {
 	d := ct.dir.Load()
 	if d == nil || client < 0 || client>>clientChunkBits >= len(*d) {
 		return nil
@@ -44,8 +40,9 @@ func (ct *clientTable) get(client int) *clientState {
 	return &(*d)[client>>clientChunkBits][client&(1<<clientChunkBits-1)]
 }
 
-// at returns client's state (client >= 0), growing the table to cover it.
-func (ct *clientTable) at(client int) *clientState {
+// at returns client's served count (client >= 0), growing the table to
+// cover it.
+func (ct *clientTable) at(client int) *atomic.Int64 {
 	if s := ct.get(client); s != nil {
 		return s
 	}
@@ -68,45 +65,30 @@ func (ct *clientTable) at(client int) *clientState {
 
 func (ct *clientTable) accountServe(client int) {
 	if client >= 0 {
-		ct.at(client).served.Add(1)
+		ct.at(client).Add(1)
 	}
 }
 
 func (ct *clientTable) served(client int) int64 {
 	if s := ct.get(client); s != nil {
-		return s.served.Load()
+		return s.Load()
 	}
 	return 0
 }
 
-func (ct *clientTable) quarantined(client int) bool {
-	s := ct.get(client)
-	return s != nil && s.quarantined.Load()
-}
-
-func (ct *clientTable) setQuarantined(client int, v bool) {
-	if s := ct.get(client); s != nil {
-		s.quarantined.Store(v)
-	} else if v && client >= 0 {
-		ct.at(client).quarantined.Store(true)
-	}
-}
-
-// drop zeroes all state for a departed client.
+// drop zeroes a departed client's served count.
 func (ct *clientTable) drop(client int) {
 	if s := ct.get(client); s != nil {
-		s.served.Store(0)
-		s.quarantined.Store(false)
+		s.Store(0)
 	}
 }
 
-// reset zeroes every client's state in place, keeping the chunks.
+// reset zeroes every client's served count in place, keeping the chunks.
 func (ct *clientTable) reset() {
 	if d := ct.dir.Load(); d != nil {
 		for _, c := range *d {
 			for i := range c {
-				c[i].served.Store(0)
-				c[i].quarantined.Store(false)
+				c[i].Store(0)
 			}
 		}
 	}

@@ -142,8 +142,9 @@ func (x *Index) addHeld(client, delta int) {
 	x.held[client] += delta
 }
 
-// heldBy reports how many entries client has in this index.
-func (x *Index) heldBy(client int) int {
+// Held reports how many entries client has in this index, without walking
+// the directory.
+func (x *Index) Held(client int) int {
 	if client < 0 || client >= len(x.held) {
 		return 0
 	}
@@ -235,56 +236,22 @@ func (x *Index) better(a, b Entry) bool {
 	}
 }
 
-// Ordered returns all holders of doc except requester, sorted by the
-// index's strategy preference (best candidate first). It does not account a
-// served transfer; callers that contact a candidate confirm with
-// AccountServe. This supports the stale-entry retry loop: under the
-// periodic update protocol an index entry may name a browser that already
-// evicted the document, and the proxy then tries the next candidate.
-func (x *Index) Ordered(doc intern.ID, requester int) []Entry {
-	return x.appendOrdered(nil, doc, requester, 0, false)
-}
-
-// AppendOrdered appends doc's candidates to buf (normally a reused scratch
-// slice with spare capacity) in Ordered's order and returns the extended
-// slice, with TTL filtering: entries whose Expire lies at or before now are
-// omitted (now == 0 disables filtering, matching Ordered). Quarantined
-// clients' entries are omitted; OrderedQuarantined lists them. The
-// simulator's remote-lookup path calls this once per proxy miss.
+// AppendOrdered appends the holders of doc except requester to buf
+// (normally a reused scratch slice with spare capacity), sorted by the
+// index's strategy preference (best candidate first), and returns the
+// extended slice. Entries whose Expire lies at or before now are omitted;
+// now == 0 disables filtering. It does not account a served transfer;
+// callers that contact a candidate confirm with AccountServe. This supports
+// the stale-entry retry loop: under the periodic update protocol an index
+// entry may name a browser that already evicted the document, and the proxy
+// then tries the next candidate. It is the one holder-selection entry point:
+// the simulator calls it once per proxy miss, the live proxy once per remote
+// resolution.
 func (x *Index) AppendOrdered(buf []Entry, doc intern.ID, requester int, now float64) []Entry {
-	return x.appendOrdered(buf, doc, requester, now, false)
-}
-
-// HasHolder reports whether any client outside quarantine holds doc — the
-// allocation-free len(Ordered(doc, -1)) > 0.
-func (x *Index) HasHolder(doc intern.ID) bool {
-	if doc < 0 || int(doc) >= len(x.byDoc) {
-		return false
-	}
-	for _, e := range x.byDoc[doc] {
-		if !x.ct.quarantined(e.Client) {
-			return true
-		}
-	}
-	return false
-}
-
-// OrderedQuarantined returns the quarantined holders of doc (excluding
-// requester), sorted by strategy preference. The proxy uses it to pick
-// half-open breaker probes: a quarantined peer is skipped by Ordered but
-// may be probed once its breaker cooldown elapses.
-func (x *Index) OrderedQuarantined(doc intern.ID, requester int) []Entry {
-	return x.appendOrdered(nil, doc, requester, 0, true)
-}
-
-func (x *Index) appendOrdered(buf []Entry, doc intern.ID, requester int, now float64, quarantined bool) []Entry {
 	start := len(buf)
 	if doc >= 0 && int(doc) < len(x.byDoc) {
 		for _, e := range x.byDoc[doc] {
-			if e.Client == requester || x.ct.quarantined(e.Client) != quarantined {
-				continue
-			}
-			if now != 0 && e.expired(now) {
+			if e.Client == requester || (now != 0 && e.expired(now)) {
 				continue
 			}
 			buf = append(buf, e)
@@ -300,40 +267,6 @@ func (x *Index) appendOrdered(buf []Entry, doc intern.ID, requester int, now flo
 		}
 	}
 	return buf
-}
-
-// Quarantine shelves every entry of client in one step: the entries stay
-// recorded (and are restored wholesale by Unquarantine) but are invisible to
-// holder selection. It returns the number of entries shelved. This replaces
-// the one-URL-at-a-time Remove death spiral when a peer's circuit breaker
-// trips.
-func (x *Index) Quarantine(client int) int {
-	x.ct.setQuarantined(client, true)
-	return x.heldBy(client)
-}
-
-// Unquarantine re-admits client's entries in one step, returning how many
-// became visible again.
-func (x *Index) Unquarantine(client int) int {
-	x.ct.setQuarantined(client, false)
-	return x.heldBy(client)
-}
-
-// Quarantined reports whether client is currently quarantined.
-func (x *Index) Quarantined(client int) bool {
-	return x.ct.quarantined(client)
-}
-
-// QuarantinedEntries reports the total number of shelved entries across all
-// quarantined clients (a /stats gauge).
-func (x *Index) QuarantinedEntries() int {
-	n := 0
-	for c, held := range x.held {
-		if held > 0 && x.ct.quarantined(c) {
-			n += held
-		}
-	}
-	return n
 }
 
 // PruneExpired removes every entry whose TTL ran out at time now, returning
@@ -416,7 +349,7 @@ func (x *Index) ForEachClientDoc(client int, fn func(doc intern.ID)) {
 	}
 }
 
-// dropEntries removes every entry of client, leaving served/quarantine state
+// dropEntries removes every entry of client, leaving its served count
 // untouched. Returns the number of entries removed.
 func (x *Index) dropEntries(client int) int {
 	n := 0
@@ -465,7 +398,7 @@ func (x *Index) URLCount() int { return x.docs }
 
 // Reset empties the index in place, retaining the document table and holder
 // slice capacity, so sweep workers can replay many configurations without
-// re-growing. Client state (served counters, quarantine flags) resets too.
+// re-growing. Served counters reset too.
 func (x *Index) Reset() {
 	for doc := range x.byDoc {
 		hs := x.byDoc[doc]

@@ -71,14 +71,14 @@ func TestAddRefreshesEntry(t *testing.T) {
 func TestSelectExcludesRequester(t *testing.T) {
 	x := New(SelectFirst)
 	x.Add(entry(1, "u", 10, 1))
-	if got := x.Ordered(docID("u"), 1); len(got) != 0 {
+	if got := x.AppendOrdered(nil, docID("u"), 1, 0); len(got) != 0 {
 		t.Fatalf("Ordered offered the requester itself: %+v", got)
 	}
-	if got := x.Ordered(docID("missing"), 0); len(got) != 0 {
+	if got := x.AppendOrdered(nil, docID("missing"), 0, 0); len(got) != 0 {
 		t.Fatalf("Ordered found a holder for an unindexed URL: %+v", got)
 	}
 	x.Add(entry(2, "u", 10, 2))
-	if got := x.Ordered(docID("u"), 1); len(got) != 1 || got[0].Client != 2 {
+	if got := x.AppendOrdered(nil, docID("u"), 1, 0); len(got) != 1 || got[0].Client != 2 {
 		t.Fatalf("Ordered = %+v, want client 2 alone", got)
 	}
 }
@@ -86,7 +86,7 @@ func TestSelectExcludesRequester(t *testing.T) {
 // best is the candidate a requester tries first.
 func best(t *testing.T, x *Index, url string, requester int) Entry {
 	t.Helper()
-	got := x.Ordered(docID(url), requester)
+	got := x.AppendOrdered(nil, docID(url), requester, 0)
 	if len(got) == 0 {
 		t.Fatalf("no candidate for %s", url)
 	}
@@ -189,7 +189,7 @@ func TestConcurrentIndexAccess(t *testing.T) {
 				doc := docID(fmt.Sprintf("u%d", i%50))
 				x.Add(Entry{Client: g, Doc: doc, Size: 10, Stamp: float64(i)})
 				x.Lookup(doc)
-				if c := x.Ordered(doc, g); len(c) > 0 {
+				if c := x.AppendOrdered(nil, doc, g, 0); len(c) > 0 {
 					x.AccountServe(c[0].Client)
 				}
 				if i%3 == 0 {
@@ -297,66 +297,5 @@ func TestQuickIndexMatchesReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestQuarantineShelvesAndRestoresInOneStep(t *testing.T) {
-	x := New(SelectMostRecent)
-	for i := 0; i < 4; i++ {
-		x.Add(Entry{Client: 1, Doc: docID(fmt.Sprintf("http://x/%d", i)), Size: 10})
-	}
-	x.Add(Entry{Client: 2, Doc: docID("http://x/0"), Size: 10})
-
-	if n := x.Quarantine(1); n != 4 {
-		t.Fatalf("Quarantine shelved %d entries, want 4", n)
-	}
-	if !x.Quarantined(1) || x.Quarantined(2) {
-		t.Fatal("quarantine flags wrong")
-	}
-	// Entries survive but are invisible to holder selection.
-	if x.Len() != 5 {
-		t.Fatalf("Len = %d after quarantine, want 5 (entries retained)", x.Len())
-	}
-	if x.QuarantinedEntries() != 4 {
-		t.Fatalf("QuarantinedEntries = %d, want 4", x.QuarantinedEntries())
-	}
-	if got := x.Ordered(docID("http://x/1"), -1); len(got) != 0 {
-		t.Fatalf("Ordered returned quarantined holder: %v", got)
-	}
-	if got := x.Ordered(docID("http://x/0"), -1); len(got) != 1 || got[0].Client != 2 {
-		t.Fatalf("Ordered(/0) = %v, want only client 2", got)
-	}
-	// Quarantined holders are listed for half-open probing.
-	if got := x.OrderedQuarantined(docID("http://x/0"), -1); len(got) != 1 || got[0].Client != 1 {
-		t.Fatalf("OrderedQuarantined = %v, want client 1", got)
-	}
-
-	// One-step restore.
-	if n := x.Unquarantine(1); n != 4 {
-		t.Fatalf("Unquarantine restored %d entries, want 4", n)
-	}
-	if got := x.Ordered(docID("http://x/1"), -1); len(got) != 1 || got[0].Client != 1 {
-		t.Fatalf("holder not restored: %v", got)
-	}
-	if x.QuarantinedEntries() != 0 {
-		t.Fatal("QuarantinedEntries nonzero after restore")
-	}
-}
-
-func TestDropClientClearsQuarantine(t *testing.T) {
-	x := New(SelectFirst)
-	x.Add(Entry{Client: 7, Doc: docID("http://x/a")})
-	x.Quarantine(7)
-	x.DropClient(7)
-	if x.Quarantined(7) {
-		t.Fatal("DropClient left quarantine flag")
-	}
-	if x.QuarantinedEntries() != 0 {
-		t.Fatal("entries counted after drop")
-	}
-	// Re-registration under the same id starts clean.
-	x.Add(Entry{Client: 7, Doc: docID("http://x/b")})
-	if got := x.Ordered(docID("http://x/b"), -1); len(got) != 1 {
-		t.Fatalf("re-added client invisible: %v", got)
 	}
 }

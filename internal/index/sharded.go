@@ -14,11 +14,13 @@ const DefaultShards = 16
 // type in this package that is safe for concurrent use: document state is
 // split across n Index shards selected by document ID, each behind its own
 // RWMutex, so request goroutines touching different documents proceed
-// without contending on a single directory lock. Client-level state (served
-// counters, quarantine flags) lives in one clientTable shared by every shard
-// and read without a lock (see clientTable), keeping quarantine and
-// least-loaded selection globally consistent; per-client entry counts are
-// each shard's own and summed here.
+// without contending on a single directory lock. The served counters of the
+// least-loaded strategy live in one clientTable shared by every shard and
+// read without a lock (see clientTable), keeping least-loaded selection
+// globally consistent; per-client entry counts are each shard's own and
+// summed here. The directory records who holds what and nothing about
+// whether a holder is alive: the live proxy keeps that in its per-peer
+// circuit breakers, beside the index.
 //
 // The method surface mirrors Index; per-document operations cost one shard
 // lock, client-level operations touch only the shared table, and whole-index
@@ -76,11 +78,6 @@ func (s *Sharded) Lookup(doc intern.ID) []Entry {
 	return sh.idx.Lookup(doc)
 }
 
-// Ordered returns all holders of doc except requester in strategy order.
-func (s *Sharded) Ordered(doc intern.ID, requester int) []Entry {
-	return s.AppendOrdered(nil, doc, requester, 0)
-}
-
 // AppendOrdered appends doc's candidates to buf in strategy order, omitting
 // entries expired at now (0: no filtering).
 func (s *Sharded) AppendOrdered(buf []Entry, doc intern.ID, requester int, now float64) []Entry {
@@ -91,58 +88,13 @@ func (s *Sharded) AppendOrdered(buf []Entry, doc intern.ID, requester int, now f
 	return buf
 }
 
-// HasHolder reports whether any client outside quarantine holds doc,
-// without materialising or ordering the holder list.
-func (s *Sharded) HasHolder(doc intern.ID) bool {
-	sh := s.shard(doc)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.idx.HasHolder(doc)
-}
-
-// OrderedQuarantined returns the quarantined holders of doc in strategy
-// order.
-func (s *Sharded) OrderedQuarantined(doc intern.ID, requester int) []Entry {
-	sh := s.shard(doc)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.idx.OrderedQuarantined(doc, requester)
-}
-
-// heldBy sums client's entry counts over the shards.
-func (s *Sharded) heldBy(client int) int {
+// Held sums client's entry counts over the shards, without walking the
+// directory.
+func (s *Sharded) Held(client int) int {
 	n := 0
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		n += sh.idx.heldBy(client)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// Quarantine shelves every entry of client across all shards in one step,
-// returning the number of entries shelved.
-func (s *Sharded) Quarantine(client int) int {
-	s.ct.setQuarantined(client, true)
-	return s.heldBy(client)
-}
-
-// Unquarantine re-admits client's entries, returning how many became
-// visible again.
-func (s *Sharded) Unquarantine(client int) int {
-	s.ct.setQuarantined(client, false)
-	return s.heldBy(client)
-}
-
-// Quarantined reports whether client is currently quarantined.
-func (s *Sharded) Quarantined(client int) bool { return s.ct.quarantined(client) }
-
-// QuarantinedEntries reports the total number of shelved entries.
-func (s *Sharded) QuarantinedEntries() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		n += sh.idx.QuarantinedEntries()
+		n += sh.idx.Held(client)
 		sh.mu.RUnlock()
 	}
 	return n

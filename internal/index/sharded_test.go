@@ -38,24 +38,18 @@ func TestShardedMatchesIndex(t *testing.T) {
 						t.Fatalf("op %d: Remove(%d,%d) = %v, plain %v", op, client, doc, got, want)
 					}
 				case 5:
-					plain.Quarantine(client)
-					sharded.Quarantine(client)
-				case 6:
-					plain.Unquarantine(client)
-					sharded.Unquarantine(client)
-				case 7:
 					if got, want := sharded.DropClient(client), plain.DropClient(client); got != want {
 						t.Fatalf("op %d: DropClient(%d) = %d, plain %d", op, client, got, want)
 					}
 				default:
 					requester := rng.Intn(clients)
-					got := sharded.Ordered(doc, requester)
-					want := plain.Ordered(doc, requester)
+					got := sharded.AppendOrdered(nil, doc, requester, 0)
+					want := plain.AppendOrdered(nil, doc, requester, 0)
 					if fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("op %d: Ordered(%d,%d) = %v, plain %v", op, doc, requester, got, want)
+						t.Fatalf("op %d: AppendOrdered(%d,%d) = %v, plain %v", op, doc, requester, got, want)
 					}
-					if has, want := sharded.HasHolder(doc), len(plain.Ordered(doc, -1)) > 0; has != want {
-						t.Fatalf("op %d: HasHolder(%d) = %v, Ordered says %v", op, doc, has, want)
+					if got, want := sharded.Held(client), len(plain.ClientDocs(client)); got != want || plain.Held(client) != want {
+						t.Fatalf("op %d: Held(%d): sharded %d, plain %d, plain ClientDocs %d", op, client, got, plain.Held(client), want)
 					}
 				}
 			}
@@ -74,37 +68,9 @@ func TestShardedMatchesIndex(t *testing.T) {
 	}
 }
 
-// TestHasHolderExcludesQuarantined: a document whose only holders are
-// quarantined has no holder, as it has no Ordered candidate; re-admission
-// restores it; and the check allocates nothing.
-func TestHasHolderExcludesQuarantined(t *testing.T) {
-	x := NewSharded(SelectMostRecent, 4)
-	doc := intern.ID(5)
-	if x.HasHolder(doc) || x.HasHolder(intern.ID(1<<20)) {
-		t.Fatal("empty index reports a holder")
-	}
-	x.Add(Entry{Client: 1, Doc: doc})
-	x.Add(Entry{Client: 2, Doc: doc})
-	x.Quarantine(1)
-	if !x.HasHolder(doc) {
-		t.Fatal("live holder 2 not seen")
-	}
-	x.Quarantine(2)
-	if x.HasHolder(doc) {
-		t.Fatal("quarantined holders counted")
-	}
-	x.Unquarantine(2)
-	if !x.HasHolder(doc) {
-		t.Fatal("re-admitted holder not seen")
-	}
-	if allocs := testing.AllocsPerRun(100, func() { x.HasHolder(doc) }); allocs != 0 {
-		t.Fatalf("HasHolder allocates %.0f times", allocs)
-	}
-}
-
 // TestShardedConcurrentChurn hammers one Sharded directory from many
 // goroutines mixing every mutation the live proxy performs — adds, removes,
-// ordered reads, allocation-free reads, quarantine flips, and full client
+// ordered reads, allocation-free reads, served accounting, and full client
 // drops/resyncs — and relies on the race detector (make check runs this
 // package under -race) to catch locking mistakes across the shard/clientTable
 // boundary.
@@ -145,7 +111,7 @@ func TestShardedConcurrentChurn(t *testing.T) {
 				requester := rng.Intn(clients)
 				switch i % 4 {
 				case 0:
-					x.Ordered(doc, requester)
+					x.AppendOrdered(nil, doc, requester, 0)
 				case 1:
 					buf = x.AppendOrdered(buf[:0], doc, requester, 0)
 				case 2:
@@ -153,23 +119,18 @@ func TestShardedConcurrentChurn(t *testing.T) {
 					x.Has(requester, doc)
 				default:
 					x.ClientDocs(requester)
-					x.OrderedQuarantined(doc, requester)
+					x.Held(requester)
 				}
 			}
 		}(int64(r))
 	}
-	// Quarantine flipper: the health tracker's view of failing peers.
+	// Served accounting: the least-loaded strategy's per-client counts.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(777))
 		for i := 0; i < opsPer; i++ {
 			client := rng.Intn(clients)
-			if i%2 == 0 {
-				x.Quarantine(client)
-			} else {
-				x.Unquarantine(client)
-			}
 			x.AccountServe(client)
 			x.Served(client)
 		}
@@ -201,7 +162,6 @@ func TestShardedConcurrentChurn(t *testing.T) {
 	// line up across shards.
 	total := 0
 	for c := 0; c < clients; c++ {
-		x.Unquarantine(c)
 		for _, e := range x.ClientDocs(c) {
 			if !x.Has(c, e.Doc) {
 				t.Fatalf("client %d doc %d in ClientDocs but Has is false", c, e.Doc)
@@ -218,8 +178,8 @@ func TestShardedConcurrentChurn(t *testing.T) {
 // goroutine registers clients far past the table's first chunk (each new
 // client's entries land on shard 0 and its first AccountServe grows the
 // table), while others run AppendOrdered under least-loaded ordering (which
-// reads served counts), AccountServe and Quarantine for low-numbered
-// clients on the other shards. Under -race this is the check that readers
+// reads served counts) and AccountServe for low-numbered clients on the
+// other shards. Under -race this is the check that readers
 // on one shard never see a chunk move under them while another grows it.
 func TestShardedClientTableGrowth(t *testing.T) {
 	const (
@@ -254,10 +214,6 @@ func TestShardedClientTableGrowth(t *testing.T) {
 					return
 				}
 				x.AccountServe(i % 8)
-				if i%64 == 0 {
-					x.Quarantine(i % 8)
-					x.Unquarantine(i % 8)
-				}
 			}
 		}(r)
 	}

@@ -22,8 +22,8 @@ func TestAppendOrderedFiltersExpired(t *testing.T) {
 	if got = x.AppendOrdered(nil, docID("u"), 0, 100); len(got) != 0 {
 		t.Fatalf("AppendOrdered(100) = %+v", got)
 	}
-	// now == 0 disables filtering (and is what Ordered uses).
-	if got = x.Ordered(docID("u"), 0); len(got) != 2 {
+	// now == 0 disables filtering.
+	if got = x.AppendOrdered(nil, docID("u"), 0, 0); len(got) != 2 {
 		t.Fatalf("Ordered = %+v", got)
 	}
 }

@@ -151,7 +151,7 @@ func (s *Server) handlePeerLocate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, LocateResponse{Held: true, Via: "cache"})
 		return
 	}
-	if doc, known := s.syms.Lookup(url); known && s.idx.HasHolder(doc) {
+	if doc, known := s.syms.Lookup(url); known && s.health.anyLive(s.idx.AppendOrdered(nil, doc, -1, 0)) {
 		s.m.clusterLocateConfirms.Inc()
 		writeJSON(w, LocateResponse{Held: true, Via: "browser"})
 		return

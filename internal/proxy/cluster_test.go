@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	neturl "net/url"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -296,6 +297,91 @@ func TestPeerEndpointsRequireFederation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("locate status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestPeerLocateSkipsQuarantinedHolders: /peer/locate confirms a document
+// its browsers hold only while some holder is outside quarantine — it
+// answers 404 while every holder's breaker is open, and 200 once a
+// half-open success re-admits one of them.
+func TestPeerLocateSkipsQuarantinedHolders(t *testing.T) {
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("origin copy"))
+	}))
+	defer origin.Close()
+	a := federate(t, 2, func(c *Config) {
+		c.Forward = FetchForward
+		c.CachePeerDocs = false
+		c.BreakerThreshold = 1
+		c.BreakerCooldown = 50 * time.Millisecond
+	})[0]
+
+	const body = "browser-held copy"
+	u := origin.URL + "/held"
+	sum := md5.Sum([]byte(body))
+	mark, err := proxySigner(t, a).WatermarkDigest(sum[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two holders of u, each dead until revived and each holding one more
+	// document whose fetch trips its breaker without pruning its u entry.
+	var alive [2]atomic.Bool
+	for i := range alive {
+		h := fakePeer(t, a, func(w http.ResponseWriter, r *http.Request) {
+			if !alive[i].Load() {
+				panic(http.ErrAbortHandler)
+			}
+			w.Header().Set(HeaderVersion, "0")
+			w.Header().Set(HeaderWatermark, base64.StdEncoding.EncodeToString(mark))
+			fmt.Fprint(w, body)
+		})
+		a.Index().Add(indexEntryFor(a, h.ClientID, u, int64(len(body))))
+		a.Index().Add(indexEntryFor(a, h.ClientID, fmt.Sprintf("%s/trip/%d", origin.URL, i), 11))
+	}
+	fetch := func(u string) string {
+		t.Helper()
+		resp, err := http.Get(a.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.Header.Get(HeaderSource)
+	}
+	locate := func() (int, string) {
+		t.Helper()
+		resp, err := http.Get(a.BaseURL() + "/peer/locate?url=" + neturl.QueryEscape(u))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var lr LocateResponse
+		if resp.StatusCode == http.StatusOK {
+			json.NewDecoder(resp.Body).Decode(&lr)
+		}
+		return resp.StatusCode, lr.Via
+	}
+
+	for i := range alive {
+		fetch(fmt.Sprintf("%s/trip/%d", origin.URL, i))
+	}
+	if st := a.Snapshot(); st.BreakerOpen != 2 || st.QuarantinedEntries != 2 {
+		t.Fatalf("after the trips: open = %d quarantined = %d, want 2/2", st.BreakerOpen, st.QuarantinedEntries)
+	}
+	if code, _ := locate(); code != http.StatusNotFound {
+		t.Fatalf("locate with every holder quarantined: status %d, want 404", code)
+	}
+
+	alive[0].Store(true)
+	time.Sleep(60 * time.Millisecond) // past the cooldown: a probe is due
+	if src := fetch(u); src != SourceRemote {
+		t.Fatalf("probe fetch source = %q, want remote", src)
+	}
+	if st := a.Snapshot(); st.BreakerReadmits != 1 || st.BreakerOpen != 1 {
+		t.Fatalf("after the probe: readmits = %d open = %d, want 1/1", st.BreakerReadmits, st.BreakerOpen)
+	}
+	if code, via := locate(); code != http.StatusOK || via != "browser" {
+		t.Fatalf("locate after re-admission: status %d via %q, want 200 via browser", code, via)
 	}
 }
 

@@ -488,11 +488,12 @@ func (s *Server) forwardFor(requester int) ForwardMode {
 // itself; in direct-forward it opens an anonymous relay drop and instructs
 // the holder to push there, returning the push as a live stream.
 //
-// Candidates are gated by the per-peer circuit breaker: a tripped peer is
-// skipped entirely (all its entries sit in quarantine), except that once
-// its cooldown elapses one request is admitted as a half-open probe — a
-// success re-admits every quarantined entry in one step. A holder that
-// fails is pruned; its breaker is charged unless it answered notHeld.
+// Candidates are gated by the per-peer circuit breaker, which is the
+// quarantine: a tripped peer's holders are listed after every other holder
+// and skipped, except that once its cooldown elapses one request is admitted
+// as a half-open probe — a success re-admits all its entries at once. A
+// holder that fails is pruned; its breaker is charged unless it answered
+// notHeld.
 func (s *Server) resolveRemote(ctx context.Context, url string, requester int) fetchResult {
 	mode := s.forwardFor(requester)
 	doc, known := s.syms.Lookup(url)
@@ -500,9 +501,7 @@ func (s *Server) resolveRemote(ctx context.Context, url string, requester int) f
 		// Never indexed by any browser: no holders can exist.
 		return fetchResult{}
 	}
-	candidates := s.idx.Ordered(doc, requester)
-	// Quarantined holders come last, as half-open probe candidates.
-	candidates = append(candidates, s.idx.OrderedQuarantined(doc, requester)...)
+	candidates := s.health.liveFirst(s.idx.AppendOrdered(nil, doc, requester, 0))
 	if len(candidates) > 0 {
 		obs.SpanFrom(ctx).Event("index_hit", strconv.Itoa(len(candidates))+" holders")
 	}
@@ -538,19 +537,14 @@ func (s *Server) resolveRemote(ctx context.Context, url string, requester int) f
 			if notHeld(err) {
 				// The peer is alive, it just evicted the document.
 				s.health.Touch(e.Client)
-			} else if s.health.Failure(e.Client) {
-				s.m.breakerOpened.Inc()
-				s.idx.Quarantine(e.Client)
-				if s.logger != nil {
-					s.logger.Warn("breaker opened", "client", e.Client, "err", err)
-				}
+			} else {
+				s.chargeFailure(e.Client, err)
 			}
 			continue
 		}
 		elapsed := time.Since(start)
 		if s.health.Success(e.Client, elapsed) {
 			s.m.breakerClosed.Inc()
-			s.idx.Unquarantine(e.Client)
 			if s.logger != nil {
 				s.logger.Info("breaker closed", "client", e.Client)
 			}
@@ -572,6 +566,20 @@ func (s *Server) resolveRemote(ctx context.Context, url string, requester int) f
 		return res
 	}
 	return fetchResult{}
+}
+
+// chargeFailure books a transport failure or integrity violation against a
+// holder's breaker. A charge that trips it quarantines every entry of the
+// holder at once, so the trip is counted and logged here, whichever path
+// charged it.
+func (s *Server) chargeFailure(client int, cause error) {
+	if !s.health.Failure(client) {
+		return
+	}
+	s.m.breakerOpened.Inc()
+	if s.logger != nil {
+		s.logger.Warn("breaker opened", "client", client, "err", cause)
+	}
 }
 
 // fetchFromPeer retrieves url from a holder's peer server and verifies the
@@ -791,7 +799,7 @@ func (s *Server) handleReportBad(w http.ResponseWriter, r *http.Request) {
 		if doc, known := s.syms.Lookup(rep.URL); known {
 			s.idx.Remove(session.holder, doc)
 		}
-		s.health.Failure(session.holder)
+		s.chargeFailure(session.holder, fmt.Errorf("bad content reported by client %d", id))
 	}
 	w.WriteHeader(http.StatusNoContent)
 }

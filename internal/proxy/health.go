@@ -11,12 +11,19 @@ package proxy
 // (POST /heartbeat), and runs a three-state circuit breaker:
 //
 //	closed    → normal operation; consecutive transport failures count up.
-//	open      → the peer tripped (threshold consecutive failures, or a
-//	            heartbeat silence sweep); all its index entries are
-//	            quarantined in one step and holder selection skips it.
+//	open      → the peer tripped (threshold consecutive failures, a
+//	            reported delivery, or a heartbeat silence sweep); all its
+//	            index entries are quarantined at once and holder selection
+//	            skips it.
 //	half-open → after the cooldown one probe request is let through; a
-//	            success closes the breaker and un-quarantines every entry
-//	            at once, a failure re-opens it.
+//	            success closes the breaker and re-admits every entry at
+//	            once, a failure re-opens it.
+//
+// The breaker is the quarantine: a holder is quarantined exactly while its
+// breaker is not closed, and nothing else records it. The browser index
+// keeps only who holds what; holder selection lists a document's holders
+// from it and orders the quarantined ones last (liveFirst), so a trip or a
+// re-admission is one state change here and no index write.
 //
 // Stale-entry responses (a live peer that already evicted the document) do
 // not count against the breaker — only transport-level failures and
@@ -31,6 +38,7 @@ import (
 	"time"
 
 	"baps/internal/breaker"
+	"baps/internal/index"
 )
 
 // peerHealth is the mutable health record of one registered peer.
@@ -109,8 +117,8 @@ func (h *healthTracker) Allow(id int) bool {
 }
 
 // Success records a served request with its latency. readmitted is true when
-// this success closed a non-closed breaker — the caller then restores the
-// peer's quarantined index entries in one step.
+// this success closed a non-closed breaker, re-admitting every index entry
+// of the peer.
 func (h *healthTracker) Success(id int, latency time.Duration) (readmitted bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -140,8 +148,8 @@ func (h *healthTracker) Touch(id int) {
 }
 
 // Failure records a transport failure or integrity violation. tripped is
-// true when this failure opened a previously closed breaker — the caller
-// then quarantines the peer's index entries in one step.
+// true when this failure opened a previously closed breaker, quarantining
+// every index entry of the peer.
 func (h *healthTracker) Failure(id int) (tripped bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -154,8 +162,7 @@ func (h *healthTracker) Failure(id int) (tripped bool) {
 }
 
 // SweepSilent trips the breaker of every closed-state peer not seen for
-// longer than maxAge (missed heartbeats), returning the tripped ids so the
-// caller can quarantine them.
+// longer than maxAge (missed heartbeats), returning the tripped ids.
 func (h *healthTracker) SweepSilent(maxAge time.Duration) []int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -168,6 +175,58 @@ func (h *healthTracker) SweepSilent(maxAge time.Duration) []int {
 		}
 	}
 	return tripped
+}
+
+// quarantined reports whether id's breaker is open or half-open. An
+// untracked peer is never quarantined. The caller holds h.mu.
+func (h *healthTracker) quarantined(id int) bool {
+	p, ok := h.peers[id]
+	return ok && p.br.State() != breaker.Closed
+}
+
+// liveFirst reorders holders stably, in place: holders outside quarantine
+// first, the quarantined ones (half-open probe candidates) after them, each
+// group in the order given.
+func (h *healthTracker) liveFirst(holders []index.Entry) []index.Entry {
+	if len(holders) < 2 {
+		return holders // one holder is in order whatever its state
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	live := 0
+	for i, e := range holders {
+		if !h.quarantined(e.Client) {
+			copy(holders[live+1:i+1], holders[live:i])
+			holders[live] = e
+			live++
+		}
+	}
+	return holders
+}
+
+// anyLive reports whether some holder is outside quarantine.
+func (h *healthTracker) anyLive(holders []index.Entry) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, e := range holders {
+		if !h.quarantined(e.Client) {
+			return true
+		}
+	}
+	return false
+}
+
+// quarantinedPeers lists the tracked peers whose breaker is not closed.
+func (h *healthTracker) quarantinedPeers() []int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var ids []int
+	for id := range h.peers {
+		if h.quarantined(id) {
+			ids = append(ids, id)
+		}
+	}
+	return ids
 }
 
 // Counts reports how many tracked peers sit in each breaker state.

@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"baps/internal/index"
 )
 
 // fakeClock drives a healthTracker deterministically.
@@ -132,6 +134,31 @@ func TestSweepSilentTripsOnlyQuietClosedPeers(t *testing.T) {
 	// Already-open peers are not re-tripped.
 	if again := h.SweepSilent(5 * time.Second); len(again) != 0 {
 		t.Fatalf("re-tripped: %v", again)
+	}
+}
+
+// TestLiveFirstKeepsOrderWithinGroups: holders outside quarantine (closed
+// or untracked) come first and the quarantined ones after them, each group
+// in the order given — the strategy order AppendOrdered produced.
+func TestLiveFirstKeepsOrderWithinGroups(t *testing.T) {
+	h, clk := newTestTracker(1, time.Second)
+	for _, id := range []int{1, 2, 3, 4, 5} {
+		h.Track(id)
+	}
+	h.Failure(4) // open
+	h.Failure(1)
+	clk.Advance(2 * time.Second)
+	h.Allow(1) // half-open
+	var holders []index.Entry
+	for _, id := range []int{4, 9, 1, 5, 2, 3} { // 9 is untracked
+		holders = append(holders, index.Entry{Client: id})
+	}
+	var got []int
+	for _, e := range h.liveFirst(holders) {
+		got = append(got, e.Client)
+	}
+	if fmt.Sprint(got) != "[9 5 2 3 4 1]" {
+		t.Fatalf("liveFirst order = %v, want [9 5 2 3 4 1]", got)
 	}
 }
 
@@ -473,16 +500,20 @@ func TestHedgedOriginWinsOverSlowPeer(t *testing.T) {
 // quarantined holders of a registration that would never heartbeat again —
 // unservable, unsweepable, and shadowing the live replacement.
 func TestReRegisterSupersedesQuarantinedIdentity(t *testing.T) {
-	s := testServer(t, nil)
+	// No agent here heartbeats, so the silence sweep trips every id soon
+	// after it registers.
+	s := testServer(t, func(c *Config) { c.HeartbeatTimeout = 20 * time.Millisecond })
 	const peerURL = "http://127.0.0.1:45678"
 	u := "http://example.com/super/doc"
 
 	reg1 := register(t, s, peerURL)
 	addIndexEntry(t, s, reg1, u, 11)
 	// The silence sweep quarantined the crashed browser's id.
-	s.Index().Quarantine(reg1.ClientID)
-	if s.Index().QuarantinedEntries() != 1 {
-		t.Fatalf("setup: quarantined entries = %d, want 1", s.Index().QuarantinedEntries())
+	for deadline := time.Now().Add(2 * time.Second); s.Snapshot().QuarantinedEntries != 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("setup: quarantined entries = %d, want 1", s.Snapshot().QuarantinedEntries)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	// Crash-restart: same peer URL, new registration.
@@ -503,7 +534,7 @@ func TestReRegisterSupersedesQuarantinedIdentity(t *testing.T) {
 	if s.Index().Has(reg1.ClientID, doc) {
 		t.Fatal("old client id still holds an index entry after re-register")
 	}
-	if n := s.Index().QuarantinedEntries(); n != 0 {
+	if n := s.Snapshot().QuarantinedEntries; n != 0 {
 		t.Fatalf("quarantined entries after re-register = %d, want 0", n)
 	}
 	if r := postBatch(t, s, reg1, IndexBatch{Gen: 1, Deltas: []IndexDelta{{URL: u, Size: 11}}}); r.Accepted != 0 {
@@ -515,7 +546,7 @@ func TestReRegisterSupersedesQuarantinedIdentity(t *testing.T) {
 	if !s.Index().Has(reg2.ClientID, doc) {
 		t.Fatal("new client id's entry missing")
 	}
-	if got := len(s.Index().Ordered(doc, -1)); got != 1 {
+	if got := len(s.Index().AppendOrdered(nil, doc, -1, 0)); got != 1 {
 		t.Fatalf("orderable holders = %d, want 1 (the new id)", got)
 	}
 }

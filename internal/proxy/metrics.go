@@ -254,7 +254,7 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 	reg.GaugeFunc("baps_proxy_index_entries",
 		"Live browser-index entries.", func() float64 { return float64(s.idx.Len()) })
 	reg.GaugeFunc("baps_proxy_index_quarantined_entries",
-		"Browser-index entries under breaker quarantine.", func() float64 { return float64(s.idx.QuarantinedEntries()) })
+		"Browser-index entries under breaker quarantine.", func() float64 { return float64(s.quarantinedEntries()) })
 	reg.GaugeFunc("baps_proxy_index_docs",
 		"Distinct documents currently indexed.", func() float64 { return float64(s.idx.URLCount()) })
 	reg.GaugeFunc("baps_proxy_watermark_memo_entries",

@@ -157,7 +157,7 @@ func (s *Server) prefetchScan() {
 	// determinism).
 	loads := make(map[int]int, len(peers))
 	for _, p := range peers {
-		loads[p.id] = len(s.idx.ClientDocs(p.id))
+		loads[p.id] = s.idx.Held(p.id)
 	}
 	sort.Slice(peers, func(i, j int) bool {
 		if loads[peers[i].id] != loads[peers[j].id] {

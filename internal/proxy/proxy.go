@@ -473,17 +473,26 @@ func (s *Server) heartbeatSweeper() {
 	}
 }
 
-// sweepSilentPeers quarantines every peer whose breaker the silence sweep
-// trips, counting each as a heartbeat miss.
+// sweepSilentPeers counts each peer whose breaker the silence sweep trips
+// (quarantining it) as a heartbeat miss.
 func (s *Server) sweepSilentPeers() {
 	for _, id := range s.health.SweepSilent(s.cfg.HeartbeatTimeout) {
 		s.m.heartbeatMisses.Inc()
 		s.m.breakerOpened.Inc()
-		s.idx.Quarantine(id)
 		if s.logger != nil {
 			s.logger.Warn("breaker opened by silence sweep", "client", id)
 		}
 	}
+}
+
+// quarantinedEntries counts the index entries of every peer whose breaker is
+// not closed: the entries holder selection lists last and skips.
+func (s *Server) quarantinedEntries() int {
+	n := 0
+	for _, id := range s.health.quarantinedPeers() {
+		n += s.idx.Held(id)
+	}
+	return n
 }
 
 // Close shuts the proxy down gracefully: drain in-flight requests, spill
@@ -785,7 +794,7 @@ func (s *Server) Snapshot() Stats {
 		BreakerClosed:         closed,
 		BreakerOpen:           open,
 		BreakerHalfOpen:       halfOpen,
-		QuarantinedEntries:    s.idx.QuarantinedEntries(),
+		QuarantinedEntries:    s.quarantinedEntries(),
 		IndexBatches:          m.idxBatch.Value(),
 		IndexBatchDeltas:      m.idxBatchDeltas.Value(),
 		IndexGenGaps:          m.idxGenGaps.Value(),
