@@ -1,6 +1,8 @@
 package proxy
 
 import (
+	"crypto/md5"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -548,5 +550,94 @@ func TestReRegisterSupersedesQuarantinedIdentity(t *testing.T) {
 	}
 	if got := len(s.Index().AppendOrdered(nil, doc, -1, 0)); got != 1 {
 		t.Fatalf("orderable holders = %d, want 1 (the new id)", got)
+	}
+}
+
+// TestDisabledBreakerIgnoresSilence: with BreakerThreshold 0 the breaker is
+// disabled, so a holder that never heartbeats is not quarantined by the
+// silence sweep — no trip is counted, siblings are told the document is
+// held, and fetches still reach the holder.
+func TestDisabledBreakerIgnoresSilence(t *testing.T) {
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("origin copy"))
+	}))
+	defer origin.Close()
+	const timeout = 20 * time.Millisecond
+	s := federate(t, 2, func(c *Config) {
+		c.Forward = FetchForward
+		c.CachePeerDocs = false
+		c.BreakerThreshold = 0
+		c.HeartbeatTimeout = timeout
+	})[0]
+
+	const body = "browser-held copy"
+	u := origin.URL + "/silent"
+	sum := md5.Sum([]byte(body))
+	mark, err := proxySigner(t, s).WatermarkDigest(sum[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var contacts atomic.Int64
+	holder := fakePeer(t, s, func(w http.ResponseWriter, r *http.Request) {
+		contacts.Add(1)
+		w.Header().Set(HeaderVersion, "0")
+		w.Header().Set(HeaderWatermark, base64.StdEncoding.EncodeToString(mark))
+		fmt.Fprint(w, body)
+	})
+	s.Index().Add(indexEntryFor(s, holder.ClientID, u, int64(len(body))))
+
+	// The holder never heartbeats: once it has been silent past the
+	// timeout, a sweep would quarantine it if the breaker were enabled.
+	pollUntil(t, 2*time.Second, "the holder to fall silent", func() bool {
+		for _, p := range s.health.Snapshot() {
+			if p.Client == holder.ClientID {
+				return p.LastSeenAgeSec > timeout.Seconds()
+			}
+		}
+		return false
+	})
+	s.sweepSilentPeers()
+
+	resp, err := http.Get(s.BaseURL() + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		BreakerTrips       int64 `json:"breaker_trips"`
+		QuarantinedEntries int   `json:"quarantined_entries"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.BreakerTrips != 0 || st.QuarantinedEntries != 0 {
+		t.Fatalf("breaker_trips = %d quarantined_entries = %d, want 0/0", st.BreakerTrips, st.QuarantinedEntries)
+	}
+
+	resp, err = http.Get(s.BaseURL() + "/peer/locate?url=" + neturl.QueryEscape(u))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lr LocateResponse
+	if resp.StatusCode == http.StatusOK {
+		json.NewDecoder(resp.Body).Decode(&lr)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || lr.Via != "browser" {
+		t.Fatalf("locate: status %d via %q, want 200 via browser", resp.StatusCode, lr.Via)
+	}
+
+	resp, err = http.Get(s.BaseURL() + "/fetch?url=" + neturl.QueryEscape(u))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if src := resp.Header.Get(HeaderSource); src != SourceRemote || string(got) != body {
+		t.Fatalf("fetch: source = %q body = %q, want the holder's copy", src, got)
+	}
+	if n := contacts.Load(); n != 1 {
+		t.Fatalf("holder contacted %d times, want 1", n)
 	}
 }
