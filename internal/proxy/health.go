@@ -72,6 +72,12 @@ func newHealthTracker(threshold int, cooldown time.Duration) *healthTracker {
 	}
 }
 
+// disabled is the one rule for BreakerThreshold <= 0: no path moves a
+// peer's breaker out of closed, so nothing admits, trips or quarantines by
+// it. Failure needs no check here — breaker.Failure trips nothing at a
+// threshold of 0 or less.
+func (h *healthTracker) disabled() bool { return h.threshold <= 0 }
+
 // Track starts (or resets) a peer's record at registration time.
 func (h *healthTracker) Track(id int) {
 	h.mu.Lock()
@@ -104,8 +110,8 @@ func (h *healthTracker) Beat(id int) bool {
 // half-open and admits exactly one probe (a stuck probe is replaced after
 // another cooldown).
 func (h *healthTracker) Allow(id int) bool {
-	if h.threshold <= 0 {
-		return true // breaker disabled
+	if h.disabled() {
+		return true
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -162,8 +168,12 @@ func (h *healthTracker) Failure(id int) (tripped bool) {
 }
 
 // SweepSilent trips the breaker of every closed-state peer not seen for
-// longer than maxAge (missed heartbeats), returning the tripped ids.
+// longer than maxAge (missed heartbeats), returning the tripped ids. With
+// the breaker disabled it trips nothing.
 func (h *healthTracker) SweepSilent(maxAge time.Duration) []int {
+	if h.disabled() {
+		return nil
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	now := h.now()
