@@ -67,8 +67,6 @@ func main() {
 	maxRPS := flag.Int("max-rps", 0, "fetch admission cap in requests/sec (0: unlimited)")
 	revalidateAfter := flag.Duration("revalidate-after", 0, "background-revalidate cached documents older than this (0 disables)")
 	revalidateEvery := flag.Duration("revalidate-every", 0, "revalidation scan period (0: revalidate-after/4)")
-	prefetchInterval := flag.Duration("prefetch-interval", 0, "popularity-scan period for pushing hot docs into browser caches (0 disables)")
-	prefetchMinHits := flag.Int("prefetch-min-hits", 0, "access count that makes a document a prefetch candidate (0: default 3)")
 	flag.Parse()
 
 	logger := newLogger(*logjson)
@@ -102,8 +100,6 @@ func main() {
 	cfg.MaxFetchRPS = *maxRPS
 	cfg.RevalidateAfter = *revalidateAfter
 	cfg.RevalidateEvery = *revalidateEvery
-	cfg.PrefetchInterval = *prefetchInterval
-	cfg.PrefetchMinHits = *prefetchMinHits
 	switch *forward {
 	case "fetch":
 		cfg.Forward = proxy.FetchForward

@@ -3,14 +3,12 @@ package browser
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strconv"
 	"sync"
 	"testing"
@@ -71,7 +69,7 @@ func newBodyModel() *bodyModel {
 	return &bodyModel{held: map[string]modelDoc{}, floor: map[string]int64{}}
 }
 
-// stored records a store or push of (u, v, body) the agent accepts unless
+// stored records a store or fetch of (u, v, body) the agent accepts unless
 // the version is tombstoned.
 func (m *bodyModel) stored(u string, v int64, body []byte) {
 	if v < m.floor[u] {
@@ -176,8 +174,8 @@ func checkStoreAccounting(t *testing.T, h *AgentHost) {
 
 // TestBodyStoreInvariantsUnderChurn drives 16 hosted agents on one host
 // through random stores (some (URL, version) pairs with differing bytes),
-// same-key replacements, capacity evictions, Evict, invalidations, pushes,
-// Close and Kill — four workers at once, each owning four agent slots. After
+// same-key replacements, capacity evictions, Evict, invalidations, fetches
+// through the proxy, Close and Kill — four workers at once, each owning four agent slots. After
 // every operation the agent must return and peer-serve exactly the bytes it
 // stored; between rounds the store must match what the agents hold; once
 // every agent has departed it must be empty.
@@ -190,7 +188,8 @@ func TestBodyStoreInvariantsUnderChurn(t *testing.T) {
 	const workers, perWorker, docs, rounds, opsPerRound = 4, 4, 8, 12, 25
 	urls := make([]string, docs)
 	for d := range urls {
-		urls[d] = c.url(fmt.Sprintf("/bodies/%d", d))
+		// The origin's copy is small enough for the agent cache.
+		urls[d] = c.url(fmt.Sprintf("/bodies/%d?size=600", d))
 	}
 	agents := make([][]*Agent, workers)
 	models := make([][]*bodyModel, workers)
@@ -232,16 +231,16 @@ func TestBodyStoreInvariantsUnderChurn(t *testing.T) {
 						}
 						m.invalidated(u, v)
 					case k < 16:
-						body := universeBody(d, v, bad)
-						want := http.StatusNoContent
-						if v < m.floor[u] {
-							want = http.StatusGone
-						}
-						if code := postPush(a, u, v, body); code != want {
-							t.Errorf("push: status %d, want %d", code, want)
+						// The agent's own fetch: a miss stores the
+						// origin's version, unless it is tombstoned.
+						body, src, err := a.Get(context.Background(), u)
+						if err != nil {
+							t.Errorf("fetch: %v", err)
 							return
 						}
-						m.stored(u, v, body)
+						if src != SourceLocal {
+							m.stored(u, c.origin.Version(fmt.Sprintf("/bodies/%d", d)), body)
+						}
 					case k < 18:
 						if err := checkAgentBodies(a, m, urls); err != nil {
 							t.Error(err)
@@ -292,17 +291,6 @@ func postInvalidate(a *Agent, docURL string, version int64) int {
 	req.Header.Set(proxy.HeaderToken, a.token)
 	rec := httptest.NewRecorder()
 	a.handleCacheInvalidate(rec, req)
-	return rec.Code
-}
-
-// postPush calls a's /cache/push handler as the proxy's prefetcher would.
-func postPush(a *Agent, docURL string, version int64, body []byte) int {
-	req := httptest.NewRequest(http.MethodPost, "/cache/push?url="+url.QueryEscape(docURL), bytes.NewReader(body))
-	req.Header.Set(proxy.HeaderToken, a.token)
-	req.Header.Set(proxy.HeaderVersion, strconv.FormatInt(version, 10))
-	req.Header.Set(proxy.HeaderWatermark, base64.StdEncoding.EncodeToString([]byte("mark")))
-	rec := httptest.NewRecorder()
-	a.handleCachePush(rec, req)
 	return rec.Code
 }
 

@@ -145,12 +145,9 @@ type Metrics struct {
 	// the key vanished between Keys() and Peek() (should stay zero: the
 	// snapshot runs under the cache lock).
 	DirSnapshotMisses int64
-	// Background-pipeline traffic (DESIGN.md §14): proxy-initiated cache
-	// pushes accepted into / declined by this cache, and proxy-initiated
-	// invalidations applied to it.
-	PushesAccepted int64
-	PushesDeclined int64
-	Invalidations  int64
+	// Invalidations counts proxy-initiated invalidations applied to this
+	// cache (background pipeline, DESIGN.md §14).
+	Invalidations int64
 
 	// WatermarkVerifies counts full RSA watermark verifications;
 	// VerifyMemoHits counts deliveries accepted from the verification memo
@@ -293,7 +290,7 @@ func initAgent(a *Agent, cfg Config, client *http.Client, bodies *bodyStore) err
 // reads only query/body/headers — which is what makes prefix-routed hosting
 // possible without touching the wire protocol.
 var peerPaths = []string{
-	"/peer/doc", "/peer/send", "/peer/resync", "/cache/push", "/cache/invalidate",
+	"/peer/doc", "/peer/send", "/peer/resync", "/cache/invalidate",
 }
 
 // dispatch maps a peer-server path to its handler (nil when unknown).
@@ -305,8 +302,6 @@ func (a *Agent) dispatch(path string) http.HandlerFunc {
 		return a.handlePeerSend
 	case "/peer/resync":
 		return a.handlePeerResync
-	case "/cache/push":
-		return a.handleCachePush
 	case "/cache/invalidate":
 		return a.handleCacheInvalidate
 	}
@@ -546,10 +541,6 @@ func (a *Agent) registerMetrics() {
 		func(m *Metrics) int64 { return m.IndexPublishFailures })
 	counter("baps_browser_dir_snapshot_misses_total", "Directory-snapshot entries skipped by a Keys/Peek race.",
 		func(m *Metrics) int64 { return m.DirSnapshotMisses })
-	counter("baps_browser_pushes_accepted_total", "Proxy-initiated cache pushes stored locally.",
-		func(m *Metrics) int64 { return m.PushesAccepted })
-	counter("baps_browser_pushes_declined_total", "Proxy-initiated cache pushes refused (closing or tombstoned).",
-		func(m *Metrics) int64 { return m.PushesDeclined })
 	counter("baps_browser_invalidations_total", "Proxy-initiated invalidations applied to the local cache.",
 		func(m *Metrics) int64 { return m.Invalidations })
 	a.obs.GaugeFunc("baps_browser_cache_docs", "Documents in the local cache.", func() float64 {

@@ -41,8 +41,8 @@ type HostConfig struct {
 //
 // On the wire nothing changes for the proxy: each agent registers its own
 // /a/<slot>-prefixed callback URL, holds its own token, and keeps its own
-// index generation counter, so fetch-forward, direct-forward, prefetch
-// pushes, and invalidations all work against hosted agents unmodified.
+// index generation counter, so fetch-forward, direct-forward and
+// invalidations all work against hosted agents unmodified.
 type AgentHost struct {
 	cfg     HostConfig
 	client  *http.Client

@@ -132,57 +132,6 @@ func TestCacheInvalidateAuthAndValidation(t *testing.T) {
 	}
 }
 
-// TestPrefetchLandsInIdleBrowser: end-to-end push path — two agents make a
-// document hot, and the proxy's prefetcher plants it (with a verifying
-// watermark) into the third, idle agent's cache without that agent ever
-// requesting it.
-func TestPrefetchLandsInIdleBrowser(t *testing.T) {
-	pcfg := proxy.DefaultConfig()
-	pcfg.KeyBits = 1024
-	pcfg.CacheCapacity = 1 << 20
-	pcfg.PrefetchInterval = 25 * time.Millisecond
-	pcfg.PrefetchMinHits = 2
-	c := startCluster(t, 3, pcfg, nil)
-	u := c.url("/hot/doc")
-
-	ctx := context.Background()
-	if _, _, err := c.agents[0].Get(ctx, u); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.agents[1].Get(ctx, u); err != nil {
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		var landed *Agent
-		for _, a := range c.agents {
-			if a.Snapshot().PushesAccepted >= 1 {
-				landed = a
-				break
-			}
-		}
-		if landed != nil {
-			// The planted copy serves its own future request locally.
-			body, src, err := landed.Get(ctx, u)
-			if err != nil || src != SourceLocal || len(body) == 0 {
-				t.Fatalf("planted doc: src=%v err=%v len=%d", src, err, len(body))
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no agent ever accepted a prefetch push")
-		}
-		// Each prefetch scan halves the document's popularity, so a scan
-		// that fell between the two Gets left it cold; anonymous fetches
-		// keep it hot until a push lands.
-		if resp, err := http.Get(c.proxy.BaseURL() + "/fetch?url=" + url.QueryEscape(u)); err == nil {
-			proxy.DrainClose(resp)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestInvalidationEndToEnd: a modification observed by the proxy's
 // revalidator reaches the browser — the stale local copy disappears and
 // the next Get returns the new content.

@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -21,9 +20,11 @@ import (
 
 // tamperGateway fronts the proxy for a set of agents: while armed it flips a
 // byte in the next /fetch body it relays, so a delivery the proxy vouched
-// for reaches the requester altered.
+// for reaches the requester altered; while a mark is set it replaces the
+// next /fetch response's watermark with it.
 type tamperGateway struct {
 	armed atomic.Bool
+	mark  atomic.Pointer[[]byte]
 	srv   *httptest.Server
 }
 
@@ -35,8 +36,17 @@ func newTamperGateway(t *testing.T, proxyURL string) *tamperGateway {
 	}
 	g := &tamperGateway{}
 	rp := httputil.NewSingleHostReverseProxy(target)
+	// No pooled connections: a proxy restarted on the same address gets a
+	// fresh dial.
+	rp.Transport = &http.Transport{DisableKeepAlives: true}
 	rp.ModifyResponse = func(resp *http.Response) error {
-		if resp.Request.URL.Path != "/fetch" || resp.StatusCode != http.StatusOK || !g.armed.CompareAndSwap(true, false) {
+		if resp.Request.URL.Path != "/fetch" || resp.StatusCode != http.StatusOK {
+			return nil
+		}
+		if mark := g.mark.Swap(nil); mark != nil {
+			resp.Header.Set(proxy.HeaderWatermark, base64.StdEncoding.EncodeToString(*mark))
+		}
+		if !g.armed.CompareAndSwap(true, false) {
 			return nil
 		}
 		body, err := io.ReadAll(resp.Body)
@@ -51,25 +61,6 @@ func newTamperGateway(t *testing.T, proxyURL string) *tamperGateway {
 	g.srv = httptest.NewServer(rp)
 	t.Cleanup(g.srv.Close)
 	return g
-}
-
-// pushDoc POSTs a /cache/push to a (as the proxy would) and returns the
-// status code.
-func pushDoc(t *testing.T, a *Agent, docURL string, body, mark []byte, version int64) int {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, a.PeerURL()+"/cache/push?url="+url.QueryEscape(docURL), bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(proxy.HeaderToken, a.token)
-	req.Header.Set(proxy.HeaderWatermark, base64.StdEncoding.EncodeToString(mark))
-	req.Header.Set(proxy.HeaderVersion, strconv.FormatInt(version, 10))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	return resp.StatusCode
 }
 
 // cachedCopy returns a's cached body, watermark and version for docURL.
@@ -177,29 +168,37 @@ func TestVerifyMemoStillDetectsTamper(t *testing.T) {
 
 // TestVerifyMemoRejectsAlteredMark: with the genuine pair memoised, the
 // genuine body under an altered or truncated watermark still fails (the
-// memo hits only on byte-identical marks), and the genuine mark is then a
-// memo hit; both counters are on /metrics.
+// memo hits only on byte-identical marks), and the retry's genuine mark is
+// then a memo hit; both counters are on /metrics.
 func TestVerifyMemoRejectsAlteredMark(t *testing.T) {
-	c := startCluster(t, 1, testProxyConfig(proxy.FetchForward), nil)
-	a := c.agents[0]
+	c := startCluster(t, 0, testProxyConfig(proxy.FetchForward), nil)
+	gw := newTamperGateway(t, c.proxy.BaseURL())
+	acfg := DefaultConfig(gw.srv.URL)
+	acfg.CacheCapacity = 1 << 20
+	a, err := New(acfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	ctx := context.Background()
 	u := c.url("/doc/altered-mark?size=5000")
-	if _, _, err := a.Get(context.Background(), u); err != nil {
+	if _, _, err := a.Get(ctx, u); err != nil {
 		t.Fatal(err)
 	}
 	d := cachedCopy(t, a, u)
 	altered := append([]byte(nil), d.watermark...)
 	altered[7] ^= 0x01
-	for _, mark := range [][]byte{altered, d.watermark[:len(d.watermark)-1]} {
-		if code := pushDoc(t, a, u, d.body, mark, d.version); code != http.StatusBadRequest {
-			t.Fatalf("genuine body with a bad mark: status %d, want 400", code)
+	truncated := d.watermark[:len(d.watermark)-1]
+	for _, mark := range [][]byte{altered, truncated} {
+		a.Evict(u)
+		gw.mark.Store(&mark)
+		if got, _, err := a.Get(ctx, u); err != nil || !bytes.Equal(got, d.body) {
+			t.Fatalf("genuine body with a bad mark: err=%v, retry returned the genuine body %v", err, bytes.Equal(got, d.body))
 		}
 	}
-	if code := pushDoc(t, a, u, d.body, d.watermark, d.version); code != http.StatusNoContent {
-		t.Fatalf("genuine pair: status %d, want 204", code)
-	}
 	m := a.Snapshot()
-	if m.TamperSeen != 2 || m.WatermarkVerifies != 3 || m.VerifyMemoHits != 1 {
-		t.Fatalf("tamper_seen=%d verifies=%d memo_hits=%d, want 2/3/1", m.TamperSeen, m.WatermarkVerifies, m.VerifyMemoHits)
+	if m.TamperSeen != 2 || m.WatermarkVerifies != 3 || m.VerifyMemoHits != 2 {
+		t.Fatalf("tamper_seen=%d verifies=%d memo_hits=%d, want 2/3/2", m.TamperSeen, m.WatermarkVerifies, m.VerifyMemoHits)
 	}
 
 	resp, err := http.Get(a.PeerURL() + "/metrics")
@@ -215,7 +214,7 @@ func TestVerifyMemoRejectsAlteredMark(t *testing.T) {
 	}
 	for name, want := range map[string]string{
 		"baps_browser_watermark_verified_total":         "3",
-		"baps_browser_watermark_verify_memo_hits_total": "1",
+		"baps_browser_watermark_verify_memo_hits_total": "2",
 	} {
 		if scraped[name] != want {
 			t.Errorf("/metrics %s = %q, want %s", name, scraped[name], want)
@@ -272,7 +271,8 @@ func TestVerifyMemoScopedToProxyKey(t *testing.T) {
 			p1.Close()
 		}
 	})
-	h := startHost(t, &cluster{proxy: p1}, nil)
+	gw := newTamperGateway(t, p1.BaseURL())
+	h := startHost(t, &cluster{proxy: p1}, func(ac *Config) { ac.ProxyURL = gw.srv.URL })
 	ctx := context.Background()
 	u := ots.URL + "/doc/rekeyed?size=7000"
 
@@ -317,10 +317,12 @@ func TestVerifyMemoScopedToProxyKey(t *testing.T) {
 	if bytes.Equal(cachedCopy(t, after, u).watermark, old.watermark) {
 		t.Fatal("the restarted proxy signed with the old key")
 	}
-	if code := pushDoc(t, after, u, old.body, old.watermark, old.version); code != http.StatusBadRequest {
-		t.Fatalf("old-key mark: status %d, want 400", code)
+	after.Evict(u)
+	gw.mark.Store(&old.watermark)
+	if got, _, err := after.Get(ctx, u); err != nil || !bytes.Equal(got, old.body) {
+		t.Fatalf("old-key mark: err=%v, retry returned the same bytes %v", err, bytes.Equal(got, old.body))
 	}
-	if m := after.Snapshot(); m.TamperSeen != 1 || m.WatermarkVerifies != 2 {
-		t.Fatalf("old-key mark: tamper_seen=%d verifies=%d, want 1/2", m.TamperSeen, m.WatermarkVerifies)
+	if m := after.Snapshot(); m.TamperSeen != 1 || m.WatermarkVerifies != 2 || m.VerifyMemoHits != 1 {
+		t.Fatalf("old-key mark: tamper_seen=%d verifies=%d memo_hits=%d, want 1/2/1", m.TamperSeen, m.WatermarkVerifies, m.VerifyMemoHits)
 	}
 }

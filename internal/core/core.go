@@ -224,14 +224,6 @@ type Config struct {
 	// stale miss. Zero reproduces the paper (no revalidation).
 	RevalidateAfterSec float64
 
-	// PrefetchMinHits, when positive under the browsers-aware
-	// organization, models the popularity-driven prefetch producer: once a
-	// document's proxy-level access count reaches this threshold, the
-	// proxy pushes a copy into one browser cache that does not yet hold it
-	// (round-robin over clients), publishing the index entry. Zero
-	// disables prefetch.
-	PrefetchMinHits int
-
 	// ParentCapacity, when positive, inserts an upper-level proxy cache
 	// between the organization and the origin (the paper's "upper level
 	// proxy" that misses are forwarded to). It is consulted after every
@@ -286,9 +278,6 @@ func (c *Config) Validate() error {
 	if c.RevalidateAfterSec < 0 {
 		return fmt.Errorf("core: negative RevalidateAfterSec")
 	}
-	if c.PrefetchMinHits < 0 {
-		return fmt.Errorf("core: negative PrefetchMinHits")
-	}
 	return nil
 }
 
@@ -316,9 +305,6 @@ type Outcome struct {
 	// revalidation refreshed a modified copy before this access (one
 	// background origin fetch was spent on it).
 	Revalidated bool
-	// PrefetchPushed reports that this access tripped the popularity
-	// threshold and pushed a copy into an idle browser cache.
-	PrefetchPushed bool
 }
 
 // System is one configured caching organization processing a request
@@ -337,13 +323,9 @@ type System struct {
 	// proxy miss costs no allocation.
 	ordBuf []index.Entry
 
-	// Background-pipeline policy state (nil/empty when disabled).
-	// revalStamp[doc] is the proxy copy's last known-fresh time;
-	// popCount[doc] is the proxy-level access count driving prefetch;
-	// prefetchCursor round-robins push placement over clients.
-	revalStamp     []float64
-	popCount       []int32
-	prefetchCursor int
+	// revalStamp[doc] is the proxy copy's last known-fresh time under
+	// background revalidation (nil when disabled).
+	revalStamp []float64
 }
 
 // sparseAutoThreshold is the NumClients × NumDocs product beyond which the
@@ -465,20 +447,16 @@ func (s *System) arm() error {
 		}
 	}
 	s.now = 0
-	s.armPipelinePolicies()
+	s.armRevalidation()
 	return nil
 }
 
-// armPipelinePolicies (re)allocates the background-policy state to match the
-// current configuration: revalidation needs a proxy; prefetch needs the full
-// browsers-aware triple (proxy + index + browser caches).
-func (s *System) armPipelinePolicies() {
-	s.revalStamp, s.popCount, s.prefetchCursor = nil, nil, 0
+// armRevalidation (re)allocates the revalidation state to match the current
+// configuration: revalidation needs a proxy.
+func (s *System) armRevalidation() {
+	s.revalStamp = nil
 	if s.cfg.RevalidateAfterSec > 0 && s.cfg.Organization.hasProxy() {
 		s.revalStamp = make([]float64, s.cfg.NumDocs)
-	}
-	if s.cfg.PrefetchMinHits > 0 && s.cfg.Organization == BrowsersAware {
-		s.popCount = make([]int32, s.cfg.NumDocs)
 	}
 }
 
@@ -487,11 +465,6 @@ func (s *System) armPipelinePolicies() {
 func (s *System) Access(r trace.Request) Outcome {
 	out := Outcome{Provider: -1, Size: r.Size, Class: Miss}
 	s.access(r, &out)
-	// Popularity accounting mirrors the live proxy: every request that
-	// reached the proxy layer (anything but a local-browser hit) counts.
-	if s.popCount != nil && out.Class != HitLocalBrowser {
-		out.PrefetchPushed = s.notePrefetch(r)
-	}
 	return out
 }
 
@@ -614,44 +587,6 @@ func (s *System) freshStamp(doc intern.ID) float64 {
 		return 0
 	}
 	return s.revalStamp[int(doc)]
-}
-
-// notePrefetch advances doc's proxy-level access count and, exactly at the
-// popularity threshold, pushes a copy into the next browser cache (round-
-// robin) that does not already hold it, publishing the index entry so the
-// placement is immediately resolvable. Reports whether a push happened.
-func (s *System) notePrefetch(r trace.Request) bool {
-	for int(r.Doc) >= len(s.popCount) {
-		s.popCount = append(s.popCount, 0)
-	}
-	s.popCount[int(r.Doc)]++
-	if int(s.popCount[int(r.Doc)]) != s.cfg.PrefetchMinHits {
-		return false
-	}
-	n := s.cfg.NumClients
-	for i := 0; i < n; i++ {
-		c := (s.prefetchCursor + i) % n
-		if c == r.Client {
-			continue
-		}
-		b := s.browsers[c]
-		if _, held := b.Peek(r.Doc); held {
-			continue
-		}
-		if _, admitted := b.Put(cache.IDDoc{ID: r.Doc, Size: r.Size}); !admitted {
-			continue
-		}
-		// Prefetch runs only under the browsers-aware organization,
-		// so the holder has a publisher.
-		e := index.Entry{Doc: r.Doc, Size: r.Size, Stamp: s.now}
-		if s.cfg.DocTTLSec > 0 {
-			e.Expire = s.now + s.cfg.DocTTLSec
-		}
-		s.pubs[c].OnInsert(e, b.Len())
-		s.prefetchCursor = (c + 1) % n
-		return true
-	}
-	return false
 }
 
 // deliverToBrowser stores the delivered document in the requester's browser

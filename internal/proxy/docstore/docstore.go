@@ -2,14 +2,14 @@
 // one lock, holding the two things the paper's proxy keeps per document — the
 // cached copy (§2) and the digest peer serves are checked against (§6.1) —
 // plus the disk tier's bookkeeping. The store also owns the cache.TwoTier
-// accountant over the resident records, the spill queue's contents, the disk
-// store and the prefetch popularity state. Other code changes a record only
+// accountant over the resident records, the spill queue's contents and the
+// disk store. Other code changes a record only
 // through the transitions below. The cache holds a key exactly when its
 // record is resident (any state but MetaOnly), a resident body has exactly
 // one home, and the disk store is never called with the lock held.
 //
 // An acquisition stores no digest. The first consumer that needs one — a
-// serve to a registered client, a prefetch push, a disk spill (so every
+// serve to a registered client, a disk spill (so every
 // journaled copy has one) or a peer serve that passed the watermark check —
 // derives it from the body in hand and records it for that version, once
 // however many ask at the same time.
@@ -31,15 +31,14 @@
 //	digest       any              (same)     Digest, RecordDigest: first digest of this version
 //	confirm      any              (same)     ConfirmFresh: a 304 restarts the revalidation clock
 //
-// Three scans read the whole table: Due nominates revalidations, Hot
-// prefetch candidates and WriteBehind the bodies to make durable.
+// Two scans read the whole table: Due nominates revalidations and
+// WriteBehind the bodies to make durable.
 package docstore
 
 import (
 	"context"
 	"crypto/md5"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -60,15 +59,10 @@ const (
 	Disk                  // body only in the disk store
 )
 
-const (
-	// SpillMinHits is spill admission: a demoted body accessed fewer times
-	// (counting the storing fetch) is shed instead of spilled. A spilled
-	// body streams on its first access and promotes on the second.
-	SpillMinHits = 2
-	// pushedTTL is how long a (url, client) push is remembered, so the
-	// prefetcher does not re-push a hot document the target just evicted.
-	pushedTTL = 30 * time.Second
-)
+// SpillMinHits is spill admission: a demoted body accessed fewer times
+// (counting the storing fetch) is shed instead of spilled. A spilled body
+// streams on its first access and promotes on the second.
+const SpillMinHits = 2
 
 // Meta is what the proxy knows about one version of a document: its MD5
 // digest (nil until derived) and the revalidation bookkeeping — when the body
@@ -84,14 +78,12 @@ type Meta struct {
 // record is everything the store keeps about one URL. durable: the disk
 // store holds this version. hits counts accesses since the store or the last
 // demotion, for spill admission and read-back promotion (disk tier only).
-// pop counts client accesses for prefetch nomination, halved by every Hot.
 type record struct {
 	meta    Meta
 	body    []byte // held in Memory and Staged only
 	state   State
 	durable bool
 	hits    int
-	pop     int64
 }
 
 // Op is one spill-queue entry: drop Key's disk copy (Del), or write its body
@@ -128,12 +120,11 @@ type Store struct {
 	recs    map[string]*record
 	cache   *cache.TwoTier
 	demoted []string
-	pushed  map[string]time.Time
 }
 
 // New builds a store, opening the disk tier when c.Dir is set.
 func New(c Config) (*Store, error) {
-	s := &Store{cfg: c, sum: md5.Sum, recs: make(map[string]*record), pushed: make(map[string]time.Time)}
+	s := &Store{cfg: c, sum: md5.Sum, recs: make(map[string]*record)}
 	opts := cache.Options{OnEvict: s.onEvict}
 	if c.Dir != "" {
 		opts.OnDemote = s.onDemote
@@ -395,13 +386,13 @@ func (s *Store) Purge(url string, version int64) bool {
 // shed drops a resident record to meta-only (cache.Remove fires no onEvict).
 func (s *Store) shed(url string, r *record) {
 	s.cache.Remove(url)
-	*r = record{meta: r.meta, pop: r.pop}
+	*r = record{meta: r.meta}
 }
 
 // onEvict is the cache's capacity eviction: body and disk copy go, meta stays.
 func (s *Store) onEvict(d cache.Doc) {
 	if r := s.recs[d.Key]; r != nil {
-		*r = record{meta: r.meta, pop: r.pop}
+		*r = record{meta: r.meta}
 	}
 	s.queueDelete(d.Key)
 }
@@ -445,52 +436,6 @@ func (s *Store) Due(age time.Duration, max int) []string {
 		}
 	}
 	return due
-}
-
-// NotePop counts one client access of url, if it has a record, for prefetch
-// nomination.
-func (s *Store) NotePop(url string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r := s.recs[url]; r != nil {
-		r.pop++
-	}
-}
-
-// Hot returns the memory-resident documents accessed at least minHits times,
-// hottest first. It then halves every count, keeping the table biased to
-// recent popularity, and forgets pushes older than pushedTTL.
-func (s *Store) Hot(minHits int64, now time.Time) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var hots []string
-	for url, r := range s.recs {
-		if r.pop >= minHits && r.state == Memory {
-			hots = append(hots, url)
-		}
-	}
-	sort.Slice(hots, func(i, j int) bool { return s.recs[hots[i]].pop > s.recs[hots[j]].pop })
-	for _, r := range s.recs {
-		r.pop >>= 1
-	}
-	for k, t := range s.pushed {
-		if now.Sub(t) > pushedTTL {
-			delete(s.pushed, k)
-		}
-	}
-	return hots
-}
-
-// Pushed reports whether key was pushed within pushedTTL, recording a push
-// at now if it was not.
-func (s *Store) Pushed(key string, now time.Time) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, recent := s.pushed[key]; recent {
-		return true
-	}
-	s.pushed[key] = now
-	return false
 }
 
 // WriteBehind queues disk copies of up to max admitted memory-tier bodies

@@ -72,11 +72,6 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 
 	book := &outcomeBook{m: s.m}
 	outcome := s.resolveFetch(ctx, w, book, url, requester, r.Header.Get(HeaderNoPeer) == "1")
-	if s.cfg.PrefetchInterval > 0 {
-		// Prefetch popularity, counted after the resolution so that a
-		// miss's own store is counted too.
-		s.docs.NotePop(url)
-	}
 
 	dur := time.Since(start)
 	book.book(outcome) // a no-op unless the outcome was only final at the end

@@ -95,17 +95,15 @@ type serverMetrics struct {
 	digestsRecv           *obs.Counter
 
 	// Background pipeline plane (pipeline.go).
-	revalidations    *obs.CounterVec // {result=fresh|changed|error}
-	revalFresh       *obs.Counter
-	revalChanged     *obs.Counter
-	revalErrors      *obs.Counter
-	prefetchPushes   *obs.Counter
-	prefetchDeclined *obs.Counter
-	invalidations    *obs.CounterVec // {target=local|browser|sibling}
-	invalLocal       *obs.Counter
-	invalBrowser     *obs.Counter
-	invalSibling     *obs.Counter
-	invalRecv        *obs.Counter
+	revalidations *obs.CounterVec // {result=fresh|changed|error}
+	revalFresh    *obs.Counter
+	revalChanged  *obs.Counter
+	revalErrors   *obs.Counter
+	invalidations *obs.CounterVec // {target=local|browser|sibling}
+	invalLocal    *obs.Counter
+	invalBrowser  *obs.Counter
+	invalSibling  *obs.Counter
+	invalRecv     *obs.Counter
 
 	fetchDur     *obs.Summary
 	peerFetchDur *obs.Summary
@@ -232,10 +230,6 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 	m.revalFresh = m.revalidations.With("fresh")
 	m.revalChanged = m.revalidations.With("changed")
 	m.revalErrors = m.revalidations.With("error")
-	m.prefetchPushes = reg.Counter("baps_proxy_prefetch_pushes_total",
-		"Hot documents pushed into under-loaded browser caches.")
-	m.prefetchDeclined = reg.Counter("baps_proxy_prefetch_declined_total",
-		"Prefetch pushes the target browser declined.")
 	m.invalidations = reg.CounterVec("baps_proxy_invalidations_total",
 		"Invalidation fan-out jobs completed, by target tier.", "target", "local", "browser", "sibling")
 	m.invalLocal = m.invalidations.With("local")

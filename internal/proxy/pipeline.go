@@ -1,16 +1,11 @@
-// Background work plane (DESIGN.md §14): the three producers that ride the
-// workqueue, decoupling consistency upkeep and proactive placement from the
-// request path.
+// Background work plane (DESIGN.md §14): the two producers that ride the
+// workqueue, decoupling consistency upkeep from the request path.
 //
 //   - Origin revalidation: resident documents past RevalidateAfter are
 //     conditionally re-fetched (If-None-Match + If-Modified-Since against
 //     the origin's validators). A 304 just refreshes the freshness clock; a
 //     200 with a new version replaces the local copy and fans the
 //     invalidation out before a client ever sees the stale body.
-//   - Popularity-driven prefetch: per-doc access accounting nominates hot
-//     resident documents; the least-loaded registered browsers (fewest
-//     indexed documents) receive them via authenticated POST /cache/push,
-//     turning the browser index into a placement engine.
 //   - Invalidation fan-out: any observed modification (revalidation,
 //     refetch, or a sibling's /peer/invalidate) enqueues jobs that purge
 //     the local tiers, notify indexed browser holders (POST
@@ -25,12 +20,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	neturl "net/url"
-	"sort"
 	"strconv"
 	"time"
 
-	"baps/internal/index"
 	"baps/internal/obs"
 	"baps/internal/proxy/docstore"
 	"baps/internal/workqueue"
@@ -39,22 +31,15 @@ import (
 // Job kinds on the workqueue (rate-limit and metric labels).
 const (
 	kindRevalidate   = "revalidate"
-	kindPrefetch     = "prefetch"
 	kindInvalLocal   = "invalidate_local"
 	kindInvalBrowser = "invalidate_browser"
 	kindInvalSibling = "invalidate_sibling"
 )
 
-const (
-	// revalScanBatch bounds the revalidation nominations per scan round so
-	// one huge cache cannot flood the queue (the next round picks up the
-	// rest — the scan is cheap).
-	revalScanBatch = 256
-	// prefetchFanout bounds the pushes per prefetch scan round and
-	// prefetchRPS rate-limits the push jobs (per second).
-	prefetchFanout = 4
-	prefetchRPS    = 64
-)
+// revalScanBatch bounds the revalidation nominations per scan round so one
+// huge cache cannot flood the queue (the next round picks up the rest — the
+// scan is cheap).
+const revalScanBatch = 256
 
 // newWorkqueue builds the proxy's background queue from Config. The queue
 // shares the server's metric registry, so baps_wq_* series appear on the
@@ -62,21 +47,17 @@ const (
 func (s *Server) newWorkqueue(reg *obs.Registry) *workqueue.Queue {
 	return workqueue.New(workqueue.Config{
 		JobTimeout: s.cfg.PeerTimeout,
-		RateLimits: map[string]float64{kindRevalidate: s.cfg.RevalidateRPS, kindPrefetch: prefetchRPS},
+		RateLimits: map[string]float64{kindRevalidate: s.cfg.RevalidateRPS},
 		Metrics:    reg,
 	})
 }
 
-// startPipeline launches the enabled scanning producers. The workqueue
-// itself is always live (invalidation fan-out needs no scanner).
+// startPipeline launches the revalidation scanner when it is enabled. The
+// workqueue itself is always live (invalidation fan-out needs no scanner).
 func (s *Server) startPipeline() {
 	if s.cfg.RevalidateAfter > 0 {
 		s.pipelineWG.Add(1)
 		go s.scanLoop(s.cfg.RevalidateEvery, s.revalidateScan)
-	}
-	if s.cfg.PrefetchInterval > 0 {
-		s.pipelineWG.Add(1)
-		go s.scanLoop(s.cfg.PrefetchInterval, s.prefetchScan)
 	}
 }
 
@@ -139,102 +120,6 @@ func (s *Server) revalidateJob(url string) func(context.Context) error {
 		s.m.revalChanged.Inc()
 		s.storeDoc(url, body, originMeta(body, hdr, time.Now()))
 		return nil
-	}
-}
-
-// prefetchScan decays the popularity table, picks the hottest memory-
-// resident documents, and pushes up to prefetchFanout of them into the
-// least-loaded registered browsers that do not already hold them.
-func (s *Server) prefetchScan() {
-	now := time.Now()
-	hots := s.docs.Hot(int64(s.cfg.PrefetchMinHits), now) // then regMu, never both
-	peers := s.peerList()
-	if len(hots) == 0 || len(peers) == 0 {
-		return
-	}
-	// Load = how many documents the index believes each browser holds;
-	// prefetch fills the emptiest caches first (ties broken by id for
-	// determinism).
-	loads := make(map[int]int, len(peers))
-	for _, p := range peers {
-		loads[p.id] = s.idx.Held(p.id)
-	}
-	sort.Slice(peers, func(i, j int) bool {
-		if loads[peers[i].id] != loads[peers[j].id] {
-			return loads[peers[i].id] < loads[peers[j].id]
-		}
-		return peers[i].id < peers[j].id
-	})
-	submitted := 0
-	for _, url := range hots {
-		if submitted >= prefetchFanout {
-			break
-		}
-		holders := make(map[int]bool)
-		if doc, known := s.syms.Lookup(url); known {
-			for _, e := range s.idx.Lookup(doc) {
-				holders[e.Client] = true
-			}
-		}
-		for _, p := range peers {
-			if holders[p.id] {
-				continue
-			}
-			key := url + "\x00" + strconv.Itoa(p.id)
-			if s.docs.Pushed(key, now) {
-				break // this doc was just pushed; move to the next one
-			}
-			s.wq.Submit(workqueue.Job{
-				Kind: kindPrefetch, Key: key, Priority: workqueue.Low,
-				Run: s.prefetchJob(p.id, url),
-			})
-			submitted++
-			break
-		}
-	}
-}
-
-// prefetchJob pushes one hot document into one browser cache. The target
-// re-serves the document to peers, so the push carries the watermark; if it
-// cannot be derived the push is skipped (the agent would reject an unsigned
-// body) and the error goes to the workqueue's retry/dead-letter accounting.
-func (s *Server) prefetchJob(client int, url string) func(context.Context) error {
-	return func(ctx context.Context) error {
-		peer, registered := s.peer(client)
-		body, m, st, _ := s.docs.Peek(url)
-		if !registered || st != docstore.Memory {
-			return nil // nomination went stale; nothing to push
-		}
-		meta := metaOf(m)
-		mark, err := s.watermarkFor(s.withDigest(url, body, meta).digest)
-		if err != nil {
-			return err
-		}
-		err = Post(ctx, s.peerClient, peer.baseURL+"/cache/push?url="+neturl.QueryEscape(url), body,
-			HeaderToken, peer.token,
-			HeaderVersion, strconv.FormatInt(meta.version, 10),
-			HeaderWatermark, mark)
-		var se *statusError
-		switch {
-		case err == nil:
-			s.m.prefetchPushes.Inc()
-			// The agent publishes the add through its own index protocol
-			// too (idempotent upsert); recording it here makes the
-			// placement resolvable immediately.
-			s.idx.Add(index.Entry{
-				Client: client, Doc: s.syms.Intern(url),
-				Size: int64(len(body)), Version: meta.version,
-				Stamp: float64(time.Now().UnixNano()) / 1e9,
-			})
-			s.fedNote(1)
-			return nil
-		case errors.As(err, &se) && (se.code == http.StatusConflict || se.code == http.StatusGone):
-			// The agent declined (doc invalidated there, or closing).
-			s.m.prefetchDeclined.Inc()
-			return nil
-		default:
-			return err
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"encoding/base64"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -13,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"baps/internal/integrity"
 	"baps/internal/origin"
 )
 
@@ -103,42 +101,18 @@ func TestRevalidationKeepsCacheFresh(t *testing.T) {
 	}
 }
 
-// browserStub is a minimal agent-side endpoint set for push/invalidate
-// traffic: it records authenticated calls and answers with a fixed status.
+// browserStub is a minimal agent-side endpoint for invalidate traffic: it
+// records authenticated calls.
 type browserStub struct {
 	mu          sync.Mutex
 	token       string
-	pushStatus  int
-	pushes      []stubPush
 	invalidates []InvalidateRequest
 	srv         *httptest.Server
 }
 
-type stubPush struct {
-	url     string
-	version int64
-	body    []byte
-	mark    []byte
-}
-
 func newBrowserStub(t *testing.T) *browserStub {
-	b := &browserStub{pushStatus: http.StatusNoContent}
+	b := &browserStub{}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/cache/push", func(w http.ResponseWriter, r *http.Request) {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		if r.Header.Get(HeaderToken) != b.token {
-			http.Error(w, "bad token", http.StatusForbidden)
-			return
-		}
-		body, _ := io.ReadAll(r.Body)
-		v, _ := strconv.ParseInt(r.Header.Get(HeaderVersion), 10, 64)
-		mark, _ := base64.StdEncoding.DecodeString(r.Header.Get(HeaderWatermark))
-		b.pushes = append(b.pushes, stubPush{
-			url: r.URL.Query().Get("url"), version: v, body: body, mark: mark,
-		})
-		w.WriteHeader(b.pushStatus)
-	})
 	mux.HandleFunc("/cache/invalidate", func(w http.ResponseWriter, r *http.Request) {
 		b.mu.Lock()
 		defer b.mu.Unlock()
@@ -157,85 +131,6 @@ func newBrowserStub(t *testing.T) *browserStub {
 	b.srv = httptest.NewServer(mux)
 	t.Cleanup(b.srv.Close)
 	return b
-}
-
-// TestPrefetchPushesHotDocToIdleBrowser: repeated hits make a document hot;
-// the prefetcher pushes it (authenticated, watermarked) into the registered
-// browser with the emptiest cache and records the placement in the index.
-func TestPrefetchPushesHotDocToIdleBrowser(t *testing.T) {
-	o := origin.New(5)
-	ots := httptest.NewServer(o.Handler())
-	defer ots.Close()
-
-	s := testServer(t, func(c *Config) {
-		c.PrefetchInterval = 25 * time.Millisecond
-		c.PrefetchMinHits = 2
-	})
-	stub := newBrowserStub(t)
-	reg := register(t, s, stub.srv.URL)
-	stub.mu.Lock()
-	stub.token = reg.Token
-	stub.mu.Unlock()
-
-	u := ots.URL + "/hot/doc?size=700"
-	for i := 0; i < 4; i++ {
-		fetchVersion(t, s, u)
-	}
-	pollUntil(t, 3*time.Second, "prefetch push", func() bool {
-		stub.mu.Lock()
-		defer stub.mu.Unlock()
-		return len(stub.pushes) >= 1
-	})
-
-	stub.mu.Lock()
-	p := stub.pushes[0]
-	stub.mu.Unlock()
-	if p.url != u {
-		t.Fatalf("pushed url %q, want %q", p.url, u)
-	}
-	if err := integrity.Verify(proxyPublicKey(t, s), p.body, p.mark); err != nil {
-		t.Fatalf("pushed watermark does not verify: %v", err)
-	}
-	// The placement becomes resolvable through the index. The proxy interns
-	// and places the URL once the push's POST has returned, which is after
-	// the stub recorded the push.
-	pollUntil(t, time.Second, "index placement", func() bool {
-		doc, known := s.syms.Lookup(u)
-		return known && len(s.idx.Lookup(doc)) == 1
-	})
-	if s.Snapshot().PrefetchPushes < 1 {
-		t.Fatal("prefetch_pushes not counted")
-	}
-}
-
-// TestPrefetchDeclineCounted: an agent refusing a push (tombstoned or
-// closing) is counted as declined, not retried into a dead letter.
-func TestPrefetchDeclineCounted(t *testing.T) {
-	o := origin.New(6)
-	ots := httptest.NewServer(o.Handler())
-	defer ots.Close()
-
-	s := testServer(t, func(c *Config) {
-		c.PrefetchInterval = 25 * time.Millisecond
-		c.PrefetchMinHits = 2
-	})
-	stub := newBrowserStub(t)
-	stub.pushStatus = http.StatusConflict
-	reg := register(t, s, stub.srv.URL)
-	stub.mu.Lock()
-	stub.token = reg.Token
-	stub.mu.Unlock()
-
-	u := ots.URL + "/declined/doc?size=400"
-	for i := 0; i < 4; i++ {
-		fetchVersion(t, s, u)
-	}
-	pollUntil(t, 3*time.Second, "declined push", func() bool {
-		return s.m.prefetchDeclined.Value() >= 1
-	})
-	if dl := s.wq.DeadLetters(); len(dl) != 0 {
-		t.Fatalf("declined push dead-lettered: %+v", dl)
-	}
 }
 
 // TestInvalidationReachesIndexedBrowser: when revalidation observes a

@@ -151,10 +151,8 @@ type Config struct {
 
 	// Background work plane (pipeline.go, DESIGN.md §14). The workqueue
 	// itself always runs — invalidation fan-out rides on it whenever a
-	// modification is observed — but the two scanning producers are
-	// opt-in: RevalidateAfter > 0 enables background origin revalidation,
-	// PrefetchInterval > 0 enables popularity-driven pushes into
-	// under-loaded browser caches.
+	// modification is observed — but the revalidation scanner is opt-in:
+	// RevalidateAfter > 0 enables it.
 	//
 	// RevalidateAfter is the age past which a resident document is
 	// conditionally re-fetched (If-None-Match + If-Modified-Since) in the
@@ -165,12 +163,6 @@ type Config struct {
 	RevalidateEvery time.Duration
 	// RevalidateRPS rate-limits revalidate jobs (<=0: 256/s).
 	RevalidateRPS float64
-	// PrefetchInterval is the popularity scan period; each round the
-	// hottest resident documents are pushed to the least-loaded agents.
-	PrefetchInterval time.Duration
-	// PrefetchMinHits is the access count that makes a document a
-	// prefetch candidate (<=0: 3).
-	PrefetchMinHits int
 
 	// stateSaveEvery, when positive, replaces the stateSaveEvery
 	// constant: tests set an hour so that write-behind and state saves
@@ -310,8 +302,8 @@ type Server struct {
 	fed   atomic.Pointer[federation.Cluster]
 	pacer *fetchPacer
 
-	// Background work plane (pipeline.go): wq runs the revalidation,
-	// prefetch, and invalidation jobs.
+	// Background work plane (pipeline.go): wq runs the revalidation and
+	// invalidation jobs.
 	wq           *workqueue.Queue
 	stopPipeline chan struct{}
 	pipelineWG   sync.WaitGroup
@@ -375,9 +367,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.RevalidateRPS <= 0 {
 		cfg.RevalidateRPS = 256
-	}
-	if cfg.PrefetchMinHits <= 0 {
-		cfg.PrefetchMinHits = 3
 	}
 	s := &Server{
 		cfg:          cfg,
@@ -501,7 +490,7 @@ func (s *Server) quarantinedEntries() int {
 func (s *Server) Close() error {
 	s.sweepOnce.Do(func() { close(s.stopSweep) })
 	// Stop the background producers first (no new jobs), then drain the
-	// workqueue: every accepted revalidation/prefetch/invalidation job
+	// workqueue: every accepted revalidation/invalidation job
 	// completes or dead-letters before the server tears down the clients
 	// those jobs use.
 	s.pipeOnce.Do(func() { close(s.stopPipeline) })
@@ -819,7 +808,6 @@ func (s *Server) Snapshot() Stats {
 		Federation:            fedStats,
 		Revalidations:         m.revalFresh.Value() + m.revalChanged.Value(),
 		RevalidationsChanged:  m.revalChanged.Value(),
-		PrefetchPushes:        m.prefetchPushes.Value(),
 		InvalidationsSent:     m.invalLocal.Value() + m.invalBrowser.Value() + m.invalSibling.Value(),
 		InvalidationsReceived: m.invalRecv.Value(),
 		Workqueue:             &wqStats,

@@ -19,8 +19,8 @@ import (
 // TestDocsAndRegistrationUnderRace runs registration churn (/register,
 // re-register, /heartbeat, /unregister), registered and anonymous /fetch
 // hits and misses, /index/batch publishes and origin modifications against
-// direct calls to the four background scans that read both halves of the
-// proxy: revalidateScan, prefetchScan, writeBehind and saveState. Once the
+// direct calls to the three background scans that read the proxy's state:
+// revalidateScan, writeBehind and saveState. Once the
 // traffic and the background jobs it caused have settled, the document
 // records must still agree with the cache accountant, and the registration
 // tables with each other. Run it under -race.
@@ -28,8 +28,7 @@ func TestDocsAndRegistrationUnderRace(t *testing.T) {
 	o := origin.New(5)
 	ots := httptest.NewServer(o.Handler())
 	t.Cleanup(ots.Close)
-	// Every registered client's peer server: accepts every push and
-	// invalidation.
+	// Every registered client's peer server: accepts every invalidation.
 	agents := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
 		w.WriteHeader(http.StatusNoContent)
@@ -40,8 +39,6 @@ func TestDocsAndRegistrationUnderRace(t *testing.T) {
 	cfg.stateSaveEvery = time.Hour // write-behind and state saves only from the scanner below
 	cfg.RevalidateAfter = time.Nanosecond
 	cfg.RevalidateEvery = time.Hour // every resident document is due; only direct scans nominate
-	cfg.PrefetchInterval = time.Hour
-	cfg.PrefetchMinHits = 1
 	s := testServer(t, func(c *Config) { *c = cfg })
 
 	// Ten documents of 3 000 to 11 000 bytes: more than the 40 000-byte
@@ -130,12 +127,10 @@ func TestDocsAndRegistrationUnderRace(t *testing.T) {
 				return
 			default:
 			}
-			switch i % 4 {
+			switch i % 3 {
 			case 0:
 				s.revalidateScan()
 			case 1:
-				s.prefetchScan()
-			case 2:
 				s.writeBehind()
 			default:
 				s.saveState()

@@ -240,7 +240,6 @@ type Stats struct {
 	// modification enqueues it).
 	Revalidations         int64 `json:"revalidations"`          // background conditional GETs completed
 	RevalidationsChanged  int64 `json:"revalidations_changed"`  // revalidations that found a new version
-	PrefetchPushes        int64 `json:"prefetch_pushes"`        // hot docs pushed into browser caches
 	InvalidationsSent     int64 `json:"invalidations_sent"`     // invalidation jobs completed (all targets)
 	InvalidationsReceived int64 `json:"invalidations_received"` // sibling invalidations ingested
 	// Workqueue is the background work plane's queue snapshot.

@@ -211,7 +211,6 @@ func tierCases(t *testing.T) []tierCase {
 		}
 		pipeline := base
 		pipeline.RevalidateAfterSec = 300
-		pipeline.PrefetchMinHits = 3
 		pipeline.DocTTLSec = 3600
 		add(tc.name+"/pipeline", tc.tr, tc.st, pipeline)
 		periodic := base

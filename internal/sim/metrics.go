@@ -22,9 +22,6 @@ type accessMetrics struct {
 	// revalidations counts proxy hits rescued by background revalidation
 	// (each cost one background origin fetch).
 	revalidations *obs.Counter
-	// prefetchPushes counts popularity-driven placements into browser
-	// caches.
-	prefetchPushes *obs.Counter
 }
 
 // newAccessMetrics registers the simulator metric families on reg and
@@ -42,8 +39,6 @@ func newAccessMetrics(reg *obs.Registry) *accessMetrics {
 			"Body bytes delivered to requesters."),
 		revalidations: reg.Counter("baps_sim_revalidations_total",
 			"Stale proxy copies refreshed by background revalidation before access."),
-		prefetchPushes: reg.Counter("baps_sim_prefetch_pushes_total",
-			"Popularity-driven pushes into browser caches."),
 	}
 	vec := reg.CounterVec("baps_sim_requests_by_class_total",
 		"Requests by resolution class (Figure 3 breakdown plus parent/miss).", "class")
@@ -63,8 +58,5 @@ func (m *accessMetrics) record(out core.Outcome) {
 	}
 	if out.Revalidated {
 		m.revalidations.Inc()
-	}
-	if out.PrefetchPushed {
-		m.prefetchPushes.Inc()
 	}
 }

@@ -177,7 +177,6 @@ func RunShardedOpts(s trace.Stream, st *trace.Stats, c Config, opts ShardedOptio
 		merged.StaleLocal += r.StaleLocal
 		merged.StaleProxy += r.StaleProxy
 		merged.Revalidations += r.Revalidations
-		merged.PrefetchPushes += r.PrefetchPushes
 		merged.IndexMessages += r.IndexMessages
 		merged.IndexEntriesShipped += r.IndexEntriesShipped
 		merged.TotalServiceSec += r.TotalServiceSec

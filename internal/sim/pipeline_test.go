@@ -59,46 +59,3 @@ func TestRevalidationPolicyRescuesStaleProxy(t *testing.T) {
 		t.Fatalf("young copy rescued: stale=%d reval=%d, want 1/0", ry.StaleProxy, ry.Revalidations)
 	}
 }
-
-// TestPrefetchPolicySeedsBrowserCaches: once a document's access count
-// reaches the threshold, a copy is pushed into an idle browser cache and
-// that browser's next request for it is a local hit.
-func TestPrefetchPolicySeedsBrowserCaches(t *testing.T) {
-	req := func(tm float64, client int, url string, size int64) trace.Request {
-		return trace.Request{Time: tm, Client: client, URL: url, Size: size}
-	}
-	tr := &trace.Trace{
-		Name:       "prefetch-policy",
-		NumClients: 3,
-		Requests: []trace.Request{
-			req(1, 0, "a", 100), // miss: count(a)=1
-			req(2, 1, "a", 100), // proxy hit: count=2 → push into client 2
-			req(3, 2, "a", 100), // the planted copy serves locally
-		},
-	}
-	base := DefaultConfig(core.BrowsersAware)
-	base.Sizing = SizingMinimum
-	base.MinBrowserDivisor = 0.25
-	base.ProxyCapOverride = 1000
-
-	rb, err := Run(tr, nil, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rb.PrefetchPushes != 0 || rb.LocalHits != 0 {
-		t.Fatalf("baseline: pushes=%d localHits=%d, want 0/0", rb.PrefetchPushes, rb.LocalHits)
-	}
-
-	pf := base
-	pf.PrefetchMinHits = 2
-	rp, err := Run(tr, nil, pf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rp.PrefetchPushes != 1 {
-		t.Fatalf("pushes = %d, want 1", rp.PrefetchPushes)
-	}
-	if rp.LocalHits != 1 {
-		t.Fatalf("client 2 local hits = %d, want 1 (planted copy)", rp.LocalHits)
-	}
-}

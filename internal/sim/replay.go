@@ -162,9 +162,6 @@ func (rp *replay) account(r trace.Request, out core.Outcome) {
 	if out.Revalidated {
 		res.Revalidations++
 	}
-	if out.PrefetchPushed {
-		res.PrefetchPushes++
-	}
 	res.TotalServiceSec += lat
 	rp.hist.Add(lat)
 }

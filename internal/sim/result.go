@@ -40,12 +40,10 @@ type Result struct {
 	StaleLocal     int64
 	StaleProxy     int64
 
-	// Background-pipeline accounting (zero with the policies disabled):
-	// stale proxy copies rescued by background revalidation (each cost one
-	// background origin fetch) and popularity-driven pushes into browser
-	// caches.
-	Revalidations  int64
-	PrefetchPushes int64
+	// Revalidations counts stale proxy copies rescued by background
+	// revalidation (each cost one background origin fetch; zero with the
+	// policy disabled).
+	Revalidations int64
 
 	// Index-maintenance traffic (§5): protocol messages from browsers to
 	// the proxy's index and the entries they carried, summed over clients

@@ -76,11 +76,9 @@ func TestRunnerResetAcrossOrganizations(t *testing.T) {
 			first := DefaultConfig(a)
 			first.RelativeSize = 0.10
 			first.RevalidateAfterSec = 300
-			first.PrefetchMinHits = 3
 			second := DefaultConfig(b)
 			second.RelativeSize = 0.05
 			second.RevalidateAfterSec = 300
-			second.PrefetchMinHits = 3
 
 			var rn Runner
 			if _, err := rn.Run(tr, &st, first); err != nil {

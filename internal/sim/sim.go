@@ -120,13 +120,6 @@ type Config struct {
 	// paper.
 	RevalidateAfterSec float64
 
-	// PrefetchMinHits, when positive under the browsers-aware
-	// organization, enables popularity-driven prefetch: documents whose
-	// proxy-level access count reaches the threshold are pushed into idle
-	// browser caches, seeding future remote-browser (or even local) hits.
-	// 0 disables.
-	PrefetchMinHits int
-
 	// ParentRelativeSize, when positive, adds an upper-level proxy of
 	// that fraction of the infinite cache size between the organization
 	// and the origin (the hierarchy extension; the paper's evaluation
@@ -232,7 +225,6 @@ func CoreConfig(st *trace.Stats, c Config) core.Config {
 		CacheRemoteHits:     c.CacheRemoteHits,
 		DocTTLSec:           c.DocTTLSec,
 		RevalidateAfterSec:  c.RevalidateAfterSec,
-		PrefetchMinHits:     c.PrefetchMinHits,
 		ParentCapacity:      int64(c.ParentRelativeSize * float64(st.InfiniteCacheBytes)),
 	}
 }

@@ -2,9 +2,8 @@
 // prioritized, multi-worker job queue with per-kind rate limits, retry with
 // exponential backoff, dead-letter accounting, and a graceful drain that
 // loses no accepted job. The request path stays synchronous and fast; the
-// queue absorbs everything that can happen later — origin revalidation,
-// popularity-driven prefetch into browser caches, and cluster-wide
-// invalidation fan-out (DESIGN.md §14).
+// queue absorbs everything that can happen later — origin revalidation and
+// cluster-wide invalidation fan-out (DESIGN.md §14).
 //
 // Design points, in the house idiom of the persist.go spill worker but
 // generalized:
@@ -45,8 +44,6 @@ const (
 	High Priority = iota
 	// Normal is for consistency upkeep (revalidation, holder notifies).
 	Normal
-	// Low is for opportunistic placement (prefetch pushes).
-	Low
 	numPriorities
 )
 
@@ -56,8 +53,6 @@ func (p Priority) String() string {
 		return "high"
 	case Normal:
 		return "normal"
-	case Low:
-		return "low"
 	default:
 		return fmt.Sprintf("priority(%d)", int(p))
 	}
@@ -66,14 +61,14 @@ func (p Priority) String() string {
 // Job is one unit of background work.
 type Job struct {
 	// Kind groups jobs for rate limiting and metrics ("revalidate",
-	// "prefetch", "invalidate_peer", ...). Must be non-empty and match
+	// "invalidate_browser", ...). Must be non-empty and match
 	// the Prometheus label charset in practice.
 	Kind string
 	// Key, when non-empty, dedups: a job with the same (Kind, Key)
 	// already queued (not yet started) is not enqueued again.
 	Key string
 	// Priority selects the admission lane. Out-of-range values clamp
-	// to Low.
+	// to Normal.
 	Priority Priority
 	// Run does the work. A nil error completes the job; a non-nil error
 	// schedules a retry until maxAttempts, then dead-letters.
@@ -291,7 +286,7 @@ func (q *Queue) Submit(j Job) error {
 		return errors.New("workqueue: job needs Kind and Run")
 	}
 	if j.Priority < High || j.Priority >= numPriorities {
-		j.Priority = Low
+		j.Priority = Normal
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -47,9 +47,9 @@ func TestSubmitRunsJobs(t *testing.T) {
 }
 
 // TestPriorityUnderFullQueue is the priority-inversion edge case: with the
-// low lane at capacity and blocking the single worker, high-priority jobs
+// normal lane at capacity and blocking the single worker, high-priority jobs
 // must still be admitted (each lane has its own bound) and must run before
-// the queued low-priority backlog.
+// the queued normal-priority backlog.
 func TestPriorityUnderFullQueue(t *testing.T) {
 	gate := make(chan struct{})
 	var order []string
@@ -67,24 +67,24 @@ func TestPriorityUnderFullQueue(t *testing.T) {
 	q := New(Config{workers: 1}) // one worker: the run order is the dispatch order
 	defer q.Close()
 
-	// One job occupies the worker; fill the low lane behind it.
-	if err := q.Submit(Job{Kind: "plug", Priority: Low, Run: record("plug")}); err != nil {
+	// One job occupies the worker; fill the normal lane behind it.
+	if err := q.Submit(Job{Kind: "plug", Priority: Normal, Run: record("plug")}); err != nil {
 		t.Fatalf("plug: %v", err)
 	}
 	waitFor(t, time.Second, func() bool { return q.Stats().Running == 1 }, "worker busy")
 	for i := 0; i < capacity; i++ {
-		if err := q.Submit(Job{Kind: "low", Priority: Low, Run: record("low")}); err != nil {
-			t.Fatalf("low %d: %v", i, err)
+		if err := q.Submit(Job{Kind: "normal", Priority: Normal, Run: record("normal")}); err != nil {
+			t.Fatalf("normal %d: %v", i, err)
 		}
 	}
-	// The low lane is now full: further low jobs drop...
-	if err := q.Submit(Job{Kind: "low", Priority: Low, Run: record("low")}); !errors.Is(err, ErrFull) {
-		t.Fatalf("overflow low submit = %v, want ErrFull", err)
+	// The normal lane is now full: further normal jobs drop...
+	if err := q.Submit(Job{Kind: "normal", Priority: Normal, Run: record("normal")}); !errors.Is(err, ErrFull) {
+		t.Fatalf("overflow normal submit = %v, want ErrFull", err)
 	}
 	// ...but high-priority work is still admitted.
 	for i := 0; i < 3; i++ {
 		if err := q.Submit(Job{Kind: "high", Priority: High, Run: record("high")}); err != nil {
-			t.Fatalf("high admission under full low lane: %v", err)
+			t.Fatalf("high admission under full normal lane: %v", err)
 		}
 	}
 	st := q.Stats()
@@ -96,7 +96,7 @@ func TestPriorityUnderFullQueue(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool { return q.Stats().Completed == 1+capacity+3 }, "drain")
 	mu.Lock()
 	defer mu.Unlock()
-	// order[0] is the plug; the three high jobs must precede every low job.
+	// order[0] is the plug; the three high jobs must precede every normal job.
 	for i, tag := range order[1:4] {
 		if tag != "high" {
 			t.Fatalf("order[%d] = %q, want high (full order %v)", i+1, tag, order)
@@ -207,7 +207,7 @@ func TestPerKindRateLimit(t *testing.T) {
 		}
 	}
 	for i := 0; i < 20; i++ {
-		if err := q.Submit(Job{Kind: "fast", Priority: Low, Run: func(context.Context) error {
+		if err := q.Submit(Job{Kind: "fast", Priority: Normal, Run: func(context.Context) error {
 			fast.Add(1)
 			return nil
 		}}); err != nil {
