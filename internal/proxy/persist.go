@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"baps/internal/diskstore"
@@ -204,7 +206,24 @@ func (s *Server) restoreState(blob []byte) {
 	for id, gen := range st.Gens {
 		s.batches.seed(id, gen)
 	}
-	s.m.reg.RestoreCounters(st.Counters)
+	s.m.reg.RestoreCounters(dropRetiredJobKinds(st.Counters))
+}
+
+// dropRetiredJobKinds removes a blob's workqueue children for kinds this
+// build does not submit. The queue's kind vectors are open, so
+// RestoreCounters would otherwise bring a retired producer's series back.
+func dropRetiredJobKinds(snap obs.CounterSnapshot) obs.CounterSnapshot {
+	for name, children := range snap.Vecs {
+		if !strings.HasPrefix(name, "baps_wq_") {
+			continue
+		}
+		for kind := range children {
+			if !slices.Contains(jobKinds, kind) {
+				delete(children, kind)
+			}
+		}
+	}
+	return snap
 }
 
 // saveState journals a fresh state blob into the disk store.

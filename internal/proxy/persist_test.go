@@ -508,3 +508,30 @@ func TestRestoreStateSkipsRetiredOutcome(t *testing.T) {
 	}
 	assertStatsMatchMetrics(t, s)
 }
+
+// TestRestoreStateSkipsRetiredPrefetch: a state blob from a build that still
+// pushed prefetches carries the proxy's two prefetch counters and the
+// workqueue's kind="prefetch" children. This build restores the job kinds it
+// still submits and brings back no prefetch series.
+func TestRestoreStateSkipsRetiredPrefetch(t *testing.T) {
+	const blob = `{"counters":{` +
+		`"counters":{"baps_proxy_prefetch_pushes_total":5,"baps_proxy_prefetch_declined_total":2},` +
+		`"vecs":{"baps_wq_submitted_total":{"prefetch":7,"revalidate":3},` +
+		`"baps_wq_completed_total":{"prefetch":6,"revalidate":3},` +
+		`"baps_wq_dead_letters_total":{"prefetch":1}}}}`
+	s := testServer(t, nil)
+	s.restoreState([]byte(blob))
+
+	m := scrapeMetrics(t, s.BaseURL())
+	for name := range m {
+		if strings.Contains(name, "prefetch") {
+			t.Errorf("/metrics shows %s, a series this build cannot emit", name)
+		}
+	}
+	for _, name := range []string{`baps_wq_submitted_total{kind="revalidate"}`, `baps_wq_completed_total{kind="revalidate"}`} {
+		if got := m[name]; got != 3 {
+			t.Errorf("restored %s = %g, want 3", name, got)
+		}
+	}
+	assertStatsMatchMetrics(t, s)
+}

@@ -36,6 +36,9 @@ const (
 	kindInvalSibling = "invalidate_sibling"
 )
 
+// jobKinds is every kind this build submits.
+var jobKinds = []string{kindRevalidate, kindInvalLocal, kindInvalBrowser, kindInvalSibling}
+
 // revalScanBatch bounds the revalidation nominations per scan round so one
 // huge cache cannot flood the queue (the next round picks up the rest — the
 // scan is cheap).
