@@ -10,11 +10,18 @@ import (
 	neturl "net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"baps/internal/integrity"
 	"baps/internal/origin"
 )
+
+// testKey is the one 1024-bit watermark key every testServer proxy signs
+// with, generated on first demand, so a test binary pays one RSA key
+// generation however many proxies its tests start. Tests of key generation,
+// key.pem persistence or a failing signer start their proxies without it.
+var testKey = sync.OnceValues(func() (*integrity.Signer, error) { return integrity.NewSigner(1024) })
 
 func testServer(t *testing.T, mutate func(*Config)) *Server {
 	t.Helper()
@@ -28,6 +35,7 @@ func testServer(t *testing.T, mutate func(*Config)) *Server {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	s.keySource = testKey
 	if err := s.Start(""); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
