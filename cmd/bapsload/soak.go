@@ -111,6 +111,17 @@ const (
 	rssPerAgentMax  = 50 << 10
 )
 
+// The soak leg's soft memory limit is a stated budget, not a reading:
+// soakBaseBudget for everything but the fleet, plus soakAgentBudget per
+// agent (at least 64 MiB for the fleet). soakBaseBudget is the median base RSS (after the parity legs) of
+// ten `make soak-smoke` runs on a 2-vCPU VM, which read 137–168 MiB. A limit
+// set from each run's own reading gave each run different GC room, and the
+// leg's throughput moved with it.
+const (
+	soakBaseBudget  = 151 << 20
+	soakAgentBudget = 40 << 10
+)
+
 // soakReport is the JSON written for a -soak run.
 type soakReport struct {
 	Config struct {
@@ -403,18 +414,13 @@ func runSoak(opts soakOpts) *soakReport {
 	runtime.GC()
 	baseRSS := rssBytes()
 
-	// Hold the process to the per-agent budget the gate is written
-	// against: the measured pre-spawn base plus ~40 KiB per agent of soft
-	// heap limit. Without this, GC slack and lazily-scavenged arenas
-	// inflate RSS to whatever the allocation RATE was, not what the fleet
-	// actually retains — the limit makes the runtime work inside the
-	// budget, and if the fleet genuinely cannot fit, GC pressure shows up
-	// as an RPS/p99 collapse the compare gates catch.
-	softBudget := baseRSS + int64(opts.hosts*opts.perHost)*(40<<10)
-	if min := baseRSS + 64<<20; softBudget < min {
-		softBudget = min
-	}
-	debug.SetMemoryLimit(softBudget)
+	// Hold the process to the budget the gate is written against. Without
+	// a limit, GC slack and lazily-scavenged arenas inflate RSS to
+	// whatever the allocation RATE was, not what the fleet actually
+	// retains — the limit makes the runtime work inside the budget, and if
+	// the fleet genuinely cannot fit, GC pressure shows up as an RPS/p99
+	// collapse the compare gates catch.
+	debug.SetMemoryLimit(int64(soakBaseBudget + max(opts.hosts*opts.perHost*soakAgentBudget, 64<<20)))
 
 	hosts := make([]*browser.AgentHost, 0, opts.hosts)
 	pool := &agentPool{}
