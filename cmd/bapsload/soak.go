@@ -113,10 +113,10 @@ const (
 
 // The soak leg's soft memory limit is a stated budget, not a reading:
 // soakBaseBudget for everything but the fleet, plus soakAgentBudget per
-// agent (at least 64 MiB for the fleet). soakBaseBudget is the median base RSS (after the parity legs) of
-// ten `make soak-smoke` runs on a 2-vCPU VM, which read 137–168 MiB. A limit
-// set from each run's own reading gave each run different GC room, and the
-// leg's throughput moved with it.
+// agent (at least 64 MiB for the fleet). soakBaseBudget is the median base
+// RSS (after the parity legs) of ten `make soak-smoke` runs on a 2-vCPU VM,
+// which read 137–168 MiB. A limit set from each run's own reading gave each
+// run different GC room, and the leg's throughput moved with it.
 const (
 	soakBaseBudget  = 151 << 20
 	soakAgentBudget = 40 << 10

@@ -447,17 +447,12 @@ func (s *System) arm() error {
 		}
 	}
 	s.now = 0
-	s.armRevalidation()
-	return nil
-}
-
-// armRevalidation (re)allocates the revalidation state to match the current
-// configuration: revalidation needs a proxy.
-func (s *System) armRevalidation() {
+	// Revalidation needs a proxy.
 	s.revalStamp = nil
-	if s.cfg.RevalidateAfterSec > 0 && s.cfg.Organization.hasProxy() {
-		s.revalStamp = make([]float64, s.cfg.NumDocs)
+	if cfg.RevalidateAfterSec > 0 && org.hasProxy() {
+		s.revalStamp = make([]float64, cfg.NumDocs)
 	}
+	return nil
 }
 
 // Access resolves one request through the organization's layers and returns
