@@ -175,10 +175,10 @@ func checkStoreAccounting(t *testing.T, h *AgentHost) {
 // TestBodyStoreInvariantsUnderChurn drives 16 hosted agents on one host
 // through random stores (some (URL, version) pairs with differing bytes),
 // same-key replacements, capacity evictions, Evict, invalidations, fetches
-// through the proxy, Close and Kill — four workers at once, each owning four agent slots. After
-// every operation the agent must return and peer-serve exactly the bytes it
-// stored; between rounds the store must match what the agents hold; once
-// every agent has departed it must be empty.
+// through the proxy, Close and Kill — four workers at once, each owning four
+// agent slots. After every operation the agent must return and peer-serve
+// exactly the bytes it stored; between rounds the store must match what the
+// agents hold; once every agent has departed it must be empty.
 func TestBodyStoreInvariantsUnderChurn(t *testing.T) {
 	c := startCluster(t, 0, proxy.Config{}, nil)
 	h := startHost(t, c, func(cfg *Config) {
