@@ -100,3 +100,44 @@ func TestCloseStopsHeartbeatBeforeUnregister(t *testing.T) {
 		}
 	}
 }
+
+// TestHostedCloseStopsHeartbeatBeforeUnregister is the same ordering
+// guarantee for an agent on a shared host: the host's pacer may be beating
+// for the agent when Close runs, and that beat must complete before the
+// unregister is posted.
+func TestHostedCloseStopsHeartbeatBeforeUnregister(t *testing.T) {
+	sp := newStubProxy(t)
+
+	cfg := DefaultConfig(sp.ts.URL)
+	cfg.HeartbeatInterval = 10 * time.Millisecond
+	h, err := NewHost(HostConfig{Agent: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { h.Close() })
+	a, err := h.Spawn()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	time.Sleep(120 * time.Millisecond)
+	if err := a.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	time.Sleep(150 * time.Millisecond)
+
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if len(sp.beatsDone) == 0 {
+		t.Fatal("no heartbeat ever completed; the test exercised nothing")
+	}
+	if sp.unregisterAt.IsZero() {
+		t.Fatal("Close never unregistered")
+	}
+	for i, done := range sp.beatsDone {
+		if done.After(sp.unregisterAt) {
+			t.Fatalf("heartbeat %d completed %v AFTER the unregister — Close did not wait for the host's beat in flight",
+				i, done.Sub(sp.unregisterAt))
+		}
+	}
+}
