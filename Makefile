@@ -30,7 +30,7 @@ HOT_PKGS = ./internal/intern ./internal/cache ./internal/index ./internal/core .
 # churn and traffic against the document scans, and the breaker-as-quarantine
 # tests (a tripping /report-bad, /peer/locate across a trip and a
 # re-admission, a disabled breaker under heartbeat silence) ride along.
-STABLE_TESTS = ^Test(ClusterBloomFalsePositive|DiskSpillStreamPromote|DiskWarmRestartGraceful|InvalidationChurnUnderLoad|HostLifecycleConcurrent|BatchedPublishReachesProxy|BatchedConcurrentStoreLosesNoDelta|StandaloneAndHostedPublishIdentically|ChurnBreakerMetricDeltas|BodyStoreSharesOnlyEqualBytes|BodyStoreInvariantsUnderChurn|HostedFetchesShareOneBody|ReadBodyAdoptsHeldCopy|RelaySessionContract|RelayTimeoutFallsThroughToUpstream|DirectForwardStreamedDelivery|HedgedOriginWinsOverSlowPeer|SiblingInvalidationFanout|DocsAndRegistrationUnderRace|ReportTripQuarantinesWholePeer|PeerLocateSkipsQuarantinedHolders|DisabledBreakerIgnoresSilence)$$
+STABLE_TESTS = ^Test(ClusterBloomFalsePositive|DiskSpillStreamPromote|DiskWarmRestartGraceful|InvalidationChurnUnderLoad|HostLifecycleConcurrent|BatchedPublishReachesProxy|BatchedConcurrentStoreLosesNoDelta|OneAndManyAgentHostsPublishIdentically|HostedCloseStopsHeartbeatBeforeUnregister|ChurnBreakerMetricDeltas|BodyStoreSharesOnlyEqualBytes|BodyStoreInvariantsUnderChurn|HostedFetchesShareOneBody|ReadBodyAdoptsHeldCopy|RelaySessionContract|RelayTimeoutFallsThroughToUpstream|DirectForwardStreamedDelivery|HedgedOriginWinsOverSlowPeer|SiblingInvalidationFanout|DocsAndRegistrationUnderRace|ReportTripQuarantinesWholePeer|PeerLocateSkipsQuarantinedHolders|DisabledBreakerIgnoresSilence)$$
 # The tests of the on-demand watermark values: the proxy's signing key and
 # sign memo (internal/proxy/watermark.go), the digest each document record
 # gains on first demand, derived once per version however many ask

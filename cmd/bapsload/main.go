@@ -111,7 +111,7 @@ func main() {
 	proxyRPS := flag.Float64("proxyrps", 1200, "federation mode: per-proxy fetch admission cap, modeling one machine per proxy")
 	digestInterval := flag.Duration("digestinterval", 250*time.Millisecond, "federation mode: sibling Bloom-digest push period")
 	modRate := flag.Float64("modrate", 0, "churn mode: origin modifications per second; runs the workload against a federated cluster twice (pipeline off, then on) and gates the stale-serve reduction")
-	agentHosts := flag.Int("agenthosts", 0, "lean agent mode: multiplex -agents agents across N AgentHosts instead of one server per agent (0 = standalone agents)")
+	agentHosts := flag.Int("agenthosts", 0, "lean agent mode: multiplex -agents agents across N AgentHosts (0 = one host per agent)")
 	agentsPerHost := flag.Int("agentsperhost", 0, "-soak: hosted agents per AgentHost (default 6250)")
 	soak := flag.Bool("soak", false, "soak mode: AgentHost fleet under sustained load with churn; gates hit-ratio parity and RSS per agent (see -agenthosts/-agentsperhost/-churn)")
 	churnFrac := flag.Float64("churn", 0.3, "-soak: fraction of the fleet killed and replaced over the run")
@@ -329,7 +329,7 @@ func run(cl *cluster, proxyURL, originURL string, w workload, targetRPS float64,
 	return res, t.check("run")
 }
 
-// newAgents starts n standalone agents from cfg.
+// newAgents starts n agents from cfg, each on a host of its own.
 func newAgents(cfg browser.Config, n int) []*browser.Agent {
 	agents := make([]*browser.Agent, n)
 	for i := range agents {

@@ -30,21 +30,22 @@ type sendRecorder struct {
 	sends []peerSend
 }
 
-// peerSend is one recorded /peer/send: the holder it went to and its body.
+// peerSend is one recorded /peer/send: the holder's peer URL it went to and
+// its body.
 type peerSend struct {
-	host string
-	body []byte
+	holder string
+	body   []byte
 }
 
 func (r *sendRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Path == "/peer/send" && req.Body != nil {
+	if holder, ok := strings.CutSuffix(req.URL.Path, "/peer/send"); ok && req.Body != nil {
 		body, err := io.ReadAll(req.Body)
 		if err != nil {
 			return nil, err
 		}
 		req.Body = io.NopCloser(bytes.NewReader(body))
 		r.mu.Lock()
-		r.sends = append(r.sends, peerSend{host: req.URL.Host, body: body})
+		r.sends = append(r.sends, peerSend{holder: "http://" + req.URL.Host + holder, body: body})
 		r.mu.Unlock()
 	}
 	return http.DefaultTransport.RoundTrip(req)
@@ -123,10 +124,10 @@ func main() {
 	}
 	dec := json.NewDecoder(bytes.NewReader(send.body))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&told); err != nil || "http://"+send.host != alice.PeerURL() ||
+	if err := dec.Decode(&told); err != nil || send.holder != alice.PeerURL() ||
 		!strings.HasPrefix(told.RelayURL, cluster.Proxy.BaseURL()+"/relay/") ||
 		bytes.Contains(send.body, []byte(bob.PeerURL())) {
-		log.Fatalf("holder %s was sent %s (%v); want only the document and a relay URL on the proxy", send.host, send.body, err)
+		log.Fatalf("holder %s was sent %s (%v); want only the document and a relay URL on the proxy", send.holder, send.body, err)
 	}
 	fmt.Printf("   url       = %s\n   relay_url = %s\n", told.URL, told.RelayURL)
 	fmt.Println("   — the proxy's drop point and a one-time ticket, nothing about Bob.")

@@ -120,13 +120,12 @@ func TestBatchedCountTriggersFlush(t *testing.T) {
 		cfg.batchMaxDelay = time.Hour // only the count threshold may flush
 	})
 	ag := c.agents[0]
-	for i := 0; i < agentFlushDeltas; i++ {
-		if _, _, err := ag.Get(context.Background(), c.url(fmt.Sprintf("/doc/c%d?size=64", i))); err != nil {
-			t.Fatal(err)
-		}
+	body := make([]byte, 64)
+	for i := 0; i < flushDeltas; i++ {
+		ag.store(c.url(fmt.Sprintf("/doc/c%d", i)), body, nil, 1)
 	}
 	waitUntil(t, 3*time.Second, "count-triggered flush", func() bool {
-		return len(proxyDirectory(c, ag.ID())) == agentFlushDeltas
+		return len(proxyDirectory(c, ag.ID())) == flushDeltas
 	})
 }
 
@@ -313,8 +312,8 @@ func TestRejectedSubBatchCountsAsFailure(t *testing.T) {
 }
 
 // TestFlushIndexReadYourWrites: with the interval flush out of the way,
-// FlushIndex alone makes the proxy's index reflect the agent's cache —
-// standalone and hosted alike.
+// FlushIndex alone makes the proxy's index reflect the agent's cache — on a
+// host of one and on a shared host alike.
 func TestFlushIndexReadYourWrites(t *testing.T) {
 	slow := func(cfg *Config) { cfg.batchMaxDelay = time.Hour }
 	c := startCluster(t, 1, proxy.Config{}, slow)
@@ -347,13 +346,13 @@ func TestFlushIndexReadYourWrites(t *testing.T) {
 	}
 }
 
-// TestStandaloneAndHostedPublishIdentically is the one-publisher invariant
-// under -race: the same store/evict/FlushIndex sequence on a standalone
-// agent (a publisher of one) and on a hosted agent (the fleet's publisher)
+// TestOneAndManyAgentHostsPublishIdentically is the one-publisher invariant
+// under -race: the same store/evict/FlushIndex sequence on the agent of a
+// one-agent host (New) and on an agent sharing its host with a sibling
 // leaves the proxy with identical directories and identical generation
-// counters for the two, and both serve exactly the bytes they stored — the
-// hosted agent out of its host's shared body store.
-func TestStandaloneAndHostedPublishIdentically(t *testing.T) {
+// counters for the two, and both serve exactly the bytes they stored out of
+// their host's body store.
+func TestOneAndManyAgentHostsPublishIdentically(t *testing.T) {
 	mutate := func(cfg *Config) {
 		cfg.batchMaxDelay = time.Hour // only FlushIndex ships
 		cfg.CacheCapacity = 25_000    // two 10 KB docs fit, a third evicts
@@ -367,8 +366,10 @@ func TestStandaloneAndHostedPublishIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Spawn(); err != nil { // an idle fleet sibling
-		t.Fatal(err)
+	for range 3 { // idle fleet siblings
+		if _, err := h.Spawn(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	body := bytes.Repeat([]byte("b"), 10_000)
 	agents := []*Agent{c.agents[0], hosted}
@@ -401,11 +402,11 @@ func TestStandaloneAndHostedPublishIdentically(t *testing.T) {
 		sort.Strings(dirs[i])
 	}
 	if !equalStrings(dirs[0], dirs[1]) {
-		t.Fatalf("directories differ:\nstandalone %v\nhosted     %v", dirs[0], dirs[1])
+		t.Fatalf("directories differ:\none-agent host %v\nshared host    %v", dirs[0], dirs[1])
 	}
 	m0, m1 := agents[0].Snapshot(), agents[1].Snapshot()
 	if m0.IndexBatches != batches || m1.IndexBatches != batches || m0.IndexPublishFailures+m1.IndexPublishFailures != 0 {
-		t.Fatalf("batches standalone=%d hosted=%d failures=%d/%d, want %d each and none",
+		t.Fatalf("batches one-agent host=%d shared host=%d failures=%d/%d, want %d each and none",
 			m0.IndexBatches, m1.IndexBatches, m0.IndexPublishFailures, m1.IndexPublishFailures, batches)
 	}
 	// Both generation counters stand at batches at the proxy: the next

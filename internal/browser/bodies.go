@@ -19,11 +19,10 @@ type sharedBody struct {
 }
 
 // bodyStore holds one copy of each cached body for every agent of an
-// AgentHost; a standalone agent owns a private one. Hosted agents cache
-// heavily overlapping documents, so without it the same 8 KiB body sits in
-// memory once per holder. Each agent's logical cache is unchanged — its
-// capacity accounting, eviction order and index deltas never look here —
-// only the physical bytes are shared.
+// AgentHost. Hosted agents cache heavily overlapping documents, so without
+// it the same 8 KiB body sits in memory once per holder. Each agent's
+// logical cache is unchanged — its capacity accounting, eviction order and
+// index deltas never look here — only the physical bytes are shared.
 //
 // Sharing is by value, never by key alone: a body is adopted only when its
 // bytes equal the held copy, so one agent's bad body can never reach another

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -80,12 +79,13 @@ type Config struct {
 	Verify bool
 	// Timeout bounds proxy calls.
 	Timeout time.Duration
-	// HeartbeatInterval is the liveness-beacon period (POST /heartbeat).
-	// Zero disables the heartbeat loop (the proxy's silence sweep will
-	// eventually quarantine the agent's entries).
+	// HeartbeatInterval is the liveness-beacon period (POST /heartbeat),
+	// which the host's pacer keeps for each agent. Zero disables the pacer
+	// (the proxy's silence sweep will eventually quarantine the agent's
+	// entries).
 	HeartbeatInterval time.Duration
 	// AdvertisePeerURL, when non-empty, is registered with the proxy in
-	// place of the agent's actual listen address. Fault-injection
+	// place of the agent's own peer URL (PeerURL). Fault-injection
 	// harnesses front the peer server with a faulty gateway this way.
 	AdvertisePeerURL string
 	// Logger, when non-nil, receives structured logs (registration,
@@ -157,18 +157,16 @@ type Metrics struct {
 	VerifyMemoHits    int64
 }
 
-// Agent is one live browser client. It runs in one of two shapes: a
-// standalone agent owns a listener, HTTP server, transport pool, publisher,
-// and heartbeat goroutine; a hosted agent (AgentHost.Spawn) is just this
-// struct — the host supplies a shared server, shared transport, one
-// publisher, and one heartbeat pacer for all its agents, so per-agent
-// overhead stays flat at fleet scale.
+// Agent is one live browser client: a struct in its AgentHost's arena. The
+// host supplies the peer server, the transport, the index publisher and the
+// heartbeat pacer it shares among all its agents, so per-agent overhead
+// stays flat at fleet scale; New is a host of one.
 type Agent struct {
 	cfg      Config
 	id       int
 	token    string
-	verifier *integrity.Verifier // own when standalone; the host's for this key when hosted
-	bodies   *bodyStore          // own when standalone; the host's when hosted
+	verifier *integrity.Verifier // the host's for this proxy key
+	bodies   *bodyStore          // the host's
 
 	// pubOrder makes index deltas reach the publisher in seq order:
 	// store and Evict take it before mu and hold it across the enqueue
@@ -200,33 +198,14 @@ type Agent struct {
 	closing bool
 
 	metrics Metrics
-	obs     *obs.Registry
 	logger  *slog.Logger
 
-	// httpClient is per-agent for standalone agents; hosted agents share
-	// their host's one tuned transport. listener/httpSrv are nil when
-	// hosted — the host's shared server routes to this agent by slot.
+	// httpClient is the host's one tuned transport toward the proxy.
 	httpClient *http.Client
-	listener   net.Listener
-	httpSrv    *http.Server
-	peerURL    string
 
-	// index is the agent's index publisher: its own when standalone (one
-	// member), the host's when hosted (the whole fleet).
-	index *publisher
-
-	// Host plumbing (nil/0 when standalone).
+	// host routes /a/<slot> on its shared server to this agent.
 	host *AgentHost
 	slot int
-
-	stopHeartbeat chan struct{}
-	// heartbeatDone is closed when the heartbeat goroutine exits; Close
-	// waits on it before unregistering, so a beat in flight cannot land at
-	// the proxy after the unregister wiped the agent's health record (a
-	// resurrection the silence sweep could never clear). Nil when no
-	// heartbeat loop runs (hosted agents, HeartbeatInterval 0).
-	heartbeatDone chan struct{}
-	closeOnce     sync.Once
 
 	// Tamper is a test hook: when non-nil, bodies served to peers (via
 	// either forward mode) pass through it — the "malicious holder". The
@@ -247,8 +226,7 @@ type cachedDoc struct {
 	shared    bool
 }
 
-// normalizeConfig validates cfg and fills the publisher defaults; shared by
-// the standalone and hosted constructors.
+// normalizeConfig validates cfg and fills the publisher defaults.
 func normalizeConfig(cfg Config) (Config, error) {
 	if cfg.ProxyURL == "" {
 		return cfg, errors.New("browser: missing ProxyURL")
@@ -265,10 +243,10 @@ func normalizeConfig(cfg Config) (Config, error) {
 	return cfg, nil
 }
 
-// initAgent fills in the agent core — cache, doc map, tombstones — on a
-// caller-allocated struct (hosts place agents in arena chunks) using the
-// caller's HTTP client and body store. Config must already be normalized.
-func initAgent(a *Agent, cfg Config, client *http.Client, bodies *bodyStore) error {
+// initAgent fills in the agent core — cache, doc map, tombstones — on a cell
+// of host h's arena, with the host's HTTP client and body store. Config must
+// already be normalized.
+func initAgent(a *Agent, cfg Config, h *AgentHost, slot int) error {
 	tc, err := cache.NewTwoTier(cache.LRU, cfg.CacheCapacity,
 		int64(float64(cfg.CacheCapacity)*memFraction))
 	if err != nil {
@@ -277,20 +255,21 @@ func initAgent(a *Agent, cfg Config, client *http.Client, bodies *bodyStore) err
 	a.cfg = cfg
 	a.cache = tc
 	a.docs = make(map[string]cachedDoc)
-	a.bodies = bodies
+	a.bodies = h.bodies
 	a.invalidated = make(map[string]int64)
-	a.httpClient = client
-	a.stopHeartbeat = make(chan struct{})
+	a.httpClient = h.client
 	a.logger = cfg.Logger
+	a.host = h
+	a.slot = slot
 	return nil
 }
 
-// peerPaths is the peer-server route table, shared by the standalone mux
-// and the AgentHost path router. Every handler is path-independent — it
-// reads only query/body/headers — which is what makes prefix-routed hosting
-// possible without touching the wire protocol.
+// peerPaths is the peer-server route table under an agent's /a/<slot>
+// prefix. Every handler is path-independent — it reads only
+// query/body/headers — which is what makes prefix-routed hosting possible
+// without touching the wire protocol.
 var peerPaths = []string{
-	"/peer/doc", "/peer/send", "/peer/resync", "/cache/invalidate",
+	"/peer/doc", "/peer/send", "/peer/resync", "/cache/invalidate", "/metrics",
 }
 
 // dispatch maps a peer-server path to its handler (nil when unknown).
@@ -304,63 +283,36 @@ func (a *Agent) dispatch(path string) http.HandlerFunc {
 		return a.handlePeerResync
 	case "/cache/invalidate":
 		return a.handleCacheInvalidate
+	case "/metrics":
+		return a.handleMetrics
 	}
 	return nil
 }
 
-// New starts a standalone agent: it brings up the peer server on a loopback
-// port and registers with the proxy.
+// New starts one agent on a host of its own: the host's peer server on a
+// loopback port, its publisher and its heartbeat pacer serve this agent
+// alone, and Close or Kill takes the host down with the agent.
 func New(cfg Config) (*Agent, error) {
-	cfg, err := normalizeConfig(cfg)
+	h, err := NewHost(HostConfig{Agent: cfg})
 	if err != nil {
 		return nil, err
 	}
-	a := &Agent{}
-	// Keep-alive-tuned transport toward the agent's one proxy host: the
-	// stock transport's 2 idle connections per host re-dial constantly
-	// under concurrent fetch + index-update traffic.
-	if err := initAgent(a, cfg, &http.Client{
-		Timeout:   cfg.Timeout,
-		Transport: proxy.NewTransport(proxy.AgentIdleConnsPerHost),
-	}, newBodyStore()); err != nil {
-		return nil, err
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	h.solo = true
+	a, err := h.Spawn()
 	if err != nil {
-		return nil, fmt.Errorf("browser: peer listen: %w", err)
-	}
-	a.listener = ln
-	a.peerURL = "http://" + ln.Addr().String()
-	a.obs = obs.NewRegistry()
-	a.registerMetrics()
-	mux := http.NewServeMux()
-	for _, p := range peerPaths {
-		mux.HandleFunc(p, a.dispatch(p))
-	}
-	mux.Handle("/metrics", a.obs.Handler())
-	a.httpSrv = &http.Server{Handler: mux}
-	go a.httpSrv.Serve(ln)
-
-	if err := a.register(); err != nil {
-		a.Close()
+		h.Kill()
 		return nil, err
-	}
-	// The publisher needs the registration id/token, so it starts only
-	// after a successful register.
-	a.index = newPublisher(cfg.ProxyURL, a.httpClient, cfg.Logger, cfg.batchMaxDelay, agentFlushDeltas, agentFlushBytes)
-	if cfg.HeartbeatInterval > 0 {
-		a.heartbeatDone = make(chan struct{})
-		go a.heartbeatLoop()
 	}
 	return a, nil
 }
 
-// register joins the proxy and obtains id, token and public key.
+// register joins the proxy and obtains id, token and public key. It
+// advertises the configured AdvertisePeerURL when there is one (a fault
+// gateway fronting the agent), else the agent's own /a/<slot> URL.
 func (a *Agent) register() error {
-	peerURL := a.peerURL
-	if a.cfg.AdvertisePeerURL != "" {
-		peerURL = a.cfg.AdvertisePeerURL
+	peerURL := a.cfg.AdvertisePeerURL
+	if peerURL == "" {
+		peerURL = a.PeerURL()
 	}
 	body, _ := json.Marshal(proxy.RegisterRequest{PeerURL: peerURL})
 	resp, err := a.httpClient.Post(a.cfg.ProxyURL+"/register", "application/json", bytes.NewReader(body))
@@ -375,12 +327,7 @@ func (a *Agent) register() error {
 	if err := json.NewDecoder(resp.Body).Decode(&reg); err != nil {
 		return fmt.Errorf("browser: register decode: %w", err)
 	}
-	var verifier *integrity.Verifier
-	if a.host != nil {
-		verifier, err = a.host.verifierFor(reg.PublicKey)
-	} else {
-		verifier, err = newVerifier(reg.PublicKey)
-	}
+	verifier, err := a.host.verifierFor(reg.PublicKey)
 	if err != nil {
 		return err
 	}
@@ -391,71 +338,46 @@ func (a *Agent) register() error {
 	return nil
 }
 
-// beginClose flips the agent into the closing state exactly once: the
-// heartbeat loop is told to stop and the serve/store paths start refusing.
+// beginClose flips the agent into the closing state: the serve and store
+// paths start refusing.
 func (a *Agent) beginClose() {
-	a.closeOnce.Do(func() {
-		close(a.stopHeartbeat)
-		a.mu.Lock()
-		a.closing = true
-		a.mu.Unlock()
-	})
+	a.mu.Lock()
+	a.closing = true
+	a.mu.Unlock()
 }
 
-// isClosing reports whether Close/Kill has begun (host heartbeat pacer).
+// isClosing reports whether Close/Kill has begun.
 func (a *Agent) isClosing() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.closing
 }
 
-// Close departs gracefully: it stops the heartbeat loop AND waits for it to
-// exit (a beat that raced the shutdown has fully completed, so it cannot
-// re-animate this agent's health record after the unregister below), drains
-// the publisher (final flush, so no coalesced delta is lost),
-// deregisters from the proxy (POST /unregister, so the proxy drops the
-// agent's index entries immediately instead of discovering the departure
-// through failed fetches), and shuts the peer server down. Hosted agents
-// delegate to their host, which frees the slot and flushes their share of
-// the host's publisher.
+// Close departs gracefully through the host: the slot is freed, a heartbeat
+// the host's pacer has in flight for the agent completes (so it cannot
+// re-animate the agent's health record after the unregister), the agent's
+// share of the publisher is flushed (no coalesced delta is lost), and the
+// agent deregisters from the proxy (POST /unregister, so the proxy drops its
+// index entries at once instead of discovering the departure through failed
+// fetches). An agent from New closes its host with it.
 func (a *Agent) Close() error {
-	if a.host != nil {
-		a.host.remove(a, true)
-		return nil
+	if a.host.solo {
+		return a.host.Close()
 	}
-	a.beginClose()
-	if a.heartbeatDone != nil {
-		<-a.heartbeatDone
-	}
-	if a.index != nil {
-		a.index.stop(true)
-	}
-	if a.token != "" {
-		a.unregister()
-	}
-	if a.httpSrv == nil {
-		return nil
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	return a.httpSrv.Shutdown(ctx)
+	a.host.remove(a, true)
+	return nil
 }
 
 // Kill terminates the agent abruptly — no unregister, no graceful drain —
 // simulating a browser that crashes or loses its network. The proxy only
-// learns of the departure through failed fetches and missed heartbeats.
+// learns of the departure through failed fetches and missed heartbeats. An
+// agent from New kills its host with it.
 func (a *Agent) Kill() {
-	if a.host != nil {
-		a.host.remove(a, false)
+	if a.host.solo {
+		a.host.Kill()
 		return
 	}
-	a.beginClose()
-	if a.index != nil {
-		a.index.stop(false) // abrupt: queued deltas are dropped, no flush
-	}
-	if a.httpSrv != nil {
-		a.httpSrv.Close()
-	}
+	a.host.remove(a, false)
 }
 
 // releaseMemory drops the agent's cached bodies, with their body-store
@@ -482,34 +404,25 @@ func (a *Agent) unregister() {
 	proxy.Post(context.Background(), a.httpClient, a.cfg.ProxyURL+"/unregister", nil, a.auth()...)
 }
 
-// heartbeatLoop posts liveness beacons until the agent closes. Closing
-// heartbeatDone on exit is what lets Close order the last beat before the
-// unregister.
-func (a *Agent) heartbeatLoop() {
-	defer close(a.heartbeatDone)
-	t := time.NewTicker(a.cfg.HeartbeatInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-a.stopHeartbeat:
-			return
-		case <-t.C:
-			a.heartbeat()
-		}
-	}
-}
-
 // heartbeat posts one liveness beacon (best-effort).
 func (a *Agent) heartbeat() {
 	proxy.Post(context.Background(), a.httpClient, a.cfg.ProxyURL+"/heartbeat", nil, a.auth()...)
 }
 
-// registerMetrics exposes the agent's mutex-guarded counters as
+// handleMetrics serves the agent's counters in the text exposition format
+// from a registry built for this scrape, so no agent keeps a standing one.
+func (a *Agent) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	reg := obs.NewRegistry()
+	a.registerMetrics(reg)
+	reg.Handler().ServeHTTP(w, r)
+}
+
+// registerMetrics exposes the agent's mutex-guarded counters on reg as
 // callback-backed families, so the request path keeps its existing single
 // lock acquisition and the exposition reads through the same lock.
-func (a *Agent) registerMetrics() {
+func (a *Agent) registerMetrics(reg *obs.Registry) {
 	counter := func(name, help string, get func(*Metrics) int64) {
-		a.obs.CounterFunc(name, help, func() int64 {
+		reg.CounterFunc(name, help, func() int64 {
 			a.mu.Lock()
 			defer a.mu.Unlock()
 			return get(&a.metrics)
@@ -543,26 +456,24 @@ func (a *Agent) registerMetrics() {
 		func(m *Metrics) int64 { return m.DirSnapshotMisses })
 	counter("baps_browser_invalidations_total", "Proxy-initiated invalidations applied to the local cache.",
 		func(m *Metrics) int64 { return m.Invalidations })
-	a.obs.GaugeFunc("baps_browser_cache_docs", "Documents in the local cache.", func() float64 {
+	reg.GaugeFunc("baps_browser_cache_docs", "Documents in the local cache.", func() float64 {
 		a.mu.Lock()
 		defer a.mu.Unlock()
 		return float64(a.cache.Len())
 	})
-	a.obs.GaugeFunc("baps_browser_cache_bytes", "Bytes in the local cache.", func() float64 {
+	reg.GaugeFunc("baps_browser_cache_bytes", "Bytes in the local cache.", func() float64 {
 		a.mu.Lock()
 		defer a.mu.Unlock()
 		return float64(a.cache.Used())
 	})
 }
 
-// Obs exposes the agent's metrics registry.
-func (a *Agent) Obs() *obs.Registry { return a.obs }
-
 // ID reports the proxy-assigned client id.
 func (a *Agent) ID() int { return a.id }
 
-// PeerURL reports the agent's peer-server base URL.
-func (a *Agent) PeerURL() string { return a.peerURL }
+// PeerURL reports the agent's peer-server base URL: its slot's prefix on the
+// host's server.
+func (a *Agent) PeerURL() string { return a.host.baseURL + "/a/" + strconv.Itoa(a.slot) }
 
 // Snapshot returns a copy of the agent's metrics.
 func (a *Agent) Snapshot() Metrics {

@@ -24,10 +24,10 @@ const hostChunk = 256
 // HostConfig parameterizes an AgentHost.
 type HostConfig struct {
 	// Agent is the template config every hosted agent starts from. Its
-	// HeartbeatInterval drives the host's shared heartbeat pacer (the
-	// per-agent loop is disabled — one goroutine beats the whole fleet);
-	// its AdvertisePeerURL is overridden with the host's multiplexed
-	// /a/<slot> callback URL; its Logger also takes the host's own logs.
+	// HeartbeatInterval drives the host's shared heartbeat pacer (one
+	// goroutine beats the whole fleet); an empty AdvertisePeerURL has each
+	// agent register its /a/<slot> callback URL on the host; its Logger
+	// also takes the host's own logs.
 	Agent Config
 	// Addr is the listen address; empty means a loopback ephemeral port.
 	Addr string
@@ -75,8 +75,19 @@ type AgentHost struct {
 	fill   int // occupancy of the last chunk
 	live   int
 	closed bool
-	// cursor round-robins the heartbeat pacer across slots.
+	// cursor round-robins the heartbeat pacer across slots; owed carries
+	// the fraction of a beat (live × tick, in units of the interval) the
+	// pacer still owes from earlier ticks.
 	cursor int
+	owed   int64
+	// beating is the agent whose heartbeat is in flight (nil between
+	// beats); beatDone, over mu, is broadcast when it completes, so remove
+	// can wait for a departing agent's last beat without a per-agent field.
+	beating  *Agent
+	beatDone sync.Cond
+	// solo marks the host New starts for one agent, which Close and Kill
+	// take down with it.
+	solo bool
 
 	stopHB chan struct{}
 	hbDone chan struct{}
@@ -110,9 +121,10 @@ func NewHost(cfg HostConfig) (*AgentHost, error) {
 			Transport: proxy.NewTransport(proxy.OriginIdleConnsPerHost),
 		},
 	}
+	h.beatDone.L = &h.mu
 	h.srv = &http.Server{Handler: http.HandlerFunc(h.route)}
 	go h.srv.Serve(ln)
-	h.pub = newPublisher(agentCfg.ProxyURL, h.client, agentCfg.Logger, agentCfg.batchMaxDelay, hostFlushDeltas, hostFlushBytes)
+	h.pub = newPublisher(agentCfg.ProxyURL, h.client, agentCfg.Logger, agentCfg.batchMaxDelay)
 	if iv := agentCfg.HeartbeatInterval; iv > 0 {
 		h.stopHB = make(chan struct{})
 		h.hbDone = make(chan struct{})
@@ -145,8 +157,9 @@ func (h *AgentHost) Agents() []*Agent {
 }
 
 // Spawn creates one hosted agent: a slot is assigned, the agent registers
-// with the proxy advertising the host's /a/<slot> callback URL, and its
-// index publishing is attached to the host's publisher.
+// with the proxy advertising its /a/<slot> callback URL (or the configured
+// AdvertisePeerURL), and its index publishing is attached to the host's
+// publisher.
 func (h *AgentHost) Spawn() (*Agent, error) {
 	h.mu.Lock()
 	if h.closed {
@@ -169,23 +182,14 @@ func (h *AgentHost) Spawn() (*Agent, error) {
 	h.fill++
 	h.mu.Unlock()
 
-	cfg := h.cfg.Agent
-	cfg.AdvertisePeerURL = h.baseURL + "/a/" + strconv.Itoa(slot)
-	// The host pacer beats for everyone; a per-agent loop would undo the
-	// goroutine savings.
-	cfg.HeartbeatInterval = 0
-	if err := initAgent(a, cfg, h.client, h.bodies); err != nil {
+	if err := initAgent(a, h.cfg.Agent, h, slot); err != nil {
 		h.releaseSlot(slot)
 		return nil, err
 	}
-	a.host = h
-	a.slot = slot
-	a.peerURL = cfg.AdvertisePeerURL
 	if err := a.register(); err != nil {
 		h.releaseSlot(slot)
 		return nil, err
 	}
-	a.index = h.pub
 	h.mu.Lock()
 	h.slots[slot] = a
 	h.live++
@@ -222,15 +226,19 @@ func (h *AgentHost) releaseSlot(slot int) {
 
 // remove tears one hosted agent down; Agent.Close/Kill delegate here. The
 // slot is vacated FIRST so the shared server stops routing to the agent (410
-// Gone) before its state unwinds, then the agent's share of the host's
+// Gone) and the pacer starts no beat for it, and a beat already in flight
+// completes, before its state unwinds; then the agent's share of the host's
 // publisher is flushed (graceful) or dropped, the proxy is told (graceful),
 // and the memory goes back to the heap.
 func (h *AgentHost) remove(a *Agent, graceful bool) {
 	h.mu.Lock()
-	if a.slot < len(h.slots) && h.slots[a.slot] == a {
+	if h.hosts(a) {
 		h.slots[a.slot] = nil
 		h.free = append(h.free, a.slot)
 		h.live--
+	}
+	for h.beating == a {
+		h.beatDone.Wait()
 	}
 	h.mu.Unlock()
 	a.beginClose()
@@ -299,7 +307,7 @@ func (h *AgentHost) Kill() {
 	h.pub.stop(false)
 	for _, a := range h.Agents() {
 		h.mu.Lock()
-		if a.slot < len(h.slots) && h.slots[a.slot] == a {
+		if h.hosts(a) {
 			h.slots[a.slot] = nil
 			h.live--
 		}
@@ -309,11 +317,16 @@ func (h *AgentHost) Kill() {
 	}
 }
 
+// hosts reports whether a occupies its slot; the caller holds h.mu.
+func (h *AgentHost) hosts(a *Agent) bool {
+	return a.slot < len(h.slots) && h.slots[a.slot] == a
+}
+
 // route is the shared server's handler: /a/<slot>/<peer-path> resolves the
 // slot under a read lock and dispatches to the hosted agent's ordinary
-// handler. A vacant slot answers 410 Gone — exactly what a departed
-// standalone agent's dead listener means to the proxy — so churn needs no
-// proxy-side changes.
+// handler. A vacant slot answers 410 Gone, which the proxy treats like a
+// departed holder's refused connection, so churn needs no proxy-side
+// changes.
 func (h *AgentHost) route(w http.ResponseWriter, r *http.Request) {
 	rest, ok := strings.CutPrefix(r.URL.Path, "/a/")
 	if !ok {
@@ -353,10 +366,7 @@ func (h *AgentHost) route(w http.ResponseWriter, r *http.Request) {
 // One goroutine and a smooth beat rate replace N timers firing in lockstep.
 func (h *AgentHost) heartbeatLoop(interval time.Duration) {
 	defer close(h.hbDone)
-	tick := time.Second
-	if interval < tick {
-		tick = interval
-	}
+	tick := min(interval, time.Second)
 	t := time.NewTicker(tick)
 	defer t.Stop()
 	for {
@@ -365,27 +375,48 @@ func (h *AgentHost) heartbeatLoop(interval time.Duration) {
 			return
 		case <-t.C:
 			for _, a := range h.beatSet(tick, interval) {
-				if !a.isClosing() {
+				if h.beginBeat(a) {
 					a.heartbeat()
+					h.endBeat()
 				}
 			}
 		}
 	}
 }
 
+// beginBeat marks a's beat in flight, unless a has left its slot since
+// beatSet picked it.
+func (h *AgentHost) beginBeat(a *Agent) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !h.hosts(a) {
+		return false
+	}
+	h.beating = a
+	return true
+}
+
+// endBeat clears the in-flight mark and wakes a remove waiting on it.
+func (h *AgentHost) endBeat() {
+	h.mu.Lock()
+	h.beating = nil
+	h.mu.Unlock()
+	h.beatDone.Broadcast()
+}
+
 // beatSet picks the next round-robin share of live agents to beat this tick:
-// ceil(live × tick ∕ interval), so the whole fleet is covered once per
-// interval regardless of size.
+// live × tick ∕ interval of them, with the fraction carried to the next tick,
+// so each agent is beaten once per interval whatever the fleet's size.
 func (h *AgentHost) beatSet(tick, interval time.Duration) []*Agent {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.live == 0 || len(h.slots) == 0 {
+	if h.live == 0 {
+		h.owed = 0
 		return nil
 	}
-	k := (h.live*int(tick) + int(interval) - 1) / int(interval)
-	if k < 1 {
-		k = 1
-	}
+	h.owed += int64(h.live) * int64(tick)
+	k := int(h.owed / int64(interval))
+	h.owed %= int64(interval)
 	out := make([]*Agent, 0, k)
 	for scanned := 0; scanned < len(h.slots) && len(out) < k; scanned++ {
 		h.cursor = (h.cursor + 1) % len(h.slots)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -335,5 +336,59 @@ func TestHostCloseIdempotentWithAgentClose(t *testing.T) {
 	}
 	if h.Live() != 0 {
 		t.Fatalf("Live() = %d, want 0", h.Live())
+	}
+}
+
+// TestHostedAgentServesMetrics: each agent of a shared host answers its own
+// /a/<slot>/metrics with its own counters.
+func TestHostedAgentServesMetrics(t *testing.T) {
+	c := startCluster(t, 0, testProxyConfig(proxy.FetchForward), nil)
+	h := startHost(t, c, nil)
+	var agents []*Agent
+	for i := 0; i < 3; i++ {
+		a, err := h.Spawn()
+		if err != nil {
+			t.Fatal(err)
+		}
+		agents = append(agents, a)
+	}
+	ctx := context.Background()
+	for i, a := range agents {
+		for j := 0; j < i; j++ {
+			if _, _, err := a.Get(ctx, c.url(fmt.Sprintf("/metrics/%d", j))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, a := range agents {
+		if got, want := scrapeMetrics(t, a)["baps_browser_requests_total"], strconv.Itoa(i); got != want {
+			t.Errorf("agent %d: baps_browser_requests_total = %q, want %s", i, got, want)
+		}
+	}
+}
+
+// TestBeatSetCoversEachAgentOncePerInterval: at a 5 s interval and a 1 s
+// tick, the pacer's beats over one interval equal the live count ±1 on a
+// host of 1, 3 or 128 agents, and carry no drift over ten intervals.
+func TestBeatSetCoversEachAgentOncePerInterval(t *testing.T) {
+	const tick, interval, ticks = time.Second, 5 * time.Second, 5
+	for _, live := range []int{1, 3, 128} {
+		h := &AgentHost{live: live, slots: make([]*Agent, live)}
+		for i := range h.slots {
+			h.slots[i] = &Agent{slot: i}
+		}
+		beats := func(n int) int {
+			total := 0
+			for range n {
+				total += len(h.beatSet(tick, interval))
+			}
+			return total
+		}
+		if got := beats(ticks); got < live-1 || got > live+1 {
+			t.Errorf("%d live: %d beats in one interval, want %d±1", live, got, live)
+		}
+		if got := beats(10 * ticks); got < 10*live-1 || got > 10*live+1 {
+			t.Errorf("%d live: %d beats in ten intervals, want %d±1", live, got, 10*live)
+		}
 	}
 }

@@ -1,10 +1,13 @@
 package browser
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -451,4 +454,25 @@ func TestProxyCacheOnlyModeDisablePeer(t *testing.T) {
 	if src != SourceOrigin {
 		t.Fatalf("peer layer disabled but source = %v", src)
 	}
+}
+
+// scrapeMetrics GETs a's /metrics over HTTP and returns every sample by
+// name.
+func scrapeMetrics(t *testing.T, a *Agent) map[string]string {
+	t.Helper()
+	resp, err := http.Get(a.PeerURL() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s/metrics: %s", a.PeerURL(), resp.Status)
+	}
+	scraped := map[string]string{}
+	for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+		if name, value, ok := strings.Cut(sc.Text(), " "); ok && !strings.HasPrefix(name, "#") {
+			scraped[name] = value
+		}
+	}
+	return scraped
 }

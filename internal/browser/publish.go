@@ -14,16 +14,13 @@ import (
 	"baps/internal/proxy"
 )
 
-// Flush limits of the publisher: a standalone agent's serves one member, an
-// AgentHost's serves the whole fleet. A flush is triggered by whichever trips
-// first — coalesced deltas, estimated wire bytes, or batchMaxDelay
-// since the last tick — and the ingress queue holds two flushes' worth of
-// deltas before enqueue blocks.
+// Flush limits of a host's publisher, sized for the whole fleet it serves. A
+// flush is triggered by whichever trips first — coalesced deltas, estimated
+// wire bytes, or batchMaxDelay since the last tick — and the ingress queue
+// holds two flushes' worth of deltas before enqueue blocks.
 const (
-	agentFlushDeltas = 128
-	agentFlushBytes  = 256 << 10
-	hostFlushDeltas  = 2048
-	hostFlushBytes   = 1 << 20
+	flushDeltas = 2048
+	flushBytes  = 1 << 20
 )
 
 // deltaOverhead approximates the per-delta JSON framing beyond the URL.
@@ -46,12 +43,10 @@ const deltaOverhead = 48
 // so drift the generations cannot see (a proxy restart) still triggers the
 // proxy's /peer/resync pull.
 type publisher struct {
-	proxyURL  string
-	client    *http.Client
-	logger    *slog.Logger
-	delay     time.Duration
-	maxDeltas int
-	maxBytes  int64
+	proxyURL string
+	client   *http.Client
+	logger   *slog.Logger
+	delay    time.Duration
 
 	ch    chan memberDelta
 	reqs  chan request
@@ -118,20 +113,18 @@ const (
 )
 
 // newPublisher starts a publisher posting to proxyURL over client.
-func newPublisher(proxyURL string, client *http.Client, logger *slog.Logger, delay time.Duration, maxDeltas int, maxBytes int64) *publisher {
+func newPublisher(proxyURL string, client *http.Client, logger *slog.Logger, delay time.Duration) *publisher {
 	p := &publisher{
-		proxyURL:  proxyURL,
-		client:    client,
-		logger:    logger,
-		delay:     delay,
-		maxDeltas: maxDeltas,
-		maxBytes:  maxBytes,
-		ch:        make(chan memberDelta, 2*maxDeltas),
-		reqs:      make(chan request),
-		quit:      make(chan struct{}),
-		abort:     make(chan struct{}),
-		done:      make(chan struct{}),
-		members:   make(map[*Agent]*ledger),
+		proxyURL: proxyURL,
+		client:   client,
+		logger:   logger,
+		delay:    delay,
+		ch:       make(chan memberDelta, 2*flushDeltas),
+		reqs:     make(chan request),
+		quit:     make(chan struct{}),
+		abort:    make(chan struct{}),
+		done:     make(chan struct{}),
+		members:  make(map[*Agent]*ledger),
 	}
 	go p.loop()
 	return p
@@ -192,7 +185,7 @@ func (p *publisher) loop() {
 		select {
 		case md := <-p.ch:
 			p.absorb(md)
-			if p.totalDeltas >= p.maxDeltas || p.totalBytes >= p.maxBytes {
+			if p.totalDeltas >= flushDeltas || p.totalBytes >= flushBytes {
 				p.ship(nil)
 			}
 		case <-t.C:

@@ -120,9 +120,8 @@ func TestReadmeEndpointsMatchRoutes(t *testing.T) {
 	}
 	defer srv.Close()
 	mounted := map[string][]string{
-		"proxy": muxRoutes(t, "../proxy/proxy.go", srv.Handler().(*http.ServeMux)),
-		// New mounts /metrics beside the peer paths.
-		"browser": append([]string{"/metrics"}, peerPaths...),
+		"proxy":   muxRoutes(t, "../proxy/proxy.go", srv.Handler().(*http.ServeMux)),
+		"browser": peerPaths,
 		"origin":  muxRoutes(t, "../origin/origin.go", origin.New(1).Handler().(*http.ServeMux)),
 	}
 	documented := readmeEndpoints(t)

@@ -65,7 +65,7 @@ func (a *Agent) store(docURL string, body []byte, mark []byte, version int64) {
 	}
 	a.mu.Unlock()
 	for _, sd := range deltas {
-		a.index.enqueue(a, sd)
+		a.host.pub.enqueue(a, sd)
 	}
 }
 
@@ -106,14 +106,14 @@ func (a *Agent) handlePeerResync(w http.ResponseWriter, r *http.Request) {
 // syncIndexNow replaces this agent's pending deltas with a Full directory
 // sync and waits for it. It routes through the publisher so the sync
 // supersedes the pending deltas and the generation counter stays coherent.
-func (a *Agent) syncIndexNow() error { return a.index.call(a, reqSync) }
+func (a *Agent) syncIndexNow() error { return a.host.pub.call(a, reqSync) }
 
 // FlushIndex ships this agent's pending index deltas now and waits for the
 // proxy's ack: read-your-writes for a caller that needs the proxy's index to
 // reflect every cache change made so far (a replay compared against the
 // simulator, a test expecting a peer hit). It is a no-op once the agent has
 // closed.
-func (a *Agent) FlushIndex() error { return a.index.call(a, reqFlush) }
+func (a *Agent) FlushIndex() error { return a.host.pub.call(a, reqFlush) }
 
 // Evict drops a document from the local cache (a user clearing an entry),
 // publishing the invalidation like any other eviction.
@@ -130,7 +130,7 @@ func (a *Agent) Evict(docURL string) bool {
 	}
 	a.mu.Unlock()
 	if ok {
-		a.index.enqueue(a, seqDelta{seq: seq, d: proxy.IndexDelta{URL: docURL, Remove: true}})
+		a.host.pub.enqueue(a, seqDelta{seq: seq, d: proxy.IndexDelta{URL: docURL, Remove: true}})
 	}
 	return ok
 }

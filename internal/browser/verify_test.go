@@ -1,7 +1,6 @@
 package browser
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/base64"
@@ -201,17 +200,7 @@ func TestVerifyMemoRejectsAlteredMark(t *testing.T) {
 		t.Fatalf("tamper_seen=%d verifies=%d memo_hits=%d, want 2/3/2", m.TamperSeen, m.WatermarkVerifies, m.VerifyMemoHits)
 	}
 
-	resp, err := http.Get(a.PeerURL() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	scraped := map[string]string{}
-	for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
-		if name, value, ok := strings.Cut(sc.Text(), " "); ok && !strings.HasPrefix(name, "#") {
-			scraped[name] = value
-		}
-	}
+	scraped := scrapeMetrics(t, a)
 	for name, want := range map[string]string{
 		"baps_browser_watermark_verified_total":         "3",
 		"baps_browser_watermark_verify_memo_hits_total": "2",

@@ -424,7 +424,7 @@ func (s *Server) Crash() {
 		s.ds.Abandon() // queued spill ops fail against the closed store
 		s.diskWG.Wait()
 	}
-	if s.httpSrv != nil {
-		s.httpSrv.Close()
+	if s.server != nil {
+		s.server.Close()
 	}
 }

@@ -316,7 +316,7 @@ type Server struct {
 	originClient *http.Client
 
 	listener  net.Listener
-	httpSrv   *http.Server
+	server    *http.Server
 	baseURL   string
 	stopSweep chan struct{}
 	sweepOnce sync.Once
@@ -423,12 +423,12 @@ func (s *Server) Start(addr string) error {
 	}
 	s.listener = ln
 	s.baseURL = "http://" + ln.Addr().String()
-	s.httpSrv = &http.Server{
+	s.server = &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       120 * time.Second,
 	}
-	go s.httpSrv.Serve(ln)
+	go s.server.Serve(ln)
 	if s.cfg.HeartbeatTimeout > 0 {
 		go s.heartbeatSweeper()
 	}
@@ -505,9 +505,9 @@ func (s *Server) Close() error {
 	// hangs up before draining its own listeners.
 	s.peerClient.CloseIdleConnections()
 	var err error
-	if s.httpSrv != nil {
+	if s.server != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		err = s.httpSrv.Shutdown(ctx)
+		err = s.server.Shutdown(ctx)
 		cancel()
 	}
 	if s.ds != nil {

@@ -19,9 +19,6 @@ const (
 	// fans out across many holder hosts, so each needs only a few warm
 	// connections.
 	PeerIdleConnsPerHost = 8
-	// AgentIdleConnsPerHost sizes a browser agent's pool toward its one
-	// proxy host.
-	AgentIdleConnsPerHost = 16
 )
 
 // NewTransport returns a keep-alive-tuned *http.Transport for live BAPS

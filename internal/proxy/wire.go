@@ -99,16 +99,16 @@ type IndexBatch struct {
 
 // HostBatch is one agent's sub-batch inside an IndexMultiBatch. The token is
 // carried per sub-batch — not per carrier — because the sender (an agent
-// host, or a standalone agent's own publisher) has no identity of its own
-// at the proxy: each sub-batch authenticates as its agent.
+// host's publisher) has no identity of its own at the proxy: each sub-batch
+// authenticates as its agent.
 type HostBatch struct {
 	IndexBatch
 	Token string `json:"token"`
 }
 
 // IndexMultiBatch is the body of POST /index/batch: one publisher's carrier
-// for the pending index deltas of every agent it serves — one for a
-// standalone agent, the whole fleet for an AgentHost. Generation rules stay
+// for the pending index deltas of every agent its AgentHost serves, from one
+// to the whole fleet. Generation rules stay
 // per client; the carrier changes the transport cost (one request, one
 // connection, one JSON envelope for N agents), not the protocol.
 type IndexMultiBatch struct {
