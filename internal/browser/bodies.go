@@ -105,10 +105,10 @@ func (s *bodyStore) stats() BodyStats {
 // the caller holds a.mu.
 func (a *Agent) keepLocked(docURL string, body, mark []byte, version int64) {
 	old, had := a.docs[docURL]
-	held, shared := a.bodies.acquire(docURL, version, body)
+	held, shared := a.host.bodies.acquire(docURL, version, body)
 	a.docs[docURL] = cachedDoc{body: held, watermark: mark, version: version, shared: shared}
 	if had && old.shared {
-		a.bodies.release(docURL, old.version)
+		a.host.bodies.release(docURL, old.version)
 	}
 }
 
@@ -121,6 +121,6 @@ func (a *Agent) dropLocked(docURL string) {
 	}
 	delete(a.docs, docURL)
 	if d.shared {
-		a.bodies.release(docURL, d.version)
+		a.host.bodies.release(docURL, d.version)
 	}
 }

@@ -4,9 +4,10 @@
 //   - serves its own requests from the local cache first (Figure 1's first
 //     lookup);
 //   - fetches misses through the browsers-aware proxy;
-//   - runs a small peer server so the proxy can retrieve its cached
-//     documents (fetch-forward) or instruct it to push a document to an
-//     anonymous relay drop (direct-forward) — only callers presenting the
+//   - answers on its host's shared peer server, under its own /a/<slot>
+//     prefix, so the proxy can retrieve its cached documents
+//     (fetch-forward) or instruct it to push a document to an anonymous
+//     relay drop (direct-forward) — only callers presenting the
 //     registration token are served, so peers can never contact each other
 //     directly and identities stay hidden (§6.2);
 //   - keeps the proxy's browser index updated with batched deltas: every
@@ -166,7 +167,6 @@ type Agent struct {
 	id       int
 	token    string
 	verifier *integrity.Verifier // the host's for this proxy key
-	bodies   *bodyStore          // the host's
 
 	// pubOrder makes index deltas reach the publisher in seq order:
 	// store and Evict take it before mu and hold it across the enqueue
@@ -200,10 +200,8 @@ type Agent struct {
 	metrics Metrics
 	logger  *slog.Logger
 
-	// httpClient is the host's one tuned transport toward the proxy.
-	httpClient *http.Client
-
-	// host routes /a/<slot> on its shared server to this agent.
+	// host supplies the transport and body store and routes /a/<slot> on
+	// its shared server to this agent.
 	host *AgentHost
 	slot int
 
@@ -244,8 +242,7 @@ func normalizeConfig(cfg Config) (Config, error) {
 }
 
 // initAgent fills in the agent core — cache, doc map, tombstones — on a cell
-// of host h's arena, with the host's HTTP client and body store. Config must
-// already be normalized.
+// of host h's arena. Config must already be normalized.
 func initAgent(a *Agent, cfg Config, h *AgentHost, slot int) error {
 	tc, err := cache.NewTwoTier(cache.LRU, cfg.CacheCapacity,
 		int64(float64(cfg.CacheCapacity)*memFraction))
@@ -255,9 +252,7 @@ func initAgent(a *Agent, cfg Config, h *AgentHost, slot int) error {
 	a.cfg = cfg
 	a.cache = tc
 	a.docs = make(map[string]cachedDoc)
-	a.bodies = h.bodies
 	a.invalidated = make(map[string]int64)
-	a.httpClient = h.client
 	a.logger = cfg.Logger
 	a.host = h
 	a.slot = slot
@@ -315,7 +310,7 @@ func (a *Agent) register() error {
 		peerURL = a.PeerURL()
 	}
 	body, _ := json.Marshal(proxy.RegisterRequest{PeerURL: peerURL})
-	resp, err := a.httpClient.Post(a.cfg.ProxyURL+"/register", "application/json", bytes.NewReader(body))
+	resp, err := a.host.client.Post(a.cfg.ProxyURL+"/register", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("browser: register: %w", err)
 	}
@@ -401,12 +396,12 @@ func (a *Agent) releaseMemory() {
 
 // unregister tells the proxy this client is leaving (best-effort).
 func (a *Agent) unregister() {
-	proxy.Post(context.Background(), a.httpClient, a.cfg.ProxyURL+"/unregister", nil, a.auth()...)
+	proxy.Post(context.Background(), a.host.client, a.cfg.ProxyURL+"/unregister", nil, a.auth()...)
 }
 
 // heartbeat posts one liveness beacon (best-effort).
 func (a *Agent) heartbeat() {
-	proxy.Post(context.Background(), a.httpClient, a.cfg.ProxyURL+"/heartbeat", nil, a.auth()...)
+	proxy.Post(context.Background(), a.host.client, a.cfg.ProxyURL+"/heartbeat", nil, a.auth()...)
 }
 
 // handleMetrics serves the agent's counters in the text exposition format
@@ -586,7 +581,7 @@ func (a *Agent) fetchViaProxy(ctx context.Context, docURL string, noPeer bool) (
 	if noPeer {
 		req.Header.Set(proxy.HeaderNoPeer, "1")
 	}
-	resp, err := a.httpClient.Do(req)
+	resp, err := a.host.client.Do(req)
 	if err != nil {
 		return nil, "", "", nil, 0, fmt.Errorf("browser: fetch: %w", err)
 	}
@@ -596,7 +591,7 @@ func (a *Agent) fetchViaProxy(ctx context.Context, docURL string, noPeer bool) (
 		return nil, "", "", nil, 0, fmt.Errorf("browser: fetch status %s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
 	version, _ = strconv.ParseInt(resp.Header.Get(proxy.HeaderVersion), 10, 64)
-	body, err = readBody(resp, a.bodies.lookup(docURL, version))
+	body, err = readBody(resp, a.host.bodies.lookup(docURL, version))
 	if err != nil {
 		return nil, "", "", nil, 0, err
 	}
@@ -611,7 +606,7 @@ func (a *Agent) fetchViaProxy(ctx context.Context, docURL string, noPeer bool) (
 // reportBad files a §6.1 rejection for a direct-forward delivery.
 func (a *Agent) reportBad(ctx context.Context, docURL, ticket string) {
 	rep, _ := json.Marshal(proxy.BadContentReport{ClientID: a.id, URL: docURL, Ticket: ticket})
-	proxy.Post(ctx, a.httpClient, a.cfg.ProxyURL+"/report-bad", rep,
+	proxy.Post(ctx, a.host.client, a.cfg.ProxyURL+"/report-bad", rep,
 		append(a.auth(), "Content-Type", "application/json")...)
 }
 

@@ -324,9 +324,9 @@ func (h *AgentHost) hosts(a *Agent) bool {
 
 // route is the shared server's handler: /a/<slot>/<peer-path> resolves the
 // slot under a read lock and dispatches to the hosted agent's ordinary
-// handler. A vacant slot answers 410 Gone, which the proxy treats like a
-// departed holder's refused connection, so churn needs no proxy-side
-// changes.
+// handler. A vacant slot answers 410 Gone, which the proxy books as a failed
+// peer fetch, as it would a departed holder's refused connection, so churn
+// needs no proxy-side changes.
 func (h *AgentHost) route(w http.ResponseWriter, r *http.Request) {
 	rest, ok := strings.CutPrefix(r.URL.Path, "/a/")
 	if !ok {

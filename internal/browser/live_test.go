@@ -382,7 +382,7 @@ func TestAnonymityPeerIdentitiesHidden(t *testing.T) {
 	}
 	// Requester (or any outsider) probing the holder's peer endpoint
 	// without the token is refused.
-	resp, err := c.agents[1].httpClient.Get(c.agents[0].PeerURL() + "/peer/doc?url=" + u)
+	resp, err := c.agents[1].host.client.Get(c.agents[0].PeerURL() + "/peer/doc?url=" + u)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -215,7 +215,7 @@ func (a *Agent) handlePeerSend(w http.ResponseWriter, r *http.Request) {
 	// The push must not take this request's context: the proxy's
 	// PeerTimeout client gives up on /peer/send while a long push is still
 	// streaming to the requester, and that would cut the push off.
-	if err := proxy.Post(context.Background(), a.httpClient, ps.RelayURL, body,
+	if err := proxy.Post(context.Background(), a.host.client, ps.RelayURL, body,
 		proxy.HeaderVersion, strconv.FormatInt(d.version, 10),
 		proxy.HeaderWatermark, base64.StdEncoding.EncodeToString(d.watermark)); err != nil {
 		http.Error(w, "browser: relay push: "+err.Error(), http.StatusBadGateway)
