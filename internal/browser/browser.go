@@ -341,13 +341,6 @@ func (a *Agent) beginClose() {
 	a.mu.Unlock()
 }
 
-// isClosing reports whether Close/Kill has begun.
-func (a *Agent) isClosing() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.closing
-}
-
 // Close departs gracefully through the host: the slot is freed, a heartbeat
 // the host's pacer has in flight for the agent completes (so it cannot
 // re-animate the agent's health record after the unregister), the agent's

@@ -29,6 +29,13 @@ func startHost(t *testing.T, c *cluster, mutate func(*Config)) *AgentHost {
 	return h
 }
 
+// isClosing reports whether Close/Kill has begun.
+func (a *Agent) isClosing() bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.closing
+}
+
 // TestHostServesManyAgents: hosted agents behind one listener resolve
 // documents end to end, and each agent's multiplexed /a/<slot> peer URL is
 // registered with the proxy well enough for peer-to-peer resolution: a doc
