@@ -1,20 +1,14 @@
 GO ?= go
 DATE ?= $(shell date +%F)
-COUNT ?= 5
-# Hot-path benchmark set recorded in BENCH_<date>.json: the substrate
+# Micro-benchmark set run once each by `make bench-smoke`: the substrate
 # micro-benchmarks, the end-to-end simulator replays (including one pass of
-# the benchmark's sim.sweep workload, BenchmarkSweepPaperSizes), and the live
-# HTTP-path benchmarks, skipping the long-running figure regenerations in the
-# root package.
+# the benchmark's sim.sweep workload, BenchmarkSweepPaperSizes), the live
+# HTTP-path benchmarks, and the replay/driver suite (§16: the whole
+# experiment-driver suite timed as one unit, BenchmarkAllExperiments, and
+# out-of-core streaming replay, BenchmarkReplayStream), skipping the
+# long-running figure regenerations in the root package.
 BENCH_PKGS = ./internal/cache ./internal/index ./internal/core ./internal/sim ./internal/proxy ./internal/integrity ./internal/workqueue ./internal/trace .
-BENCH_FILTER = '^(BenchmarkAccess|BenchmarkAccessProxyOnly|BenchmarkCache[A-Z].*|BenchmarkIndexAddRemoveHot|BenchmarkIndexOrdered|BenchmarkApplyBatch|BenchmarkApplyBatchContended|BenchmarkShardedOrdered|BenchmarkSimulatorBAPS|BenchmarkSimulatorProxyOnly|BenchmarkSweepPaperSizes|BenchmarkHistogram|BenchmarkTraceStats|BenchmarkTraceRead|BenchmarkTraceReadBTR|BenchmarkLiveFetchHot|BenchmarkLiveFetchOriginMiss|BenchmarkLiveFetchOriginMissRegistered|BenchmarkLiveFetchRefetchRegistered|BenchmarkServerStartAnonymous|BenchmarkWorkqueue[A-Z].*|BenchmarkVerifierMiss|BenchmarkVerifierHit)$$'
-# Replay/driver-suite benchmark set (§16): the whole experiment-driver suite
-# timed as one unit (BenchmarkAllExperiments) plus out-of-core streaming
-# replay throughput (BenchmarkReplayStream). benchtime=1x because one
-# "iteration" is a full multi-second driver sweep.
-REPLAY_BENCH_FILTER = '^(BenchmarkAllExperiments|BenchmarkReplayStream)$$'
-REPLAY_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*_replay_baseline.json)))
-REPLAY_RECORD ?= $(lastword $(sort $(filter-out %_baseline.json,$(wildcard BENCH_*_replay.json))))
+BENCH_FILTER = '^(BenchmarkAccess|BenchmarkAccessProxyOnly|BenchmarkCache[A-Z].*|BenchmarkIndexAddRemoveHot|BenchmarkIndexOrdered|BenchmarkApplyBatch|BenchmarkApplyBatchContended|BenchmarkShardedOrdered|BenchmarkSimulatorBAPS|BenchmarkSimulatorProxyOnly|BenchmarkSweepPaperSizes|BenchmarkHistogram|BenchmarkTraceStats|BenchmarkTraceRead|BenchmarkTraceReadBTR|BenchmarkLiveFetchHot|BenchmarkLiveFetchOriginMiss|BenchmarkLiveFetchOriginMissRegistered|BenchmarkLiveFetchRefetchRegistered|BenchmarkServerStartAnonymous|BenchmarkWorkqueue[A-Z].*|BenchmarkVerifierMiss|BenchmarkVerifierHit|BenchmarkAllExperiments|BenchmarkReplayStream)$$'
 # Packages touched by the interning/sharding refactor, the observability
 # subsystem, the batched index publish pipeline, the crash-safe disk
 # tier, the background work plane and the proxy's document store, raced in
@@ -38,7 +32,7 @@ STABLE_TESTS = ^Test(ClusterBloomFalsePositive|DiskSpillStreamPromote|DiskWarmRe
 # (integrity.Verifier, shared per proxy key by an AgentHost).
 WATERMARK_TESTS = ^TestWatermark(AnonymousFetchUnsigned|OnDemandMatchesSigner|ConcurrentFirstDemandsSignOnce|MemoAcrossReacquisition|MemoBounded|SignFailureFailsClosed)$$|^TestSigningKey(UngeneratedForAnonymous|ConcurrentFirstDemandsGenerateOnce|DurableBeforeFirstUse|IgnoresStaleTempFile|FailureFailsClosed)$$|^TestOnDemandWatermarkVerifiesAtAgents$$|^TestCrashRestartRederivesWatermark$$|^TestDigestOnDemand$$|^TestDigestOncePerVersion$$|^TestVerifier(MatchesVerifyDigest|Concurrent)$$|^TestVerifyMemo(StillDetectsTamper|RejectsAlteredMark|SharedByHostedAgents|ScopedToProxyKey)$$
 
-.PHONY: all build fmt vet test race short bench check staticcheck bapsim-golden fuzz-smoke examples-smoke bench-baseline bench-compare bench-replay bench-replay-compare bench-e2e-smoke stream-smoke loadtest loadtest-agents loadtest-restart loadtest-federation loadtest-invalidation soak soak-smoke
+.PHONY: all build fmt vet test race short bench check staticcheck bapsim-golden fuzz-smoke examples-smoke bench-smoke bench-e2e-smoke stream-smoke loadtest loadtest-agents loadtest-restart loadtest-federation loadtest-invalidation soak soak-smoke
 
 all: build vet test
 
@@ -126,34 +120,12 @@ short:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# Record a benchmark baseline as BENCH_<date>.json (override DATE=... to pin
-# the filename). COUNT=5 gives benchstat-grade samples.
-bench-baseline:
-	$(GO) test -bench=$(BENCH_FILTER) -benchmem -count=$(COUNT) -run=^$$ $(BENCH_PKGS) \
-		| $(GO) run ./cmd/benchjson > BENCH_$(DATE).json
-
-# Compare a fresh benchmark run against a recorded baseline:
-#   make bench-compare BASELINE=BENCH_2026-08-05_baseline.json
-bench-compare:
-	@test -n "$(BASELINE)" || { echo "usage: make bench-compare BASELINE=BENCH_<date>.json"; exit 2; }
-	$(GO) test -bench=$(BENCH_FILTER) -benchmem -count=$(COUNT) -run=^$$ $(BENCH_PKGS) \
-		| $(GO) run ./cmd/benchjson -compare $(BASELINE)
-
-# Record the replay/driver-suite benchmark as BENCH_<date>_replay.json.
-bench-replay:
-	$(GO) test -bench=$(REPLAY_BENCH_FILTER) -benchmem -benchtime=1x -count=3 -run=^$$ . \
-		| $(GO) run ./cmd/benchjson > BENCH_$(DATE)_replay.json
-
-# Replay speedup gate: the checked-in post-optimization record must show
-# the driver suite >= 1.5x faster than the checked-in sequential baseline
-# (both measured on the same hardware — cross-machine ns/op ratios are
-# meaningless, which is why the gate reads the two committed records
-# instead of re-measuring on whatever box runs it).
-bench-replay-compare:
-	@test -n "$(REPLAY_BASELINE)" || { echo "no BENCH_*_replay_baseline.json found"; exit 2; }
-	@test -n "$(REPLAY_RECORD)" || { echo "no BENCH_*_replay.json record found"; exit 2; }
-	$(GO) run ./cmd/benchjson -compare $(REPLAY_BASELINE) -input $(REPLAY_RECORD) \
-		-mingain BenchmarkAllExperiments=1.5
+# Micro-benchmark smoke (CI): every benchmark in BENCH_FILTER runs once.
+# No pipe follows `go test`, so the target fails when a benchmark fails,
+# panics or stops building. It records no numbers: a performance claim cites
+# `go run ./benchmark` (BENCHMARK.json), and `make bench` is the full run.
+bench-smoke:
+	$(GO) test -run '^$$' -bench $(BENCH_FILTER) -benchtime 1x $(BENCH_PKGS)
 
 # Yardstick smoke (CI): the three live workloads (origin miss, peer serve,
 # proxy hit) for 10 s each and the two simulator workloads for 3 s each.
@@ -178,15 +150,17 @@ bench-e2e-smoke:
 # The generated .btr must match STREAM_SMOKE_MD5 byte for byte, so a
 # generator change that alters a large trace fails here, not only the
 # 100k-request goldens in internal/synth. The replay report lands in
-# STREAM_smoke_100k.txt (uploaded as a CI artifact).
+# STREAM_smoke_100k.txt (uploaded as a CI artifact) and is printed; the
+# target exits with bapsim's status, so a replay over its RSS budget fails it
+# (no pipe: /bin/sh may lack pipefail).
 STREAM_SMOKE_MD5 = 4d4947cef1c6beb3b02e1720054d1b31
 stream-smoke:
 	$(GO) run ./cmd/tracegen -profile synth-1m -clients 100000 -requests 2000000 \
 		-stream -btr -o /tmp/baps-smoke-100k.btr
 	echo '$(STREAM_SMOKE_MD5)  /tmp/baps-smoke-100k.btr' | md5sum -c -
 	$(GO) run ./cmd/bapsim -stream /tmp/baps-smoke-100k.btr -parallel 2 \
-		-maxrss 1073741824 -progress 30s replay | tee STREAM_smoke_100k.txt
-	rm -f /tmp/baps-smoke-100k.btr
+		-maxrss 1073741824 -progress 30s replay > STREAM_smoke_100k.txt; \
+		status=$$?; rm -f /tmp/baps-smoke-100k.btr; cat STREAM_smoke_100k.txt; exit $$status
 
 # 10-second closed-loop load smoke against an in-process loopback cluster
 # (origin + proxy inside the bapsload process). Fails if no request completes;

@@ -453,8 +453,8 @@ func BenchmarkLiveRemoteHit(b *testing.B) {
 }
 
 // BenchmarkAllExperiments measures the whole bapsim-all driver suite at a
-// reduced scale — the wall-clock regression gate for the driver layer (see
-// make bench-replay). Each iteration models a fresh bapsim process: the
+// reduced scale: the wall clock of the driver layer (make bench-smoke runs
+// it once). Each iteration models a fresh bapsim process: the
 // cross-driver trace memo is reset up front, so the measured win from
 // memoization is the within-run dedup of trace generation, never warm-cache
 // carry-over between iterations.
@@ -472,8 +472,7 @@ func BenchmarkAllExperiments(b *testing.B) {
 // BenchmarkReplayStream measures out-of-core replay throughput end to end: a
 // .btr trace file is streamed through the stats pass and then the replay
 // pass, exactly as bapsim's replay experiment does, with the trace never
-// resident. The req/s metric is the replay-throughput number recorded in
-// BENCH_*_replay.json.
+// resident. The req/s metric is the replay throughput.
 func BenchmarkReplayStream(b *testing.B) {
 	p := synth.Scaled(synth.Profiles()[1], 0.25) // nlanr-bo1 shape at 40k requests
 	g, err := synth.NewStream(p)

@@ -379,7 +379,9 @@ func runSoak(opts soakOpts) *soakReport {
 			}
 			hosts = 1
 		} else {
+			// Each browser.New agent runs on a one-agent host of its own.
 			agents = newAgents(soakAgentConfig(proxyURL, opts), opts.parity)
+			hosts = len(agents)
 		}
 		pool := &agentPool{}
 		for _, a := range agents {

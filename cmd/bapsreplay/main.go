@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"baps"
@@ -23,25 +25,48 @@ import (
 	"baps/internal/trace"
 )
 
-func main() {
-	path := flag.String("trace", "", "trace file path (required)")
-	format := flag.String("format", "native", "trace format: native, squid, clf")
-	orgName := flag.String("org", "all", "organization name, or 'all'")
-	size := flag.Float64("size", 0.10, "relative proxy cache size (fraction of infinite)")
-	sizing := flag.String("sizing", "average", "browser sizing: minimum, average, per-client")
-	warmup := flag.Float64("warmup", 0, "fraction of requests excluded as warm-up")
-	parent := flag.Float64("parent", 0, "upper-level proxy relative size (0 = none)")
-	ttl := flag.Float64("ttl", 0, "index entry TTL in seconds (0 = none)")
-	flag.Parse()
+// errUsage reports a command line run cannot use; the flag set has already
+// printed what was wrong and the usage.
+var errUsage = errors.New("usage")
 
-	if *path == "" {
-		fmt.Fprintln(os.Stderr, "bapsreplay: -trace is required")
-		flag.Usage()
+func main() {
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
 		os.Exit(2)
+	default:
+		fmt.Fprintf(os.Stderr, "bapsreplay: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, replays the trace they name under each organization
+// asked for, and writes the trace summary and the replay table to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("bapsreplay", flag.ContinueOnError)
+	path := fs.String("trace", "", "trace file path (required)")
+	format := fs.String("format", "native", "trace format: native, squid, clf")
+	orgName := fs.String("org", "all", "organization name, or 'all'")
+	size := fs.Float64("size", 0.10, "relative proxy cache size (fraction of infinite)")
+	sizing := fs.String("sizing", "average", "browser sizing: minimum, average, per-client")
+	warmup := fs.Float64("warmup", 0, "fraction of requests excluded as warm-up")
+	parent := fs.Float64("parent", 0, "upper-level proxy relative size (0 = none)")
+	ttl := fs.Float64("ttl", 0, "index entry TTL in seconds (0 = none)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
+	if *path == "" {
+		fmt.Fprintln(fs.Output(), "bapsreplay: -trace is required")
+		fs.Usage()
+		return errUsage
 	}
 	f, err := os.Open(*path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer f.Close()
 	var tr *trace.Trace
@@ -56,10 +81,10 @@ func main() {
 		err = fmt.Errorf("unknown format %q", *format)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	st := trace.Compute(tr)
-	fmt.Printf("trace %s: %d requests, %d clients, %s total, infinite cache %s, ceiling %s / %s bytes\n\n",
+	fmt.Fprintf(w, "trace %s: %d requests, %d clients, %s total, infinite cache %s, ceiling %s / %s bytes\n\n",
 		tr.Name, st.NumRequests, st.NumClients, stats.Bytes(st.TotalBytes),
 		stats.Bytes(st.InfiniteCacheBytes), stats.Pct(st.MaxHitRatio), stats.Pct(st.MaxByteHitRatio))
 
@@ -69,7 +94,7 @@ func main() {
 	} else {
 		org, err := core.ParseOrganization(*orgName)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		orgs = []core.Organization{org}
 	}
@@ -90,14 +115,14 @@ func main() {
 		case "per-client":
 			cfg.Sizing = sim.SizingPerClient
 		default:
-			fatal(fmt.Errorf("unknown sizing %q", *sizing))
+			return fmt.Errorf("unknown sizing %q", *sizing)
 		}
 		res, err := sim.Run(tr, &st, cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := res.Check(); err != nil {
-			fatal(err)
+			return err
 		}
 		table.AddRow(org.String(),
 			stats.Pct(res.HitRatio()),
@@ -108,10 +133,6 @@ func main() {
 			fmt.Sprintf("%d", res.ParentHits),
 			fmt.Sprintf("%.3fs", res.ServiceP95))
 	}
-	fmt.Println(table.String())
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "bapsreplay: %v\n", err)
-	os.Exit(1)
+	_, err = fmt.Fprintln(w, table.String())
+	return err
 }

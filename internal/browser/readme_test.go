@@ -157,7 +157,8 @@ func missingFrom(a, b map[string]bool) []string {
 
 // commandFlags returns the names of the flags the command in dir defines,
 // read from the flag.<Kind>("name", …) and flag.<Kind>Var(&v, "name", …)
-// calls in its non-test source.
+// calls in its non-test source, and from the same calls on a flag set the
+// file makes with flag.NewFlagSet.
 func commandFlags(t *testing.T, dir string) map[string]bool {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
@@ -174,16 +175,24 @@ func commandFlags(t *testing.T, dir string) map[string]bool {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sets := map[string]bool{"flag": true}
 		ast.Inspect(f, func(n ast.Node) bool {
+			if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && len(as.Rhs) == 1 {
+				if call, ok := as.Rhs[0].(*ast.CallExpr); ok && isFlagCall(call, "NewFlagSet") {
+					if id, ok := as.Lhs[0].(*ast.Ident); ok {
+						sets[id.Name] = true
+					}
+				}
+			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
+			if !ok || sel.Sel.Name == "NewFlagSet" {
 				return true
 			}
-			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			if recv, ok := sel.X.(*ast.Ident); !ok || !sets[recv.Name] {
 				return true
 			}
 			arg := 0
@@ -204,6 +213,16 @@ func commandFlags(t *testing.T, dir string) map[string]bool {
 		t.Fatalf("%s: no flag definitions found", dir)
 	}
 	return flags
+}
+
+// isFlagCall reports whether call is flag.<name>(…).
+func isFlagCall(call *ast.CallExpr, name string) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != name {
+		return false
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	return ok && pkg.Name == "flag"
 }
 
 // readmeFlagTable returns the flags the README table introduced by the line
@@ -251,7 +270,7 @@ func readmeFlagTable(t *testing.T, title string) map[string]bool {
 
 // TestReadmeFlagTablesMatchFlags keeps README's flag tables and the
 // commands' flag sets in step. The tracegen, bapsproxy, bapsbrowser,
-// bapsorigin, bapsreplay, bapsload and benchjson tables are complete: every
+// bapsorigin, bapsreplay and bapsload tables are complete: every
 // flag the command defines is documented and every documented flag is
 // defined. The bapsim replay table documents only the replay experiment's
 // flags, each of which bapsim must define.
@@ -266,7 +285,6 @@ func TestReadmeFlagTablesMatchFlags(t *testing.T) {
 		{"bapsorigin", "../../cmd/bapsorigin", true},
 		{"bapsreplay", "../../cmd/bapsreplay", true},
 		{"bapsload", "../../cmd/bapsload", true},
-		{"benchjson", "../../cmd/benchjson", true},
 		{"bapsim replay", "../../cmd/bapsim", false},
 	} {
 		defined, documented := commandFlags(t, c.dir), readmeFlagTable(t, c.title)

@@ -7,9 +7,9 @@ import (
 )
 
 // Hot-path micro-benchmarks of the cache substrate the simulator's inner
-// loop runs on. Kept name-stable so checked-in BENCH_*.json baselines remain
-// comparable across representation changes: the same names measured the
-// string-keyed map caches before the interned-ID refactor.
+// loop runs on. Kept name-stable so recorded runs remain comparable across
+// representation changes: the same names measured the string-keyed map
+// caches before the interned-ID refactor.
 
 const benchDocs = 4096
 

@@ -7,7 +7,7 @@ import (
 )
 
 // Hot-path micro-benchmarks of the browser index. Name-stable across
-// representation changes so BENCH_*.json baselines stay comparable.
+// representation changes so recorded runs stay comparable.
 
 func BenchmarkIndexAddRemoveHot(b *testing.B) {
 	x := New(SelectMostRecent)
