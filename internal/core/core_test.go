@@ -253,6 +253,25 @@ func TestStaleProxyFlag(t *testing.T) {
 	}
 }
 
+// A revalidation whose new version the proxy cannot hold is no hit: the
+// request sees the stale copy (which is dropped) and fetches upstream, and
+// the proxy never claims a version it refused.
+func TestRevalidationRefusedByProxyIsStale(t *testing.T) {
+	c := cfg(ProxyCacheOnly, 1, 1000, 0)
+	c.RevalidateAfterSec = 1
+	s := mustNew(t, c)
+	s.Access(req(0, 0, "u", 500))
+	for i, tm := range []float64{10, 20} {
+		out := s.Access(req(tm, 0, "u", 2000))
+		if out.Class != Miss || out.Revalidated || out.StaleProxy != (i == 0) {
+			t.Fatalf("access %d of a 2000 B version past a 1000 B proxy: %+v", i, out)
+		}
+		if d, ok := s.Proxy().Peek(did("u")); ok {
+			t.Fatalf("access %d: proxy still holds %+v", i, d)
+		}
+	}
+}
+
 func TestStaleIndexFalseHits(t *testing.T) {
 	// Index staleness (a batched/lost invalidation): the index lists a
 	// holder whose cache no longer has the document. The contact is
