@@ -499,15 +499,17 @@ func (s *System) access(r trace.Request, out *Outcome) {
 			// enabled, a copy past the freshness age has already been
 			// conditionally re-fetched in the background: the request
 			// sees a current proxy hit at the price of one background
-			// origin fetch instead of a stale miss.
+			// origin fetch instead of a stale miss — provided the proxy
+			// admitted the new version; otherwise its copy is stale.
 			if s.revalStamp != nil && s.now-s.freshStamp(r.Doc) >= s.cfg.RevalidateAfterSec {
-				s.proxy.Put(cache.IDDoc{ID: r.Doc, Size: r.Size})
-				s.stampFresh(r.Doc)
-				out.Class = HitProxy
-				out.Tier = cache.TierMemory // refetched bodies land in memory
-				out.Revalidated = true
-				s.deliverToBrowser(r)
-				return
+				if _, admitted := s.proxy.Put(cache.IDDoc{ID: r.Doc, Size: r.Size}); admitted {
+					s.stampFresh(r.Doc)
+					out.Class = HitProxy
+					out.Tier = cache.TierMemory // refetched bodies land in memory
+					out.Revalidated = true
+					s.deliverToBrowser(r)
+					return
+				}
 			}
 			out.StaleProxy = true
 			s.proxy.Remove(r.Doc)
