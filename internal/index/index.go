@@ -25,6 +25,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -257,15 +258,17 @@ func (x *Index) AppendOrdered(buf []Entry, doc intern.ID, requester int, now flo
 			buf = append(buf, e)
 		}
 	}
-	// Insertion sort by strategy preference: holder lists are short, the
-	// input is already client-sorted (better's final tie-break), and
-	// unlike sort.Slice this allocates nothing.
-	out := buf[start:]
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && x.better(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	// better ends on the client id, unique among a document's holders, so
+	// the order is total and an unstable sort yields the one sorted order.
+	slices.SortFunc(buf[start:], func(a, b Entry) int {
+		switch {
+		case a.Client == b.Client:
+			return 0
+		case x.better(a, b):
+			return -1
 		}
-	}
+		return 1
+	})
 	return buf
 }
 

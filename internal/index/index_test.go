@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -297,5 +298,54 @@ func TestQuickIndexMatchesReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// AppendOrdered's sort must give exactly what a stable sort of the holder
+// list by the strategy's preference gives, on random holder lists full of
+// equal stamps and equal served counts, with expired entries and the
+// requester among the holders; with a reused buffer it allocates nothing.
+func TestAppendOrderedMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, strat := range []Strategy{SelectMostRecent, SelectLeastLoaded, SelectFirst} {
+		x := New(strat)
+		const docs, clients = 40, 64
+		for i := 0; i < 3000; i++ {
+			e := Entry{Client: rng.Intn(clients), Doc: intern.ID(rng.Intn(docs)), Size: 1, Stamp: float64(rng.Intn(4))}
+			if rng.Intn(3) == 0 {
+				e.Expire = float64(1 + rng.Intn(8))
+			}
+			x.Add(e)
+			if rng.Intn(4) == 0 {
+				x.AccountServe(rng.Intn(clients))
+			}
+		}
+		var buf []Entry
+		for i := 0; i < 2000; i++ {
+			doc, requester := intern.ID(rng.Intn(docs)), rng.Intn(clients)
+			now := float64(rng.Intn(10))
+			var want []Entry
+			for _, e := range x.Lookup(doc) {
+				if e.Client != requester && (now == 0 || !e.expired(now)) {
+					want = append(want, e)
+				}
+			}
+			slices.SortStableFunc(want, func(a, b Entry) int {
+				switch {
+				case x.better(a, b):
+					return -1
+				case x.better(b, a):
+					return 1
+				}
+				return 0
+			})
+			buf = x.AppendOrdered(buf[:0], doc, requester, now)
+			if !slices.Equal(buf, want) {
+				t.Fatalf("%v: AppendOrdered(%d, %d, %g) = %v, stable sort %v", strat, doc, requester, now, buf, want)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { buf = x.AppendOrdered(buf[:0], 7, 3, 0) }); allocs != 0 {
+			t.Errorf("%v: AppendOrdered into a reused buffer made %.0f allocations", strat, allocs)
+		}
 	}
 }
