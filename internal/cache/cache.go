@@ -7,16 +7,19 @@
 // GDSF variants so the design choice can be ablated, and the §4.2 memory/disk
 // split (a memory portion of 1/10 of the cache) on top of them.
 //
-// There is one engine: slice-backed caches keyed by dense intern.IDs
-// (IDCache, built by NewID; LRU/FIFO in idlist.go, LFU/SIZE/GDSF in
-// idheap.go) and IDTwoTier, the two-tier cache over them. The simulator runs
-// it directly. TwoTier is its string-keyed face for the live proxy, the
-// browser agents and internal/coop: a map from URL to a slot ID that is
-// freed on eviction, removal or refusal, so the slot table never outgrows
-// the largest resident set plus the document being admitted. One behaviour of
-// the face is its own: OnDemote reports the resident document's version and
-// size, which after a Seed or a re-store too large for the memory tier are
-// newer than those of the copy the memory tier was charged for.
+// There is one engine, Pool (pool.go): a set of member caches sharing one
+// policy, one pointer-free node arena and one (member, document) → node
+// table, with every policy and the memory tier written once on it.
+// IDTwoTier is a view of one member, keyed by dense intern.IDs; NewIDTwoTier
+// and NewID build a one-member pool, and the simulator keeps all of an
+// organization's browsers as the members of one pool. TwoTier is the
+// string-keyed face for the live proxy, the browser agents and
+// internal/coop: a map from URL to a slot ID that is freed on eviction,
+// removal or refusal, so the slot table never outgrows the largest resident
+// set plus the document being admitted. One behaviour of the face is its
+// own: OnDemote reports the resident document's version and size, which
+// after a Seed or a re-store too large for the memory tier are newer than
+// those of the copy the memory tier was charged for.
 //
 // Caches are byte-capacity bounded: a document occupies its Size in bytes
 // and the sum of resident sizes never exceeds the capacity. All caches in

@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"fmt"
-
-	"baps/internal/intern"
-)
+import "baps/internal/intern"
 
 // IDDoc is the engine's document: Doc with a dense intern.ID in place of its
 // URL string. The simulator's hot path uses IDDoc end-to-end so cache probes
@@ -19,28 +15,20 @@ type IDDoc struct {
 // not call back into the cache.
 type IDEvictFunc func(IDDoc)
 
-// IDOptions configures a cache constructed by NewID.
+// IDOptions configures a cache constructed by NewID or NewIDTwoTier (a
+// one-member pool; a larger pool reports its members' evictions only
+// through Put's result).
 type IDOptions struct {
 	// OnEvict, if non-nil, is invoked for every document evicted to make
 	// room (not for Remove or for replaced versions of the same ID).
 	OnEvict IDEvictFunc
-
-	// Sparse selects a hash-based docID→slot table instead of the dense
-	// per-instance slice, trading a few ns per probe for memory that
-	// scales with resident documents rather than the document-ID space.
-	// Replacement behavior is identical. Meant for deployments with very
-	// many cache instances (one per simulated browser at 10^6-client
-	// scale); LRU/FIFO only — heap-backed policies ignore it (their
-	// footprint is already resident-bounded except for the shared slot
-	// slice, and they are not used at that scale).
-	Sparse bool
 }
 
 // IDCache is a byte-bounded document cache keyed by intern.ID. Two details
 // serve the allocation-free hot path:
 //
 //   - Put returns an eviction slice that is reused by the next Put on the
-//     same cache; callers must consume (or copy) it before calling Put again.
+//     same pool; callers must consume (or copy) it before calling Put again.
 //   - Reset empties the cache in place, retaining allocated capacity, so
 //     sweep workers can replay many configurations without re-growing the
 //     backing arrays.
@@ -85,32 +73,15 @@ type IDCache interface {
 }
 
 // NewID builds an ID-keyed cache with the given policy and capacity in
-// bytes. A zero capacity yields a cache that admits nothing, which models
-// the paper's organizations that lack a browser or proxy cache.
+// bytes: an IDTwoTier whose memory tier holds nothing. A zero capacity
+// yields a cache that admits nothing, which models the paper's
+// organizations that lack a browser or proxy cache.
 func NewID(policy Policy, capacity int64, opts ...IDOptions) (IDCache, error) {
-	var o IDOptions
-	if len(opts) > 0 {
-		o = opts[0]
+	c, err := NewIDTwoTier(policy, capacity, 0, opts...)
+	if err != nil {
+		return nil, err
 	}
-	return newIDCache(policy, capacity, o, nil)
-}
-
-// newIDCache builds the policy's cache; mem, when non-nil, is the memory
-// tier of the IDTwoTier it will sit inside.
-func newIDCache(policy Policy, capacity int64, o IDOptions, mem *memLRU) (tieredCache, error) {
-	if capacity < 0 {
-		return nil, ErrCapacity
-	}
-	switch policy {
-	case LRU:
-		return newIDListCache(capacity, true, o, mem), nil
-	case FIFO:
-		return newIDListCache(capacity, false, o, mem), nil
-	case LFU, SIZE, GDSF:
-		return newIDHeapCache(policy, capacity, o, mem), nil
-	default:
-		return nil, fmt.Errorf("cache: unknown policy %v", policy)
-	}
+	return c, nil
 }
 
 // MustNewID is NewID, panicking on error.

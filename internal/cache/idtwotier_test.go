@@ -8,11 +8,11 @@ import (
 	"baps/internal/intern"
 )
 
-// refTwoTier is the reference the threaded memory tier is checked against:
-// the policy cache on its own plus the memory portion as a separate slice
-// LRU beside it, which is how IDTwoTier used to be built.
+// refTwoTier is the reference a two-tier cache is checked against: the
+// policy oracle (sliceCache) plus the memory portion as a separate slice LRU
+// beside it.
 type refTwoTier struct {
-	inner IDCache
+	inner *sliceCache
 	mem   refLRU
 }
 
@@ -61,10 +61,45 @@ func (m *refLRU) remove(id intern.ID) {
 	}
 }
 
-func newRefTwoTier(pol Policy, capacity, memCap int64, sparse bool) *refTwoTier {
+func newRefTwoTier(pol Policy, capacity, memCap int64) *refTwoTier {
 	r := &refTwoTier{mem: refLRU{capacity: memCap}}
-	r.inner = MustNewID(pol, capacity, IDOptions{Sparse: sparse, OnEvict: func(d IDDoc) { r.mem.remove(d.ID) }})
+	r.inner = &sliceCache{policy: pol, capacity: capacity, onEvict: func(d IDDoc) { r.mem.remove(d.ID) }}
 	return r
+}
+
+// newTestTwoTier builds a two-tier cache as a one-member pool or, when
+// sparse, as member 1 of a three-member pool whose other members hold
+// documents under the same IDs, so its every probe of the shared slot table
+// passes entries of other members. It returns a check that the neighbours
+// were left as they were.
+func newTestTwoTier(t *testing.T, pol Policy, capacity, memCap int64, sparse bool) (*IDTwoTier, func()) {
+	t.Helper()
+	if !sparse {
+		tt, err := NewIDTwoTier(pol, capacity, memCap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tt, func() {}
+	}
+	p, err := NewPool(pol, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m := 0; m < 3; m++ {
+		p.ResetTiers(m, capacity, memCap)
+	}
+	for _, m := range []int{0, 2} {
+		for id := 0; id < 64; id++ {
+			p.Put(m, IDDoc{ID: intern.ID(id), Size: int64(100 + m + id)})
+		}
+	}
+	before := fmt.Sprint(p.ids(0), p.ids(2), p.members[0], p.members[2])
+	return p.Member(1), func() {
+		t.Helper()
+		if after := fmt.Sprint(p.ids(0), p.ids(2), p.members[0], p.members[2]); after != before {
+			t.Fatalf("neighbouring members changed:\n%s\n%s", before, after)
+		}
+	}
 }
 
 func (r *refTwoTier) getTier(id intern.ID) (IDDoc, Tier, bool) {
@@ -119,7 +154,8 @@ func checkAgainstRef(t *testing.T, where string, tt *IDTwoTier, ref *refTwoTier,
 // TestIDTwoTierMatchesReferenceLRU drives IDTwoTier and the reference with
 // one random operation stream — admissions, in-place re-stores at a new size
 // (some too large for the memory tier), tier lookups, removals and resets —
-// for every policy in both slot modes, and asserts identical results after
+// for every policy, standalone and as a member of a larger pool (sparse),
+// and asserts identical results after
 // every step. It opens with the one case a shared charge would get wrong: a
 // memory-resident document re-stored at a size the memory tier refuses
 // keeps its old place and charge.
@@ -127,11 +163,9 @@ func TestIDTwoTierMatchesReferenceLRU(t *testing.T) {
 	for _, pol := range []Policy{LRU, FIFO, LFU, SIZE, GDSF} {
 		for _, sparse := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/sparse=%v", pol, sparse), func(t *testing.T) {
-				tt, err := NewIDTwoTier(pol, 10_000, 1_000, IDOptions{Sparse: sparse})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref := newRefTwoTier(pol, 10_000, 1_000, sparse)
+				tt, neighboursUnchanged := newTestTwoTier(t, pol, 10_000, 1_000, sparse)
+				defer neighboursUnchanged()
+				ref := newRefTwoTier(pol, 10_000, 1_000)
 				for _, doc := range []IDDoc{{ID: 1, Size: 400}, {ID: 2, Size: 300}, {ID: 1, Size: 1_500}} {
 					tt.Put(doc)
 					ref.put(doc)
@@ -185,22 +219,17 @@ func TestIDTwoTierMatchesReferenceLRU(t *testing.T) {
 	}
 }
 
-// The slot mode must be invisible: a sparse and a dense two-tier cache fed
-// the same operations agree on every result, under every policy.
+// Pool membership must be invisible: a one-member pool and a member of a
+// larger pool (sparse) fed the same operations agree on every result, under
+// every policy.
 func TestIDTwoTierSparseMatchesDenseMemoryTier(t *testing.T) {
 	for _, pol := range []Policy{LRU, FIFO, LFU, SIZE, GDSF} {
 		for seed := int64(0); seed < 10; seed++ {
 			rng := rand.New(rand.NewSource(seed + 100))
 			capacity := int64(rng.Intn(8000) + 2000)
 			memCap := capacity / 2
-			sparse, err := NewIDTwoTier(pol, capacity, memCap, IDOptions{Sparse: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			dense, err := NewIDTwoTier(pol, capacity, memCap)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sparse, neighboursUnchanged := newTestTwoTier(t, pol, capacity, memCap, true)
+			dense, _ := newTestTwoTier(t, pol, capacity, memCap, false)
 			ids := rng.Intn(40) + 10
 			for op := 0; op < 4000; op++ {
 				id := intern.ID(rng.Intn(ids))
@@ -234,6 +263,7 @@ func TestIDTwoTierSparseMatchesDenseMemoryTier(t *testing.T) {
 						sparse.Used(), sparse.MemoryUsed(), dense.Used(), dense.MemoryUsed())
 				}
 			}
+			neighboursUnchanged()
 		}
 	}
 }

@@ -114,6 +114,14 @@ func (c *sliceCache) Remove(id intern.ID) bool {
 	return true
 }
 
+func (c *sliceCache) Len() int    { return len(c.ents) }
+func (c *sliceCache) Used() int64 { return c.used }
+
+// Reset empties the model and adopts a new capacity, as a fresh cache.
+func (c *sliceCache) Reset(capacity int64) {
+	*c = sliceCache{policy: c.policy, capacity: capacity, onEvict: c.onEvict}
+}
+
 // IDs lists the resident documents, next victim first.
 func (c *sliceCache) IDs() []intern.ID {
 	order := slices.Clone(c.ents)

@@ -229,16 +229,6 @@ type Config struct {
 	// proxy" that misses are forwarded to). It is consulted after every
 	// other layer and caches everything passing through it.
 	ParentCapacity int64
-
-	// SparseBrowserSlots selects hash-based docID→slot tables for the
-	// browser caches instead of dense per-instance slices, bounding browser
-	// memory by resident documents rather than the document-ID space.
-	// Replacement behavior is identical (property-tested); it is also
-	// auto-enabled when NumClients × NumDocs crosses sparseAutoThreshold,
-	// which is what lets a 10^6-client replay fit in bounded RSS. The proxy
-	// and parent caches always stay dense (two instances, O(NumDocs) is
-	// the cheap and faster choice there).
-	SparseBrowserSlots bool
 }
 
 // Validate reports configuration errors.
@@ -311,12 +301,14 @@ type Outcome struct {
 // stream. It is not safe for concurrent use: the simulator drives one
 // System per goroutine.
 type System struct {
-	cfg      Config
-	proxy    *cache.IDTwoTier
-	parent   *cache.IDTwoTier
-	browsers []*cache.IDTwoTier
+	cfg    Config
+	proxy  *cache.IDTwoTier
+	parent *cache.IDTwoTier
+	// browsers holds every client's browser cache as a member of one pool:
+	// member i is client i's cache, pubs[i] its publisher.
+	browsers *cache.Pool
 	idx      *index.Index
-	pubs     []*index.Publisher
+	pubs     []index.Publisher
 	now      float64
 
 	// ordBuf is the reused holder-candidate buffer for remoteLookup, so a
@@ -326,23 +318,6 @@ type System struct {
 	// revalStamp[doc] is the proxy copy's last known-fresh time under
 	// background revalidation (nil when disabled).
 	revalStamp []float64
-}
-
-// sparseAutoThreshold is the NumClients × NumDocs product beyond which the
-// browser caches switch to sparse slot tables automatically. Dense slices
-// cost 4 bytes per browser per addressable doc ID: beyond ~1 MiB of total
-// slot tables the zeroing and cache misses of the dense layout cost more
-// than the sparse table's hashing — measured on the experiment suite, where
-// flipping the paper profiles (clients × docs ≈ 10^6 at benchmark scale) to
-// sparse cuts `bapsim all` allocation by ~40%. Dense survives only for tiny
-// organizations (e.g. the 3-client CA*netII stand-in) whose tables stay
-// resident in cache anyway.
-const sparseAutoThreshold = 1 << 18
-
-// sparseBrowsers reports whether browser caches use sparse slot tables.
-func (c *Config) sparseBrowsers() bool {
-	return c.SparseBrowserSlots ||
-		(c.NumClients > 0 && c.NumDocs > 0 && int64(c.NumClients)*int64(c.NumDocs) > sparseAutoThreshold)
 }
 
 // New builds a System from cfg.
@@ -406,42 +381,27 @@ func (s *System) arm() error {
 			browserMem = cfg.MemFraction
 		}
 		if s.browsers == nil {
-			s.browsers = make([]*cache.IDTwoTier, cfg.NumClients)
-		}
-		opts := cache.IDOptions{Sparse: cfg.sparseBrowsers()}
-		for i, b := range s.browsers {
-			capacity := cfg.BrowserCapacity[i]
-			mem := int64(float64(capacity) * browserMem)
-			if b != nil {
-				b.ResetTiers(capacity, mem)
-				continue
-			}
-			opts.OnEvict = func(d cache.IDDoc) {
-				// Browser cache capacity eviction → §2
-				// invalidation message (or batched change).
-				if s.cfg.Organization.hasIndex() {
-					s.pubs[i].OnEvict(d.ID, s.browsers[i].Len())
-				}
-			}
-			b, err := cache.NewIDTwoTier(cfg.BrowserPolicy, capacity, mem, opts)
+			pool, err := cache.NewPool(cfg.BrowserPolicy, cfg.NumClients)
 			if err != nil {
-				return fmt.Errorf("core: browser cache %d: %w", i, err)
+				return fmt.Errorf("core: browser caches: %w", err)
 			}
-			s.browsers[i] = b
+			s.browsers = pool
+		} else {
+			s.browsers.Reset()
+		}
+		for i, capacity := range cfg.BrowserCapacity {
+			s.browsers.ResetTiers(i, capacity, int64(float64(capacity)*browserMem))
 		}
 		if org.hasIndex() {
 			if s.pubs == nil {
-				s.pubs = make([]*index.Publisher, cfg.NumClients)
-				for i := range s.pubs {
-					pub, err := index.NewPublisher(s.idx, i, cfg.IndexMode, cfg.IndexThreshold)
-					if err != nil {
-						return err
-					}
-					s.pubs[i] = pub
+				pubs, err := index.NewPublishers(s.idx, cfg.NumClients, cfg.IndexMode, cfg.IndexThreshold)
+				if err != nil {
+					return err
 				}
+				s.pubs = pubs
 			} else {
-				for _, p := range s.pubs {
-					p.Reset(cfg.IndexThreshold)
+				for i := range s.pubs {
+					s.pubs[i].Reset(cfg.IndexThreshold)
 				}
 			}
 		}
@@ -469,8 +429,7 @@ func (s *System) access(r trace.Request, out *Outcome) {
 
 	// 1. Local browser cache.
 	if s.cfg.Organization.hasLocal() {
-		b := s.browsers[r.Client]
-		if doc, tier, ok := b.GetTier(r.Doc); ok {
+		if doc, tier, ok := s.browsers.GetTier(r.Client, r.Doc); ok {
 			if doc.Size == r.Size {
 				out.Class = HitLocalBrowser
 				out.Tier = tier
@@ -478,9 +437,9 @@ func (s *System) access(r trace.Request, out *Outcome) {
 			}
 			// Modified at the origin: unusable copy (§3.2).
 			out.StaleLocal = true
-			b.Remove(r.Doc)
+			s.browsers.Remove(r.Client, r.Doc)
 			if s.cfg.Organization.hasIndex() {
-				s.pubs[r.Client].OnEvict(r.Doc, b.Len())
+				s.pubs[r.Client].OnEvict(r.Doc, s.browsers.Len(r.Client))
 			}
 		}
 	}
@@ -592,9 +551,17 @@ func (s *System) deliverToBrowser(r trace.Request) {
 	if !s.cfg.Organization.hasLocal() {
 		return
 	}
-	b := s.browsers[r.Client]
-	_, admitted := b.Put(cache.IDDoc{ID: r.Doc, Size: r.Size})
-	if admitted && s.cfg.Organization.hasIndex() {
+	evicted, admitted := s.browsers.Put(r.Client, cache.IDDoc{ID: r.Doc, Size: r.Size})
+	if !s.cfg.Organization.hasIndex() {
+		return
+	}
+	// Browser cache capacity evictions → §2 invalidation messages (or
+	// batched changes), each with the resident count it left behind.
+	resident := s.browsers.Len(r.Client)
+	for i, d := range evicted {
+		s.pubs[r.Client].OnEvict(d.ID, resident+len(evicted)-1-i)
+	}
+	if admitted {
 		e := index.Entry{
 			Doc:   r.Doc,
 			Size:  r.Size,
@@ -603,7 +570,7 @@ func (s *System) deliverToBrowser(r trace.Request) {
 		if s.cfg.DocTTLSec > 0 {
 			e.Expire = s.now + s.cfg.DocTTLSec
 		}
-		s.pubs[r.Client].OnInsert(e, b.Len())
+		s.pubs[r.Client].OnInsert(e, resident)
 	}
 }
 
@@ -625,7 +592,7 @@ func (s *System) remoteLookup(r trace.Request) (provider int, tier cache.Tier, f
 			// modification; no contact is wasted.
 			continue
 		}
-		doc, t, found := s.browsers[e.Client].GetTier(r.Doc)
+		doc, t, found := s.browsers.GetTier(e.Client, r.Doc)
 		if found && doc.Size == r.Size {
 			s.idx.AccountServe(e.Client)
 			return e.Client, t, falseHits, true
@@ -645,7 +612,7 @@ func (s *System) remoteLookup(r trace.Request) (provider int, tier cache.Tier, f
 // reports false — and the caller builds a new System — when cfg is invalid
 // or its structure is incompatible with the storage already built (a
 // different client count, replacement policy, index mode or strategy,
-// browser slot-table layout, or parent presence). Capacities, memory
+// or parent presence). Capacities, memory
 // fractions, thresholds, TTLs, and forwarding flags may all change freely.
 func (s *System) Reset(cfg Config) bool {
 	if err := cfg.Validate(); err != nil {
@@ -657,8 +624,7 @@ func (s *System) Reset(cfg Config) bool {
 		cfg.BrowserPolicy != old.BrowserPolicy ||
 		cfg.IndexMode != old.IndexMode ||
 		cfg.IndexStrategy != old.IndexStrategy ||
-		(cfg.ParentCapacity > 0) != (old.ParentCapacity > 0) ||
-		cfg.sparseBrowsers() != old.sparseBrowsers() {
+		(cfg.ParentCapacity > 0) != (old.ParentCapacity > 0) {
 		return false
 	}
 	s.cfg = cfg
@@ -671,8 +637,8 @@ func (s *System) FlushIndex() {
 	if !s.cfg.Organization.hasIndex() {
 		return
 	}
-	for _, p := range s.pubs {
-		p.Flush()
+	for i := range s.pubs {
+		s.pubs[i].Flush()
 	}
 }
 
@@ -683,9 +649,9 @@ func (s *System) IndexMessageStats() (msgs, entriesShipped int64) {
 	if !s.cfg.Organization.hasIndex() {
 		return 0, 0
 	}
-	for _, p := range s.pubs {
-		msgs += p.Messages()
-		entriesShipped += p.EntriesShipped()
+	for i := range s.pubs {
+		msgs += s.pubs[i].Messages()
+		entriesShipped += s.pubs[i].EntriesShipped()
 	}
 	return msgs, entriesShipped
 }
@@ -707,7 +673,7 @@ func (s *System) Browser(i int) *cache.IDTwoTier {
 	if !s.cfg.Organization.hasLocal() {
 		return nil
 	}
-	return s.browsers[i]
+	return s.browsers.Member(i)
 }
 
 // Index exposes the browser index (nil when the organization has none).

@@ -85,25 +85,37 @@ type Publisher struct {
 // changed fraction that triggers a periodic or batched flush (ignored for
 // Immediate); it must be in (0, 1] for those modes.
 func NewPublisher(idx *Index, client int, mode Mode, threshold float64) (*Publisher, error) {
+	ps, err := NewPublishers(idx, 1, mode, threshold)
+	if err != nil {
+		return nil, err
+	}
+	ps[0].client = client
+	return &ps[0], nil
+}
+
+// NewPublishers creates the publishers of clients 0 … n-1 against idx, held
+// by value in one slice: a population of browsers costs one allocation, and
+// a batching publisher makes its pending maps on its first change.
+func NewPublishers(idx *Index, n int, mode Mode, threshold float64) ([]Publisher, error) {
 	if idx == nil {
 		return nil, fmt.Errorf("index: nil Index")
 	}
 	if (mode == Periodic || mode == Batched) && (threshold <= 0 || threshold > 1) {
 		return nil, fmt.Errorf("index: %s threshold %g out of (0,1]", mode, threshold)
 	}
-	p := &Publisher{
-		idx:       idx,
-		client:    client,
-		mode:      mode,
-		threshold: threshold,
+	ps := make([]Publisher, n)
+	for i := range ps {
+		ps[i] = Publisher{idx: idx, client: i, mode: mode, threshold: threshold}
 	}
-	if mode != Immediate {
-		// Immediate publishers never batch; with 10^6 browsers even two
-		// empty maps apiece are ~100 MB of resident overhead.
+	return ps, nil
+}
+
+// pending readies the batching maps, made on a publisher's first change.
+func (p *Publisher) pending() {
+	if p.pendingAdd == nil {
 		p.pendingAdd = make(map[intern.ID]Entry)
 		p.pendingRemove = make(map[intern.ID]struct{})
 	}
-	return p, nil
 }
 
 // OnInsert records that the browser cached a document. resident is the
@@ -117,6 +129,7 @@ func (p *Publisher) OnInsert(e Entry, resident int) {
 		p.entriesShipped++
 		return
 	}
+	p.pending()
 	delete(p.pendingRemove, e.Doc)
 	p.pendingAdd[e.Doc] = e
 	p.changes++
@@ -132,6 +145,7 @@ func (p *Publisher) OnEvict(doc intern.ID, resident int) {
 		p.entriesShipped++
 		return
 	}
+	p.pending()
 	delete(p.pendingAdd, doc)
 	p.pendingRemove[doc] = struct{}{}
 	p.changes++

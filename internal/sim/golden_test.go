@@ -12,8 +12,6 @@ import (
 	"baps/internal/cache"
 	"baps/internal/core"
 	"baps/internal/index"
-	"baps/internal/latency"
-	"baps/internal/stats"
 	"baps/internal/synth"
 	"baps/internal/trace"
 )
@@ -136,15 +134,13 @@ func diffHint(want, got Result) string {
 }
 
 // tierCase is one configuration of the tier/policy golden: which trace, the
-// sim configuration, and how it is driven (forced sparse browser slots, or a
-// sharded replay).
+// sim configuration, and whether it is replayed sharded.
 type tierCase struct {
 	Name   string
 	trace  *trace.Trace
 	st     *trace.Stats
 	cfg    Config
-	sparse bool // force core.Config.SparseBrowserSlots
-	shards int  // > 0: RunSharded over this many shards
+	shards int // > 0: RunSharded over this many shards
 }
 
 // tierRecord is one fixture row.
@@ -154,9 +150,8 @@ type tierRecord struct {
 }
 
 // manyClientTrace is nlanr-uc (the sim.sweep profile, 120 clients) at 2 %
-// scale: small enough to replay in milliseconds, large enough that
-// clients × docs crosses core's sparse-browser threshold (2^18), so its
-// browsers use the sparse slot tables without being asked to.
+// scale: small enough to replay in milliseconds, with clients × docs past
+// 2^18.
 func manyClientTrace(t *testing.T) *trace.Trace {
 	t.Helper()
 	prof, err := synth.ByName("nlanr-uc")
@@ -170,9 +165,11 @@ func manyClientTrace(t *testing.T) *trace.Trace {
 	return tr
 }
 
-// tierCases covers what the canet2 golden does not: sparse browser slot
-// tables (chosen automatically on a many-client trace, forced on canet2),
-// every replacement policy on both the proxy and the browsers, memory tiers
+// tierCases covers what the canet2 golden does not: every organization on a
+// many-client trace and on canet2 (the canet2-sparse rows, named for the
+// browser slot-table layout they once forced; every browser cache is now a
+// member of one pool, so they replay like any other row), every replacement
+// policy on both the proxy and the browsers, memory tiers
 // from tiny to nearly the whole cache, the background pipeline (revalidation
 // re-stores a proxy copy in place), the periodic and batched protocols, and
 // sharded replay.
@@ -180,10 +177,6 @@ func tierCases(t *testing.T) []tierCase {
 	t.Helper()
 	canet, many := goldenTrace(t), manyClientTrace(t)
 	canetSt, manySt := trace.Compute(canet), trace.Compute(many)
-	if int64(manySt.NumClients)*int64(manySt.UniqueDocs) <= 1<<18 {
-		t.Fatalf("many-client trace is %d clients × %d docs: below the sparse threshold",
-			manySt.NumClients, manySt.UniqueDocs)
-	}
 	var cases []tierCase
 	add := func(name string, tr *trace.Trace, st *trace.Stats, cfg Config) *tierCase {
 		cases = append(cases, tierCase{Name: name, trace: tr, st: st, cfg: cfg})
@@ -191,7 +184,7 @@ func tierCases(t *testing.T) []tierCase {
 	}
 	for _, org := range core.Organizations() {
 		add("nlanr-uc/"+org.String(), many, &manySt, DefaultConfig(org))
-		add("canet2-sparse/"+org.String(), canet, &canetSt, DefaultConfig(org)).sparse = true
+		add("canet2-sparse/"+org.String(), canet, &canetSt, DefaultConfig(org))
 	}
 	for _, tc := range []struct {
 		name string
@@ -228,44 +221,21 @@ func tierCases(t *testing.T) []tierCase {
 		cfg := DefaultConfig(core.BrowsersAware)
 		cfg.ProxyPolicy, cfg.BrowserPolicy = cache.FIFO, cache.FIFO
 		return cfg
-	}()).sparse = true
+	}())
 	return cases
 }
 
-// runTierCase drives one case the way its flags say.
+// runTierCase replays one case, sharded when it says so.
 func runTierCase(tc tierCase) (Result, error) {
-	switch {
-	case tc.shards > 0:
+	if tc.shards > 0 {
 		return RunSharded(trace.NewSliceStream(tc.trace), tc.st, tc.cfg, tc.shards)
-	case tc.sparse:
-		// sim.Config has no slot-table switch (it is core's business), so
-		// this replays through the same engine Run uses, with the core
-		// configuration patched.
-		if err := tc.cfg.Validate(); err != nil {
-			return Result{}, err
-		}
-		ccfg := CoreConfig(tc.st, tc.cfg)
-		ccfg.SparseBrowserSlots = true
-		sys, err := core.New(ccfg)
-		if err != nil {
-			return Result{}, err
-		}
-		tc.trace.Intern()
-		warmup := int(tc.cfg.WarmupFraction * float64(len(tc.trace.Requests)))
-		rp := newReplay(sys, latency.NewBus(tc.cfg.Latency), &stats.Histogram{}, tc.cfg, warmup)
-		rp.stamp(tc.trace.Name, ccfg)
-		for _, r := range tc.trace.Requests {
-			rp.step(r)
-		}
-		return rp.finish(), nil
-	default:
-		return Run(tc.trace, tc.st, tc.cfg)
 	}
+	return Run(tc.trace, tc.st, tc.cfg)
 }
 
 // TestGoldenTiersAndPolicies pins every Result field of tierCases, recorded
-// before the memory tier moved inside the inner caches: sparse and dense
-// slots, all five policies and any memory fraction must replay bit-identically.
+// before the memory tier moved inside the inner caches: every organization,
+// all five policies and any memory fraction must replay bit-identically.
 func TestGoldenTiersAndPolicies(t *testing.T) {
 	var got []tierRecord
 	for _, tc := range tierCases(t) {

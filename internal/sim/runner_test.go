@@ -123,7 +123,6 @@ func TestRunnerResetAcrossOrganizations(t *testing.T) {
 		"browser policy": func(c *core.Config) { c.BrowserPolicy = cache.FIFO },
 		"index mode":     func(c *core.Config) { c.IndexMode = index.Batched },
 		"index strategy": func(c *core.Config) { c.IndexStrategy = index.SelectLeastLoaded },
-		"sparse slots":   func(c *core.Config) { c.SparseBrowserSlots = true },
 		"parent":         func(c *core.Config) { c.ParentCapacity = c.ProxyCapacity },
 	}
 	for name, mut := range structural {
