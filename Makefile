@@ -146,7 +146,8 @@ bench-e2e-smoke:
 
 # 100k-client out-of-core replay smoke (CI): constant-memory generation of
 # a 2M-request trace from the streaming synth profile, then a full
-# streaming replay gated at a 1 GiB peak-RSS budget with progress logging.
+# streaming replay gated at a 384 MiB peak-RSS budget with progress logging
+# (peak ≈ 200 MiB on two cores, so a memory regression of ~1.9x fails it).
 # The generated .btr must match STREAM_SMOKE_MD5 byte for byte, so a
 # generator change that alters a large trace fails here, not only the
 # 100k-request goldens in internal/synth. The replay report lands in
@@ -159,7 +160,7 @@ stream-smoke:
 		-stream -btr -o /tmp/baps-smoke-100k.btr
 	echo '$(STREAM_SMOKE_MD5)  /tmp/baps-smoke-100k.btr' | md5sum -c -
 	$(GO) run ./cmd/bapsim -stream /tmp/baps-smoke-100k.btr -parallel 2 \
-		-maxrss 1073741824 -progress 30s replay > STREAM_smoke_100k.txt; \
+		-maxrss 402653184 -progress 30s replay > STREAM_smoke_100k.txt; \
 		status=$$?; rm -f /tmp/baps-smoke-100k.btr; cat STREAM_smoke_100k.txt; exit $$status
 
 # 10-second closed-loop load smoke against an in-process loopback cluster
