@@ -98,17 +98,12 @@ func NewPool(policy Policy, n int) (*Pool, error) {
 		return nil, fmt.Errorf("cache: pool of %d members", n)
 	}
 	p := &Pool{policy: policy, members: make([]member, n), nodes: make([]node, 1)}
+	p.slots.byDoc = n == 1
 	if p.heaped() {
 		p.heap = make([]heapNode, 1)
 	}
 	return p, nil
 }
-
-// Policy reports the pool's replacement policy.
-func (p *Pool) Policy() Policy { return p.policy }
-
-// Members reports the number of members.
-func (p *Pool) Members() int { return len(p.members) }
 
 // Member returns a view of member m as an IDTwoTier.
 func (p *Pool) Member(m int) *IDTwoTier {
@@ -546,13 +541,21 @@ func (p *Pool) ids(m int) []intern.ID {
 	return ids
 }
 
-// slotTable maps (member, document) to a resident node for every member of
-// a pool, one-member pools included: open addressing with linear probing
-// over 12-byte slots, Fibonacci hashing and backward-shift deletion, so no
-// tombstones accumulate. Its size follows what the members hold, never the
-// document-ID space. A slot whose node is 0 is empty; the zero value is
-// ready to use.
+// slotTable maps (member, document) to a resident node. Its layout follows
+// the pool's member count, fixed at NewPool:
+//
+//   - one member (byDoc): a dense slice indexed by document ID, one load per
+//     probe, sized by the largest ID stored. A standalone cache's IDs are
+//     dense: TwoTier's are slots it recycles, the simulator's proxy and
+//     parent see the trace's ID space once.
+//   - many members: one open-addressing table shared by all, sized by what
+//     they hold rather than by members × ID space: linear probing over
+//     12-byte slots, Fibonacci hashing, load factor at most 0.75 and
+//     backward-shift deletion, so no tombstones accumulate. A slot whose
+//     node is 0 is empty.
 type slotTable struct {
+	byDoc bool
+	dense []int32 // byDoc: dense[doc] is the node holding doc, or 0
 	slots []slot
 	shift uint8 // 64 - log2(len(slots))
 	n     int
@@ -570,6 +573,12 @@ func (t *slotTable) home(m int32, doc intern.ID) uint64 {
 
 // get returns the node holding doc in member m, or 0.
 func (t *slotTable) get(m int32, doc intern.ID) int32 {
+	if t.byDoc {
+		if uint(doc) < uint(len(t.dense)) {
+			return t.dense[doc]
+		}
+		return 0
+	}
 	if t.n == 0 {
 		return 0
 	}
@@ -588,6 +597,20 @@ func (t *slotTable) get(m int32, doc intern.ID) int32 {
 // put records node n (non-zero) for doc in member m, which must be absent.
 func (t *slotTable) put(m int32, doc intern.ID, n int32) {
 	t.n++
+	if t.byDoc {
+		if int(doc) >= cap(t.dense) {
+			// Document IDs arrive in increasing order as a trace
+			// introduces them: double, or every new ID reallocates.
+			grown := make([]int32, len(t.dense), max(2*cap(t.dense), int(doc)+1))
+			copy(grown, t.dense)
+			t.dense = grown
+		}
+		if int(doc) >= len(t.dense) {
+			t.dense = t.dense[:int(doc)+1]
+		}
+		t.dense[doc] = n
+		return
+	}
 	if t.n > len(t.slots)-len(t.slots)/4 { // load factor 0.75
 		t.grow()
 	}
@@ -601,6 +624,11 @@ func (t *slotTable) put(m int32, doc intern.ID, n int32) {
 
 // del forgets doc in member m, compacting the probe chain behind it.
 func (t *slotTable) del(m int32, doc intern.ID) {
+	if t.byDoc {
+		t.dense[doc] = 0
+		t.n--
+		return
+	}
 	mask := uint64(len(t.slots) - 1)
 	i := t.home(m, doc)
 	for {
@@ -628,6 +656,7 @@ func (t *slotTable) del(m int32, doc intern.ID) {
 
 // clear drops every entry, keeping the slots.
 func (t *slotTable) clear() {
+	clear(t.dense)
 	clear(t.slots)
 	t.n = 0
 }

@@ -156,44 +156,51 @@ func TestIDListSparseEquivalence(t *testing.T) {
 	}
 }
 
-// The shared slot table against a reference map, with small member and
-// document spaces so probe chains run long and backward-shift deletion is
-// exercised hard.
+// Both slot-table layouts against a reference map: the shared table with
+// small member and document spaces, so probe chains run long and
+// backward-shift deletion is exercised hard, and a one-member pool's dense
+// slice.
 func TestSlotTableAgainstMap(t *testing.T) {
 	type key struct {
 		m   int32
 		doc intern.ID
 	}
-	rng := rand.New(rand.NewSource(5))
-	var tab slotTable
-	ref := map[key]int32{}
-	for op := 0; op < 300000; op++ {
-		k := key{int32(rng.Intn(6)), intern.ID(rng.Intn(100))}
-		switch rng.Intn(3) {
-		case 0:
-			if _, ok := ref[k]; ok {
-				continue
+	for _, byDoc := range []bool{false, true} {
+		members := 6
+		if byDoc {
+			members = 1
+		}
+		rng := rand.New(rand.NewSource(5))
+		tab := slotTable{byDoc: byDoc}
+		ref := map[key]int32{}
+		for op := 0; op < 300000; op++ {
+			k := key{int32(rng.Intn(members)), intern.ID(rng.Intn(100))}
+			switch rng.Intn(3) {
+			case 0:
+				if _, ok := ref[k]; ok {
+					continue
+				}
+				v := int32(rng.Intn(1<<20)) + 1
+				tab.put(k.m, k.doc, v)
+				ref[k] = v
+			case 1:
+				if _, ok := ref[k]; ok {
+					tab.del(k.m, k.doc)
+					delete(ref, k)
+				}
+			default:
+				if got, want := tab.get(k.m, k.doc), ref[k]; got != want {
+					t.Fatalf("byDoc=%v op %d: get(%v) = %d want %d", byDoc, op, k, got, want)
+				}
 			}
-			v := int32(rng.Intn(1<<20)) + 1
-			tab.put(k.m, k.doc, v)
-			ref[k] = v
-		case 1:
-			if _, ok := ref[k]; ok {
-				tab.del(k.m, k.doc)
-				delete(ref, k)
-			}
-		default:
-			if got, want := tab.get(k.m, k.doc), ref[k]; got != want {
-				t.Fatalf("op %d: get(%v) = %d want %d", op, k, got, want)
+			if tab.n != len(ref) {
+				t.Fatalf("byDoc=%v op %d: size %d want %d", byDoc, op, tab.n, len(ref))
 			}
 		}
-		if tab.n != len(ref) {
-			t.Fatalf("op %d: size %d want %d", op, tab.n, len(ref))
-		}
-	}
-	for k, want := range ref {
-		if got := tab.get(k.m, k.doc); got != want {
-			t.Fatalf("final get(%v) = %d want %d", k, got, want)
+		for k, want := range ref {
+			if got := tab.get(k.m, k.doc); got != want {
+				t.Fatalf("byDoc=%v final get(%v) = %d want %d", byDoc, k, got, want)
+			}
 		}
 	}
 }
