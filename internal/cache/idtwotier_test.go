@@ -67,11 +67,11 @@ func newRefTwoTier(pol Policy, capacity, memCap int64) *refTwoTier {
 	return r
 }
 
-// newTestTwoTier builds a two-tier cache as a one-member pool or, when
-// sparse, as member 1 of a three-member pool whose other members hold
-// documents under the same IDs, so its every probe of the shared slot table
-// passes entries of other members. It returns a check that the neighbours
-// were left as they were.
+// newTestTwoTier builds a two-tier cache as a one-member pool (the dense
+// slot slice) or, when sparse, as member 1 of a three-member pool whose
+// other members hold documents under the same IDs, so its every probe of
+// the shared slot table passes entries of other members. It returns a check
+// that the neighbours were left as they were.
 func newTestTwoTier(t *testing.T, pol Policy, capacity, memCap int64, sparse bool) (*IDTwoTier, func()) {
 	t.Helper()
 	if !sparse {
@@ -155,8 +155,7 @@ func checkAgainstRef(t *testing.T, where string, tt *IDTwoTier, ref *refTwoTier,
 // one random operation stream — admissions, in-place re-stores at a new size
 // (some too large for the memory tier), tier lookups, removals and resets —
 // for every policy, standalone and as a member of a larger pool (sparse),
-// and asserts identical results after
-// every step. It opens with the one case a shared charge would get wrong: a
+// and asserts identical results after every step. It opens with the one case a shared charge would get wrong: a
 // memory-resident document re-stored at a size the memory tier refuses
 // keeps its old place and charge.
 func TestIDTwoTierMatchesReferenceLRU(t *testing.T) {

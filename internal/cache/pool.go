@@ -107,10 +107,12 @@ func NewPool(policy Policy, n int) (*Pool, error) {
 
 // Member returns a view of member m as an IDTwoTier.
 func (p *Pool) Member(m int) *IDTwoTier {
-	_ = p.members[m]
+	_ = p.members[m] // a member the pool lacks panics here, not on first use
 	return &IDTwoTier{p: p, m: int32(m)}
 }
 
+// heaped reports whether the policy orders by priority on the heap (LFU,
+// SIZE, GDSF) rather than on the list (LRU, FIFO).
 func (p *Pool) heaped() bool { return p.policy >= LFU }
 
 // Len reports member m's resident documents.

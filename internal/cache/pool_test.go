@@ -218,8 +218,8 @@ func heapBytes() int64 {
 // plus its slot-table share, 16 B at the fullest and 32 B just after a
 // doubling, and the append headroom of the node arena), measured on 20 000
 // members holding 100 000 documents. A standalone cache of an agent's size
-// (16 KiB LRU) must stay under 1 KiB empty: the engine it replaced cost
-// 5 133 B.
+// (16 KiB LRU) must stay under 1 KiB empty, since an agent host keeps one
+// per agent and a soak runs thousands.
 func TestPoolFootprint(t *testing.T) {
 	const members, docs = 20000, 100000
 	base := heapBytes()
