@@ -343,3 +343,19 @@ func TestMemoryTierReporting(t *testing.T) {
 		t.Fatalf("fresh doc should be a memory hit: %+v", out)
 	}
 }
+
+// A System's browser caches are the members of one pool and its publishers
+// one slice: building a System costs as many allocations for a thousand
+// clients as for ten.
+func TestNewAllocationsIndependentOfClients(t *testing.T) {
+	for _, org := range []Organization{LocalBrowserCacheOnly, BrowsersAware} {
+		var counts []float64
+		for _, n := range []int{10, 1000} {
+			c := cfg(org, n, 1000, 1000)
+			counts = append(counts, testing.AllocsPerRun(5, func() { mustNew(t, c) }))
+		}
+		if counts[0] != counts[1] {
+			t.Errorf("%v: New made %.0f allocations for 10 clients, %.0f for 1000", org, counts[0], counts[1])
+		}
+	}
+}
