@@ -33,7 +33,8 @@
 //	-chart          also print ASCII charts for figures
 //	-metricsout f   write per-policy Prometheus expositions to f (metrics experiment)
 //	-stream f       trace file for the replay experiment (.btr or text)
-//	-parallel n     replay shard workers (0 = GOMAXPROCS)
+//	-parallel n     replay as n independent proxies, clients split round-robin
+//	                (default 1: one proxy, the paper's organization)
 //	-maxrss n       replay peak-RSS budget in bytes (exceeding it fails the run)
 //	-progress d     replay progress-report interval (e.g. 2s; 0 = off)
 //	-cpuprofile f   write a CPU profile of the run to f (go tool pprof)
@@ -86,7 +87,7 @@ func main() {
 	chart := flag.Bool("chart", false, "print ASCII charts for figures")
 	metricsout := flag.String("metricsout", "", "write per-policy Prometheus expositions to this file (metrics experiment)")
 	streamFile := flag.String("stream", "", "trace file for the replay experiment (.btr or text; see tracegen -stream)")
-	parallel := flag.Int("parallel", 0, "replay shard workers (0 = GOMAXPROCS)")
+	parallel := flag.Int("parallel", 1, "replay as `n` independent proxies, clients split round-robin (1 = one proxy, the paper's organization)")
 	maxRSS := flag.Int64("maxrss", 0, "replay peak-RSS budget in bytes (0 = report only)")
 	progressEvery := flag.Duration("progress", 0, "replay progress-report interval (0 = off)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")

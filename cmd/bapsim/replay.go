@@ -19,7 +19,7 @@ import (
 // replayOpts carries the replay-experiment flags.
 type replayOpts struct {
 	path     string        // -stream: trace file (.btr or text)
-	parallel int           // -parallel: shard workers (0 = GOMAXPROCS)
+	parallel int           // -parallel: independent proxies (0 or 1: one)
 	maxRSS   int64         // -maxrss: peak-RSS budget in bytes (0 = unlimited)
 	progress time.Duration // -progress: progress-report interval (0 = off)
 }
@@ -31,6 +31,8 @@ type replayOpts struct {
 // transient state to the OS so the process peak RSS is the larger pass, not
 // the sum. Reports per-pass wall clock and throughput, the replay result,
 // and the process peak RSS; a -maxrss budget turns the report into a gate.
+// The replay is the paper's one proxy unless -parallel asks for S > 1
+// independent proxies, and the report says which.
 func runReplay(o replayOpts) error {
 	if o.path == "" {
 		return fmt.Errorf("replay needs -stream FILE (generate one with tracegen -stream -btr)")
@@ -89,8 +91,12 @@ func runReplay(o replayOpts) error {
 		return err
 	}
 
-	fmt.Printf("  replay pass  %8.2fs  %6.2fM req/s  (shards=%d)\n",
-		replayDur.Seconds(), reqRate(st.NumRequests, replayDur), shards)
+	organization := "one proxy"
+	if shards > 1 {
+		organization = fmt.Sprintf("S = %d independent proxies", shards)
+	}
+	fmt.Printf("  replay pass  %8.2fs  %6.2fM req/s  (%s)\n",
+		replayDur.Seconds(), reqRate(st.NumRequests, replayDur), organization)
 	fmt.Printf("  HR %.4f  BHR %.4f  (local %.4f, proxy %.4f, remote %.4f)\n",
 		res.HitRatio(), res.ByteHitRatio(),
 		res.LocalHitRatio(), res.ProxyHitRatio(), res.RemoteHitRatio())

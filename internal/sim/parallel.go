@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -14,7 +13,7 @@ import (
 )
 
 // Sharded replay (DESIGN.md §16): the client population is partitioned
-// round-robin across S shard workers (global client g lands on shard g mod S
+// round-robin across S independent proxies, one shard worker each (global client g lands on shard g mod S
 // as local client g div S), each shard simulating an independent slice of the
 // organization — its own browsers, a 1/S slice of the proxy and parent
 // capacity, its own contention bus. A router goroutine drives the trace
@@ -23,14 +22,16 @@ import (
 // therefore deterministic regardless of scheduling. Results merge in shard
 // index order.
 //
-// Determinism contract: with Shards == 1 the result is bit-identical to Run /
-// RunStream (the partition is the identity and the capacity slices reduce to
-// the global ones). With Shards > 1 the simulated organization genuinely
-// changes — peer-browser hits can only come from same-shard peers and each
-// proxy slice evicts independently — so aggregate ratios carry a small,
-// population-dependent epsilon against the sequential run (gated by test at
-// canet2's scale). Repeated runs at the same shard count are bit-identical to
-// each other.
+// Determinism contract: with Shards == 1 (the default) the result is
+// bit-identical to Run / RunStream: the partition is the identity and the
+// capacity slices reduce to the global ones, so this is the paper's one
+// proxy. With Shards > 1 the replay simulates a different organization, S
+// independent proxies each serving 1/S of the clients: a peer-browser hit can
+// come only from a browser of the same proxy, and each proxy caches the
+// shared hot set on its own. Its hit ratios are lower than the one proxy's,
+// by a gap that grows with S and with the population (several points at
+// 10⁵ clients), so a sharded figure is reported with its S. Repeated runs
+// at the same shard count are bit-identical to each other.
 
 // shardChunkSize is the number of requests per router→worker hand-off; large
 // enough to amortize channel overhead, small enough to keep buffered memory
@@ -66,7 +67,8 @@ func (p *ShardProgress) Total() int64 {
 
 // ShardedOptions tunes RunShardedOpts.
 type ShardedOptions struct {
-	// Shards is the worker count; 0 means GOMAXPROCS. Clamped to the
+	// Shards is the number of independent proxies, each replayed by a
+	// worker of its own; 0 means 1, the sequential replay. Clamped to the
 	// client population.
 	Shards int
 
@@ -77,13 +79,10 @@ type ShardedOptions struct {
 }
 
 // ShardCount reports the effective shard count RunShardedOpts would use for
-// a population of numClients: opts.Shards defaulted to GOMAXPROCS and
-// clamped to [1, numClients].
+// a population of numClients: requested clamped to [1, numClients]. It never
+// depends on the machine, so neither does a replay's result.
 func ShardCount(requested, numClients int) int {
 	s := requested
-	if s <= 0 {
-		s = runtime.GOMAXPROCS(0)
-	}
 	if numClients > 0 && s > numClients {
 		s = numClients
 	}
@@ -93,8 +92,8 @@ func ShardCount(requested, numClients int) int {
 	return s
 }
 
-// RunSharded replays a trace stream across the given number of shard workers
-// (0 = GOMAXPROCS) and merges the per-shard results deterministically. st
+// RunSharded replays a trace stream as the given number of independent
+// proxies (0 = 1) and merges the per-shard results deterministically. st
 // must come from a stats pass over the same source; with warm-up on it must
 // also carry per-client request counts (trace.Compute and trace.StreamStats
 // both provide them), from which each shard derives its warm-up cutoff.
