@@ -203,3 +203,34 @@ func TestQuickTwoTierInvariants(t *testing.T) {
 
 // memUsed reports the bytes in tt's memory tier.
 func memUsed(tt *TwoTier) int64 { return tt.ids.MemoryUsed() }
+
+// Once warm, a Put or Seed that evicts allocates nothing: the evictions come
+// back in a buffer the next store reuses.
+func TestTwoTierStoreReusesEvictionBuffer(t *testing.T) {
+	c, err := NewTwoTier(LRU, 400, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 16)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	i := 0
+	store := func() {
+		put := c.Put
+		if i%2 == 1 {
+			put = c.Seed
+		}
+		evicted, admitted := put(Doc{Key: keys[i%len(keys)], Size: 100})
+		if !admitted || (i >= 4 && len(evicted) != 1) {
+			t.Fatalf("store %d: admitted %v, evicted %v", i, admitted, evicted)
+		}
+		i++
+	}
+	for range 64 {
+		store()
+	}
+	if allocs := testing.AllocsPerRun(100, store); allocs != 0 {
+		t.Fatalf("an evicting store made %.2f allocations, want 0", allocs)
+	}
+}
