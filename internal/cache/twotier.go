@@ -32,7 +32,7 @@ type TwoTier struct {
 	keys    []string // keys[id] is the key holding slot id; "" when free
 	free    []intern.ID
 	onEvict EvictFunc
-	evicted []Doc // the evictions of the Put or Seed in progress
+	evicted []Doc // the evictions of the last Put or Seed, reused by the next
 }
 
 // NewTwoTier builds a two-tier cache with the given overall policy, total
@@ -82,7 +82,9 @@ func (t *TwoTier) Peek(key string) (Doc, bool) {
 // evicted documents (never doc itself) and whether doc was admitted. A newly
 // admitted document passes through memory first, as a freshly fetched body
 // would. A document larger than the cache is refused and nothing moves; a
-// refused re-store leaves the older copy resident.
+// refused re-store leaves the older copy resident. The evicted slice is the
+// cache's own buffer, valid until the next Put or Seed: a caller that keeps
+// it longer copies it.
 func (t *TwoTier) Put(doc Doc) ([]Doc, bool) { return t.store(doc, false) }
 
 // Seed is Put without entering the memory tier: it re-seats residency from
@@ -91,6 +93,7 @@ func (t *TwoTier) Put(doc Doc) ([]Doc, bool) { return t.store(doc, false) }
 func (t *TwoTier) Seed(doc Doc) ([]Doc, bool) { return t.store(doc, true) }
 
 func (t *TwoTier) store(doc Doc, seed bool) ([]Doc, bool) {
+	t.evicted = t.evicted[:0]
 	id, resident := t.slots[doc.Key]
 	if !resident {
 		id = t.claim(doc.Key)
@@ -105,9 +108,7 @@ func (t *TwoTier) store(doc Doc, seed bool) ([]Doc, bool) {
 	if !admitted && !resident {
 		t.release(id)
 	}
-	evicted := t.evicted
-	t.evicted = nil
-	return evicted, admitted
+	return t.evicted, admitted
 }
 
 // Remove deletes a document if resident, reporting whether it was. It is an
