@@ -74,12 +74,14 @@ bapsim-golden:
 # a reference model of the transition table in internal/proxy/docstore's
 # package doc for 30 s (the fuzz target stays in internal/proxy, where it
 # drives the records through the request path); the trace readers' FuzzBTR
-# and FuzzRead get 10 s each. Two fuzz workers per target.
+# and FuzzRead get 10 s each, and so does FuzzIndex (the browser index and
+# its sharded form against a map-based model). Two fuzz workers per target.
 # The checked-in corpora under testdata/fuzz also run in every `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDocRecord$$' -fuzztime 30s -parallel 2 ./internal/proxy
 	$(GO) test -run '^$$' -fuzz '^FuzzBTR$$' -fuzztime 10s -parallel 2 ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s -parallel 2 ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzIndex$$' -fuzztime 10s -parallel 2 ./internal/index
 
 # Example smoke (CI): the two live examples run end to end. The anonymity
 # example exits non-zero unless its §6.2 claims hold: a verified remote

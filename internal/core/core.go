@@ -305,10 +305,10 @@ type System struct {
 	proxy  *cache.IDTwoTier
 	parent *cache.IDTwoTier
 	// browsers holds every client's browser cache as a member of one pool:
-	// member i is client i's cache, pubs[i] its publisher.
+	// member i is client i's cache, published as client i by pubs.
 	browsers *cache.Pool
 	idx      *index.Index
-	pubs     []index.Publisher
+	pubs     *index.Publishers
 	now      float64
 
 	// ordBuf is the reused holder-candidate buffer for remoteLookup, so a
@@ -400,9 +400,7 @@ func (s *System) arm() error {
 				}
 				s.pubs = pubs
 			} else {
-				for i := range s.pubs {
-					s.pubs[i].Reset(cfg.IndexThreshold)
-				}
+				s.pubs.Reset(cfg.IndexThreshold)
 			}
 		}
 	}
@@ -439,7 +437,7 @@ func (s *System) access(r trace.Request, out *Outcome) {
 			out.StaleLocal = true
 			s.browsers.Remove(r.Client, r.Doc)
 			if s.cfg.Organization.hasIndex() {
-				s.pubs[r.Client].OnEvict(r.Doc, s.browsers.Len(r.Client))
+				s.pubs.OnEvict(r.Client, r.Doc, s.browsers.Len(r.Client))
 			}
 		}
 	}
@@ -559,7 +557,7 @@ func (s *System) deliverToBrowser(r trace.Request) {
 	// batched changes), each with the resident count it left behind.
 	resident := s.browsers.Len(r.Client)
 	for i, d := range evicted {
-		s.pubs[r.Client].OnEvict(d.ID, resident+len(evicted)-1-i)
+		s.pubs.OnEvict(r.Client, d.ID, resident+len(evicted)-1-i)
 	}
 	if admitted {
 		e := index.Entry{
@@ -570,7 +568,7 @@ func (s *System) deliverToBrowser(r trace.Request) {
 		if s.cfg.DocTTLSec > 0 {
 			e.Expire = s.now + s.cfg.DocTTLSec
 		}
-		s.pubs[r.Client].OnInsert(e, resident)
+		s.pubs.OnInsert(r.Client, e, resident)
 	}
 }
 
@@ -637,8 +635,8 @@ func (s *System) FlushIndex() {
 	if !s.cfg.Organization.hasIndex() {
 		return
 	}
-	for i := range s.pubs {
-		s.pubs[i].Flush()
+	for i := range s.cfg.NumClients {
+		s.pubs.Flush(i)
 	}
 }
 
@@ -649,9 +647,9 @@ func (s *System) IndexMessageStats() (msgs, entriesShipped int64) {
 	if !s.cfg.Organization.hasIndex() {
 		return 0, 0
 	}
-	for i := range s.pubs {
-		msgs += s.pubs[i].Messages()
-		entriesShipped += s.pubs[i].EntriesShipped()
+	for i := range s.cfg.NumClients {
+		msgs += s.pubs.Messages(i)
+		entriesShipped += s.pubs.EntriesShipped(i)
 	}
 	return msgs, entriesShipped
 }

@@ -7,9 +7,10 @@
 // mapping lives in baps/internal/intern), the document size, and a
 // version/time stamp. The package provides:
 //
-//   - Index: the exact directory, holders kept as compact client-sorted
-//     slices in a dense by-document table, with pluggable holder-selection
-//     strategies. Single-goroutine, like core.System: it takes no locks;
+//   - Index: the exact directory, holders kept client-sorted in blocks of
+//     one pointer-free arena behind an 8 B head per document, with
+//     pluggable holder-selection strategies. Single-goroutine, like
+//     core.System: it takes no locks;
 //   - Sharded: the concurrent directory the live proxy uses — N Index
 //     shards selected by document ID, each behind its own lock, so
 //     concurrent request goroutines do not serialize on one directory lock;
@@ -25,6 +26,7 @@ package index
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -35,7 +37,7 @@ import (
 
 // Entry is one browser-index item.
 type Entry struct {
-	// Client is the holder's client id.
+	// Client is the holder's client id, in [0, 2³¹).
 	Client int
 	// Doc is the interned document ID.
 	Doc intern.ID
@@ -52,11 +54,6 @@ type Entry struct {
 	// Zero means no expiry. Expired entries are skipped by AppendOrdered
 	// and purged by PruneExpired.
 	Expire float64
-}
-
-// expired reports whether the entry's TTL ran out at time now.
-func (e Entry) expired(now float64) bool {
-	return e.Expire != 0 && now >= e.Expire
 }
 
 // Strategy selects which holder serves a remote-browser hit when several
@@ -88,57 +85,156 @@ func (s Strategy) String() string {
 	}
 }
 
-// Index is the exact browser directory. Holders of each document are kept in
-// a compact slice sorted by client id, indexed by the dense document ID — no
-// per-lookup string hashing and no per-entry heap allocation. An Index is not
-// safe for concurrent use: the simulator drives one per goroutine, like
-// core.System, and the live proxy uses Sharded, which puts each of its Index
-// shards behind a lock of its own.
+// Index is the exact browser directory. Every slice in it is pointer-free:
+// the holders of all documents live in one arena of 40 B records, and each
+// document has an 8 B head locating its block of the arena, in which its
+// holders are kept sorted by client id. Blocks hold a power of two of
+// records. A full block moves to one twice its size; a block whose holders
+// fall to a quarter of it moves to one half full, and a block left empty
+// is freed. Freed blocks wait on a free list per size for the next document
+// that needs one, so the arena follows the live holders rather than each
+// document's historical maximum. No lookup hashes a string and no entry is
+// a heap object of its own.
+//
+// An Index is not safe for concurrent use: the simulator drives one per
+// goroutine, like core.System, and the live proxy uses Sharded, which puts
+// each of its Index shards behind a lock of its own.
 type Index struct {
 	strategy Strategy
 	ct       *clientTable // shared by all shards of a Sharded
 
-	// byDoc[doc] lists the holders of doc, sorted by client id. Emptied
-	// slices keep their capacity for reuse.
-	byDoc   [][]Entry
-	held    []int // held[client] counts client's entries in this index
-	entries int   // total entries in this index (shard)
-	docs    int   // documents with at least one holder
+	// A document's head is heads[doc/stride]. A shard of an n-shard
+	// Sharded holds the documents phase, phase+n, phase+2n, …, so its
+	// stride is n; a plain Index has stride 1 and phase 0.
+	stride, phase uint32
+
+	heads   []head
+	arena   []holder             // arena[0] is never used, so offset 0 means "no block"
+	free    [maxClass + 1]uint32 // free[c]: first free block of 1<<c records
+	held    []int32              // held[client] counts client's entries in this index
+	entries int                  // total entries in this index (shard)
+	docs    int                  // documents with at least one holder
+}
+
+// holder is one entry as the arena keeps it: the document is the key of the
+// block it sits in. In a free block, the first record's size is the offset
+// of the next free block of the same size.
+type holder struct {
+	size, version int64
+	stamp, expire float64
+	client        int32
+}
+
+// head locates one document's holders: the first n of the 1<<class records
+// at off. A document without holders has no block (head{}). n leaves 27 bits
+// for the count, so a document has at most 2²⁷ holders.
+type head struct {
+	off uint32
+	n   uint32 // holders<<classBits | class
+}
+
+const (
+	classBits = 5
+	maxClass  = 1<<classBits - 1
+)
+
+func (h head) len() int                   { return int(h.n >> classBits) }
+func (h head) class() uint                { return uint(h.n & maxClass) }
+func (r holder) expired(now float64) bool { return r.expire != 0 && now >= r.expire }
+
+func (r holder) entry(doc intern.ID) Entry {
+	return Entry{Client: int(r.client), Doc: doc, Size: r.size, Version: r.version, Stamp: r.stamp, Expire: r.expire}
+}
+
+func holderOf(e Entry) holder {
+	return holder{size: e.Size, version: e.Version, stamp: e.Stamp, expire: e.Expire, client: int32(e.Client)}
 }
 
 // New creates an empty index with the given holder-selection strategy.
 func New(strategy Strategy) *Index {
-	return &Index{strategy: strategy, ct: newClientTable()}
+	return &Index{strategy: strategy, ct: newClientTable(), stride: 1}
 }
 
-// Grow pre-sizes the document table for IDs in [0, numDocs), sparing the
-// hot path incremental growth. The simulator calls it with the trace's
+// Grow pre-sizes the head table for document IDs in [0, numDocs), sparing
+// the hot path incremental growth. The simulator calls it with the trace's
 // document count.
 func (x *Index) Grow(numDocs int) {
-	if numDocs > len(x.byDoc) {
-		grown := make([][]Entry, numDocs)
-		copy(grown, x.byDoc)
-		x.byDoc = grown
+	if n := (numDocs + int(x.stride) - 1) / int(x.stride); n > len(x.heads) {
+		x.heads = slices.Grow(x.heads, n-len(x.heads))[:n]
 	}
 }
 
-func (x *Index) ensureDoc(doc intern.ID) {
-	if int(doc) < len(x.byDoc) {
-		return
+// head returns doc's head, or nil when doc has never had a holder here.
+func (x *Index) head(doc intern.ID) *head {
+	if i := int(uint32(doc) / x.stride); doc >= 0 && i < len(x.heads) {
+		return &x.heads[i]
 	}
-	if int(doc) < cap(x.byDoc) {
-		x.byDoc = x.byDoc[:int(doc)+1]
-		return
+	return nil
+}
+
+// holders returns the holders h locates, sorted by client id.
+func (x *Index) holders(h head) []holder {
+	end := h.off + uint32(h.len())
+	return x.arena[h.off:end:end]
+}
+
+// docOf is the document whose head is heads[i].
+func (x *Index) docOf(i int) intern.ID { return intern.ID(uint32(i)*x.stride + x.phase) }
+
+// alloc takes a block of 1<<class records off its free list, or from the
+// end of the arena.
+func (x *Index) alloc(class uint) uint32 {
+	if off := x.free[class]; off != 0 {
+		x.free[class] = uint32(x.arena[off].size)
+		return off
 	}
-	grown := make([][]Entry, int(doc)+1, max(2*cap(x.byDoc), int(doc)+1))
-	copy(grown, x.byDoc)
-	x.byDoc = grown
+	if len(x.arena) == 0 {
+		x.arena = append(x.arena, holder{})
+	}
+	off := uint32(len(x.arena))
+	x.arena = append(x.arena, make([]holder, 1<<class)...)
+	return off
+}
+
+// resize moves h's holders to a new block of 1<<class records, freeing the
+// old block.
+func (x *Index) resize(h *head, class uint) {
+	n := h.len()
+	off := x.alloc(class)
+	if n > 0 {
+		copy(x.arena[off:off+uint32(n)], x.holders(*h))
+		x.release(*h)
+	}
+	*h = head{off: off, n: uint32(n)<<classBits | uint32(class)}
+}
+
+// release puts h's block on its free list.
+func (x *Index) release(h head) {
+	x.arena[h.off].size = int64(x.free[h.class()])
+	x.free[h.class()] = h.off
+}
+
+// shrunk records that h now has n holders, n <= h.len(): an empty block is
+// freed, and one at a quarter of its size or less moves to a block that n
+// fills by half.
+func (x *Index) shrunk(h *head, n int) {
+	switch {
+	case n == 0:
+		x.release(*h)
+		*h = head{}
+		x.docs--
+	case n<<2 <= 1<<h.class() && h.class() >= 2:
+		h.n = uint32(n)<<classBits | uint32(h.class())
+		x.resize(h, uint(bits.Len(uint(2*n-1))))
+	default:
+		h.n = uint32(n)<<classBits | uint32(h.class())
+	}
 }
 
 // addHeld adjusts client's entry count by delta.
-func (x *Index) addHeld(client, delta int) {
+func (x *Index) addHeld(client int, delta int32) {
 	if client >= len(x.held) {
-		x.held = append(x.held, make([]int, client+1-len(x.held))...)
+		x.held = append(x.held, make([]int32, client+1-len(x.held))...)
 	}
 	x.held[client] += delta
 }
@@ -149,40 +245,48 @@ func (x *Index) Held(client int) int {
 	if client < 0 || client >= len(x.held) {
 		return 0
 	}
-	return x.held[client]
+	return int(x.held[client])
 }
 
 // holderPos returns the position of client within the sorted holder list,
 // and whether it is present.
-func holderPos(hs []Entry, client int) (int, bool) {
+func holderPos(hs []holder, client int) (int, bool) {
 	lo, hi := 0, len(hs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if hs[mid].Client < client {
+		if int(hs[mid].client) < client {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(hs) && hs[lo].Client == client
+	return lo, lo < len(hs) && int(hs[lo].client) == client
 }
 
 // Add records (or refreshes) an entry.
 func (x *Index) Add(e Entry) {
-	x.ensureDoc(e.Doc)
-	hs := x.byDoc[e.Doc]
-	pos, found := holderPos(hs, e.Client)
+	if e.Doc < 0 {
+		panic(fmt.Sprintf("index: negative document ID %d", e.Doc))
+	}
+	x.Grow(int(e.Doc) + 1)
+	h := x.head(e.Doc)
+	pos, found := holderPos(x.holders(*h), e.Client)
 	if found {
-		hs[pos] = e
+		x.arena[h.off+uint32(pos)] = holderOf(e)
 		return
 	}
-	if len(hs) == 0 {
+	n := h.len()
+	switch {
+	case n == 0:
+		x.resize(h, 0)
 		x.docs++
+	case n == 1<<h.class():
+		x.resize(h, h.class()+1)
 	}
-	hs = append(hs, Entry{})
-	copy(hs[pos+1:], hs[pos:])
-	hs[pos] = e
-	x.byDoc[e.Doc] = hs
+	hs := x.arena[h.off : h.off+uint32(n)+1]
+	copy(hs[pos+1:], hs[pos:n])
+	hs[pos] = holderOf(e)
+	h.n += 1 << classBits
 	x.entries++
 	x.addHeld(e.Client, 1)
 }
@@ -190,20 +294,17 @@ func (x *Index) Add(e Entry) {
 // Remove deletes client's entry for doc (the §2 invalidation message),
 // reporting whether it existed.
 func (x *Index) Remove(client int, doc intern.ID) bool {
-	if doc < 0 || int(doc) >= len(x.byDoc) {
+	h := x.head(doc)
+	if h == nil {
 		return false
 	}
-	hs := x.byDoc[doc]
+	hs := x.holders(*h)
 	pos, found := holderPos(hs, client)
 	if !found {
 		return false
 	}
 	copy(hs[pos:], hs[pos+1:])
-	hs[len(hs)-1] = Entry{}
-	x.byDoc[doc] = hs[:len(hs)-1]
-	if len(hs) == 1 {
-		x.docs--
-	}
+	x.shrunk(h, len(hs)-1)
 	x.entries--
 	x.addHeld(client, -1)
 	return true
@@ -212,10 +313,15 @@ func (x *Index) Remove(client int, doc intern.ID) bool {
 // Lookup returns all recorded holders of doc, sorted by client id. The
 // returned slice is a copy.
 func (x *Index) Lookup(doc intern.ID) []Entry {
-	if doc < 0 || int(doc) >= len(x.byDoc) {
+	h := x.head(doc)
+	if h == nil || h.len() == 0 {
 		return nil
 	}
-	return append([]Entry(nil), x.byDoc[doc]...)
+	out := make([]Entry, 0, h.len())
+	for _, r := range x.holders(*h) {
+		out = append(out, r.entry(doc))
+	}
+	return out
 }
 
 // better reports whether a should be preferred over b under the strategy.
@@ -250,12 +356,12 @@ func (x *Index) better(a, b Entry) bool {
 // resolution.
 func (x *Index) AppendOrdered(buf []Entry, doc intern.ID, requester int, now float64) []Entry {
 	start := len(buf)
-	if doc >= 0 && int(doc) < len(x.byDoc) {
-		for _, e := range x.byDoc[doc] {
-			if e.Client == requester || (now != 0 && e.expired(now)) {
+	if h := x.head(doc); h != nil {
+		for _, r := range x.holders(*h) {
+			if int(r.client) == requester || (now != 0 && r.expired(now)) {
 				continue
 			}
-			buf = append(buf, e)
+			buf = append(buf, r.entry(doc))
 		}
 	}
 	// better ends on the client id, unique among a document's holders, so
@@ -276,26 +382,21 @@ func (x *Index) AppendOrdered(buf []Entry, doc intern.ID, requester int, now flo
 // the number removed. The proxy runs this as periodic housekeeping.
 func (x *Index) PruneExpired(now float64) int {
 	n := 0
-	for doc := range x.byDoc {
-		hs := x.byDoc[doc]
+	for i := range x.heads {
+		h := &x.heads[i]
+		hs := x.holders(*h)
 		kept := hs[:0]
-		for _, e := range hs {
-			if e.expired(now) {
-				x.addHeld(e.Client, -1)
-				n++
+		for _, r := range hs {
+			if r.expired(now) {
+				x.addHeld(int(r.client), -1)
 				continue
 			}
-			kept = append(kept, e)
+			kept = append(kept, r)
 		}
 		if len(kept) < len(hs) {
-			for i := len(kept); i < len(hs); i++ {
-				hs[i] = Entry{}
-			}
-			x.byDoc[doc] = kept
+			n += len(hs) - len(kept)
 			x.entries -= len(hs) - len(kept)
-			if len(kept) == 0 {
-				x.docs--
-			}
+			x.shrunk(h, len(kept))
 		}
 	}
 	return n
@@ -320,23 +421,25 @@ func (x *Index) Has(client int, doc intern.ID) bool {
 
 // Get returns client's entry for doc.
 func (x *Index) Get(client int, doc intern.ID) (Entry, bool) {
-	if doc < 0 || int(doc) >= len(x.byDoc) {
+	h := x.head(doc)
+	if h == nil {
 		return Entry{}, false
 	}
-	hs := x.byDoc[doc]
+	hs := x.holders(*h)
 	pos, found := holderPos(hs, client)
 	if !found {
 		return Entry{}, false
 	}
-	return hs[pos], true
+	return hs[pos].entry(doc), true
 }
 
 // ClientDocs returns a copy of client's directory, sorted by document ID.
 func (x *Index) ClientDocs(client int) []Entry {
 	var out []Entry
-	for doc := range x.byDoc {
-		if pos, found := holderPos(x.byDoc[doc], client); found {
-			out = append(out, x.byDoc[doc][pos])
+	for i, h := range x.heads {
+		hs := x.holders(h)
+		if pos, found := holderPos(hs, client); found {
+			out = append(out, hs[pos].entry(x.docOf(i)))
 		}
 	}
 	return out
@@ -345,9 +448,9 @@ func (x *Index) ClientDocs(client int) []Entry {
 // ForEachClientDoc calls fn for every document client currently holds; fn
 // must not call back into the index. Allocation-free, unlike ClientDocs.
 func (x *Index) ForEachClientDoc(client int, fn func(doc intern.ID)) {
-	for doc := range x.byDoc {
-		if _, found := holderPos(x.byDoc[doc], client); found {
-			fn(intern.ID(doc))
+	for i, h := range x.heads {
+		if _, found := holderPos(x.holders(h), client); found {
+			fn(x.docOf(i))
 		}
 	}
 }
@@ -356,8 +459,8 @@ func (x *Index) ForEachClientDoc(client int, fn func(doc intern.ID)) {
 // untouched. Returns the number of entries removed.
 func (x *Index) dropEntries(client int) int {
 	n := 0
-	for doc := range x.byDoc {
-		if x.Remove(client, intern.ID(doc)) {
+	for i := range x.heads {
+		if x.Remove(client, x.docOf(i)) {
 			n++
 		}
 	}
@@ -389,9 +492,9 @@ func (x *Index) Len() int { return x.entries }
 // fn must not call back into the index. The federation layer uses it to
 // build Bloom digests of the aggregate directory.
 func (x *Index) ForEachDoc(fn func(doc intern.ID)) {
-	for doc, hs := range x.byDoc {
-		if len(hs) > 0 {
-			fn(intern.ID(doc))
+	for i, h := range x.heads {
+		if h.len() > 0 {
+			fn(x.docOf(i))
 		}
 	}
 }
@@ -399,15 +502,13 @@ func (x *Index) ForEachDoc(fn func(doc intern.ID)) {
 // URLCount reports the number of distinct documents currently indexed.
 func (x *Index) URLCount() int { return x.docs }
 
-// Reset empties the index in place, retaining the document table and holder
-// slice capacity, so sweep workers can replay many configurations without
+// Reset empties the index in place, retaining the head table and the
+// arena's capacity, so sweep workers can replay many configurations without
 // re-growing. Served counters reset too.
 func (x *Index) Reset() {
-	for doc := range x.byDoc {
-		hs := x.byDoc[doc]
-		clear(hs)
-		x.byDoc[doc] = hs[:0]
-	}
+	clear(x.heads)
+	x.arena = x.arena[:0]
+	x.free = [maxClass + 1]uint32{}
 	clear(x.held)
 	x.entries = 0
 	x.docs = 0

@@ -55,170 +55,171 @@ func ParseMode(s string) (Mode, error) {
 	return 0, fmt.Errorf("index: unknown mode %q", s)
 }
 
-// Publisher mediates one browser cache's updates to the shared Index under
-// the configured protocol. Like the Index it writes to, it is not safe for
-// concurrent use; the simulator is single-threaded per run.
-type Publisher struct {
+// Publishers mediates a population of browser caches' updates to the shared
+// Index under one protocol: the browser of client i (0 ≤ i < n) publishes as
+// client i. The index, mode and threshold are held once for the population;
+// each browser keeps only its counters and, under a batching mode, the
+// pending maps it makes on its first change. Like the Index it writes to, it
+// is not safe for concurrent use; the simulator is single-threaded per run.
+type Publishers struct {
 	idx       *Index
-	client    int
 	mode      Mode
 	threshold float64 // fraction of resident docs changed before flush
+	ps        []publisher
+}
 
-	pendingAdd    map[intern.ID]Entry
-	pendingRemove map[intern.ID]struct{}
-	changes       int
-	flushes       int
-
+// publisher is one browser's protocol state (32 B).
+type publisher struct {
+	pending *pendingChanges // batching modes: made on the first change
+	changes int32
 	// resident is the browser cache's document count as last reported by
 	// OnInsert/OnEvict, so an externally triggered Flush can account a
 	// Periodic full re-send without a fresh resident figure.
-	resident int
+	resident int32
 	// §5 message-volume accounting: msgs counts protocol messages on the
 	// (simulated) wire, entriesShipped the index entries they carried —
 	// one entry per Immediate op, the full directory per Periodic flush,
-	// only the net deltas per Batched flush.
+	// only the net deltas per Batched flush. A batching mode sends one
+	// message per flush, so msgs also counts its flushes.
 	msgs           int64
 	entriesShipped int64
 }
 
-// NewPublisher creates a publisher for client against idx. threshold is the
-// changed fraction that triggers a periodic or batched flush (ignored for
-// Immediate); it must be in (0, 1] for those modes.
-func NewPublisher(idx *Index, client int, mode Mode, threshold float64) (*Publisher, error) {
-	ps, err := NewPublishers(idx, 1, mode, threshold)
-	if err != nil {
-		return nil, err
-	}
-	ps[0].client = client
-	return &ps[0], nil
+// pendingChanges is a batching publisher's unflushed net changes.
+type pendingChanges struct {
+	add    map[intern.ID]Entry
+	remove map[intern.ID]struct{}
 }
 
-// NewPublishers creates the publishers of clients 0 … n-1 against idx, held
-// by value in one slice: a population of browsers costs one allocation, and
-// a batching publisher makes its pending maps on its first change.
-func NewPublishers(idx *Index, n int, mode Mode, threshold float64) ([]Publisher, error) {
+// NewPublishers creates the publishers of clients 0 … n-1 against idx. The
+// population costs one allocation; a batching publisher makes its pending
+// maps on its first change. threshold is the changed fraction that triggers
+// a periodic or batched flush (ignored for Immediate); it must be in (0, 1]
+// for those modes.
+func NewPublishers(idx *Index, n int, mode Mode, threshold float64) (*Publishers, error) {
 	if idx == nil {
 		return nil, fmt.Errorf("index: nil Index")
 	}
 	if (mode == Periodic || mode == Batched) && (threshold <= 0 || threshold > 1) {
 		return nil, fmt.Errorf("index: %s threshold %g out of (0,1]", mode, threshold)
 	}
-	ps := make([]Publisher, n)
-	for i := range ps {
-		ps[i] = Publisher{idx: idx, client: i, mode: mode, threshold: threshold}
-	}
-	return ps, nil
+	return &Publishers{idx: idx, mode: mode, threshold: threshold, ps: make([]publisher, n)}, nil
 }
 
-// pending readies the batching maps, made on a publisher's first change.
-func (p *Publisher) pending() {
-	if p.pendingAdd == nil {
-		p.pendingAdd = make(map[intern.ID]Entry)
-		p.pendingRemove = make(map[intern.ID]struct{})
+// batch returns p's pending changes, making them on its first change.
+func (p *publisher) batch() *pendingChanges {
+	if p.pending == nil {
+		p.pending = &pendingChanges{add: make(map[intern.ID]Entry), remove: make(map[intern.ID]struct{})}
 	}
+	return p.pending
 }
 
-// OnInsert records that the browser cached a document. resident is the
+// OnInsert records that client's browser cached a document. resident is the
 // browser cache's current document count, used for the periodic threshold.
-func (p *Publisher) OnInsert(e Entry, resident int) {
-	e.Client = p.client
-	p.resident = resident
-	if p.mode == Immediate {
-		p.idx.Add(e)
+func (s *Publishers) OnInsert(client int, e Entry, resident int) {
+	p := &s.ps[client]
+	e.Client = client
+	p.resident = int32(resident)
+	if s.mode == Immediate {
+		s.idx.Add(e)
 		p.msgs++
 		p.entriesShipped++
 		return
 	}
-	p.pending()
-	delete(p.pendingRemove, e.Doc)
-	p.pendingAdd[e.Doc] = e
+	b := p.batch()
+	delete(b.remove, e.Doc)
+	b.add[e.Doc] = e
 	p.changes++
-	p.maybeFlush(resident)
+	s.maybeFlush(client, resident)
 }
 
-// OnEvict records that the browser evicted (or invalidated) a document.
-func (p *Publisher) OnEvict(doc intern.ID, resident int) {
-	p.resident = resident
-	if p.mode == Immediate {
-		p.idx.Remove(p.client, doc)
+// OnEvict records that client's browser evicted (or invalidated) a document.
+func (s *Publishers) OnEvict(client int, doc intern.ID, resident int) {
+	p := &s.ps[client]
+	p.resident = int32(resident)
+	if s.mode == Immediate {
+		s.idx.Remove(client, doc)
 		p.msgs++
 		p.entriesShipped++
 		return
 	}
-	p.pending()
-	delete(p.pendingAdd, doc)
-	p.pendingRemove[doc] = struct{}{}
+	b := p.batch()
+	delete(b.add, doc)
+	b.remove[doc] = struct{}{}
 	p.changes++
-	p.maybeFlush(resident)
+	s.maybeFlush(client, resident)
 }
 
-func (p *Publisher) maybeFlush(resident int) {
+func (s *Publishers) maybeFlush(client, resident int) {
 	if resident < 1 {
 		resident = 1
 	}
-	if float64(p.changes) >= p.threshold*float64(resident) {
-		p.Flush()
+	if float64(s.ps[client].changes) >= s.threshold*float64(resident) {
+		s.Flush(client)
 	}
 }
 
-// Flush applies all pending changes to the index immediately (the periodic
-// re-sync message; also sent "when the path between the browser and the
-// proxy is free").
-func (p *Publisher) Flush() {
-	if p.mode == Immediate || p.changes == 0 {
+// Flush applies all of client's pending changes to the index immediately
+// (the periodic re-sync message; also sent "when the path between the
+// browser and the proxy is free").
+func (s *Publishers) Flush(client int) {
+	p := &s.ps[client]
+	if s.mode == Immediate || p.changes == 0 {
 		return
 	}
-	for doc := range p.pendingRemove {
-		p.idx.Remove(p.client, doc)
+	b := p.pending
+	for doc := range b.remove {
+		s.idx.Remove(client, doc)
 	}
-	for _, e := range p.pendingAdd {
-		p.idx.Add(e)
+	for _, e := range b.add {
+		s.idx.Add(e)
 	}
 	p.msgs++
-	if p.mode == Batched {
+	if s.mode == Batched {
 		// One batch message carrying only the net deltas.
-		p.entriesShipped += int64(len(p.pendingAdd) + len(p.pendingRemove))
+		p.entriesShipped += int64(len(b.add) + len(b.remove))
 	} else {
 		// Periodic re-sends the whole resident directory.
-		r := p.resident
-		if r < 1 {
-			r = 1
-		}
-		p.entriesShipped += int64(r)
+		p.entriesShipped += int64(max(p.resident, 1))
 	}
-	clear(p.pendingAdd)
-	clear(p.pendingRemove)
+	clear(b.add)
+	clear(b.remove)
 	p.changes = 0
-	p.flushes++
 }
 
-// Reset discards pending changes and counters and adopts a new periodic
-// threshold, re-arming the publisher for a fresh replay over the same index.
-func (p *Publisher) Reset(threshold float64) {
-	clear(p.pendingAdd)
-	clear(p.pendingRemove)
-	p.changes = 0
-	p.flushes = 0
-	p.resident = 0
-	p.msgs = 0
-	p.entriesShipped = 0
-	p.threshold = threshold
+// Reset discards every publisher's pending changes and counters and adopts
+// a new periodic threshold, re-arming the population for a fresh replay
+// over the same index.
+func (s *Publishers) Reset(threshold float64) {
+	for i := range s.ps {
+		if b := s.ps[i].pending; b != nil {
+			clear(b.add)
+			clear(b.remove)
+		}
+		s.ps[i] = publisher{pending: s.ps[i].pending}
+	}
+	s.threshold = threshold
 }
 
-// Pending reports the number of unflushed changes.
-func (p *Publisher) Pending() int { return p.changes }
+// Pending reports client's number of unflushed changes.
+func (s *Publishers) Pending(client int) int { return int(s.ps[client].changes) }
 
-// Flushes reports how many batched flushes have occurred.
-func (p *Publisher) Flushes() int { return p.flushes }
+// Flushes reports how many batched flushes client has made.
+func (s *Publishers) Flushes(client int) int {
+	if s.mode == Immediate {
+		return 0
+	}
+	return int(s.ps[client].msgs)
+}
 
-// Messages reports the number of index-protocol messages the publisher has
-// put on the (simulated) wire: one per Immediate op, one per Periodic or
-// Batched flush.
-func (p *Publisher) Messages() int64 { return p.msgs }
+// Messages reports the number of index-protocol messages client's publisher
+// has put on the (simulated) wire: one per Immediate op, one per Periodic
+// or Batched flush.
+func (s *Publishers) Messages(client int) int64 { return s.ps[client].msgs }
 
 // EntriesShipped reports the total index entries those messages carried —
 // the §5 overhead figure that separates the three protocols.
-func (p *Publisher) EntriesShipped() int64 { return p.entriesShipped }
+func (s *Publishers) EntriesShipped(client int) int64 { return s.ps[client].entriesShipped }
 
 // Mode reports the configured protocol.
-func (p *Publisher) Mode() Mode { return p.mode }
+func (s *Publishers) Mode() Mode { return s.mode }

@@ -7,7 +7,7 @@ import "testing"
 // Periodic, but ships only the net deltas instead of the full directory.
 func TestBatchedPublisherShipsOnlyDeltas(t *testing.T) {
 	x := New(SelectFirst)
-	p, err := NewPublisher(x, 1, Batched, 1) // flush only when asked
+	p, err := newPublisher(x, 1, Batched, 1) // flush only when asked
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestBatchedPublisherShipsOnlyDeltas(t *testing.T) {
 	}
 
 	// Same sequence under Periodic ships the whole resident directory.
-	q, err := NewPublisher(New(SelectFirst), 1, Periodic, 1)
+	q, err := newPublisher(New(SelectFirst), 1, Periodic, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestBatchedPublisherShipsOnlyDeltas(t *testing.T) {
 // evicted-then-recached document as a single add.
 func TestBatchedCoalescesChurn(t *testing.T) {
 	x := New(SelectFirst)
-	p, err := NewPublisher(x, 2, Batched, 1)
+	p, err := newPublisher(x, 2, Batched, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestBatchedCoalescesChurn(t *testing.T) {
 func TestPeriodicThresholdZeroResident(t *testing.T) {
 	for _, mode := range []Mode{Periodic, Batched} {
 		x := New(SelectFirst)
-		p, err := NewPublisher(x, 1, mode, 1)
+		p, err := newPublisher(x, 1, mode, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestPeriodicThresholdZeroResident(t *testing.T) {
 // counted, applied, and ships exactly the removal count.
 func TestEvictionOnlyBatch(t *testing.T) {
 	x := New(SelectFirst)
-	p, err := NewPublisher(x, 4, Batched, 1)
+	p, err := newPublisher(x, 4, Batched, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestEvictionOnlyBatch(t *testing.T) {
 
 func TestImmediateMessageAccounting(t *testing.T) {
 	x := New(SelectFirst)
-	p, err := NewPublisher(x, 1, Immediate, 0)
+	p, err := newPublisher(x, 1, Immediate, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestParseMode(t *testing.T) {
 	if _, err := ParseMode("bogus"); err == nil {
 		t.Error("ParseMode accepted bogus name")
 	}
-	if _, err := NewPublisher(New(SelectFirst), 1, Batched, 0); err == nil {
+	if _, err := newPublisher(New(SelectFirst), 1, Batched, 0); err == nil {
 		t.Error("Batched publisher accepted zero threshold")
 	}
 }

@@ -5,20 +5,43 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"baps/internal/intern"
 )
+
+// onePublisher is one client's view of a population of publishers, so the
+// protocol tests below read as one browser's.
+type onePublisher struct {
+	ps     *Publishers
+	client int
+}
+
+func newPublisher(idx *Index, client int, mode Mode, threshold float64) (onePublisher, error) {
+	ps, err := NewPublishers(idx, client+1, mode, threshold)
+	return onePublisher{ps, client}, err
+}
+
+func (p onePublisher) OnInsert(e Entry, resident int)      { p.ps.OnInsert(p.client, e, resident) }
+func (p onePublisher) OnEvict(doc intern.ID, resident int) { p.ps.OnEvict(p.client, doc, resident) }
+func (p onePublisher) Flush()                              { p.ps.Flush(p.client) }
+func (p onePublisher) Pending() int                        { return p.ps.Pending(p.client) }
+func (p onePublisher) Flushes() int                        { return p.ps.Flushes(p.client) }
+func (p onePublisher) Messages() int64                     { return p.ps.Messages(p.client) }
+func (p onePublisher) EntriesShipped() int64               { return p.ps.EntriesShipped(p.client) }
+func (p onePublisher) Mode() Mode                          { return p.ps.Mode() }
 
 func TestNewPublisherValidation(t *testing.T) {
 	x := New(SelectFirst)
-	if _, err := NewPublisher(nil, 1, Immediate, 0); err == nil {
+	if _, err := newPublisher(nil, 1, Immediate, 0); err == nil {
 		t.Error("nil index accepted")
 	}
-	if _, err := NewPublisher(x, 1, Periodic, 0); err == nil {
+	if _, err := newPublisher(x, 1, Periodic, 0); err == nil {
 		t.Error("zero threshold accepted for Periodic")
 	}
-	if _, err := NewPublisher(x, 1, Periodic, 1.5); err == nil {
+	if _, err := newPublisher(x, 1, Periodic, 1.5); err == nil {
 		t.Error("threshold > 1 accepted")
 	}
-	if _, err := NewPublisher(x, 1, Immediate, 0); err != nil {
+	if _, err := newPublisher(x, 1, Immediate, 0); err != nil {
 		t.Errorf("Immediate with zero threshold rejected: %v", err)
 	}
 }
@@ -34,7 +57,7 @@ func TestModeString(t *testing.T) {
 
 func TestImmediatePublisher(t *testing.T) {
 	x := New(SelectFirst)
-	p, err := NewPublisher(x, 3, Immediate, 0)
+	p, err := newPublisher(x, 3, Immediate, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +80,7 @@ func TestImmediatePublisher(t *testing.T) {
 func TestPeriodicPublisherBatches(t *testing.T) {
 	x := New(SelectFirst)
 	// Threshold 0.5 with 10 resident docs → flush at 5 changes.
-	p, err := NewPublisher(x, 1, Periodic, 0.5)
+	p, err := newPublisher(x, 1, Periodic, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +104,7 @@ func TestPeriodicPublisherBatches(t *testing.T) {
 
 func TestPeriodicEvictCancelsPendingAdd(t *testing.T) {
 	x := New(SelectFirst)
-	p, _ := NewPublisher(x, 1, Periodic, 1.0)
+	p, _ := newPublisher(x, 1, Periodic, 1.0)
 	p.OnInsert(Entry{Doc: docID("u"), Size: 1}, 100)
 	p.OnEvict(docID("u"), 100)
 	p.Flush()
@@ -93,7 +116,7 @@ func TestPeriodicEvictCancelsPendingAdd(t *testing.T) {
 func TestPeriodicAddCancelsPendingRemove(t *testing.T) {
 	x := New(SelectFirst)
 	x.Add(Entry{Client: 1, Doc: docID("u"), Size: 1})
-	p, _ := NewPublisher(x, 1, Periodic, 1.0)
+	p, _ := newPublisher(x, 1, Periodic, 1.0)
 	p.OnEvict(docID("u"), 100)
 	p.OnInsert(Entry{Doc: docID("u"), Size: 2}, 100)
 	p.Flush()
@@ -104,7 +127,7 @@ func TestPeriodicAddCancelsPendingRemove(t *testing.T) {
 
 func TestFlushNoopWhenEmpty(t *testing.T) {
 	x := New(SelectFirst)
-	p, _ := NewPublisher(x, 1, Periodic, 0.5)
+	p, _ := newPublisher(x, 1, Periodic, 0.5)
 	p.Flush()
 	if p.Flushes() != 0 {
 		t.Fatal("empty Flush counted")
@@ -116,7 +139,7 @@ func TestPeriodicStalenessWindow(t *testing.T) {
 	// claims a document the browser evicted (false hit).
 	x := New(SelectFirst)
 	x.Add(Entry{Client: 1, Doc: docID("u"), Size: 1})
-	p, _ := NewPublisher(x, 1, Periodic, 1.0)
+	p, _ := newPublisher(x, 1, Periodic, 1.0)
 	p.OnEvict(docID("u"), 1000)
 	if !x.Has(1, docID("u")) {
 		t.Fatal("eviction visible before flush — not periodic semantics")
@@ -137,7 +160,7 @@ func TestQuickPublisherConvergence(t *testing.T) {
 		if seed%2 == 0 {
 			mode = Periodic
 		}
-		p, err := NewPublisher(x, 2, mode, 0.25)
+		p, err := newPublisher(x, 2, mode, 0.25)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,8 +12,9 @@ const DefaultShards = 16
 
 // Sharded is the live proxy's lock-striped browser directory, and the one
 // type in this package that is safe for concurrent use: document state is
-// split across n Index shards selected by document ID, each behind its own
-// RWMutex, so request goroutines touching different documents proceed
+// split across n Index shards selected by document ID (shard doc mod n,
+// whose head table covers only its own documents, at doc/n), each behind its
+// own RWMutex, so request goroutines touching different documents proceed
 // without contending on a single directory lock. The served counters of the
 // least-loaded strategy live in one clientTable shared by every shard and
 // read without a lock (see clientTable), keeping least-loaded selection
@@ -45,7 +46,7 @@ func NewSharded(strategy Strategy, n int) *Sharded {
 	}
 	s := &Sharded{ct: newClientTable(), shards: make([]*shard, n)}
 	for i := range s.shards {
-		s.shards[i] = &shard{idx: Index{strategy: strategy, ct: s.ct}}
+		s.shards[i] = &shard{idx: Index{strategy: strategy, ct: s.ct, stride: uint32(n), phase: uint32(i)}}
 	}
 	return s
 }
