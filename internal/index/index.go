@@ -146,8 +146,10 @@ func (r holder) entry(doc intern.ID) Entry {
 	return Entry{Client: int(r.client), Doc: doc, Size: r.size, Version: r.version, Stamp: r.stamp, Expire: r.expire}
 }
 
-func holderOf(e Entry) holder {
-	return holder{size: e.Size, version: e.Version, stamp: e.Stamp, expire: e.Expire, client: int32(e.Client)}
+// set stores e in r field by field: a whole-record copy from a temporary
+// would be read back in 16-byte moves that stall on its 8-byte stores.
+func (r *holder) set(e *Entry) {
+	r.size, r.version, r.stamp, r.expire, r.client = e.Size, e.Version, e.Stamp, e.Expire, int32(e.Client)
 }
 
 // New creates an empty index with the given holder-selection strategy.
@@ -218,16 +220,16 @@ func (x *Index) release(h head) {
 // freed, and one at a quarter of its size or less moves to a block that n
 // fills by half.
 func (x *Index) shrunk(h *head, n int) {
-	switch {
-	case n == 0:
+	if n == 0 {
 		x.release(*h)
 		*h = head{}
 		x.docs--
-	case n<<2 <= 1<<h.class() && h.class() >= 2:
-		h.n = uint32(n)<<classBits | uint32(h.class())
+		return
+	}
+	c := h.class()
+	h.n = uint32(n)<<classBits | uint32(c)
+	if c >= 2 && n<<2 <= 1<<c {
 		x.resize(h, uint(bits.Len(uint(2*n-1))))
-	default:
-		h.n = uint32(n)<<classBits | uint32(h.class())
 	}
 }
 
@@ -268,11 +270,14 @@ func (x *Index) Add(e Entry) {
 	if e.Doc < 0 {
 		panic(fmt.Sprintf("index: negative document ID %d", e.Doc))
 	}
-	x.Grow(int(e.Doc) + 1)
-	h := x.head(e.Doc)
+	i := int(uint32(e.Doc) / x.stride)
+	if i >= len(x.heads) {
+		x.heads = slices.Grow(x.heads, i+1-len(x.heads))[:i+1]
+	}
+	h := &x.heads[i]
 	pos, found := holderPos(x.holders(*h), e.Client)
 	if found {
-		x.arena[h.off+uint32(pos)] = holderOf(e)
+		x.arena[h.off+uint32(pos)].set(&e)
 		return
 	}
 	n := h.len()
@@ -285,7 +290,7 @@ func (x *Index) Add(e Entry) {
 	}
 	hs := x.arena[h.off : h.off+uint32(n)+1]
 	copy(hs[pos+1:], hs[pos:n])
-	hs[pos] = holderOf(e)
+	hs[pos].set(&e)
 	h.n += 1 << classBits
 	x.entries++
 	x.addHeld(e.Client, 1)

@@ -13,10 +13,10 @@ import (
 )
 
 // Sharded replay (DESIGN.md §16): the client population is partitioned
-// round-robin across S independent proxies, one shard worker each (global client g lands on shard g mod S
-// as local client g div S), each shard simulating an independent slice of the
-// organization — its own browsers, a 1/S slice of the proxy and parent
-// capacity, its own contention bus. A router goroutine drives the trace
+// round-robin across S independent proxies, one shard worker each (global
+// client g lands on shard g mod S as local client g div S), each shard
+// simulating an independent slice of the organization — its own browsers, a
+// 1/S slice of the proxy and parent capacity, its own contention bus. A router goroutine drives the trace
 // stream once, fanning each request to its owner shard in trace order, so
 // every shard sees its clients' requests in the original global order and is
 // therefore deterministic regardless of scheduling. Results merge in shard
