@@ -149,7 +149,8 @@ bench-e2e-smoke:
 # 100k-client out-of-core replay smoke (CI): constant-memory generation of
 # a 2M-request trace from the streaming synth profile, then a full
 # streaming replay gated at a 384 MiB peak-RSS budget with progress logging
-# (peak ≈ 210 MiB on two cores, so a memory regression of ~1.8x fails it).
+# (peak ≈ 160–175 MiB on two cores, so a memory regression of ~2.2x fails
+# it).
 # The generated .btr must match STREAM_SMOKE_MD5 byte for byte, so a
 # generator change that alters a large trace fails here, not only the
 # 100k-request goldens in internal/synth. The replay report lands in
